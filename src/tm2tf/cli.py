@@ -19,10 +19,8 @@ from .harness import (
     acceptance_dfas,
     instantiate_capacity,
     probe_phi,
-    validate_cot,
     validate_dfa,
-    validate_scot,
-    validate_softmax,
+    validate_trials,
 )
 from .netcore import EvalConfig, load_model, save_model
 from .softmaxify import (
@@ -33,7 +31,11 @@ from .softmaxify import (
     min_att_exponent_bits,
     next_pow2_at_least,
     scale_qk,
+    theorem_c,
 )
+
+# CLI --mode values -> the mode names of softmaxify and the harness
+_MODES = {"hardmax": "hardmax", "scaled": "scaled_only", "denoised": "denoised"}
 
 
 class CliError(Exception):
@@ -136,39 +138,30 @@ def _cmd_compile(args) -> int:
 
 def _cmd_convert(args) -> int:
     params = load_model(args.model)
-    d = params.dims
     context_bound = args.context_bound
     if context_bound is None:
         r = params.meta.get("r")
         if r is None:
             raise CliError("usage error: model has no r; pass --N explicitly")
         context_bound = 2 ** r
-    if args.c == "auto":
-        if args.mode == "scaled":
-            c = next_pow2_at_least(
-                c0_exact_attention(d.d, d.d_ff, d.d_k, d.n_layers, context_bound)
-            )
-        else:
-            c = next_pow2_at_least(c0_denoising(d.d_k, context_bound))
-    else:
-        try:
-            c = float(args.c)
-        except ValueError as exc:
-            raise CliError(f"usage error: bad --c value {args.c!r}") from exc
+    extra = ""
     try:
-        converted = (
-            scale_qk(params, c) if args.mode == "scaled" else convert_with_denoising(params, c)
-        )
+        if args.c == "auto":
+            c = theorem_c(_MODES[args.mode], params.dims, context_bound)
+        else:
+            c = float(args.c)
+        if args.mode == "scaled":
+            converted = scale_qk(params, c)
+        else:
+            converted = convert_with_denoising(params, c)
+            fmt = act_format_containing(c)
+            extra = (
+                f" act>=custom:{fmt.mantissa_bits},{fmt.exponent_bits}"
+                f" att>=custom:4,{min_att_exponent_bits(context_bound)}"
+            )
     except ValueError as exc:
         raise CliError(f"usage error: {exc}") from exc
     save_model(converted, args.out)
-    extra = ""
-    if args.mode == "denoised":
-        fmt = act_format_containing(c)
-        extra = (
-            f" act>=custom:{fmt.mantissa_bits},{fmt.exponent_bits}"
-            f" att>=custom:4,{min_att_exponent_bits(context_bound)}"
-        )
     print(f"converted mode={args.mode} c={c} N={context_bound}{extra} -> {args.out}")
     return 0
 
@@ -207,14 +200,8 @@ def _cmd_validate(args) -> int:
     if args.protocol == "dfa":
         dfas = [load_machine(p) for p in args.dfa] if args.dfa else acceptance_dfas()
         report = validate_dfa(dfas, r=args.r, max_len=args.max_len)
-    elif args.mode == "hardmax":
-        fn = validate_cot if args.protocol == "cot" else validate_scot
-        report = fn(seed=args.seed, trials=args.trials, cfg=cfg)
     else:
-        mode = "scaled_only" if args.mode == "scaled" else "denoised"
-        report = validate_softmax(
-            mode, seed=args.seed, trials=args.trials, cfg=cfg, protocol=args.protocol
-        )
+        report = validate_trials(args.protocol, _MODES[args.mode], args.seed, args.trials, cfg)
     if args.out:
         _write_json(args.out, report.to_json())
     print(

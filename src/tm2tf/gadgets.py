@@ -23,11 +23,9 @@ __all__ = [
     "RegisterLayout",
     "NeuronSpec",
     "single_neuron",
-    "merge_mlps",
     "zero_register",
     "copy_register",
     "sub_pow2",
-    "add_pow2",
     "sub_pow2_inplace",
     "add_head_movement",
     "full_subtract",
@@ -36,7 +34,6 @@ __all__ = [
     "HeadSpec",
     "selector_head",
     "rows_of",
-    "const_rows",
     "mlp_eval",
     "ModelBuilder",
     "BuildError",
@@ -163,11 +160,6 @@ def single_neuron(
     return NeuronSpec(in_w=in_w, bias4=4 * bias, out_w=dict(output))
 
 
-def merge_mlps(a: list[NeuronSpec], b: list[NeuronSpec]) -> list[NeuronSpec]:
-    """Pointwise sum of two MLPs: just concatenate the hidden neurons."""
-    return list(a) + list(b)
-
-
 def zero_register(
     reg: Register, gates: list[tuple[Flag, int]]
 ) -> list[NeuronSpec]:
@@ -221,32 +213,6 @@ def sub_pow2(
         cond = {m: 1, **{s: -1 for s in range(k, m)}}
         out = {dst.coords[m]: -1}
         out.update({dst.coords[s]: 1 for s in range(k, m)})
-        for _ in range(2):
-            neurons.append(single_neuron(_pattern(src, cond), gates, out))
-    return neurons
-
-
-def add_pow2(
-    src: Register, dst: Register, k: int, gates: list[tuple[Flag, int]]
-) -> list[NeuronSpec]:
-    """4|I1| neurons writing bin(min(2^d - 1, p + 2^k)) to dst when gated."""
-    d = len(src)
-    if len(dst) != d:
-        raise BuildError("register widths must match")
-    if not 0 <= k < d:
-        raise BuildError("k out of range")
-    neurons = copy_register(src, dst, gates)
-    high_all_plus = {t: 1 for t in range(k, d)}
-    # Saturating case p + 2^k >= 2^d: force low bits up to 1.
-    for m in range(k):
-        fire = _pattern(src, {m: -1, **high_all_plus})
-        for _ in range(2):
-            neurons.append(single_neuron(fire, gates, {dst.coords[m]: 1}))
-    # Carry case: flip the lowest clear bit >= k up, clear the run below it.
-    for m in range(k, d):
-        cond = {m: -1, **{s: 1 for s in range(k, m)}}
-        out = {dst.coords[m]: 1}
-        out.update({dst.coords[s]: -1 for s in range(k, m)})
         for _ in range(2):
             neurons.append(single_neuron(_pattern(src, cond), gates, out))
     return neurons
@@ -361,9 +327,6 @@ def denoising_neurons(coords: list[int]) -> list[NeuronSpec]:
     """
     neurons = []
     for c in coords:
-        terms = [
-            (-1, 0, -1),  # (-x)^+ contributes -1 ... wait sign handled below
-        ]
         # (in sign, bias numerator, out weight)
         terms = [
             (-1, 0, 1),   # (-x)^+            * +1
@@ -418,10 +381,6 @@ def rows_of(*items) -> list[tuple[tuple[int, int], ...]]:
         else:
             raise BuildError(f"cannot interpret row item {item!r}")
     return rows
-
-
-def const_rows(flag_or_reg, repeat: int) -> tuple:
-    return (flag_or_reg, repeat)
 
 
 def selector_head(

@@ -96,6 +96,18 @@ def _find_block(tokens: list[str], start: int, opener: str, closer: str):
     return body, None
 
 
+def _finish_output(trace: GenerationTrace, tokens: list[str], start: int) -> GenerationTrace:
+    """Validate the final <outp> block after index start and record the outcome."""
+    body, err = _find_block(tokens, start, OUTP, EOUTP)
+    if err is None and any(token_class(t) != "sym" for t in body):
+        err = "output block contains non-input symbols"
+    if err is not None:
+        trace.outcome, trace.reason = "undefined", err
+    else:
+        trace.outcome, trace.output = "output", body
+    return trace
+
+
 def run_cot(
     params: TransformerParams,
     word: list[str] | str,
@@ -119,15 +131,7 @@ def run_cot(
     if exceeded:
         trace.outcome = "budget_exceeded"
         return trace
-    body, err = _find_block(tokens, len(prompt), OUTP, EOUTP)
-    if err is not None:
-        trace.outcome, trace.reason = "undefined", err
-        return trace
-    if any(token_class(t) != "sym" for t in body):
-        trace.outcome, trace.reason = "undefined", "output block contains non-input symbols"
-        return trace
-    trace.outcome, trace.output = "output", body
-    return trace
+    return _finish_output(trace, tokens, len(prompt))
 
 
 def run_scot(
@@ -158,18 +162,7 @@ def run_scot(
             trace.outcome = "budget_exceeded"
             return trace
         if tokens[-1] == EOUTP:
-            body, err = _find_block(tokens, len(prompt), OUTP, EOUTP)
-            if err is not None:
-                trace.outcome, trace.reason = "undefined", err
-                return trace
-            if any(token_class(t) != "sym" for t in body):
-                trace.outcome, trace.reason = (
-                    "undefined",
-                    "output block contains non-input symbols",
-                )
-                return trace
-            trace.outcome, trace.output = "output", body
-            return trace
+            return _finish_output(trace, tokens, len(prompt))
         body, err = _find_block(tokens, len(prompt), SUMM, ESUMM)
         if err is not None:
             trace.outcome, trace.reason = "undefined", err

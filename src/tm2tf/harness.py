@@ -2,10 +2,12 @@
 capacity/property drivers.
 
 Validation samples small random Turing machines, skips the ones that do
-not halt cleanly, compiles the rest and compares greedy generation against
-the direct simulation token for token. Every checked trial also audits the
-construction invariants (ternary activations, integer score gaps,
-tie-invariant values, unit output-score gaps, length bounds).
+not halt cleanly, compiles the rest (and optionally converts them to
+softmax) and compares greedy generation against the direct simulation
+token for token. Every checked trial also checks the length bounds;
+hardmax trials audit the construction invariants (ternary activations,
+integer score gaps, tie-invariant values, unit output-score gaps) and
+denoised trials the pre-denoising margin.
 """
 
 from __future__ import annotations
@@ -20,6 +22,9 @@ from fractions import Fraction
 import numpy as np
 
 from .automata import (
+    BOS,
+    FALSE,
+    TRUE,
     TokenBudgetError,
     TuringMachine,
     cot_token_oracle,
@@ -33,12 +38,14 @@ from .compilers import (
     compile_cot,
     compile_dfa,
     compile_scot,
+    dfa_dims,
 )
-from .fpcore import EXACT, FloatFormat, Precision, round_array
+from .fpcore import FloatFormat, Precision, round_array
 from .generation import run_cot, run_scot
 from .netcore import (
     ActivationTrace,
     EvalConfig,
+    Evaluator,
     forward,
     hardmax_weights,
     separation,
@@ -46,12 +53,11 @@ from .netcore import (
 )
 from .softmaxify import (
     act_format_containing,
-    c0_denoising,
-    c0_exact_attention,
     convert_with_denoising,
     min_att_exponent_bits,
-    next_pow2_at_least,
     scale_qk,
+    theorem_c,
+    trace_invariant_violations,
 )
 
 __all__ = [
@@ -61,6 +67,7 @@ __all__ = [
     "acceptance_dfas",
     "sample_tm",
     "sample_word",
+    "validate_trials",
     "validate_cot",
     "validate_scot",
     "validate_dfa",
@@ -200,40 +207,6 @@ def sample_word(seed, tm: TuringMachine, max_len: int) -> list[str]:
 # trace invariants
 
 
-def trace_invariant_violations(
-    traces: list[ActivationTrace], hardmax: bool = True
-) -> dict[str, int]:
-    """Count construction-invariant violations over evaluator traces."""
-    out = {"ternary": 0, "score_gap": 0, "tie_values": 0, "output_gap": 0}
-    for trace in traces:
-        for _, arr in trace.representation_arrays():
-            if not np.all(np.isin(arr, (-1.0, 0.0, 1.0))):
-                out["ternary"] += 1
-        if hardmax:
-            for lt in trace.layers:
-                for h in range(len(lt.dots)):
-                    for i, dots in enumerate(lt.dots[h]):
-                        if not np.array_equal(dots, np.rint(dots)):
-                            out["score_gap"] += 1
-                            continue
-                        best = dots.max()
-                        mask = dots == best
-                        rest = dots[~mask]
-                        if rest.size and best - rest.max() < 1.0:
-                            out["score_gap"] += 1
-                        if mask.sum() > 1:
-                            vals = np.stack(
-                                [lt.v[h][j] for j in np.nonzero(mask)[0]]
-                            )
-                            if not np.all(vals == vals[0]):
-                                out["tie_values"] += 1
-        for scores in trace.output_scores:
-            top = np.sort(scores)[::-1]
-            if len(top) > 1 and top[0] - top[1] < 1.0 - 1e-9:
-                out["output_gap"] += 1
-    return out
-
-
 def _merge_violations(total: dict[str, int], part: dict[str, int]) -> None:
     for k, v in part.items():
         total[k] = total.get(k, 0) + v
@@ -305,83 +278,62 @@ def _first_divergence(expected: list[str], got: list[str]) -> dict:
     }
 
 
-def validate_cot(
-    seed: int,
-    trials: int,
-    cfg: TrialConfig = TrialConfig(),
-    eval_cfg: EvalConfig | None = None,
-    convert=None,
-) -> ValidationReport:
-    """Token-for-token comparison of compiled CoT models against the oracle.
+def _segment_divergence(expected: list[list[str]], got: list[list[str]]) -> dict:
+    seg_idx = next(
+        (i for i, (a, b) in enumerate(zip(expected, got)) if a != b),
+        min(len(expected), len(got)),
+    )
+    info = {"segment": seg_idx}
+    if seg_idx < min(len(expected), len(got)):
+        info.update(_first_divergence(expected[seg_idx], got[seg_idx]))
+    return info
 
-    `convert` optionally maps (params, report) to a converted model used in
-    place of the hardmax one, evaluated with `eval_cfg`.
+
+def _converted(mode: str, params, comp_report) -> tuple:
+    """The model a trial runs in `mode`, with its evaluation settings.
+
+    "hardmax": the compiled model, exact and traced for the invariant audit.
+    "scaled_only": c from the exact-attention bound, bf16 activations, exact
+    attention weights. "denoised": the depth-doubled model, c from the
+    denoising bound, 1-mantissa-bit activations containing c, attention
+    weights rounded to 4 mantissa bits, traced for the margin audit.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    start = time.perf_counter()
-    report = ValidationReport(name="cot" if convert is None else "cot-converted")
-    hardmax = convert is None
-    for index in range(trials):
-        report.attempted += 1
-        tm, word, r_bump = _sample_trial(seed, index, cfg)
-        result = tm_run(tm, word, cfg.step_cap)
-        trial = {
-            "index": index,
-            "tapes": tm.tapes,
-            "states": len(tm.states),
-            "symbols": len(tm.tape_alphabet),
-            "word_len": len(word),
-        }
-        if not result.halted:
-            report.skipped += 1
-            trial["status"] = "skipped-nonhalting"
-            report.trials.append(trial)
-            continue
-        if result.output is None:
-            report.skipped += 1
-            trial["status"] = "skipped-invalid-output"
-            report.trials.append(trial)
-            continue
-        r = choose_r_cot(max(result.steps, len(word), 1)) + r_bump
-        trial.update({"steps": result.steps, "space": result.space, "r": r})
-        expected = cot_token_oracle(tm, word, r, step_cap=cfg.step_cap)
-        params, comp_report = compile_cot(tm, r)
-        if convert is not None:
-            params = convert(params, comp_report)
-        run_cfg = eval_cfg if eval_cfg is not None else EvalConfig(capture_trace=True)
-        trace = run_cot(params, word, run_cfg)
-        report.checked += 1
-        got = trace.segments[0]
-        if got != expected:
-            report.mismatches.append({"trial": index, **_first_divergence(expected, got)})
-            trial["status"] = "mismatch"
-        else:
-            trial["status"] = "checked"
-        if len(got) > 4 + 2 * len(word) + 4 * result.steps:
-            _merge_violations(report.violations, {"length_bound": 1})
-        if run_cfg.capture_trace:
-            _merge_violations(
-                report.violations, trace_invariant_violations(trace.eval_traces, hardmax)
-            )
-        report.trials.append(trial)
-    report.wall_time = time.perf_counter() - start
-    return report
+    if mode == "hardmax":
+        return params, EvalConfig(capture_trace=True)
+    n_bound = 2 ** comp_report.r
+    c = theorem_c(mode, comp_report.dims, n_bound)
+    if mode == "scaled_only":
+        return scale_qk(params, c), EvalConfig(
+            attention="softmax", act_precision=Precision(FloatFormat(7, 8))
+        )
+    return convert_with_denoising(params, c), EvalConfig(
+        attention="softmax",
+        act_precision=Precision(act_format_containing(c)),
+        att_precision=Precision(FloatFormat(4, min_att_exponent_bits(n_bound))),
+        capture_trace=True,
+    )
 
 
-def validate_scot(
-    seed: int,
-    trials: int,
-    cfg: TrialConfig = TrialConfig(),
-    eval_cfg: EvalConfig | None = None,
-    convert=None,
+def validate_trials(
+    protocol: str, mode: str, seed: int, trials: int, cfg: TrialConfig = TrialConfig()
 ) -> ValidationReport:
-    """Segment-for-segment comparison of compiled SCoT models."""
+    """Compare compiled models on random machines against the oracle.
+
+    protocol "cot" compares the one CoT segment token for token, "scot"
+    every segment. mode "hardmax" runs the compiled model and audits its
+    construction invariants; "scaled_only" and "denoised" run its softmax
+    conversion at theorem settings (see `_converted`), and "denoised"
+    audits the pre-denoising margin against the hardmax model.
+    """
+    if protocol not in ("cot", "scot"):
+        raise ValueError("protocol must be cot or scot")
+    if mode not in ("hardmax", "scaled_only", "denoised"):
+        raise ValueError("mode must be hardmax, scaled_only or denoised")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     start = time.perf_counter()
-    report = ValidationReport(name="scot" if convert is None else "scot-converted")
-    hardmax = convert is None
+    report = ValidationReport(name=protocol if mode == "hardmax" else f"{protocol}-{mode}")
+    cot = protocol == "cot"
     for index in range(trials):
         report.attempted += 1
         tm, word, r_bump = _sample_trial(seed, index, cfg)
@@ -393,68 +345,75 @@ def validate_scot(
             "symbols": len(tm.tape_alphabet),
             "word_len": len(word),
         }
+        report.trials.append(trial)
         if not result.halted or result.output is None:
             report.skipped += 1
             trial["status"] = (
                 "skipped-nonhalting" if not result.halted else "skipped-invalid-output"
             )
-            report.trials.append(trial)
             continue
-        r = choose_r_scot(max(result.space, 1)) + r_bump
+        if cot:
+            r = choose_r_cot(max(result.steps, len(word), 1)) + r_bump
+        else:
+            r = choose_r_scot(max(result.space, 1)) + r_bump
         trial.update({"steps": result.steps, "space": result.space, "r": r})
         try:
-            expected = scot_segments_oracle(tm, word, r, step_cap=cfg.step_cap)
+            if cot:
+                expected = [cot_token_oracle(tm, word, r, step_cap=cfg.step_cap)]
+            else:
+                expected = scot_segments_oracle(tm, word, r, step_cap=cfg.step_cap)
         except TokenBudgetError:
             report.skipped += 1
             trial["status"] = "skipped-r-too-small"
-            report.trials.append(trial)
             continue
-        params, comp_report = compile_scot(tm, r)
-        if convert is not None:
-            params = convert(params, comp_report)
-        run_cfg = eval_cfg if eval_cfg is not None else EvalConfig(capture_trace=True)
-        trace = run_scot(params, word, run_cfg)
+        hard_params, comp_report = (compile_cot if cot else compile_scot)(tm, r)
+        params, run_cfg = _converted(mode, hard_params, comp_report)
+        if mode != "hardmax":
+            trial["c"] = params.qk_scale
+        trace = (run_cot if cot else run_scot)(params, word, run_cfg)
         report.checked += 1
         if trace.segments != expected:
-            seg_idx = next(
-                (
-                    i
-                    for i, (a, b) in enumerate(zip(expected, trace.segments))
-                    if a != b
-                ),
-                min(len(expected), len(trace.segments)),
+            report.mismatches.append(
+                {"trial": index, **_segment_divergence(expected, trace.segments)}
             )
-            info = {"trial": index, "segment": seg_idx}
-            if seg_idx < min(len(expected), len(trace.segments)):
-                info.update(_first_divergence(expected[seg_idx], trace.segments[seg_idx]))
-            report.mismatches.append(info)
             trial["status"] = "mismatch"
         else:
             trial["status"] = "checked"
-        if trace.max_segment > 8 * (result.space + 3):
-            _merge_violations(report.violations, {"segment_length_bound": 1})
-        if trace.total_tokens > 8 * result.steps + 2 * len(word) + 4:
-            _merge_violations(report.violations, {"total_length_bound": 1})
-        if run_cfg.capture_trace:
-            _merge_violations(
-                report.violations, trace_invariant_violations(trace.eval_traces, hardmax)
-            )
-        report.trials.append(trial)
+        if cot:
+            too_long = {"length_bound": trace.total_tokens > 4 + 2 * len(word) + 4 * result.steps}
+        else:
+            too_long = {
+                "segment_length_bound": trace.max_segment > 8 * (result.space + 3),
+                "total_length_bound": trace.total_tokens > 8 * result.steps + 2 * len(word) + 4,
+            }
+        _merge_violations(report.violations, {k: 1 for k, bad in too_long.items() if bad})
+        if mode == "hardmax":
+            _merge_violations(report.violations, trace_invariant_violations(trace.eval_traces))
+        elif mode == "denoised":
+            margin = _denoising_margin_violations(hard_params, trace)
+            if margin:
+                _merge_violations(report.violations, {"denoising_margin": margin})
     report.wall_time = time.perf_counter() - start
     return report
 
 
+def validate_cot(seed: int, trials: int, cfg: TrialConfig = TrialConfig()) -> ValidationReport:
+    """Token-for-token comparison of compiled CoT models against the oracle."""
+    return validate_trials("cot", "hardmax", seed, trials, cfg)
+
+
+def validate_scot(seed: int, trials: int, cfg: TrialConfig = TrialConfig()) -> ValidationReport:
+    """Segment-for-segment comparison of compiled SCoT models."""
+    return validate_trials("scot", "hardmax", seed, trials, cfg)
+
+
 def validate_dfa(dfas: list, r: int, max_len: int) -> ValidationReport:
     """Exhaustive agreement with dfa_accepts on all words up to max_len."""
-    from .automata import BOS, FALSE, TRUE
-
     start = time.perf_counter()
     report = ValidationReport(name="dfa")
     cfg = EvalConfig(capture_trace=True)
     for d_idx, dfa in enumerate(dfas):
         params, comp_report = compile_dfa(dfa, r)
-        from .compilers import dfa_dims
-
         if comp_report.dims != dfa_dims(dfa, r):
             report.mismatches.append({"dfa": d_idx, "error": "dims deviate from formulas"})
         for n in range(max_len + 1):
@@ -462,8 +421,6 @@ def validate_dfa(dfas: list, r: int, max_len: int) -> ValidationReport:
                 report.attempted += 1
                 report.checked += 1
                 want = TRUE if dfa_accepts(dfa, list(word)) else FALSE
-                from .netcore import Evaluator
-
                 ev = Evaluator(params, cfg)
                 ev.extend([BOS, *word])
                 got = ev.next_token()
@@ -472,7 +429,7 @@ def validate_dfa(dfas: list, r: int, max_len: int) -> ValidationReport:
                         {"dfa": d_idx, "word": "".join(word), "expected": want, "actual": got}
                     )
                 _merge_violations(
-                    report.violations, trace_invariant_violations([ev.trace], True)
+                    report.violations, trace_invariant_violations([ev.trace])
                 )
     report.wall_time = time.perf_counter() - start
     return report
@@ -484,111 +441,14 @@ def validate_softmax(
     trials: int,
     cfg: TrialConfig = TrialConfig(),
     protocol: str = "cot",
-    att_mantissa_bits: int = 4,
-    check_denoising_margin: bool = True,
 ) -> ValidationReport:
-    """Re-run CoT/SCoT validation on converted models at theorem settings.
-
-    mode "scaled_only": c from the exact-attention bound, bf16 activations,
-    exact attention weights. mode "denoised": depth-doubled model, c from
-    the denoising bound, 1-mantissa-bit activations containing c, and
-    attention weights rounded to `att_mantissa_bits` (a value below the
-    theorem's 4 is allowed for diagnostics; mismatches are then recorded,
-    not failed).
-    """
+    """CoT/SCoT validation of "scaled_only" or "denoised" conversions."""
     if mode not in ("scaled_only", "denoised"):
         raise ValueError("mode must be scaled_only or denoised")
-    margin_violations = [0]
-
-    def convert(params, comp_report):
-        n_bound = 2 ** comp_report.r
-        d = comp_report.dims
-        if mode == "scaled_only":
-            c = next_pow2_at_least(
-                c0_exact_attention(d.d, d.d_ff, d.d_k, d.n_layers, n_bound)
-            )
-            return scale_qk(params, c)
-        c = next_pow2_at_least(c0_denoising(d.d_k, n_bound))
-        return convert_with_denoising(params, c)
-
-    def eval_cfg_for(params) -> EvalConfig:
-        if mode == "scaled_only":
-            return EvalConfig(
-                attention="softmax",
-                act_precision=Precision(FloatFormat(7, 8)),
-                att_precision=EXACT,
-                capture_trace=False,
-            )
-        n_bound = 2 ** params.meta["r"]
-        return EvalConfig(
-            attention="softmax",
-            act_precision=Precision(act_format_containing(params.qk_scale)),
-            att_precision=Precision(
-                FloatFormat(att_mantissa_bits, min_att_exponent_bits(n_bound))
-            ),
-            capture_trace=mode == "denoised" and check_denoising_margin,
-        )
-
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    start = time.perf_counter()
-    report = ValidationReport(name=f"{protocol}-{mode}")
-    for index in range(trials):
-        report.attempted += 1
-        tm, word, r_bump = _sample_trial(seed, index, cfg)
-        result = tm_run(tm, word, cfg.step_cap)
-        trial = {"index": index, "tapes": tm.tapes, "word_len": len(word)}
-        if not result.halted or result.output is None:
-            report.skipped += 1
-            trial["status"] = "skipped"
-            report.trials.append(trial)
-            continue
-        if protocol == "cot":
-            r = choose_r_cot(max(result.steps, len(word), 1)) + r_bump
-            try:
-                expected = [cot_token_oracle(tm, word, r, step_cap=cfg.step_cap)]
-            except TokenBudgetError:
-                report.skipped += 1
-                trial["status"] = "skipped-r-too-small"
-                report.trials.append(trial)
-                continue
-            params, comp_report = compile_cot(tm, r)
-        else:
-            r = choose_r_scot(max(result.space, 1)) + r_bump
-            try:
-                expected = scot_segments_oracle(tm, word, r, step_cap=cfg.step_cap)
-            except TokenBudgetError:
-                report.skipped += 1
-                trial["status"] = "skipped-r-too-small"
-                report.trials.append(trial)
-                continue
-            params, comp_report = compile_scot(tm, r)
-        converted = convert(params, comp_report)
-        run_cfg = eval_cfg_for(converted)
-        runner = run_cot if protocol == "cot" else run_scot
-        trace = runner(converted, word, run_cfg)
-        report.checked += 1
-        trial.update({"r": r, "c": converted.qk_scale, "status": "checked"})
-        if trace.segments != expected:
-            seg_idx = next(
-                (i for i, (a, b) in enumerate(zip(expected, trace.segments)) if a != b),
-                min(len(expected), len(trace.segments)),
-            )
-            info = {"trial": index, "segment": seg_idx}
-            if seg_idx < min(len(expected), len(trace.segments)):
-                info.update(_first_divergence(expected[seg_idx], trace.segments[seg_idx]))
-            report.mismatches.append(info)
-            trial["status"] = "mismatch"
-        if mode == "denoised" and check_denoising_margin and run_cfg.capture_trace:
-            viol = _denoising_margin_violations(params, trace, run_cfg)
-            if viol:
-                _merge_violations(report.violations, {"denoising_margin": viol})
-        report.trials.append(trial)
-    report.wall_time = time.perf_counter() - start
-    return report
+    return validate_trials(protocol, mode, seed, trials, cfg)
 
 
-def _denoising_margin_violations(hard_params, trace, run_cfg) -> int:
+def _denoising_margin_violations(hard_params, trace) -> int:
     """Check pre-denoising deviations <= 1/4 against the hardmax reference."""
     violations = 0
     hard_cfg = EvalConfig(attention="hardmax", capture_trace=True)

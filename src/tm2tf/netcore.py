@@ -315,17 +315,7 @@ class Evaluator:
 
     # -- rounding helpers ---------------------------------------------------
 
-    def _round_act(self, x: np.ndarray) -> np.ndarray:
-        prec = self.cfg.act_precision
-        if prec.exact:
-            return x
-        y, sat = round_array(x, prec.fmt)
-        if sat:
-            self.trace.saturations += 1
-        return y
-
-    def _round_att(self, x: np.ndarray) -> np.ndarray:
-        prec = self.cfg.att_precision
+    def _round(self, x: np.ndarray, prec: Precision) -> np.ndarray:
         if prec.exact:
             return x
         y, sat = round_array(x, prec.fmt)
@@ -360,8 +350,10 @@ class Evaluator:
         rotary = params.positional if isinstance(params.positional, RotaryOnly) else None
         c = params.qk_scale
         softmax_mode = cfg.attention == "softmax"
+        act = cfg.act_precision
+        rnd = self._round
 
-        x = self._round_act(self._embed(tok, pos_idx))
+        x = rnd(self._embed(tok, pos_idx), act)
         if capture:
             self.trace.x0.append(x.copy())
 
@@ -379,15 +371,15 @@ class Evaluator:
                 if c != 1.0:
                     q = c * q
                     k = c * k
-                q = self._round_act(q)
-                k = self._round_act(k)
-                v = self._round_act(v)
+                q = rnd(q, act)
+                k = rnd(k, act)
+                v = rnd(v, act)
                 state.append(k, v)
                 dots = state.keys[: state.n] @ q
                 if softmax_mode:
                     scores = dots / self._sqrt_dk
                     weights = softmax_weights(scores)
-                    weights = self._round_att(weights)
+                    weights = rnd(weights, cfg.att_precision)
                     o = weights @ state.values[: state.n]
                 else:
                     # Sum over the argmax set, then divide once: exact for
@@ -396,7 +388,7 @@ class Evaluator:
                     count = mask.sum()
                     weights = mask / count
                     o = (mask.astype(np.float64) @ state.values[: state.n]) / count
-                o = self._round_act(o)
+                o = rnd(o, act)
                 y += wo @ o
                 if capture:
                     lt.q[h].append(q.copy())
@@ -405,11 +397,11 @@ class Evaluator:
                     lt.dots[h].append(dots.copy())
                     lt.weights[h].append(weights.copy())
                     lt.o[h].append(o.copy())
-            y = self._round_act(y)
-            x_mid = self._round_act(x + y)
-            hidden = self._round_act(np.maximum(w1 @ x_mid + bias, 0.0))
-            z = self._round_act(w2 @ hidden)
-            x = self._round_act(x_mid + z)
+            y = rnd(y, act)
+            x_mid = rnd(x + y, act)
+            hidden = rnd(np.maximum(w1 @ x_mid + bias, 0.0), act)
+            z = rnd(w2 @ hidden, act)
+            x = rnd(x_mid + z, act)
             if capture:
                 lt.y.append(y.copy())
                 lt.x_mid.append(x_mid.copy())

@@ -11,31 +11,32 @@ back onto {-1, 0, 1}, then the original MLP in an attention-free layer.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .fpcore import FloatFormat, Precision, is_representable
+from .fpcore import FloatFormat, is_representable
 from .gadgets import denoising_neurons
 from .netcore import (
+    ActivationTrace,
     Dims,
     EvalConfig,
+    Evaluator,
     HeadParams,
     LayerParams,
     TransformerParams,
-    forward,
 )
 
 __all__ = [
-    "ConversionSpec",
     "ConversionError",
     "scale_qk",
+    "theorem_c",
     "c0_exact_attention",
     "c0_denoising",
     "min_att_exponent_bits",
     "next_pow2_at_least",
     "act_format_containing",
     "convert_with_denoising",
+    "trace_invariant_violations",
     "audit_hardmax_preconditions",
     "minimal_c_search",
 ]
@@ -47,25 +48,6 @@ class ConversionError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class ConversionSpec:
-    c: float
-    mode: str  # scaled_only | denoised
-    act_precision: Precision
-    att_precision: Precision
-    context_bound: int
-
-    def __post_init__(self) -> None:
-        if self.c <= 0:
-            raise ConversionError("c must be positive")
-        if self.mode not in ("scaled_only", "denoised"):
-            raise ConversionError("mode must be scaled_only or denoised")
-        if self.mode == "denoised":
-            fmt = self.att_precision.fmt
-            if fmt is None or fmt.mantissa_bits < 4:
-                raise ConversionError("denoised mode needs a finite att format with b_m >= 4")
-
-
 def _require_certified(params: TransformerParams, audited: bool) -> None:
     if params.source not in _CERTIFIED_SOURCES and not audited:
         raise ConversionError(
@@ -74,10 +56,14 @@ def _require_certified(params: TransformerParams, audited: bool) -> None:
         )
 
 
+def _require_scale(c: float) -> None:
+    if not (c > 0 and math.isfinite(c)):
+        raise ConversionError(f"c must be a positive finite number, got {c}")
+
+
 def scale_qk(params: TransformerParams, c: float, audited: bool = False) -> TransformerParams:
     """Scale query/key projections by c; hardmax behavior is unchanged."""
-    if c <= 0:
-        raise ConversionError("c must be positive")
+    _require_scale(c)
     _require_certified(params, audited)
     if params.qk_scale != 1.0:
         raise ConversionError("model is already scaled")
@@ -134,6 +120,21 @@ def next_pow2_at_least(x: float) -> float:
     return 2.0 ** math.ceil(math.log2(x))
 
 
+def theorem_c(mode: str, dims: Dims, context_bound: int) -> float:
+    """The scale c a conversion uses: c0 of its theorem, up to a power of two.
+
+    mode "scaled_only" takes c0_exact_attention (exact attention weights),
+    "denoised" takes c0_denoising (rounded attention weights).
+    """
+    if mode == "scaled_only":
+        c0 = c0_exact_attention(dims.d, dims.d_ff, dims.d_k, dims.n_layers, context_bound)
+    elif mode == "denoised":
+        c0 = c0_denoising(dims.d_k, context_bound)
+    else:
+        raise ValueError("mode must be scaled_only or denoised")
+    return next_pow2_at_least(c0)
+
+
 def act_format_containing(c: float, mantissa_bits: int = 1, min_exponent_bits: int = 3) -> FloatFormat:
     """Smallest b_e >= min_exponent_bits whose format represents c exactly."""
     for b_e in range(max(2, min_exponent_bits), 12):
@@ -152,8 +153,7 @@ def convert_with_denoising(
     projections. Evaluate in rounded-softmax mode with compliant formats to
     reproduce the hardmax tokens.
     """
-    if c <= 0:
-        raise ConversionError("c must be positive")
+    _require_scale(c)
     _require_certified(params, audited)
     if params.qk_scale != 1.0:
         raise ConversionError("convert the unscaled hardmax model")
@@ -216,14 +216,50 @@ def convert_with_denoising(
     return out
 
 
+def trace_invariant_violations(traces: list[ActivationTrace]) -> dict[str, int]:
+    """Count construction-invariant violations over hardmax evaluator traces.
+
+    ternary: an activation outside {-1, 0, 1}. score_gap: a query whose dot
+    products are not integers or whose maximum leads the next score by less
+    than 1. tie_values: tied maximal keys carrying different values.
+    output_gap: a decoded step whose top output score leads by less than 1.
+    """
+    out = {"ternary": 0, "score_gap": 0, "tie_values": 0, "output_gap": 0}
+    for trace in traces:
+        for _, arr in trace.representation_arrays():
+            if not np.all(np.isin(arr, (-1.0, 0.0, 1.0))):
+                out["ternary"] += 1
+        for lt in trace.layers:
+            for h in range(len(lt.dots)):
+                for dots in lt.dots[h]:
+                    if not np.array_equal(dots, np.rint(dots)):
+                        out["score_gap"] += 1
+                        continue
+                    best = dots.max()
+                    mask = dots == best
+                    rest = dots[~mask]
+                    if rest.size and best - rest.max() < 1.0:
+                        out["score_gap"] += 1
+                    if mask.sum() > 1:
+                        vals = np.stack([lt.v[h][j] for j in np.nonzero(mask)[0]])
+                        if not np.all(vals == vals[0]):
+                            out["tie_values"] += 1
+        for scores in trace.output_scores:
+            top = np.sort(scores)[::-1]
+            if len(top) > 1 and top[0] - top[1] < 1.0:
+                out["output_gap"] += 1
+    return out
+
+
 def audit_hardmax_preconditions(
     params: TransformerParams, inputs: list[list[str]]
 ) -> list[str]:
-    """Trace-audit the conversion preconditions on the given inputs.
+    """Audit the conversion preconditions on the given inputs.
 
-    Checks selector-style projections, disjoint head outputs, ternary
-    embeddings, ternary activations, tie-invariant values and the
-    unit output-score gap. Returns a list of violation descriptions.
+    Checks selector-style projections, disjoint head outputs and ternary
+    embeddings on the weights, then the trace invariants of
+    `trace_invariant_violations` with one greedy step after each input.
+    Returns a list of violation descriptions.
     """
     problems: list[str] = []
     for name, m in (("emb", params.emb), ("unemb", params.unemb)):
@@ -241,25 +277,12 @@ def audit_hardmax_preconditions(
             written |= rows
     cfg = EvalConfig(attention="hardmax", capture_trace=True)
     for tokens in inputs:
-        reps, trace = forward(params, tokens, cfg)
-        for name, arr in trace.representation_arrays():
-            if not np.all(np.isin(arr, (-1.0, 0.0, 1.0))):
-                problems.append(f"non-ternary activation {name} on {tokens[:8]}...")
-                break
-        for li, lt in enumerate(trace.layers):
-            for h in range(len(lt.dots)):
-                for i, dots in enumerate(lt.dots[h]):
-                    mask = dots == dots.max()
-                    if mask.sum() > 1:
-                        vals = np.stack([lt.v[h][j] for j in np.nonzero(mask)[0]])
-                        if not np.all(vals == vals[0]):
-                            problems.append(
-                                f"tie-variant values at layer {li} head {h} pos {i}"
-                            )
-        scores = params.unemb.astype(np.float64) @ reps[-1]
-        top = np.sort(scores)[::-1]
-        if len(top) > 1 and top[0] - top[1] < 1.0:
-            problems.append(f"output-score gap {top[0] - top[1]} < 1 on {tokens[:8]}...")
+        ev = Evaluator(params, cfg)
+        ev.extend(tokens)
+        ev.next_token()
+        for key, count in trace_invariant_violations([ev.trace]).items():
+            if count:
+                problems.append(f"{key}: {count} violations on {tokens[:8]}...")
     return problems
 
 
@@ -274,8 +297,6 @@ def minimal_c_search(
     Bisects over powers of two comparing next-token outputs against the
     hardmax model position by position. Makes no theoretical guarantee.
     """
-    from .netcore import Evaluator
-
     hard_cfg = EvalConfig(attention="hardmax")
 
     def agrees(c: float) -> bool:

@@ -126,6 +126,17 @@ def test_convert_auto_and_run_softmax(tm_file, tmp_path, capsys):
     assert "output: acb" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("mode,c", [("denoised", "5"), ("scaled", "nan"), ("scaled", "inf")])
+def test_convert_rejects_bad_c(tm_file, tmp_path, capsys, mode, c):
+    model = str(tmp_path / "model.json")
+    main(["compile-cot", "--tm", tm_file, "--r", "6", "--out", model])
+    conv = tmp_path / "converted.json"
+    code = main(["convert", "--model", model, "--mode", mode, "--c", c, "--out", str(conv)])
+    assert code == 2
+    assert "usage error" in capsys.readouterr().err
+    assert not conv.exists()
+
+
 def test_validate_dfa_cli(tmp_path, capsys):
     out = str(tmp_path / "report.json")
     code = main(["validate", "--protocol", "dfa", "--max-len", "3", "--out", out])
@@ -139,6 +150,17 @@ def test_validate_cot_cli(tmp_path):
         ["validate", "--protocol", "cot", "--seed", "3", "--trials", "10", "--step-cap", "25"]
     )
     assert code == 0
+
+
+def test_validate_converted_cli(tmp_path):
+    out = str(tmp_path / "report.json")
+    code = main(
+        ["validate", "--protocol", "cot", "--mode", "scaled", "--trials", "4",
+         "--step-cap", "25", "--out", out]
+    )
+    assert code == 0
+    rep = json.loads(open(out).read())
+    assert rep["name"] == "cot-scaled_only" and rep["checked"] >= 1
 
 
 def test_probe_cli(capsys):

@@ -10,14 +10,12 @@ from tm2tf.gadgets import (
     ModelBuilder,
     RegisterLayout,
     add_head_movement,
-    add_pow2,
     bin_pm1,
     compose_function_encoding,
     copy_register,
     decode_pm1,
     denoising_neurons,
     full_subtract,
-    merge_mlps,
     mlp_eval,
     single_neuron,
     sub_pow2,
@@ -108,19 +106,6 @@ def admissible_inputs(layout, rng, count=50):
         yield x
 
 
-def test_merge_mlps_is_pointwise_sum():
-    layout, a, b, move, f, g = make_layout(2)
-    f1 = zero_register(a, [(f, 1)])
-    f2 = copy_register(a, b, [(g, 1)])
-    rng = random.Random(1)
-    for x in admissible_inputs(layout, rng):
-        merged = mlp_eval(merge_mlps(f1, f2), x)
-        assert np.array_equal(merged, mlp_eval(f1, x) + mlp_eval(f2, x))
-        doubled = mlp_eval(merge_mlps(f1, f1), x)
-        assert np.array_equal(doubled, 2 * mlp_eval(f1, x))
-    assert merge_mlps(f1, []) == f1
-
-
 def test_zero_register():
     layout, a, b, move, f, g = make_layout(3)
     neurons = zero_register(a, [(f, 1), (g, 0)])
@@ -164,21 +149,6 @@ def test_sub_pow2(r, p, k):
     assert tuple(y[list(b.coords)]) == bin_pm1(r, max(0, p - 2 ** k))
     x[f.coord] = 0
     assert not (x + mlp_eval(neurons, x))[list(b.coords)].any()
-
-
-@pytest.mark.parametrize("r,p,k", [(3, 5, 1), (3, 7, 0), (3, 6, 1), (4, 3, 2), (3, 4, 2)])
-def test_add_pow2(r, p, k):
-    layout = RegisterLayout()
-    a = layout.register("a", r)
-    b = layout.register("b", r)
-    f = layout.flag("f")
-    neurons = add_pow2(a, b, k, [(f, 1)])
-    assert len(neurons) == 4 * r
-    x = np.zeros(layout.d)
-    x[list(a.coords)] = bin_pm1(r, p)
-    x[f.coord] = 1
-    y = x + mlp_eval(neurons, x)
-    assert tuple(y[list(b.coords)]) == bin_pm1(r, min(2 ** r - 1, p + 2 ** k))
 
 
 def test_sub_pow2_inplace_exhaustive():

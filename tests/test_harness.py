@@ -16,6 +16,7 @@ from tm2tf.harness import (
     validate_dfa,
     validate_scot,
     validate_softmax,
+    validate_trials,
 )
 
 FAST = TrialConfig(step_cap=25)
@@ -69,6 +70,20 @@ def test_validate_softmax_scaled_small():
     report = validate_softmax("scaled_only", seed=5, trials=12, cfg=FAST)
     assert report.mismatches == []
     assert report.checked >= 1
+    # Converted trials carry the hardmax record fields and skip statuses,
+    # plus the scale c on every checked trial.
+    hardmax = validate_cot(seed=5, trials=12, cfg=FAST)
+    assert report.skipped == hardmax.skipped
+    for soft, hard in zip(report.trials, hardmax.trials, strict=True):
+        assert ("c" in soft) == (soft["status"] == "checked")
+        assert {k: v for k, v in soft.items() if k != "c"} == hard
+
+
+def test_validate_trials_rejects_unknown_protocol_or_mode():
+    with pytest.raises(ValueError):
+        validate_trials("dfa", "hardmax", seed=1, trials=1)
+    with pytest.raises(ValueError):
+        validate_trials("cot", "scaled", seed=1, trials=1)
 
 
 def test_validate_softmax_denoised_small():

@@ -12,7 +12,6 @@ from tm2tf.generation import run_cot
 from tm2tf.netcore import EvalConfig, next_token
 from tm2tf.softmaxify import (
     ConversionError,
-    ConversionSpec,
     act_format_containing,
     audit_hardmax_preconditions,
     c0_denoising,
@@ -73,14 +72,6 @@ def test_act_format_containing():
     from tm2tf.fpcore import is_representable
 
     assert is_representable(16.0, fmt)
-
-
-def test_conversion_spec_validation():
-    with pytest.raises(ConversionError):
-        ConversionSpec(-1.0, "scaled_only", Precision(), Precision(), 16)
-    with pytest.raises(ConversionError):
-        ConversionSpec(2.0, "denoised", Precision(), Precision(FloatFormat(1, 5)), 16)
-    ConversionSpec(2.0, "denoised", Precision(), Precision(FloatFormat(4, 5)), 16)
 
 
 def test_scale_qk_identity_and_hardmax_invariance():
