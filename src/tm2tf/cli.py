@@ -86,6 +86,28 @@ def _even(value: str) -> int:
     return r
 
 
+def _at_least(minimum: int):
+    """argparse type: an integer >= minimum."""
+
+    def parse(value: str) -> int:
+        n = int(value)
+        if n < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {n}")
+        return n
+
+    parse.__name__ = "int"  # argparse names the type in its error message
+    return parse
+
+
+def _load_model(path: str):
+    try:
+        return load_model(path)
+    except OSError as exc:
+        raise CliError(f"file error: cannot read {path}: {exc}") from exc
+    except (ValueError, KeyError, TypeError, OverflowError) as exc:
+        raise CliError(f"schema error: {path}: {type(exc).__name__}: {exc}") from exc
+
+
 def _eval_config(args) -> EvalConfig:
     try:
         act = parse_precision(args.act_format)
@@ -137,7 +159,7 @@ def _cmd_compile(args) -> int:
 
 
 def _cmd_convert(args) -> int:
-    params = load_model(args.model)
+    params = _load_model(args.model)
     context_bound = args.context_bound
     if context_bound is None:
         r = params.meta.get("r")
@@ -167,7 +189,7 @@ def _cmd_convert(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    params = load_model(args.model)
+    params = _load_model(args.model)
     cfg = _eval_config(args)
     word = _parse_word(args.word)
     runner = run_cot if args.command == "run-cot" else run_scot
@@ -295,9 +317,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--protocol", choices=["cot", "scot", "dfa"], required=True)
     p.add_argument("--mode", choices=["hardmax", "scaled", "denoised"], default="hardmax")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=200)
+    p.add_argument("--trials", type=_at_least(1), default=200)
     p.add_argument("--step-cap", type=int, default=40)
-    p.add_argument("--r", type=int, default=3)  # dfa protocol
+    p.add_argument("--r", type=_at_least(1), default=3)  # dfa protocol
     p.add_argument("--max-len", type=int, default=7)
     p.add_argument("--dfa", action="append")
     p.add_argument("--out")
@@ -305,24 +327,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("probe-phi")
     p.add_argument("--format", required=True)
-    p.add_argument("--max", type=int, default=10000)
+    p.add_argument("--max", type=_at_least(2), default=10000)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_probe)
 
     p = sub.add_parser("c0")
     p.add_argument("--mode", choices=["exact", "denoising"], required=True)
-    p.add_argument("--d", type=int)
-    p.add_argument("--d-ff", dest="d_ff", type=int)
-    p.add_argument("--d-k", dest="d_k", type=int)
-    p.add_argument("--L", dest="layers", type=int)
-    p.add_argument("--N", dest="context_bound", type=int)
+    p.add_argument("--d", type=_at_least(1))
+    p.add_argument("--d-ff", dest="d_ff", type=_at_least(1))
+    p.add_argument("--d-k", dest="d_k", type=_at_least(1))
+    p.add_argument("--L", dest="layers", type=_at_least(1))
+    p.add_argument("--N", dest="context_bound", type=_at_least(1))
     p.set_defaults(func=_cmd_c0)
 
     p = sub.add_parser("capacity")
-    p.add_argument("--L", dest="layers", type=int, required=True)
-    p.add_argument("--d-k", dest="d_k", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--d-ff", dest="d_ff", type=int, required=True)
+    p.add_argument("--L", dest="layers", type=_at_least(1), required=True)
+    p.add_argument("--d-k", dest="d_k", type=_at_least(1), required=True)
+    p.add_argument("--d", type=_at_least(1), required=True)
+    p.add_argument("--d-ff", dest="d_ff", type=_at_least(1), required=True)
     p.add_argument("--construction", choices=["cot", "scot"], default="cot")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_capacity)

@@ -34,6 +34,7 @@ __all__ = [
     "HeadSpec",
     "selector_head",
     "rows_of",
+    "mlp_weights",
     "mlp_eval",
     "ModelBuilder",
     "BuildError",
@@ -196,16 +197,27 @@ def sub_pow2(
     src: Register, dst: Register, k: int, gates: list[tuple[Flag, int]]
 ) -> list[NeuronSpec]:
     """4|I1| neurons writing bin(max(0, p - 2^k)) to dst when gated."""
+    return copy_register(src, dst, gates) + _decrement_pow2(src, dst, k, gates)
+
+
+def sub_pow2_inplace(
+    reg: Register, k: int, gates: list[tuple[Flag, int]]
+) -> list[NeuronSpec]:
+    """2|I| neurons updating reg to bin(max(0, p - 2^k)) in place when gated."""
+    return _decrement_pow2(reg, reg, k, gates)
+
+
+def _decrement_pow2(
+    src: Register, dst: Register, k: int, gates: list[tuple[Flag, int]]
+) -> list[NeuronSpec]:
+    """2|I| neurons adding bin(max(0, p - 2^k)) - bin(p) to dst, p read from src."""
     d = len(src)
-    if len(dst) != d:
-        raise BuildError("register widths must match")
     if not 0 <= k < d:
         raise BuildError("k out of range")
-    neurons = copy_register(src, dst, gates)
-    high_all_minus = {t: -1 for t in range(k, d)}
-    # Saturating case p < 2^k: force copied low bits down to -1.
+    neurons = []
+    # Saturating case p < 2^k: force the low bits down to -1.
     for m in range(k):
-        fire = _pattern(src, {m: 1, **high_all_minus})
+        fire = _pattern(src, {m: 1, **{t: -1 for t in range(k, d)}})
         for _ in range(2):
             neurons.append(single_neuron(fire, gates, {dst.coords[m]: -1}))
     # Borrow case p >= 2^k: flip the lowest set bit >= k and raise the gap.
@@ -215,27 +227,6 @@ def sub_pow2(
         out.update({dst.coords[s]: 1 for s in range(k, m)})
         for _ in range(2):
             neurons.append(single_neuron(_pattern(src, cond), gates, out))
-    return neurons
-
-
-def sub_pow2_inplace(
-    reg: Register, k: int, gates: list[tuple[Flag, int]]
-) -> list[NeuronSpec]:
-    """2|I| neurons updating reg to bin(max(0, p - 2^k)) in place when gated."""
-    d = len(reg)
-    if not 0 <= k < d:
-        raise BuildError("k out of range")
-    neurons = []
-    for m in range(k):
-        fire = _pattern(reg, {m: 1, **{t: -1 for t in range(k, d)}})
-        for _ in range(2):
-            neurons.append(single_neuron(fire, gates, {reg.coords[m]: -1}))
-    for m in range(k, d):
-        cond = {m: 1, **{s: -1 for s in range(k, m)}}
-        out = {reg.coords[m]: -1}
-        out.update({reg.coords[s]: 1 for s in range(k, m)})
-        for _ in range(2):
-            neurons.append(single_neuron(_pattern(reg, cond), gates, out))
     return neurons
 
 
@@ -426,6 +417,20 @@ def mlp_eval(neurons: list[NeuronSpec], x: np.ndarray) -> np.ndarray:
 # builder
 
 
+def mlp_weights(neurons: list[NeuronSpec], d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(w1, bias4, w2) of shapes (m, d), (m,), (d, m) for m neurons, in order."""
+    w1 = np.zeros((len(neurons), d), dtype=np.int8)
+    bias4 = np.zeros(len(neurons), dtype=np.int32)
+    w2 = np.zeros((d, len(neurons)), dtype=np.int8)
+    for n_i, n in enumerate(neurons):
+        for c, w in n.in_w.items():
+            w1[n_i, c] = w
+        bias4[n_i] = n.bias4
+        for c, w in n.out_w.items():
+            w2[c, n_i] = w
+    return w1, bias4, w2
+
+
 @dataclass
 class _MlpOp:
     neurons: list[NeuronSpec]
@@ -577,26 +582,8 @@ class ModelBuilder:
                 for r_i, coord in enumerate(spec.out_coords):
                     wo[coord, r_i] = 1
                 head_params.append(HeadParams(wq, wk, wv, wo))
-            while len(head_params) < dims.n_heads:
-                head_params.append(
-                    HeadParams(
-                        np.zeros((dims.d_k, d), dtype=np.int8),
-                        np.zeros((dims.d_k, d), dtype=np.int8),
-                        np.zeros((dims.d_v, d), dtype=np.int8),
-                        np.zeros((d, dims.d_v), dtype=np.int8),
-                    )
-                )
             neurons = [n for op in ops for n in op.neurons]
-            w1 = np.zeros((dims.d_ff, d), dtype=np.int8)
-            bias4 = np.zeros(dims.d_ff, dtype=np.int32)
-            w2 = np.zeros((d, dims.d_ff), dtype=np.int8)
-            for n_i, n in enumerate(neurons):
-                for c, w in n.in_w.items():
-                    w1[n_i, c] = w
-                bias4[n_i] = n.bias4
-                for c, w in n.out_w.items():
-                    w2[c, n_i] = w
-            layers.append(LayerParams(head_params, w1, bias4, w2))
+            layers.append(LayerParams(head_params, *mlp_weights(neurons, d)))
 
         params = TransformerParams(
             dims=dims,

@@ -33,9 +33,10 @@ class GenerationTrace:
     records: list[dict] = field(default_factory=list)
 
 
-def _default_budget(params: TransformerParams) -> int:
+def _default_budget(params: TransformerParams, prompt: list[str]) -> int:
+    """Steps that fit the context: the positions left after the prompt."""
     if isinstance(params.positional, BinaryAbsolute):
-        return 2 ** params.positional.r + 16
+        return max(0, 2 ** params.positional.r - len(prompt))
     return 4096
 
 
@@ -118,9 +119,9 @@ def run_cot(
     """Decode from <inp> w </inp> until </outp>; validate the output block."""
     word = list(word)
     trace = GenerationTrace(protocol="cot")
-    budget = budget if budget is not None else _default_budget(params)
     records = trace.records if record_steps else None
     prompt = [INP, *word, EINP]
+    budget = budget if budget is not None else _default_budget(params, prompt)
     tokens, exceeded, ev = generate(params, prompt, {EOUTP}, budget, cfg, records)
     trace.segments = [tokens]
     trace.total_tokens = len(tokens)
@@ -145,12 +146,12 @@ def run_scot(
     """The iterated segment/summary loop; budget applies per segment."""
     word = list(word)
     trace = GenerationTrace(protocol="scot")
-    budget = budget if budget is not None else _default_budget(params)
     prompt = [INP, *word, EINP]
     for seg_idx in range(max_segments):
         records = trace.records if record_steps else None
+        steps = budget if budget is not None else _default_budget(params, prompt)
         tokens, exceeded, ev = generate(
-            params, prompt, {EOUTP, ESUMM}, budget, cfg, records, segment_index=seg_idx
+            params, prompt, {EOUTP, ESUMM}, steps, cfg, records, segment_index=seg_idx
         )
         trace.segments.append(tokens)
         trace.total_tokens += len(tokens)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
@@ -66,10 +67,10 @@ class HeadParams:
 
 @dataclass
 class LayerParams:
-    heads: list[HeadParams]
-    w1: np.ndarray  # (d_ff, d)
-    bias4: np.ndarray  # (d_ff,) numerators of quarter-integer biases
-    w2: np.ndarray  # (d, d_ff)
+    heads: list[HeadParams]  # the <= n_heads heads built
+    w1: np.ndarray  # (m, d) for the m <= d_ff neurons built
+    bias4: np.ndarray  # (m,) numerators of quarter-integer biases
+    w2: np.ndarray  # (d, m)
 
 
 @dataclass(frozen=True)
@@ -101,31 +102,55 @@ class TransformerParams:
     mode: str = "hardmax"  # hardmax | scaled-softmax | denoised-softmax
     meta: dict = field(default_factory=dict)
 
+    @cached_property
+    def _token_ids(self) -> dict[str, int]:
+        return {t: i for i, t in enumerate(self.vocab)}
+
     def token_index(self, tok: str) -> int:
-        cache = self.meta.get("_tokidx")
-        if cache is None:
-            cache = {t: i for i, t in enumerate(self.vocab)}
-            self.meta["_tokidx"] = cache
         try:
-            return cache[tok]
+            return self._token_ids[tok]
         except KeyError:
             raise EvalError(f"token {tok!r} not in vocabulary") from None
 
     def validate_weights(self) -> None:
-        """Check the small-integer weight contract."""
-        d = self.dims.d
-        for name, m in (("emb", self.emb), ("unemb", self.unemb)):
-            if np.abs(m).max(initial=0) > 1:
-                raise ValueError(f"{name} entries must be ternary")
+        """Check the model contract: ternary embeddings and attention weights,
+        MLP codes in {0,+-1,+-2}, biases in [-d-1, d+1], and every shape
+        within the dims budgets (at most n_heads heads, d_ff MLP rows)."""
+        dims, d, n_vocab = self.dims, self.dims.d, len(self.vocab)
+        if len(set(self.vocab)) != n_vocab:
+            raise ValueError("vocabulary tokens must be unique")
+        if isinstance(self.positional, BinaryAbsolute) and not all(
+            0 <= c < d for c in self.positional.coords
+        ):
+            raise ValueError(f"positional coordinates must lie in [0, {d})")
+        if len(self.layers) != dims.n_layers:
+            raise ValueError(f"{len(self.layers)} layers but dims.n_layers = {dims.n_layers}")
+        # (name, array, shape, largest absolute code)
+        arrays = [("emb", self.emb, (n_vocab, d), 1), ("unemb", self.unemb, (n_vocab, d), 1)]
         for li, layer in enumerate(self.layers):
-            for h in layer.heads:
-                for m in (h.wq, h.wk, h.wv, h.wo):
-                    if np.abs(m).max(initial=0) > 1:
-                        raise ValueError(f"layer {li} attention weights must be ternary")
-            if np.abs(layer.w1).max(initial=0) > 2 or np.abs(layer.w2).max(initial=0) > 2:
-                raise ValueError(f"layer {li} MLP weight codes must lie in 0,+-1,+-2")
-            if np.abs(layer.bias4).max(initial=0) > 4 * (d + 1):
-                raise ValueError(f"layer {li} biases exceed the [-d-1, d+1] range")
+            m = layer.bias4.size
+            if len(layer.heads) > dims.n_heads or m > dims.d_ff:
+                raise ValueError(
+                    f"layer {li} has {len(layer.heads)} heads and {m} MLP rows, "
+                    f"over the budgets n_heads = {dims.n_heads}, d_ff = {dims.d_ff}"
+                )
+            for hi, h in enumerate(layer.heads):
+                arrays += [
+                    (f"layer {li} head {hi} wq", h.wq, (dims.d_k, d), 1),
+                    (f"layer {li} head {hi} wk", h.wk, (dims.d_k, d), 1),
+                    (f"layer {li} head {hi} wv", h.wv, (dims.d_v, d), 1),
+                    (f"layer {li} head {hi} wo", h.wo, (d, dims.d_v), 1),
+                ]
+            arrays += [
+                (f"layer {li} w1", layer.w1, (m, d), 2),
+                (f"layer {li} bias4", layer.bias4, (m,), 4 * (d + 1)),
+                (f"layer {li} w2", layer.w2, (d, m), 2),
+            ]
+        for name, a, shape, bound in arrays:
+            if a.shape != shape:
+                raise ValueError(f"{name} has shape {a.shape}, expected {shape}")
+            if np.abs(a).max(initial=0) > bound:
+                raise ValueError(f"{name} codes must lie in [-{bound}, {bound}]")
         if not self.qk_scale > 0:
             raise ValueError("qk_scale must be positive")
 
@@ -488,7 +513,7 @@ def params_to_json(params: TransformerParams) -> dict:
         "qk_scale": float(params.qk_scale).hex(),
         "source": params.source,
         "mode": params.mode,
-        "meta": {k: v for k, v in params.meta.items() if not k.startswith("_")},
+        "meta": dict(params.meta),
         "emb": params.emb.astype(int).tolist(),
         "unemb": params.unemb.astype(int).tolist(),
         "layers": [
@@ -512,6 +537,7 @@ def params_to_json(params: TransformerParams) -> dict:
 
 
 def params_from_json(doc: dict) -> TransformerParams:
+    """Parse a model file document and check it against the model contract."""
     dims = Dims(**doc["dims"])
     layers = []
     for ldoc in doc["layers"]:
@@ -524,15 +550,16 @@ def params_from_json(doc: dict) -> TransformerParams:
             )
             for h in ldoc["heads"]
         ]
+        w1 = np.array(ldoc["w1"], dtype=np.int8)  # [] for a layer without neurons
         layers.append(
             LayerParams(
                 heads=heads,
-                w1=np.array(ldoc["w1"], dtype=np.int8),
+                w1=w1.reshape(0, dims.d) if w1.shape == (0,) else w1,
                 bias4=np.array(ldoc["bias4"], dtype=np.int32),
                 w2=np.array(ldoc["w2"], dtype=np.int8),
             )
         )
-    return TransformerParams(
+    params = TransformerParams(
         dims=dims,
         vocab=list(doc["vocab"]),
         emb=np.array(doc["emb"], dtype=np.int8),
@@ -544,6 +571,8 @@ def params_from_json(doc: dict) -> TransformerParams:
         mode=doc.get("mode", "hardmax"),
         meta=dict(doc.get("meta", {})),
     )
+    params.validate_weights()
+    return params
 
 
 def save_model(params: TransformerParams, path: str) -> None:

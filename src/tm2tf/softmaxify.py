@@ -11,17 +11,17 @@ back onto {-1, 0, 1}, then the original MLP in an attention-free layer.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
 from .fpcore import FloatFormat, is_representable
-from .gadgets import denoising_neurons
+from .gadgets import denoising_neurons, mlp_weights
 from .netcore import (
     ActivationTrace,
     Dims,
     EvalConfig,
     Evaluator,
-    HeadParams,
     LayerParams,
     TransformerParams,
 )
@@ -67,20 +67,13 @@ def scale_qk(params: TransformerParams, c: float, audited: bool = False) -> Tran
     _require_certified(params, audited)
     if params.qk_scale != 1.0:
         raise ConversionError("model is already scaled")
-    out = TransformerParams(
-        dims=params.dims,
+    return replace(
+        params,
         vocab=list(params.vocab),
-        emb=params.emb,
-        unemb=params.unemb,
-        positional=params.positional,
-        layers=params.layers,
-        qk_scale=float(c),
-        source=params.source,
-        mode="scaled-softmax",
         meta=dict(params.meta),
+        qk_scale=float(c),
+        mode="scaled-softmax",
     )
-    out.meta.pop("_tokidx", None)
-    return out
 
 
 def c0_exact_attention(d: int, d_ff: int, d_k: int, n_layers: int, context_bound: int) -> float:
@@ -157,60 +150,21 @@ def convert_with_denoising(
     _require_certified(params, audited)
     if params.qk_scale != 1.0:
         raise ConversionError("convert the unscaled hardmax model")
-    dims = params.dims
-    d_ff_new = max(dims.d_ff, 6 * dims.d)
-    new_dims = Dims(
-        d=dims.d,
-        d_k=dims.d_k,
-        d_v=dims.d_v,
-        d_ff=d_ff_new,
-        n_heads=dims.n_heads,
-        n_layers=2 * dims.n_layers,
-    )
-
-    denoise = denoising_neurons(list(range(dims.d)))
-    den_w1 = np.zeros((d_ff_new, dims.d), dtype=np.int8)
-    den_bias4 = np.zeros(d_ff_new, dtype=np.int32)
-    den_w2 = np.zeros((dims.d, d_ff_new), dtype=np.int8)
-    for i, n in enumerate(denoise):
-        for coord, w in n.in_w.items():
-            den_w1[i, coord] = w
-        den_bias4[i] = n.bias4
-        for coord, w in n.out_w.items():
-            den_w2[coord, i] = w
-
-    zero_heads = [
-        HeadParams(
-            np.zeros((dims.d_k, dims.d), dtype=np.int8),
-            np.zeros((dims.d_k, dims.d), dtype=np.int8),
-            np.zeros((dims.d_v, dims.d), dtype=np.int8),
-            np.zeros((dims.d, dims.d_v), dtype=np.int8),
-        )
-        for _ in range(dims.n_heads)
-    ]
-
+    dims, d = params.dims, params.dims.d
+    new_dims = replace(dims, d_ff=max(dims.d_ff, 6 * d), n_layers=2 * dims.n_layers)
+    den_w1, den_bias4, den_w2 = mlp_weights(denoising_neurons(list(range(d))), d)
     layers: list[LayerParams] = []
     for layer in params.layers:
         layers.append(LayerParams(layer.heads, den_w1, den_bias4, den_w2))
-        w1 = np.zeros((d_ff_new, dims.d), dtype=np.int8)
-        bias4 = np.zeros(d_ff_new, dtype=np.int32)
-        w2 = np.zeros((dims.d, d_ff_new), dtype=np.int8)
-        w1[: dims.d_ff] = layer.w1
-        bias4[: dims.d_ff] = layer.bias4
-        w2[:, : dims.d_ff] = layer.w2
-        layers.append(LayerParams(zero_heads, w1, bias4, w2))
-
-    out = TransformerParams(
+        layers.append(LayerParams([], layer.w1, layer.bias4, layer.w2))
+    out = replace(
+        params,
         dims=new_dims,
         vocab=list(params.vocab),
-        emb=params.emb,
-        unemb=params.unemb,
-        positional=params.positional,
         layers=layers,
+        meta=dict(params.meta),
         qk_scale=float(c),
-        source=params.source,
         mode="denoised-softmax",
-        meta={k: v for k, v in params.meta.items() if k != "_tokidx"},
     )
     out.validate_weights()
     return out

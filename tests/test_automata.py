@@ -4,7 +4,6 @@ import random
 import pytest
 
 from tm2tf.automata import (
-    BOS,
     EINP,
     EOUTP,
     ESUMM,
@@ -28,7 +27,6 @@ from tm2tf.automata import (
     load_dfa,
     load_tm,
     parse_pos_token,
-    parse_run_token,
     pos_token,
     run_token,
     scot_segments_oracle,

@@ -193,3 +193,54 @@ def test_scot_cli_end_to_end(tmp_path, capsys):
     assert main(["run-scot", "--model", model, "--word", "xxx"]) == 0
     out = capsys.readouterr().out
     assert "outcome: output" in out
+
+
+def _model_file_cases(tmp_path, dfa_file):
+    """(name, path) of model files that must be refused with exit code 2."""
+    model = tmp_path / "model.json"
+    assert main(["compile-dfa", "--dfa", dfa_file, "--r", "3", "--out", str(model)]) == 0
+    doc = json.loads(model.read_text())
+    doc["layers"][0]["w1"] = doc["layers"][0]["w1"][:-1]
+    files = {"not-json": "{", "empty": "{}", "bad-shape": json.dumps(doc)}
+    doc = json.loads(model.read_text())
+    doc["emb"][0][0] = 300  # beyond int8
+    files["bad-code"] = json.dumps(doc)
+    for name, text in files.items():
+        (tmp_path / f"{name}.json").write_text(text)
+    return [("missing", str(tmp_path / "missing.json"))] + [
+        (name, str(tmp_path / f"{name}.json")) for name in files
+    ]
+
+
+@pytest.mark.parametrize("command", ["run-cot", "run-scot", "convert"])
+def test_bad_model_file_exit_code(command, dfa_file, tmp_path, capsys):
+    for name, path in _model_file_cases(tmp_path, dfa_file):
+        argv = [command, "--model", path]
+        if command == "convert":
+            argv += ["--mode", "scaled", "--out", str(tmp_path / "out.json")]
+        assert main(argv) == 2, name
+        want = "file error" if name == "missing" else "schema error"
+        assert want in capsys.readouterr().err, name
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate", "--protocol", "cot", "--trials", "0"],
+        ["validate", "--protocol", "dfa", "--r", "0"],
+        ["probe-phi", "--format", "bf16", "--max", "1"],
+        ["capacity", "--L", "0", "--d-k", "128", "--d", "12288", "--d-ff", "49152"],
+        ["c0", "--mode", "denoising", "--d-k", "0", "--N", "16"],
+    ],
+)
+def test_cli_rejects_sizes_below_minimum(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
+def test_run_cot_full_context_is_budget_exceeded(tm_file, tmp_path, capsys):
+    model = str(tmp_path / "model.json")
+    assert main(["compile-cot", "--tm", tm_file, "--r", "4", "--out", model]) == 0
+    assert main(["run-cot", "--model", model, "--word", "abab"]) == 1
+    assert "outcome: budget_exceeded" in capsys.readouterr().out

@@ -112,3 +112,12 @@ def test_generate_validates_inputs():
         generate(params, [], {EOUTP}, 5, EvalConfig())
     with pytest.raises(ValueError):
         generate(params, [INP], set(), 5, EvalConfig())
+
+
+def test_default_budget_stops_at_a_full_context():
+    """fig2 on "abab" needs more than the 16 positions of r=4: the default
+    budget ends the run when the context is full, not in an EvalError."""
+    params, _ = compile_cot(fig2_machine(), 4)
+    trace = run_cot(params, "abab", EvalConfig())
+    assert trace.outcome == "budget_exceeded"
+    assert trace.total_tokens == 2 ** 4

@@ -4,7 +4,6 @@ from machines import contains_ab_dfa, mod3_dfa, parity_dfa
 
 from tm2tf.fpcore import PRESETS, FloatFormat
 from tm2tf.harness import (
-    ProbeReport,
     TrialConfig,
     instantiate_capacity,
     perturbation_doubling_suite,

@@ -1,10 +1,12 @@
+import dataclasses
+import json
 import math
 
 import numpy as np
 import pytest
 
 from tm2tf.fpcore import EXACT, FloatFormat, Precision
-from tm2tf.gadgets import ModelBuilder, RegisterLayout, bin_pm1, selector_head, sub_pow2
+from tm2tf.gadgets import ModelBuilder, RegisterLayout, selector_head, sub_pow2
 from tm2tf.netcore import (
     BinaryAbsolute,
     Dims,
@@ -14,7 +16,6 @@ from tm2tf.netcore import (
     TransformerParams,
     forward,
     hardmax_weights,
-    next_token,
     params_from_json,
     params_to_json,
     rope_rotate,
@@ -226,3 +227,100 @@ def test_forward_trace_bit_identical():
     assert np.array_equal(r1, r2)
     for (n1, a1), (n2, a2) in zip(t1.representation_arrays(), t2.representation_arrays()):
         assert n1 == n2 and np.array_equal(a1, a2)
+
+
+# ---------------------------------------------------------------------------
+# the model contract: layers hold only what a construction builds
+
+
+def _compile(kind: str):
+    from machines import bouncer_machine, fig2_machine, parity_dfa
+
+    from tm2tf.compilers import build_rope_position_prefix, compile_cot, compile_dfa, compile_scot
+
+    return {
+        "dfa": lambda: compile_dfa(parity_dfa(), 3),
+        "cot": lambda: compile_cot(fig2_machine(), 6),
+        "scot": lambda: compile_scot(bouncer_machine(3), 6),
+        "rope": lambda: build_rope_position_prefix(3),
+    }[kind]()
+
+
+@pytest.mark.parametrize("kind", ["dfa", "cot", "scot", "rope"])
+def test_layers_hold_only_built_heads_and_neurons(kind):
+    params, report = _compile(kind)
+    assert [len(layer.heads) for layer in params.layers] == report.heads_used
+    assert [layer.w1.shape[0] for layer in params.layers] == report.neurons_used
+    assert params_from_json(params_to_json(params)).dims == params.dims
+
+
+def _padded(params: TransformerParams) -> TransformerParams:
+    """params with zero heads and zero MLP rows up to the dims budgets."""
+    from tm2tf.netcore import HeadParams, LayerParams
+
+    dims = params.dims
+    layers = []
+    for layer in params.layers:
+        heads = list(layer.heads) + [
+            HeadParams(
+                np.zeros((dims.d_k, dims.d), np.int8),
+                np.zeros((dims.d_k, dims.d), np.int8),
+                np.zeros((dims.d_v, dims.d), np.int8),
+                np.zeros((dims.d, dims.d_v), np.int8),
+            )
+            for _ in range(dims.n_heads - len(layer.heads))
+        ]
+        pad = dims.d_ff - layer.w1.shape[0]
+        layers.append(
+            LayerParams(
+                heads,
+                np.pad(layer.w1, ((0, pad), (0, 0))),
+                np.pad(layer.bias4, (0, pad)),
+                np.pad(layer.w2, ((0, 0), (0, pad))),
+            )
+        )
+    return dataclasses.replace(params, layers=layers)
+
+
+def test_zero_padded_model_loads_and_decodes_the_same_tokens():
+    from machines import fig2_machine
+
+    from tm2tf.compilers import compile_cot
+    from tm2tf.generation import run_cot
+
+    params, _ = compile_cot(fig2_machine(), 6)
+    padded = params_from_json(json.loads(json.dumps(params_to_json(_padded(params)))))
+    assert all(len(layer.heads) == params.dims.n_heads for layer in padded.layers)
+    for word in ("aab", "ba", ""):
+        want = run_cot(params, word, EvalConfig())
+        got = run_cot(padded, word, EvalConfig())
+        assert want.outcome == "output" and got.segments == want.segments
+
+
+def _truncate_w1(doc):
+    doc["layers"][1]["w1"] = doc["layers"][1]["w1"][:-1]
+
+
+def _wrong_n_layers(doc):
+    doc["dims"]["n_layers"] = 3
+
+
+def _too_many_heads(doc):
+    layer = next(layer for layer in doc["layers"] if layer["heads"])
+    layer["heads"] = layer["heads"] * (doc["dims"]["n_heads"] + 1)
+
+
+def _duplicate_token(doc):
+    doc["vocab"][1] = doc["vocab"][0]
+
+
+@pytest.mark.parametrize(
+    "corrupt", [_truncate_w1, _wrong_n_layers, _too_many_heads, _duplicate_token]
+)
+def test_params_from_json_rejects_contract_violations(corrupt):
+    params, _ = _compile("dfa")
+    doc = json.loads(json.dumps(params_to_json(params)))
+    params_from_json(doc)
+    corrupt(doc)
+    with pytest.raises(ValueError):
+        params_from_json(doc)

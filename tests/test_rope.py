@@ -1,6 +1,5 @@
 import math
 
-import numpy as np
 import pytest
 
 from tm2tf.compilers import build_rope_position_prefix, rope_dims

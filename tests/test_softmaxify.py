@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from machines import bouncer_machine, fig2_machine, parity_dfa
+from machines import fig2_machine, parity_dfa
 
 from tm2tf.automata import BOS, FALSE, TRUE, cot_token_oracle, dfa_accepts
 from tm2tf.compilers import choose_r_cot, compile_cot, compile_dfa
@@ -149,6 +149,12 @@ def test_convert_with_denoising_shapes():
     # weight codes stay within {0,+-1,+-2}
     for layer in converted.layers:
         assert np.abs(layer.w1).max() <= 2 and np.abs(layer.w2).max() <= 2
+    # attention + the 6d denoising rows, then the original MLP without heads
+    for layer, attention, mlp in zip(
+        params.layers, converted.layers[0::2], converted.layers[1::2]
+    ):
+        assert attention.heads is layer.heads and attention.w1.shape[0] == 6 * report.dims.d
+        assert mlp.heads == [] and mlp.w1 is layer.w1 and mlp.w2 is layer.w2
 
 
 def test_denoised_cot_matches_oracle():
