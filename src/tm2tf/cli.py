@@ -124,7 +124,7 @@ def _add_eval_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--attention", choices=["hardmax", "softmax"], default="hardmax")
     p.add_argument("--act-format", default="exact")
     p.add_argument("--att-format", default="exact")
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget", type=_at_least(0), default=None)
     p.add_argument("--trace-out", help="JSON-lines dump of emitted tokens")
 
 
@@ -209,6 +209,7 @@ def _cmd_run(args) -> int:
         except OSError as exc:
             raise CliError(f"file error: {exc}") from exc
     print(f"outcome: {trace.outcome}")
+    print(f"ties={trace.tie_warnings} saturations={trace.saturations}")
     if trace.outcome == "output":
         print("output: " + "".join(trace.output))
         print(f"t_T={trace.total_tokens} s_T={trace.max_segment} segments={len(trace.segments)}")
@@ -318,9 +319,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["hardmax", "scaled", "denoised"], default="hardmax")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=_at_least(1), default=200)
-    p.add_argument("--step-cap", type=int, default=40)
+    p.add_argument("--step-cap", type=_at_least(0), default=40)
     p.add_argument("--r", type=_at_least(1), default=3)  # dfa protocol
-    p.add_argument("--max-len", type=int, default=7)
+    p.add_argument("--max-len", type=_at_least(0), default=7)
     p.add_argument("--dfa", action="append")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_validate)

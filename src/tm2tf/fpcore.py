@@ -140,15 +140,15 @@ def round_nearest(x: float, fmt: FloatFormat) -> float:
     return round_nearest_info(x, fmt)[0]
 
 
-def round_array(x: np.ndarray, fmt: FloatFormat) -> tuple[np.ndarray, bool]:
+def round_array(x: np.ndarray, fmt: FloatFormat) -> tuple[np.ndarray, int]:
     """Vectorized round_nearest over a float64 array.
 
-    Returns (rounded array, any_saturated). Bit-for-bit identical to the
-    scalar routine on every element.
+    Returns (rounded array, number of saturated elements). Bit-for-bit
+    identical to the scalar routine on every element.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.size == 0:
-        return x.copy(), False
+        return x.copy(), 0
     if not np.all(np.isfinite(x)):
         raise ValueError("round_array requires finite inputs")
     with np.errstate(over="ignore", invalid="ignore"):
@@ -161,7 +161,7 @@ def round_array(x: np.ndarray, fmt: FloatFormat) -> tuple[np.ndarray, bool]:
     if over.any() or clipped.any():
         y = np.where(over | clipped, np.copysign(fmt.max_value, x), y)
     y = np.where(x == 0.0, 0.0, y)
-    return y, bool(over.any())
+    return y, int(np.count_nonzero(over))
 
 
 def is_representable(x: float, fmt: FloatFormat) -> bool:

@@ -29,6 +29,7 @@ class GenerationTrace:
     total_tokens: int = 0  # t_T(w): all segment lengths summed
     max_segment: int = 0  # s_T(w): longest single segment
     tie_warnings: int = 0
+    saturations: int = 0  # rounded elements beyond their format, all segments
     eval_traces: list = field(default_factory=list)
     records: list[dict] = field(default_factory=list)
 
@@ -127,6 +128,7 @@ def run_cot(
     trace.total_tokens = len(tokens)
     trace.max_segment = len(tokens)
     trace.tie_warnings = ev.trace.tie_warnings
+    trace.saturations = ev.trace.saturations
     if cfg.capture_trace:
         trace.eval_traces.append(ev.trace)
     if exceeded:
@@ -157,6 +159,7 @@ def run_scot(
         trace.total_tokens += len(tokens)
         trace.max_segment = max(trace.max_segment, len(tokens))
         trace.tie_warnings += ev.trace.tie_warnings
+        trace.saturations += ev.trace.saturations
         if cfg.capture_trace:
             trace.eval_traces.append(ev.trace)
         if exceeded:

@@ -215,27 +215,26 @@ def _merge_violations(total: dict[str, int], part: dict[str, int]) -> None:
 def attention_rounding_bound_violations(
     trace: ActivationTrace, att_fmt: FloatFormat
 ) -> int:
-    """Check sum_j |rounded alpha - alpha| <= 2^(-b_m-1) + n e^(-beta) per head.
+    """Count (position, head) rows where sum_j |rounded alpha - alpha| exceeds
+    2^(-b_m-1) + n e^(-beta).
 
     Reconstructs the pre-rounding softmax weights from the traced dot
-    products (the engine computes them the same way, so the reconstruction
-    is bit-identical) and compares the summed rounding error against the
-    weight-rounding bound at the trace's own score separation.
+    products one position at a time, all heads at once, as the engine
+    computes them (so the reconstruction is bit-identical), and compares the
+    summed rounding error against the weight-rounding bound at the row's own
+    score separation.
     """
     violations = 0
     for lt in trace.layers:
-        for h in range(len(lt.dots)):
-            for i, dots in enumerate(lt.dots[h]):
-                d_k = lt.q[h][i].shape[0]
-                scores = dots / math.sqrt(d_k)
-                raw = softmax_weights(scores)
-                rounded, _ = round_array(raw, att_fmt)
-                err = float(np.abs(rounded - raw).sum())
-                beta = separation(scores)
-                n = dots.size
-                bound = 2.0 ** (-att_fmt.mantissa_bits - 1) + n * math.exp(-beta)
-                if err > bound + 1e-12:
-                    violations += 1
+        for q, dots in zip(lt.q, lt.dots):
+            scores = dots / math.sqrt(q.shape[-1])
+            raw = softmax_weights(scores)
+            rounded, _ = round_array(raw, att_fmt)
+            err = np.abs(rounded - raw).sum(axis=-1)
+            bound = 2.0 ** (-att_fmt.mantissa_bits - 1) + dots.shape[-1] * np.exp(
+                -separation(scores)
+            )
+            violations += int((err > bound + 1e-12).sum())
     return violations
 
 
@@ -455,12 +454,10 @@ def _denoising_margin_violations(hard_params, trace) -> int:
     for seg, ev_trace in zip(trace.segments, trace.eval_traces):
         processed = seg[:-1]  # the final stop token is never fed forward
         _, hard_trace = forward(hard_params, processed, hard_cfg)
-        for orig_l, hard_lt in enumerate(hard_trace.layers):
-            conv_lt = ev_trace.layers[2 * orig_l]
-            for i in range(len(hard_lt.x_mid)):
-                dev = np.abs(conv_lt.x_mid[i] - hard_lt.x_mid[i]).max()
-                if dev > 0.25 + 1e-12:
-                    violations += 1
+        for hard_lt, conv_lt in zip(hard_trace.layers, ev_trace.layers[::2]):
+            hard = np.stack(hard_lt.x_mid)
+            dev = np.abs(np.stack(conv_lt.x_mid[: len(hard)]) - hard).max(axis=-1)
+            violations += int((dev > 0.25 + 1e-12).sum())
     return violations
 
 

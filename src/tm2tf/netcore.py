@@ -6,10 +6,17 @@ hardmax constructions). Evaluation is causal and incremental: each
 position is processed once through all layers against cached keys/values,
 so autoregressive generation never recomputes a prefix. Hardmax decisions
 compare raw integer dot products, sidestepping the 1/sqrt(d_k) division.
+
+Each layer runs as one step over its H built heads: one fused Q/K/V
+matvec, one KV cache of shape (positions, H, d_k + d_v), attention for all
+heads at once, one (d, H*d_v) output matvec, and one rounding call per
+quantity. The trace keeps one entry per position: an (H, .) array for the
+head quantities q, k, v, dots and o, a vector for y, x_mid, hidden, x_out.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -119,10 +126,12 @@ class TransformerParams:
         dims, d, n_vocab = self.dims, self.dims.d, len(self.vocab)
         if len(set(self.vocab)) != n_vocab:
             raise ValueError("vocabulary tokens must be unique")
-        if isinstance(self.positional, BinaryAbsolute) and not all(
-            0 <= c < d for c in self.positional.coords
-        ):
-            raise ValueError(f"positional coordinates must lie in [0, {d})")
+        pos = self.positional
+        if isinstance(pos, BinaryAbsolute):
+            if not all(0 <= c < d for c in pos.coords):
+                raise ValueError(f"positional coordinates must lie in [0, {d})")
+            if self.meta.get("r", pos.r) != pos.r:
+                raise ValueError(f"meta.r = {self.meta['r']} but positional.r = {pos.r}")
         if len(self.layers) != dims.n_layers:
             raise ValueError(f"{len(self.layers)} layers but dims.n_layers = {dims.n_layers}")
         # (name, array, shape, largest absolute code)
@@ -173,17 +182,15 @@ class EvalConfig:
 
 @dataclass
 class LayerTrace:
-    q: list[list[np.ndarray]]  # [head][pos] -> (d_k,)
-    k: list[list[np.ndarray]]
-    v: list[list[np.ndarray]]
-    dots: list[list[np.ndarray]]  # [head][pos] -> (pos+1,) query-key dot products
-    weights: list[list[np.ndarray]]  # [head][pos] -> (pos+1,) attention weights
-    o: list[list[np.ndarray]]  # [head][pos] -> (d_v,)
-    y: list[np.ndarray]  # [pos] -> (d,)
-    x_mid: list[np.ndarray]
-    hidden: list[np.ndarray]  # MLP hidden activations
-    z: list[np.ndarray]
-    x_out: list[np.ndarray]
+    q: list[np.ndarray] = field(default_factory=list)  # [pos] -> (H, d_k)
+    k: list[np.ndarray] = field(default_factory=list)  # [pos] -> (H, d_k)
+    v: list[np.ndarray] = field(default_factory=list)  # [pos] -> (H, d_v)
+    dots: list[np.ndarray] = field(default_factory=list)  # [pos] -> (H, pos+1) q.k products
+    o: list[np.ndarray] = field(default_factory=list)  # [pos] -> (H, d_v)
+    y: list[np.ndarray] = field(default_factory=list)  # [pos] -> (d,)
+    x_mid: list[np.ndarray] = field(default_factory=list)
+    hidden: list[np.ndarray] = field(default_factory=list)  # [pos] -> (m,) MLP activations
+    x_out: list[np.ndarray] = field(default_factory=list)
 
 
 @dataclass
@@ -192,36 +199,24 @@ class ActivationTrace:
     layers: list[LayerTrace] = field(default_factory=list)
     output_scores: list[np.ndarray] = field(default_factory=list)  # per decoded step
     tie_warnings: int = 0
-    saturations: int = 0
+    saturations: int = 0  # rounded elements that exceeded their format
 
     def representation_arrays(self) -> Iterable[tuple[str, np.ndarray]]:
         """Every activation the ternary-activation definition quantifies over.
 
-        Raw MLP outputs z are excluded: a zero-and-rewrite operation pair
-        legitimately sums to +-2 there, while the post-residual x stays
-        ternary. Everything listed here must be exactly in {-1, 0, 1} on
-        valid inputs of compiled models.
+        Each field is stacked over positions, so the last axis of every array
+        is one activation vector: (P, d) for x0, y, x_mid and x_out, (P, m)
+        for hidden, (P, H, d_k|d_v) for q, k, v and o. Raw MLP outputs are
+        excluded: a zero-and-rewrite operation pair legitimately sums to +-2
+        there, while the post-residual x stays ternary. Everything listed
+        here must be exactly in {-1, 0, 1} on valid inputs of compiled models.
         """
-        for i, x in enumerate(self.x0):
-            yield f"x0[{i}]", x
+        if not self.x0:
+            return
+        yield "x0", np.stack(self.x0)
         for li, lt in enumerate(self.layers):
-            for h in range(len(lt.q)):
-                for i, arr in enumerate(lt.q[h]):
-                    yield f"L{li}.q[h{h}][{i}]", arr
-                for i, arr in enumerate(lt.k[h]):
-                    yield f"L{li}.k[h{h}][{i}]", arr
-                for i, arr in enumerate(lt.v[h]):
-                    yield f"L{li}.v[h{h}][{i}]", arr
-                for i, arr in enumerate(lt.o[h]):
-                    yield f"L{li}.o[h{h}][{i}]", arr
-            for name, store in (
-                ("y", lt.y),
-                ("x_mid", lt.x_mid),
-                ("hidden", lt.hidden),
-                ("x_out", lt.x_out),
-            ):
-                for i, arr in enumerate(store):
-                    yield f"L{li}.{name}[{i}]", arr
+            for name in ("q", "k", "v", "o", "y", "x_mid", "hidden", "x_out"):
+                yield f"L{li}.{name}", np.stack(getattr(lt, name))
 
 
 def hardmax_weights(scores: np.ndarray) -> np.ndarray:
@@ -235,117 +230,82 @@ def hardmax_weights(scores: np.ndarray) -> np.ndarray:
 
 
 def softmax_weights(scores: np.ndarray) -> np.ndarray:
-    """Standard softmax with max subtraction, in float64."""
+    """Standard softmax over the last axis with max subtraction, in float64."""
     scores = np.asarray(scores, dtype=np.float64)
-    if scores.size == 0:
+    if scores.ndim == 0 or scores.shape[-1] == 0:
         raise ValueError("softmax of empty score list")
-    e = np.exp(scores - scores.max())
-    return e / e.sum()
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
-def separation(scores: np.ndarray) -> float:
-    """Gap between the maximum and the largest non-maximal score (inf if none)."""
+def separation(scores: np.ndarray) -> np.ndarray:
+    """Gap between the maximum and the largest non-maximal score over the
+    last axis (inf where there is none)."""
     scores = np.asarray(scores, dtype=np.float64)
-    best = scores.max()
-    rest = scores[scores < best]
-    if rest.size == 0:
-        return math.inf
-    return float(best - rest.max())
+    best = scores.max(axis=-1, keepdims=True)
+    rest = np.where(scores < best, scores, -np.inf).max(axis=-1)
+    return best[..., 0] - rest
 
 
 def rope_rotate(vec: np.ndarray, position: int, freqs: tuple[float, ...]) -> np.ndarray:
-    """Rotate coordinate pairs (2s, 2s+1) of vec by position*freqs[s]."""
-    if 2 * len(freqs) > vec.shape[-1]:
+    """Rotate coordinate pairs (2s, 2s+1) of the last axis by position*freqs[s]."""
+    n = len(freqs)
+    if 2 * n > vec.shape[-1]:
         raise ValueError("more frequency pairs than vector coordinates")
     out = np.array(vec, dtype=np.float64)
-    for s, w in enumerate(freqs):
-        angle = position * w
-        c, sn = math.cos(angle), math.sin(angle)
-        a, b = out[2 * s], out[2 * s + 1]
-        out[2 * s] = c * a + sn * b
-        out[2 * s + 1] = -sn * a + c * b
+    c = np.array([math.cos(position * w) for w in freqs])
+    sn = np.array([math.sin(position * w) for w in freqs])
+    a, b = out[..., 0 : 2 * n : 2], out[..., 1 : 2 * n : 2]
+    out[..., 0 : 2 * n : 2], out[..., 1 : 2 * n : 2] = c * a + sn * b, -sn * a + c * b
     return out
 
 
-class _HeadState:
-    """Cached (rotated, scaled, rounded) keys and values for one head."""
-
-    __slots__ = ("keys", "values", "n")
-
-    def __init__(self, d_k: int, d_v: int):
-        self.keys = np.empty((16, d_k))
-        self.values = np.empty((16, d_v))
-        self.n = 0
-
-    def append(self, k: np.ndarray, v: np.ndarray) -> None:
-        if self.n == self.keys.shape[0]:
-            self.keys = np.concatenate([self.keys, np.empty_like(self.keys)])
-            self.values = np.concatenate([self.values, np.empty_like(self.values)])
-        self.keys[self.n] = k
-        self.values[self.n] = v
-        self.n += 1
-
-
 class Evaluator:
-    """Incremental causal evaluator over a growing token sequence."""
+    """Incremental causal evaluator over a growing token sequence.
+
+    A layer's H heads run as one step: Q/K/V rows are stacked per head as
+    [q_h; k_h; v_h] into one (H*(2 d_k + d_v), d) matrix, keys and values
+    of every head share one cache row per position, and the head outputs
+    are concatenated into one (H*d_v,) vector for the (d, H*d_v) output
+    matrix. A layer without heads runs the same code on empty arrays.
+    """
 
     def __init__(self, params: TransformerParams, cfg: EvalConfig):
         self.params = params
         self.cfg = cfg
         self.tokens: list[str] = []
         dims = params.dims
+        d, d_k, d_v = dims.d, dims.d_k, dims.d_v
         self._emb = params.emb.astype(np.float64)
         self._unemb = params.unemb.astype(np.float64)
         self._w = []
         for layer in params.layers:
+            n_heads = len(layer.heads)
+            wqkv = np.array([np.concatenate([h.wq, h.wk, h.wv]) for h in layer.heads], np.float64)
+            wo = np.array([h.wo for h in layer.heads], np.float64).reshape(n_heads, d, d_v)
             self._w.append(
                 (
-                    [
-                        (
-                            h.wq.astype(np.float64),
-                            h.wk.astype(np.float64),
-                            h.wv.astype(np.float64),
-                            h.wo.astype(np.float64),
-                        )
-                        for h in layer.heads
-                    ],
+                    wqkv.reshape(n_heads * (2 * d_k + d_v), d),
+                    wo.transpose(1, 0, 2).reshape(d, n_heads * d_v),
                     layer.w1.astype(np.float64),
                     layer.bias4.astype(np.float64) / 4.0,
                     layer.w2.astype(np.float64),
                 )
             )
-        self._state = [
-            [_HeadState(dims.d_k, dims.d_v) for _ in layer.heads] for layer in params.layers
-        ]
+        # (positions, H, d_k + d_v) rotated, scaled and rounded keys, then values
+        self._capacity = 16
+        self._kv = [np.empty((16, len(layer.heads), d_k + d_v)) for layer in params.layers]
         self._final: list[np.ndarray] = []
-        self._sqrt_dk = math.sqrt(dims.d_k)
-        self.trace = ActivationTrace(
-            layers=[
-                LayerTrace(
-                    q=[[] for _ in layer.heads],
-                    k=[[] for _ in layer.heads],
-                    v=[[] for _ in layer.heads],
-                    dots=[[] for _ in layer.heads],
-                    weights=[[] for _ in layer.heads],
-                    o=[[] for _ in layer.heads],
-                    y=[],
-                    x_mid=[],
-                    hidden=[],
-                    z=[],
-                    x_out=[],
-                )
-                for layer in params.layers
-            ]
-        )
+        self._sqrt_dk = math.sqrt(d_k)
+        self.trace = ActivationTrace(layers=[LayerTrace() for _ in params.layers])
 
     # -- rounding helpers ---------------------------------------------------
 
     def _round(self, x: np.ndarray, prec: Precision) -> np.ndarray:
         if prec.exact:
             return x
-        y, sat = round_array(x, prec.fmt)
-        if sat:
-            self.trace.saturations += 1
+        y, saturated = round_array(x, prec.fmt)
+        self.trace.saturations += saturated
         return y
 
     # -- core ---------------------------------------------------------------
@@ -370,69 +330,60 @@ class Evaluator:
     def _process(self, tok: str) -> None:
         params, cfg = self.params, self.cfg
         pos_idx = len(self.tokens)
+        n = pos_idx + 1
         self.tokens.append(tok)
         capture = cfg.capture_trace
         rotary = params.positional if isinstance(params.positional, RotaryOnly) else None
         c = params.qk_scale
+        d_k, d_v = params.dims.d_k, params.dims.d_v
         softmax_mode = cfg.attention == "softmax"
         act = cfg.act_precision
         rnd = self._round
 
         x = rnd(self._embed(tok, pos_idx), act)
         if capture:
-            self.trace.x0.append(x.copy())
+            self.trace.x0.append(x)
+        if pos_idx == self._capacity:
+            self._capacity *= 2
+            self._kv = [np.concatenate([kv, np.empty_like(kv)]) for kv in self._kv]
 
-        for li, (heads_w, w1, bias, w2) in enumerate(self._w):
-            lt = self.trace.layers[li]
-            y = np.zeros(params.dims.d)
-            for h, (wq, wk, wv, wo) in enumerate(heads_w):
-                state = self._state[li][h]
-                q = wq @ x
-                k = wk @ x
-                v = wv @ x
-                if rotary is not None:
-                    q = rope_rotate(q, pos_idx, rotary.freqs)
-                    k = rope_rotate(k, pos_idx, rotary.freqs)
-                if c != 1.0:
-                    q = c * q
-                    k = c * k
-                q = rnd(q, act)
-                k = rnd(k, act)
-                v = rnd(v, act)
-                state.append(k, v)
-                dots = state.keys[: state.n] @ q
-                if softmax_mode:
-                    scores = dots / self._sqrt_dk
-                    weights = softmax_weights(scores)
-                    weights = rnd(weights, cfg.att_precision)
-                    o = weights @ state.values[: state.n]
-                else:
-                    # Sum over the argmax set, then divide once: exact for
-                    # the integer-valued activations of compiled models.
-                    mask = dots == dots.max()
-                    count = mask.sum()
-                    weights = mask / count
-                    o = (mask.astype(np.float64) @ state.values[: state.n]) / count
-                o = rnd(o, act)
-                y += wo @ o
-                if capture:
-                    lt.q[h].append(q.copy())
-                    lt.k[h].append(k.copy())
-                    lt.v[h].append(v.copy())
-                    lt.dots[h].append(dots.copy())
-                    lt.weights[h].append(weights.copy())
-                    lt.o[h].append(o.copy())
-            y = rnd(y, act)
+        for (wqkv, wo, w1, bias, w2), kv, lt in zip(self._w, self._kv, self.trace.layers):
+            qkv = (wqkv @ x).reshape(-1, 2 * d_k + d_v)  # q, k, v of each head
+            if rotary is not None:
+                qkv[:, :d_k] = rope_rotate(qkv[:, :d_k], pos_idx, rotary.freqs)
+                qkv[:, d_k : 2 * d_k] = rope_rotate(qkv[:, d_k : 2 * d_k], pos_idx, rotary.freqs)
+            if c != 1.0:
+                qkv[:, : 2 * d_k] *= c
+            qkv = rnd(qkv, act)
+            q = qkv[:, :d_k]
+            kv[pos_idx] = qkv[:, d_k:]
+            keys = kv[:n, :, :d_k].transpose(1, 0, 2)  # (H, n, d_k)
+            values = kv[:n, :, d_k:].transpose(1, 0, 2)  # (H, n, d_v)
+            dots = (keys @ q[:, :, None])[:, :, 0]  # (H, n)
+            if softmax_mode:
+                weights = rnd(softmax_weights(dots / self._sqrt_dk), cfg.att_precision)
+                o = (weights[:, None, :] @ values)[:, 0, :]
+            else:
+                # Sum over the argmax set, then divide once: exact for
+                # the integer-valued activations of compiled models.
+                mask = dots == dots.max(axis=1, keepdims=True)
+                count = mask.sum(axis=1, keepdims=True)
+                o = (mask.astype(np.float64)[:, None, :] @ values)[:, 0, :] / count
+            o = rnd(o, act)
+            y = rnd(wo @ o.ravel(), act)
             x_mid = rnd(x + y, act)
             hidden = rnd(np.maximum(w1 @ x_mid + bias, 0.0), act)
-            z = rnd(w2 @ hidden, act)
-            x = rnd(x_mid + z, act)
+            x = rnd(x_mid + rnd(w2 @ hidden, act), act)
             if capture:
-                lt.y.append(y.copy())
-                lt.x_mid.append(x_mid.copy())
-                lt.hidden.append(hidden.copy())
-                lt.z.append(z.copy())
-                lt.x_out.append(x.copy())
+                lt.q.append(q)
+                lt.k.append(qkv[:, d_k : 2 * d_k])
+                lt.v.append(qkv[:, 2 * d_k :])
+                lt.dots.append(dots)
+                lt.o.append(o)
+                lt.y.append(y)
+                lt.x_mid.append(x_mid)
+                lt.hidden.append(hidden)
+                lt.x_out.append(x)
         self._final.append(x)
 
     # -- outputs ------------------------------------------------------------
@@ -536,34 +487,45 @@ def params_to_json(params: TransformerParams) -> dict:
     }
 
 
+def _codes(value, ndim: int, dtype, name: str) -> np.ndarray:
+    """A model-file weight list as an integer array. Entries that are not
+    integers (1.5, true) are refused: numpy would truncate or convert them."""
+    flat = value
+    for _ in range(ndim - 1):
+        flat = itertools.chain.from_iterable(flat)
+    if not set(map(type, flat)) <= {int}:
+        raise ValueError(f"{name} entries must be integers")
+    return np.array(value, dtype=dtype)
+
+
 def params_from_json(doc: dict) -> TransformerParams:
     """Parse a model file document and check it against the model contract."""
     dims = Dims(**doc["dims"])
     layers = []
-    for ldoc in doc["layers"]:
+    for li, ldoc in enumerate(doc["layers"]):
         heads = [
             HeadParams(
-                wq=np.array(h["wq"], dtype=np.int8),
-                wk=np.array(h["wk"], dtype=np.int8),
-                wv=np.array(h["wv"], dtype=np.int8),
-                wo=np.array(h["wo"], dtype=np.int8),
+                *(
+                    _codes(h[k], 2, np.int8, f"layer {li} head {hi} {k}")
+                    for k in ("wq", "wk", "wv", "wo")
+                )
             )
-            for h in ldoc["heads"]
+            for hi, h in enumerate(ldoc["heads"])
         ]
-        w1 = np.array(ldoc["w1"], dtype=np.int8)  # [] for a layer without neurons
+        w1 = _codes(ldoc["w1"], 2, np.int8, f"layer {li} w1")  # [] for a layer without neurons
         layers.append(
             LayerParams(
                 heads=heads,
                 w1=w1.reshape(0, dims.d) if w1.shape == (0,) else w1,
-                bias4=np.array(ldoc["bias4"], dtype=np.int32),
-                w2=np.array(ldoc["w2"], dtype=np.int8),
+                bias4=_codes(ldoc["bias4"], 1, np.int32, f"layer {li} bias4"),
+                w2=_codes(ldoc["w2"], 2, np.int8, f"layer {li} w2"),
             )
         )
     params = TransformerParams(
         dims=dims,
         vocab=list(doc["vocab"]),
-        emb=np.array(doc["emb"], dtype=np.int8),
-        unemb=np.array(doc["unemb"], dtype=np.int8),
+        emb=_codes(doc["emb"], 2, np.int8, "emb"),
+        unemb=_codes(doc["unemb"], 2, np.int8, "unemb"),
         positional=_pos_from_json(doc["positional"]),
         layers=layers,
         qk_scale=float.fromhex(doc["qk_scale"]),

@@ -23,6 +23,7 @@ from .netcore import (
     EvalConfig,
     Evaluator,
     LayerParams,
+    LayerTrace,
     TransformerParams,
 )
 
@@ -173,36 +174,49 @@ def convert_with_denoising(
 def trace_invariant_violations(traces: list[ActivationTrace]) -> dict[str, int]:
     """Count construction-invariant violations over hardmax evaluator traces.
 
-    ternary: an activation outside {-1, 0, 1}. score_gap: a query whose dot
-    products are not integers or whose maximum leads the next score by less
-    than 1. tie_values: tied maximal keys carrying different values.
-    output_gap: a decoded step whose top output score leads by less than 1.
+    ternary: an activation vector (per position, and per head for q, k, v
+    and o) outside {-1, 0, 1}. score_gap: a (position, head) score row that
+    is not integer or whose maximum leads the next score by less than 1.
+    tie_values: a (position, head) row whose tied maximal keys carry
+    different values. output_gap: a decoded step whose top output score
+    leads by less than 1.
     """
     out = {"ternary": 0, "score_gap": 0, "tie_values": 0, "output_gap": 0}
     for trace in traces:
         for _, arr in trace.representation_arrays():
-            if not np.all(np.isin(arr, (-1.0, 0.0, 1.0))):
-                out["ternary"] += 1
+            out["ternary"] += int(np.any(~np.isin(arr, (-1.0, 0.0, 1.0)), axis=-1).sum())
         for lt in trace.layers:
-            for h in range(len(lt.dots)):
-                for dots in lt.dots[h]:
-                    if not np.array_equal(dots, np.rint(dots)):
-                        out["score_gap"] += 1
-                        continue
-                    best = dots.max()
-                    mask = dots == best
-                    rest = dots[~mask]
-                    if rest.size and best - rest.max() < 1.0:
-                        out["score_gap"] += 1
-                    if mask.sum() > 1:
-                        vals = np.stack([lt.v[h][j] for j in np.nonzero(mask)[0]])
-                        if not np.all(vals == vals[0]):
-                            out["tie_values"] += 1
-        for scores in trace.output_scores:
-            top = np.sort(scores)[::-1]
-            if len(top) > 1 and top[0] - top[1] < 1.0:
-                out["output_gap"] += 1
+            score_gap, tie_values = _score_row_violations(lt)
+            out["score_gap"] += score_gap
+            out["tie_values"] += tie_values
+        if trace.output_scores:
+            top2 = np.sort(np.stack(trace.output_scores), axis=-1)[:, -2:]
+            out["output_gap"] += int((np.diff(top2, axis=-1) < 1.0).sum())
     return out
+
+
+def _score_row_violations(lt: LayerTrace) -> tuple[int, int]:
+    """(score_gap, tie_values) counts over one layer's (position, head) score rows."""
+    n = len(lt.dots)
+    if n == 0:
+        return 0, 0
+    # dots[i, h, j]: position i's query against key j <= i; -inf past i
+    dots = np.full((n, lt.dots[0].shape[0], n), -np.inf)
+    for i, row in enumerate(lt.dots):
+        dots[i, :, : i + 1] = row
+    valid = np.tri(n, dtype=bool)[:, None, :]
+    integral = np.all(dots == np.rint(dots), axis=-1)
+    best = dots.max(axis=-1, keepdims=True)
+    tied = valid & (dots == best)
+    gap = best[..., 0] - np.where(tied, -np.inf, dots).max(axis=-1) < 1.0  # inf if all tie
+    # Tied keys of one row must carry the value of its first tied key.
+    values = np.stack(lt.v)  # (n, H, d_v)
+    first = tied.argmax(axis=-1)
+    i, h, j = np.nonzero(tied & (integral & (tied.sum(axis=-1) > 1))[..., None])
+    differs = np.any(values[j, h] != values[first[i, h], h], axis=-1)
+    tie_rows = np.zeros(integral.shape, dtype=bool)
+    tie_rows[i[differs], h[differs]] = True
+    return int((~integral | gap).sum()), int(tie_rows.sum())
 
 
 def audit_hardmax_preconditions(

@@ -41,6 +41,7 @@ def test_compile_and_run_cot(tm_file, tmp_path, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "output: acb" in out
+    assert "ties=0 saturations=0" in out
     lines = [json.loads(l) for l in open(trace_file)]
     assert any("token" in l for l in lines)
 
@@ -202,9 +203,10 @@ def _model_file_cases(tmp_path, dfa_file):
     doc = json.loads(model.read_text())
     doc["layers"][0]["w1"] = doc["layers"][0]["w1"][:-1]
     files = {"not-json": "{", "empty": "{}", "bad-shape": json.dumps(doc)}
-    doc = json.loads(model.read_text())
-    doc["emb"][0][0] = 300  # beyond int8
-    files["bad-code"] = json.dumps(doc)
+    for name, code in (("bad-code", 300), ("fractional-code", 1.5), ("boolean-code", True)):
+        doc = json.loads(model.read_text())
+        doc["emb"][0][0] = code  # 300 is beyond int8
+        files[name] = json.dumps(doc)
     for name, text in files.items():
         (tmp_path / f"{name}.json").write_text(text)
     return [("missing", str(tmp_path / "missing.json"))] + [
@@ -231,6 +233,9 @@ def test_bad_model_file_exit_code(command, dfa_file, tmp_path, capsys):
         ["probe-phi", "--format", "bf16", "--max", "1"],
         ["capacity", "--L", "0", "--d-k", "128", "--d", "12288", "--d-ff", "49152"],
         ["c0", "--mode", "denoising", "--d-k", "0", "--N", "16"],
+        ["validate", "--protocol", "cot", "--step-cap", "-4"],
+        ["validate", "--protocol", "dfa", "--max-len", "-1"],
+        ["run-cot", "--model", "model.json", "--budget", "-1"],
     ],
 )
 def test_cli_rejects_sizes_below_minimum(argv):
@@ -244,3 +249,15 @@ def test_run_cot_full_context_is_budget_exceeded(tm_file, tmp_path, capsys):
     assert main(["compile-cot", "--tm", tm_file, "--r", "4", "--out", model]) == 0
     assert main(["run-cot", "--model", model, "--word", "abab"]) == 1
     assert "outcome: budget_exceeded" in capsys.readouterr().out
+
+
+def test_run_prints_saturations_of_a_tiny_activation_format(tm_file, tmp_path, capsys):
+    """Queries and keys scaled by c = 4 exceed 3, the largest element of custom:1,2."""
+    model, scaled = str(tmp_path / "model.json"), str(tmp_path / "scaled.json")
+    assert main(["compile-cot", "--tm", tm_file, "--r", "6", "--out", model]) == 0
+    assert main(["convert", "--model", model, "--mode", "scaled", "--c", "4", "--out", scaled]) == 0
+    capsys.readouterr()
+    main(["run-cot", "--model", scaled, "--word", "ab", "--attention", "softmax",
+          "--act-format", "custom:1,2", "--budget", "4"])
+    line = next(l for l in capsys.readouterr().out.splitlines() if l.startswith("ties="))
+    assert int(line.split("saturations=")[1]) > 0

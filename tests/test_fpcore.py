@@ -85,6 +85,8 @@ def test_saturation_flag():
     assert val == -3.0 and sat
     val, sat = round_nearest_info(2.9, fmt)
     assert val == 3.0 and not sat
+    vec, saturated = round_array(np.array([7.5, -128.0, 2.9, 0.0]), fmt)
+    assert vec.tolist() == [3.0, -3.0, 3.0, 0.0] and saturated == 2
 
 
 def test_round_half_to_even():

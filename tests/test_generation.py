@@ -121,3 +121,20 @@ def test_default_budget_stops_at_a_full_context():
     trace = run_cot(params, "abab", EvalConfig())
     assert trace.outcome == "budget_exceeded"
     assert trace.total_tokens == 2 ** 4
+
+
+@pytest.mark.parametrize("runner", [run_cot, run_scot])
+def test_saturations_reach_the_generation_trace(runner):
+    """Queries and keys scaled by c = 4 exceed 3, the largest element of the format."""
+    from machines import copy_machine
+
+    from tm2tf.compilers import compile_scot
+    from tm2tf.fpcore import FloatFormat, Precision
+    from tm2tf.softmaxify import scale_qk
+
+    params = scale_qk(compile_scot(copy_machine(), 6)[0], 4.0)
+    cfg = EvalConfig(
+        attention="softmax", act_precision=Precision(FloatFormat(1, 2)), capture_trace=True
+    )
+    trace = runner(params, "01", cfg, budget=3)
+    assert trace.saturations == sum(t.saturations for t in trace.eval_traces) > 0

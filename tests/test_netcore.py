@@ -314,8 +314,29 @@ def _duplicate_token(doc):
     doc["vocab"][1] = doc["vocab"][0]
 
 
+def _fractional_code(doc):
+    next(layer for layer in doc["layers"] if layer["w1"])["w1"][0][0] = 1.5
+
+
+def _boolean_code(doc):
+    next(layer for layer in doc["layers"] if layer["w1"])["w1"][0][0] = True
+
+
+def _meta_r_differs(doc):
+    doc["meta"]["r"] = doc["positional"]["r"] + 6
+
+
 @pytest.mark.parametrize(
-    "corrupt", [_truncate_w1, _wrong_n_layers, _too_many_heads, _duplicate_token]
+    "corrupt",
+    [
+        _truncate_w1,
+        _wrong_n_layers,
+        _too_many_heads,
+        _duplicate_token,
+        _fractional_code,
+        _boolean_code,
+        _meta_r_differs,
+    ],
 )
 def test_params_from_json_rejects_contract_violations(corrupt):
     params, _ = _compile("dfa")
@@ -324,3 +345,160 @@ def test_params_from_json_rejects_contract_violations(corrupt):
     corrupt(doc)
     with pytest.raises(ValueError):
         params_from_json(doc)
+
+
+# ---------------------------------------------------------------------------
+# the fused evaluator against the paper's layer, written head by head
+
+
+def _reference_forward(params: TransformerParams, tokens: list[str], cfg: EvalConfig):
+    """Final representations and per-layer x_mid/x_out, (positions, d) each.
+
+    One loop over heads with per-head Q/K/V, attention and one rounding of
+    each head quantity, then y = sum_h W_O^h o_h, the residual and the MLP.
+    """
+    from tm2tf.fpcore import round_array
+    from tm2tf.netcore import RotaryOnly
+
+    def rnd(x, prec):
+        return x if prec.exact else round_array(x, prec.fmt)[0]
+
+    act, d_k = cfg.act_precision, params.dims.d_k
+    keys = [[[] for _ in layer.heads] for layer in params.layers]
+    values = [[[] for _ in layer.heads] for layer in params.layers]
+    x_mid = [[] for _ in params.layers]
+    x_out = [[] for _ in params.layers]
+    reps = []
+    for i, tok in enumerate(tokens):
+        x = params.emb[params.token_index(tok)].astype(np.float64)
+        if isinstance(params.positional, BinaryAbsolute):
+            for s, coord in enumerate(params.positional.coords):
+                x[coord] = 1.0 if (i >> s) & 1 else -1.0
+        x = rnd(x, act)
+        for li, layer in enumerate(params.layers):
+            y = np.zeros(params.dims.d)
+            for hi, head in enumerate(layer.heads):
+                q = head.wq.astype(np.float64) @ x
+                k = head.wk.astype(np.float64) @ x
+                if isinstance(params.positional, RotaryOnly):
+                    q = rope_rotate(q, i, params.positional.freqs)
+                    k = rope_rotate(k, i, params.positional.freqs)
+                q = rnd(params.qk_scale * q, act)
+                keys[li][hi].append(rnd(params.qk_scale * k, act))
+                values[li][hi].append(rnd(head.wv.astype(np.float64) @ x, act))
+                dots = np.array(keys[li][hi]) @ q
+                if cfg.attention == "softmax":
+                    weights = rnd(softmax_weights(dots / math.sqrt(d_k)), cfg.att_precision)
+                    o = weights @ np.array(values[li][hi])
+                else:
+                    mask = dots == dots.max()
+                    o = (mask.astype(np.float64) @ np.array(values[li][hi])) / mask.sum()
+                y += head.wo.astype(np.float64) @ rnd(o, act)
+            mid = rnd(x + rnd(y, act), act)
+            hidden = rnd(np.maximum(layer.w1 @ mid + layer.bias4 / 4.0, 0.0), act)
+            x = rnd(mid + rnd(layer.w2.astype(np.float64) @ hidden, act), act)
+            x_mid[li].append(mid)
+            x_out[li].append(x)
+        reps.append(x)
+    return np.stack(reps), [np.stack(a) for a in x_mid], [np.stack(a) for a in x_out]
+
+
+def _assert_matches_reference(params, tokens, cfg, trace):
+    reps, x_mid, x_out = _reference_forward(params, tokens, cfg)
+    assert len(trace.layers) == len(x_mid)
+    for li, lt in enumerate(trace.layers):
+        assert np.stack(lt.x_mid).tobytes() == x_mid[li].tobytes(), li
+        assert np.stack(lt.x_out).tobytes() == x_out[li].tobytes(), li
+    return reps
+
+
+def _softmax_case(mode: str):
+    from machines import fig2_machine
+
+    from tm2tf.compilers import compile_cot
+    from tm2tf.softmaxify import (
+        act_format_containing,
+        convert_with_denoising,
+        min_att_exponent_bits,
+        scale_qk,
+        theorem_c,
+    )
+
+    r = 6
+    params, report = compile_cot(fig2_machine(), r)
+    if mode == "hardmax":
+        return params, EvalConfig(capture_trace=True)
+    c = theorem_c(mode, report.dims, 2 ** r)
+    if mode == "scaled_only":
+        return scale_qk(params, c), EvalConfig(
+            attention="softmax", act_precision=Precision(FloatFormat(7, 8)), capture_trace=True
+        )
+    return convert_with_denoising(params, c), EvalConfig(
+        attention="softmax",
+        act_precision=Precision(act_format_containing(c)),
+        att_precision=Precision(FloatFormat(4, min_att_exponent_bits(2 ** r))),
+        capture_trace=True,
+    )
+
+
+@pytest.mark.parametrize("mode", ["hardmax", "scaled_only", "denoised"])
+def test_fig2_cot_matches_per_head_reference(mode):
+    from tm2tf.generation import run_cot
+
+    params, cfg = _softmax_case(mode)
+    trace = run_cot(params, "ab", cfg)
+    assert trace.outcome == "output"
+    tokens = trace.segments[0]
+    reps = _assert_matches_reference(params, tokens[:-1], cfg, trace.eval_traces[0])
+    greedy = [params.vocab[int(np.argmax(params.unemb @ x))] for x in reps]
+    assert greedy[len("ab") + 1 :] == tokens[len("ab") + 2 :]
+
+
+def test_copy_scot_matches_per_head_reference():
+    from machines import copy_machine
+
+    from tm2tf.compilers import compile_scot
+    from tm2tf.generation import run_scot
+
+    params, _ = compile_scot(copy_machine(), 6)
+    cfg = EvalConfig(capture_trace=True)
+    trace = run_scot(params, "011", cfg)
+    assert trace.outcome == "output" and len(trace.segments) > 1
+    for seg, ev_trace in zip(trace.segments, trace.eval_traces):
+        reps = _assert_matches_reference(params, seg[:-1], cfg, ev_trace)
+        prompt = seg.index("</inp>" if seg[0] == "<inp>" else "</summ>") + 1
+        greedy = [params.vocab[int(np.argmax(params.unemb @ x))] for x in reps]
+        assert greedy[prompt - 1 :] == seg[prompt:]
+
+
+@pytest.mark.parametrize("r", [2, 3, 4])
+def test_rope_prefix_matches_per_head_reference(r):
+    from tm2tf.compilers import build_rope_position_prefix
+
+    params, _ = build_rope_position_prefix(r)
+    tokens = ["first"] + ["rest"] * (2 ** r - 1)
+    cfg = EvalConfig(capture_trace=True)
+    reps, trace = forward(params, tokens, cfg)
+    assert reps.tobytes() == _assert_matches_reference(params, tokens, cfg, trace).tobytes()
+
+
+def test_saturations_count_elements_in_a_layer_without_heads():
+    """One neuron drives hidden to 8 and then every coordinate of z and x to
+    6 and 4, beyond the largest element 3 of a 1-bit-mantissa format."""
+    from tm2tf.netcore import LayerParams
+
+    d = 4
+    params = TransformerParams(
+        dims=Dims(d=d, d_k=2, d_v=2, d_ff=1, n_heads=1, n_layers=1),
+        vocab=["a"],
+        emb=np.ones((1, d), np.int8),
+        unemb=np.zeros((1, d), np.int8),
+        positional=NoPositional(),
+        layers=[LayerParams([], np.full((1, d), 2, np.int8), np.zeros(1, np.int32),
+                            np.full((d, 1), 2, np.int8))],
+    )
+    params.validate_weights()
+    ev = Evaluator(params, EvalConfig(attention="softmax", act_precision=Precision(FloatFormat(1, 2))))
+    ev.extend(["a", "a"])
+    assert ev.final_representations().tolist() == [[3.0] * d] * 2
+    assert ev.trace.saturations == 2 * (1 + d + d)  # hidden, z and x at each position

@@ -207,6 +207,32 @@ def test_audit_passes_compiled_and_flags_broken():
     assert any("gap" in p for p in problems)
 
 
+def test_trace_invariant_counts_on_a_broken_model():
+    """Each invariant counts one per offending (position, head) or position."""
+    import copy
+
+    from tm2tf.automata import EINP, INP
+    from tm2tf.netcore import Evaluator
+    from tm2tf.softmaxify import trace_invariant_violations
+
+    params, _ = compile_cot(fig2_machine(), 6)
+    broken = copy.deepcopy(params)
+    broken.qk_scale = 0.5  # q, k become +-1/2 and dot products quarter-integers
+    broken.unemb[:] = 0  # every output score ties
+    for layer in broken.layers:
+        if len(layer.heads) > 1:
+            layer.heads[1].wk[:] = 0  # every key of the second head ties
+    ev = Evaluator(broken, EvalConfig(capture_trace=True))
+    ev.extend([INP, "a", "b", "a", EINP])
+    ev.next_token()
+    assert trace_invariant_violations([ev.trace]) == {
+        "ternary": 346,
+        "score_gap": 94,
+        "tie_values": 5,
+        "output_gap": 1,
+    }
+
+
 def test_minimal_c_search_runs():
     params, _ = compile_dfa(parity_dfa(), 2)
     cfg = EvalConfig(attention="softmax", act_precision=Precision(PRESETS["bf16"]))
