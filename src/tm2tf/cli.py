@@ -55,9 +55,17 @@ def _load_json(path: str) -> dict:
 
 
 def _write_json(path: str, doc: dict) -> None:
+    text = json.dumps(doc, separators=(",", ":"))  # the C encoder; json.dump is pure Python
     try:
         with open(path, "w") as f:
-            json.dump(doc, f, indent=None, separators=(",", ":"))
+            f.write(text)
+    except OSError as exc:
+        raise CliError(f"file error: cannot write {path}: {exc}") from exc
+
+
+def _save_model(params, path: str) -> None:
+    try:
+        save_model(params, path)
     except OSError as exc:
         raise CliError(f"file error: cannot write {path}: {exc}") from exc
 
@@ -147,7 +155,7 @@ def _cmd_compile(args) -> int:
                 params, report = compile_scot(machine, args.r)
         except ValueError as exc:
             raise CliError(f"usage error: {exc}") from exc
-    save_model(params, args.out)
+    _save_model(params, args.out)
     if args.report:
         _write_json(args.report, report.to_json())
     d = report.dims
@@ -183,7 +191,7 @@ def _cmd_convert(args) -> int:
             )
     except ValueError as exc:
         raise CliError(f"usage error: {exc}") from exc
-    save_model(converted, args.out)
+    _save_model(converted, args.out)
     print(f"converted mode={args.mode} c={c} N={context_bound}{extra} -> {args.out}")
     return 0
 

@@ -267,7 +267,8 @@ class Evaluator:
     [q_h; k_h; v_h] into one (H*(2 d_k + d_v), d) matrix, keys and values
     of every head share one cache row per position, and the head outputs
     are concatenated into one (H*d_v,) vector for the (d, H*d_v) output
-    matrix. A layer without heads runs the same code on empty arrays.
+    matrix. A layer without heads runs the same code on empty arrays, but
+    computes no attention weights and rounds nothing empty.
     """
 
     def __init__(self, params: TransformerParams, cfg: EvalConfig):
@@ -302,7 +303,7 @@ class Evaluator:
     # -- rounding helpers ---------------------------------------------------
 
     def _round(self, x: np.ndarray, prec: Precision) -> np.ndarray:
-        if prec.exact:
+        if prec.exact or x.size == 0:
             return x
         y, saturated = round_array(x, prec.fmt)
         self.trace.saturations += saturated
@@ -360,7 +361,9 @@ class Evaluator:
             keys = kv[:n, :, :d_k].transpose(1, 0, 2)  # (H, n, d_k)
             values = kv[:n, :, d_k:].transpose(1, 0, 2)  # (H, n, d_v)
             dots = (keys @ q[:, :, None])[:, :, 0]  # (H, n)
-            if softmax_mode:
+            if not len(q):  # a layer without heads
+                o = qkv[:, 2 * d_k :]  # (0, d_v)
+            elif softmax_mode:
                 weights = rnd(softmax_weights(dots / self._sqrt_dk), cfg.att_precision)
                 o = (weights[:, None, :] @ values)[:, 0, :]
             else:
@@ -448,7 +451,7 @@ def _pos_from_json(doc: dict):
     return NoPositional()
 
 
-def params_to_json(params: TransformerParams) -> dict:
+def _header_to_json(params: TransformerParams) -> dict:
     d = params.dims
     return {
         "dims": {
@@ -467,24 +470,30 @@ def params_to_json(params: TransformerParams) -> dict:
         "meta": dict(params.meta),
         "emb": params.emb.astype(int).tolist(),
         "unemb": params.unemb.astype(int).tolist(),
-        "layers": [
-            {
-                "heads": [
-                    {
-                        "wq": h.wq.astype(int).tolist(),
-                        "wk": h.wk.astype(int).tolist(),
-                        "wv": h.wv.astype(int).tolist(),
-                        "wo": h.wo.astype(int).tolist(),
-                    }
-                    for h in layer.heads
-                ],
-                "w1": layer.w1.astype(int).tolist(),
-                "bias4": layer.bias4.astype(int).tolist(),
-                "w2": layer.w2.astype(int).tolist(),
-            }
-            for layer in params.layers
-        ],
     }
+
+
+def _layer_to_json(layer: LayerParams) -> dict:
+    return {
+        "heads": [
+            {
+                "wq": h.wq.astype(int).tolist(),
+                "wk": h.wk.astype(int).tolist(),
+                "wv": h.wv.astype(int).tolist(),
+                "wo": h.wo.astype(int).tolist(),
+            }
+            for h in layer.heads
+        ],
+        "w1": layer.w1.astype(int).tolist(),
+        "bias4": layer.bias4.astype(int).tolist(),
+        "w2": layer.w2.astype(int).tolist(),
+    }
+
+
+def params_to_json(params: TransformerParams) -> dict:
+    """The model file document; "layers" is its last key."""
+    layers = [_layer_to_json(layer) for layer in params.layers]
+    return {**_header_to_json(params), "layers": layers}
 
 
 def _codes(value, ndim: int, dtype, name: str) -> np.ndarray:
@@ -538,8 +547,18 @@ def params_from_json(doc: dict) -> TransformerParams:
 
 
 def save_model(params: TransformerParams, path: str) -> None:
+    """Write `json.dumps(params_to_json(params), separators=(",", ":"))`,
+    encoding one layer at a time. `json.dump` would stream through the
+    pure-Python encoder; `encode` uses the C one, and writing per layer
+    keeps only one layer's text in memory."""
+    encode = json.JSONEncoder(separators=(",", ":")).encode
     with open(path, "w") as f:
-        json.dump(params_to_json(params), f, separators=(",", ":"))
+        f.write(encode(_header_to_json(params))[:-1] + ',"layers":[')
+        for i, layer in enumerate(params.layers):
+            if i:
+                f.write(",")
+            f.write(encode(_layer_to_json(layer)))
+        f.write("]}")
 
 
 def load_model(path: str) -> TransformerParams:

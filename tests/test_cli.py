@@ -127,6 +127,58 @@ def test_convert_auto_and_run_softmax(tm_file, tmp_path, capsys):
     assert "output: acb" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command", ["compile-dfa", "compile-cot", "compile-scot", "convert"])
+def test_unwritable_out_is_a_file_error(command, tm_file, dfa_file, tmp_path, capsys):
+    out = str(tmp_path / "no-such-dir" / "m.json")
+    if command == "convert":
+        model = str(tmp_path / "model.json")
+        assert main(["compile-dfa", "--dfa", dfa_file, "--r", "3", "--out", model]) == 0
+        argv = ["convert", "--model", model, "--mode", "scaled", "--out", out]
+    else:
+        machine = dfa_file if command == "compile-dfa" else tm_file
+        argv = [command, "--machine", machine, "--r", "4", "--out", out]
+    assert main(argv) == 2
+    assert f"file error: cannot write {out}" in capsys.readouterr().err
+
+
+def test_layers_without_heads_decode_as_with_a_zero_head(tm_file, tmp_path, capsys):
+    """A denoised model's MLP-only layers skip attention. A zero head put in
+    each of them attends to all-zero values, so it must decode the same
+    tokens, saturations and representations."""
+    import dataclasses
+
+    from tm2tf.fpcore import parse_precision
+    from tm2tf.generation import run_cot
+    from tm2tf.netcore import EvalConfig, Evaluator, HeadParams, save_model
+
+    model, conv, padded = (str(tmp_path / f"{n}.json") for n in ("model", "conv", "padded"))
+    main(["compile-cot", "--tm", tm_file, "--r", "6", "--out", model])
+    main(["convert", "--model", model, "--mode", "denoised", "--out", conv])
+    params = load_model(conv)
+    d, d_k, d_v = params.dims.d, params.dims.d_k, params.dims.d_v
+    zero = HeadParams(*(np.zeros(s, np.int8) for s in [(d_k, d), (d_k, d), (d_v, d), (d, d_v)]))
+    assert any(not layer.heads for layer in params.layers)
+    layers = [dataclasses.replace(layer, heads=layer.heads or [zero]) for layer in params.layers]
+    save_model(dataclasses.replace(params, layers=layers), padded)
+    formats = ["--act-format", "custom:1,4", "--att-format", "custom:4,5"]
+    capsys.readouterr()
+    outs = []
+    for path in (conv, padded):
+        argv = ["run-cot", "--model", path, "--word", "aab", "--attention", "softmax"]
+        assert main(argv + formats) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1] and "output: acb" in outs[0]
+
+    cfg = EvalConfig("softmax", parse_precision("custom:1,4"), parse_precision("custom:4,5"))
+    tokens = run_cot(params, list("aab"), cfg).segments[0]
+    reps = []
+    for p in (params, load_model(padded)):
+        ev = Evaluator(p, cfg)
+        ev.extend(tokens)
+        reps.append(ev.final_representations())
+    assert reps[0].tobytes() == reps[1].tobytes()
+
+
 @pytest.mark.parametrize("mode,c", [("denoised", "5"), ("scaled", "nan"), ("scaled", "inf")])
 def test_convert_rejects_bad_c(tm_file, tmp_path, capsys, mode, c):
     model = str(tmp_path / "model.json")

@@ -254,6 +254,21 @@ def test_layers_hold_only_built_heads_and_neurons(kind):
     assert params_from_json(params_to_json(params)).dims == params.dims
 
 
+@pytest.mark.parametrize("kind", ["cot", "denoised", "dfa"])
+def test_save_model_writes_compact_json_that_loads_back(kind, tmp_path):
+    from tm2tf.netcore import load_model, save_model
+
+    params = _softmax_case("denoised")[0] if kind == "denoised" else _compile(kind)[0]
+    if kind == "denoised":
+        assert any(not layer.heads for layer in params.layers)
+    path = str(tmp_path / "model.json")
+    save_model(params, path)
+    doc = params_to_json(params)
+    with open(path) as f:
+        assert f.read() == json.dumps(doc, separators=(",", ":"))
+    assert params_to_json(load_model(path)) == doc
+
+
 def _padded(params: TransformerParams) -> TransformerParams:
     """params with zero heads and zero MLP rows up to the dims budgets."""
     from tm2tf.netcore import HeadParams, LayerParams
@@ -482,12 +497,11 @@ def test_rope_prefix_matches_per_head_reference(r):
     assert reps.tobytes() == _assert_matches_reference(params, tokens, cfg, trace).tobytes()
 
 
-def test_saturations_count_elements_in_a_layer_without_heads():
-    """One neuron drives hidden to 8 and then every coordinate of z and x to
-    6 and 4, beyond the largest element 3 of a 1-bit-mantissa format."""
+def _headless_model(d: int = 4) -> TransformerParams:
+    """One layer without heads, whose one neuron drives hidden to 8 and then
+    every coordinate of z and x to 6 and 4."""
     from tm2tf.netcore import LayerParams
 
-    d = 4
     params = TransformerParams(
         dims=Dims(d=d, d_k=2, d_v=2, d_ff=1, n_heads=1, n_layers=1),
         vocab=["a"],
@@ -498,7 +512,36 @@ def test_saturations_count_elements_in_a_layer_without_heads():
                             np.full((d, 1), 2, np.int8))],
     )
     params.validate_weights()
+    return params
+
+
+def test_saturations_count_elements_in_a_layer_without_heads():
+    """hidden, z and x exceed the largest element 3 of a 1-bit-mantissa format."""
+    d = 4
+    params = _headless_model(d)
     ev = Evaluator(params, EvalConfig(attention="softmax", act_precision=Precision(FloatFormat(1, 2))))
     ev.extend(["a", "a"])
     assert ev.final_representations().tolist() == [[3.0] * d] * 2
     assert ev.trace.saturations == 2 * (1 + d + d)  # hidden, z and x at each position
+
+
+def test_a_layer_without_heads_computes_no_attention_weights(monkeypatch):
+    import tm2tf.netcore as netcore
+
+    sizes = []
+    round_array = netcore.round_array
+
+    def counting_round(x, fmt):
+        sizes.append(np.size(x))
+        return round_array(x, fmt)
+
+    def no_softmax(scores):
+        raise AssertionError(f"softmax over scores of shape {np.shape(scores)}")
+
+    monkeypatch.setattr(netcore, "round_array", counting_round)
+    monkeypatch.setattr(netcore, "softmax_weights", no_softmax)
+    fmt = Precision(FloatFormat(1, 2))
+    ev = Evaluator(_headless_model(), EvalConfig("softmax", act_precision=fmt, att_precision=fmt))
+    ev.extend(["a", "a"])
+    assert ev.final_representations().tolist() == [[3.0] * 4] * 2
+    assert sizes and 0 not in sizes
