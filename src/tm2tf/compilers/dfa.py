@@ -65,7 +65,6 @@ def compile_dfa(dfa: Dfa, r: int) -> tuple[TransformerParams, CompileReport]:
     i_sym = layout.register("sym", d_sigma)
     f_bos = layout.flag("bos")
     i_pos_ex = layout.register("pos_ex", r)
-    assert layout.d == dims.d
 
     builder = ModelBuilder(layout, n_layers=dims.n_layers)
 
@@ -90,7 +89,7 @@ def compile_dfa(dfa: Dfa, r: int) -> tuple[TransformerParams, CompileReport]:
     ident = {i_enc.coords[j]: v for j, v in enumerate(enc_fn({q: q for q in states})) if v}
     init_neurons.append(single_neuron([], [(f_bos, 1)], ident))
     builder.add_neurons(1, init_neurons, "init-enc")
-    builder.add_neurons(1, sub_pow2(i_pos, i_pos_ex, 0, []), "posex-init", bundle="posex")
+    builder.add_neurons(1, sub_pow2(i_pos, i_pos_ex, 0, []), "posex-init")
 
     # Layers k+2: extract the table 2^k back, compose, advance the offset.
     for k in range(r):
@@ -106,7 +105,7 @@ def compile_dfa(dfa: Dfa, r: int) -> tuple[TransformerParams, CompileReport]:
             bundle="enc",
         )
         builder.add_neurons(layer, zero_register(i_enc, []), f"zero-enc-2^{k}", bundle="enc")
-        builder.add_neurons(layer, zero_register(i_enc_ex, []), f"zero-encex-2^{k}", bundle="encex")
+        builder.add_neurons(layer, zero_register(i_enc_ex, []), f"zero-encex-2^{k}")
         builder.add_neurons(layer, zero_register(i_pos_ex, []), f"zero-posex-2^{k}", bundle="posex")
         if k < r - 1:
             builder.add_neurons(

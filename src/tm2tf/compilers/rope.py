@@ -55,7 +55,6 @@ def build_rope_position_prefix(r: int) -> tuple[TransformerParams, CompileReport
     i_res = layout.register("res", r)
     f_mod = [layout.flag(f"mod_2^{k}") for k in range(1, r + 1)]  # f_mod[k-1]: 2^k | i
     f_ex = layout.flag("ex")
-    assert layout.d == dims.d
 
     def rot(s: int) -> int:  # first coordinate of rotated pair s (s in 1..r+2)
         return 2 * (s - 1)

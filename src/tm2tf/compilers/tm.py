@@ -82,36 +82,41 @@ def _log_dims(tm: TuringMachine) -> tuple[int, int]:
     return d_q, d_g
 
 
-def cot_dims(tm: TuringMachine, r: int) -> Dims:
+def _tm_widths(scot: bool, tapes: int, r: int, d_q: int, d_g: int) -> tuple[int, int]:
+    """(d, extra): the residual width, and the MLP rows the transition
+    layer needs besides one per (state, symbols) table entry."""
+    k = tapes
+    if scot:
+        d = 7 * k * r + 9 * r + 5 * d_q + (4 * k + 1) * d_g + 13 * k + 31
+        return d, 4 * k * d_g + 4 * k + 1
+    return 6 * k * r + 6 * r + 3 * d_q + (3 * k + 1) * d_g + 10 * k + 21, 1
+
+
+def _tm_dims(tm: TuringMachine, r: int, scot: bool) -> Dims:
     d_q, d_g = _log_dims(tm)
     k = tm.tapes
     n_trans = len(tm.states) * len(tm.tape_alphabet) ** k
+    d, extra = _tm_widths(scot, k, r, d_q, d_g)
+    if scot:
+        d_ff = max(22 * r + 11, 18 * k * r + 2 * r + 1, n_trans + extra)
+    else:
+        d_ff = max(18 * r + 2, 14 * k * r + 2 * r, n_trans + extra)
     return Dims(
-        d=6 * k * r + 6 * r + 3 * d_q + (3 * k + 1) * d_g + 10 * k + 21,
+        d=d,
         d_k=4 * r - 1,
         d_v=max(r, d_q, d_g),
-        d_ff=max(18 * r + 2, 14 * k * r + 2 * r, n_trans + 1),
-        n_heads=3 * k,
+        d_ff=d_ff,
+        n_heads=3 * k + 2 if scot else 3 * k,
         n_layers=5 * r // 2 + 8,
     )
+
+
+def cot_dims(tm: TuringMachine, r: int) -> Dims:
+    return _tm_dims(tm, r, scot=False)
 
 
 def scot_dims(tm: TuringMachine, r: int) -> Dims:
-    d_q, d_g = _log_dims(tm)
-    k = tm.tapes
-    n_trans = len(tm.states) * len(tm.tape_alphabet) ** k
-    return Dims(
-        d=7 * k * r + 9 * r + 5 * d_q + (4 * k + 1) * d_g + 13 * k + 31,
-        d_k=4 * r - 1,
-        d_v=max(r, d_q, d_g),
-        d_ff=max(
-            22 * r + 11,
-            18 * k * r + 2 * r + 1,
-            n_trans + 4 * k * d_g + 4 * k + 1,
-        ),
-        n_heads=3 * k + 2,
-        n_layers=5 * r // 2 + 8,
-    )
+    return _tm_dims(tm, r, scot=True)
 
 
 class _TmCompiler:
@@ -129,7 +134,7 @@ class _TmCompiler:
         self.enc_q = enc_table(tm.states)
         self.enc_g = enc_table(tm.tape_alphabet)
         self.d_q, self.d_g = _log_dims(tm)
-        self.dims = scot_dims(tm, r) if scot else cot_dims(tm, r)
+        self.dims = _tm_dims(tm, r, scot)
         self.L1 = r // 2 + 1
         self.L2 = self.L1 + r + 2
         self.L3 = self.L2 + r + 1
@@ -215,8 +220,6 @@ class _TmCompiler:
             self.i_head_next = [lay.register(f"head_next_bit{k}", 1) for k in range(K)]
             self.i_state_fin_out = lay.register("state_fin_out", self.d_q)
 
-        if lay.d != self.dims.d:
-            raise AssertionError(f"layout d={lay.d} but theorem d={self.dims.d}")
         self.layout = lay
         self.b = ModelBuilder(lay, n_layers=self.dims.n_layers)
         group = [
@@ -330,13 +333,11 @@ class _TmCompiler:
                 [(self.f_sym, 1), (self.f_exists_outp, 0)],
             ),
             "spos-input",
-            gate_key=((self.f_sym.coord, 1), (self.f_exists_outp.coord, 0)),
         )
         b.add_neurons(
             1,
             copy_register(self.i_pos, self.i_pos_outp, [(self.f_outp, 1)]),
             "pos-outp-copy",
-            gate_key=((self.f_outp.coord, 1),),
         )
         b.add_neurons(1, sub_pow2(self.i_pos, self.i_pos1, 0, []), "pos1-init")
         b.add_neurons(1, sub_pow2(self.i_pos, self.i_pos2, 1, []), "pos2-init")
@@ -404,13 +405,11 @@ class _TmCompiler:
                 1,
                 copy_register(self.i_pos, self.i_pos_promptend, [(self.f_einp, 1)]),
                 "promptend-einp",
-                gate_key=((self.f_einp.coord, 1),),
             )
             b.add_neurons(
                 1,
                 copy_register(self.i_pos, self.i_pos_promptend, [(self.f_esumm, 1)]),
                 "promptend-esumm",
-                gate_key=((self.f_esumm.coord, 1),),
             )
 
     # -- layer 2 -------------------------------------------------------------
@@ -434,20 +433,17 @@ class _TmCompiler:
             2,
             copy_register(self.i_pos, self.i_searchpos[0], [(self.f_output, 1)]),
             "searchpos-output-copy",
-            gate_key=((self.f_output.coord, 1),),
         )
         for k in range(K):
             b.add_neurons(
                 2,
                 copy_register(self.i_pos, self.i_pos_sym[k], [(self.f_run, 1)]),
                 f"pos-sym-run-{k}",
-                gate_key=((self.f_run.coord, 1),),
             )
         b.add_neurons(
             2,
             copy_register(self.i_pos, self.i_pos_sym[0], [(self.f_input, 1)]),
             "pos-sym-input",
-            gate_key=((self.f_input.coord, 1),),
         )
         if self.scot:
             pe_row = [(self.f_einp.coord, 1), (self.f_esumm.coord, 1)]
@@ -466,19 +462,16 @@ class _TmCompiler:
                     2,
                     sub_pow2(self.i_pos, self.i_spos[k], 0, [(self.f_tape_init, 1)]),
                     f"spos-tape-{k}",
-                    gate_key=((self.f_tape_init.coord, 1),),
                 )
                 b.add_neurons(
                     2,
                     copy_register(self.i_pos, self.i_pos_sym[k], [(self.f_tape_init, 1)]),
                     f"pos-sym-tape-{k}",
-                    gate_key=((self.f_tape_init.coord, 1),),
                 )
             b.add_neurons(
                 2,
                 copy_register(self.i_pos, self.i_pos_summ, [(self.f_finalsumm, 1)]),
                 "pos-summ-copy",
-                gate_key=((self.f_finalsumm.coord, 1),),
             )
             eq_neurons = []
             for s in range(r - 2):
@@ -530,7 +523,6 @@ class _TmCompiler:
                         [(self.f_pclose, 1)],
                     ),
                     f"collect-copy1-{j}-{k}",
-                    gate_key=((self.f_pclose.coord, 1),),
                 )
                 b.add_neurons(
                     layer,
@@ -540,16 +532,14 @@ class _TmCompiler:
                         [(self.f_pclose, 1)],
                     ),
                     f"collect-copy2-{j}-{k}",
-                    gate_key=((self.f_pclose.coord, 1),),
                 )
                 b.add_neurons(
                     layer,
                     zero_register(self.i_bits_ex1[k], []) + zero_register(self.i_bits_ex2[k], []),
                     f"collect-zero-{j}-{k}",
-                    bundle=f"bits-ex-{k}",
                 )
-            b.add_neurons(layer, sub_pow2_inplace(self.i_pos1, 1, []), f"pos1-dec-{j}", bundle="pos1")
-            b.add_neurons(layer, sub_pow2_inplace(self.i_pos2, 1, []), f"pos2-dec-{j}", bundle="pos2")
+            b.add_neurons(layer, sub_pow2_inplace(self.i_pos1, 1, []), f"pos1-dec-{j}")
+            b.add_neurons(layer, sub_pow2_inplace(self.i_pos2, 1, []), f"pos2-dec-{j}")
 
     # -- SCoT layers 3 and 4 --------------------------------------------------
 
@@ -601,7 +591,6 @@ class _TmCompiler:
                     3,
                     copy_register(self.i_pos, self.i_searchpos[k], [(flag, 1)]),
                     f"summary-offset-copy-{tag}-{k}",
-                    gate_key=((flag.coord, 1),),
                 )
         b.add_head(
             4,
@@ -631,7 +620,6 @@ class _TmCompiler:
                 3 + s,
                 stage,
                 f"output-offset-sub-{s}",
-                gate_key=((self.f_output.coord, 1),),
             )
         if self.scot:
             for k in range(self.K):
@@ -642,7 +630,6 @@ class _TmCompiler:
                             4 + s,
                             stage,
                             f"summary-offset-sub-{tag}-{k}-{s}",
-                            gate_key=((flag.coord, 1),),
                         )
 
     # -- head position propagation: layers L1+1..L1+r+1 ------------------------
@@ -673,21 +660,18 @@ class _TmCompiler:
                     )
                     + zero_register(self.i_searchpos[k], [(self.f_run, 1)]),
                     f"prop-move-{j}-{k}",
-                    gate_key=((self.f_run.coord, 1),),
                 )
                 b.add_neurons(
                     layer,
                     copy_register(self.i_hpos_minus[k], self.i_searchpos[k], [(self.f_popen, 1)])
                     + zero_register(self.i_searchpos[k], [(self.f_popen, 1)]),
                     f"prop-popen-{j}-{k}",
-                    gate_key=((self.f_popen.coord, 1),),
                 )
                 if j <= r:
                     b.add_neurons(
                         layer,
                         zero_register(self.i_hpos_minus[k], []),
                         f"prop-clear-{j}-{k}",
-                        bundle=f"hpos-minus-{k}",
                     )
 
     # -- layer L2 ---------------------------------------------------------------
@@ -699,13 +683,11 @@ class _TmCompiler:
                 self.L2,
                 copy_register(self.i_hpos_minus[k], self.i_spos[k], [(self.f_run, 1)]),
                 f"spos-run-{k}",
-                gate_key=((self.f_run.coord, 1),),
             )
             b.add_neurons(
                 self.L2,
                 copy_register(self.i_searchpos[k], self.i_hpos_p[k], [(self.f_popen, 1)]),
                 f"hpos-p-copy-{k}",
-                gate_key=((self.f_popen.coord, 1),),
             )
             b.add_neurons(
                 self.L2,
@@ -713,7 +695,6 @@ class _TmCompiler:
                     self.i_searchpos[k][0:1], self.i_nextbit[k], [(self.f_popen, 1)]
                 ),
                 f"nextbit-popen-{k}",
-                gate_key=((self.f_popen.coord, 1),),
             )
         b.add_neurons(self.L2, sub_pow2(self.i_pos, self.i_pos_scan, 0, []), "pos-scan-init")
         if self.scot:
@@ -811,7 +792,7 @@ class _TmCompiler:
                         self.i_nextbit[k],
                     ),
                 )
-            b.add_neurons(layer, sub_pow2_inplace(self.i_pos_scan, 0, []), f"pos-scan-dec-{p}", bundle="scan")
+            b.add_neurons(layer, sub_pow2_inplace(self.i_pos_scan, 0, []), f"pos-scan-dec-{p}")
         # The r'th run token of a chunk must emit <p>: look r-1 back for a run
         # token. For r = 2 the scan register is needed elsewhere that layer,
         # but pos_minus holds i-1 = i-(r-1) permanently, so use it instead.
@@ -846,7 +827,7 @@ class _TmCompiler:
                 "to-pclose", [self.i_pos_scan], [self.i_pos], [self.f_popen], self.f_to_pclose
             ),
         )
-        b.add_neurons(self.L2 + r, sub_pow2_inplace(self.i_pos_scan, 1, []), "pos-scan-dec-2", bundle="scan")
+        b.add_neurons(self.L2 + r, sub_pow2_inplace(self.i_pos_scan, 1, []), "pos-scan-dec-2")
         if self.scot:
             # Clear the <p> emission when the length cap fires the summary.
             b.add_neurons(
@@ -870,13 +851,11 @@ class _TmCompiler:
                 self.L2 + 1,
                 zero_register(self.i_hpos_fin[k], [(self.f_finalsumm, 0)]),
                 f"fin-hpos-clear-{k}",
-                gate_key=((self.f_finalsumm.coord, 0),),
             )
         b.add_neurons(
             self.L2 + 1,
             zero_register(self.i_state_fin, [(self.f_finalsumm, 0)]),
             "fin-state-clear",
-            gate_key=((self.f_finalsumm.coord, 0),),
         )
         b.add_head(
             self.L2 + 2,
@@ -908,7 +887,6 @@ class _TmCompiler:
             self.L2 + 4,
             copy_register(self.i_state_fin, self.i_state_fin_out, [(self.f_summary_done, 1)]),
             "state-out-copy",
-            gate_key=((self.f_summary_done.coord, 1),),
         )
 
     # -- extraction layer L3 ---------------------------------------------------
@@ -953,7 +931,6 @@ class _TmCompiler:
             self.L3,
             copy_register(self.i_state_ex, self.i_state, [(self.f_pclose, 1)]),
             "state-pclose-copy",
-            gate_key=((self.f_pclose.coord, 1),),
         )
 
     # -- transition layer L3+1 ---------------------------------------------------
@@ -985,7 +962,7 @@ class _TmCompiler:
                 for k in range(K):
                     pats.append((self.i_sym_ex[k], self.enc_g[syms[k]]))
                 neurons.append(single_neuron(pats, [], out))
-        b.add_neurons(layer, neurons, "transition", bundle="transition")
+        b.add_neurons(layer, neurons, "transition")
         b.add_neurons(
             layer,
             [
@@ -1006,7 +983,6 @@ class _TmCompiler:
                         layer,
                         copy_register(self.i_sym_ex[k], self.i_sym_next[k], gates),
                         f"sym-next-copy-{gi}-{k}",
-                        gate_key=tuple((f.coord, v) for f, v in gates),
                     )
                     b.add_neurons(
                         layer,
@@ -1021,7 +997,6 @@ class _TmCompiler:
                             ),
                         ],
                         f"head-next-bit-{gi}-{k}",
-                        gate_key=tuple((f.coord, v) for f, v in gates),
                     )
 
     # -- output logic layers L3+2..L ----------------------------------------------
@@ -1067,7 +1042,6 @@ class _TmCompiler:
                 self.L3 + 2,
                 neurons,
                 f"suppress-transition-{tag}",
-                gate_key=tuple((f.coord, v) for f, v in gates),
             )
         b.add_neurons(
             self.L3 + 3,
@@ -1082,7 +1056,6 @@ class _TmCompiler:
             self.L3 + 4,
             copy_register(self.i_sym_ex[0], self.i_newsym_sigma, [(self.f_to_sigma, 1)]),
             "newsym-copy",
-            gate_key=((self.f_to_sigma.coord, 1),),
         )
 
     # -- unembeddings ---------------------------------------------------------------

@@ -121,10 +121,6 @@ class NeuronSpec:
     bias4: int  # bias numerator over 4
     out_w: dict[int, int]  # output weights, |.| <= 2
 
-    def gates(self) -> tuple[tuple[int, int], ...]:
-        """Input conditions, used by the builder's conflict checker."""
-        return tuple(sorted(self.in_w.items()))
-
 
 def single_neuron(
     register_patterns: list[tuple[Register, tuple[int, ...]]],
@@ -431,22 +427,31 @@ def mlp_weights(neurons: list[NeuronSpec], d: int) -> tuple[np.ndarray, np.ndarr
     return w1, bias4, w2
 
 
+def _shared_inputs(neurons: list[NeuronSpec]) -> dict[int, int]:
+    """The input weights (coord -> +-1) that every neuron carries."""
+    shared = dict(neurons[0].in_w) if neurons else {}
+    for n in neurons[1:]:
+        if not shared:
+            break
+        shared = {c: w for c, w in shared.items() if n.in_w.get(c) == w}
+    return shared
+
+
 @dataclass
 class _MlpOp:
     neurons: list[NeuronSpec]
     label: str
-    gate_key: tuple[tuple[int, int], ...]
     bundle: str | None
-
-    def writes(self) -> set[int]:
-        return {c for n in self.neurons for c in n.out_w}
+    gate: dict[int, int]  # shared input weights of the neurons
+    writes: set[int]
 
 
 class ModelBuilder:
     """Collects heads and MLP operations per layer, then emits parameters.
 
     Conflicts (two operations writing the same coordinate in one layer
-    without provably disjoint gating) are a build-time error.
+    without provably disjoint gating) are a build-time error. An op's
+    gate is derived from its neurons, see `add_neurons`.
     """
 
     def __init__(self, layout: RegisterLayout, n_layers: int):
@@ -486,13 +491,13 @@ class ModelBuilder:
         self._heads[layer - 1].append(head)
         self.manifest.append({"layer": layer, "kind": "head", "label": head.name})
 
-    def _provably_disjoint(self, g1, g2) -> bool:
-        d1, d2 = dict(g1), dict(g2)
-        for c, v in d1.items():
-            if c in d2 and d2[c] != v:
-                return True
-        ones1 = {c for c, v in d1.items() if v == 1}
-        ones2 = {c for c, v in d2.items() if v == 1}
+    def _provably_disjoint(self, g1: dict[int, int], g2: dict[int, int]) -> bool:
+        """No token meets both gates. Input weight +1 asks for value 1 and
+        -1 for value 0 (a flag) or -1 (a register bit)."""
+        if any(g2.get(c, w) != w for c, w in g1.items()):
+            return True
+        ones1 = {c for c, w in g1.items() if w == 1}
+        ones2 = {c for c, w in g2.items() if w == 1}
         for group in self._exclusive:
             if (ones1 & group) and (ones2 & group) and not (ones1 & ones2 & group):
                 return True
@@ -503,18 +508,32 @@ class ModelBuilder:
         layer: int,
         neurons: list[NeuronSpec],
         label: str,
-        gate_key: tuple[tuple[int, int], ...] = (),
         bundle: str | None = None,
     ) -> None:
+        """Add one MLP op, the neurons of one gadget call, to a layer.
+
+        The op's gate is the set of input weights that all of its neurons
+        share. This assumes conjunction neurons (`single_neuron`), which
+        fire only when every input pattern matches, so the op writes
+        nothing on a token that fails its gate. Two ops writing a common
+        coordinate in one layer must have disjoint gates: opposite values
+        on one coordinate, or different flags of one `declare_exclusive`
+        group set to 1. Ops with the same `bundle` name skip the check:
+        they are parts of one update whose writes add up by design, such
+        as zeroing a register and rewriting it in the same layer.
+        """
         if not 1 <= layer <= self.n_layers:
             raise BuildError(f"layer {layer} out of range")
-        op = _MlpOp(list(neurons), label, tuple(gate_key), bundle)
+        neurons = list(neurons)
+        op = _MlpOp(
+            neurons, label, bundle, _shared_inputs(neurons), {c for n in neurons for c in n.out_w}
+        )
         for other in self._mlp_ops[layer - 1]:
-            if not op.writes() & other.writes():
+            if op.writes.isdisjoint(other.writes):
                 continue
             if bundle is not None and other.bundle == bundle:
                 continue
-            if self._provably_disjoint(op.gate_key, other.gate_key):
+            if self._provably_disjoint(op.gate, other.gate):
                 continue
             raise BuildError(
                 f"layer {layer}: ops {label!r} and {other.label!r} write overlapping "

@@ -110,50 +110,29 @@ def _finish_output(trace: GenerationTrace, tokens: list[str], start: int) -> Gen
     return trace
 
 
-def run_cot(
+_MAX_SEGMENTS = 4096  # SCoT segments before a run is given up as undefined
+
+
+def _run_segments(
+    protocol: str,
+    stop_set: set[str],
     params: TransformerParams,
     word: list[str] | str,
     cfg: EvalConfig,
-    budget: int | None = None,
-    record_steps: bool = False,
+    budget: int | None,
+    record_steps: bool,
 ) -> GenerationTrace:
-    """Decode from <inp> w </inp> until </outp>; validate the output block."""
+    """Decode segments until </outp>, promoting each summary block to the
+    next prompt; budget applies per segment. With stop set {</outp>} the
+    first segment is the whole run."""
     word = list(word)
-    trace = GenerationTrace(protocol="cot")
-    records = trace.records if record_steps else None
+    trace = GenerationTrace(protocol=protocol)
     prompt = [INP, *word, EINP]
-    budget = budget if budget is not None else _default_budget(params, prompt)
-    tokens, exceeded, ev = generate(params, prompt, {EOUTP}, budget, cfg, records)
-    trace.segments = [tokens]
-    trace.total_tokens = len(tokens)
-    trace.max_segment = len(tokens)
-    trace.tie_warnings = ev.trace.tie_warnings
-    trace.saturations = ev.trace.saturations
-    if cfg.capture_trace:
-        trace.eval_traces.append(ev.trace)
-    if exceeded:
-        trace.outcome = "budget_exceeded"
-        return trace
-    return _finish_output(trace, tokens, len(prompt))
-
-
-def run_scot(
-    params: TransformerParams,
-    word: list[str] | str,
-    cfg: EvalConfig,
-    budget: int | None = None,
-    max_segments: int = 4096,
-    record_steps: bool = False,
-) -> GenerationTrace:
-    """The iterated segment/summary loop; budget applies per segment."""
-    word = list(word)
-    trace = GenerationTrace(protocol="scot")
-    prompt = [INP, *word, EINP]
-    for seg_idx in range(max_segments):
+    for seg_idx in range(_MAX_SEGMENTS):
         records = trace.records if record_steps else None
         steps = budget if budget is not None else _default_budget(params, prompt)
         tokens, exceeded, ev = generate(
-            params, prompt, {EOUTP, ESUMM}, steps, cfg, records, segment_index=seg_idx
+            params, prompt, stop_set, steps, cfg, records, segment_index=seg_idx
         )
         trace.segments.append(tokens)
         trace.total_tokens += len(tokens)
@@ -177,3 +156,25 @@ def run_scot(
         prompt = [SUMM, *body, ESUMM]
     trace.outcome, trace.reason = "undefined", "segment limit reached"
     return trace
+
+
+def run_cot(
+    params: TransformerParams,
+    word: list[str] | str,
+    cfg: EvalConfig,
+    budget: int | None = None,
+    record_steps: bool = False,
+) -> GenerationTrace:
+    """Decode from <inp> w </inp> until </outp>; validate the output block."""
+    return _run_segments("cot", {EOUTP}, params, word, cfg, budget, record_steps)
+
+
+def run_scot(
+    params: TransformerParams,
+    word: list[str] | str,
+    cfg: EvalConfig,
+    budget: int | None = None,
+    record_steps: bool = False,
+) -> GenerationTrace:
+    """The iterated segment/summary loop; budget applies per segment."""
+    return _run_segments("scot", {EOUTP, ESUMM}, params, word, cfg, budget, record_steps)

@@ -40,6 +40,7 @@ from .compilers import (
     compile_scot,
     dfa_dims,
 )
+from .compilers.tm import _tm_widths
 from .fpcore import FloatFormat, Precision, round_array
 from .generation import run_cot, run_scot
 from .netcore import (
@@ -508,62 +509,39 @@ def _round_sqrt_ratio_exact(p: int, q: int, fmt: FloatFormat) -> Fraction:
     return Fraction(mant) * Fraction(2) ** exp
 
 
-def _phi_coords(max_i: int, fmt: FloatFormat, normalization: str):
+def _phi_coords(max_i: int, fmt: FloatFormat):
     """Rounded (a_i, b_i) with phi_i = (i, 1, -i, -1)/norm = (a, b, -a, -b).
 
-    Returns float views plus exact integer views scaled by 2^_PHI_SHIFT.
+    The exact real coordinates i/sqrt(2i^2+2) and 1/sqrt(2i^2+2) are
+    rounded straight into the format. Returns float views plus exact
+    integer views scaled by 2^_PHI_SHIFT.
     """
     a = np.zeros(max_i + 1)
     b = np.zeros(max_i + 1)
     a_int = [0] * (max_i + 1)
     b_int = [0] * (max_i + 1)
-    if normalization == "float64":
-        idx = np.arange(max_i + 1, dtype=np.float64)
-        norm = np.sqrt(2.0 * idx * idx + 2.0)
-        a[1:], _ = round_array(idx[1:] / norm[1:], fmt)
-        b[1:], _ = round_array(1.0 / norm[1:], fmt)
-        for i in range(1, max_i + 1):
-            af = Fraction(a[i])
-            bf = Fraction(b[i])
-            a_int[i] = int(af * 2 ** _PHI_SHIFT)
-            b_int[i] = int(bf * 2 ** _PHI_SHIFT)
-            if Fraction(a_int[i], 2 ** _PHI_SHIFT) != af or Fraction(
-                b_int[i], 2 ** _PHI_SHIFT
-            ) != bf:
-                raise AssertionError("fixed-point scale too small for the format")
-    elif normalization == "exact":
-        for i in range(1, max_i + 1):
-            denom = 2 * i * i + 2
-            ma, ea = _round_sqrt_mantissa(i * i, denom, fmt)
-            mb, eb = _round_sqrt_mantissa(1, denom, fmt)
-            if ea + _PHI_SHIFT < 0 or eb + _PHI_SHIFT < 0:
-                raise AssertionError("fixed-point scale too small for the format")
-            a_int[i] = ma << (ea + _PHI_SHIFT)
-            b_int[i] = mb << (eb + _PHI_SHIFT)
-            a[i] = math.ldexp(ma, ea)
-            b[i] = math.ldexp(mb, eb)
-    else:
-        raise ValueError("normalization must be 'float64' or 'exact'")
+    for i in range(1, max_i + 1):
+        denom = 2 * i * i + 2
+        ma, ea = _round_sqrt_mantissa(i * i, denom, fmt)
+        mb, eb = _round_sqrt_mantissa(1, denom, fmt)
+        if ea + _PHI_SHIFT < 0 or eb + _PHI_SHIFT < 0:
+            raise AssertionError("fixed-point scale too small for the format")
+        a_int[i] = ma << (ea + _PHI_SHIFT)
+        b_int[i] = mb << (eb + _PHI_SHIFT)
+        a[i] = math.ldexp(ma, ea)
+        b[i] = math.ldexp(mb, eb)
     return a, b, a_int, b_int
 
 
-def probe_phi(
-    fmt: FloatFormat,
-    max_i: int,
-    format_name: str = "",
-    normalization: str = "exact",
-) -> ProbeReport:
+def probe_phi(fmt: FloatFormat, max_i: int, format_name: str = "") -> ProbeReport:
     """First index whose rounded position vector is out-argmaxed by an earlier one.
 
     Dot products are exact: a float64 prefilter finds near-ties, which are
-    then decided in rational arithmetic. The default normalization rounds
-    the exact real coordinates i/sqrt(2i^2+2) straight into the format;
-    "float64" instead rounds host-computed values (the double rounding
-    shifts the fp64 confusion index and is kept for diagnosis only).
+    then decided in rational arithmetic.
     """
     if max_i < 2:
         raise ValueError("max_i must be >= 2")
-    a, b, a_int, b_int = _phi_coords(max_i, fmt, normalization)
+    a, b, a_int, b_int = _phi_coords(max_i, fmt)
     # Float64 dot products of values <= 1 err below 5e-16; 1e-14 is a safe
     # prefilter slack before exact integer confirmation.
     margin = 1e-14
@@ -603,24 +581,15 @@ def instantiate_capacity(
     r_depth = max(0, (2 * (l_budget - 8) // 5) // 2 * 2)
     r_dk = max(0, ((d_k_budget + 1) // 4) // 2 * 2)
     r = min(r_depth, r_dk)
+    scot = construction == "scot"
     rows = []
     for tapes in (1, 2, 3):
         for gamma in (2, 4, 10):
             d_g = (gamma - 1).bit_length()
-            if construction == "cot":
-                slack = d_ff_budget - 1
-            else:
-                slack = d_ff_budget - 4 * tapes * d_g - 4 * tapes - 1
-            max_states = max(0, slack // gamma ** tapes)
-            d_q = max((max_states - 1).bit_length(), 0) if max_states else 0
-            if construction == "cot":
-                d_used = (
-                    6 * tapes * r + 6 * r + 3 * d_q + (3 * tapes + 1) * d_g + 10 * tapes + 21
-                )
-            else:
-                d_used = (
-                    7 * tapes * r + 9 * r + 5 * d_q + (4 * tapes + 1) * d_g + 13 * tapes + 31
-                )
+            _, extra = _tm_widths(scot, tapes, r, 0, d_g)
+            max_states = max(0, (d_ff_budget - extra) // gamma ** tapes)
+            d_q = (max_states - 1).bit_length() if max_states else 0
+            d_used, _ = _tm_widths(scot, tapes, r, d_q, d_g)
             rows.append(
                 {
                     "tapes": tapes,

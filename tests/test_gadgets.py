@@ -318,12 +318,12 @@ def test_builder_conflict_detection():
     f = layout.flag("f")
     g = layout.flag("g")
     builder = ModelBuilder(layout, n_layers=2)
-    builder.add_neurons(1, copy_register(a, b, [(f, 1)]), "copy1", gate_key=((f.coord, 1),))
+    builder.add_neurons(1, copy_register(a, b, [(f, 1)]), "copy1")
     # Same target, complementary gate: fine.
-    builder.add_neurons(1, copy_register(a, b, [(f, 0)]), "copy2", gate_key=((f.coord, 0),))
+    builder.add_neurons(1, copy_register(a, b, [(f, 0)]), "copy2")
     # Same target, unrelated gate: rejected (f=1 and g=1 can coincide).
     with pytest.raises(BuildError):
-        builder.add_neurons(1, copy_register(a, b, [(g, 1)]), "copy3", gate_key=((g.coord, 1),))
+        builder.add_neurons(1, copy_register(a, b, [(g, 1)]), "copy3")
     # Ungated double write is always an error.
     builder.add_neurons(2, copy_register(a, b, []), "u1", bundle="rewrite-b")
     with pytest.raises(BuildError):
@@ -334,5 +334,45 @@ def test_builder_conflict_detection():
     # With f and g declared mutually exclusive, f=1 vs g=1 gating is disjoint.
     builder2 = ModelBuilder(layout, n_layers=1)
     builder2.declare_exclusive([f, g])
-    builder2.add_neurons(1, copy_register(a, b, [(f, 1)]), "cf", gate_key=((f.coord, 1),))
-    builder2.add_neurons(1, copy_register(a, b, [(g, 1)]), "cg", gate_key=((g.coord, 1),))
+    builder2.add_neurons(1, copy_register(a, b, [(f, 1)]), "cf")
+    builder2.add_neurons(1, copy_register(a, b, [(g, 1)]), "cg")
+
+
+def test_builder_derives_gates_from_neurons():
+    layout = RegisterLayout()
+    a = layout.register("a", 2)
+    b = layout.register("b", 2)
+    f = layout.flag("f")
+    builder = ModelBuilder(layout, n_layers=2)
+    # Complementary register-bit patterns: every neuron of the first op
+    # needs a[0] = +1, every neuron of the second a[0] = -1.
+    builder.add_neurons(
+        1,
+        [
+            single_neuron([(a.bit(0), (1,))], [], {b.coords[0]: 1}),
+            single_neuron([(a, (1, 1))], [], {b.coords[1]: -1}),
+        ],
+        "a0-high",
+    )
+    builder.add_neurons(
+        1, [single_neuron([(a, (-1, 1))], [], {b.coords[0]: -1})], "a0-low"
+    )
+    # Complementary flags, shared by every neuron of each op.
+    builder.add_neurons(2, zero_register(b, [(f, 1)]), "zero-f")
+    builder.add_neurons(2, copy_register(a, b, [(f, 0)]), "copy-not-f")
+
+
+def test_builder_partly_gated_op_conflicts():
+    layout = RegisterLayout()
+    a = layout.register("a", 2)
+    b = layout.register("b", 2)
+    f = layout.flag("f")
+    builder = ModelBuilder(layout, n_layers=1)
+    builder.add_neurons(1, copy_register(a, b, [(f, 0)]), "copy-not-f")
+    # Only the first neuron needs f = 1; the second fires whatever f is.
+    partly_gated = [
+        single_neuron([(a.bit(0), (1,))], [(f, 1)], {b.coords[0]: 1}),
+        single_neuron([(a.bit(1), (1,))], [], {b.coords[1]: 1}),
+    ]
+    with pytest.raises(BuildError):
+        builder.add_neurons(1, partly_gated, "partly-f")

@@ -110,7 +110,7 @@ def test_probe_phi_exact_agrees_with_bruteforce_fractions():
     from tm2tf.harness import _PHI_SHIFT, _phi_coords
 
     fmt = PRESETS["bf16"]
-    a, b, a_int, b_int = _phi_coords(20, fmt, "exact")
+    a, b, a_int, b_int = _phi_coords(20, fmt)
     scale = Fraction(1, 2 ** _PHI_SHIFT)
     a_frac = [v * scale for v in a_int]
     b_frac = [v * scale for v in b_int]
