@@ -49,24 +49,32 @@ def generate(
     cfg: EvalConfig,
     records: list[dict] | None = None,
     segment_index: int = 0,
+    draft: list[str] | None = None,
 ) -> tuple[list[str], bool, Evaluator]:
     """Greedy extension until a stop token is emitted (inclusive).
 
     Returns (tokens, budget_exceeded, evaluator). The stop token itself is
     never fed back through the model.
+
+    `draft` holds the tokens expected after the prompt. They are fed with
+    the prompt as one block (up to the first stop token, the budget or the
+    context), and each stands while it is the greedy token at its step; at
+    the first that is not, the evaluator is truncated there and decoding
+    goes on one token at a time. The model is causal, so the tokens, the
+    evaluator and its trace are the same for any draft, right or wrong.
     """
     if not prompt:
         raise ValueError("prompt must be nonempty")
     if not stop_set:
         raise ValueError("stop_set must be nonempty")
     ev = Evaluator(params, cfg)
-    ev.extend(prompt)
+    ev.extend([*prompt, *_feedable(params, draft or [], stop_set, max_steps, len(prompt))])
     tokens = list(prompt)
     for _ in range(max_steps):
-        tok = ev.next_token()
+        tok = ev.next_token(len(tokens) - 1)
         tokens.append(tok)
         if records is not None:
-            scores = ev.output_scores_last()
+            scores = ev.output_scores(len(tokens) - 2)
             top2 = np.argsort(scores)[-2:][::-1]
             records.append(
                 {
@@ -79,9 +87,31 @@ def generate(
                 }
             )
         if tok in stop_set:
+            ev.truncate(len(tokens) - 1)  # drops what the draft had past this step
             return tokens, False, ev
-        ev.extend([tok])
+        if len(ev.tokens) < len(tokens):  # past the draft
+            ev.extend([tok])
+        elif ev.tokens[len(tokens) - 1] != tok:  # the draft is wrong from here on
+            ev.truncate(len(tokens) - 1)
+            ev.extend([tok])
     return tokens, True, ev
+
+
+def _feedable(
+    params: TransformerParams, draft: list[str], stop_set: set[str], max_steps: int, n_prompt: int
+) -> list[str]:
+    """The draft tokens that greedy decoding could feed: at most max_steps,
+    within the context, before the first stop or unknown token."""
+    room = max_steps
+    if isinstance(params.positional, BinaryAbsolute):
+        room = min(room, 2 ** params.positional.r - n_prompt)
+    vocab = set(params.vocab)
+    fed = []
+    for tok in draft[: max(room, 0)]:
+        if tok in stop_set or tok not in vocab:
+            break
+        fed.append(tok)
+    return fed
 
 
 def _find_block(tokens: list[str], start: int, opener: str, closer: str):
@@ -121,18 +151,21 @@ def _run_segments(
     cfg: EvalConfig,
     budget: int | None,
     record_steps: bool,
+    draft: list[list[str]] | None,
 ) -> GenerationTrace:
     """Decode segments until </outp>, promoting each summary block to the
     next prompt; budget applies per segment. With stop set {</outp>} the
-    first segment is the whole run."""
+    first segment is the whole run. Segment i's draft is draft[i] past the
+    prompt's length."""
     word = list(word)
     trace = GenerationTrace(protocol=protocol)
     prompt = [INP, *word, EINP]
     for seg_idx in range(_MAX_SEGMENTS):
         records = trace.records if record_steps else None
         steps = budget if budget is not None else _default_budget(params, prompt)
+        expected = draft[seg_idx][len(prompt) :] if draft and seg_idx < len(draft) else None
         tokens, exceeded, ev = generate(
-            params, prompt, stop_set, steps, cfg, records, segment_index=seg_idx
+            params, prompt, stop_set, steps, cfg, records, segment_index=seg_idx, draft=expected
         )
         trace.segments.append(tokens)
         trace.total_tokens += len(tokens)
@@ -164,9 +197,13 @@ def run_cot(
     cfg: EvalConfig,
     budget: int | None = None,
     record_steps: bool = False,
+    draft: list[list[str]] | None = None,
 ) -> GenerationTrace:
-    """Decode from <inp> w </inp> until </outp>; validate the output block."""
-    return _run_segments("cot", {EOUTP}, params, word, cfg, budget, record_steps)
+    """Decode from <inp> w </inp> until </outp>; validate the output block.
+
+    `draft` is the expected run in the form of `GenerationTrace.segments`
+    (one segment, prompt included); it only saves work, see `generate`."""
+    return _run_segments("cot", {EOUTP}, params, word, cfg, budget, record_steps, draft)
 
 
 def run_scot(
@@ -175,6 +212,9 @@ def run_scot(
     cfg: EvalConfig,
     budget: int | None = None,
     record_steps: bool = False,
+    draft: list[list[str]] | None = None,
 ) -> GenerationTrace:
-    """The iterated segment/summary loop; budget applies per segment."""
-    return _run_segments("scot", {EOUTP, ESUMM}, params, word, cfg, budget, record_steps)
+    """The iterated segment/summary loop; budget applies per segment.
+
+    `draft` is the expected segments, prompts included, as in `run_cot`."""
+    return _run_segments("scot", {EOUTP, ESUMM}, params, word, cfg, budget, record_steps, draft)

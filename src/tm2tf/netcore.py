@@ -2,16 +2,23 @@
 
 Weights are stored as small-integer codes in {0,+-1,+-2}; query/key
 projections additionally carry one shared positive scale c (1 for plain
-hardmax constructions). Evaluation is causal and incremental: each
-position is processed once through all layers against cached keys/values,
-so autoregressive generation never recomputes a prefix. Hardmax decisions
-compare raw integer dot products, sidestepping the 1/sqrt(d_k) division.
+hardmax constructions). Evaluation is causal and incremental: positions
+are appended to cached keys and values, so autoregressive generation never
+recomputes a prefix, and `truncate` drops the newest positions again.
+Hardmax decisions compare raw integer dot products, sidestepping the
+1/sqrt(d_k) division.
 
-Each layer runs as one step over its H built heads: one fused Q/K/V
-matvec, one KV cache of shape (positions, H, d_k + d_v), attention for all
-heads at once, one (d, H*d_v) output matvec, and one rounding call per
-quantity. The trace keeps one entry per position: an (H, .) array for the
-head quantities q, k, v, dots and o, a vector for y, x_mid, hidden, x_out.
+A step runs P new positions of B equal-length sequences through each layer
+at once: one fused Q/K/V matmul, one KV cache of shape (positions, B*H,
+d_k + d_v), causally masked attention for all heads, one (d, H*d_v) output
+matmul, and one rounding call per quantity. Under hardmax, without rotary
+positions, a whole block of known tokens is one step, which is what lets
+generation verify a draft of expected tokens in one pass; softmax and
+rotary models step one position at a time, so their rounding and sums are
+those of plain incremental decoding. The trace keeps one entry per
+position: an (H, .) array for the head quantities q, k, v, dots and o, a
+vector for y, x_mid, hidden, x_out, each with a leading (B,) axis for a
+batch.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import Iterable
 
@@ -206,7 +213,8 @@ class ActivationTrace:
 
         Each field is stacked over positions, so the last axis of every array
         is one activation vector: (P, d) for x0, y, x_mid and x_out, (P, m)
-        for hidden, (P, H, d_k|d_v) for q, k, v and o. Raw MLP outputs are
+        for hidden, (P, H, d_k|d_v) for q, k, v and o, with a (B,) axis
+        after P for a batch. Raw MLP outputs are
         excluded: a zero-and-rewrite operation pair legitimately sums to +-2
         there, while the post-residual x stays ternary. Everything listed
         here must be exactly in {-1, 0, 1} on valid inputs of compiled models.
@@ -261,24 +269,41 @@ def rope_rotate(vec: np.ndarray, position: int, freqs: tuple[float, ...]) -> np.
 
 
 class Evaluator:
-    """Incremental causal evaluator over a growing token sequence.
+    """Causal evaluator over a growing token sequence, or, given `batch`,
+    over that many sequences of equal length run together.
 
-    A layer's H heads run as one step: Q/K/V rows are stacked per head as
-    [q_h; k_h; v_h] into one (H*(2 d_k + d_v), d) matrix, keys and values
-    of every head share one cache row per position, and the head outputs
-    are concatenated into one (H*d_v,) vector for the (d, H*d_v) output
-    matrix. A layer without heads runs the same code on empty arrays, but
-    computes no attention weights and rounds nothing empty.
+    One step runs P new positions of all B sequences through every layer as
+    matmuls on (P*B, d) rows against the KV cache, with a causal mask when
+    P > 1. A layer's H heads run at once: Q/K/V rows are stacked per head as
+    [q_h; k_h; v_h] into one (H*(2 d_k + d_v), d) matrix, keys and values of
+    every head share one cache row per position, and the head outputs are
+    concatenated into one H*d_v vector per position for the (d, H*d_v)
+    output matrix. A layer without heads runs the same code on empty
+    arrays, but computes no attention weights and rounds nothing empty.
+
+    `extend` runs a whole block as one step only when the arithmetic is
+    exact: hardmax attention and no rotary positions, where the compiled
+    models' values are small integers and no sum depends on its order.
+    Softmax and rotary models step one position at a time.
     """
 
-    def __init__(self, params: TransformerParams, cfg: EvalConfig):
+    def __init__(self, params: TransformerParams, cfg: EvalConfig, batch: int | None = None):
+        if batch is not None and batch < 1:
+            raise ValueError("batch must be >= 1")
         self.params = params
         self.cfg = cfg
-        self.tokens: list[str] = []
+        self.batch = batch
+        self.tokens: list = []  # per position: a str, or B strs for a batch
+        n_seq = batch or 1
         dims = params.dims
         d, d_k, d_v = dims.d, dims.d_k, dims.d_v
+        pos = params.positional
+        self._coords = list(pos.coords) if isinstance(pos, BinaryAbsolute) else []
         self._emb = params.emb.astype(np.float64)
-        self._unemb = params.unemb.astype(np.float64)
+        self._emb[:, self._coords] = 0.0  # the position code goes there
+        self._unemb_t = params.unemb.astype(np.float64).T
+        # (H, W^T of Q/K/V, W_O^T, W1^T, bias, W2^T) per layer: rows times W^T,
+        # as ndarray.dot, which costs less per call than matmul
         self._w = []
         for layer in params.layers:
             n_heads = len(layer.heads)
@@ -286,18 +311,27 @@ class Evaluator:
             wo = np.array([h.wo for h in layer.heads], np.float64).reshape(n_heads, d, d_v)
             self._w.append(
                 (
-                    wqkv.reshape(n_heads * (2 * d_k + d_v), d),
-                    wo.transpose(1, 0, 2).reshape(d, n_heads * d_v),
-                    layer.w1.astype(np.float64),
+                    n_heads,
+                    wqkv.reshape(n_heads * (2 * d_k + d_v), d).T,
+                    wo.transpose(1, 0, 2).reshape(d, n_heads * d_v).T,
+                    layer.w1.astype(np.float64).T,
                     layer.bias4.astype(np.float64) / 4.0,
-                    layer.w2.astype(np.float64),
+                    layer.w2.astype(np.float64).T,
                 )
             )
-        # (positions, H, d_k + d_v) rotated, scaled and rounded keys, then values
-        self._capacity = 16
-        self._kv = [np.empty((16, len(layer.heads), d_k + d_v)) for layer in params.layers]
-        self._final: list[np.ndarray] = []
+        # Per position: (B*H, d_k + d_v) rotated, scaled and rounded keys,
+        # then values, of each sequence and head; (B, d) final
+        # representations; the (d,) binary position code, zero off its
+        # coordinates. Grown by _reserve.
+        self._capacity = 0
+        self._kv = [np.empty((0, n_seq * len(layer.heads), d_k + d_v)) for layer in params.layers]
+        self._x = np.empty((0, n_seq, d))
+        self._pos_codes = np.empty((0, d))
+        self._saturations: list[int] = []  # trace.saturations after each position
         self._sqrt_dk = math.sqrt(d_k)
+        self._rotary = pos if isinstance(pos, RotaryOnly) else None
+        self._block = cfg.attention == "hardmax" and self._rotary is None
+        self._exact = cfg.act_precision.exact and cfg.att_precision.exact
         self.trace = ActivationTrace(layers=[LayerTrace() for _ in params.layers])
 
     # -- rounding helpers ---------------------------------------------------
@@ -311,109 +345,202 @@ class Evaluator:
 
     # -- core ---------------------------------------------------------------
 
-    def _embed(self, tok: str, position: int) -> np.ndarray:
+    def _embed(self, tokens: list, start: int) -> np.ndarray:
+        """(B, P, d) embeddings of P new positions from `start` on."""
         params = self.params
-        x = self._emb[params.token_index(tok)].copy()
+        rows = [tokens]
+        if self.batch is not None:
+            rows = list(zip(*tokens, strict=True))
+            if len(rows) != self.batch:
+                raise ValueError(f"each position needs {self.batch} tokens, got {len(rows)}")
+        x = self._emb[np.array([[params.token_index(tok) for tok in row] for row in rows])]
         pos = params.positional
         if isinstance(pos, BinaryAbsolute):
-            if position >= 2 ** pos.r:
+            if start + len(tokens) > 2 ** pos.r:
                 raise EvalError(
-                    f"position {position} does not fit {pos.r} positional bits"
+                    f"position {max(start, 2 ** pos.r)} does not fit {pos.r} positional bits"
                 )
-            for s, coord in enumerate(pos.coords):
-                x[coord] = 1.0 if (position >> s) & 1 else -1.0
+            x += self._pos_codes[start : start + len(tokens)]
         return x
 
-    def extend(self, tokens: Iterable[str]) -> None:
-        for tok in tokens:
-            self._process(tok)
+    def extend(self, tokens: Iterable) -> None:
+        """Append positions: strs for one sequence, or for a batch one
+        sequence of B tokens per position. Every token and position is
+        checked before any is processed."""
+        tokens = list(tokens)
+        if not tokens:
+            return
+        start = len(self.tokens)
+        self._reserve(start + len(tokens))
+        x = self._embed(tokens, start)
+        self.tokens += tokens
+        if self._block:
+            self._step(x, start)
+        else:
+            for i in range(len(tokens)):
+                self._step(x[:, i : i + 1], start + i)
 
-    def _process(self, tok: str) -> None:
+    def truncate(self, n: int) -> None:
+        """Drop positions >= n: their tokens, cache rows, final
+        representations, trace entries and saturations. Output scores and
+        tie warnings belong to decoded steps and stay."""
+        if not 0 <= n <= len(self.tokens):
+            raise ValueError(f"cannot truncate {len(self.tokens)} positions to {n}")
+        if n == len(self.tokens):
+            return
+        del self.tokens[n:]
+        del self._saturations[n:]
+        self.trace.saturations = self._saturations[-1] if n else 0
+        del self.trace.x0[n:]
+        for lt in self.trace.layers:
+            for f in fields(lt):
+                del getattr(lt, f.name)[n:]
+
+    def _reserve(self, n: int) -> None:
+        """Room for n positions, doubling the capacity (16 at least)."""
+        if n <= self._capacity:
+            return
+        while self._capacity < n:
+            self._capacity = max(16, 2 * self._capacity)
+
+        def grown(a: np.ndarray) -> np.ndarray:
+            out = np.empty((self._capacity, *a.shape[1:]))
+            out[: len(a)] = a
+            return out
+
+        self._kv = [grown(kv) for kv in self._kv]
+        self._x = grown(self._x)
+        if self._coords:
+            bits = (np.arange(self._capacity)[:, None] >> np.arange(len(self._coords))) & 1
+            self._pos_codes = np.zeros((self._capacity, self._x.shape[-1]))
+            self._pos_codes[:, self._coords] = np.where(bits, 1.0, -1.0)
+
+    def _step(self, x: np.ndarray, start: int) -> None:
+        """Run the (B, P, d) embeddings of positions start .. start+P-1.
+
+        The residual stream is (P*B, d) rows, position-major, and attention
+        runs on (B*H, .) stacks, so that one position of one sequence takes
+        the same numpy calls as a plain incremental step.
+        """
         params, cfg = self.params, self.cfg
-        pos_idx = len(self.tokens)
-        n = pos_idx + 1
-        self.tokens.append(tok)
+        n_seq, n_new, d = x.shape
+        n = start + n_new
         capture = cfg.capture_trace
-        rotary = params.positional if isinstance(params.positional, RotaryOnly) else None
+        rotary = self._rotary
         c = params.qk_scale
         d_k, d_v = params.dims.d_k, params.dims.d_v
         softmax_mode = cfg.attention == "softmax"
         act = cfg.act_precision
-        rnd = self._round
+        rnd = _unrounded if self._exact else self._round
+        # key j is in the future of query row i when j > start + i
+        future = np.arange(n) > np.arange(start, n)[:, None] if n_new > 1 else None
 
-        x = rnd(self._embed(tok, pos_idx), act)
+        def per_position(a: np.ndarray) -> list[np.ndarray]:
+            """Trace entries of (P*B, ...) rows: P arrays, with the batch axis
+            only for a batch."""
+            a = a.reshape(n_new, n_seq, *a.shape[1:])
+            return list(a[:, 0]) if self.batch is None else list(a)
+
+        x = rnd(x.swapaxes(0, 1).reshape(n_new * n_seq, d), act)
         if capture:
-            self.trace.x0.append(x)
-        if pos_idx == self._capacity:
-            self._capacity *= 2
-            self._kv = [np.concatenate([kv, np.empty_like(kv)]) for kv in self._kv]
-
-        for (wqkv, wo, w1, bias, w2), kv, lt in zip(self._w, self._kv, self.trace.layers):
-            qkv = (wqkv @ x).reshape(-1, 2 * d_k + d_v)  # q, k, v of each head
-            if rotary is not None:
-                qkv[:, :d_k] = rope_rotate(qkv[:, :d_k], pos_idx, rotary.freqs)
-                qkv[:, d_k : 2 * d_k] = rope_rotate(qkv[:, d_k : 2 * d_k], pos_idx, rotary.freqs)
+            self.trace.x0 += per_position(x)
+        for (n_heads, wqkv, wo, w1, bias, w2), kv, lt in zip(self._w, self._kv, self.trace.layers):
+            qkv = x.dot(wqkv).reshape(n_new * n_seq, n_heads, 2 * d_k + d_v)  # q, k, v per head
+            if rotary is not None:  # one position per step
+                qkv[..., :d_k] = rope_rotate(qkv[..., :d_k], start, rotary.freqs)
+                qkv[..., d_k : 2 * d_k] = rope_rotate(qkv[..., d_k : 2 * d_k], start, rotary.freqs)
             if c != 1.0:
-                qkv[:, : 2 * d_k] *= c
+                qkv[..., : 2 * d_k] *= c
             qkv = rnd(qkv, act)
-            q = qkv[:, :d_k]
-            kv[pos_idx] = qkv[:, d_k:]
-            keys = kv[:n, :, :d_k].transpose(1, 0, 2)  # (H, n, d_k)
-            values = kv[:n, :, d_k:].transpose(1, 0, 2)  # (H, n, d_v)
-            dots = (keys @ q[:, :, None])[:, :, 0]  # (H, n)
-            if not len(q):  # a layer without heads
-                o = qkv[:, 2 * d_k :]  # (0, d_v)
+            rows = n_seq * n_heads  # one attention stack per sequence and head
+            kv[start:n] = qkv[..., d_k:].reshape(n_new, rows, d_k + d_v)
+            keys = kv[:n, :, :d_k].transpose(1, 0, 2)  # (B*H, n, d_k)
+            values = kv[:n, :, d_k:].transpose(1, 0, 2)  # (B*H, n, d_v)
+            q = qkv[..., :d_k].reshape(n_new, rows, d_k).transpose(1, 2, 0)  # (B*H, d_k, P)
+            dots = (keys @ q).transpose(0, 2, 1)  # (B*H, P, n)
+            if not n_heads:  # a layer without heads
+                o = np.empty((0, n_new, d_v))
             elif softmax_mode:
                 weights = rnd(softmax_weights(dots / self._sqrt_dk), cfg.att_precision)
-                o = (weights[:, None, :] @ values)[:, 0, :]
+                o = weights @ values
             else:
                 # Sum over the argmax set, then divide once: exact for
                 # the integer-valued activations of compiled models.
-                mask = dots == dots.max(axis=1, keepdims=True)
-                count = mask.sum(axis=1, keepdims=True)
-                o = (mask.astype(np.float64)[:, None, :] @ values)[:, 0, :] / count
-            o = rnd(o, act)
-            y = rnd(wo @ o.ravel(), act)
+                scores = dots if future is None else np.where(future, -np.inf, dots)
+                mask = scores == scores.max(axis=-1, keepdims=True)
+                o = (mask.astype(np.float64) @ values) / mask.sum(axis=-1, keepdims=True)
+            # (P, B, H, d_v) head outputs
+            o = rnd(o.reshape(n_seq, n_heads, n_new, d_v).transpose(2, 0, 1, 3), act)
+            y = rnd(o.reshape(n_new * n_seq, n_heads * d_v).dot(wo), act)
             x_mid = rnd(x + y, act)
-            hidden = rnd(np.maximum(w1 @ x_mid + bias, 0.0), act)
-            x = rnd(x_mid + rnd(w2 @ hidden, act), act)
+            hidden = x_mid.dot(w1)
+            hidden += bias
+            hidden = rnd(np.maximum(hidden, 0.0, out=hidden), act)
+            x = rnd(x_mid + rnd(hidden.dot(w2), act), act)
             if capture:
-                lt.q.append(q)
-                lt.k.append(qkv[:, d_k : 2 * d_k])
-                lt.v.append(qkv[:, 2 * d_k :])
-                lt.dots.append(dots)
-                lt.o.append(o)
-                lt.y.append(y)
-                lt.x_mid.append(x_mid)
-                lt.hidden.append(hidden)
-                lt.x_out.append(x)
-        self._final.append(x)
+                lt.q += per_position(qkv[..., :d_k])
+                lt.k += per_position(qkv[..., d_k : 2 * d_k])
+                lt.v += per_position(qkv[..., 2 * d_k :])
+                dots = dots.reshape(n_seq, n_heads, n_new, n).transpose(2, 0, 1, 3)
+                dots = dots.reshape(n_new * n_seq, n_heads, n)
+                lt.dots += [row[..., : start + i + 1] for i, row in enumerate(per_position(dots))]
+                lt.o += per_position(o.reshape(n_new * n_seq, n_heads, d_v))
+                lt.y += per_position(y)
+                lt.x_mid += per_position(x_mid)
+                lt.hidden += per_position(hidden)
+                lt.x_out += per_position(x)
+        self._x[start:n] = x.reshape(n_new, n_seq, d)
+        self._saturations += [self.trace.saturations] * n_new
 
     # -- outputs ------------------------------------------------------------
 
     def final_representations(self) -> np.ndarray:
-        return np.stack(self._final)
+        """(positions, d), or (B, positions, d) for a batch."""
+        reps = self._x[: len(self.tokens)]
+        return reps[:, 0].copy() if self.batch is None else reps.transpose(1, 0, 2).copy()
 
-    def output_scores_last(self) -> np.ndarray:
-        if not self._final:
+    def output_scores(self, position: int | None = None) -> np.ndarray:
+        """Unembedding scores at `position` (default the last): (|V|,), or
+        (B, |V|) for a batch."""
+        if not self.tokens:
             raise EvalError("no tokens processed")
-        return self._unemb @ self._final[-1]
+        if position is None:
+            position = len(self.tokens) - 1
+        elif not 0 <= position < len(self.tokens):
+            raise ValueError(f"position {position} not processed")
+        scores = self._x[position].dot(self._unemb_t)
+        return scores[0] if self.batch is None else scores
 
-    def next_token(self) -> str:
-        """Greedy argmax over unembedding scores at the last position.
+    def next_tokens(self, position: int | None = None) -> list[str]:
+        """The greedy rule, row by row: the argmax over unembedding scores
+        at `position` (default the last) of every sequence.
 
         Ties within 1e-6 resolve to the lowest vocabulary index and are
-        counted as diagnostics; the constructions never produce them.
+        counted as diagnostics; the constructions never produce them. The
+        scores are traced as one decoded step.
         """
-        scores = self.output_scores_last()
+        scores = self.output_scores(position)
         if self.cfg.capture_trace:
             self.trace.output_scores.append(scores.copy())
-        best = int(np.argmax(scores))
-        near = np.nonzero(scores >= scores[best] - 1e-6)[0]
-        if near.size > 1:
-            self.trace.tie_warnings += 1
-            best = int(near.min())
-        return self.params.vocab[best]
+        chosen = []
+        for row in scores.reshape(-1, scores.shape[-1]):
+            best = int(np.argmax(row))
+            near = np.nonzero(row >= row[best] - 1e-6)[0]
+            if near.size > 1:
+                self.trace.tie_warnings += 1
+                best = int(near.min())
+            chosen.append(self.params.vocab[best])
+        return chosen
+
+    def next_token(self, position: int | None = None) -> str:
+        """The greedy token of a single sequence; see `next_tokens`."""
+        if self.batch is not None:
+            raise ValueError("next_token needs a single sequence; use next_tokens")
+        return self.next_tokens(position)[0]
+
+
+def _unrounded(x: np.ndarray, prec: Precision) -> np.ndarray:
+    return x
 
 
 def forward(

@@ -190,27 +190,29 @@ def trace_invariant_violations(traces: list[ActivationTrace]) -> dict[str, int]:
             out["score_gap"] += score_gap
             out["tie_values"] += tie_values
         if trace.output_scores:
-            top2 = np.sort(np.stack(trace.output_scores), axis=-1)[:, -2:]
+            top2 = np.sort(np.stack(trace.output_scores), axis=-1)[..., -2:]
             out["output_gap"] += int((np.diff(top2, axis=-1) < 1.0).sum())
     return out
 
 
 def _score_row_violations(lt: LayerTrace) -> tuple[int, int]:
-    """(score_gap, tie_values) counts over one layer's (position, head) score rows."""
+    """(score_gap, tie_values) counts over one layer's (position, head) score
+    rows; a batch trace's rows are (position, sequence, head)."""
     n = len(lt.dots)
     if n == 0:
         return 0, 0
-    # dots[i, h, j]: position i's query against key j <= i; -inf past i
-    dots = np.full((n, lt.dots[0].shape[0], n), -np.inf)
+    rows = lt.dots[0].size  # heads, or sequences times heads
+    # dots[i, h, j]: row h of position i against key j <= i; -inf past i
+    dots = np.full((n, rows, n), -np.inf)
     for i, row in enumerate(lt.dots):
-        dots[i, :, : i + 1] = row
+        dots[i, :, : i + 1] = row.reshape(rows, i + 1)
     valid = np.tri(n, dtype=bool)[:, None, :]
     integral = np.all(dots == np.rint(dots), axis=-1)
     best = dots.max(axis=-1, keepdims=True)
     tied = valid & (dots == best)
     gap = best[..., 0] - np.where(tied, -np.inf, dots).max(axis=-1) < 1.0  # inf if all tie
     # Tied keys of one row must carry the value of its first tied key.
-    values = np.stack(lt.v)  # (n, H, d_v)
+    values = np.stack(lt.v).reshape(n, rows, lt.v[0].shape[-1])  # (n, rows, d_v)
     first = tied.argmax(axis=-1)
     i, h, j = np.nonzero(tied & (integral & (tied.sum(axis=-1) > 1))[..., None])
     differs = np.any(values[j, h] != values[first[i, h], h], axis=-1)

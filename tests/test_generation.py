@@ -138,3 +138,183 @@ def test_saturations_reach_the_generation_trace(runner):
     )
     trace = runner(params, "01", cfg, budget=3)
     assert trace.saturations == sum(t.saturations for t in trace.eval_traces) > 0
+
+
+# ---------------------------------------------------------------------------
+# drafts: a draft of expected tokens saves work and never changes a run
+
+
+def _assert_same_arrays(xs, ys, what):
+    assert len(xs) == len(ys), what
+    for x, y in zip(xs, ys):
+        assert x.shape == y.shape and x.tobytes() == y.tobytes(), what
+
+
+def assert_same_run(a, b, label=""):
+    """Every GenerationTrace field equal, eval traces compared byte for byte."""
+    from dataclasses import fields
+
+    for f in fields(a):
+        if f.name != "eval_traces":
+            assert getattr(a, f.name) == getattr(b, f.name), (label, f.name)
+    assert len(a.eval_traces) == len(b.eval_traces), label
+    for ta, tb in zip(a.eval_traces, b.eval_traces):
+        assert (ta.tie_warnings, ta.saturations) == (tb.tie_warnings, tb.saturations), label
+        _assert_same_arrays(ta.x0, tb.x0, (label, "x0"))
+        _assert_same_arrays(ta.output_scores, tb.output_scores, (label, "output_scores"))
+        assert len(ta.layers) == len(tb.layers), label
+        for li, (la, lb) in enumerate(zip(ta.layers, tb.layers)):
+            for f in fields(la):
+                _assert_same_arrays(getattr(la, f.name), getattr(lb, f.name), (label, li, f.name))
+
+
+def _drafts(params, protocol: str, expected: list[list[str]]) -> dict[str, list[list[str]]]:
+    """Right and wrong drafts built from the expected segments."""
+    first = expected[0]
+    n_prompt = first.index(EINP) + 1
+    mid = (n_prompt + len(first)) // 2
+    wrong = next(t for t in params.vocab if t not in (first[mid], EOUTP, ESUMM))
+    context = 2 ** params.positional.r
+    drafts = {
+        "expected": expected,
+        "diverges mid-segment": [first[:mid] + [wrong] + first[mid + 1 :], *expected[1:]],
+        "unknown token": [first[:mid] + ["<no such token>"] + first[mid:]],
+        "past the stop token": [seg + seg[n_prompt:] for seg in expected],
+        "no stop, longer than the context": [seg[:-1] + [wrong] * context for seg in expected],
+        "empty": [[]],
+    }
+    if protocol == "scot":
+        body = first.index(SUMM) + 1
+        summary = next(t for t in params.vocab if t.startswith("tape:") and t != first[body])
+        drafts["wrong summary"] = [first[:body] + [summary] + first[body + 1 :], *expected[1:]]
+    return drafts
+
+
+def _compiled(machine: str, protocol: str, r: int):
+    from machines import bouncer_machine, copy_machine
+
+    from tm2tf.compilers import compile_scot
+
+    tm = {"fig2": fig2_machine, "copy": copy_machine, "bouncer4": bouncer_machine}[machine]()
+    return tm, (compile_cot if protocol == "cot" else compile_scot)(tm, r)
+
+
+DRAFT_CASES = [
+    ("fig2", "cot", 6, "abab"),
+    ("fig2", "scot", 6, "abab"),
+    ("copy", "cot", 6, "011"),
+    ("copy", "scot", 6, "011"),
+    ("bouncer4", "cot", 8, "xy"),
+    ("bouncer4", "scot", 6, "xy"),
+]
+
+
+@pytest.mark.parametrize("machine, protocol, r, word", DRAFT_CASES)
+def test_a_draft_does_not_change_a_hardmax_run(machine, protocol, r, word):
+    from tm2tf.automata import cot_token_oracle, scot_segments_oracle
+
+    tm, (params, _) = _compiled(machine, protocol, r)
+    runner = run_cot if protocol == "cot" else run_scot
+    cfg = EvalConfig(capture_trace=True)
+    plain = runner(params, word, cfg, record_steps=True)
+    if protocol == "cot":
+        expected = [cot_token_oracle(tm, word, r)]
+    else:
+        expected = scot_segments_oracle(tm, word, r)
+        assert len(expected) > 1
+    assert plain.outcome == "output" and plain.segments == expected
+    for name, draft in _drafts(params, protocol, expected).items():
+        with_draft = runner(params, word, cfg, record_steps=True, draft=draft)
+        assert_same_run(with_draft, plain, name)
+    # A draft longer than the budget still ends the run at the budget.
+    budget = (len(expected[0]) - len(word) - 2) // 2
+    short = runner(params, word, cfg, budget=budget, record_steps=True)
+    assert short.outcome == "budget_exceeded"
+    drafted = runner(params, word, cfg, budget=budget, record_steps=True, draft=expected)
+    assert_same_run(drafted, short)
+
+
+def test_a_draft_past_the_context_ends_at_the_budget():
+    """fig2 on "abab" needs more than the 16 positions of r=4."""
+    params, _ = compile_cot(fig2_machine(), 4)
+    cfg = EvalConfig(capture_trace=True)
+    plain = run_cot(params, "abab", cfg, record_steps=True)
+    assert plain.outcome == "budget_exceeded"
+    draft = [plain.segments[0] + ["a"] * 32]
+    assert_same_run(run_cot(params, "abab", cfg, record_steps=True, draft=draft), plain)
+
+
+@pytest.mark.parametrize("mode", ["scaled_only", "denoised"])
+def test_a_draft_does_not_change_a_softmax_run(mode):
+    from tm2tf.automata import cot_token_oracle
+    from tm2tf.fpcore import FloatFormat, Precision
+    from tm2tf.softmaxify import (
+        act_format_containing,
+        convert_with_denoising,
+        min_att_exponent_bits,
+        scale_qk,
+        theorem_c,
+    )
+
+    r = 6
+    params, report = compile_cot(fig2_machine(), r)
+    c = theorem_c(mode, report.dims, 2 ** r)
+    if mode == "scaled_only":
+        params = scale_qk(params, c)
+        cfg = EvalConfig(
+            attention="softmax", act_precision=Precision(FloatFormat(7, 8)), capture_trace=True
+        )
+    else:
+        params = convert_with_denoising(params, c)
+        cfg = EvalConfig(
+            attention="softmax",
+            act_precision=Precision(act_format_containing(c)),
+            att_precision=Precision(FloatFormat(4, min_att_exponent_bits(2 ** r))),
+            capture_trace=True,
+        )
+    plain = run_cot(params, "ab", cfg, record_steps=True)
+    expected = [cot_token_oracle(fig2_machine(), "ab", r)]
+    assert plain.outcome == "output" and plain.segments == expected
+    for name, draft in _drafts(params, "cot", expected).items():
+        assert_same_run(run_cot(params, "ab", cfg, record_steps=True, draft=draft), plain, name)
+
+
+def test_a_draft_does_not_change_saturations():
+    """Rounding saturates, and a wrong draft's dropped positions do not count."""
+    from machines import copy_machine
+
+    from tm2tf.compilers import compile_scot
+    from tm2tf.fpcore import FloatFormat, Precision
+    from tm2tf.softmaxify import scale_qk
+
+    params = scale_qk(compile_scot(copy_machine(), 6)[0], 4.0)
+    cfg = EvalConfig(
+        attention="softmax", act_precision=Precision(FloatFormat(1, 2)), capture_trace=True
+    )
+    plain = run_cot(params, "01", cfg, budget=6, record_steps=True)
+    assert plain.saturations > 0
+    wrong = [plain.segments[0][:-3] + ["1"] * 8]
+    assert_same_run(run_cot(params, "01", cfg, budget=6, record_steps=True, draft=wrong), plain)
+
+
+def test_the_expected_draft_is_one_block_step_per_segment(monkeypatch):
+    """Under hardmax the draft is verified, not decoded: one step per segment."""
+    from machines import copy_machine
+
+    from tm2tf.automata import scot_segments_oracle
+    from tm2tf.compilers import compile_scot
+    from tm2tf.netcore import Evaluator
+
+    steps = []
+    step = Evaluator._step
+
+    def counted(ev, x, start):
+        steps.append(x.shape)
+        step(ev, x, start)
+
+    monkeypatch.setattr(Evaluator, "_step", counted)
+    params, _ = compile_scot(copy_machine(), 6)
+    expected = scot_segments_oracle(copy_machine(), "011", 6)
+    trace = run_scot(params, "011", EvalConfig(), draft=expected)
+    assert trace.segments == expected
+    assert steps == [(1, len(seg) - 1, params.dims.d) for seg in expected]

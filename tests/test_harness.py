@@ -187,3 +187,58 @@ def test_validate_softmax_scot_denoised_small():
     report = validate_softmax("denoised", seed=9, trials=8, cfg=FAST, protocol="scot")
     assert report.mismatches == []
     assert not any(report.violations.values())
+
+
+def _broken_compile_dfa(dfa, r):
+    """A compiled DFA broken so that every invariant and some words fail:
+    q and k become +-1/2, one layer's keys all tie over differing values,
+    and False scores exactly like True."""
+    import copy
+
+    from tm2tf.compilers import compile_dfa
+
+    params, report = compile_dfa(dfa, r)
+    broken = copy.deepcopy(params)
+    broken.qk_scale = 0.5
+    broken.unemb[broken.vocab.index("False")] = broken.unemb[broken.vocab.index("True")]
+    broken.layers[1].heads[0].wk[:] = 0
+    return broken, report
+
+
+def _per_word_validate_dfa(dfas, r, max_len):
+    """The plain loop: one Evaluator, one greedy step and one audit per word."""
+    import itertools
+
+    from tm2tf import harness
+    from tm2tf.automata import BOS, FALSE, TRUE, dfa_accepts
+    from tm2tf.netcore import EvalConfig, Evaluator
+
+    mismatches, violations = [], {}
+    for d_idx, dfa in enumerate(dfas):
+        params, _ = harness.compile_dfa(dfa, r)
+        for n in range(max_len + 1):
+            for word in itertools.product(dfa.alphabet, repeat=n):
+                ev = Evaluator(params, EvalConfig(capture_trace=True))
+                ev.extend([BOS, *word])
+                got = ev.next_token()
+                want = TRUE if dfa_accepts(dfa, list(word)) else FALSE
+                if got != want:
+                    mismatches.append(
+                        {"dfa": d_idx, "word": "".join(word), "expected": want, "actual": got}
+                    )
+                for key, count in harness.trace_invariant_violations([ev.trace]).items():
+                    violations[key] = violations.get(key, 0) + count
+    return mismatches, violations
+
+
+def test_batched_validate_dfa_matches_per_word_loop_on_a_broken_model(monkeypatch):
+    from tm2tf import harness
+
+    monkeypatch.setattr(harness, "compile_dfa", _broken_compile_dfa)
+    dfas = [parity_dfa(), contains_ab_dfa(), mod3_dfa()]
+    report = validate_dfa(dfas, r=3, max_len=6)
+    mismatches, violations = _per_word_validate_dfa(dfas, r=3, max_len=6)
+    assert all(violations.values()) and len(violations) == 4
+    assert 0 < len(mismatches) < report.checked
+    assert report.mismatches == mismatches
+    assert report.violations == violations

@@ -545,3 +545,218 @@ def test_a_layer_without_heads_computes_no_attention_weights(monkeypatch):
     ev.extend(["a", "a"])
     assert ev.final_representations().tolist() == [[3.0] * 4] * 2
     assert sizes and 0 not in sizes
+
+
+# ---------------------------------------------------------------------------
+# block steps, batches and truncation
+
+
+def _digest(reps: np.ndarray, trace) -> str:
+    """sha256 over the bytes of final representations and every trace field."""
+    import hashlib
+
+    h = hashlib.sha256()
+    arrays = [reps, *trace.x0, *trace.output_scores]
+    for lt in trace.layers:
+        for f in dataclasses.fields(lt):
+            arrays += getattr(lt, f.name)
+    for a in arrays:
+        h.update(f"{a.dtype}{a.shape}".encode())
+        h.update(np.ascontiguousarray(a).tobytes())
+    h.update(f"{trace.tie_warnings} {trace.saturations}".encode())
+    return h.hexdigest()
+
+
+def _ev_digest(ev: Evaluator) -> str:
+    return _digest(ev.final_representations(), ev.trace)
+
+
+def _bench_machine(name: str):
+    from pathlib import Path
+
+    from tm2tf.cli import load_machine
+
+    machines = Path(__file__).resolve().parents[1] / "bench" / "machines"
+    return load_machine(str(machines / f"{name}.json"))
+
+
+def _fed_sequences(machine: str, protocol: str, word: str):
+    """Compiled model and the sequences its decode feeds: each expected
+    segment without its stop token."""
+    from tm2tf.automata import cot_token_oracle, scot_segments_oracle, tm_run
+    from tm2tf.compilers import choose_r_cot, choose_r_scot, compile_cot, compile_scot
+
+    tm = _bench_machine(machine)
+    run = tm_run(tm, list(word), 10_000)
+    if protocol == "cot":
+        r = choose_r_cot(max(run.steps, len(word)))
+        segments = [cot_token_oracle(tm, word, r)]
+    else:
+        r = choose_r_scot(run.space)
+        segments = scot_segments_oracle(tm, word, r)
+    params, _ = (compile_cot if protocol == "cot" else compile_scot)(tm, r)
+    return params, [seg[:-1] for seg in segments]
+
+
+@pytest.mark.parametrize(
+    "machine, protocol, word",
+    [
+        ("fig2", "cot", "abab"),
+        ("fig2", "scot", "abab"),
+        ("copy", "cot", "011"),
+        ("copy", "scot", "011"),
+        ("bouncer4", "cot", "xy"),
+        ("bouncer4", "scot", "xy"),
+        ("bouncer8", "cot", "xy"),
+        ("bouncer8", "scot", "xy"),
+    ],
+)
+def test_block_extend_equals_per_position_extend(machine, protocol, word):
+    params, sequences = _fed_sequences(machine, protocol, word)
+    cfg = EvalConfig(capture_trace=True)
+    for tokens in sequences:
+        block, stepped = Evaluator(params, cfg), Evaluator(params, cfg)
+        block.extend(tokens)
+        for tok in tokens:
+            stepped.extend([tok])
+        assert block.next_token() == stepped.next_token()
+        assert block.final_representations().tobytes() == stepped.final_representations().tobytes()
+        assert _ev_digest(block) == _ev_digest(stepped)
+
+
+def test_block_extend_equals_per_position_extend_on_a_dfa():
+    from machines import contains_ab_dfa
+
+    from tm2tf.automata import BOS
+    from tm2tf.compilers import compile_dfa
+
+    params, _ = compile_dfa(contains_ab_dfa(), 3)
+    cfg = EvalConfig(capture_trace=True)
+    for word in ("", "b", "ab", "bbaab", "abababa"):
+        block, stepped = Evaluator(params, cfg), Evaluator(params, cfg)
+        block.extend([BOS, *word])
+        for tok in [BOS, *word]:
+            stepped.extend([tok])
+        assert block.next_token() == stepped.next_token()
+        assert _ev_digest(block) == _ev_digest(stepped)
+
+
+# Digests of final representations and traces of the rotary prefix on
+# ["first"] + ["rest"] * (2^r - 1), recorded with the one-position evaluator
+# that predates block steps. Rotary models still step one position at a time.
+ROPE_DIGESTS = {
+    2: "14343c38d618ac2bef66a606a7e72fda76f9681c22fe8c3b4f1ad8709900d4ba",
+    3: "3e115d0f27f7f52fb656a77d768449ca96e965cc8255c440848611489915184b",
+    4: "26c3fd55d47d01890802d2a95bc2f59442fada686a7d41242a97485f12ebc665",
+}
+
+
+@pytest.mark.parametrize("r", sorted(ROPE_DIGESTS))
+def test_rope_prefix_steps_one_position_at_a_time(r):
+    from tm2tf.compilers import build_rope_position_prefix
+
+    params, _ = build_rope_position_prefix(r)
+    tokens = ["first"] + ["rest"] * (2 ** r - 1)
+    reps, trace = forward(params, tokens, EvalConfig(capture_trace=True))
+    assert _digest(reps, trace) == ROPE_DIGESTS[r]
+
+
+@pytest.mark.parametrize("attention", ["hardmax", "softmax"])
+def test_a_batch_equals_its_sequences_run_alone(attention):
+    import itertools
+
+    from machines import parity_dfa
+
+    from tm2tf.automata import BOS
+    from tm2tf.compilers import compile_dfa
+
+    params, _ = compile_dfa(parity_dfa(), 3)
+    if attention == "softmax":
+        from tm2tf.softmaxify import scale_qk
+
+        params = scale_qk(params, 4.0)
+    cfg = EvalConfig(attention=attention, capture_trace=True)
+    words = [[BOS, *w] for w in itertools.product("01", repeat=3)]
+    batch = Evaluator(params, cfg, batch=len(words))
+    batch.extend(zip(*words))
+    got = batch.next_tokens()
+    reps = batch.final_representations()
+    for b, word in enumerate(words):
+        alone = Evaluator(params, cfg)
+        alone.extend(word)
+        assert got[b] == alone.next_token()
+        assert reps[b].tobytes() == alone.final_representations().tobytes()
+        row = [a[b] for a in batch.trace.x0]
+        _assert_same_entries(row, alone.trace.x0)
+        _assert_same_entries([a[b] for a in batch.trace.output_scores], alone.trace.output_scores)
+        for lb, la in zip(batch.trace.layers, alone.trace.layers):
+            for f in dataclasses.fields(lb):
+                _assert_same_entries([a[b] for a in getattr(lb, f.name)], getattr(la, f.name))
+
+
+def _assert_same_entries(xs, ys):
+    assert len(xs) == len(ys)
+    for x, y in zip(xs, ys):
+        assert x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def _saturating_softmax_case():
+    from machines import copy_machine
+
+    from tm2tf.compilers import compile_scot
+    from tm2tf.softmaxify import scale_qk
+
+    params = scale_qk(compile_scot(copy_machine(), 6)[0], 4.0)
+    return params, EvalConfig(
+        attention="softmax", act_precision=Precision(FloatFormat(1, 2)), capture_trace=True
+    )
+
+
+@pytest.mark.parametrize("mode", ["hardmax", "softmax"])
+def test_truncate_then_extend_equals_extending_the_kept_prefix(mode):
+    if mode == "hardmax":
+        params, sequences = _fed_sequences("copy", "cot", "011")
+        cfg = EvalConfig(capture_trace=True)
+    else:
+        params, cfg = _saturating_softmax_case()
+        sequences = [["<inp>", "0", "1", "</inp>", "<p>", "</p>"]]
+    tokens = sequences[0]
+    keep, wrong = tokens[: len(tokens) // 2], list(reversed(tokens[len(tokens) // 2 :]))
+    ev = Evaluator(params, cfg)
+    ev.extend(keep)
+    ev.next_token()  # a decoded step at the last kept position stays
+    ev.extend(wrong)
+    ev.truncate(len(keep))
+    ev.extend(tokens[len(keep) :])
+    fresh = Evaluator(params, cfg)
+    fresh.extend(keep)
+    fresh.next_token()
+    fresh.extend(tokens[len(keep) :])
+    assert ev.tokens == fresh.tokens
+    assert mode == "hardmax" or fresh.trace.saturations > 0
+    assert _ev_digest(ev) == _ev_digest(fresh)
+    with pytest.raises(ValueError):
+        ev.truncate(len(tokens) + 1)
+
+
+@pytest.mark.parametrize("attention", ["hardmax", "softmax"])
+def test_an_evaluator_is_freed_without_the_cycle_collector(attention):
+    """Evaluators hold float64 copies of every weight; a reference cycle
+    would keep them alive until a collection, one per decoded segment."""
+    import gc
+    import weakref
+
+    params = _zero_model()
+    fmt = Precision(FloatFormat(3, 4)) if attention == "softmax" else EXACT
+    ev = Evaluator(params, EvalConfig(attention=attention, act_precision=fmt))
+    ev.extend(["a", "b"])
+    ev.next_token()
+    ref = weakref.ref(ev)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del ev
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
