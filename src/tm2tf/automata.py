@@ -87,9 +87,9 @@ class TokenBudgetError(RuntimeError):
 
 
 def _check_name(name: str, kind: str) -> None:
-    if not name or name in _RESERVED or name[0] == "<" or _BAD_CHARS & set(name):
+    if not isinstance(name, str) or not name or name in _RESERVED or name[0] == "<":
         raise MachineError(f"invalid {kind} name {name!r}")
-    if any(c.isspace() for c in name):
+    if _BAD_CHARS & set(name) or any(c.isspace() for c in name):
         raise MachineError(f"invalid {kind} name {name!r}")
 
 
@@ -490,13 +490,24 @@ def scot_segments_oracle(
 # JSON machine files
 
 
+def _spec_delta(doc, kind: str) -> dict[str, str]:
+    """The delta of a machine spec, which must be an object mapping strings
+    to strings, as must the spec itself be an object."""
+    if not isinstance(doc, dict):
+        raise MachineError(f"a machine spec must be a JSON object, got {type(doc).__name__}")
+    delta = doc.get("delta")
+    if not isinstance(delta, dict) or not all(isinstance(s, str) for e in delta.items() for s in e):
+        raise MachineError(f"{kind} spec needs a 'delta' object mapping strings to strings")
+    return delta
+
+
 def load_dfa(doc: dict) -> Dfa:
+    raw_delta = _spec_delta(doc, "DFA")
     try:
         states = tuple(doc["states"])
         alphabet = tuple(doc["alphabet"])
         init = doc["init"]
         accepting = frozenset(doc["accepting"])
-        raw_delta = doc["delta"]
     except (KeyError, TypeError) as exc:
         raise MachineError(f"DFA spec missing field: {exc}") from exc
     delta = {}
@@ -519,17 +530,19 @@ def dfa_to_json(dfa: Dfa) -> dict:
 
 
 def load_tm(doc: dict) -> TuringMachine:
+    raw_delta = _spec_delta(doc, "TM")
     try:
-        tapes = int(doc["tapes"])
+        tapes = doc["tapes"]
         states = tuple(doc["states"])
         input_alphabet = tuple(doc["input_alphabet"])
         tape_alphabet = tuple(doc["tape_alphabet"])
         blank = doc["blank"]
         init = doc["init"]
         halt = doc["halt"]
-        raw_delta = doc["delta"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise MachineError(f"TM spec missing/bad field: {exc}") from exc
+    if type(tapes) is not int:
+        raise MachineError(f"TM spec field 'tapes' must be an integer, got {tapes!r}")
     delta = {}
     for key, value in raw_delta.items():
         try:

@@ -74,7 +74,7 @@ def load_machine(path: str):
     """Load a DFA or TM spec; the 'tapes' field marks Turing machines."""
     doc = _load_json(path)
     try:
-        if "tapes" in doc:
+        if isinstance(doc, dict) and "tapes" in doc:
             return load_tm(doc)
         return load_dfa(doc)
     except MachineError as exc:

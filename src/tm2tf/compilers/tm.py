@@ -302,6 +302,10 @@ class _TmCompiler:
                 vals.update(zip(self.i_state.coords, self.enc_q[parse_state_token(tok)]))
             b.set_embedding(tok, {c: v for c, v in vals.items() if v})
 
+    def _flag_op(self, layer: int, label: str, *rules) -> None:
+        """One MLP op of flag-gated neurons, one per (gates, outputs) rule."""
+        self.b.add_neurons(layer, [single_neuron([], gates, out) for gates, out in rules], label)
+
     # -- layer 1 -------------------------------------------------------------
 
     def _layer1(self) -> None:
@@ -312,17 +316,11 @@ class _TmCompiler:
                 "exists-outp", [self.f_const], [self.f_outp], [self.f_outp], self.f_exists_outp
             ),
         )
-        b.add_neurons(
+        self._flag_op(
             1,
-            [
-                single_neuron(
-                    [], [(self.f_sym, 1), (self.f_exists_outp, 0)], {self.f_input.coord: 1}
-                ),
-                single_neuron(
-                    [], [(self.f_sym, 1), (self.f_exists_outp, 1)], {self.f_output.coord: 1}
-                ),
-            ],
             "mark-input-output",
+            ([(self.f_sym, 1), (self.f_exists_outp, 0)], {self.f_input.coord: 1}),
+            ([(self.f_sym, 1), (self.f_exists_outp, 1)], {self.f_output.coord: 1}),
         )
         b.add_neurons(
             1,
@@ -364,42 +362,20 @@ class _TmCompiler:
                     self.f_exists_esumm,
                 ),
             )
-            b.add_neurons(
+            no_prompt_end = [(self.f_exists_einp, 0), (self.f_exists_esumm, 0)]
+            self._flag_op(
                 1,
-                [
-                    single_neuron(
-                        [],
-                        [(self.f_summ, 1), (self.f_exists_einp, 1)],
-                        {self.f_finalsumm.coord: 1},
-                    ),
-                    single_neuron(
-                        [],
-                        [(self.f_summ, 1), (self.f_exists_esumm, 1)],
-                        {self.f_finalsumm.coord: 1},
-                    ),
-                    # A prompt-leading <summ> plays the role of <inp>.
-                    single_neuron(
-                        [],
-                        [(self.f_summ, 1), (self.f_exists_einp, 0), (self.f_exists_esumm, 0)],
-                        {self.f_inp.coord: 1, self.f_notinp.coord: -1},
-                    ),
-                    single_neuron(
-                        [],
-                        [(self.f_tape, 1), (self.f_exists_einp, 0), (self.f_exists_esumm, 0)],
-                        {self.f_tape_init.coord: 1},
-                    ),
-                    single_neuron(
-                        [],
-                        [(self.f_tape, 1), (self.f_exists_einp, 1)],
-                        {self.f_tape_fin.coord: 1},
-                    ),
-                    single_neuron(
-                        [],
-                        [(self.f_tape, 1), (self.f_exists_esumm, 1)],
-                        {self.f_tape_fin.coord: 1},
-                    ),
-                ],
                 "segment-structure",
+                ([(self.f_summ, 1), (self.f_exists_einp, 1)], {self.f_finalsumm.coord: 1}),
+                ([(self.f_summ, 1), (self.f_exists_esumm, 1)], {self.f_finalsumm.coord: 1}),
+                # A prompt-leading <summ> plays the role of <inp>.
+                (
+                    [(self.f_summ, 1)] + no_prompt_end,
+                    {self.f_inp.coord: 1, self.f_notinp.coord: -1},
+                ),
+                ([(self.f_tape, 1)] + no_prompt_end, {self.f_tape_init.coord: 1}),
+                ([(self.f_tape, 1), (self.f_exists_einp, 1)], {self.f_tape_fin.coord: 1}),
+                ([(self.f_tape, 1), (self.f_exists_esumm, 1)], {self.f_tape_fin.coord: 1}),
             )
             b.add_neurons(
                 1,
@@ -598,16 +574,13 @@ class _TmCompiler:
                 "broadcast-lengthcap", self.f_lengthcap, self.f_lengthcap, self.f_lengthcap
             ),
         )
-        b.add_neurons(
+        self._flag_op(
             4,
-            [
-                single_neuron(
-                    [],
-                    [(self.f_run, 1), (self.f_lengthcap, 1), (self.f_halt, 0)],
-                    {self.f_to_summ.coord: 1},
-                )
-            ],
             "to-summ",
+            (
+                [(self.f_run, 1), (self.f_lengthcap, 1), (self.f_halt, 0)],
+                {self.f_to_summ.coord: 1},
+            ),
         )
 
     # -- subtraction pipelines ------------------------------------------------
@@ -757,22 +730,13 @@ class _TmCompiler:
                         f"bsearch-{j}-{k}", q_parts, k_parts, [self.f_notinp], self.f_exists_high[k]
                     ),
                 )
-                b.add_neurons(
+                high, pos_bit = self.f_exists_high[k], self.i_pos_max[k].coords[bit]
+                self._flag_op(
                     layer,
-                    [
-                        single_neuron(
-                            [], [(self.f_exists_high[k], 1)], {self.i_pos_max[k].coords[bit]: 1}
-                        ),
-                        single_neuron(
-                            [],
-                            [(self.f_exists_high[k], 0), (self.f_exist[k], 1)],
-                            {self.i_pos_max[k].coords[bit]: -1},
-                        ),
-                        single_neuron(
-                            [], [(self.f_exists_high[k], 1)], {self.f_exists_high[k].coord: -1}
-                        ),
-                    ],
                     f"bsearch-bit-{j}-{k}",
+                    ([(high, 1)], {pos_bit: 1}),
+                    ([(high, 0), (self.f_exist[k], 1)], {pos_bit: -1}),
+                    ([(high, 1)], {high.coord: -1}),
                 )
 
     # -- the position-block emission machinery: layers L2+1..L2+r ----------------
@@ -810,16 +774,10 @@ class _TmCompiler:
                     "lastrun", [self.i_pos_scan], [self.i_pos], [self.f_run], self.f_lastrun
                 ),
             )
-        b.add_neurons(
+        self._flag_op(
             self.L2 + r - 1 if r > 2 else self.L2 + r,
-            [
-                single_neuron(
-                    [],
-                    [(self.f_lastrun, 1), (self.f_run, 1), (self.f_halt, 0)],
-                    {self.f_to_popen.coord: 1},
-                )
-            ],
             "to-popen",
+            ([(self.f_lastrun, 1), (self.f_run, 1), (self.f_halt, 0)], {self.f_to_popen.coord: 1}),
         )
         b.add_head(
             self.L2 + r,
@@ -830,16 +788,10 @@ class _TmCompiler:
         b.add_neurons(self.L2 + r, sub_pow2_inplace(self.i_pos_scan, 1, []), "pos-scan-dec-2")
         if self.scot:
             # Clear the <p> emission when the length cap fires the summary.
-            b.add_neurons(
+            self._flag_op(
                 self.L3,
-                [
-                    single_neuron(
-                        [],
-                        [(self.f_to_popen, 1), (self.f_to_summ, 1)],
-                        {self.f_to_popen.coord: -1},
-                    )
-                ],
                 "to-popen-clear",
+                ([(self.f_to_popen, 1), (self.f_to_summ, 1)], {self.f_to_popen.coord: -1}),
             )
 
     # -- SCoT final-summary machinery ---------------------------------------------
@@ -875,13 +827,11 @@ class _TmCompiler:
                 ),
             )
         done_flags = [(f, 0) for f in self.f_exist] + [(f, 0) for f in self.f_head_next]
-        b.add_neurons(
+        self._flag_op(
             self.L2 + 3,
-            [
-                single_neuron([], done_flags + [(self.f_finalsumm, 1)], {self.f_summary_done.coord: 1}),
-                single_neuron([], done_flags + [(self.f_tape_fin, 1)], {self.f_summary_done.coord: 1}),
-            ],
             "summary-done",
+            (done_flags + [(self.f_finalsumm, 1)], {self.f_summary_done.coord: 1}),
+            (done_flags + [(self.f_tape_fin, 1)], {self.f_summary_done.coord: 1}),
         )
         b.add_neurons(
             self.L2 + 4,
@@ -913,19 +863,9 @@ class _TmCompiler:
         blank_enc = self.enc_g[self.tm.blank]
         blank_fill = []
         for k in range(K):
-            out = {c: v for c, v in zip(self.i_sym_ex[k].coords, blank_enc) if v}
-            blank_fill.append(
-                single_neuron(
-                    [],
-                    [
-                        (self.f_exist[k], 0),
-                        (self.f_popen, 0),
-                        (self.f_postok, 0),
-                        (self.f_input, 0),
-                    ],
-                    out,
-                )
-            )
+            gates = [(self.f_exist[k], 0), (self.f_popen, 0), (self.f_postok, 0), (self.f_input, 0)]
+            out = dict(zip(self.i_sym_ex[k].coords, blank_enc))
+            blank_fill.append(single_neuron([], gates, out))
         b.add_neurons(self.L3, blank_fill, "blank-fill")
         b.add_neurons(
             self.L3,
@@ -947,17 +887,11 @@ class _TmCompiler:
                     q2, writes, moves = q, syms, ("S",) * K
                 else:
                     q2, writes, moves = tm.delta[(q, syms)]
-                out: dict[int, int] = {}
-                out.update(
-                    {c: v for c, v in zip(self.i_state_new.coords, self.enc_q[q2]) if v}
-                )
+                # Encodings are +-1 words, so every coordinate gets a weight.
+                out = dict(zip(self.i_state_new.coords, self.enc_q[q2]))
                 for k in range(K):
-                    out.update(
-                        {c: v for c, v in zip(self.i_sym_new[k].coords, self.enc_g[writes[k]]) if v}
-                    )
-                    out.update(
-                        {c: v for c, v in zip(self.i_move_new[k].coords, ENC_MOVES[moves[k]]) if v}
-                    )
+                    out.update(zip(self.i_sym_new[k].coords, self.enc_g[writes[k]]))
+                    out.update(zip(self.i_move_new[k].coords, ENC_MOVES[moves[k]]))
                 pats = [(self.i_state, self.enc_q[q])]
                 for k in range(K):
                     pats.append((self.i_sym_ex[k], self.enc_g[syms[k]]))
@@ -984,34 +918,23 @@ class _TmCompiler:
                         copy_register(self.i_sym_ex[k], self.i_sym_next[k], gates),
                         f"sym-next-copy-{gi}-{k}",
                     )
-                    b.add_neurons(
+                    head, bit = self.f_head_next[k], self.i_head_next[k].coords[0]
+                    self._flag_op(
                         layer,
-                        [
-                            single_neuron(
-                                [], gates + [(self.f_head_next[k], 1)],
-                                {self.i_head_next[k].coords[0]: 1},
-                            ),
-                            single_neuron(
-                                [], gates + [(self.f_head_next[k], 0)],
-                                {self.i_head_next[k].coords[0]: -1},
-                            ),
-                        ],
                         f"head-next-bit-{gi}-{k}",
+                        (gates + [(head, 1)], {bit: 1}),
+                        (gates + [(head, 0)], {bit: -1}),
                     )
 
     # -- output logic layers L3+2..L ----------------------------------------------
 
     def _output_layers(self) -> None:
         b, K = self.b, self.K
-        b.add_neurons(
+        self._flag_op(
             self.L3 + 2,
-            [
-                single_neuron([], [(self.f_outp, 1), (self.f_blank, 1)], {self.f_to_eoutp.coord: 1}),
-                single_neuron(
-                    [], [(self.f_output, 1), (self.f_blank, 1)], {self.f_to_eoutp.coord: 1}
-                ),
-            ],
             "to-eoutp",
+            ([(self.f_outp, 1), (self.f_blank, 1)], {self.f_to_eoutp.coord: 1}),
+            ([(self.f_output, 1), (self.f_blank, 1)], {self.f_to_eoutp.coord: 1}),
         )
         # The three run-token cases are mutually exclusive through the halt
         # and to_popen bits (to_popen is cleared when to_summ fires); the
@@ -1037,20 +960,16 @@ class _TmCompiler:
         for tag, gates in gate_sets:
             neurons = []
             for reg in zero_targets:
-                neurons.extend(zero_register(reg, gates))
+                neurons.append(zero_register(reg, gates))
             b.add_neurons(
                 self.L3 + 2,
                 neurons,
                 f"suppress-transition-{tag}",
             )
-        b.add_neurons(
+        self._flag_op(
             self.L3 + 3,
-            [
-                single_neuron(
-                    [], [(self.f_exists_outp, 1), (self.f_to_eoutp, 0)], {self.f_to_sigma.coord: 1}
-                )
-            ],
             "to-sigma",
+            ([(self.f_exists_outp, 1), (self.f_to_eoutp, 0)], {self.f_to_sigma.coord: 1}),
         )
         b.add_neurons(
             self.L3 + 4,
@@ -1079,49 +998,23 @@ class _TmCompiler:
                 vals[self.f_q.coord] = 1
             elif cls == "run":
                 state, written, moves = parse_run_token(tok)
-                vals.update(
-                    {c: v for c, v in zip(self.i_state_new.coords, self.enc_q[state]) if v}
-                )
+                vals.update(zip(self.i_state_new.coords, self.enc_q[state]))
                 for k in range(K):
-                    vals.update(
-                        {
-                            c: v
-                            for c, v in zip(self.i_sym_new[k].coords, self.enc_g[written[k]])
-                            if v
-                        }
-                    )
-                    vals.update(
-                        {
-                            c: v
-                            for c, v in zip(self.i_move_new[k].coords, ENC_MOVES[moves[k]])
-                            if v
-                        }
-                    )
+                    vals.update(zip(self.i_sym_new[k].coords, self.enc_g[written[k]]))
+                    vals.update(zip(self.i_move_new[k].coords, ENC_MOVES[moves[k]]))
             elif cls == "pos":
                 bits = parse_pos_token(tok)
                 for k in range(K):
                     vals[self.i_nextbit[k].coords[0]] = bits[k]
             elif cls == "sym":
-                vals.update(
-                    {c: v for c, v in zip(self.i_newsym_sigma.coords, self.enc_g[tok]) if v}
-                )
+                vals.update(zip(self.i_newsym_sigma.coords, self.enc_g[tok]))
             elif cls == "tape":
                 syms, hats = parse_tape_token(tok)
                 for k in range(K):
-                    vals.update(
-                        {c: v for c, v in zip(self.i_sym_next[k].coords, self.enc_g[syms[k]]) if v}
-                    )
+                    vals.update(zip(self.i_sym_next[k].coords, self.enc_g[syms[k]]))
                     vals[self.i_head_next[k].coords[0]] = 1 if hats[k] else -1
             elif cls == "state":
-                vals.update(
-                    {
-                        c: v
-                        for c, v in zip(
-                            self.i_state_fin_out.coords, self.enc_q[parse_state_token(tok)]
-                        )
-                        if v
-                    }
-                )
+                vals.update(zip(self.i_state_fin_out.coords, self.enc_q[parse_state_token(tok)]))
             if vals:
                 b.set_unembedding(tok, vals)
 

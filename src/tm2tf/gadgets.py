@@ -2,14 +2,22 @@
 
 Registers are named disjoint coordinate groups of the residual stream
 holding +-1 binary numbers (LSB first); flags are single coordinates
-holding bits in {0,1}. All gadgets return lists of single neurons that a
-builder merges into per-layer MLPs, so neuron counts stay auditable
-against the construction-size formulas.
+holding bits in {0,1}. MLP gadgets return `Neurons` blocks: m neurons
+held as entry arrays, which `+` joins in order, so neuron counts stay
+auditable against the construction-size formulas. A register-wide
+gadget builds its pattern over local indices once per shape (register
+width, k, gate values, move codes), caches it, and maps it onto the
+register's coordinates with one fancy index. `ModelBuilder.add_neurons`
+derives each op's gate from the block: the (coord, sign) input entries
+that every row shares. `finalize` fills each layer's MLP with one scatter.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import accumulate
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,7 +29,8 @@ __all__ = [
     "Register",
     "Flag",
     "RegisterLayout",
-    "NeuronSpec",
+    "Neuron",
+    "Neurons",
     "single_neuron",
     "zero_register",
     "copy_register",
@@ -35,7 +44,6 @@ __all__ = [
     "selector_head",
     "rows_of",
     "mlp_weights",
-    "mlp_eval",
     "ModelBuilder",
     "BuildError",
 ]
@@ -115,19 +123,85 @@ class RegisterLayout:
         return out
 
 
-@dataclass
-class NeuronSpec:
-    in_w: dict[int, int]  # ternary input weights
-    bias4: int  # bias numerator over 4
-    out_w: dict[int, int]  # output weights, |.| <= 2
+class Neuron(NamedTuple):
+    """One row of a `Neurons` block as dicts (coord -> weight)."""
+
+    in_w: dict[int, int]
+    bias4: int
+    out_w: dict[int, int]
+
+
+@dataclass(frozen=True, eq=False)
+class Neurons:
+    """m MLP neurons as entry arrays, in row order.
+
+    `ins` holds the (row, coord, +-1) input weights, at most one per (row,
+    coord); `bias4` the (m,) bias numerators over 4; `outs` the (row,
+    coord, weight) output weights. `+` joins two blocks and keeps the order
+    of their rows; iterating yields one `Neuron` record per row.
+    """
+
+    ins: np.ndarray  # (entries, 3)
+    bias4: np.ndarray  # (m,)
+    outs: np.ndarray  # (entries, 3)
+
+    def __len__(self) -> int:
+        return len(self.bias4)
+
+    def __add__(self, other: "Neurons") -> "Neurons":
+        return Neurons.join([self, other])
+
+    def __iter__(self):
+        ins: list[dict[int, int]] = [{} for _ in range(len(self))]
+        outs: list[dict[int, int]] = [{} for _ in range(len(self))]
+        for entries, dicts in ((self.ins, ins), (self.outs, outs)):
+            for row, c, w in entries.tolist():
+                dicts[row][c] = w
+        return map(Neuron, ins, self.bias4.tolist(), outs)
+
+    @staticmethod
+    def join(blocks) -> "Neurons":
+        blocks = list(blocks)
+        if len(blocks) == 1:
+            return blocks[0]
+        if not blocks:
+            return _block([])
+        offsets = list(accumulate((len(b) for b in blocks[:-1]), initial=0))
+        ins = np.concatenate([b.ins for b in blocks])
+        outs = np.concatenate([b.outs for b in blocks])
+        ins[:, 0] += np.repeat(offsets, [len(b.ins) for b in blocks])
+        outs[:, 0] += np.repeat(offsets, [len(b.outs) for b in blocks])
+        return Neurons(ins, np.concatenate([b.bias4 for b in blocks]), outs)
+
+
+def _block(rows) -> Neurons:
+    """A block from (in pairs, bias4, out pairs) rows, pairs being
+    (coord, weight). Cached patterns are blocks, so they are read-only."""
+
+    def entries(side: int) -> np.ndarray:
+        triples = [(i, c, w) for i, row in enumerate(rows) for c, w in row[side]]
+        return np.array(triples, np.intp).reshape(-1, 3)
+
+    block = Neurons(entries(0), np.array([row[1] for row in rows], np.int32), entries(2))
+    for a in (block.ins, block.bias4, block.outs):
+        a.flags.writeable = False
+    return block
+
+
+def _place(pattern: Neurons, in_coords, out_coords) -> Neurons:
+    """A pattern over local indices, mapped onto residual coordinates."""
+    ins, outs = pattern.ins.copy(), pattern.outs.copy()
+    ins[:, 1] = np.asarray(in_coords, np.intp)[ins[:, 1]]
+    outs[:, 1] = np.asarray(out_coords, np.intp)[outs[:, 1]]
+    return Neurons(ins, pattern.bias4, outs)
 
 
 def single_neuron(
     register_patterns: list[tuple[Register, tuple[int, ...]]],
     flag_patterns: list[tuple[Flag, int]],
     output: dict[int, int],
-) -> NeuronSpec:
-    """A neuron firing to 1 exactly when all patterns match, else 0.
+) -> Neurons:
+    """A one-row block firing to 1 exactly when all patterns match, else 0.
 
     Register patterns are +-1 vectors, flag patterns bits in {0,1}; the
     bias is -(sum of register sizes + number of 1-valued flags) + 1.
@@ -154,76 +228,103 @@ def single_neuron(
         if want == 1:
             positive_flags += 1
     bias = -(total + positive_flags) + 1
-    return NeuronSpec(in_w=in_w, bias4=4 * bias, out_w=dict(output))
+    return _block([(in_w.items(), 4 * bias, output.items())])
 
 
-def zero_register(
-    reg: Register, gates: list[tuple[Flag, int]]
-) -> list[NeuronSpec]:
+# Register-wide gadgets build their neurons as `single_neuron` would, but
+# once per shape: a cached pattern over local indices (the read registers'
+# bits, then the gate flags) that each call maps onto its coordinates.
+
+
+def _inputs(gates: list[tuple[Flag, int]], *regs: Register) -> tuple[tuple, tuple]:
+    """(gate values, input coordinates) of a gadget reading `regs`, then its
+    gate flags, checked as `single_neuron` checks a neuron's inputs."""
+    values = tuple(want for _, want in gates)
+    if any(want not in (0, 1) for want in values):
+        raise BuildError("flag patterns must be 0/1")
+    coords = sum((reg.coords for reg in regs), ()) + tuple(flag.coord for flag, _ in gates)
+    if len(set(coords)) != len(coords):
+        raise BuildError("overlapping register/flag references")
+    return values, coords
+
+
+def _conj(reads: list[tuple[int, int]], gate_values, first_gate: int, outs) -> tuple:
+    """A conjunction row over local indices; gate i sits at first_gate + i."""
+    ins = reads + [(first_gate + i, 1 if v == 1 else -1) for i, v in enumerate(gate_values)]
+    return ins, 4 * (1 - len(reads) - sum(gate_values)), outs
+
+
+@lru_cache(maxsize=None)
+def _bitwise_pattern(w: int, gate_values: tuple[int, ...], out_sign: int) -> Neurons:
+    """Per bit, a neuron on +1 and one on -1, each adding out_sign times it."""
+    return _block(
+        [_conj([(i, s)], gate_values, w, [(i, out_sign * s)]) for i in range(w) for s in (1, -1)]
+    )
+
+
+def zero_register(reg: Register, gates: list[tuple[Flag, int]]) -> Neurons:
     """2|I| neurons; adds -x[I] when all gates match, leaving others alone."""
-    neurons = []
-    for idx in range(len(reg)):
-        coord = reg.coords[idx]
-        neurons.append(single_neuron([(reg.bit(idx), (1,))], gates, {coord: -1}))
-        neurons.append(single_neuron([(reg.bit(idx), (-1,))], gates, {coord: 1}))
-    return neurons
+    values, coords = _inputs(gates, reg)
+    return _place(_bitwise_pattern(len(reg), values, -1), coords, reg.coords)
 
 
-def copy_register(
-    src: Register, dst: Register, gates: list[tuple[Flag, int]]
-) -> list[NeuronSpec]:
+def copy_register(src: Register, dst: Register, gates: list[tuple[Flag, int]]) -> Neurons:
     """2|I1| neurons writing x[I1] into I2 (which must be zero) when gated."""
     if len(src) != len(dst):
         raise BuildError("copy between registers of different sizes")
     if set(src.coords) & set(dst.coords):
         raise BuildError("copy with overlapping registers")
-    neurons = []
-    for idx in range(len(src)):
-        out = dst.coords[idx]
-        neurons.append(single_neuron([(src.bit(idx), (1,))], gates, {out: 1}))
-        neurons.append(single_neuron([(src.bit(idx), (-1,))], gates, {out: -1}))
-    return neurons
+    values, coords = _inputs(gates, src)
+    return _place(_bitwise_pattern(len(src), values, 1), coords, dst.coords)
 
 
-def _pattern(reg: Register, idx_vals: dict[int, int]) -> list[tuple[Register, tuple[int, ...]]]:
-    return [(reg.bit(i), (v,)) for i, v in idx_vals.items()]
-
-
-def sub_pow2(
-    src: Register, dst: Register, k: int, gates: list[tuple[Flag, int]]
-) -> list[NeuronSpec]:
+def sub_pow2(src: Register, dst: Register, k: int, gates: list[tuple[Flag, int]]) -> Neurons:
     """4|I1| neurons writing bin(max(0, p - 2^k)) to dst when gated."""
     return copy_register(src, dst, gates) + _decrement_pow2(src, dst, k, gates)
 
 
-def sub_pow2_inplace(
-    reg: Register, k: int, gates: list[tuple[Flag, int]]
-) -> list[NeuronSpec]:
+def sub_pow2_inplace(reg: Register, k: int, gates: list[tuple[Flag, int]]) -> Neurons:
     """2|I| neurons updating reg to bin(max(0, p - 2^k)) in place when gated."""
     return _decrement_pow2(reg, reg, k, gates)
 
 
-def _decrement_pow2(
-    src: Register, dst: Register, k: int, gates: list[tuple[Flag, int]]
-) -> list[NeuronSpec]:
-    """2|I| neurons adding bin(max(0, p - 2^k)) - bin(p) to dst, p read from src."""
-    d = len(src)
-    if not 0 <= k < d:
-        raise BuildError("k out of range")
-    neurons = []
+@lru_cache(maxsize=None)
+def _decrement_pattern(d: int, k: int, gate_values: tuple[int, ...]) -> Neurons:
+    """Local indices: src bits 0..d-1, then the gates; outputs dst bits."""
+    rows = []
     # Saturating case p < 2^k: force the low bits down to -1.
     for m in range(k):
-        fire = _pattern(src, {m: 1, **{t: -1 for t in range(k, d)}})
-        for _ in range(2):
-            neurons.append(single_neuron(fire, gates, {dst.coords[m]: -1}))
+        reads = [(m, 1)] + [(t, -1) for t in range(k, d)]
+        rows += [_conj(reads, gate_values, d, [(m, -1)])] * 2
     # Borrow case p >= 2^k: flip the lowest set bit >= k and raise the gap.
     for m in range(k, d):
-        cond = {m: 1, **{s: -1 for s in range(k, m)}}
-        out = {dst.coords[m]: -1}
-        out.update({dst.coords[s]: 1 for s in range(k, m)})
-        for _ in range(2):
-            neurons.append(single_neuron(_pattern(src, cond), gates, out))
-    return neurons
+        reads = [(m, 1)] + [(s, -1) for s in range(k, m)]
+        outs = [(m, -1)] + [(s, 1) for s in range(k, m)]
+        rows += [_conj(reads, gate_values, d, outs)] * 2
+    return _block(rows)
+
+
+def _decrement_pow2(
+    src: Register, dst: Register, k: int, gates: list[tuple[Flag, int]]
+) -> Neurons:
+    """2|I| neurons adding bin(max(0, p - 2^k)) - bin(p) to dst, p read from src."""
+    if not 0 <= k < len(src):
+        raise BuildError("k out of range")
+    values, coords = _inputs(gates, src)
+    return _place(_decrement_pattern(len(src), k, values), coords, dst.coords)
+
+
+@lru_cache(maxsize=None)
+def _movement_pattern(r: int, enc_l: tuple[int, int], enc_r: tuple[int, int]) -> Neurons:
+    """Local indices: src bits 0..r-1, the move code r, r+1, the gate r+2."""
+    rows = [_conj([(i, s)], (1,), r + 2, [(i, s)]) for i in range(r) for s in (1, -1)]
+    for j in range(r):
+        for sign, enc in ((1, enc_l), (-1, enc_r)):
+            # Decrement: bit j set above a run of clear bits; increment: mirrored.
+            reads = [(j, sign)] + [(t, -sign) for t in range(j)] + [(r, enc[0]), (r + 1, enc[1])]
+            outs = [(j, -sign)] + [(t, sign) for t in range(j)]
+            rows += [_conj(reads, (1,), r + 2, outs)] * 2
+    return _block(rows)
 
 
 def add_head_movement(
@@ -232,54 +333,65 @@ def add_head_movement(
     move: Register,
     gate: Flag,
     enc_moves: dict[str, tuple[int, int]],
-) -> list[NeuronSpec]:
+) -> Neurons:
     """6r neurons: dst <- bin(s-1 / s / s+1) per the move code, L saturating at 0."""
-    r = len(src)
-    if len(dst) != r or len(move) != 2:
+    if len(dst) != len(src) or len(move) != 2:
         raise BuildError("register widths must match")
-    gates = [(gate, 1)]
-    neurons = copy_register(src, dst, gates)
-    enc_l, enc_r = enc_moves["L"], enc_moves["R"]
-    for j in range(r):
-        dec_cond = _pattern(src, {j: 1, **{t: -1 for t in range(j)}}) + [(move, enc_l)]
-        dec_out = {dst.coords[j]: -1}
-        dec_out.update({dst.coords[t]: 1 for t in range(j)})
-        inc_cond = _pattern(src, {j: -1, **{t: 1 for t in range(j)}}) + [(move, enc_r)]
-        inc_out = {dst.coords[j]: 1}
-        inc_out.update({dst.coords[t]: -1 for t in range(j)})
-        for cond, out in ((dec_cond, dec_out), (inc_cond, inc_out)):
-            reg_pats = [(reg, pat) for reg, pat in cond]
-            neurons.append(single_neuron(reg_pats, gates, out))
-            neurons.append(single_neuron(reg_pats, gates, out))
-    return neurons
+    if set(src.coords) & set(dst.coords):
+        raise BuildError("copy with overlapping registers")
+    codes = tuple(tuple(enc_moves[m]) for m in ("L", "R"))
+    for code in codes:
+        if len(code) != 2:
+            raise BuildError(f"pattern size mismatch on {move.name}")
+        if any(v not in (-1, 1) for v in code):
+            raise BuildError("register patterns must be +-1")
+    _, coords = _inputs([(gate, 1)], src, move)
+    return _place(_movement_pattern(len(src), *codes), coords, dst.coords)
 
 
-def full_subtract(sub: Register, target: Register, gate: Flag) -> list[list[NeuronSpec]]:
+@lru_cache(maxsize=None)
+def _subtract_pattern(r: int) -> tuple[Neurons, ...]:
+    """Local indices: target bits 0..r-1, sub bits r..2r-1, the gate 2r."""
+    stages = []
+    for i in range(r):
+        rows = []
+        for j in range(i, r):
+            reads = [(j, 1)] + [(s, -1) for s in range(i, j)] + [(r + i, 1)]
+            outs = [(j, -1)] + [(s, 1) for s in range(i, j)]
+            rows += [_conj(reads, (1,), 2 * r, outs)] * 2
+        stages.append(_block(rows))
+    return tuple(stages)
+
+
+def full_subtract(sub: Register, target: Register, gate: Flag) -> list[Neurons]:
     """r sequential stages (stage i: 2(r-i) neurons, within the 2r budget).
 
     After applying every stage in consecutive layers, target holds
     bin(s2 - s1) when gated (requires 0 <= s1 <= s2 < 2^r - 1).
     """
-    r = len(sub)
-    if len(target) != r:
+    if len(target) != len(sub):
         raise BuildError("register widths must match")
-    stages = []
-    for i in range(r):
-        stage = []
-        for j in range(i, r):
-            cond = _pattern(target, {j: 1, **{s: -1 for s in range(i, j)}})
-            cond += _pattern(sub, {i: 1})
-            out = {target.coords[j]: -1}
-            out.update({target.coords[s]: 1 for s in range(i, j)})
-            for _ in range(2):
-                stage.append(single_neuron(cond, [(gate, 1)], out))
-        stages.append(stage)
-    return stages
+    _, coords = _inputs([(gate, 1)], target, sub)
+    return [_place(stage, coords, target.coords) for stage in _subtract_pattern(len(sub))]
+
+
+@lru_cache(maxsize=None)
+def _compose_pattern(n_states: int, d_q: int) -> Neurons:
+    """Local indices: i1 bits 0..n*d_q-1, then i2 bits."""
+    rows = []
+    for i in range(n_states):
+        for j in range(n_states):
+            slot = [(n_states * d_q + d_q * i + b, v) for b, v in enumerate(bin_pm1(d_q, j))]
+            for kbit in range(d_q):
+                src, out = d_q * j + kbit, d_q * i + kbit
+                rows.append(_conj(slot + [(src, 1)], (), 0, [(out, 1)]))
+                rows.append(_conj(slot + [(src, -1)], (), 0, [(out, -1)]))
+    return _block(rows)
 
 
 def compose_function_encoding(
     i1: Register, i2: Register, n_states: int, d_q: int
-) -> list[NeuronSpec]:
+) -> Neurons:
     """2 * d_q * n^2 neurons adding enc(f1 o f2) onto i1.
 
     i1 holds enc(f1), i2 holds enc(f2), both as concatenations of
@@ -288,44 +400,27 @@ def compose_function_encoding(
     """
     if len(i1) != n_states * d_q or len(i2) != n_states * d_q:
         raise BuildError("encoding register size mismatch")
-    neurons = []
-    for i in range(n_states):
-        for j in range(n_states):
-            enc_j = bin_pm1(d_q, j)
-            slot = i2[d_q * i : d_q * (i + 1)]
-            for kbit in range(d_q):
-                src_bit = i1.bit(d_q * j + kbit)
-                out_coord = i1.coords[d_q * i + kbit]
-                neurons.append(
-                    single_neuron([(slot, enc_j), (src_bit, (1,))], [], {out_coord: 1})
-                )
-                neurons.append(
-                    single_neuron([(slot, enc_j), (src_bit, (-1,))], [], {out_coord: -1})
-                )
-    return neurons
+    _, coords = _inputs([], i1, i2)
+    return _place(_compose_pattern(n_states, d_q), coords, i1.coords)
 
 
-def denoising_neurons(coords: list[int]) -> list[NeuronSpec]:
+# f(x) = (-x)^+ - (x)^+ + 2(x-1/4)^+ - 2(x-3/4)^+ - 2(-x-1/4)^+ + 2(-x-3/4)^+
+# as (in sign, bias numerator, out weight) per term.
+_DENOISING_TERMS = ((-1, 0, 1), (1, 0, -1), (1, -1, 2), (1, -3, -2), (-1, -1, -2), (-1, -3, 2))
+
+
+@lru_cache(maxsize=None)
+def _denoising_pattern(n: int) -> Neurons:
+    return _block([([(i, s)], b, [(i, w)]) for i in range(n) for s, b, w in _DENOISING_TERMS])
+
+
+def denoising_neurons(coords: list[int]) -> Neurons:
     """6 neurons per coordinate; x + f(x) snaps values within 1/4 of -1/0/1.
 
-    f(x) = (-x)^+ - (x)^+ + 2(x-1/4)^+ - 2(x-3/4)^+ - 2(-x-1/4)^+ + 2(-x-3/4)^+
-    applied coordinatewise. Weights lie in {0,+-1,+-2}, biases in
-    {0,-1/4,-3/4} (numerators 0,-1,-3).
+    f (above) is applied coordinatewise. Weights lie in {0,+-1,+-2}, biases
+    in {0,-1/4,-3/4} (numerators 0,-1,-3).
     """
-    neurons = []
-    for c in coords:
-        # (in sign, bias numerator, out weight)
-        terms = [
-            (-1, 0, 1),   # (-x)^+            * +1
-            (1, 0, -1),   # (x)^+             * -1
-            (1, -1, 2),   # (x - 1/4)^+       * +2
-            (1, -3, -2),  # (x - 3/4)^+       * -2
-            (-1, -1, -2), # (-x - 1/4)^+      * -2
-            (-1, -3, 2),  # (-x - 3/4)^+      * +2
-        ]
-        for sign, bias4, out in terms:
-            neurons.append(NeuronSpec(in_w={c: sign}, bias4=bias4, out_w={c: out}))
-    return neurons
+    return _place(_denoising_pattern(len(coords)), coords, coords)
 
 
 # ---------------------------------------------------------------------------
@@ -395,51 +490,39 @@ def selector_head(
 
 
 # ---------------------------------------------------------------------------
-# evaluation helper for gadget unit tests
-
-
-def mlp_eval(neurons: list[NeuronSpec], x: np.ndarray) -> np.ndarray:
-    """W2 relu(W1 x + b) for a bag of neurons, computed directly."""
-    out = np.zeros_like(x, dtype=np.float64)
-    for n in neurons:
-        acc = sum(w * x[c] for c, w in n.in_w.items()) + n.bias4 / 4.0
-        if acc > 0:
-            for c, w in n.out_w.items():
-                out[c] += w * acc
-    return out
-
-
-# ---------------------------------------------------------------------------
 # builder
 
 
-def mlp_weights(neurons: list[NeuronSpec], d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def mlp_weights(neurons: Neurons, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(w1, bias4, w2) of shapes (m, d), (m,), (d, m) for m neurons, in order."""
     w1 = np.zeros((len(neurons), d), dtype=np.int8)
-    bias4 = np.zeros(len(neurons), dtype=np.int32)
     w2 = np.zeros((d, len(neurons)), dtype=np.int8)
-    for n_i, n in enumerate(neurons):
-        for c, w in n.in_w.items():
-            w1[n_i, c] = w
-        bias4[n_i] = n.bias4
-        for c, w in n.out_w.items():
-            w2[c, n_i] = w
-    return w1, bias4, w2
+    w1[neurons.ins[:, 0], neurons.ins[:, 1]] = neurons.ins[:, 2]
+    w2[neurons.outs[:, 1], neurons.outs[:, 0]] = neurons.outs[:, 2]
+    return w1, neurons.bias4.astype(np.int32), w2
 
 
-def _shared_inputs(neurons: list[NeuronSpec]) -> dict[int, int]:
-    """The input weights (coord -> +-1) that every neuron carries."""
-    shared = dict(neurons[0].in_w) if neurons else {}
-    for n in neurons[1:]:
-        if not shared:
-            break
-        shared = {c: w for c, w in shared.items() if n.in_w.get(c) == w}
-    return shared
+def _row_matrix(rows, n: int, d: int) -> np.ndarray:
+    """(n, d) weights whose row i sums the (coord, sign) pairs of rows[i]."""
+    w = np.zeros((n, d), dtype=np.int8)
+    for i, row in enumerate(rows):
+        for c, sign in row:
+            w[i, c] += sign
+    return w
+
+
+def _shared_inputs(neurons: Neurons) -> dict[int, int]:
+    """The input weights (coord -> +-1) that every neuron carries: the
+    (coord, sign) entries counted once per neuron, as often as neurons."""
+    if not len(neurons):
+        return {}
+    counts = np.bincount(2 * neurons.ins[:, 1] + (neurons.ins[:, 2] > 0))
+    return {k >> 1: 1 if k & 1 else -1 for k in (counts == len(neurons)).nonzero()[0].tolist()}
 
 
 @dataclass
 class _MlpOp:
-    neurons: list[NeuronSpec]
+    neurons: Neurons
     label: str
     bundle: str | None
     gate: dict[int, int]  # shared input weights of the neurons
@@ -506,11 +589,12 @@ class ModelBuilder:
     def add_neurons(
         self,
         layer: int,
-        neurons: list[NeuronSpec],
+        neurons: Neurons | list[Neurons],
         label: str,
         bundle: str | None = None,
     ) -> None:
-        """Add one MLP op, the neurons of one gadget call, to a layer.
+        """Add one MLP op, a block or a list of blocks joined in order, to
+        a layer.
 
         The op's gate is the set of input weights that all of its neurons
         share. This assumes conjunction neurons (`single_neuron`), which
@@ -524,9 +608,10 @@ class ModelBuilder:
         """
         if not 1 <= layer <= self.n_layers:
             raise BuildError(f"layer {layer} out of range")
-        neurons = list(neurons)
+        if not isinstance(neurons, Neurons):
+            neurons = Neurons.join(neurons)
         op = _MlpOp(
-            neurons, label, bundle, _shared_inputs(neurons), {c for n in neurons for c in n.out_w}
+            neurons, label, bundle, _shared_inputs(neurons), set(neurons.outs[:, 1].tolist())
         )
         for other in self._mlp_ops[layer - 1]:
             if op.writes.isdisjoint(other.writes):
@@ -583,26 +668,16 @@ class ModelBuilder:
         for heads, ops in zip(self._heads, self._mlp_ops):
             head_params = []
             for spec in heads:
-                wq = np.zeros((dims.d_k, d), dtype=np.int8)
-                wk = np.zeros((dims.d_k, d), dtype=np.int8)
-                wv = np.zeros((dims.d_v, d), dtype=np.int8)
-                wo = np.zeros((d, dims.d_v), dtype=np.int8)
                 if len(spec.q_rows) > dims.d_k or len(spec.v_rows) > dims.d_v:
                     raise BuildError(f"head {spec.name} exceeds d_k/d_v")
-                for r_i, row in enumerate(spec.q_rows):
-                    for coord, sign in row:
-                        wq[r_i, coord] += sign
-                for r_i, row in enumerate(spec.k_rows):
-                    for coord, sign in row:
-                        wk[r_i, coord] += sign
-                for r_i, row in enumerate(spec.v_rows):
-                    for coord, sign in row:
-                        wv[r_i, coord] += sign
-                for r_i, coord in enumerate(spec.out_coords):
-                    wo[coord, r_i] = 1
+                wq = _row_matrix(spec.q_rows, dims.d_k, d)
+                wk = _row_matrix(spec.k_rows, dims.d_k, d)
+                wv = _row_matrix(spec.v_rows, dims.d_v, d)
+                wo = np.zeros((d, dims.d_v), dtype=np.int8)
+                wo[list(spec.out_coords), range(len(spec.out_coords))] = 1
                 head_params.append(HeadParams(wq, wk, wv, wo))
-            neurons = [n for op in ops for n in op.neurons]
-            layers.append(LayerParams(head_params, *mlp_weights(neurons, d)))
+            block = Neurons.join(op.neurons for op in ops)
+            layers.append(LayerParams(head_params, *mlp_weights(block, d)))
 
         params = TransformerParams(
             dims=dims,

@@ -313,3 +313,50 @@ def test_run_prints_saturations_of_a_tiny_activation_format(tm_file, tmp_path, c
           "--act-format", "custom:1,2", "--budget", "4"])
     line = next(l for l in capsys.readouterr().out.splitlines() if l.startswith("ties="))
     assert int(line.split("saturations=")[1]) > 0
+
+
+def _spec_cases():
+    """Malformed machine specs, as (command, document) params."""
+    tm, dfa = tm_to_json(fig2_machine()), dfa_to_json(parity_dfa())
+    cases = []
+    for doc in (None, [], "tm", 7, 1.5, True):
+        for command in ("compile-cot", "compile-dfa"):
+            cases.append(pytest.param(command, doc, id=f"{command}-document-{doc!r}"))
+    bad_deltas = [
+        ("compile-cot", tm, []),
+        ("compile-dfa", dfa, []),
+        ("compile-cot", tm, None),
+        ("compile-dfa", dfa, "x"),
+        ("compile-cot", tm, {**tm["delta"], "go|a": 5}),
+        ("compile-cot", tm, {**tm["delta"], "go|a": ["go", "a", "R"]}),
+        ("compile-dfa", dfa, {**dfa["delta"], "even,0": 1}),
+        ("compile-dfa", dfa, {**dfa["delta"], "even,0": None}),
+    ]
+    for i, (command, doc, delta) in enumerate(bad_deltas):
+        cases.append(pytest.param(command, {**doc, "delta": delta}, id=f"{command}-delta-{i}"))
+    for tapes in (1.5, True, "1", None, [1]):
+        cases.append(pytest.param("compile-scot", {**tm, "tapes": tapes}, id=f"tapes-{tapes!r}"))
+    doc = {**tm, "states": [*tm["states"], 3]}
+    cases.append(pytest.param("compile-cot", doc, id="non-string-state"))
+    return cases
+
+
+@pytest.mark.parametrize("command,doc", _spec_cases())
+def test_malformed_spec_is_a_schema_error(command, doc, tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(doc))
+    flag = "--dfa" if command == "compile-dfa" else "--tm"
+    r = "3" if command == "compile-dfa" else "6"
+    code = main([command, flag, str(spec), "--r", r, "--out", str(tmp_path / "m.json")])
+    assert code == 2
+    assert "schema error" in capsys.readouterr().err
+
+
+def test_load_machine_specs_reject_non_string_delta_keys():
+    from tm2tf.automata import MachineError, load_dfa, load_tm
+
+    tm, dfa = tm_to_json(fig2_machine()), dfa_to_json(parity_dfa())
+    with pytest.raises(MachineError):
+        load_tm({**tm, "delta": {**tm["delta"], ("go", "a"): "go|a|R"}})
+    with pytest.raises(MachineError):
+        load_dfa({**dfa, "delta": {**dfa["delta"], 3: "even"}})

@@ -16,7 +16,6 @@ from tm2tf.gadgets import (
     decode_pm1,
     denoising_neurons,
     full_subtract,
-    mlp_eval,
     single_neuron,
     sub_pow2,
     sub_pow2_inplace,
@@ -24,6 +23,17 @@ from tm2tf.gadgets import (
 )
 
 ENC_MOVES = {"L": bin_pm1(2, 0), "S": bin_pm1(2, 1), "R": bin_pm1(2, 2)}
+
+
+def mlp_eval(neurons, x: np.ndarray) -> np.ndarray:
+    """W2 relu(W1 x + b) for a block, neuron by neuron."""
+    out = np.zeros_like(x, dtype=np.float64)
+    for n in neurons:
+        acc = sum(w * x[c] for c, w in n.in_w.items()) + n.bias4 / 4.0
+        if acc > 0:
+            for c, w in n.out_w.items():
+                out[c] += w * acc
+    return out
 
 
 def make_layout(r=3):
@@ -68,28 +78,28 @@ def test_single_neuron_fires_on_exact_pattern():
     d = layout.d
     out = {b.coords[0]: 1, b.coords[1]: -1}
     n = single_neuron([(a, (1, -1))], [(f, 1)], out)
-    assert n.bias4 == 4 * (-(2 + 1) + 1)
+    assert n.bias4.tolist() == [4 * (-(2 + 1) + 1)]
 
     x = np.zeros(d)
     x[a.coords[0]], x[a.coords[1]] = 1, -1
     x[f.coord] = 1
-    y = mlp_eval([n], x)
+    y = mlp_eval(n, x)
     assert y[b.coords[0]] == 1 and y[b.coords[1]] == -1
 
     x2 = x.copy()
     x2[a.coords[1]] = 1  # flip one bit
-    assert not mlp_eval([n], x2).any()
+    assert not mlp_eval(n, x2).any()
     x3 = x.copy()
     x3[f.coord] = 0
-    assert not mlp_eval([n], x3).any()
+    assert not mlp_eval(n, x3).any()
 
 
 def test_single_neuron_no_patterns_always_fires():
     layout, a, b, move, f, g = make_layout(2)
     n = single_neuron([], [], {b.coords[0]: 1})
-    assert n.bias4 == 4  # bias 1, zero weights
+    assert n.bias4.tolist() == [4]  # bias 1, zero weights
     x = np.zeros(layout.d)
-    assert mlp_eval([n], x)[b.coords[0]] == 1
+    assert mlp_eval(n, x)[b.coords[0]] == 1
 
 
 def admissible_inputs(layout, rng, count=50):

@@ -6,9 +6,11 @@ import json
 
 import pytest
 
-from machines import copy_machine, fig2_machine
+from machines import bouncer_machine, copy_machine, fig2_machine
+from tm2tf import harness
 from tm2tf.compilers import build_rope_position_prefix, compile_cot, compile_dfa, compile_scot
 from tm2tf.harness import acceptance_dfas
+from tm2tf.softmaxify import convert_with_denoising, theorem_c
 
 
 def _digest(params, report) -> str:
@@ -27,31 +29,71 @@ def _digest(params, report) -> str:
     return h.hexdigest()
 
 
+def _denoised_fig2_cot_6():
+    params, report = compile_cot(fig2_machine(), 6)
+    c = theorem_c("denoised", report.dims, 2 ** 6)
+    converted = convert_with_denoising(params, c)
+    return converted, report
+
+
+def _trial_models_digest() -> str:
+    """One digest over every model that validate_cot and validate_scot
+    compile at trials=1 for seeds 0-27, in compile order."""
+    h = hashlib.sha256()
+
+    def recording(compile_fn):
+        def wrapped(tm, r):
+            params, report = compile_fn(tm, r)
+            h.update(_digest(params, report).encode())
+            return params, report
+
+        return wrapped
+
+    mp = pytest.MonkeyPatch()
+    mp.setattr(harness, "compile_cot", recording(compile_cot))
+    mp.setattr(harness, "compile_scot", recording(compile_scot))
+    try:
+        for seed in range(28):
+            harness.validate_cot(seed, 1)
+            harness.validate_scot(seed, 1)
+    finally:
+        mp.undo()
+    return h.hexdigest()
+
+
 BUILDS = {
-    "fig2-cot-6": lambda: compile_cot(fig2_machine(), 6),
-    "fig2-scot-6": lambda: compile_scot(fig2_machine(), 6),
-    "copy-cot-6": lambda: compile_cot(copy_machine(), 6),
-    "copy-scot-6": lambda: compile_scot(copy_machine(), 6),
-    "dfa0-3": lambda: compile_dfa(acceptance_dfas()[0], 3),
-    "dfa1-3": lambda: compile_dfa(acceptance_dfas()[1], 3),
-    "dfa2-3": lambda: compile_dfa(acceptance_dfas()[2], 3),
-    "rope-3": lambda: build_rope_position_prefix(3),
+    "fig2-cot-6": lambda: _digest(*compile_cot(fig2_machine(), 6)),
+    "fig2-scot-6": lambda: _digest(*compile_scot(fig2_machine(), 6)),
+    "copy-cot-6": lambda: _digest(*compile_cot(copy_machine(), 6)),
+    "copy-scot-6": lambda: _digest(*compile_scot(copy_machine(), 6)),
+    "bouncer4-scot-6": lambda: _digest(*compile_scot(bouncer_machine(4), 6)),
+    "bouncer8-cot-10": lambda: _digest(*compile_cot(bouncer_machine(8), 10)),
+    "fig2-cot-6-denoised": lambda: _digest(*_denoised_fig2_cot_6()),
+    "dfa0-3": lambda: _digest(*compile_dfa(acceptance_dfas()[0], 3)),
+    "dfa1-3": lambda: _digest(*compile_dfa(acceptance_dfas()[1], 3)),
+    "dfa2-3": lambda: _digest(*compile_dfa(acceptance_dfas()[2], 3)),
+    "rope-3": lambda: _digest(*build_rope_position_prefix(3)),
+    "trials-0-27": _trial_models_digest,
 }
 
 # A change to a construction that alters any weight or report entry must
 # update these on purpose.
 PINNED = {
+    "bouncer4-scot-6": "7cd6e0932d0eef4df1e8f81bcafb29228f6bb58744027abae266f69bcd16a9c8",
+    "bouncer8-cot-10": "be018dc0ae15d46a7e2cbc557f3f776647a7d928f6a6bd4401f681fa2a5510f9",
     "copy-cot-6": "b74df8189fe3ca0b5e48fb1b9c933e205c34c6fe6e018ec408aaf1ad6a9115fa",
     "copy-scot-6": "0b6c2b32e337e1cf0ac7958b49f4e42d70370a8b8b3125c97722339f78416365",
     "dfa0-3": "6b98e49ea0209c78d5dc86fde76c3764808ca9ac361fe0cf3685953b60e64a39",
     "dfa1-3": "a5626b1605e98eec568342d134df5c65f30695744ea1caa837dbaf5ad69cda96",
     "dfa2-3": "c97679086decf5dac1686c9668d53e4e47343f5d2468fb0459cbc11c6f1429b0",
     "fig2-cot-6": "2b184101fb18597d5fc09aea6c3c12d7c7fb755f84ead5330d5fbbf511aef2ea",
+    "fig2-cot-6-denoised": "ebb13b01d9e2b7830867d2a9bf3bed12b1762bdb6fdcdabc5a87b3c6a54fdf4c",
     "fig2-scot-6": "f42245d2305092312a4baba06b4b93188e46fd902018e0cf529908c45f1239ae",
     "rope-3": "e7ad54550e1f4de3693980ff5c5f2a5b6535222a403cbee771ae8e9e3961ea9c",
+    "trials-0-27": "f28d3bc68a4a35676d5ad0e84857246c08caa13e85ad3310bc0320c87c8aab4d",
 }
 
 
 @pytest.mark.parametrize("name", sorted(BUILDS))
 def test_compiled_model_matches_pinned_digest(name):
-    assert _digest(*BUILDS[name]()) == PINNED[name]
+    assert BUILDS[name]() == PINNED[name]
