@@ -311,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--mode", choices=["scaled", "denoised"], required=True)
     p.add_argument("--c", default="auto")
-    p.add_argument("--N", dest="context_bound", type=int, default=None)
+    p.add_argument("--N", dest="context_bound", type=_at_least(1), default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_convert)
 

@@ -1,6 +1,6 @@
 """Compilers emitting transformer parameters from automata."""
 
-from .common import CompileReport
+from ..gadgets import CompileReport
 from .dfa import compile_dfa, dfa_dims
 from .rope import build_rope_position_prefix, rope_dims
 from .tm import choose_r_cot, choose_r_scot, compile_cot, compile_scot, cot_dims, scot_dims

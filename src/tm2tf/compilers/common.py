@@ -1,13 +1,10 @@
-"""Shared compiler plumbing: reports and canonical element encodings."""
+"""Shared compiler plumbing: canonical element encodings."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from ..gadgets import bin_pm1
-from ..netcore import Dims
 
-__all__ = ["CompileReport", "enc_table", "ENC_MOVES"]
+__all__ = ["enc_table", "ENC_MOVES"]
 
 # L, S, R in declaration order, encoded as 2-bit LSB-first words.
 ENC_MOVES: dict[str, tuple[int, int]] = {
@@ -24,32 +21,3 @@ def enc_table(elements: tuple[str, ...]) -> dict[str, tuple[int, ...]]:
     """
     width = (len(elements) - 1).bit_length()
     return {e: bin_pm1(width, i) for i, e in enumerate(elements)}
-
-
-@dataclass
-class CompileReport:
-    construction: str
-    r: int
-    dims: Dims
-    registers: dict[str, list[int]] = field(default_factory=dict)
-    manifest: list[dict] = field(default_factory=list)
-    heads_used: list[int] = field(default_factory=list)
-    neurons_used: list[int] = field(default_factory=list)
-
-    def to_json(self) -> dict:
-        return {
-            "construction": self.construction,
-            "r": self.r,
-            "dims": {
-                "L": self.dims.n_layers,
-                "H": self.dims.n_heads,
-                "d": self.dims.d,
-                "d_k": self.dims.d_k,
-                "d_v": self.dims.d_v,
-                "d_ff": self.dims.d_ff,
-            },
-            "registers": self.registers,
-            "heads_used": self.heads_used,
-            "neurons_used": self.neurons_used,
-            "manifest": self.manifest,
-        }

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from ..automata import BOS, FALSE, TRUE, Dfa
 from ..gadgets import (
+    CompileReport,
     ModelBuilder,
     RegisterLayout,
     compose_function_encoding,
@@ -19,7 +20,7 @@ from ..gadgets import (
     zero_register,
 )
 from ..netcore import BinaryAbsolute, Dims, TransformerParams
-from .common import CompileReport, enc_table
+from .common import enc_table
 
 __all__ = ["compile_dfa", "dfa_dims"]
 
@@ -125,15 +126,4 @@ def compile_dfa(dfa: Dfa, r: int) -> tuple[TransformerParams, CompileReport]:
     builder.set_unembedding(TRUE, {0: 1})
     builder.set_unembedding(FALSE, {0: -1})
 
-    params = builder.finalize(vocab, dims, BinaryAbsolute(r, i_pos.coords), "compile_dfa")
-    params.meta["r"] = r
-    report = CompileReport(
-        construction="dfa",
-        r=r,
-        dims=dims,
-        registers=layout.as_dict(),
-        manifest=builder.manifest,
-        heads_used=builder.heads_used(),
-        neurons_used=builder.neurons_used(),
-    )
-    return params, report
+    return builder.finalize(vocab, dims, BinaryAbsolute(r, i_pos.coords), "compile_dfa", r)

@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import math
 
-from ..gadgets import HeadSpec, ModelBuilder, RegisterLayout, single_neuron
+from ..gadgets import CompileReport, HeadSpec, ModelBuilder, RegisterLayout, single_neuron
 from ..netcore import Dims, RotaryOnly, TransformerParams
-from .common import CompileReport
 
 __all__ = ["build_rope_position_prefix", "rope_dims"]
 
@@ -131,15 +130,4 @@ def build_rope_position_prefix(r: int) -> tuple[TransformerParams, CompileReport
             f"bit-{k}",
         )
 
-    params = builder.finalize(["first", "rest"], dims, RotaryOnly(freqs), "rope_prefix")
-    params.meta["r"] = r
-    report = CompileReport(
-        construction="rope_prefix",
-        r=r,
-        dims=dims,
-        registers=layout.as_dict(),
-        manifest=builder.manifest,
-        heads_used=builder.heads_used(),
-        neurons_used=builder.neurons_used(),
-    )
-    return params, report
+    return builder.finalize(["first", "rest"], dims, RotaryOnly(freqs), "rope_prefix", r)

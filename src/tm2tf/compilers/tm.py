@@ -37,6 +37,7 @@ from ..automata import (
     token_class,
 )
 from ..gadgets import (
+    CompileReport,
     ModelBuilder,
     RegisterLayout,
     add_head_movement,
@@ -50,7 +51,7 @@ from ..gadgets import (
     zero_register,
 )
 from ..netcore import BinaryAbsolute, Dims, TransformerParams
-from .common import ENC_MOVES, CompileReport, enc_table
+from .common import ENC_MOVES, enc_table
 
 __all__ = [
     "choose_r_cot",
@@ -1040,23 +1041,13 @@ class _TmCompiler:
         self._output_layers()
         self._unembeddings()
 
-        params = self.b.finalize(
+        return self.b.finalize(
             self.vocab,
             self.dims,
             BinaryAbsolute(self.r, self.i_pos.coords),
             "compile_scot" if self.scot else "compile_cot",
+            self.r,
         )
-        params.meta["r"] = self.r
-        report = CompileReport(
-            construction="scot" if self.scot else "cot",
-            r=self.r,
-            dims=self.dims,
-            registers=self.layout.as_dict(),
-            manifest=self.b.manifest,
-            heads_used=self.b.heads_used(),
-            neurons_used=self.b.neurons_used(),
-        )
-        return params, report
 
 
 def compile_cot(tm: TuringMachine, r: int) -> tuple[TransformerParams, CompileReport]:

@@ -9,12 +9,14 @@ gadget builds its pattern over local indices once per shape (register
 width, k, gate values, move codes), caches it, and maps it onto the
 register's coordinates with one fancy index. `ModelBuilder.add_neurons`
 derives each op's gate from the block: the (coord, sign) input entries
-that every row shares. `finalize` fills each layer's MLP with one scatter.
+that every row shares. `finalize` fills each layer's MLP with one scatter,
+leaves the model contract to `validate_weights`, and returns the
+parameters with their `CompileReport`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import accumulate
 from typing import NamedTuple
@@ -44,6 +46,7 @@ __all__ = [
     "selector_head",
     "rows_of",
     "mlp_weights",
+    "CompileReport",
     "ModelBuilder",
     "BuildError",
 ]
@@ -529,6 +532,35 @@ class _MlpOp:
     writes: set[int]
 
 
+@dataclass
+class CompileReport:
+    construction: str
+    r: int
+    dims: Dims
+    registers: dict[str, list[int]] = field(default_factory=dict)
+    manifest: list[dict] = field(default_factory=list)
+    heads_used: list[int] = field(default_factory=list)
+    neurons_used: list[int] = field(default_factory=list)
+
+    def to_json(self) -> dict:
+        return {
+            "construction": self.construction,
+            "r": self.r,
+            "dims": {
+                "L": self.dims.n_layers,
+                "H": self.dims.n_heads,
+                "d": self.dims.d,
+                "d_k": self.dims.d_k,
+                "d_v": self.dims.d_v,
+                "d_ff": self.dims.d_ff,
+            },
+            "registers": self.registers,
+            "heads_used": self.heads_used,
+            "neurons_used": self.neurons_used,
+            "manifest": self.manifest,
+        }
+
+
 class ModelBuilder:
     """Collects heads and MLP operations per layer, then emits parameters.
 
@@ -641,18 +673,14 @@ class ModelBuilder:
         dims: Dims,
         positional,
         source: str,
-    ) -> TransformerParams:
+        r: int,
+    ) -> tuple[TransformerParams, CompileReport]:
+        """(params, report). `validate_weights` checks codes, budgets and
+        meta.r against positional.r; the report's construction is the source
+        without its "compile_" prefix."""
         d = self.layout.d
         if d != dims.d:
             raise BuildError(f"layout uses {d} coordinates but dims.d = {dims.d}")
-        if max(self.heads_used(), default=0) > dims.n_heads:
-            raise BuildError("head budget exceeded")
-        if max(self.neurons_used(), default=0) > dims.d_ff:
-            raise BuildError(
-                f"d_ff budget exceeded: {max(self.neurons_used())} > {dims.d_ff}"
-            )
-        if len(self._heads) != dims.n_layers:
-            raise BuildError("layer count mismatch")
 
         emb = np.zeros((len(vocab), d), dtype=np.int8)
         unemb = np.zeros((len(vocab), d), dtype=np.int8)
@@ -687,6 +715,16 @@ class ModelBuilder:
             positional=positional,
             layers=layers,
             source=source,
+            meta={"r": r},
         )
         params.validate_weights()
-        return params
+        report = CompileReport(
+            construction=source.removeprefix("compile_"),
+            r=r,
+            dims=dims,
+            registers=self.layout.as_dict(),
+            manifest=self.manifest,
+            heads_used=self.heads_used(),
+            neurons_used=self.neurons_used(),
+        )
+        return params, report

@@ -38,7 +38,6 @@ from .compilers import (
     compile_cot,
     compile_dfa,
     compile_scot,
-    dfa_dims,
 )
 from .compilers.tm import _tm_widths
 from .fpcore import FloatFormat, Precision, round_array
@@ -419,9 +418,7 @@ def validate_dfa(dfas: list, r: int, max_len: int) -> ValidationReport:
     report = ValidationReport(name="dfa")
     cfg = EvalConfig(capture_trace=True)
     for d_idx, dfa in enumerate(dfas):
-        params, comp_report = compile_dfa(dfa, r)
-        if comp_report.dims != dfa_dims(dfa, r):
-            report.mismatches.append({"dfa": d_idx, "error": "dims deviate from formulas"})
+        params, _ = compile_dfa(dfa, r)
         for n in range(max_len + 1):
             words = list(itertools.product(dfa.alphabet, repeat=n))
             ev = Evaluator(params, cfg, batch=len(words))

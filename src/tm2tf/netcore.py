@@ -128,8 +128,10 @@ class TransformerParams:
 
     def validate_weights(self) -> None:
         """Check the model contract: ternary embeddings and attention weights,
-        MLP codes in {0,+-1,+-2}, biases in [-d-1, d+1], and every shape
-        within the dims budgets (at most n_heads heads, d_ff MLP rows)."""
+        MLP codes in {0,+-1,+-2}, biases in [-d-1, d+1], a positive finite
+        qk_scale, and every shape within the dims budgets (n_layers layers,
+        at most n_heads heads and d_ff MLP rows each). This is the one place
+        that states the contract; builders and loaders call it."""
         dims, d, n_vocab = self.dims, self.dims.d, len(self.vocab)
         if len(set(self.vocab)) != n_vocab:
             raise ValueError("vocabulary tokens must be unique")
@@ -165,10 +167,11 @@ class TransformerParams:
         for name, a, shape, bound in arrays:
             if a.shape != shape:
                 raise ValueError(f"{name} has shape {a.shape}, expected {shape}")
-            if np.abs(a).max(initial=0) > bound:
+            # min/max, not abs: np.abs wraps at the dtype minimum (int8 -128)
+            if a.min(initial=0) < -bound or a.max(initial=0) > bound:
                 raise ValueError(f"{name} codes must lie in [-{bound}, {bound}]")
-        if not self.qk_scale > 0:
-            raise ValueError("qk_scale must be positive")
+        if not (self.qk_scale > 0 and math.isfinite(self.qk_scale)):
+            raise ValueError(f"qk_scale must be positive and finite, got {self.qk_scale}")
 
 
 @dataclass(frozen=True)

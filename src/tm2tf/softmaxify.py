@@ -129,13 +129,13 @@ def theorem_c(mode: str, dims: Dims, context_bound: int) -> float:
     return next_pow2_at_least(c0)
 
 
-def act_format_containing(c: float, mantissa_bits: int = 1, min_exponent_bits: int = 3) -> FloatFormat:
-    """Smallest b_e >= min_exponent_bits whose format represents c exactly."""
-    for b_e in range(max(2, min_exponent_bits), 12):
-        fmt = FloatFormat(mantissa_bits, b_e)
+def act_format_containing(c: float) -> FloatFormat:
+    """Smallest format with 1 mantissa bit and b_e >= 3 that represents c exactly."""
+    for b_e in range(3, 12):
+        fmt = FloatFormat(1, b_e)
         if is_representable(c, fmt):
             return fmt
-    raise ConversionError(f"no supported format with {mantissa_bits} mantissa bits contains {c}")
+    raise ConversionError(f"no supported format with 1 mantissa bit contains {c}")
 
 
 def convert_with_denoising(
@@ -226,21 +226,19 @@ def audit_hardmax_preconditions(
 ) -> list[str]:
     """Audit the conversion preconditions on the given inputs.
 
-    Checks selector-style projections, disjoint head outputs and ternary
-    embeddings on the weights, then the trace invariants of
+    Checks the model contract (`validate_weights`) and disjoint head
+    outputs on the weights, then the trace invariants of
     `trace_invariant_violations` with one greedy step after each input.
     Returns a list of violation descriptions.
     """
     problems: list[str] = []
-    for name, m in (("emb", params.emb), ("unemb", params.unemb)):
-        if np.abs(m).max(initial=0) > 1:
-            problems.append(f"{name} not ternary")
+    try:
+        params.validate_weights()
+    except ValueError as exc:
+        problems.append(str(exc))
     for li, layer in enumerate(params.layers):
         written: set[int] = set()
         for hi, head in enumerate(layer.heads):
-            for mat_name, mat in (("wq", head.wq), ("wk", head.wk), ("wv", head.wv), ("wo", head.wo)):
-                if np.abs(mat).max(initial=0) > 1:
-                    problems.append(f"layer {li} head {hi} {mat_name} not ternary")
             rows = set(np.nonzero(head.wo.any(axis=1))[0].tolist())
             if rows & written:
                 problems.append(f"layer {li} head {hi} writes coordinates of another head")

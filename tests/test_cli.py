@@ -255,10 +255,14 @@ def _model_file_cases(tmp_path, dfa_file):
     doc = json.loads(model.read_text())
     doc["layers"][0]["w1"] = doc["layers"][0]["w1"][:-1]
     files = {"not-json": "{", "empty": "{}", "bad-shape": json.dumps(doc)}
-    for name, code in (("bad-code", 300), ("fractional-code", 1.5), ("boolean-code", True)):
+    codes = (("bad-code", 300), ("min-code", -128), ("fractional-code", 1.5), ("boolean-code", True))
+    for name, code in codes:
         doc = json.loads(model.read_text())
-        doc["emb"][0][0] = code  # 300 is beyond int8
+        doc["emb"][0][0] = code  # 300 is beyond int8; -128 is its minimum, which np.abs keeps
         files[name] = json.dumps(doc)
+    doc = json.loads(model.read_text())
+    doc["qk_scale"] = "inf"
+    files["inf-scale"] = json.dumps(doc)
     for name, text in files.items():
         (tmp_path / f"{name}.json").write_text(text)
     return [("missing", str(tmp_path / "missing.json"))] + [
@@ -288,6 +292,8 @@ def test_bad_model_file_exit_code(command, dfa_file, tmp_path, capsys):
         ["validate", "--protocol", "cot", "--step-cap", "-4"],
         ["validate", "--protocol", "dfa", "--max-len", "-1"],
         ["run-cot", "--model", "model.json", "--budget", "-1"],
+        ["convert", "--model", "model.json", "--mode", "scaled", "--c", "2", "--N", "0",
+         "--out", "out.json"],
     ],
 )
 def test_cli_rejects_sizes_below_minimum(argv):

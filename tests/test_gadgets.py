@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from tm2tf.fpcore import FloatFormat, round_nearest
+from tm2tf.netcore import Dims, NoPositional
 from tm2tf.gadgets import (
     BuildError,
     ModelBuilder,
@@ -16,6 +17,7 @@ from tm2tf.gadgets import (
     decode_pm1,
     denoising_neurons,
     full_subtract,
+    selector_head,
     single_neuron,
     sub_pow2,
     sub_pow2_inplace,
@@ -386,3 +388,29 @@ def test_builder_partly_gated_op_conflicts():
     ]
     with pytest.raises(BuildError):
         builder.add_neurons(1, partly_gated, "partly-f")
+
+
+def _budget_build(n_heads: int, d_ff: int):
+    """Layer 1 copies a into b with 4 neurons; layer 2 has two heads."""
+    layout = RegisterLayout()
+    a = layout.register("a", 2)
+    b = layout.register("b", 2)
+    builder = ModelBuilder(layout, n_layers=2)
+    builder.add_neurons(1, copy_register(a, b, []), "copy")
+    for i in range(2):
+        builder.add_head(2, selector_head(f"h{i}", [a], [a], [a.bit(i)], b.bit(i)))
+    dims = Dims(d=layout.d, d_k=2, d_v=1, d_ff=d_ff, n_heads=n_heads, n_layers=2)
+    return builder.finalize(["x"], dims, NoPositional(), "test", 2)
+
+
+@pytest.mark.parametrize(
+    "n_heads,d_ff,message",
+    [(1, 4, "layer 1 has 2 heads and 0 MLP rows"), (2, 3, "layer 0 has 0 heads and 4 MLP rows")],
+)
+def test_finalize_refuses_builds_over_budget(n_heads, d_ff, message):
+    """The budgets are checked by the model contract, which names the layer
+    (0-based) of a build over its head or d_ff budget."""
+    _, report = _budget_build(2, 4)
+    assert report.heads_used == [0, 2] and report.neurons_used == [4, 0]
+    with pytest.raises(ValueError, match=message):
+        _budget_build(n_heads, d_ff)

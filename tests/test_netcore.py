@@ -132,7 +132,7 @@ def test_selector_head_copies_k_back():
     for i, tok in enumerate(vocab):
         builder.set_embedding(tok, {payload.coords[0]: 1 if i % 2 else -1, payload.coords[1]: 1})
     dims = Dims(d=layout.d, d_k=r, d_v=2, d_ff=4 * r, n_heads=1, n_layers=2)
-    params = builder.finalize(vocab, dims, BinaryAbsolute(r, pos.coords), "test")
+    params, _ = builder.finalize(vocab, dims, BinaryAbsolute(r, pos.coords), "test", r)
 
     reps, trace = forward(params, vocab, EvalConfig(capture_trace=True))
     for i in range(len(vocab)):
@@ -152,7 +152,7 @@ def test_context_length_guard():
     pos = layout.register("pos", 2)
     builder = ModelBuilder(layout, n_layers=1)
     dims = Dims(d=2, d_k=2, d_v=1, d_ff=1, n_heads=1, n_layers=1)
-    params = builder.finalize(["x"], dims, BinaryAbsolute(2, pos.coords), "test")
+    params, _ = builder.finalize(["x"], dims, BinaryAbsolute(2, pos.coords), "test", 2)
     ev = Evaluator(params, EvalConfig())
     ev.extend(["x"] * 4)
     from tm2tf.netcore import EvalError
@@ -341,6 +341,36 @@ def _meta_r_differs(doc):
     doc["meta"]["r"] = doc["positional"]["r"] + 6
 
 
+def _first_with(doc, key):
+    return next(layer for layer in doc["layers"] if layer[key])
+
+
+def _min_int8_w1(doc):
+    _first_with(doc, "w1")["w1"][0][0] = -128  # np.abs(-128) is -128 in int8
+
+
+def _min_int8_emb(doc):
+    doc["emb"][0][0] = -128
+
+
+def _min_int32_bias4(doc):
+    _first_with(doc, "bias4")["bias4"][0] = -(2 ** 31)
+
+
+def _infinite_scale(doc):
+    doc["qk_scale"] = "inf"
+
+
+def _too_many_rows(doc):
+    """d_ff + 1 MLP rows of consistent shapes in one layer."""
+    layer, d, d_ff = _first_with(doc, "w1"), doc["dims"]["d"], doc["dims"]["d_ff"]
+    extra = d_ff + 1 - len(layer["bias4"])
+    layer["w1"] += [[0] * d for _ in range(extra)]
+    layer["bias4"] += [0] * extra
+    for row in layer["w2"]:
+        row += [0] * extra
+
+
 @pytest.mark.parametrize(
     "corrupt",
     [
@@ -351,6 +381,11 @@ def _meta_r_differs(doc):
         _fractional_code,
         _boolean_code,
         _meta_r_differs,
+        _min_int8_w1,
+        _min_int8_emb,
+        _min_int32_bias4,
+        _infinite_scale,
+        _too_many_rows,
     ],
 )
 def test_params_from_json_rejects_contract_violations(corrupt):
