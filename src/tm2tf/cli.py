@@ -227,10 +227,17 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_validate(args) -> int:
+    from .automata import Dfa
+
     cfg = TrialConfig(step_cap=args.step_cap)
     if args.protocol == "dfa":
         dfas = [load_machine(p) for p in args.dfa] if args.dfa else acceptance_dfas()
-        report = validate_dfa(dfas, r=args.r, max_len=args.max_len)
+        if not all(isinstance(dfa, Dfa) for dfa in dfas):
+            raise CliError("usage error: --dfa expects DFA specs")
+        try:
+            report = validate_dfa(dfas, r=args.r, max_len=args.max_len)
+        except ValueError as exc:
+            raise CliError(f"usage error: {exc}") from exc
     else:
         report = validate_trials(args.protocol, _MODES[args.mode], args.seed, args.trials, cfg)
     if args.out:
@@ -301,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--machine", "--dfa", "--tm", dest="machine", required=True)
         p.add_argument(
-            "--r", type=int if name == "compile-dfa" else _even, required=True
+            "--r", type=_at_least(1) if name == "compile-dfa" else _even, required=True
         )
         p.add_argument("--out", required=True)
         p.add_argument("--report")

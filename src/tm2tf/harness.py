@@ -226,14 +226,12 @@ def attention_rounding_bound_violations(
     """
     violations = 0
     for lt in trace.layers:
-        for q, dots in zip(lt.q, lt.dots):
-            scores = dots / math.sqrt(q.shape[-1])
+        for i, dots in enumerate(lt.dots):  # the engine's softmax sums over keys <= i
+            scores = dots[..., : i + 1] / math.sqrt(lt.q.shape[-1])
             raw = softmax_weights(scores)
             rounded, _ = round_array(raw, att_fmt)
             err = np.abs(rounded - raw).sum(axis=-1)
-            bound = 2.0 ** (-att_fmt.mantissa_bits - 1) + dots.shape[-1] * np.exp(
-                -separation(scores)
-            )
+            bound = 2.0 ** (-att_fmt.mantissa_bits - 1) + (i + 1) * np.exp(-separation(scores))
             violations += int((err > bound + 1e-12).sum())
     return violations
 
@@ -413,7 +411,10 @@ def validate_dfa(dfas: list, r: int, max_len: int) -> ValidationReport:
 
     The words of each length run as one batch, whose trace is audited once;
     the invariants count per word, position and head, so the counts are
-    those of auditing every word on its own."""
+    those of auditing every word on its own. A word of length max_len and
+    its BOS must fit the 2^r positions."""
+    if max_len + 1 > 2 ** r:
+        raise ValueError(f"words up to length {max_len} need r >= {max_len.bit_length()}, got {r}")
     start = time.perf_counter()
     report = ValidationReport(name="dfa")
     cfg = EvalConfig(capture_trace=True)
@@ -457,8 +458,7 @@ def _denoising_margin_violations(hard_params, trace) -> int:
         processed = seg[:-1]  # the final stop token is never fed forward
         _, hard_trace = forward(hard_params, processed, hard_cfg)
         for hard_lt, conv_lt in zip(hard_trace.layers, ev_trace.layers[::2]):
-            hard = np.stack(hard_lt.x_mid)
-            dev = np.abs(np.stack(conv_lt.x_mid[: len(hard)]) - hard).max(axis=-1)
+            dev = np.abs(conv_lt.x_mid[: len(hard_lt.x_mid)] - hard_lt.x_mid).max(axis=-1)
             violations += int((dev > 0.25 + 1e-12).sum())
     return violations
 

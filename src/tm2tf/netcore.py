@@ -15,10 +15,11 @@ matmul, and one rounding call per quantity. Under hardmax, without rotary
 positions, a whole block of known tokens is one step, which is what lets
 generation verify a draft of expected tokens in one pass; softmax and
 rotary models step one position at a time, so their rounding and sums are
-those of plain incremental decoding. The trace keeps one entry per
-position: an (H, .) array for the head quantities q, k, v, dots and o, a
-vector for y, x_mid, hidden, x_out, each with a leading (B,) axis for a
-batch.
+those of plain incremental decoding. The trace holds one array per
+quantity whose first axis is position, with a (B,) axis after it for a
+batch: (P, H, .) for q, k, v and o, (P, H, P) for the causally masked dots,
+(P, d) or (P, m) for y, x_mid, hidden and x_out. They are views into
+buffers that grow with the KV cache, so `truncate` only re-slices them.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable
 
@@ -190,22 +191,28 @@ class EvalConfig:
             raise ValueError("hardmax evaluation is exact; finite precisions not allowed")
 
 
+def _no_positions() -> np.ndarray:
+    return np.empty(0)
+
+
 @dataclass
 class LayerTrace:
-    q: list[np.ndarray] = field(default_factory=list)  # [pos] -> (H, d_k)
-    k: list[np.ndarray] = field(default_factory=list)  # [pos] -> (H, d_k)
-    v: list[np.ndarray] = field(default_factory=list)  # [pos] -> (H, d_v)
-    dots: list[np.ndarray] = field(default_factory=list)  # [pos] -> (H, pos+1) q.k products
-    o: list[np.ndarray] = field(default_factory=list)  # [pos] -> (H, d_v)
-    y: list[np.ndarray] = field(default_factory=list)  # [pos] -> (d,)
-    x_mid: list[np.ndarray] = field(default_factory=list)
-    hidden: list[np.ndarray] = field(default_factory=list)  # [pos] -> (m,) MLP activations
-    x_out: list[np.ndarray] = field(default_factory=list)
+    """One layer's activations: first axis position, then (B,) for a batch."""
+
+    q: np.ndarray = field(default_factory=_no_positions)  # (P, H, d_k)
+    k: np.ndarray = field(default_factory=_no_positions)  # (P, H, d_k)
+    v: np.ndarray = field(default_factory=_no_positions)  # (P, H, d_v)
+    dots: np.ndarray = field(default_factory=_no_positions)  # (P, H, P) q.k, -inf past i
+    o: np.ndarray = field(default_factory=_no_positions)  # (P, H, d_v)
+    y: np.ndarray = field(default_factory=_no_positions)  # (P, d)
+    x_mid: np.ndarray = field(default_factory=_no_positions)  # (P, d)
+    hidden: np.ndarray = field(default_factory=_no_positions)  # (P, m) MLP activations
+    x_out: np.ndarray = field(default_factory=_no_positions)  # (P, d)
 
 
 @dataclass
 class ActivationTrace:
-    x0: list[np.ndarray] = field(default_factory=list)
+    x0: np.ndarray = field(default_factory=_no_positions)  # (P, d)
     layers: list[LayerTrace] = field(default_factory=list)
     output_scores: list[np.ndarray] = field(default_factory=list)  # per decoded step
     tie_warnings: int = 0
@@ -214,20 +221,17 @@ class ActivationTrace:
     def representation_arrays(self) -> Iterable[tuple[str, np.ndarray]]:
         """Every activation the ternary-activation definition quantifies over.
 
-        Each field is stacked over positions, so the last axis of every array
-        is one activation vector: (P, d) for x0, y, x_mid and x_out, (P, m)
-        for hidden, (P, H, d_k|d_v) for q, k, v and o, with a (B,) axis
-        after P for a batch. Raw MLP outputs are
+        The last axis of every array is one activation vector: (P, d) for
+        x0, y, x_mid and x_out, (P, m) for hidden, (P, H, d_k|d_v) for q, k,
+        v and o, with a (B,) axis after P for a batch. Raw MLP outputs are
         excluded: a zero-and-rewrite operation pair legitimately sums to +-2
         there, while the post-residual x stays ternary. Everything listed
         here must be exactly in {-1, 0, 1} on valid inputs of compiled models.
         """
-        if not self.x0:
-            return
-        yield "x0", np.stack(self.x0)
+        yield "x0", self.x0
         for li, lt in enumerate(self.layers):
             for name in ("q", "k", "v", "o", "y", "x_mid", "hidden", "x_out"):
-                yield f"L{li}.{name}", np.stack(getattr(lt, name))
+                yield f"L{li}.{name}", getattr(lt, name)
 
 
 def hardmax_weights(scores: np.ndarray) -> np.ndarray:
@@ -325,12 +329,22 @@ class Evaluator:
         # Per position: (B*H, d_k + d_v) rotated, scaled and rounded keys,
         # then values, of each sequence and head; (B, d) final
         # representations; the (d,) binary position code, zero off its
-        # coordinates. Grown by _reserve.
+        # coordinates; trace.saturations after it. With capture, the (B, .)
+        # rows of x0, then of each layer's traced quantities, dots as
+        # (B, H, positions) scores. Grown by _reserve.
         self._capacity = 0
         self._kv = [np.empty((0, n_seq * len(layer.heads), d_k + d_v)) for layer in params.layers]
         self._x = np.empty((0, n_seq, d))
         self._pos_codes = np.empty((0, d))
-        self._saturations: list[int] = []  # trace.saturations after each position
+        self._saturations = np.empty(0, np.int64)
+        self._traced: list[dict[str, np.ndarray]] = []
+        if cfg.capture_trace:
+            self._traced.append({"x0": np.empty((0, n_seq, d))})
+            for layer in params.layers:
+                h, m = len(layer.heads), layer.bias4.size
+                shapes = dict(q=(h, d_k), k=(h, d_k), v=(h, d_v), dots=(h, 0), o=(h, d_v))
+                shapes.update(y=(d,), x_mid=(d,), hidden=(m,), x_out=(d,))
+                self._traced.append({k: np.empty((0, n_seq, *v)) for k, v in shapes.items()})
         self._sqrt_dk = math.sqrt(d_k)
         self._rotary = pos if isinstance(pos, RotaryOnly) else None
         self._block = cfg.attention == "hardmax" and self._rotary is None
@@ -382,6 +396,7 @@ class Evaluator:
         else:
             for i in range(len(tokens)):
                 self._step(x[:, i : i + 1], start + i)
+        self._show(len(self.tokens))
 
     def truncate(self, n: int) -> None:
         """Drop positions >= n: their tokens, cache rows, final
@@ -392,12 +407,8 @@ class Evaluator:
         if n == len(self.tokens):
             return
         del self.tokens[n:]
-        del self._saturations[n:]
-        self.trace.saturations = self._saturations[-1] if n else 0
-        del self.trace.x0[n:]
-        for lt in self.trace.layers:
-            for f in fields(lt):
-                del getattr(lt, f.name)[n:]
+        self.trace.saturations = int(self._saturations[n - 1]) if n else 0
+        self._show(n)
 
     def _reserve(self, n: int) -> None:
         """Room for n positions, doubling the capacity (16 at least)."""
@@ -406,13 +417,19 @@ class Evaluator:
         while self._capacity < n:
             self._capacity = max(16, 2 * self._capacity)
 
-        def grown(a: np.ndarray) -> np.ndarray:
-            out = np.empty((self._capacity, *a.shape[1:]))
-            out[: len(a)] = a
+        def grown(a: np.ndarray, square: bool = False) -> np.ndarray:
+            """a with the new capacity on its first axis; a square score
+            buffer grows on its last axis too, with -inf in the new room."""
+            cap = self._capacity
+            shape = (cap, *a.shape[1:-1], cap) if square else (cap, *a.shape[1:])
+            out = np.full(shape, -np.inf) if square else np.empty(shape, a.dtype)
+            out[tuple(map(slice, a.shape))] = a
             return out
 
         self._kv = [grown(kv) for kv in self._kv]
         self._x = grown(self._x)
+        self._saturations = grown(self._saturations)
+        self._traced = [{k: grown(a, k == "dots") for k, a in t.items()} for t in self._traced]
         if self._coords:
             bits = (np.arange(self._capacity)[:, None] >> np.arange(len(self._coords))) & 1
             self._pos_codes = np.zeros((self._capacity, self._x.shape[-1]))
@@ -438,16 +455,10 @@ class Evaluator:
         # key j is in the future of query row i when j > start + i
         future = np.arange(n) > np.arange(start, n)[:, None] if n_new > 1 else None
 
-        def per_position(a: np.ndarray) -> list[np.ndarray]:
-            """Trace entries of (P*B, ...) rows: P arrays, with the batch axis
-            only for a batch."""
-            a = a.reshape(n_new, n_seq, *a.shape[1:])
-            return list(a[:, 0]) if self.batch is None else list(a)
-
         x = rnd(x.swapaxes(0, 1).reshape(n_new * n_seq, d), act)
         if capture:
-            self.trace.x0 += per_position(x)
-        for (n_heads, wqkv, wo, w1, bias, w2), kv, lt in zip(self._w, self._kv, self.trace.layers):
+            self._traced[0]["x0"][start:n] = x.reshape(n_new, n_seq, d)
+        for li, ((n_heads, wqkv, wo, w1, bias, w2), kv) in enumerate(zip(self._w, self._kv)):
             qkv = x.dot(wqkv).reshape(n_new * n_seq, n_heads, 2 * d_k + d_v)  # q, k, v per head
             if rotary is not None:  # one position per step
                 qkv[..., :d_k] = rope_rotate(qkv[..., :d_k], start, rotary.freqs)
@@ -469,8 +480,8 @@ class Evaluator:
             else:
                 # Sum over the argmax set, then divide once: exact for
                 # the integer-valued activations of compiled models.
-                scores = dots if future is None else np.where(future, -np.inf, dots)
-                mask = scores == scores.max(axis=-1, keepdims=True)
+                dots = dots if future is None else np.where(future, -np.inf, dots)
+                mask = dots == dots.max(axis=-1, keepdims=True)
                 o = (mask.astype(np.float64) @ values) / mask.sum(axis=-1, keepdims=True)
             # (P, B, H, d_v) head outputs
             o = rnd(o.reshape(n_seq, n_heads, n_new, d_v).transpose(2, 0, 1, 3), act)
@@ -480,20 +491,23 @@ class Evaluator:
             hidden += bias
             hidden = rnd(np.maximum(hidden, 0.0, out=hidden), act)
             x = rnd(x_mid + rnd(hidden.dot(w2), act), act)
-            if capture:
-                lt.q += per_position(qkv[..., :d_k])
-                lt.k += per_position(qkv[..., d_k : 2 * d_k])
-                lt.v += per_position(qkv[..., 2 * d_k :])
+            if capture:  # (P*B, ...) rows, position-major
+                bufs = self._traced[li + 1]
+                new = dict(q=qkv[..., :d_k], k=qkv[..., d_k : 2 * d_k], v=qkv[..., 2 * d_k :])
+                new.update(o=o, y=y, x_mid=x_mid, hidden=hidden, x_out=x)
+                for name, a in new.items():
+                    bufs[name][start:n] = a.reshape(n_new, *bufs[name].shape[1:])
                 dots = dots.reshape(n_seq, n_heads, n_new, n).transpose(2, 0, 1, 3)
-                dots = dots.reshape(n_new * n_seq, n_heads, n)
-                lt.dots += [row[..., : start + i + 1] for i, row in enumerate(per_position(dots))]
-                lt.o += per_position(o.reshape(n_new * n_seq, n_heads, d_v))
-                lt.y += per_position(y)
-                lt.x_mid += per_position(x_mid)
-                lt.hidden += per_position(hidden)
-                lt.x_out += per_position(x)
+                bufs["dots"][start:n, ..., :n] = dots
         self._x[start:n] = x.reshape(n_new, n_seq, d)
-        self._saturations += [self.trace.saturations] * n_new
+        self._saturations[start:n] = self.trace.saturations
+
+    def _show(self, n: int) -> None:
+        """Point a captured trace at the first n positions of its buffers."""
+        pick = 0 if self.batch is None else slice(None)
+        for target, bufs in zip([self.trace, *self.trace.layers], self._traced):
+            for name, buf in bufs.items():
+                setattr(target, name, buf[:n, pick, ..., :n] if name == "dots" else buf[:n, pick])
 
     # -- outputs ------------------------------------------------------------
 

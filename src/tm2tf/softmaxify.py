@@ -198,27 +198,21 @@ def trace_invariant_violations(traces: list[ActivationTrace]) -> dict[str, int]:
 def _score_row_violations(lt: LayerTrace) -> tuple[int, int]:
     """(score_gap, tie_values) counts over one layer's (position, head) score
     rows; a batch trace's rows are (position, sequence, head)."""
-    n = len(lt.dots)
-    if n == 0:
+    if lt.dots.size == 0:
         return 0, 0
-    rows = lt.dots[0].size  # heads, or sequences times heads
+    n = len(lt.dots)
     # dots[i, h, j]: row h of position i against key j <= i; -inf past i
-    dots = np.full((n, rows, n), -np.inf)
-    for i, row in enumerate(lt.dots):
-        dots[i, :, : i + 1] = row.reshape(rows, i + 1)
-    valid = np.tri(n, dtype=bool)[:, None, :]
+    dots = lt.dots.reshape(n, -1, n)
     integral = np.all(dots == np.rint(dots), axis=-1)
     best = dots.max(axis=-1, keepdims=True)
-    tied = valid & (dots == best)
+    tied = dots == best
     gap = best[..., 0] - np.where(tied, -np.inf, dots).max(axis=-1) < 1.0  # inf if all tie
     # Tied keys of one row must carry the value of its first tied key.
-    values = np.stack(lt.v).reshape(n, rows, lt.v[0].shape[-1])  # (n, rows, d_v)
+    values = lt.v.reshape(*dots.shape[:2], lt.v.shape[-1])  # (n, rows, d_v)
     first = tied.argmax(axis=-1)
     i, h, j = np.nonzero(tied & (integral & (tied.sum(axis=-1) > 1))[..., None])
     differs = np.any(values[j, h] != values[first[i, h], h], axis=-1)
-    tie_rows = np.zeros(integral.shape, dtype=bool)
-    tie_rows[i[differs], h[differs]] = True
-    return int((~integral | gap).sum()), int(tie_rows.sum())
+    return int((~integral | gap).sum()), len(set(zip(i[differs], h[differs])))
 
 
 def audit_hardmax_preconditions(

@@ -209,8 +209,8 @@ def test_criterion_11_rope_prefix():
             assert got == bin_pm1(r, i), (r, i)
         d_k = params.dims.d_k
         for lt in trace.layers:
-            for h in range(len(lt.dots)):
-                for dots in lt.dots[h]:
+            for i, row in enumerate(lt.dots):
+                for dots in row[..., : i + 1]:
                     if dots.size == 0 or not dots.any():
                         continue
                     best = dots.max()

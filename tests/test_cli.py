@@ -198,6 +198,16 @@ def test_validate_dfa_cli(tmp_path, capsys):
     assert rep["mismatches"] == []
 
 
+def test_validate_dfa_cli_refuses_words_longer_than_the_context(capsys):
+    assert main(["validate", "--protocol", "dfa", "--r", "2", "--max-len", "5"]) == 2
+    assert "usage error" in capsys.readouterr().err
+
+
+def test_validate_dfa_cli_refuses_a_turing_machine(tm_file, capsys):
+    assert main(["validate", "--protocol", "dfa", "--dfa", tm_file]) == 2
+    assert "usage error" in capsys.readouterr().err
+
+
 def test_validate_cot_cli(tmp_path):
     code = main(
         ["validate", "--protocol", "cot", "--seed", "3", "--trials", "10", "--step-cap", "25"]
@@ -294,6 +304,7 @@ def test_bad_model_file_exit_code(command, dfa_file, tmp_path, capsys):
         ["run-cot", "--model", "model.json", "--budget", "-1"],
         ["convert", "--model", "model.json", "--mode", "scaled", "--c", "2", "--N", "0",
          "--out", "out.json"],
+        ["compile-dfa", "--dfa", "dfa.json", "--r", "0", "--out", "model.json"],
     ],
 )
 def test_cli_rejects_sizes_below_minimum(argv):

@@ -144,10 +144,9 @@ def test_saturations_reach_the_generation_trace(runner):
 # drafts: a draft of expected tokens saves work and never changes a run
 
 
-def _assert_same_arrays(xs, ys, what):
-    assert len(xs) == len(ys), what
-    for x, y in zip(xs, ys):
-        assert x.shape == y.shape and x.tobytes() == y.tobytes(), what
+def _assert_same_arrays(x, y, what):
+    x, y = np.asarray(x), np.asarray(y)
+    assert x.shape == y.shape and x.tobytes() == y.tobytes(), what
 
 
 def assert_same_run(a, b, label=""):

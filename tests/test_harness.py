@@ -65,6 +65,13 @@ def test_validate_dfa():
     assert not any(report.violations.values())
 
 
+def test_validate_dfa_refuses_words_longer_than_the_context():
+    """A word of length n takes n + 1 positions with its BOS; r = 2 has 4."""
+    assert validate_dfa([parity_dfa()], r=2, max_len=3).checked == sum(2 ** n for n in range(4))
+    with pytest.raises(ValueError, match="r >= 3"):
+        validate_dfa([parity_dfa()], r=2, max_len=4)
+
+
 def test_validate_softmax_scaled_small():
     report = validate_softmax("scaled_only", seed=5, trials=12, cfg=FAST)
     assert report.mismatches == []

@@ -457,8 +457,8 @@ def _assert_matches_reference(params, tokens, cfg, trace):
     reps, x_mid, x_out = _reference_forward(params, tokens, cfg)
     assert len(trace.layers) == len(x_mid)
     for li, lt in enumerate(trace.layers):
-        assert np.stack(lt.x_mid).tobytes() == x_mid[li].tobytes(), li
-        assert np.stack(lt.x_out).tobytes() == x_out[li].tobytes(), li
+        assert lt.x_mid.tobytes() == x_mid[li].tobytes(), li
+        assert lt.x_out.tobytes() == x_out[li].tobytes(), li
     return reps
 
 
@@ -587,14 +587,18 @@ def test_a_layer_without_heads_computes_no_attention_weights(monkeypatch):
 
 
 def _digest(reps: np.ndarray, trace) -> str:
-    """sha256 over the bytes of final representations and every trace field."""
+    """sha256 over the bytes of final representations and every trace field,
+    position by position, with the scores of position i up to key i."""
     import hashlib
 
     h = hashlib.sha256()
     arrays = [reps, *trace.x0, *trace.output_scores]
     for lt in trace.layers:
         for f in dataclasses.fields(lt):
-            arrays += getattr(lt, f.name)
+            rows = list(getattr(lt, f.name))
+            if f.name == "dots":
+                rows = [row[..., : i + 1] for i, row in enumerate(rows)]
+            arrays += rows
     for a in arrays:
         h.update(f"{a.dtype}{a.shape}".encode())
         h.update(np.ascontiguousarray(a).tobytes())
@@ -721,18 +725,77 @@ def test_a_batch_equals_its_sequences_run_alone(attention):
         alone.extend(word)
         assert got[b] == alone.next_token()
         assert reps[b].tobytes() == alone.final_representations().tobytes()
-        row = [a[b] for a in batch.trace.x0]
-        _assert_same_entries(row, alone.trace.x0)
-        _assert_same_entries([a[b] for a in batch.trace.output_scores], alone.trace.output_scores)
+        _assert_same_array(batch.trace.x0[:, b], alone.trace.x0)
+        _assert_same_array(np.array(batch.trace.output_scores)[:, b], alone.trace.output_scores)
         for lb, la in zip(batch.trace.layers, alone.trace.layers):
             for f in dataclasses.fields(lb):
-                _assert_same_entries([a[b] for a in getattr(lb, f.name)], getattr(la, f.name))
+                _assert_same_array(getattr(lb, f.name)[:, b], getattr(la, f.name))
 
 
-def _assert_same_entries(xs, ys):
-    assert len(xs) == len(ys)
-    for x, y in zip(xs, ys):
-        assert x.shape == y.shape and x.tobytes() == y.tobytes()
+def _assert_same_array(x, y):
+    x, y = np.asarray(x), np.asarray(y)
+    assert x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def _trace_fields(trace) -> dict[str, np.ndarray]:
+    fields = {"x0": trace.x0}
+    for li, lt in enumerate(trace.layers):
+        fields.update({f"L{li}.{f.name}": getattr(lt, f.name) for f in dataclasses.fields(lt)})
+    return fields
+
+
+@pytest.mark.parametrize("case", ["block", "stepped", "batched", "truncated"])
+def test_trace_fields_are_position_arrays(case):
+    """Every trace field is a (P, ...) array, (P, B, ...) for a batch, and
+    dots holds each position's scores up to itself, then -inf."""
+    from machines import contains_ab_dfa
+
+    from tm2tf.automata import BOS
+    from tm2tf.compilers import compile_dfa
+    from tm2tf.softmaxify import scale_qk
+
+    params, _ = compile_dfa(contains_ab_dfa(), 5)
+    cfg = EvalConfig(capture_trace=True)
+    if case == "stepped":  # softmax steps one position at a time
+        params, cfg = scale_qk(params, 4.0), EvalConfig("softmax", capture_trace=True)
+    word = [BOS, *"abbab" * 4]  # more positions than the first buffers hold
+    ev = Evaluator(params, cfg, batch=2 if case == "batched" else None)
+    trace = ev.trace
+    if case == "batched":
+        ev.extend(zip(word, [BOS, *"babba" * 4]))
+    elif case == "truncated":
+        ev.extend(word[:3] + ["b"] * 4)
+        ev.truncate(3)
+        assert ev.trace is trace
+        assert {len(a) for a in _trace_fields(trace).values()} == {3}
+        ev.extend(word[3:])
+    else:
+        ev.extend(word)
+    assert ev.trace is trace
+    n = len(ev.tokens)
+    lead = (n, ev.batch) if ev.batch else (n,)
+    for name, a in _trace_fields(trace).items():
+        assert a.shape[: len(lead)] == lead, name
+    for lt in trace.layers:
+        assert lt.dots.shape[-1] == n
+        for i, row in enumerate(lt.dots):
+            assert np.isfinite(row[..., : i + 1]).all()
+            assert (row[..., i + 1 :] == -np.inf).all()
+    ev.truncate(0)
+    assert ev.trace is trace and len(trace.x0) == 0
+
+
+def test_no_trace_buffers_without_capture():
+    from machines import contains_ab_dfa
+
+    from tm2tf.automata import BOS
+    from tm2tf.compilers import compile_dfa
+
+    ev = Evaluator(compile_dfa(contains_ab_dfa(), 3)[0], EvalConfig())
+    ev.extend([BOS, *"abba"])
+    ev.truncate(2)
+    assert ev._traced == []
+    assert all(a.size == 0 for a in _trace_fields(ev.trace).values())
 
 
 def _saturating_softmax_case():

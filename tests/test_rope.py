@@ -44,8 +44,8 @@ def test_rope_score_separation(r):
     _, trace = forward(params, tokens, EvalConfig(capture_trace=True))
     min_sep = math.inf
     for lt in trace.layers:
-        for h in range(len(lt.dots)):
-            for dots in lt.dots[h]:
+        for i, row in enumerate(lt.dots):
+            for dots in row[..., : i + 1]:
                 if dots.size == 0 or not dots.any():
                     continue  # zero-padding head
                 best = dots.max()
