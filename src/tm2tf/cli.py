@@ -23,16 +23,7 @@ from .harness import (
     validate_trials,
 )
 from .netcore import EvalConfig, load_model, save_model
-from .softmaxify import (
-    act_format_containing,
-    c0_denoising,
-    c0_exact_attention,
-    convert_with_denoising,
-    min_att_exponent_bits,
-    next_pow2_at_least,
-    scale_qk,
-    theorem_c,
-)
+from .softmaxify import c0_denoising, c0_exact_attention, convert, next_pow2_at_least
 
 # CLI --mode values -> the mode names of softmaxify and the harness
 _MODES = {"hardmax": "hardmax", "scaled": "scaled_only", "denoised": "denoised"}
@@ -174,25 +165,16 @@ def _cmd_convert(args) -> int:
         if r is None:
             raise CliError("usage error: model has no r; pass --N explicitly")
         context_bound = 2 ** r
-    extra = ""
     try:
-        if args.c == "auto":
-            c = theorem_c(_MODES[args.mode], params.dims, context_bound)
-        else:
-            c = float(args.c)
-        if args.mode == "scaled":
-            converted = scale_qk(params, c)
-        else:
-            converted = convert_with_denoising(params, c)
-            fmt = act_format_containing(c)
-            extra = (
-                f" act>=custom:{fmt.mantissa_bits},{fmt.exponent_bits}"
-                f" att>=custom:4,{min_att_exponent_bits(context_bound)}"
-            )
+        c = None if args.c == "auto" else float(args.c)
+        converted, cfg = convert(params, _MODES[args.mode], context_bound, c)
     except ValueError as exc:
         raise CliError(f"usage error: {exc}") from exc
     _save_model(converted, args.out)
-    print(f"converted mode={args.mode} c={c} N={context_bound}{extra} -> {args.out}")
+    extra = f" act>={cfg.act_precision} att>={cfg.att_precision}" if args.mode == "denoised" else ""
+    print(
+        f"converted mode={args.mode} c={converted.qk_scale} N={context_bound}{extra} -> {args.out}"
+    )
     return 0
 
 
@@ -231,6 +213,8 @@ def _cmd_validate(args) -> int:
 
     cfg = TrialConfig(step_cap=args.step_cap)
     if args.protocol == "dfa":
+        if args.mode != "hardmax":
+            raise CliError(f"usage error: the dfa protocol validates hardmax only, not {args.mode}")
         dfas = [load_machine(p) for p in args.dfa] if args.dfa else acceptance_dfas()
         if not all(isinstance(dfa, Dfa) for dfa in dfas):
             raise CliError("usage error: --dfa expects DFA specs")

@@ -160,7 +160,7 @@ def round_array(x: np.ndarray, fmt: FloatFormat) -> tuple[np.ndarray, int]:
     clipped = np.abs(y) > fmt.max_value
     if over.any() or clipped.any():
         y = np.where(over | clipped, np.copysign(fmt.max_value, x), y)
-    y = np.where(x == 0.0, 0.0, y)
+    y = np.where(y == 0.0, 0.0, y)  # +0.0, as round_nearest_info gives
     return y, int(np.count_nonzero(over))
 
 

@@ -7,7 +7,8 @@ softmax) and compares greedy generation against the direct simulation
 token for token. Every checked trial also checks the length bounds;
 hardmax trials audit the construction invariants (ternary activations,
 integer score gaps, tie-invariant values, unit output-score gaps) and
-denoised trials the pre-denoising margin.
+denoised trials the pre-denoising margin and the attention-weight rounding
+bound.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import itertools
 import math
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import numpy as np
@@ -40,7 +41,7 @@ from .compilers import (
     compile_scot,
 )
 from .compilers.tm import _tm_widths
-from .fpcore import FloatFormat, Precision, round_array
+from .fpcore import FloatFormat, round_array
 from .generation import run_cot, run_scot
 from .netcore import (
     ActivationTrace,
@@ -51,14 +52,7 @@ from .netcore import (
     separation,
     softmax_weights,
 )
-from .softmaxify import (
-    act_format_containing,
-    convert_with_denoising,
-    min_att_exponent_bits,
-    scale_qk,
-    theorem_c,
-    trace_invariant_violations,
-)
+from .softmaxify import convert, trace_invariant_violations
 
 __all__ = [
     "ValidationReport",
@@ -286,31 +280,6 @@ def _segment_divergence(expected: list[list[str]], got: list[list[str]]) -> dict
     return info
 
 
-def _converted(mode: str, params, comp_report) -> tuple:
-    """The model a trial runs in `mode`, with its evaluation settings.
-
-    "hardmax": the compiled model, exact and traced for the invariant audit.
-    "scaled_only": c from the exact-attention bound, bf16 activations, exact
-    attention weights. "denoised": the depth-doubled model, c from the
-    denoising bound, 1-mantissa-bit activations containing c, attention
-    weights rounded to 4 mantissa bits, traced for the margin audit.
-    """
-    if mode == "hardmax":
-        return params, EvalConfig(capture_trace=True)
-    n_bound = 2 ** comp_report.r
-    c = theorem_c(mode, comp_report.dims, n_bound)
-    if mode == "scaled_only":
-        return scale_qk(params, c), EvalConfig(
-            attention="softmax", act_precision=Precision(FloatFormat(7, 8))
-        )
-    return convert_with_denoising(params, c), EvalConfig(
-        attention="softmax",
-        act_precision=Precision(act_format_containing(c)),
-        att_precision=Precision(FloatFormat(4, min_att_exponent_bits(n_bound))),
-        capture_trace=True,
-    )
-
-
 def validate_trials(
     protocol: str, mode: str, seed: int, trials: int, cfg: TrialConfig = TrialConfig()
 ) -> ValidationReport:
@@ -319,8 +288,9 @@ def validate_trials(
     protocol "cot" compares the one CoT segment token for token, "scot"
     every segment. mode "hardmax" runs the compiled model and audits its
     construction invariants; "scaled_only" and "denoised" run its softmax
-    conversion at theorem settings (see `_converted`), and "denoised"
-    audits the pre-denoising margin against the hardmax model. The
+    conversion at theorem settings (see `softmaxify.convert`), and
+    "denoised" audits the pre-denoising margin against the hardmax model
+    and the attention-weight rounding error against its bound. The
     oracle's segments are passed as the draft, which changes no result:
     under hardmax a right model is verified in one block step per segment.
     """
@@ -365,8 +335,10 @@ def validate_trials(
             report.skipped += 1
             trial["status"] = "skipped-r-too-small"
             continue
-        hard_params, comp_report = (compile_cot if cot else compile_scot)(tm, r)
-        params, run_cfg = _converted(mode, hard_params, comp_report)
+        hard_params, _ = (compile_cot if cot else compile_scot)(tm, r)
+        params, run_cfg = convert(hard_params, mode, 2 ** r)
+        # hardmax and denoised runs are traced for their audits
+        run_cfg = replace(run_cfg, capture_trace=mode != "scaled_only")
         if mode != "hardmax":
             trial["c"] = params.qk_scale
         trace = (run_cot if cot else run_scot)(params, word, run_cfg, draft=expected)
@@ -389,9 +361,14 @@ def validate_trials(
         if mode == "hardmax":
             _merge_violations(report.violations, trace_invariant_violations(trace.eval_traces))
         elif mode == "denoised":
-            margin = _denoising_margin_violations(hard_params, trace)
-            if margin:
-                _merge_violations(report.violations, {"denoising_margin": margin})
+            att_fmt = run_cfg.att_precision.fmt
+            audits = {
+                "denoising_margin": _denoising_margin_violations(hard_params, trace),
+                "attention_rounding": sum(
+                    attention_rounding_bound_violations(t, att_fmt) for t in trace.eval_traces
+                ),
+            }
+            _merge_violations(report.violations, {k: n for k, n in audits.items() if n})
     report.wall_time = time.perf_counter() - start
     return report
 

@@ -138,8 +138,12 @@ class TransformerParams:
             raise ValueError("vocabulary tokens must be unique")
         pos = self.positional
         if isinstance(pos, BinaryAbsolute):
-            if not all(0 <= c < d for c in pos.coords):
-                raise ValueError(f"positional coordinates must lie in [0, {d})")
+            if type(pos.r) is not int or pos.r < 1:
+                raise ValueError(f"positional r must be an integer >= 1, got {pos.r!r}")
+            if len(pos.coords) != pos.r or len(set(pos.coords)) != pos.r:
+                raise ValueError(f"positional coordinates must be {pos.r} distinct registers")
+            if not all(type(c) is int and 0 <= c < d for c in pos.coords):
+                raise ValueError(f"positional coordinates must be integers in [0, {d})")
             if self.meta.get("r", pos.r) != pos.r:
                 raise ValueError(f"meta.r = {self.meta['r']} but positional.r = {pos.r}")
         if len(self.layers) != dims.n_layers:
@@ -592,7 +596,9 @@ def _pos_from_json(doc: dict):
         return BinaryAbsolute(doc["r"], tuple(doc["coords"]))
     if doc["kind"] == "rotary":
         return RotaryOnly(tuple(float.fromhex(f) for f in doc["freqs"]))
-    return NoPositional()
+    if doc["kind"] == "none":
+        return NoPositional()
+    raise ValueError(f"unknown positional kind {doc['kind']!r}")
 
 
 def _header_to_json(params: TransformerParams) -> dict:

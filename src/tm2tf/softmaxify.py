@@ -15,7 +15,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .fpcore import FloatFormat, is_representable
+from .fpcore import PRESETS, FloatFormat, Precision, is_representable
 from .gadgets import denoising_neurons, mlp_weights
 from .netcore import (
     ActivationTrace,
@@ -37,9 +37,9 @@ __all__ = [
     "next_pow2_at_least",
     "act_format_containing",
     "convert_with_denoising",
+    "convert",
     "trace_invariant_violations",
     "audit_hardmax_preconditions",
-    "minimal_c_search",
 ]
 
 _CERTIFIED_SOURCES = {"compile_dfa", "compile_cot", "compile_scot", "rope_prefix"}
@@ -171,6 +171,35 @@ def convert_with_denoising(
     return out
 
 
+def convert(
+    params: TransformerParams, mode: str, context_bound: int, c: float | None = None
+) -> tuple[TransformerParams, EvalConfig]:
+    """The model and evaluation settings of one conversion mode.
+
+    "hardmax": the model itself, evaluated exactly. "scaled_only":
+    `scale_qk`, softmax attention with bf16 activations and exact attention
+    weights. "denoised": `convert_with_denoising`, softmax attention with
+    1-mantissa-bit activations containing c and attention weights with 4
+    mantissa bits and enough exponent bits for 1/context_bound. c defaults
+    to `theorem_c`. The settings never capture a trace.
+    """
+    if mode == "hardmax":
+        return params, EvalConfig()
+    if mode not in ("scaled_only", "denoised"):
+        raise ValueError("mode must be hardmax, scaled_only or denoised")
+    if c is None:
+        c = theorem_c(mode, params.dims, context_bound)
+    if mode == "scaled_only":
+        return scale_qk(params, c), EvalConfig(
+            attention="softmax", act_precision=Precision(PRESETS["bf16"])
+        )
+    return convert_with_denoising(params, c), EvalConfig(
+        attention="softmax",
+        act_precision=Precision(act_format_containing(c)),
+        att_precision=Precision(FloatFormat(4, min_att_exponent_bits(context_bound))),
+    )
+
+
 def trace_invariant_violations(traces: list[ActivationTrace]) -> dict[str, int]:
     """Count construction-invariant violations over hardmax evaluator traces.
 
@@ -184,7 +213,7 @@ def trace_invariant_violations(traces: list[ActivationTrace]) -> dict[str, int]:
     out = {"ternary": 0, "score_gap": 0, "tie_values": 0, "output_gap": 0}
     for trace in traces:
         for _, arr in trace.representation_arrays():
-            out["ternary"] += int(np.any(~np.isin(arr, (-1.0, 0.0, 1.0)), axis=-1).sum())
+            out["ternary"] += int(np.any((arr != 0.0) & (np.abs(arr) != 1.0), axis=-1).sum())
         for lt in trace.layers:
             score_gap, tie_values = _score_row_violations(lt)
             out["score_gap"] += score_gap
@@ -246,40 +275,3 @@ def audit_hardmax_preconditions(
             if count:
                 problems.append(f"{key}: {count} violations on {tokens[:8]}...")
     return problems
-
-
-def minimal_c_search(
-    params: TransformerParams,
-    reference_tokens: list[list[str]],
-    cfg: EvalConfig,
-    c_max: float = 2.0 ** 12,
-) -> float:
-    """Diagnostic only: smallest power-of-two c that keeps all generations.
-
-    Bisects over powers of two comparing next-token outputs against the
-    hardmax model position by position. Makes no theoretical guarantee.
-    """
-    hard_cfg = EvalConfig(attention="hardmax")
-
-    def agrees(c: float) -> bool:
-        scaled = scale_qk(params, c)
-        for tokens in reference_tokens:
-            ev_h = Evaluator(params, hard_cfg)
-            ev_s = Evaluator(scaled, cfg)
-            for t in range(1, len(tokens)):
-                ev_h.extend([tokens[t - 1]])
-                ev_s.extend([tokens[t - 1]])
-                if ev_h.next_token() != ev_s.next_token():
-                    return False
-        return True
-
-    lo, hi = 0, int(math.log2(c_max))
-    if not agrees(2.0 ** hi):
-        raise ConversionError(f"even c = {c_max} does not reproduce the hardmax tokens")
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if agrees(2.0 ** mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    return 2.0 ** hi

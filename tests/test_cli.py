@@ -208,6 +208,12 @@ def test_validate_dfa_cli_refuses_a_turing_machine(tm_file, capsys):
     assert "usage error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mode", ["scaled", "denoised"])
+def test_validate_dfa_cli_refuses_a_softmax_mode(mode, capsys):
+    assert main(["validate", "--protocol", "dfa", "--mode", mode]) == 2
+    assert "usage error" in capsys.readouterr().err
+
+
 def test_validate_cot_cli(tmp_path):
     code = main(
         ["validate", "--protocol", "cot", "--seed", "3", "--trials", "10", "--step-cap", "25"]
@@ -273,6 +279,16 @@ def _model_file_cases(tmp_path, dfa_file):
     doc = json.loads(model.read_text())
     doc["qk_scale"] = "inf"
     files["inf-scale"] = json.dumps(doc)
+    doc = json.loads(model.read_text())
+    pos = doc["positional"]  # binary_absolute, r = 3
+    positional = {
+        "unknown-positional-kind": {**pos, "kind": "binary"},
+        "repeated-positional-coords": {**pos, "coords": [pos["coords"][0]] * pos["r"]},
+        "too-few-positional-coords": {**pos, "coords": pos["coords"][:-1]},
+        "fractional-positional-r": {**pos, "r": float(pos["r"])},
+    }
+    for name, value in positional.items():
+        files[name] = json.dumps({**doc, "positional": value})
     for name, text in files.items():
         (tmp_path / f"{name}.json").write_text(text)
     return [("missing", str(tmp_path / "missing.json"))] + [

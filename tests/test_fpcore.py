@@ -168,13 +168,17 @@ def test_vectorized_matches_scalar():
             rng.uniform(-10, 10, 500),
             rng.uniform(-1e-6, 1e-6, 200),
             rng.uniform(-1e6, 1e6, 200),
-            np.array([0.0, 1.0, -1.0, 0.5, 2.0 ** -20, 3.5e5]),
+            np.array([0.0, -0.0, 1.0, -1.0, 0.5, 2.0 ** -20, 3.5e5]),
+            np.array([-0.1, -1e-30, -2.0 ** -40, -5e-324]),  # negatives that round to zero
         ]
     )
-    for fmt in [FloatFormat(1, 3), FloatFormat(4, 5), PRESETS["bf16"], PRESETS["fp16"]]:
+    for fmt in [
+        FloatFormat(1, 2), FloatFormat(1, 3), FloatFormat(4, 5), PRESETS["bf16"], PRESETS["fp16"]
+    ]:
         vec, _ = round_array(xs, fmt)
         for x, v in zip(xs, vec):
-            assert v == round_nearest(float(x), fmt)
+            # bytes, not ==, so that -0.0 and +0.0 differ
+            assert v.tobytes() == np.float64(round_nearest(float(x), fmt)).tobytes(), (x, fmt)
 
 
 def test_fp64_roundtrip_identity():

@@ -245,32 +245,14 @@ def test_a_draft_past_the_context_ends_at_the_budget():
 
 @pytest.mark.parametrize("mode", ["scaled_only", "denoised"])
 def test_a_draft_does_not_change_a_softmax_run(mode):
+    from dataclasses import replace
+
     from tm2tf.automata import cot_token_oracle
-    from tm2tf.fpcore import FloatFormat, Precision
-    from tm2tf.softmaxify import (
-        act_format_containing,
-        convert_with_denoising,
-        min_att_exponent_bits,
-        scale_qk,
-        theorem_c,
-    )
+    from tm2tf.softmaxify import convert
 
     r = 6
-    params, report = compile_cot(fig2_machine(), r)
-    c = theorem_c(mode, report.dims, 2 ** r)
-    if mode == "scaled_only":
-        params = scale_qk(params, c)
-        cfg = EvalConfig(
-            attention="softmax", act_precision=Precision(FloatFormat(7, 8)), capture_trace=True
-        )
-    else:
-        params = convert_with_denoising(params, c)
-        cfg = EvalConfig(
-            attention="softmax",
-            act_precision=Precision(act_format_containing(c)),
-            att_precision=Precision(FloatFormat(4, min_att_exponent_bits(2 ** r))),
-            capture_trace=True,
-        )
+    params, cfg = convert(compile_cot(fig2_machine(), r)[0], mode, 2 ** r)
+    cfg = replace(cfg, capture_trace=True)
     plain = run_cot(params, "ab", cfg, record_steps=True)
     expected = [cot_token_oracle(fig2_machine(), "ab", r)]
     assert plain.outcome == "output" and plain.segments == expected

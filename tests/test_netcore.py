@@ -466,29 +466,11 @@ def _softmax_case(mode: str):
     from machines import fig2_machine
 
     from tm2tf.compilers import compile_cot
-    from tm2tf.softmaxify import (
-        act_format_containing,
-        convert_with_denoising,
-        min_att_exponent_bits,
-        scale_qk,
-        theorem_c,
-    )
+    from tm2tf.softmaxify import convert
 
     r = 6
-    params, report = compile_cot(fig2_machine(), r)
-    if mode == "hardmax":
-        return params, EvalConfig(capture_trace=True)
-    c = theorem_c(mode, report.dims, 2 ** r)
-    if mode == "scaled_only":
-        return scale_qk(params, c), EvalConfig(
-            attention="softmax", act_precision=Precision(FloatFormat(7, 8)), capture_trace=True
-        )
-    return convert_with_denoising(params, c), EvalConfig(
-        attention="softmax",
-        act_precision=Precision(act_format_containing(c)),
-        att_precision=Precision(FloatFormat(4, min_att_exponent_bits(2 ** r))),
-        capture_trace=True,
-    )
+    params, cfg = convert(compile_cot(fig2_machine(), r)[0], mode, 2 ** r)
+    return params, dataclasses.replace(cfg, capture_trace=True)
 
 
 @pytest.mark.parametrize("mode", ["hardmax", "scaled_only", "denoised"])

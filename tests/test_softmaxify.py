@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from machines import fig2_machine, parity_dfa
 
 from tm2tf.automata import BOS, FALSE, TRUE, cot_token_oracle, dfa_accepts
 from tm2tf.compilers import choose_r_cot, compile_cot, compile_dfa
-from tm2tf.fpcore import PRESETS, FloatFormat, Precision
+from tm2tf.fpcore import PRESETS
 from tm2tf.generation import run_cot
 from tm2tf.netcore import EvalConfig, next_token
 from tm2tf.softmaxify import (
@@ -16,9 +17,9 @@ from tm2tf.softmaxify import (
     audit_hardmax_preconditions,
     c0_denoising,
     c0_exact_attention,
+    convert,
     convert_with_denoising,
     min_att_exponent_bits,
-    minimal_c_search,
     next_pow2_at_least,
     scale_qk,
 )
@@ -103,16 +104,8 @@ def test_scale_rejects_foreign_models():
 
 def test_dfa_scaled_softmax_bf16_matches_hardmax():
     dfa = parity_dfa()
-    params, report = compile_dfa(dfa, 3)
-    d = report.dims
-    c0 = c0_exact_attention(d.d, d.d_ff, d.d_k, d.n_layers, 2 ** 3)
-    c = next_pow2_at_least(c0)
-    scaled = scale_qk(params, c)
-    cfg = EvalConfig(
-        attention="softmax",
-        act_precision=Precision(PRESETS["bf16"]),
-        att_precision=Precision(),
-    )
+    params, _ = compile_dfa(dfa, 3)
+    scaled, cfg = convert(params, "scaled_only", 2 ** 3)
     import itertools
 
     for n in range(6):
@@ -125,15 +118,8 @@ def test_dfa_scaled_softmax_bf16_matches_hardmax():
 def test_cot_scaled_softmax_matches_oracle():
     tm = fig2_machine()
     r = choose_r_cot(7)
-    params, report = compile_cot(tm, r)
-    d = report.dims
-    c = next_pow2_at_least(c0_exact_attention(d.d, d.d_ff, d.d_k, d.n_layers, 2 ** r))
-    scaled = scale_qk(params, c)
-    cfg = EvalConfig(
-        attention="softmax",
-        act_precision=Precision(PRESETS["bf16"]),
-        att_precision=Precision(),
-    )
+    params, _ = compile_cot(tm, r)
+    scaled, cfg = convert(params, "scaled_only", 2 ** r)
     trace = run_cot(scaled, "aab", cfg)
     assert trace.segments[0] == cot_token_oracle(tm, "aab", r)
 
@@ -160,15 +146,8 @@ def test_convert_with_denoising_shapes():
 def test_denoised_cot_matches_oracle():
     tm = fig2_machine()
     r = choose_r_cot(7)
-    params, report = compile_cot(tm, r)
-    n_bound = 2 ** r
-    c = next_pow2_at_least(c0_denoising(report.dims.d_k, n_bound))
-    converted = convert_with_denoising(params, c)
-    cfg = EvalConfig(
-        attention="softmax",
-        act_precision=Precision(act_format_containing(c)),
-        att_precision=Precision(FloatFormat(4, min_att_exponent_bits(n_bound))),
-    )
+    params, _ = compile_cot(tm, r)
+    converted, cfg = convert(params, "denoised", 2 ** r)
     trace = run_cot(converted, "aab", cfg)
     assert trace.segments[0] == cot_token_oracle(tm, "aab", r)
     assert trace.outcome == "output" and trace.output == ["a", "c", "b"]
@@ -176,15 +155,8 @@ def test_denoised_cot_matches_oracle():
 
 def test_denoised_dfa_classifies_all_words():
     dfa = parity_dfa()
-    params, report = compile_dfa(dfa, 3)
-    n_bound = 2 ** 3
-    c = next_pow2_at_least(c0_denoising(report.dims.d_k, n_bound))
-    converted = convert_with_denoising(params, c)
-    cfg = EvalConfig(
-        attention="softmax",
-        act_precision=Precision(act_format_containing(c)),
-        att_precision=Precision(FloatFormat(4, min_att_exponent_bits(n_bound))),
-    )
+    params, _ = compile_dfa(dfa, 3)
+    converted, cfg = convert(params, "denoised", 2 ** 3)
     import itertools
 
     for n in range(8):
@@ -233,38 +205,42 @@ def test_trace_invariant_counts_on_a_broken_model():
     }
 
 
-def test_minimal_c_search_runs():
-    params, _ = compile_dfa(parity_dfa(), 2)
-    cfg = EvalConfig(attention="softmax", act_precision=Precision(PRESETS["bf16"]))
-    refs = [[BOS, "1", "1"], [BOS, "0"]]
-    c = minimal_c_search(params, refs, cfg, c_max=2.0 ** 10)
-    assert c <= 2.0 ** 10
-    # And the found c indeed reproduces hardmax outputs on the refs.
-    scaled = scale_qk(params, c)
-    for toks in refs:
-        for t in range(1, len(toks) + 1):
-            assert next_token(scaled, toks[:t], cfg) == next_token(params, toks[:t], EvalConfig())
-
-
 def test_attention_weight_rounding_bound_on_traces():
     from tm2tf.harness import attention_rounding_bound_violations
-    from tm2tf.softmaxify import min_att_exponent_bits
 
     tm = fig2_machine()
     r = choose_r_cot(7)
-    params, report = compile_cot(tm, r)
-    c = next_pow2_at_least(c0_denoising(report.dims.d_k, 2 ** r))
-    converted = convert_with_denoising(params, c)
-    att_fmt = FloatFormat(4, min_att_exponent_bits(2 ** r))
-    cfg = EvalConfig(
-        attention="softmax",
-        act_precision=Precision(act_format_containing(c)),
-        att_precision=Precision(att_fmt),
-        capture_trace=True,
-    )
-    trace = run_cot(converted, "aab", cfg)
+    params, _ = compile_cot(tm, r)
+    converted, cfg = convert(params, "denoised", 2 ** r)
+    att_fmt = cfg.att_precision.fmt
+    trace = run_cot(converted, "aab", replace(cfg, capture_trace=True))
     assert trace.outcome == "output"
     assert (
         sum(attention_rounding_bound_violations(t, att_fmt) for t in trace.eval_traces)
         == 0
     )
+
+
+def test_convert_settings_of_fig2_cot():
+    """The one literal statement of what each mode picks, for fig2 CoT at
+    r = 6 and N = 64."""
+    params, _ = compile_cot(fig2_machine(), 6)
+    hard, cfg = convert(params, "hardmax", 64)
+    assert hard is params and cfg == EvalConfig()
+    # mode: (c, layers, attention, activations, attention weights)
+    want = {
+        "scaled_only": (64.0, 23, "softmax", "custom:7,8", "exact"),
+        "denoised": (8.0, 46, "softmax", "custom:1,3", "custom:4,4"),
+    }
+    for mode, settings in want.items():
+        converted, cfg = convert(params, mode, 64)
+        assert not cfg.capture_trace
+        assert (
+            converted.qk_scale,
+            converted.dims.n_layers,
+            cfg.attention,
+            str(cfg.act_precision),
+            str(cfg.att_precision),
+        ) == settings, mode
+    with pytest.raises(ValueError):
+        convert(params, "scaled", 64)
