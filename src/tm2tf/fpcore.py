@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -140,28 +141,54 @@ def round_nearest(x: float, fmt: FloatFormat) -> float:
     return round_nearest_info(x, fmt)[0]
 
 
+@lru_cache(maxsize=None)
+def _round_constants(fmt: FloatFormat) -> tuple[int, int, float]:
+    """(mantissa_bits + 1, mantissa_bits - e_min, max_value) of a format,
+    computed once: the properties cost more per call than the rounding of a
+    small array."""
+    return fmt.mantissa_bits + 1, fmt.mantissa_bits - fmt.e_min, fmt.max_value
+
+
 def round_array(x: np.ndarray, fmt: FloatFormat) -> tuple[np.ndarray, int]:
     """Vectorized round_nearest over a float64 array.
 
     Returns (rounded array, number of saturated elements). Bit-for-bit
     identical to the scalar routine on every element.
+
+    One abs-max reduction does three jobs: NaN propagates through it and
+    +-inf reach it, so it finds non-finite inputs; it decides whether any
+    element saturates; and when none does, the clamp is skipped, as rounding
+    is monotone and max_value is an element, so |x| <= max_value gives
+    |y| <= max_value.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.size == 0:
         return x.copy(), 0
-    if not np.all(np.isfinite(x)):
-        raise ValueError("round_array requires finite inputs")
-    with np.errstate(over="ignore", invalid="ignore"):
-        _, e = np.frexp(x)
-        eff = np.clip(e - 1, fmt.e_min, fmt.e_max)
-        n = np.ldexp(x, fmt.mantissa_bits - eff)
-        y = np.ldexp(np.rint(n), eff - fmt.mantissa_bits)
-    over = np.abs(x) > fmt.max_value
-    clipped = np.abs(y) > fmt.max_value
-    if over.any() or clipped.any():
-        y = np.where(over | clipped, np.copysign(fmt.max_value, x), y)
-    y = np.where(y == 0.0, 0.0, y)  # +0.0, as round_nearest_info gives
-    return y, int(np.count_nonzero(over))
+    scalar = x.ndim == 0  # frexp of a 0-d array gives scalars, which take no out=
+    if scalar:
+        x = x.reshape(1)
+    shift_top, shift_min, max_value = _round_constants(fmt)
+    magnitude = np.abs(x)
+    top = magnitude.max()
+    saturated = 0
+    if not top <= max_value:
+        if not np.isfinite(top):
+            raise ValueError("round_array requires finite inputs")
+        saturated = int(np.count_nonzero(magnitude > max_value))
+        x = np.maximum(x, -max_value)
+        np.minimum(x, max_value, out=x)  # +-max_value round to themselves
+    # With x = m * 2^e (0.5 <= |m| < 1) and |x| <= max_value, the grid step
+    # is 2^(eff - mantissa_bits), eff = max(e - 1, e_min) <= e_max; scale it
+    # to 1 by 2^shift, shift = min(mantissa_bits + 1 - e, mantissa_bits - e_min).
+    _, shift = np.frexp(x)
+    np.subtract(shift_top, shift, out=shift)
+    np.minimum(shift, shift_min, out=shift)
+    y = np.ldexp(x, shift)
+    np.rint(y, out=y)  # ties to even, as round() in the scalar routine
+    np.negative(shift, out=shift)
+    np.ldexp(y, shift, out=y)  # both scalings are exact powers of 2
+    y += 0.0  # -0.0 becomes +0.0, as round_nearest_info gives
+    return (y.reshape(()) if scalar else y), saturated
 
 
 def is_representable(x: float, fmt: FloatFormat) -> bool:

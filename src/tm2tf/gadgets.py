@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, chain
 from typing import NamedTuple
 
 import numpy as np
@@ -505,12 +505,22 @@ def mlp_weights(neurons: Neurons, d: int) -> tuple[np.ndarray, np.ndarray, np.nd
     return w1, neurons.bias4.astype(np.int32), w2
 
 
-def _row_matrix(rows, n: int, d: int) -> np.ndarray:
-    """(n, d) weights whose row i sums the (coord, sign) pairs of rows[i]."""
-    w = np.zeros((n, d), dtype=np.int8)
-    for i, row in enumerate(rows):
-        for c, sign in row:
-            w[i, c] += sign
+def _head_weights(specs: list[HeadSpec], d_k: int, d_v: int, d: int) -> np.ndarray:
+    """(len(specs), 2 d_k + d_v, d) weights: the query, key and value rows
+    of each head stacked, row i summing the (coord, sign) pairs of its spec
+    row, filled by one scatter."""
+    offsets = (0, d_k, 2 * d_k)
+    entries = [
+        (h, at + i, c, sign)
+        for h, spec in enumerate(specs)
+        for at, rows in zip(offsets, (spec.q_rows, spec.k_rows, spec.v_rows))
+        for i, row in enumerate(rows)
+        for c, sign in row
+    ]
+    # fromiter over the flattened tuples: np.array(entries) would cost more than the rest
+    h, i, c, sign = np.fromiter(chain.from_iterable(entries), np.int64).reshape(-1, 4).T
+    w = np.zeros((len(specs), 2 * d_k + d_v, d), dtype=np.int8)
+    np.add.at(w, (h, i, c), sign.astype(np.int8))
     return w
 
 
@@ -692,18 +702,19 @@ class ModelBuilder:
             for c, v in values.items():
                 unemb[index[token], c] = v
 
+        d_k, d_v = dims.d_k, dims.d_v
+        specs = [spec for heads in self._heads for spec in heads]
+        for spec in specs:
+            if max(len(spec.q_rows), len(spec.k_rows)) > d_k or len(spec.v_rows) > d_v:
+                raise BuildError(f"head {spec.name} exceeds d_k/d_v")
+        qkv = iter(_head_weights(specs, d_k, d_v, d))
         layers = []
         for heads, ops in zip(self._heads, self._mlp_ops):
             head_params = []
-            for spec in heads:
-                if len(spec.q_rows) > dims.d_k or len(spec.v_rows) > dims.d_v:
-                    raise BuildError(f"head {spec.name} exceeds d_k/d_v")
-                wq = _row_matrix(spec.q_rows, dims.d_k, d)
-                wk = _row_matrix(spec.k_rows, dims.d_k, d)
-                wv = _row_matrix(spec.v_rows, dims.d_v, d)
-                wo = np.zeros((d, dims.d_v), dtype=np.int8)
+            for spec, w in zip(heads, qkv):
+                wo = np.zeros((d, d_v), dtype=np.int8)
                 wo[list(spec.out_coords), range(len(spec.out_coords))] = 1
-                head_params.append(HeadParams(wq, wk, wv, wo))
+                head_params.append(HeadParams(w[:d_k], w[d_k : 2 * d_k], w[2 * d_k :], wo))
             block = Neurons.join(op.neurons for op in ops)
             layers.append(LayerParams(head_params, *mlp_weights(block, d)))
 

@@ -33,7 +33,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .fpcore import EXACT, Precision, round_array
+from .fpcore import EXACT, FloatFormat, Precision, round_array
 
 __all__ = [
     "Dims",
@@ -130,9 +130,10 @@ class TransformerParams:
     def validate_weights(self) -> None:
         """Check the model contract: ternary embeddings and attention weights,
         MLP codes in {0,+-1,+-2}, biases in [-d-1, d+1], a positive finite
-        qk_scale, and every shape within the dims budgets (n_layers layers,
-        at most n_heads heads and d_ff MLP rows each). This is the one place
-        that states the contract; builders and loaders call it."""
+        qk_scale, at most d_k // 2 finite rotary frequencies, and every
+        shape within the dims budgets (n_layers layers, at most n_heads heads
+        and d_ff MLP rows each). This is the one place that states the
+        contract; builders and loaders call it."""
         dims, d, n_vocab = self.dims, self.dims.d, len(self.vocab)
         if len(set(self.vocab)) != n_vocab:
             raise ValueError("vocabulary tokens must be unique")
@@ -146,6 +147,14 @@ class TransformerParams:
                 raise ValueError(f"positional coordinates must be integers in [0, {d})")
             if self.meta.get("r", pos.r) != pos.r:
                 raise ValueError(f"meta.r = {self.meta['r']} but positional.r = {pos.r}")
+        if isinstance(pos, RotaryOnly):
+            if not all(type(f) is float and math.isfinite(f) for f in pos.freqs):
+                raise ValueError("rotary frequencies must be finite floats")
+            if len(pos.freqs) > dims.d_k // 2:
+                raise ValueError(
+                    f"{len(pos.freqs)} rotary frequencies, more than the "
+                    f"d_k // 2 = {dims.d_k // 2} coordinate pairs"
+                )
         if len(self.layers) != dims.n_layers:
             raise ValueError(f"{len(self.layers)} layers but dims.n_layers = {dims.n_layers}")
         # (name, array, shape, largest absolute code)
@@ -352,15 +361,16 @@ class Evaluator:
         self._sqrt_dk = math.sqrt(d_k)
         self._rotary = pos if isinstance(pos, RotaryOnly) else None
         self._block = cfg.attention == "hardmax" and self._rotary is None
-        self._exact = cfg.act_precision.exact and cfg.att_precision.exact
+        self._formats = cfg.act_precision.fmt, cfg.att_precision.fmt  # None: exact
         self.trace = ActivationTrace(layers=[LayerTrace() for _ in params.layers])
 
     # -- rounding helpers ---------------------------------------------------
 
-    def _round(self, x: np.ndarray, prec: Precision) -> np.ndarray:
-        if prec.exact or x.size == 0:
+    def _round(self, x: np.ndarray, fmt: FloatFormat | None) -> np.ndarray:
+        """x rounded to fmt, or x itself for exact arithmetic (fmt None)."""
+        if fmt is None or x.size == 0:
             return x
-        y, saturated = round_array(x, prec.fmt)
+        y, saturated = round_array(x, fmt)
         self.trace.saturations += saturated
         return y
 
@@ -454,8 +464,8 @@ class Evaluator:
         c = params.qk_scale
         d_k, d_v = params.dims.d_k, params.dims.d_v
         softmax_mode = cfg.attention == "softmax"
-        act = cfg.act_precision
-        rnd = _unrounded if self._exact else self._round
+        act, att = self._formats
+        rnd = _unrounded if act is None and att is None else self._round
         # key j is in the future of query row i when j > start + i
         future = np.arange(n) > np.arange(start, n)[:, None] if n_new > 1 else None
 
@@ -479,7 +489,7 @@ class Evaluator:
             if not n_heads:  # a layer without heads
                 o = np.empty((0, n_new, d_v))
             elif softmax_mode:
-                weights = rnd(softmax_weights(dots / self._sqrt_dk), cfg.att_precision)
+                weights = rnd(softmax_weights(dots / self._sqrt_dk), att)
                 o = weights @ values
             else:
                 # Sum over the argmax set, then divide once: exact for
@@ -560,7 +570,7 @@ class Evaluator:
         return self.next_tokens(position)[0]
 
 
-def _unrounded(x: np.ndarray, prec: Precision) -> np.ndarray:
+def _unrounded(x: np.ndarray, fmt: FloatFormat | None) -> np.ndarray:
     return x
 
 

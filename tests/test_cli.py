@@ -7,7 +7,8 @@ from machines import fig2_machine, parity_dfa
 
 from tm2tf.automata import dfa_to_json, tm_to_json
 from tm2tf.cli import main
-from tm2tf.netcore import load_model
+from tm2tf.compilers import build_rope_position_prefix
+from tm2tf.netcore import load_model, save_model
 
 
 @pytest.fixture
@@ -289,6 +290,14 @@ def _model_file_cases(tmp_path, dfa_file):
     }
     for name, value in positional.items():
         files[name] = json.dumps({**doc, "positional": value})
+    rope = tmp_path / "rope.json"
+    save_model(build_rope_position_prefix(3)[0], str(rope))
+    load_model(str(rope))  # the unedited rotary model is valid
+    doc = json.loads(rope.read_text())
+    freqs = doc["positional"]["freqs"]
+    rotary = {"nan-rotary-freqs": ["nan"] * len(freqs), "too-many-rotary-freqs": freqs * 20}
+    for name, value in rotary.items():
+        files[name] = json.dumps({**doc, "positional": {"kind": "rotary", "freqs": value}})
     for name, text in files.items():
         (tmp_path / f"{name}.json").write_text(text)
     return [("missing", str(tmp_path / "missing.json"))] + [

@@ -198,3 +198,77 @@ def test_parse_precision():
         parse_precision("custom:x,y")
     with pytest.raises(ValueError):
         parse_precision("fp128")
+
+
+def _elements(fmt: FloatFormat, binades) -> np.ndarray:
+    """Positive format elements of the given binades, built from integer
+    mantissas: None is the subnormal binade, k the normal binade [2^k, 2^(k+1))."""
+    mb = fmt.mantissa_bits
+    parts = []
+    for k in binades:
+        if k is None:
+            parts.append(np.ldexp(np.arange(1.0, 2.0 ** mb), fmt.e_min - mb))
+        else:
+            parts.append(np.ldexp(np.arange(2.0 ** mb, 2.0 ** (mb + 1)), k - mb))
+    return np.concatenate(parts)
+
+
+def _grid_points(fmt: FloatFormat, binades) -> np.ndarray:
+    """Every element of the binades, every midpoint between neighbouring
+    elements (the ties), both float64 neighbours of each, their negatives,
+    and the edge cases of the format and of float64."""
+    elems = np.concatenate([[0.0], _elements(fmt, binades)])
+    mids = elems[:-1] / 2 + elems[1:] / 2  # exact, and finite next to max_value
+    base = np.concatenate([elems, mids])
+    pos = np.concatenate([base, np.nextafter(base, np.inf), np.nextafter(base, -np.inf)])
+    top = fmt.max_value
+    edges = [top, np.nextafter(top, np.inf), 5e-324, 0.0, np.finfo(np.float64).max]
+    return np.concatenate([pos, -pos, edges, np.negative(edges)])
+
+
+def _assert_matches_scalar(xs: np.ndarray, fmt: FloatFormat) -> None:
+    """round_array against round_nearest_info, by bytes and per-element
+    saturation: the saturated elements count fully, the others not at all."""
+    want = [round_nearest_info(float(x), fmt) for x in xs]
+    got, saturated = round_array(xs, fmt)
+    assert got.tobytes() == np.array([v for v, _ in want]).tobytes(), fmt
+    flags = np.array([s for _, s in want])
+    assert saturated == np.count_nonzero(flags), fmt
+    assert round_array(xs[flags], fmt)[1] == np.count_nonzero(flags), fmt
+    assert round_array(xs[~flags], fmt)[1] == 0, fmt
+
+
+def test_round_array_matches_scalar_on_every_element_and_tie():
+    """The formats the conversions evaluate in, enumerated whole: the
+    activation formats `act_format_containing` returns and the attention
+    formats for context bounds 2 .. 4096."""
+    from tm2tf.softmaxify import act_format_containing, min_att_exponent_bits
+
+    formats = {FloatFormat(1, 2)}
+    formats |= {act_format_containing(2.0 ** k) for k in range(1024)}
+    formats |= {FloatFormat(4, min_att_exponent_bits(2 ** k)) for k in range(1, 13)}
+    assert {FloatFormat(1, b) for b in range(3, 12)} <= formats
+    for fmt in sorted(formats, key=lambda f: (f.mantissa_bits, f.exponent_bits)):
+        _assert_matches_scalar(_grid_points(fmt, [None, *range(fmt.e_min, fmt.e_max + 1)]), fmt)
+
+
+@pytest.mark.parametrize("name", ["bf16", "fp16"])
+def test_round_array_matches_scalar_on_subnormal_unit_and_top_binades(name):
+    fmt = PRESETS[name]
+    _assert_matches_scalar(_grid_points(fmt, [None, 0, fmt.e_max]), fmt)
+
+
+def test_round_array_keeps_the_shape_of_a_0d_array():
+    for x, fmt in ((-0.3, FloatFormat(1, 2)), (1.3, FloatFormat(2, 3)), (7.5, FloatFormat(1, 2))):
+        got, saturated = round_array(np.array(x), fmt)
+        want, flag = round_nearest_info(x, fmt)
+        assert got.shape == () and got.tobytes() == np.float64(want).tobytes()
+        assert saturated == flag
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_round_array_refuses_non_finite_inputs(bad):
+    fmt = FloatFormat(1, 2)  # max 3.0
+    for xs in ([bad], [1.0, bad, -0.5], [7.5, bad, -128.0], [bad, 1e308]):
+        with pytest.raises(ValueError):
+            round_array(np.array(xs), fmt)

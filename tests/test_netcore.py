@@ -486,6 +486,28 @@ def test_fig2_cot_matches_per_head_reference(mode):
     assert greedy[len("ab") + 1 :] == tokens[len("ab") + 2 :]
 
 
+def test_a_rounded_decode_calls_round_array_by_its_module_name(monkeypatch):
+    """Tracers count rounding work by replacing `round_array` where modules
+    bound it, so netcore must look the name up on every call."""
+    from tm2tf import netcore
+    from tm2tf.fpcore import round_array
+    from tm2tf.generation import run_cot
+
+    params, cfg = _softmax_case("denoised")
+    cfg = dataclasses.replace(cfg, capture_trace=False)
+    plain = run_cot(params, "ab", cfg)
+    sizes = []
+
+    def counting(x, fmt):
+        sizes.append(x.size)
+        return round_array(x, fmt)
+
+    monkeypatch.setattr(netcore, "round_array", counting)
+    counted = run_cot(params, "ab", cfg)
+    assert counted.outcome == "output" and counted.segments == plain.segments
+    assert sizes and min(sizes) > 0  # empty arrays are not rounded
+
+
 def test_copy_scot_matches_per_head_reference():
     from machines import copy_machine
 
