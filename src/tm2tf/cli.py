@@ -22,8 +22,14 @@ from .harness import (
     validate_dfa,
     validate_trials,
 )
-from .netcore import EvalConfig, load_model, save_model
-from .softmaxify import c0_denoising, c0_exact_attention, convert, next_pow2_at_least
+from .netcore import load_model, save_model
+from .softmaxify import (
+    c0_denoising,
+    c0_exact_attention,
+    convert,
+    eval_config,
+    next_pow2_at_least,
+)
 
 # CLI --mode values -> the mode names of softmaxify and the harness
 _MODES = {"hardmax": "hardmax", "scaled": "scaled_only", "denoised": "denoised"}
@@ -107,26 +113,6 @@ def _load_model(path: str):
         raise CliError(f"schema error: {path}: {type(exc).__name__}: {exc}") from exc
 
 
-def _eval_config(args) -> EvalConfig:
-    try:
-        act = parse_precision(args.act_format)
-        att = parse_precision(args.att_format)
-    except ValueError as exc:
-        raise CliError(f"usage error: {exc}") from exc
-    try:
-        return EvalConfig(attention=args.attention, act_precision=act, att_precision=att)
-    except ValueError as exc:
-        raise CliError(f"usage error: {exc}") from exc
-
-
-def _add_eval_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--attention", choices=["hardmax", "softmax"], default="hardmax")
-    p.add_argument("--act-format", default="exact")
-    p.add_argument("--att-format", default="exact")
-    p.add_argument("--budget", type=_at_least(0), default=None)
-    p.add_argument("--trace-out", help="JSON-lines dump of emitted tokens")
-
-
 def _cmd_compile(args) -> int:
     machine = load_machine(args.machine)
     from .automata import Dfa, TuringMachine
@@ -171,16 +157,20 @@ def _cmd_convert(args) -> int:
     except ValueError as exc:
         raise CliError(f"usage error: {exc}") from exc
     _save_model(converted, args.out)
-    extra = f" act>={cfg.act_precision} att>={cfg.att_precision}" if args.mode == "denoised" else ""
     print(
-        f"converted mode={args.mode} c={converted.qk_scale} N={context_bound}{extra} -> {args.out}"
+        f"converted mode={args.mode} c={converted.qk_scale} N={context_bound} "
+        f"act={cfg.act_precision} att={cfg.att_precision} -> {args.out}"
     )
     return 0
 
 
 def _cmd_run(args) -> int:
     params = _load_model(args.model)
-    cfg = _eval_config(args)
+    try:
+        cfg = eval_config(params)
+    except ValueError as exc:
+        raise CliError(f"schema error: {args.model}: {exc}") from exc
+    print(f"eval: attention={cfg.attention} act={cfg.act_precision} att={cfg.att_precision}")
     word = _parse_word(args.word)
     runner = run_cot if args.command == "run-cot" else run_scot
     try:
@@ -310,7 +300,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--model", required=True)
         p.add_argument("--word", default="")
-        _add_eval_flags(p)
+        p.add_argument("--budget", type=_at_least(0), default=None)
+        p.add_argument("--trace-out", help="JSON-lines dump of emitted tokens")
         p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("validate")

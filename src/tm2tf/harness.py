@@ -44,6 +44,7 @@ from .compilers.tm import _tm_widths
 from .fpcore import FloatFormat, round_array
 from .generation import run_cot, run_scot
 from .netcore import (
+    MODES,
     ActivationTrace,
     EvalConfig,
     Evaluator,
@@ -296,8 +297,8 @@ def validate_trials(
     """
     if protocol not in ("cot", "scot"):
         raise ValueError("protocol must be cot or scot")
-    if mode not in ("hardmax", "scaled_only", "denoised"):
-        raise ValueError("mode must be hardmax, scaled_only or denoised")
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {', '.join(MODES)}")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     start = time.perf_counter()
@@ -422,7 +423,7 @@ def validate_softmax(
     protocol: str = "cot",
 ) -> ValidationReport:
     """CoT/SCoT validation of "scaled_only" or "denoised" conversions."""
-    if mode not in ("scaled_only", "denoised"):
+    if mode not in MODES or mode == "hardmax":
         raise ValueError("mode must be scaled_only or denoised")
     return validate_trials(protocol, mode, seed, trials, cfg)
 

@@ -36,6 +36,7 @@ import numpy as np
 from .fpcore import EXACT, FloatFormat, Precision, round_array
 
 __all__ = [
+    "MODES",
     "Dims",
     "HeadParams",
     "LayerParams",
@@ -60,6 +61,12 @@ __all__ = [
 
 class EvalError(RuntimeError):
     pass
+
+
+# What a model is: compiled for hardmax, or the output of one of the two
+# softmax conversions; `softmaxify.eval_config` maps each to the settings
+# the model is evaluated with.
+MODES = ("hardmax", "scaled_only", "denoised")
 
 
 @dataclass(frozen=True)
@@ -114,8 +121,8 @@ class TransformerParams:
     layers: list[LayerParams]
     qk_scale: float = 1.0
     source: str = ""  # which compiler produced this
-    mode: str = "hardmax"  # hardmax | scaled-softmax | denoised-softmax
-    meta: dict = field(default_factory=dict)
+    mode: str = "hardmax"  # one of MODES
+    meta: dict = field(default_factory=dict)  # r; N, the context bound converted for
 
     @cached_property
     def _token_ids(self) -> dict[str, int]:
@@ -128,15 +135,26 @@ class TransformerParams:
             raise EvalError(f"token {tok!r} not in vocabulary") from None
 
     def validate_weights(self) -> None:
-        """Check the model contract: ternary embeddings and attention weights,
-        MLP codes in {0,+-1,+-2}, biases in [-d-1, d+1], a positive finite
-        qk_scale, at most d_k // 2 finite rotary frequencies, and every
-        shape within the dims budgets (n_layers layers, at most n_heads heads
-        and d_ff MLP rows each). This is the one place that states the
-        contract; builders and loaders call it."""
+        """Check the model contract: integer dims, a vocabulary of unique
+        strings, ternary embeddings and attention weights, MLP codes in
+        {0,+-1,+-2}, biases in [-d-1, d+1], a positive finite qk_scale, a
+        mode in MODES, an integer meta.N >= 1 if present, at most d_k // 2
+        finite rotary frequencies, and every shape within the dims budgets
+        (n_layers layers, at most n_heads heads and d_ff MLP rows each).
+        This is the one place that states the contract; builders and
+        loaders call it."""
         dims, d, n_vocab = self.dims, self.dims.d, len(self.vocab)
+        for name, value in vars(dims).items():
+            if type(value) is not int or value < 0:
+                raise ValueError(f"dims.{name} must be an integer >= 0, got {value!r}")
+        if not all(isinstance(t, str) for t in self.vocab):
+            raise ValueError("vocabulary tokens must be strings")
         if len(set(self.vocab)) != n_vocab:
             raise ValueError("vocabulary tokens must be unique")
+        if self.mode not in MODES:
+            raise ValueError(f"mode must be one of {', '.join(MODES)}, got {self.mode!r}")
+        if "N" in self.meta and (type(self.meta["N"]) is not int or self.meta["N"] < 1):
+            raise ValueError(f"meta.N must be an integer >= 1, got {self.meta['N']!r}")
         pos = self.positional
         if isinstance(pos, BinaryAbsolute):
             if type(pos.r) is not int or pos.r < 1:
@@ -670,6 +688,8 @@ def _codes(value, ndim: int, dtype, name: str) -> np.ndarray:
 def params_from_json(doc: dict) -> TransformerParams:
     """Parse a model file document and check it against the model contract."""
     dims = Dims(**doc["dims"])
+    if not isinstance(doc["vocab"], list):
+        raise ValueError("vocab must be a list of tokens")
     layers = []
     for li, ldoc in enumerate(doc["layers"]):
         heads = [

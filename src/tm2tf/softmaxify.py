@@ -18,6 +18,7 @@ import numpy as np
 from .fpcore import PRESETS, FloatFormat, Precision, is_representable
 from .gadgets import denoising_neurons, mlp_weights
 from .netcore import (
+    MODES,
     ActivationTrace,
     Dims,
     EvalConfig,
@@ -38,6 +39,7 @@ __all__ = [
     "act_format_containing",
     "convert_with_denoising",
     "convert",
+    "eval_config",
     "trace_invariant_violations",
     "audit_hardmax_preconditions",
 ]
@@ -62,18 +64,24 @@ def _require_scale(c: float) -> None:
         raise ConversionError(f"c must be a positive finite number, got {c}")
 
 
+def _require_hardmax(params: TransformerParams) -> None:
+    if params.mode != "hardmax":
+        raise ConversionError(
+            f"model is already converted (mode {params.mode}); convert its hardmax model"
+        )
+
+
 def scale_qk(params: TransformerParams, c: float, audited: bool = False) -> TransformerParams:
     """Scale query/key projections by c; hardmax behavior is unchanged."""
     _require_scale(c)
     _require_certified(params, audited)
-    if params.qk_scale != 1.0:
-        raise ConversionError("model is already scaled")
+    _require_hardmax(params)
     return replace(
         params,
         vocab=list(params.vocab),
         meta=dict(params.meta),
         qk_scale=float(c),
-        mode="scaled-softmax",
+        mode="scaled_only",
     )
 
 
@@ -144,13 +152,12 @@ def convert_with_denoising(
     """Depth-doubling conversion: attention + denoising MLP, then the MLP.
 
     Weight codes stay in {0,+-1,+-2}; the c scale lives on query/key
-    projections. Evaluate in rounded-softmax mode with compliant formats to
-    reproduce the hardmax tokens.
+    projections. Evaluate with `eval_config` to reproduce the hardmax
+    tokens; it needs meta["N"], which `convert` sets.
     """
     _require_scale(c)
     _require_certified(params, audited)
-    if params.qk_scale != 1.0:
-        raise ConversionError("convert the unscaled hardmax model")
+    _require_hardmax(params)
     dims, d = params.dims, params.dims.d
     new_dims = replace(dims, d_ff=max(dims.d_ff, 6 * d), n_layers=2 * dims.n_layers)
     den_w1, den_bias4, den_w2 = mlp_weights(denoising_neurons(list(range(d))), d)
@@ -165,39 +172,57 @@ def convert_with_denoising(
         layers=layers,
         meta=dict(params.meta),
         qk_scale=float(c),
-        mode="denoised-softmax",
+        mode="denoised",
     )
     out.validate_weights()
     return out
 
 
+def eval_config(params: TransformerParams) -> EvalConfig:
+    """The evaluation settings under which the theorem of `params.mode` holds.
+
+    "hardmax": exact hardmax. "scaled_only": softmax attention with bf16
+    activations and exact attention weights. "denoised": softmax attention
+    with 1-mantissa-bit activations that contain qk_scale and attention
+    weights with 4 mantissa bits and enough exponent bits for 1/meta["N"];
+    a denoised model without meta["N"] raises ValueError. The settings
+    never capture a trace.
+    """
+    if params.mode == "hardmax":
+        return EvalConfig()
+    if params.mode == "scaled_only":
+        return EvalConfig(attention="softmax", act_precision=Precision(PRESETS["bf16"]))
+    if params.mode != "denoised":
+        raise ValueError(f"mode must be one of {', '.join(MODES)}, got {params.mode!r}")
+    if "N" not in params.meta:
+        raise ValueError("a denoised model needs meta.N, the context bound it was converted for")
+    return EvalConfig(
+        attention="softmax",
+        act_precision=Precision(act_format_containing(params.qk_scale)),
+        att_precision=Precision(FloatFormat(4, min_att_exponent_bits(params.meta["N"]))),
+    )
+
+
 def convert(
     params: TransformerParams, mode: str, context_bound: int, c: float | None = None
 ) -> tuple[TransformerParams, EvalConfig]:
-    """The model and evaluation settings of one conversion mode.
+    """The model of one conversion mode and its `eval_config`.
 
-    "hardmax": the model itself, evaluated exactly. "scaled_only":
-    `scale_qk`, softmax attention with bf16 activations and exact attention
-    weights. "denoised": `convert_with_denoising`, softmax attention with
-    1-mantissa-bit activations containing c and attention weights with 4
-    mantissa bits and enough exponent bits for 1/context_bound. c defaults
-    to `theorem_c`. The settings never capture a trace.
+    "hardmax": the model itself. "scaled_only": `scale_qk` at c.
+    "denoised": `convert_with_denoising` at c. c defaults to `theorem_c`;
+    the converted model records context_bound as meta["N"].
     """
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {', '.join(MODES)}")
     if mode == "hardmax":
         return params, EvalConfig()
-    if mode not in ("scaled_only", "denoised"):
-        raise ValueError("mode must be hardmax, scaled_only or denoised")
+    if type(context_bound) is not int or context_bound < 1:
+        raise ValueError(f"context bound must be an integer >= 1, got {context_bound!r}")
     if c is None:
         c = theorem_c(mode, params.dims, context_bound)
-    if mode == "scaled_only":
-        return scale_qk(params, c), EvalConfig(
-            attention="softmax", act_precision=Precision(PRESETS["bf16"])
-        )
-    return convert_with_denoising(params, c), EvalConfig(
-        attention="softmax",
-        act_precision=Precision(act_format_containing(c)),
-        att_precision=Precision(FloatFormat(4, min_att_exponent_bits(context_bound))),
-    )
+    out = (scale_qk if mode == "scaled_only" else convert_with_denoising)(params, c)
+    out.meta["N"] = context_bound
+    return out, eval_config(out)
 
 
 def trace_invariant_violations(traces: list[ActivationTrace]) -> dict[str, int]:

@@ -109,23 +109,11 @@ def test_convert_auto_and_run_softmax(tm_file, tmp_path, capsys):
     converted = load_model(conv)
     assert converted.dims.n_layers == 46
 
-    code = main(
-        [
-            "run-cot",
-            "--model",
-            conv,
-            "--word",
-            "aab",
-            "--attention",
-            "softmax",
-            "--act-format",
-            "custom:1,4",
-            "--att-format",
-            "custom:4,5",
-        ]
-    )
+    code = main(["run-cot", "--model", conv, "--word", "aab"])
     assert code == 0
-    assert "output: acb" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "eval: attention=softmax act=custom:1,3 att=custom:4,4" in out
+    assert "output: acb" in out
 
 
 @pytest.mark.parametrize("command", ["compile-dfa", "compile-cot", "compile-scot", "convert"])
@@ -148,9 +136,9 @@ def test_layers_without_heads_decode_as_with_a_zero_head(tm_file, tmp_path, caps
     tokens, saturations and representations."""
     import dataclasses
 
-    from tm2tf.fpcore import parse_precision
     from tm2tf.generation import run_cot
-    from tm2tf.netcore import EvalConfig, Evaluator, HeadParams, save_model
+    from tm2tf.netcore import Evaluator, HeadParams, save_model
+    from tm2tf.softmaxify import eval_config
 
     model, conv, padded = (str(tmp_path / f"{n}.json") for n in ("model", "conv", "padded"))
     main(["compile-cot", "--tm", tm_file, "--r", "6", "--out", model])
@@ -161,16 +149,14 @@ def test_layers_without_heads_decode_as_with_a_zero_head(tm_file, tmp_path, caps
     assert any(not layer.heads for layer in params.layers)
     layers = [dataclasses.replace(layer, heads=layer.heads or [zero]) for layer in params.layers]
     save_model(dataclasses.replace(params, layers=layers), padded)
-    formats = ["--act-format", "custom:1,4", "--att-format", "custom:4,5"]
     capsys.readouterr()
     outs = []
     for path in (conv, padded):
-        argv = ["run-cot", "--model", path, "--word", "aab", "--attention", "softmax"]
-        assert main(argv + formats) == 0
+        assert main(["run-cot", "--model", path, "--word", "aab"]) == 0
         outs.append(capsys.readouterr().out)
     assert outs[0] == outs[1] and "output: acb" in outs[0]
 
-    cfg = EvalConfig("softmax", parse_precision("custom:1,4"), parse_precision("custom:4,5"))
+    cfg = eval_config(params)
     tokens = run_cot(params, list("aab"), cfg).segments[0]
     reps = []
     for p in (params, load_model(padded)):
@@ -281,6 +267,17 @@ def _model_file_cases(tmp_path, dfa_file):
     doc["qk_scale"] = "inf"
     files["inf-scale"] = json.dumps(doc)
     doc = json.loads(model.read_text())
+    header = {
+        "fractional-dims": {"dims": {**doc["dims"], "d_k": float(doc["dims"]["d_k"])}},
+        "integer-vocab": {"vocab": list(range(len(doc["vocab"])))},
+        "string-vocab": {"vocab": "".join(doc["vocab"])},
+        "unknown-mode": {"mode": "banana"},
+        "old-mode-name": {"mode": "denoised-softmax"},
+        "zero-meta-N": {"meta": {**doc["meta"], "N": 0}},
+        "fractional-meta-N": {"meta": {**doc["meta"], "N": 6.0}},
+    }
+    for name, fields in header.items():
+        files[name] = json.dumps({**doc, **fields})
     pos = doc["positional"]  # binary_absolute, r = 3
     positional = {
         "unknown-positional-kind": {**pos, "kind": "binary"},
@@ -345,14 +342,21 @@ def test_run_cot_full_context_is_budget_exceeded(tm_file, tmp_path, capsys):
     assert "outcome: budget_exceeded" in capsys.readouterr().out
 
 
-def test_run_prints_saturations_of_a_tiny_activation_format(tm_file, tmp_path, capsys):
+def test_run_prints_saturations_of_a_tiny_activation_format(
+    tm_file, tmp_path, capsys, monkeypatch
+):
     """Queries and keys scaled by c = 4 exceed 3, the largest element of custom:1,2."""
+    from tm2tf import cli
+    from tm2tf.fpcore import parse_precision
+    from tm2tf.netcore import EvalConfig
+
     model, scaled = str(tmp_path / "model.json"), str(tmp_path / "scaled.json")
     assert main(["compile-cot", "--tm", tm_file, "--r", "6", "--out", model]) == 0
     assert main(["convert", "--model", model, "--mode", "scaled", "--c", "4", "--out", scaled]) == 0
     capsys.readouterr()
-    main(["run-cot", "--model", scaled, "--word", "ab", "--attention", "softmax",
-          "--act-format", "custom:1,2", "--budget", "4"])
+    tiny = EvalConfig("softmax", parse_precision("custom:1,2"))
+    monkeypatch.setattr(cli, "eval_config", lambda params: tiny)
+    main(["run-cot", "--model", scaled, "--word", "ab", "--budget", "4"])
     line = next(l for l in capsys.readouterr().out.splitlines() if l.startswith("ties="))
     assert int(line.split("saturations=")[1]) > 0
 
@@ -402,3 +406,68 @@ def test_load_machine_specs_reject_non_string_delta_keys():
         load_tm({**tm, "delta": {**tm["delta"], ("go", "a"): "go|a|R"}})
     with pytest.raises(MachineError):
         load_dfa({**dfa, "delta": {**dfa["delta"], 3: "even"}})
+
+
+def test_run_refuses_a_denoised_model_without_its_context_bound(dfa_file, tmp_path, capsys):
+    """A denoised model's attention-weight format follows from meta.N."""
+    model, conv = str(tmp_path / "model.json"), tmp_path / "denoised.json"
+    assert main(["compile-dfa", "--dfa", dfa_file, "--r", "3", "--out", model]) == 0
+    assert main(["convert", "--model", model, "--mode", "denoised", "--out", str(conv)]) == 0
+    doc = json.loads(conv.read_text())
+    del doc["meta"]["N"]
+    conv.write_text(json.dumps(doc))
+    capsys.readouterr()
+    for command in ("run-cot", "run-scot"):
+        assert main([command, "--model", str(conv), "--word", "01"]) == 2
+        assert "schema error" in capsys.readouterr().err
+
+
+def test_convert_refuses_a_converted_model(dfa_file, tmp_path, capsys):
+    """A model scaled by c = 1 keeps qk_scale 1, but its mode says it is converted."""
+    model, scaled = str(tmp_path / "model.json"), str(tmp_path / "scaled.json")
+    assert main(["compile-dfa", "--dfa", dfa_file, "--r", "3", "--out", model]) == 0
+    assert main(["convert", "--model", model, "--mode", "scaled", "--c", "1", "--out", scaled]) == 0
+    assert load_model(scaled).qk_scale == 1.0
+    capsys.readouterr()
+    for mode in ("denoised", "scaled"):
+        out = tmp_path / f"again-{mode}.json"
+        assert main(["convert", "--model", scaled, "--mode", mode, "--out", str(out)]) == 2
+        assert "already converted" in capsys.readouterr().err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "mode,N,att",
+    [("scaled", None, "exact"), ("denoised", None, "custom:4,4"), ("denoised", 4096, "custom:4,5")],
+)
+def test_converted_file_carries_its_eval_config(mode, N, att, dfa_file, tmp_path, capsys):
+    from tm2tf.cli import _MODES
+    from tm2tf.softmaxify import convert, eval_config
+
+    model, conv = str(tmp_path / "model.json"), str(tmp_path / "converted.json")
+    assert main(["compile-dfa", "--dfa", dfa_file, "--r", "3", "--out", model]) == 0
+    argv = ["convert", "--model", model, "--mode", mode, "--out", conv]
+    assert main(argv + (["--N", str(N)] if N else [])) == 0
+    converted = load_model(conv)
+    assert converted.meta["N"] == (N or 2 ** 3)
+    _, cfg = convert(load_model(model), _MODES[mode], N or 2 ** 3)
+    assert eval_config(converted) == cfg and str(cfg.att_precision) == att
+    assert f"att={att}" in capsys.readouterr().out
+
+
+def test_readme_cli_examples_parse():
+    """Every `tm2tf ...` command of the README's CLI code block, with
+    backslash continuations joined and comments stripped, parses."""
+    import shlex
+    from pathlib import Path
+
+    from tm2tf.cli import build_parser
+
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```", 2)[1]
+    lines = block.replace("\\\n", " ").splitlines()
+    lines = [line for line in lines if line.startswith("tm2tf ")]
+    assert len(lines) >= 10
+    parser = build_parser()
+    for line in lines:
+        parser.parse_args(shlex.split(line.split("#", 1)[0])[1:])

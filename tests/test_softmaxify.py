@@ -19,6 +19,7 @@ from tm2tf.softmaxify import (
     c0_exact_attention,
     convert,
     convert_with_denoising,
+    eval_config,
     min_att_exponent_bits,
     next_pow2_at_least,
     scale_qk,
@@ -244,3 +245,30 @@ def test_convert_settings_of_fig2_cot():
         ) == settings, mode
     with pytest.raises(ValueError):
         convert(params, "scaled", 64)
+
+
+def test_conversions_refuse_a_converted_model():
+    """The mode, not qk_scale, marks a converted model: scaling by c = 1
+    leaves qk_scale at 1."""
+    params, _ = compile_dfa(parity_dfa(), 3)
+    scaled = scale_qk(params, 1.0)
+    assert scaled.qk_scale == 1.0 and scaled.mode == "scaled_only"
+    denoised = convert_with_denoising(params, 8.0)
+    for converted in (scaled, denoised):
+        with pytest.raises(ConversionError):
+            scale_qk(converted, 64.0)
+        with pytest.raises(ConversionError):
+            convert_with_denoising(converted, 8.0)
+        for mode in ("scaled_only", "denoised"):
+            with pytest.raises(ConversionError):
+                convert(converted, mode, 8)
+
+
+def test_eval_config_of_a_denoised_model_needs_its_context_bound():
+    params, _ = compile_dfa(parity_dfa(), 3)
+    denoised = convert_with_denoising(params, 8.0)
+    with pytest.raises(ValueError):
+        eval_config(denoised)
+    converted, cfg = convert(params, "denoised", 8, c=8.0)
+    assert converted.meta["N"] == 8 and eval_config(converted) == cfg
+    assert "N" not in params.meta  # the source model is left as it was
