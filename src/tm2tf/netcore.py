@@ -24,7 +24,6 @@ buffers that grow with the KV cache, so `truncate` only re-slices them.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -77,6 +76,12 @@ class Dims:
     d_ff: int
     n_heads: int
     n_layers: int
+
+
+def _check_dims(dims: Dims) -> None:
+    for name, value in vars(dims).items():
+        if type(value) is not int or value < 0:
+            raise ValueError(f"dims.{name} must be an integer >= 0, got {value!r}")
 
 
 @dataclass
@@ -144,9 +149,7 @@ class TransformerParams:
         This is the one place that states the contract; builders and
         loaders call it."""
         dims, d, n_vocab = self.dims, self.dims.d, len(self.vocab)
-        for name, value in vars(dims).items():
-            if type(value) is not int or value < 0:
-                raise ValueError(f"dims.{name} must be an integer >= 0, got {value!r}")
+        _check_dims(dims)
         if not all(isinstance(t, str) for t in self.vocab):
             raise ValueError("vocabulary tokens must be strings")
         if len(set(self.vocab)) != n_vocab:
@@ -629,92 +632,132 @@ def _pos_from_json(doc: dict):
     raise ValueError(f"unknown positional kind {doc['kind']!r}")
 
 
-def _header_to_json(params: TransformerParams) -> dict:
-    d = params.dims
+# The one model-file format: `params_from_json` refuses every other.
+MODEL_FORMAT = 2
+
+# The most weight entries a file's dims may imply (n_layers layers of
+# n_heads heads and d_ff MLP rows, plus emb and unemb): about ten times the
+# denoised bouncer8 CoT r=10 model, so that a few bytes of JSON cannot ask
+# for a huge allocation.
+MAX_DIMS_ENTRIES = 2 ** 28
+
+_HEAD_KEYS = ("wq", "wk", "wv", "wo")
+
+
+def _sparse_to_json(a: np.ndarray) -> dict:
+    flat = a.reshape(-1)
+    at = np.flatnonzero(flat)
+    return {"shape": list(a.shape), "at": at.tolist(), "codes": flat[at].tolist()}
+
+
+def params_to_json(params: TransformerParams) -> dict:
+    """The model file document. Every weight array is stored sparse: its
+    shape, the flat C-order indices of its nonzero entries in increasing
+    order, and their integer codes."""
     return {
-        "dims": {
-            "d": d.d,
-            "d_k": d.d_k,
-            "d_v": d.d_v,
-            "d_ff": d.d_ff,
-            "n_heads": d.n_heads,
-            "n_layers": d.n_layers,
-        },
+        "format": MODEL_FORMAT,
+        "dims": dict(vars(params.dims)),
         "vocab": params.vocab,
         "positional": _pos_to_json(params.positional),
         "qk_scale": float(params.qk_scale).hex(),
         "source": params.source,
         "mode": params.mode,
         "meta": dict(params.meta),
-        "emb": params.emb.astype(int).tolist(),
-        "unemb": params.unemb.astype(int).tolist(),
-    }
-
-
-def _layer_to_json(layer: LayerParams) -> dict:
-    return {
-        "heads": [
+        "emb": _sparse_to_json(params.emb),
+        "unemb": _sparse_to_json(params.unemb),
+        "layers": [
             {
-                "wq": h.wq.astype(int).tolist(),
-                "wk": h.wk.astype(int).tolist(),
-                "wv": h.wv.astype(int).tolist(),
-                "wo": h.wo.astype(int).tolist(),
+                "heads": [
+                    {k: _sparse_to_json(getattr(h, k)) for k in _HEAD_KEYS} for h in layer.heads
+                ],
+                "w1": _sparse_to_json(layer.w1),
+                "bias4": _sparse_to_json(layer.bias4),
+                "w2": _sparse_to_json(layer.w2),
             }
-            for h in layer.heads
+            for layer in params.layers
         ],
-        "w1": layer.w1.astype(int).tolist(),
-        "bias4": layer.bias4.astype(int).tolist(),
-        "w2": layer.w2.astype(int).tolist(),
     }
 
 
-def params_to_json(params: TransformerParams) -> dict:
-    """The model file document; "layers" is its last key."""
-    layers = [_layer_to_json(layer) for layer in params.layers]
-    return {**_header_to_json(params), "layers": layers}
+def _ints(values, name: str) -> np.ndarray:
+    """A JSON list of integers as int64; 1.5 and true are refused, since
+    numpy would truncate or convert them, and a huge integer overflows."""
+    if type(values) is not list or not set(map(type, values)) <= {int}:
+        raise ValueError(f"{name} must be a list of integers")
+    return np.array(values, dtype=np.int64)
 
 
-def _codes(value, ndim: int, dtype, name: str) -> np.ndarray:
-    """A model-file weight list as an integer array. Entries that are not
-    integers (1.5, true) are refused: numpy would truncate or convert them."""
-    flat = value
-    for _ in range(ndim - 1):
-        flat = itertools.chain.from_iterable(flat)
-    if not set(map(type, flat)) <= {int}:
-        raise ValueError(f"{name} entries must be integers")
-    return np.array(value, dtype=dtype)
+def _weights(entry: dict, shape: tuple[int, ...], dtype, name: str) -> np.ndarray:
+    """One sparse weight entry as a dense array of the shape dims give it,
+    checked before it is allocated or written: numpy would wrap a negative
+    index and keep the last of repeated ones."""
+    if type(entry) is not dict:
+        raise ValueError(f"{name} must be a sparse array {{shape, at, codes}}")
+    if entry["shape"] != list(shape) or not all(type(n) is int for n in entry["shape"]):
+        raise ValueError(f"{name} has shape {entry['shape']!r}, expected {list(shape)}")
+    at, codes = _ints(entry["at"], f"{name} at"), _ints(entry["codes"], f"{name} codes")
+    size, info = math.prod(shape), np.iinfo(dtype)
+    if at.size != codes.size:
+        raise ValueError(f"{name} has {at.size} indices but {codes.size} codes")
+    if at.size and (at[0] < 0 or at[-1] >= size or not np.all(at[1:] > at[:-1])):
+        raise ValueError(f"{name} indices must be strictly increasing and in [0, {size})")
+    if not np.all(codes != 0) or codes.min(initial=0) < info.min or codes.max(initial=0) > info.max:
+        raise ValueError(f"{name} codes must be nonzero and within {info.dtype}")
+    out = np.zeros(size, dtype)
+    out[at] = codes
+    return out.reshape(shape)
 
 
 def params_from_json(doc: dict) -> TransformerParams:
-    """Parse a model file document and check it against the model contract."""
+    """Parse a model file document and check it against the model contract.
+    Shapes come from dims, and every array is checked before it is built
+    with one scatter; `validate_weights` then checks the codes' ranges."""
+    if type(doc) is not dict or type(doc.get("format")) is not int or doc["format"] != MODEL_FORMAT:
+        raise ValueError(
+            f"not a format-{MODEL_FORMAT} model file: compile or convert the model again"
+        )
     dims = Dims(**doc["dims"])
+    _check_dims(dims)
     if not isinstance(doc["vocab"], list):
         raise ValueError("vocab must be a list of tokens")
+    # The budgets bound what the arrays may allocate, so they are checked
+    # here, before any array is built, and again by validate_weights.
+    d, n_vocab = dims.d, len(doc["vocab"])
+    per_layer = dims.n_heads * 2 * (dims.d_k + dims.d_v) * d + dims.d_ff * (2 * d + 1)
+    if dims.n_layers * per_layer + 2 * n_vocab * d > MAX_DIMS_ENTRIES:
+        raise ValueError(f"dims imply more than {MAX_DIMS_ENTRIES} weight entries")
+    if len(doc["layers"]) != dims.n_layers:
+        raise ValueError(f"{len(doc['layers'])} layers but dims.n_layers = {dims.n_layers}")
+    head_shapes = (dims.d_k, d), (dims.d_k, d), (dims.d_v, d), (d, dims.d_v)
     layers = []
     for li, ldoc in enumerate(doc["layers"]):
+        if len(ldoc["heads"]) > dims.n_heads:
+            raise ValueError(f"layer {li} has more than n_heads = {dims.n_heads} heads")
         heads = [
             HeadParams(
                 *(
-                    _codes(h[k], 2, np.int8, f"layer {li} head {hi} {k}")
-                    for k in ("wq", "wk", "wv", "wo")
+                    _weights(h[k], shape, np.int8, f"layer {li} head {hi} {k}")
+                    for k, shape in zip(_HEAD_KEYS, head_shapes)
                 )
             )
             for hi, h in enumerate(ldoc["heads"])
         ]
-        w1 = _codes(ldoc["w1"], 2, np.int8, f"layer {li} w1")  # [] for a layer without neurons
+        m = ldoc["bias4"]["shape"][0] if ldoc["bias4"]["shape"] else None
+        if type(m) is not int or not 0 <= m <= dims.d_ff:
+            raise ValueError(f"layer {li} bias4 shape must be [m], 0 <= m <= d_ff = {dims.d_ff}")
         layers.append(
             LayerParams(
                 heads=heads,
-                w1=w1.reshape(0, dims.d) if w1.shape == (0,) else w1,
-                bias4=_codes(ldoc["bias4"], 1, np.int32, f"layer {li} bias4"),
-                w2=_codes(ldoc["w2"], 2, np.int8, f"layer {li} w2"),
+                w1=_weights(ldoc["w1"], (m, d), np.int8, f"layer {li} w1"),
+                bias4=_weights(ldoc["bias4"], (m,), np.int32, f"layer {li} bias4"),
+                w2=_weights(ldoc["w2"], (d, m), np.int8, f"layer {li} w2"),
             )
         )
     params = TransformerParams(
         dims=dims,
         vocab=list(doc["vocab"]),
-        emb=_codes(doc["emb"], 2, np.int8, "emb"),
-        unemb=_codes(doc["unemb"], 2, np.int8, "unemb"),
+        emb=_weights(doc["emb"], (n_vocab, d), np.int8, "emb"),
+        unemb=_weights(doc["unemb"], (n_vocab, d), np.int8, "unemb"),
         positional=_pos_from_json(doc["positional"]),
         layers=layers,
         qk_scale=float.fromhex(doc["qk_scale"]),
@@ -727,18 +770,11 @@ def params_from_json(doc: dict) -> TransformerParams:
 
 
 def save_model(params: TransformerParams, path: str) -> None:
-    """Write `json.dumps(params_to_json(params), separators=(",", ":"))`,
-    encoding one layer at a time. `json.dump` would stream through the
-    pure-Python encoder; `encode` uses the C one, and writing per layer
-    keeps only one layer's text in memory."""
-    encode = json.JSONEncoder(separators=(",", ":")).encode
+    """Write the model file: compact JSON from the C encoder (`json.dump`
+    would stream through the pure-Python one)."""
+    text = json.dumps(params_to_json(params), separators=(",", ":"))
     with open(path, "w") as f:
-        f.write(encode(_header_to_json(params))[:-1] + ',"layers":[')
-        for i, layer in enumerate(params.layers):
-            if i:
-                f.write(",")
-            f.write(encode(_layer_to_json(layer)))
-        f.write("]}")
+        f.write(text)
 
 
 def load_model(path: str) -> TransformerParams:

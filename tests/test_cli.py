@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from machines import fig2_machine, parity_dfa
+from model_docs import CORRUPTIONS, truncate_rows
 
 from tm2tf.automata import dfa_to_json, tm_to_json
 from tm2tf.cli import main
@@ -256,12 +257,17 @@ def _model_file_cases(tmp_path, dfa_file):
     model = tmp_path / "model.json"
     assert main(["compile-dfa", "--dfa", dfa_file, "--r", "3", "--out", str(model)]) == 0
     doc = json.loads(model.read_text())
-    doc["layers"][0]["w1"] = doc["layers"][0]["w1"][:-1]
+    truncate_rows(doc["layers"][0]["w1"])  # one row short of bias4
     files = {"not-json": "{", "empty": "{}", "bad-shape": json.dumps(doc)}
     codes = (("bad-code", 300), ("min-code", -128), ("fractional-code", 1.5), ("boolean-code", True))
     for name, code in codes:
         doc = json.loads(model.read_text())
-        doc["emb"][0][0] = code  # 300 is beyond int8; -128 is its minimum, which np.abs keeps
+        # 300 is beyond int8; -128 is its minimum, which np.abs keeps
+        doc["emb"]["codes"][0] = code
+        files[name] = json.dumps(doc)
+    for name, corrupt in CORRUPTIONS.items():
+        doc = json.loads(model.read_text())
+        corrupt(doc)
         files[name] = json.dumps(doc)
     doc = json.loads(model.read_text())
     doc["qk_scale"] = "inf"

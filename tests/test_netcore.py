@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from model_docs import CORRUPTIONS, first_with, set_rows, truncate_rows
+
 from tm2tf.fpcore import EXACT, FloatFormat, Precision
 from tm2tf.gadgets import ModelBuilder, RegisterLayout, selector_head, sub_pow2
 from tm2tf.netcore import (
@@ -313,7 +315,7 @@ def test_zero_padded_model_loads_and_decodes_the_same_tokens():
 
 
 def _truncate_w1(doc):
-    doc["layers"][1]["w1"] = doc["layers"][1]["w1"][:-1]
+    truncate_rows(doc["layers"][1]["w1"])  # one row short of bias4
 
 
 def _wrong_n_layers(doc):
@@ -330,31 +332,27 @@ def _duplicate_token(doc):
 
 
 def _fractional_code(doc):
-    next(layer for layer in doc["layers"] if layer["w1"])["w1"][0][0] = 1.5
+    first_with(doc, "w1")["w1"]["codes"][0] = 1.5
 
 
 def _boolean_code(doc):
-    next(layer for layer in doc["layers"] if layer["w1"])["w1"][0][0] = True
+    first_with(doc, "w1")["w1"]["codes"][0] = True
 
 
 def _meta_r_differs(doc):
     doc["meta"]["r"] = doc["positional"]["r"] + 6
 
 
-def _first_with(doc, key):
-    return next(layer for layer in doc["layers"] if layer[key])
-
-
 def _min_int8_w1(doc):
-    _first_with(doc, "w1")["w1"][0][0] = -128  # np.abs(-128) is -128 in int8
+    first_with(doc, "w1")["w1"]["codes"][0] = -128  # np.abs(-128) is -128 in int8
 
 
 def _min_int8_emb(doc):
-    doc["emb"][0][0] = -128
+    doc["emb"]["codes"][0] = -128
 
 
 def _min_int32_bias4(doc):
-    _first_with(doc, "bias4")["bias4"][0] = -(2 ** 31)
+    first_with(doc, "bias4")["bias4"]["codes"][0] = -(2 ** 31)
 
 
 def _infinite_scale(doc):
@@ -363,12 +361,7 @@ def _infinite_scale(doc):
 
 def _too_many_rows(doc):
     """d_ff + 1 MLP rows of consistent shapes in one layer."""
-    layer, d, d_ff = _first_with(doc, "w1"), doc["dims"]["d"], doc["dims"]["d_ff"]
-    extra = d_ff + 1 - len(layer["bias4"])
-    layer["w1"] += [[0] * d for _ in range(extra)]
-    layer["bias4"] += [0] * extra
-    for row in layer["w2"]:
-        row += [0] * extra
+    set_rows(first_with(doc, "w1"), doc["dims"]["d_ff"] + 1)
 
 
 @pytest.mark.parametrize(
@@ -395,6 +388,88 @@ def test_params_from_json_rejects_contract_violations(corrupt):
     corrupt(doc)
     with pytest.raises(ValueError):
         params_from_json(doc)
+
+
+@pytest.mark.parametrize("name", CORRUPTIONS)
+def test_params_from_json_refuses_malformed_sparse_arrays(name, monkeypatch):
+    """Refused before any array larger than the model is allocated."""
+    params, _ = _compile("dfa")
+    doc = json.loads(json.dumps(params_to_json(params)))
+    params_from_json(doc)
+    CORRUPTIONS[name](doc)
+    zeros = np.zeros
+
+    def small_zeros(shape, *args, **kwargs):
+        assert math.prod(np.atleast_1d(shape)) <= 10 ** 6, shape
+        return zeros(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "zeros", small_zeros)
+    with pytest.raises((ValueError, OverflowError)):
+        params_from_json(doc)
+
+
+def _weight_arrays(params: TransformerParams) -> list[np.ndarray]:
+    arrays = [params.emb, params.unemb]
+    for layer in params.layers:
+        arrays += [a for h in layer.heads for a in (h.wq, h.wk, h.wv, h.wo)]
+        arrays += [layer.w1, layer.bias4, layer.w2]
+    return arrays
+
+
+def _assert_same_weights(got: TransformerParams, want: TransformerParams) -> None:
+    pairs = list(zip(_weight_arrays(got), _weight_arrays(want), strict=True))
+    for a, b in pairs:
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+    assert params_to_json(got) == params_to_json(want)
+
+
+@pytest.mark.parametrize(
+    "kind", ["dfa", "cot", "scot", "rope", "scaled_only", "denoised", "padded"]
+)
+def test_model_file_round_trips_every_kind(kind, tmp_path):
+    from tm2tf.netcore import load_model, save_model
+
+    if kind in ("scaled_only", "denoised"):
+        params = _softmax_case(kind)[0]
+    elif kind == "padded":
+        params = _padded(_compile("cot")[0])
+    else:
+        params = _compile(kind)[0]
+    path = str(tmp_path / "model.json")
+    save_model(params, path)
+    _assert_same_weights(load_model(path), params)
+
+
+def test_denoised_bouncer8_model_file_is_small(tmp_path):
+    """About 14 M weight entries, 1 M of text: dense lists took 27.7 MB."""
+    import os
+
+    from machines import bouncer_machine
+
+    from tm2tf.compilers import compile_cot
+    from tm2tf.netcore import load_model, save_model
+    from tm2tf.softmaxify import convert
+
+    r = 10
+    params, _ = convert(compile_cot(bouncer_machine(8), r)[0], "denoised", 2 ** r)
+    path = str(tmp_path / "model.json")
+    save_model(params, path)
+    assert os.path.getsize(path) < 2_000_000
+    _assert_same_weights(load_model(path), params)
+
+
+def test_readme_model_file_example_loads():
+    """The README's complete format-2 model is a valid model file."""
+    from pathlib import Path
+
+    from tm2tf.netcore import next_token
+
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("A complete model file", 1)[1].split("```json", 1)[1].split("```", 1)[0]
+    params = params_from_json(json.loads(block))
+    assert params.dims == Dims(d=2, d_k=1, d_v=1, d_ff=1, n_heads=1, n_layers=1)
+    assert json.loads(json.dumps(params_to_json(params))) == json.loads(block)
+    assert next_token(params, ["a"], EvalConfig()) in params.vocab
 
 
 # ---------------------------------------------------------------------------
