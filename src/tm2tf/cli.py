@@ -22,7 +22,7 @@ from .harness import (
     validate_dfa,
     validate_trials,
 )
-from .netcore import load_model, save_model
+from .netcore import EvalError, load_model, save_model
 from .softmaxify import (
     c0_denoising,
     c0_exact_attention,
@@ -177,7 +177,7 @@ def _cmd_run(args) -> int:
         trace = runner(
             params, word, cfg, budget=args.budget, record_steps=args.trace_out is not None
         )
-    except Exception as exc:  # token-out-of-vocab etc.
+    except EvalError as exc:  # a token outside the vocabulary or past the context
         raise CliError(f"usage error: {exc}") from exc
     if args.trace_out:
         try:

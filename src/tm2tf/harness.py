@@ -221,6 +221,8 @@ def attention_rounding_bound_violations(
     """
     violations = 0
     for lt in trace.layers:
+        if lt.dots.size == 0:  # a layer without heads has no attention rows
+            continue
         for i, dots in enumerate(lt.dots):  # the engine's softmax sums over keys <= i
             scores = dots[..., : i + 1] / math.sqrt(lt.q.shape[-1])
             raw = softmax_weights(scores)
@@ -387,7 +389,7 @@ def validate_scot(seed: int, trials: int, cfg: TrialConfig = TrialConfig()) -> V
 def validate_dfa(dfas: list, r: int, max_len: int) -> ValidationReport:
     """Exhaustive agreement with dfa_accepts on all words up to max_len.
 
-    The words of each length run as one batch, whose trace is audited once;
+    The words of each length run as one batch, whose trace gets one audit;
     the invariants count per word, position and head, so the counts are
     those of auditing every word on its own. A word of length max_len and
     its BOS must fit the 2^r positions."""

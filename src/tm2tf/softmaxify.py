@@ -22,7 +22,6 @@ from .netcore import (
     ActivationTrace,
     Dims,
     EvalConfig,
-    Evaluator,
     LayerParams,
     LayerTrace,
     TransformerParams,
@@ -41,7 +40,6 @@ __all__ = [
     "convert",
     "eval_config",
     "trace_invariant_violations",
-    "audit_hardmax_preconditions",
 ]
 
 _CERTIFIED_SOURCES = {"compile_dfa", "compile_cot", "compile_scot", "rope_prefix"}
@@ -51,31 +49,32 @@ class ConversionError(ValueError):
     pass
 
 
-def _require_certified(params: TransformerParams, audited: bool) -> None:
-    if params.source not in _CERTIFIED_SOURCES and not audited:
-        raise ConversionError(
-            "conversion is only certified for compiler output; run "
-            "audit_hardmax_preconditions and pass audited=True to override"
-        )
-
-
-def _require_scale(c: float) -> None:
+def _require_convertible(params: TransformerParams, c: float) -> None:
+    """Refuse what the conversion theorems do not cover: a scale c that is
+    not positive and finite, a model no certified compiler built, a model
+    already converted, or a layer where two heads write one coordinate."""
     if not (c > 0 and math.isfinite(c)):
         raise ConversionError(f"c must be a positive finite number, got {c}")
-
-
-def _require_hardmax(params: TransformerParams) -> None:
+    if params.source not in _CERTIFIED_SOURCES:
+        raise ConversionError(
+            f"conversion is only certified for compiler output, not source {params.source!r}"
+        )
     if params.mode != "hardmax":
         raise ConversionError(
             f"model is already converted (mode {params.mode}); convert its hardmax model"
         )
+    for li, layer in enumerate(params.layers):
+        written = np.zeros(params.dims.d, dtype=bool)
+        for hi, head in enumerate(layer.heads):
+            rows = head.wo.any(axis=1)
+            if (rows & written).any():
+                raise ConversionError(f"layer {li} head {hi} writes coordinates of another head")
+            written |= rows
 
 
-def scale_qk(params: TransformerParams, c: float, audited: bool = False) -> TransformerParams:
+def scale_qk(params: TransformerParams, c: float) -> TransformerParams:
     """Scale query/key projections by c; hardmax behavior is unchanged."""
-    _require_scale(c)
-    _require_certified(params, audited)
-    _require_hardmax(params)
+    _require_convertible(params, c)
     return replace(
         params,
         vocab=list(params.vocab),
@@ -146,18 +145,14 @@ def act_format_containing(c: float) -> FloatFormat:
     raise ConversionError(f"no supported format with 1 mantissa bit contains {c}")
 
 
-def convert_with_denoising(
-    params: TransformerParams, c: float, audited: bool = False
-) -> TransformerParams:
+def convert_with_denoising(params: TransformerParams, c: float) -> TransformerParams:
     """Depth-doubling conversion: attention + denoising MLP, then the MLP.
 
     Weight codes stay in {0,+-1,+-2}; the c scale lives on query/key
     projections. Evaluate with `eval_config` to reproduce the hardmax
     tokens; it needs meta["N"], which `convert` sets.
     """
-    _require_scale(c)
-    _require_certified(params, audited)
-    _require_hardmax(params)
+    _require_convertible(params, c)
     dims, d = params.dims, params.dims.d
     new_dims = replace(dims, d_ff=max(dims.d_ff, 6 * d), n_layers=2 * dims.n_layers)
     den_w1, den_bias4, den_w2 = mlp_weights(denoising_neurons(list(range(d))), d)
@@ -267,36 +262,3 @@ def _score_row_violations(lt: LayerTrace) -> tuple[int, int]:
     i, h, j = np.nonzero(tied & (integral & (tied.sum(axis=-1) > 1))[..., None])
     differs = np.any(values[j, h] != values[first[i, h], h], axis=-1)
     return int((~integral | gap).sum()), len(set(zip(i[differs], h[differs])))
-
-
-def audit_hardmax_preconditions(
-    params: TransformerParams, inputs: list[list[str]]
-) -> list[str]:
-    """Audit the conversion preconditions on the given inputs.
-
-    Checks the model contract (`validate_weights`) and disjoint head
-    outputs on the weights, then the trace invariants of
-    `trace_invariant_violations` with one greedy step after each input.
-    Returns a list of violation descriptions.
-    """
-    problems: list[str] = []
-    try:
-        params.validate_weights()
-    except ValueError as exc:
-        problems.append(str(exc))
-    for li, layer in enumerate(params.layers):
-        written: set[int] = set()
-        for hi, head in enumerate(layer.heads):
-            rows = set(np.nonzero(head.wo.any(axis=1))[0].tolist())
-            if rows & written:
-                problems.append(f"layer {li} head {hi} writes coordinates of another head")
-            written |= rows
-    cfg = EvalConfig(attention="hardmax", capture_trace=True)
-    for tokens in inputs:
-        ev = Evaluator(params, cfg)
-        ev.extend(tokens)
-        ev.next_token()
-        for key, count in trace_invariant_violations([ev.trace]).items():
-            if count:
-                problems.append(f"{key}: {count} violations on {tokens[:8]}...")
-    return problems

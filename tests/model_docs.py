@@ -1,6 +1,8 @@
 """Corruptions of a format-2 model document (`params_to_json`) of a
 compiled parity DFA. Each breaks one rule of the sparse weight encoding,
-and the loader must refuse it before it allocates or writes the array."""
+and the loader must refuse it before it allocates or writes the array.
+`overlap_heads` edits a valid document into one that loads but that the
+conversions must refuse."""
 
 import math
 
@@ -83,3 +85,12 @@ CORRUPTIONS = {
     "code-beyond-int32": _code_beyond_int32,
     "huge-code": _set("codes", 0, HUGE),
 }
+
+
+def overlap_heads(doc):
+    """Give head 1 of the first layer with two heads the sparse wo of head
+    0, so both write the same coordinates; returns that layer's index."""
+    li = next(i for i, layer in enumerate(doc["layers"]) if len(layer["heads"]) > 1)
+    heads = doc["layers"][li]["heads"]
+    heads[1]["wo"] = dict(heads[0]["wo"])
+    return li

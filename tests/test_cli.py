@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from machines import fig2_machine, parity_dfa
-from model_docs import CORRUPTIONS, truncate_rows
+from model_docs import CORRUPTIONS, overlap_heads, truncate_rows
 
 from tm2tf.automata import dfa_to_json, tm_to_json
 from tm2tf.cli import main
@@ -252,6 +252,20 @@ def test_scot_cli_end_to_end(tmp_path, capsys):
     assert "outcome: output" in out
 
 
+@pytest.mark.parametrize("mode", ["scaled", "denoised"])
+def test_convert_refuses_heads_writing_one_coordinate(mode, tm_file, tmp_path, capsys):
+    model, conv = tmp_path / "model.json", tmp_path / "converted.json"
+    assert main(["compile-cot", "--tm", tm_file, "--r", "6", "--out", str(model)]) == 0
+    doc = json.loads(model.read_text())
+    li = overlap_heads(doc)
+    model.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["convert", "--model", str(model), "--mode", mode, "--out", str(conv)]) == 2
+    err = capsys.readouterr().err
+    assert "usage error" in err and f"layer {li} head 1 writes" in err
+    assert not conv.exists()
+
+
 def _model_file_cases(tmp_path, dfa_file):
     """(name, path) of model files that must be refused with exit code 2."""
     model = tmp_path / "model.json"
@@ -339,6 +353,29 @@ def test_cli_rejects_sizes_below_minimum(argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
+
+
+def test_run_usage_errors_exit_2_and_internal_errors_propagate(
+    tm_file, tmp_path, capsys, monkeypatch
+):
+    import tm2tf.cli
+
+    model = str(tmp_path / "model.json")
+    assert main(["compile-cot", "--tm", tm_file, "--r", "6", "--out", model]) == 0
+    capsys.readouterr()
+    for command in ("run-cot", "run-scot"):
+        assert main([command, "--model", model, "--word", "ax"]) == 2
+        assert "usage error: token 'x' not in vocabulary" in capsys.readouterr().err
+    # <inp>, 63 symbols and </inp> put the last prompt token at position 2^6.
+    assert main(["run-cot", "--model", model, "--word", "a" * 63]) == 2
+    assert "usage error: position 64 does not fit 6 positional bits" in capsys.readouterr().err
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("internal bug")
+
+    monkeypatch.setattr(tm2tf.cli, "run_cot", broken)
+    with pytest.raises(RuntimeError, match="internal bug"):
+        main(["run-cot", "--model", model, "--word", "ab"])
 
 
 def test_run_cot_full_context_is_budget_exceeded(tm_file, tmp_path, capsys):

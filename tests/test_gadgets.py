@@ -350,6 +350,21 @@ def test_builder_conflict_detection():
     builder2.add_neurons(1, copy_register(a, b, [(g, 1)]), "cg")
 
 
+def test_builder_refuses_heads_writing_one_coordinate():
+    layout = RegisterLayout()
+    a = layout.register("a", 2)
+    b = layout.register("b", 2)
+    c = layout.register("c", 2)
+    builder = ModelBuilder(layout, n_layers=2)
+    builder.add_head(1, selector_head("h0", [a], [a], [a], b))
+    # b[1] is already written by h0 in layer 1.
+    with pytest.raises(BuildError, match="output coords already written in layer 1"):
+        builder.add_head(1, selector_head("h1", [a], [a], [a], [c.coords[0], b.coords[1]]))
+    # Other coordinates, or another layer, are fine.
+    builder.add_head(1, selector_head("h2", [a], [a], [a], c))
+    builder.add_head(2, selector_head("h3", [a], [a], [a], b))
+
+
 def test_builder_derives_gates_from_neurons():
     layout = RegisterLayout()
     a = layout.register("a", 2)

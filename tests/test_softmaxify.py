@@ -14,7 +14,6 @@ from tm2tf.netcore import EvalConfig, next_token
 from tm2tf.softmaxify import (
     ConversionError,
     act_format_containing,
-    audit_hardmax_preconditions,
     c0_denoising,
     c0_exact_attention,
     convert,
@@ -98,9 +97,19 @@ def test_scale_rejects_foreign_models():
         scale_qk(foreign, 4.0)
     with pytest.raises(ConversionError):
         convert_with_denoising(foreign, 4.0)
-    # The audited escape hatch allows it.
-    scaled = scale_qk(foreign, 4.0, audited=True)
-    assert scaled.qk_scale == 4.0
+
+
+def test_conversions_refuse_heads_writing_one_coordinate():
+    from model_docs import overlap_heads
+
+    from tm2tf.netcore import params_from_json, params_to_json
+
+    doc = params_to_json(compile_cot(fig2_machine(), 6)[0])
+    li = overlap_heads(doc)
+    params = params_from_json(doc)  # the file itself is valid
+    for conversion in (scale_qk, convert_with_denoising):
+        with pytest.raises(ConversionError, match=f"layer {li} head 1 writes"):
+            conversion(params, 8.0)
 
 
 def test_dfa_scaled_softmax_bf16_matches_hardmax():
@@ -167,19 +176,6 @@ def test_denoised_dfa_classifies_all_words():
             assert got == want, word
 
 
-def test_audit_passes_compiled_and_flags_broken():
-    params, _ = compile_dfa(parity_dfa(), 2)
-    inputs = [[BOS, "1", "0"], [BOS]]
-    assert audit_hardmax_preconditions(params, inputs) == []
-    # Break the unembedding gap: make True and False identical.
-    import copy
-
-    broken = copy.deepcopy(params)
-    broken.unemb[1] = broken.unemb[2]
-    problems = audit_hardmax_preconditions(broken, inputs)
-    assert any("gap" in p for p in problems)
-
-
 def test_trace_invariant_counts_on_a_broken_model():
     """Each invariant counts one per offending (position, head) or position."""
     import copy
@@ -220,6 +216,22 @@ def test_attention_weight_rounding_bound_on_traces():
         sum(attention_rounding_bound_violations(t, att_fmt) for t in trace.eval_traces)
         == 0
     )
+
+
+def test_denoised_audit_counts_on_a_broken_model():
+    """At c = 4, half the theorem's 8, attention leaks enough weight to push
+    pre-denoising coordinates past 1/4 while its rounding stays in bound."""
+    from tm2tf.harness import _denoising_margin_violations, attention_rounding_bound_violations
+
+    tm = fig2_machine()
+    params, _ = compile_cot(tm, 6)
+    converted, cfg = convert(params, "denoised", 64, c=4.0)
+    draft = [cot_token_oracle(tm, "aab", 6)]
+    trace = run_cot(converted, "aab", replace(cfg, capture_trace=True), draft=draft)
+    assert trace.outcome == "budget_exceeded"
+    assert _denoising_margin_violations(params, trace) == 989
+    att_fmt = cfg.att_precision.fmt
+    assert sum(attention_rounding_bound_violations(t, att_fmt) for t in trace.eval_traces) == 0
 
 
 def test_convert_settings_of_fig2_cot():
