@@ -157,9 +157,14 @@ def _cmd_convert(args) -> int:
     except ValueError as exc:
         raise CliError(f"usage error: {exc}") from exc
     _save_model(converted, args.out)
+    sizes = ""
+    if converted.mode == "denoised":
+        # the denoising rows built, of the 6d per layer the theorem states
+        built = sum(layer.bias4.size for layer in converted.layers[::2])
+        sizes = f" denoisers={built}/{6 * params.dims.d * params.dims.n_layers}"
     print(
         f"converted mode={args.mode} c={converted.qk_scale} N={context_bound} "
-        f"act={cfg.act_precision} att={cfg.att_precision} -> {args.out}"
+        f"act={cfg.act_precision} att={cfg.att_precision}{sizes} -> {args.out}"
     )
     return 0
 

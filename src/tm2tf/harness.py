@@ -460,7 +460,7 @@ def _round_sqrt_mantissa(p: int, q: int, fmt: FloatFormat) -> tuple[int, int]:
             return p >= q * 4 ** e
         return p * 4 ** (-e) >= q
 
-    e = 0
+    e = (p.bit_length() - q.bit_length()) // 2  # within one of the answer
     while not at_least_pow2(e):
         e -= 1
     while at_least_pow2(e + 1):
@@ -490,27 +490,30 @@ def _round_sqrt_ratio_exact(p: int, q: int, fmt: FloatFormat) -> Fraction:
     return Fraction(mant) * Fraction(2) ** exp
 
 
-def _phi_coords(max_i: int, fmt: FloatFormat):
-    """Rounded (a_i, b_i) with phi_i = (i, 1, -i, -1)/norm = (a, b, -a, -b).
+def _phi_coords(max_i: int, fmt: FloatFormat, start: int = 0):
+    """Rounded (a_i, b_i) with phi_i = (i, 1, -i, -1)/norm = (a, b, -a, -b),
+    for start <= i <= max_i; i = 0, which no scan reads, gets (0, 0).
 
     The exact real coordinates i/sqrt(2i^2+2) and 1/sqrt(2i^2+2) are
     rounded straight into the format. Returns float views plus exact
-    integer views scaled by 2^_PHI_SHIFT.
+    integer views scaled by 2^_PHI_SHIFT, entry k holding i = start + k.
     """
-    a = np.zeros(max_i + 1)
-    b = np.zeros(max_i + 1)
-    a_int = [0] * (max_i + 1)
-    b_int = [0] * (max_i + 1)
-    for i in range(1, max_i + 1):
+    n = max_i + 1 - start
+    a = np.zeros(n)
+    b = np.zeros(n)
+    a_int = [0] * n
+    b_int = [0] * n
+    for i in range(max(start, 1), max_i + 1):
         denom = 2 * i * i + 2
         ma, ea = _round_sqrt_mantissa(i * i, denom, fmt)
         mb, eb = _round_sqrt_mantissa(1, denom, fmt)
         if ea + _PHI_SHIFT < 0 or eb + _PHI_SHIFT < 0:
             raise AssertionError("fixed-point scale too small for the format")
-        a_int[i] = ma << (ea + _PHI_SHIFT)
-        b_int[i] = mb << (eb + _PHI_SHIFT)
-        a[i] = math.ldexp(ma, ea)
-        b[i] = math.ldexp(mb, eb)
+        k = i - start
+        a_int[k] = ma << (ea + _PHI_SHIFT)
+        b_int[k] = mb << (eb + _PHI_SHIFT)
+        a[k] = math.ldexp(ma, ea)
+        b[k] = math.ldexp(mb, eb)
     return a, b, a_int, b_int
 
 
@@ -522,11 +525,18 @@ def probe_phi(fmt: FloatFormat, max_i: int, format_name: str = "") -> ProbeRepor
     """
     if max_i < 2:
         raise ValueError("max_i must be >= 2")
-    a, b, a_int, b_int = _phi_coords(max_i, fmt)
+    a, b, a_int, b_int = _phi_coords(1, fmt)
     # Float64 dot products of values <= 1 err below 5e-16; 1e-14 is a safe
     # prefilter slack before exact integer confirmation.
     margin = 1e-14
     for i in range(2, max_i + 1):
+        if i == len(a_int):
+            # Round coordinates in doubling chunks as the scan reaches them:
+            # a scan that stops at i rounds fewer than 2i of the max_i.
+            more_a, more_b, more_a_int, more_b_int = _phi_coords(min(2 * i, max_i), fmt, i)
+            a, b = np.concatenate([a, more_a]), np.concatenate([b, more_b])
+            a_int += more_a_int
+            b_int += more_b_int
         lhs = a[1:i] * a[i] + b[1:i] * b[i]
         rhs = a[i] * a[i] + b[i] * b[i]
         candidates = np.nonzero(lhs >= rhs - margin)[0] + 1

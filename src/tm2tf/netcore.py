@@ -636,9 +636,10 @@ def _pos_from_json(doc: dict):
 MODEL_FORMAT = 2
 
 # The most weight entries a file's dims may imply (n_layers layers of
-# n_heads heads and d_ff MLP rows, plus emb and unemb): about ten times the
-# denoised bouncer8 CoT r=10 model, so that a few bytes of JSON cannot ask
-# for a huge allocation.
+# n_heads heads and d_ff MLP rows, plus emb and unemb): about 35 times the
+# denoised bouncer8 CoT r=10 model, and ten times that model at the
+# theorem's width of 6d denoising rows per layer, so that a few bytes of
+# JSON cannot ask for a huge allocation.
 MAX_DIMS_ENTRIES = 2 ** 28
 
 _HEAD_KEYS = ("wq", "wk", "wv", "wo")

@@ -6,6 +6,13 @@ weights a large enough c makes the rounded softmax model token-identical.
 When attention weights themselves are rounded, each layer is split in two:
 attention plus an error-absorbing MLP that snaps coordinates within 1/4
 back onto {-1, 0, 1}, then the original MLP in an attention-free layer.
+
+The error-absorbing MLP denoises only the coordinates that the layer's
+heads write, the union of their nonzero W_O rows. Every other coordinate
+is exact: attention adds 0.0 to it, so it keeps its value from the layer
+below, which is in {-1, 0, 1}, and a denoiser maps such a value to itself.
+So the lean denoisers compute what the theorem's 6d-wide ones compute, in
+at most its max(d_ff, 6d) width.
 """
 
 from __future__ import annotations
@@ -49,10 +56,11 @@ class ConversionError(ValueError):
     pass
 
 
-def _require_convertible(params: TransformerParams, c: float) -> None:
+def _require_convertible(params: TransformerParams, c: float) -> list[np.ndarray]:
     """Refuse what the conversion theorems do not cover: a scale c that is
     not positive and finite, a model no certified compiler built, a model
-    already converted, or a layer where two heads write one coordinate."""
+    already converted, or a layer where two heads write one coordinate.
+    Returns each layer's (d,) mask of the coordinates its heads write."""
     if not (c > 0 and math.isfinite(c)):
         raise ConversionError(f"c must be a positive finite number, got {c}")
     if params.source not in _CERTIFIED_SOURCES:
@@ -63,6 +71,7 @@ def _require_convertible(params: TransformerParams, c: float) -> None:
         raise ConversionError(
             f"model is already converted (mode {params.mode}); convert its hardmax model"
         )
+    masks = []
     for li, layer in enumerate(params.layers):
         written = np.zeros(params.dims.d, dtype=bool)
         for hi, head in enumerate(layer.heads):
@@ -70,6 +79,8 @@ def _require_convertible(params: TransformerParams, c: float) -> None:
             if (rows & written).any():
                 raise ConversionError(f"layer {li} head {hi} writes coordinates of another head")
             written |= rows
+        masks.append(written)
+    return masks
 
 
 def scale_qk(params: TransformerParams, c: float) -> TransformerParams:
@@ -148,17 +159,20 @@ def act_format_containing(c: float) -> FloatFormat:
 def convert_with_denoising(params: TransformerParams, c: float) -> TransformerParams:
     """Depth-doubling conversion: attention + denoising MLP, then the MLP.
 
-    Weight codes stay in {0,+-1,+-2}; the c scale lives on query/key
-    projections. Evaluate with `eval_config` to reproduce the hardmax
-    tokens; it needs meta["N"], which `convert` sets.
+    Each layer's denoising MLP has 6 rows per coordinate its heads write
+    (none for a layer without heads); d_ff becomes max(d_ff, 6 * the most
+    coordinates one layer writes), never more than the theorem's
+    max(d_ff, 6d). Weight codes stay in {0,+-1,+-2}; the c scale lives on
+    query/key projections. Evaluate with `eval_config` to reproduce the
+    hardmax tokens; it needs meta["N"], which `convert` sets.
     """
-    _require_convertible(params, c)
+    written = [np.flatnonzero(mask).tolist() for mask in _require_convertible(params, c)]
     dims, d = params.dims, params.dims.d
-    new_dims = replace(dims, d_ff=max(dims.d_ff, 6 * d), n_layers=2 * dims.n_layers)
-    den_w1, den_bias4, den_w2 = mlp_weights(denoising_neurons(list(range(d))), d)
+    widest = max(map(len, written), default=0)
+    new_dims = replace(dims, d_ff=max(dims.d_ff, 6 * widest), n_layers=2 * dims.n_layers)
     layers: list[LayerParams] = []
-    for layer in params.layers:
-        layers.append(LayerParams(layer.heads, den_w1, den_bias4, den_w2))
+    for layer, coords in zip(params.layers, written):
+        layers.append(LayerParams(layer.heads, *mlp_weights(denoising_neurons(coords), d)))
         layers.append(LayerParams([], layer.w1, layer.bias4, layer.w2))
     out = replace(
         params,

@@ -117,6 +117,18 @@ def test_convert_auto_and_run_softmax(tm_file, tmp_path, capsys):
     assert "output: acb" in out
 
 
+def test_convert_denoised_prints_both_sizes(tm_file, tmp_path, capsys):
+    """The denoising rows built, of the theorem's 6d per layer: fig2 CoT at
+    r = 6 has d = 117 and 23 layers, whose heads write 73 coordinates."""
+    model, conv = str(tmp_path / "model.json"), str(tmp_path / "denoised.json")
+    main(["compile-cot", "--tm", tm_file, "--r", "6", "--out", model])
+    capsys.readouterr()
+    assert main(["convert", "--model", model, "--mode", "denoised", "--out", conv]) == 0
+    assert f" denoisers={6 * 73}/{6 * 117 * 23} -> " in capsys.readouterr().out
+    assert main(["convert", "--model", model, "--mode", "scaled", "--out", conv]) == 0
+    assert "denoisers=" not in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("command", ["compile-dfa", "compile-cot", "compile-scot", "convert"])
 def test_unwritable_out_is_a_file_error(command, tm_file, dfa_file, tmp_path, capsys):
     out = str(tmp_path / "no-such-dir" / "m.json")

@@ -87,7 +87,7 @@ PINNED = {
     "dfa1-3": "a5626b1605e98eec568342d134df5c65f30695744ea1caa837dbaf5ad69cda96",
     "dfa2-3": "c97679086decf5dac1686c9668d53e4e47343f5d2468fb0459cbc11c6f1429b0",
     "fig2-cot-6": "2b184101fb18597d5fc09aea6c3c12d7c7fb755f84ead5330d5fbbf511aef2ea",
-    "fig2-cot-6-denoised": "ebb13b01d9e2b7830867d2a9bf3bed12b1762bdb6fdcdabc5a87b3c6a54fdf4c",
+    "fig2-cot-6-denoised": "85022eb774eb6918be9c60b6de9d187cc2abb52adf5bae8ba225d27b6323aa97",
     "fig2-scot-6": "f42245d2305092312a4baba06b4b93188e46fd902018e0cf529908c45f1239ae",
     "rope-3": "e7ad54550e1f4de3693980ff5c5f2a5b6535222a403cbee771ae8e9e3961ea9c",
     "trials-0-27": "f28d3bc68a4a35676d5ad0e84857246c08caa13e85ad3310bc0320c87c8aab4d",

@@ -4,13 +4,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from machines import fig2_machine, parity_dfa
+from machines import bouncer_machine, copy_machine, fig2_machine, parity_dfa
 
 from tm2tf.automata import BOS, FALSE, TRUE, cot_token_oracle, dfa_accepts
-from tm2tf.compilers import choose_r_cot, compile_cot, compile_dfa
+from tm2tf.compilers import choose_r_cot, compile_cot, compile_dfa, compile_scot
 from tm2tf.fpcore import PRESETS
-from tm2tf.generation import run_cot
-from tm2tf.netcore import EvalConfig, next_token
+from tm2tf.gadgets import denoising_neurons, mlp_weights
+from tm2tf.generation import run_cot, run_scot
+from tm2tf.netcore import EvalConfig, LayerParams, next_token
 from tm2tf.softmaxify import (
     ConversionError,
     act_format_containing,
@@ -134,23 +135,85 @@ def test_cot_scaled_softmax_matches_oracle():
     assert trace.segments[0] == cot_token_oracle(tm, "aab", r)
 
 
+def _written_coords(layer) -> list[int]:
+    return sorted({int(j) for head in layer.heads for j in np.flatnonzero(head.wo.any(axis=1))})
+
+
 def test_convert_with_denoising_shapes():
     tm = fig2_machine()
     params, report = compile_cot(tm, 6)
     c = next_pow2_at_least(c0_denoising(report.dims.d_k, 2 ** 6))
     converted = convert_with_denoising(params, c)
     assert converted.dims.n_layers == 2 * report.dims.n_layers
-    assert converted.dims.d_ff == max(report.dims.d_ff, 6 * report.dims.d)
+    widest = max(len(_written_coords(layer)) for layer in params.layers)
+    assert widest < report.dims.d
+    assert converted.dims.d_ff == max(report.dims.d_ff, 6 * widest)
     assert converted.qk_scale == c
     # weight codes stay within {0,+-1,+-2}
     for layer in converted.layers:
-        assert np.abs(layer.w1).max() <= 2 and np.abs(layer.w2).max() <= 2
-    # attention + the 6d denoising rows, then the original MLP without heads
+        if layer.w1.size:
+            assert np.abs(layer.w1).max() <= 2 and np.abs(layer.w2).max() <= 2
+    # attention + 6 denoising rows per coordinate its heads write, then the
+    # original MLP without heads
+    headless = 0
     for layer, attention, mlp in zip(
         params.layers, converted.layers[0::2], converted.layers[1::2]
     ):
-        assert attention.heads is layer.heads and attention.w1.shape[0] == 6 * report.dims.d
+        coords = _written_coords(layer)
+        headless += not layer.heads
+        assert attention.heads is layer.heads and attention.w1.shape[0] == 6 * len(coords)
+        assert np.flatnonzero(attention.w1.any(axis=0)).tolist() == coords
+        assert np.flatnonzero(attention.w2.any(axis=1)).tolist() == coords
         assert mlp.heads == [] and mlp.w1 is layer.w1 and mlp.w2 is layer.w2
+    assert headless > 0  # and a layer without heads gets no denoising rows
+
+
+def _theorem_width(converted, d_ff: int):
+    """The theorem's denoised model: every attention layer of `converted`
+    denoises all d coordinates, in max(d_ff, 6d) width."""
+    d = converted.dims.d
+    full = mlp_weights(denoising_neurons(list(range(d))), d)
+    layers = [
+        LayerParams(layer.heads, *full) if i % 2 == 0 else layer
+        for i, layer in enumerate(converted.layers)
+    ]
+    dims = replace(converted.dims, d_ff=max(d_ff, 6 * d))
+    return replace(converted, dims=dims, layers=layers)
+
+
+@pytest.mark.parametrize(
+    "build, c, runner, words",
+    [
+        (lambda: compile_cot(fig2_machine(), 6), None, run_cot, ["ab", "ba", "cc"]),
+        (lambda: compile_scot(bouncer_machine(4), 6), None, run_scot, ["x"]),
+        (lambda: compile_cot(copy_machine(), 6), None, run_cot, ["0110", "10"]),
+        # At c = 4, half the theorem's c, attention leaks up to 1/4 onto the
+        # coordinates it writes on these words, and the denoisers snap it off.
+        (lambda: compile_cot(fig2_machine(), 6), 4.0, run_cot, ["ab", "ba", "cc"]),
+    ],
+    ids=["fig2-cot-6", "bouncer4-scot-6", "copy-cot-6", "fig2-cot-6-c4"],
+)
+def test_lean_denoising_matches_theorem_width(build, c, runner, words):
+    """Denoising only the coordinates that heads write changes nothing: the
+    tokens, saturations and every layer's x_mid and x_out are those of the
+    theorem's full-width denoisers, bit for bit."""
+    params, _ = build()
+    lean, cfg = convert(params, "denoised", 2 ** 6, c)
+    full = _theorem_width(lean, params.dims.d_ff)
+    full.validate_weights()
+    cfg = replace(cfg, capture_trace=True)
+    denoised = 0
+    for word in words:
+        got, want = runner(lean, word, cfg), runner(full, word, cfg)
+        assert got.outcome == want.outcome == "output"
+        assert got.segments == want.segments and got.saturations == want.saturations
+        for got_ev, want_ev in zip(got.eval_traces, want.eval_traces, strict=True):
+            for got_lt, want_lt in zip(got_ev.layers, want_ev.layers, strict=True):
+                assert got_lt.x_mid.tobytes() == want_lt.x_mid.tobytes()
+                assert got_lt.x_out.tobytes() == want_lt.x_out.tobytes()
+            # values the denoisers moved, in the attention layers
+            denoised += sum(int((lt.x_mid != lt.x_out).sum()) for lt in got_ev.layers[::2])
+    assert c is None or denoised > 0
 
 
 def test_denoised_cot_matches_oracle():
