@@ -11,15 +11,19 @@ Hardmax decisions compare raw integer dot products, sidestepping the
 A step runs P new positions of B equal-length sequences through each layer
 at once: one fused Q/K/V matmul, one KV cache of shape (positions, B*H,
 d_k + d_v), causally masked attention for all heads, one (d, H*d_v) output
-matmul, and one rounding call per quantity. Under hardmax, without rotary
-positions, a whole block of known tokens is one step, which is what lets
-generation verify a draft of expected tokens in one pass; softmax and
-rotary models step one position at a time, so their rounding and sums are
-those of plain incremental decoding. The trace holds one array per
-quantity whose first axis is position, with a (B,) axis after it for a
-batch: (P, H, .) for q, k, v and o, (P, H, P) for the causally masked dots,
-(P, d) or (P, m) for y, x_mid, hidden and x_out. They are views into
-buffers that grow with the KV cache, so `truncate` only re-slices them.
+matmul, and one rounding call per quantity. One condition, exact arithmetic
+(hardmax without rotary positions), decides two things. A whole block of
+known tokens is one step, which is what lets generation verify a draft of
+expected tokens in one pass. And the Q/K/V, output and W1 matmuls gather
+only the live input coordinates, those with a nonzero weight, and multiply
+float64 weights cut from the int8 codes on those rows alone. Softmax and
+rotary models step one position at a time with whole float64 matrices, so
+their rounding and sums are those of plain incremental decoding. The trace
+holds one array per quantity whose first axis is position, with a (B,)
+axis after it for a batch: (P, H, .) for q, k, v and o, (P, H, P) for the
+causally masked dots, (P, d) or (P, m) for y, x_mid, hidden and x_out.
+They are views into buffers that grow with the KV cache, so `truncate`
+only re-slices them.
 """
 
 from __future__ import annotations
@@ -322,10 +326,15 @@ class Evaluator:
     output matrix. A layer without heads runs the same code on empty
     arrays, but computes no attention weights and rounds nothing empty.
 
-    `extend` runs a whole block as one step only when the arithmetic is
-    exact: hardmax attention and no rotary positions, where the compiled
-    models' values are small integers and no sum depends on its order.
-    Softmax and rotary models step one position at a time.
+    `_exact`, hardmax attention without rotary positions, is the one
+    condition for two shortcuts; under it the compiled models' values are
+    small integers and no sum depends on its order. `extend` runs a whole
+    block as one step, and the Q/K/V, W_O and W1 products gather the live
+    input coordinates of their rows (`x.take(live, axis=1)`) and multiply
+    float64 weights on those coordinates alone: dropping a zero weight drops
+    a +-0 term. W2 stays whole, since every neuron is one of its inputs.
+    Softmax and rotary models step one position at a time through whole
+    float64 matrices, the same dot calls on the same arrays as ever.
     """
 
     def __init__(self, params: TransformerParams, cfg: EvalConfig, batch: int | None = None):
@@ -343,19 +352,24 @@ class Evaluator:
         self._emb = params.emb.astype(np.float64)
         self._emb[:, self._coords] = 0.0  # the position code goes there
         self._unemb_t = params.unemb.astype(np.float64).T
-        # (H, W^T of Q/K/V, W_O^T, W1^T, bias, W2^T) per layer: rows times W^T,
-        # as ndarray.dot, which costs less per call than matmul
+        self._rotary = pos if isinstance(pos, RotaryOnly) else None
+        self._exact = cfg.attention == "hardmax" and self._rotary is None
+        # (H, then the input coordinates read and W^T on them for Q/K/V,
+        # W_O and W1, bias, W2^T) per layer: rows times W^T, as ndarray.dot,
+        # which costs less per call than matmul. Only exact evaluators cut
+        # the int8 weights; the others stack float64 at once.
+        stack = np.int8 if self._exact else np.float64
         self._w = []
         for layer in params.layers:
-            n_heads = len(layer.heads)
-            wqkv = np.array([np.concatenate([h.wq, h.wk, h.wv]) for h in layer.heads], np.float64)
-            wo = np.array([h.wo for h in layer.heads], np.float64).reshape(n_heads, d, d_v)
+            heads, n_heads = layer.heads, len(layer.heads)
+            wqkv = np.array([np.concatenate([h.wq, h.wk, h.wv]) for h in heads], stack)
+            wo = np.array([h.wo for h in heads], stack).reshape(n_heads, d, d_v)
             self._w.append(
                 (
                     n_heads,
-                    wqkv.reshape(n_heads * (2 * d_k + d_v), d).T,
-                    wo.transpose(1, 0, 2).reshape(d, n_heads * d_v).T,
-                    layer.w1.astype(np.float64).T,
+                    *_read(wqkv.reshape(n_heads * (2 * d_k + d_v), d), self._exact),
+                    *_read(wo.transpose(1, 0, 2).reshape(d, n_heads * d_v), self._exact),
+                    *_read(layer.w1, self._exact),
                     layer.bias4.astype(np.float64) / 4.0,
                     layer.w2.astype(np.float64).T,
                 )
@@ -380,8 +394,6 @@ class Evaluator:
                 shapes.update(y=(d,), x_mid=(d,), hidden=(m,), x_out=(d,))
                 self._traced.append({k: np.empty((0, n_seq, *v)) for k, v in shapes.items()})
         self._sqrt_dk = math.sqrt(d_k)
-        self._rotary = pos if isinstance(pos, RotaryOnly) else None
-        self._block = cfg.attention == "hardmax" and self._rotary is None
         self._formats = cfg.act_precision.fmt, cfg.att_precision.fmt  # None: exact
         self.trace = ActivationTrace(layers=[LayerTrace() for _ in params.layers])
 
@@ -426,7 +438,7 @@ class Evaluator:
         self._reserve(start + len(tokens))
         x = self._embed(tokens, start)
         self.tokens += tokens
-        if self._block:
+        if self._exact:
             self._step(x, start)
         else:
             for i in range(len(tokens)):
@@ -493,8 +505,10 @@ class Evaluator:
         x = rnd(x.swapaxes(0, 1).reshape(n_new * n_seq, d), act)
         if capture:
             self._traced[0]["x0"][start:n] = x.reshape(n_new, n_seq, d)
-        for li, ((n_heads, wqkv, wo, w1, bias, w2), kv) in enumerate(zip(self._w, self._kv)):
-            qkv = x.dot(wqkv).reshape(n_new * n_seq, n_heads, 2 * d_k + d_v)  # q, k, v per head
+        for li, (plan, kv) in enumerate(zip(self._w, self._kv)):
+            n_heads, qkv_in, wqkv, o_in, wo, w1_in, w1, bias, w2 = plan
+            qkv = _cols(x, qkv_in).dot(wqkv)
+            qkv = qkv.reshape(n_new * n_seq, n_heads, 2 * d_k + d_v)  # q, k, v per head
             if rotary is not None:  # one position per step
                 qkv[..., :d_k] = rope_rotate(qkv[..., :d_k], start, rotary.freqs)
                 qkv[..., d_k : 2 * d_k] = rope_rotate(qkv[..., d_k : 2 * d_k], start, rotary.freqs)
@@ -520,9 +534,9 @@ class Evaluator:
                 o = (mask.astype(np.float64) @ values) / mask.sum(axis=-1, keepdims=True)
             # (P, B, H, d_v) head outputs
             o = rnd(o.reshape(n_seq, n_heads, n_new, d_v).transpose(2, 0, 1, 3), act)
-            y = rnd(o.reshape(n_new * n_seq, n_heads * d_v).dot(wo), act)
+            y = rnd(_cols(o.reshape(n_new * n_seq, n_heads * d_v), o_in).dot(wo), act)
             x_mid = rnd(x + y, act)
-            hidden = x_mid.dot(w1)
+            hidden = _cols(x_mid, w1_in).dot(w1)
             hidden += bias
             hidden = rnd(np.maximum(hidden, 0.0, out=hidden), act)
             x = rnd(x_mid + rnd(hidden.dot(w2), act), act)
@@ -593,6 +607,22 @@ class Evaluator:
 
 def _unrounded(x: np.ndarray, fmt: FloatFormat | None) -> np.ndarray:
     return x
+
+
+def _read(w: np.ndarray, exact: bool) -> tuple[np.ndarray | None, np.ndarray]:
+    """For an (outputs, inputs) matrix w: the input coordinates that rows
+    times W^T reads and float64 W^T on those rows. An exact evaluator reads
+    the coordinates with a nonzero weight, the others all (None), with W^T
+    F-contiguous as ever."""
+    if not exact:
+        return None, w.T.astype(np.float64, copy=False)
+    live = np.flatnonzero(w.any(axis=0))
+    return live, w.T[live].astype(np.float64)
+
+
+def _cols(x: np.ndarray, live: np.ndarray | None) -> np.ndarray:
+    """The columns `live` of rows x, or x itself for None."""
+    return x if live is None else x.take(live, axis=1)
 
 
 def forward(

@@ -662,6 +662,108 @@ def test_a_layer_without_heads_computes_no_attention_weights(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# exact evaluators multiply only the coordinates each weight product reads
+
+
+@pytest.mark.parametrize("bounces, protocol, r, word", [(8, "cot", 10, "xyxy"), (4, "scot", 6, "xyx")])
+def test_bouncer_decode_matches_per_head_reference(bounces, protocol, r, word):
+    from machines import bouncer_machine
+
+    from tm2tf.compilers import compile_cot, compile_scot
+    from tm2tf.generation import run_cot, run_scot
+
+    tm = bouncer_machine(bounces)
+    compile_fn, run = (compile_cot, run_cot) if protocol == "cot" else (compile_scot, run_scot)
+    params, _ = compile_fn(tm, r)
+    cfg = EvalConfig(capture_trace=True)
+    trace = run(params, word, cfg)
+    assert trace.outcome == "output" and len(trace.segments) == len(trace.eval_traces)
+    for seg, ev_trace in zip(trace.segments, trace.eval_traces):
+        _assert_matches_reference(params, seg[:-1], cfg, ev_trace)
+
+
+def test_a_dfa_batch_matches_per_head_reference_word_by_word():
+    import itertools
+
+    from machines import parity_dfa
+
+    from tm2tf.automata import BOS
+    from tm2tf.compilers import compile_dfa
+
+    params, _ = compile_dfa(parity_dfa(), 3)
+    cfg = EvalConfig(capture_trace=True)
+    words = [[BOS, *w] for w in itertools.product("01", repeat=5)]
+    ev = Evaluator(params, cfg, batch=len(words))
+    ev.extend(zip(*words))
+    for b, word in enumerate(words):
+        _, x_mid, x_out = _reference_forward(params, word, cfg)
+        for li, lt in enumerate(ev.trace.layers):
+            assert lt.x_mid[:, b].tobytes() == x_mid[li].tobytes(), (b, li)
+            assert lt.x_out[:, b].tobytes() == x_out[li].tobytes(), (b, li)
+
+
+def test_empty_coordinate_sets_match_per_head_reference():
+    """A layer without heads, then one whose only head has all-zero Q, K
+    and V weights and which has no MLP rows: the fused Q/K/V product of both
+    layers and the second layer's W1 read no input coordinate."""
+    from tm2tf.netcore import HeadParams, LayerParams
+
+    d = 4
+    params = _headless_model(d)
+    zero = np.zeros((2, d), np.int8)
+    head = HeadParams(zero, zero, zero, np.ones((d, 2), np.int8))
+    empty_mlp = (np.zeros((0, d), np.int8), np.zeros(0, np.int32), np.zeros((d, 0), np.int8))
+    params.layers.append(LayerParams([head], *empty_mlp))
+    params.dims = dataclasses.replace(params.dims, n_layers=2)
+    params.validate_weights()
+    cfg = EvalConfig(capture_trace=True)
+    reps, trace = forward(params, ["a"] * 3, cfg)
+    assert reps.tobytes() == _assert_matches_reference(params, ["a"] * 3, cfg, trace).tobytes()
+
+
+def test_an_edited_copy_gets_a_fresh_plan():
+    """Evaluators plan their weights themselves, so a deep copy of a model
+    edited in place runs with its own weights. Two positions keep the
+    reference exact: a head that ties both keys averages two integers."""
+    import copy
+
+    from machines import parity_dfa
+
+    from tm2tf.automata import BOS
+    from tm2tf.compilers import compile_dfa
+
+    params, _ = compile_dfa(parity_dfa(), 3)
+    tokens, cfg = [BOS, "1"], EvalConfig(capture_trace=True)
+    reps, _ = forward(params, tokens, cfg)
+    edited = copy.deepcopy(params)
+    edited.layers[1].heads[0].wk[:] = 0
+    got, trace = forward(edited, tokens, cfg)
+    assert got.tobytes() != reps.tobytes()
+    assert got.tobytes() == _assert_matches_reference(edited, tokens, cfg, trace).tobytes()
+
+
+def test_a_bouncer8_evaluator_holds_no_dense_float64_copy_of_its_weights():
+    """The exact bouncer8 CoT r=10 evaluator keeps float64 weights only on
+    the input coordinates each product reads (W2 whole): 6.2 MB, against
+    14.0 MB for dense stacks of every matrix."""
+    import tracemalloc
+
+    from machines import bouncer_machine
+
+    from tm2tf.compilers import compile_cot
+
+    params, _ = compile_cot(bouncer_machine(8), 10)
+    tracemalloc.start()
+    try:
+        ev = Evaluator(params, EvalConfig())
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    del ev
+    assert retained < 8e6
+
+
+# ---------------------------------------------------------------------------
 # block steps, batches and truncation
 
 
