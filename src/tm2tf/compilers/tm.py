@@ -93,20 +93,25 @@ def _tm_widths(scot: bool, tapes: int, r: int, d_q: int, d_g: int) -> tuple[int,
     return 6 * k * r + 6 * r + 3 * d_q + (3 * k + 1) * d_g + 10 * k + 21, 1
 
 
+def _tm_d_ff(scot: bool, tapes: int, r: int, transition_rows: int) -> int:
+    """The MLP width: the transition layer's rows, or the widest of the
+    other layers, whose rows grow with r, if that is more."""
+    k = tapes
+    if scot:
+        return max(22 * r + 11, 18 * k * r + 2 * r + 1, transition_rows)
+    return max(18 * r + 2, 14 * k * r + 2 * r, transition_rows)
+
+
 def _tm_dims(tm: TuringMachine, r: int, scot: bool) -> Dims:
     d_q, d_g = _log_dims(tm)
     k = tm.tapes
     n_trans = len(tm.states) * len(tm.tape_alphabet) ** k
     d, extra = _tm_widths(scot, k, r, d_q, d_g)
-    if scot:
-        d_ff = max(22 * r + 11, 18 * k * r + 2 * r + 1, n_trans + extra)
-    else:
-        d_ff = max(18 * r + 2, 14 * k * r + 2 * r, n_trans + extra)
     return Dims(
         d=d,
         d_k=4 * r - 1,
         d_v=max(r, d_q, d_g),
-        d_ff=d_ff,
+        d_ff=_tm_d_ff(scot, k, r, n_trans + extra),
         n_heads=3 * k + 2 if scot else 3 * k,
         n_layers=5 * r // 2 + 8,
     )
@@ -124,10 +129,8 @@ class _TmCompiler:
     def __init__(self, tm: TuringMachine, r: int, scot: bool):
         if r % 2 != 0:
             raise ValueError("r must be even")
-        if scot and r < 4:
-            raise ValueError("the SCoT construction needs r >= 4")
-        if not scot and r < 2:
-            raise ValueError("r must be >= 2")
+        if r < 4:  # a CoT run holds at least 5 tokens, an SCoT run more
+            raise ValueError(f"the {'SCoT' if scot else 'CoT'} construction needs r >= 4")
         self.tm = tm
         self.r = r
         self.scot = scot
@@ -759,24 +762,13 @@ class _TmCompiler:
                 )
             b.add_neurons(layer, sub_pow2_inplace(self.i_pos_scan, 0, []), f"pos-scan-dec-{p}")
         # The r'th run token of a chunk must emit <p>: look r-1 back for a run
-        # token. For r = 2 the scan register is needed elsewhere that layer,
-        # but pos_minus holds i-1 = i-(r-1) permanently, so use it instead.
-        if r == 2:
-            b.add_head(
-                self.L2 + r,
-                selector_head(
-                    "lastrun", [self.i_pos_minus], [self.i_pos], [self.f_run], self.f_lastrun
-                ),
-            )
-        else:
-            b.add_head(
-                self.L2 + r - 1,
-                selector_head(
-                    "lastrun", [self.i_pos_scan], [self.i_pos], [self.f_run], self.f_lastrun
-                ),
-            )
+        # token.
+        b.add_head(
+            self.L2 + r - 1,
+            selector_head("lastrun", [self.i_pos_scan], [self.i_pos], [self.f_run], self.f_lastrun),
+        )
         self._flag_op(
-            self.L2 + r - 1 if r > 2 else self.L2 + r,
+            self.L2 + r - 1,
             "to-popen",
             ([(self.f_lastrun, 1), (self.f_run, 1), (self.f_halt, 0)], {self.f_to_popen.coord: 1}),
         )

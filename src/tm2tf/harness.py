@@ -8,7 +8,7 @@ token for token. Every checked trial also checks the length bounds;
 hardmax trials audit the construction invariants (ternary activations,
 integer score gaps, tie-invariant values, unit output-score gaps) and
 denoised trials the pre-denoising margin and the attention-weight rounding
-bound.
+bound. Every run audit lives here and reads what the evaluator traced.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from .compilers import (
     compile_dfa,
     compile_scot,
 )
-from .compilers.tm import _tm_widths
+from .compilers.tm import _tm_d_ff, _tm_widths
 from .fpcore import FloatFormat, round_array
 from .generation import run_cot, run_scot
 from .netcore import (
@@ -48,12 +48,13 @@ from .netcore import (
     ActivationTrace,
     EvalConfig,
     Evaluator,
+    LayerTrace,
     forward,
     hardmax_weights,
     separation,
     softmax_weights,
 )
-from .softmaxify import convert, trace_invariant_violations
+from .softmaxify import convert
 
 __all__ = [
     "ValidationReport",
@@ -207,29 +208,67 @@ def _merge_violations(total: dict[str, int], part: dict[str, int]) -> None:
         total[k] = total.get(k, 0) + v
 
 
+def trace_invariant_violations(traces: list[ActivationTrace]) -> dict[str, int]:
+    """Count construction-invariant violations over hardmax evaluator traces.
+
+    ternary: an activation vector (per position, and per head for q, k, v
+    and o) outside {-1, 0, 1}. score_gap: a (position, head) score row that
+    is not integer or whose maximum leads the next score by less than 1.
+    tie_values: a (position, head) row whose tied maximal keys carry
+    different values. output_gap: a decoded step whose top output score
+    leads by less than 1.
+    """
+    out = {"ternary": 0, "score_gap": 0, "tie_values": 0, "output_gap": 0}
+    for trace in traces:
+        for _, arr in trace.representation_arrays():
+            out["ternary"] += int(np.any((arr != 0.0) & (np.abs(arr) != 1.0), axis=-1).sum())
+        for lt in trace.layers:
+            score_gap, tie_values = _score_row_violations(lt)
+            out["score_gap"] += score_gap
+            out["tie_values"] += tie_values
+        if trace.output_scores:
+            top2 = np.sort(np.stack(trace.output_scores), axis=-1)[..., -2:]
+            out["output_gap"] += int((np.diff(top2, axis=-1) < 1.0).sum())
+    return out
+
+
+def _score_row_violations(lt: LayerTrace) -> tuple[int, int]:
+    """(score_gap, tie_values) counts over one layer's (position, head) score
+    rows; a batch trace's rows are (position, sequence, head)."""
+    if lt.dots.size == 0:
+        return 0, 0
+    n = len(lt.dots)
+    # dots[i, h, j]: row h of position i against key j <= i; -inf past i
+    dots = lt.dots.reshape(n, -1, n)
+    integral = np.all(dots == np.rint(dots), axis=-1)
+    best = dots.max(axis=-1, keepdims=True)
+    tied = dots == best
+    gap = best[..., 0] - np.where(tied, -np.inf, dots).max(axis=-1) < 1.0  # inf if all tie
+    # Tied keys of one row must carry the value of its first tied key.
+    values = lt.v.reshape(*dots.shape[:2], lt.v.shape[-1])  # (n, rows, d_v)
+    first = tied.argmax(axis=-1)
+    i, h, j = np.nonzero(tied & (integral & (tied.sum(axis=-1) > 1))[..., None])
+    differs = np.any(values[j, h] != values[first[i, h], h], axis=-1)
+    return int((~integral | gap).sum()), len(set(zip(i[differs], h[differs])))
+
+
 def attention_rounding_bound_violations(
     trace: ActivationTrace, att_fmt: FloatFormat
 ) -> int:
-    """Count (position, head) rows where sum_j |rounded alpha - alpha| exceeds
-    2^(-b_m-1) + n e^(-beta).
-
-    Reconstructs the pre-rounding softmax weights from the traced dot
-    products one position at a time, all heads at once, as the engine
-    computes them (so the reconstruction is bit-identical), and compares the
-    summed rounding error against the weight-rounding bound at the row's own
-    score separation.
+    """Count (position, head) rows, (position, sequence, head) for a batch,
+    whose traced weight-rounding error `att_err`, sum_j |rounded alpha_j -
+    alpha_j|, exceeds 2^(-b_m-1) + n e^(-beta): n = i + 1 keys at position
+    i, and beta the row's score separation. The -inf scores past position i
+    change no maximum, so beta is taken over the whole masked row.
     """
     violations = 0
     for lt in trace.layers:
         if lt.dots.size == 0:  # a layer without heads has no attention rows
             continue
-        for i, dots in enumerate(lt.dots):  # the engine's softmax sums over keys <= i
-            scores = dots[..., : i + 1] / math.sqrt(lt.q.shape[-1])
-            raw = softmax_weights(scores)
-            rounded, _ = round_array(raw, att_fmt)
-            err = np.abs(rounded - raw).sum(axis=-1)
-            bound = 2.0 ** (-att_fmt.mantissa_bits - 1) + (i + 1) * np.exp(-separation(scores))
-            violations += int((err > bound + 1e-12).sum())
+        beta = separation(lt.dots / math.sqrt(lt.q.shape[-1]))
+        keys = np.arange(1, len(beta) + 1).reshape(-1, *[1] * (beta.ndim - 1))
+        bound = 2.0 ** (-att_fmt.mantissa_bits - 1) + keys * np.exp(-beta)
+        violations += int((lt.att_err > bound + 1e-12).sum())
     return violations
 
 
@@ -564,7 +603,8 @@ def instantiate_capacity(
     d_ff_budget: int,
     construction: str = "cot",
 ) -> dict:
-    """Largest even r per budget and machine sizes fitting the width budgets."""
+    """Largest even r per budget and machine sizes fitting the width budgets,
+    with the compiler's d_ff: no states fit where its floor at r is over budget."""
     if min(l_budget, d_k_budget, d_budget, d_ff_budget) < 1:
         raise ValueError("budgets must be >= 1")
     if construction not in ("cot", "scot"):
@@ -579,6 +619,8 @@ def instantiate_capacity(
             d_g = (gamma - 1).bit_length()
             _, extra = _tm_widths(scot, tapes, r, 0, d_g)
             max_states = max(0, (d_ff_budget - extra) // gamma ** tapes)
+            if _tm_d_ff(scot, tapes, r, max_states * gamma ** tapes + extra) > d_ff_budget:
+                max_states = 0
             d_q = (max_states - 1).bit_length() if max_states else 0
             d_used, _ = _tm_widths(scot, tapes, r, d_q, d_g)
             rows.append(

@@ -21,9 +21,9 @@ rotary models step one position at a time with whole float64 matrices, so
 their rounding and sums are those of plain incremental decoding. The trace
 holds one array per quantity whose first axis is position, with a (B,)
 axis after it for a batch: (P, H, .) for q, k, v and o, (P, H, P) for the
-causally masked dots, (P, d) or (P, m) for y, x_mid, hidden and x_out.
-They are views into buffers that grow with the KV cache, so `truncate`
-only re-slices them.
+causally masked dots, (P, H) for att_err, (P, d) or (P, m) for y, x_mid,
+hidden and x_out. They are views into buffers that grow with the KV cache,
+so `truncate` only re-slices them.
 """
 
 from __future__ import annotations
@@ -241,6 +241,8 @@ class LayerTrace:
     k: np.ndarray = field(default_factory=_no_positions)  # (P, H, d_k)
     v: np.ndarray = field(default_factory=_no_positions)  # (P, H, d_v)
     dots: np.ndarray = field(default_factory=_no_positions)  # (P, H, P) q.k, -inf past i
+    # (P, H) sum_j |rounded - raw softmax weight j|; 0 for hardmax and exact weights
+    att_err: np.ndarray = field(default_factory=_no_positions)
     o: np.ndarray = field(default_factory=_no_positions)  # (P, H, d_v)
     y: np.ndarray = field(default_factory=_no_positions)  # (P, d)
     x_mid: np.ndarray = field(default_factory=_no_positions)  # (P, d)
@@ -379,7 +381,7 @@ class Evaluator:
         # representations; the (d,) binary position code, zero off its
         # coordinates; trace.saturations after it. With capture, the (B, .)
         # rows of x0, then of each layer's traced quantities, dots as
-        # (B, H, positions) scores. Grown by _reserve.
+        # (B, H, positions) scores and att_err as (B, H). Grown by _reserve.
         self._capacity = 0
         self._kv = [np.empty((0, n_seq * len(layer.heads), d_k + d_v)) for layer in params.layers]
         self._x = np.empty((0, n_seq, d))
@@ -390,8 +392,8 @@ class Evaluator:
             self._traced.append({"x0": np.empty((0, n_seq, d))})
             for layer in params.layers:
                 h, m = len(layer.heads), layer.bias4.size
-                shapes = dict(q=(h, d_k), k=(h, d_k), v=(h, d_v), dots=(h, 0), o=(h, d_v))
-                shapes.update(y=(d,), x_mid=(d,), hidden=(m,), x_out=(d,))
+                shapes = dict(q=(h, d_k), k=(h, d_k), v=(h, d_v), dots=(h, 0), att_err=(h,))
+                shapes.update(o=(h, d_v), y=(d,), x_mid=(d,), hidden=(m,), x_out=(d,))
                 self._traced.append({k: np.empty((0, n_seq, *v)) for k, v in shapes.items()})
         self._sqrt_dk = math.sqrt(d_k)
         self._formats = cfg.act_precision.fmt, cfg.att_precision.fmt  # None: exact
@@ -464,19 +466,21 @@ class Evaluator:
         while self._capacity < n:
             self._capacity = max(16, 2 * self._capacity)
 
-        def grown(a: np.ndarray, square: bool = False) -> np.ndarray:
-            """a with the new capacity on its first axis; a square score
-            buffer grows on its last axis too, with -inf in the new room."""
+        def grown(a: np.ndarray, name: str = "") -> np.ndarray:
+            """a with the new capacity on its first axis. The dots buffer
+            grows on its last axis too, with -inf in the new room, and
+            att_err with 0, since only rounded softmax weights write it."""
             cap = self._capacity
-            shape = (cap, *a.shape[1:-1], cap) if square else (cap, *a.shape[1:])
-            out = np.full(shape, -np.inf) if square else np.empty(shape, a.dtype)
+            shape = (cap, *a.shape[1:-1], cap) if name == "dots" else (cap, *a.shape[1:])
+            fill = {"dots": -np.inf, "att_err": 0.0}.get(name)
+            out = np.empty(shape, a.dtype) if fill is None else np.full(shape, fill)
             out[tuple(map(slice, a.shape))] = a
             return out
 
         self._kv = [grown(kv) for kv in self._kv]
         self._x = grown(self._x)
         self._saturations = grown(self._saturations)
-        self._traced = [{k: grown(a, k == "dots") for k, a in t.items()} for t in self._traced]
+        self._traced = [{k: grown(a, k) for k, a in t.items()} for t in self._traced]
         if self._coords:
             bits = (np.arange(self._capacity)[:, None] >> np.arange(len(self._coords))) & 1
             self._pos_codes = np.zeros((self._capacity, self._x.shape[-1]))
@@ -524,7 +528,8 @@ class Evaluator:
             if not n_heads:  # a layer without heads
                 o = np.empty((0, n_new, d_v))
             elif softmax_mode:
-                weights = rnd(softmax_weights(dots / self._sqrt_dk), att)
+                raw = softmax_weights(dots / self._sqrt_dk)
+                weights = rnd(raw, att)
                 o = weights @ values
             else:
                 # Sum over the argmax set, then divide once: exact for
@@ -548,6 +553,9 @@ class Evaluator:
                     bufs[name][start:n] = a.reshape(n_new, *bufs[name].shape[1:])
                 dots = dots.reshape(n_seq, n_heads, n_new, n).transpose(2, 0, 1, 3)
                 bufs["dots"][start:n, ..., :n] = dots
+                if n_heads and softmax_mode and att is not None:  # one error per row
+                    err = np.abs(weights - raw).sum(axis=-1).reshape(n_seq, n_heads, n_new)
+                    bufs["att_err"][start:n] = err.transpose(2, 0, 1)
         self._x[start:n] = x.reshape(n_new, n_seq, d)
         self._saturations[start:n] = self.trace.saturations
 

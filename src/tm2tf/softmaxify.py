@@ -26,11 +26,9 @@ from .fpcore import PRESETS, FloatFormat, Precision, is_representable
 from .gadgets import denoising_neurons, mlp_weights
 from .netcore import (
     MODES,
-    ActivationTrace,
     Dims,
     EvalConfig,
     LayerParams,
-    LayerTrace,
     TransformerParams,
 )
 
@@ -46,7 +44,6 @@ __all__ = [
     "convert_with_denoising",
     "convert",
     "eval_config",
-    "trace_invariant_violations",
 ]
 
 _CERTIFIED_SOURCES = {"compile_dfa", "compile_cot", "compile_scot", "rope_prefix"}
@@ -232,47 +229,3 @@ def convert(
     out = (scale_qk if mode == "scaled_only" else convert_with_denoising)(params, c)
     out.meta["N"] = context_bound
     return out, eval_config(out)
-
-
-def trace_invariant_violations(traces: list[ActivationTrace]) -> dict[str, int]:
-    """Count construction-invariant violations over hardmax evaluator traces.
-
-    ternary: an activation vector (per position, and per head for q, k, v
-    and o) outside {-1, 0, 1}. score_gap: a (position, head) score row that
-    is not integer or whose maximum leads the next score by less than 1.
-    tie_values: a (position, head) row whose tied maximal keys carry
-    different values. output_gap: a decoded step whose top output score
-    leads by less than 1.
-    """
-    out = {"ternary": 0, "score_gap": 0, "tie_values": 0, "output_gap": 0}
-    for trace in traces:
-        for _, arr in trace.representation_arrays():
-            out["ternary"] += int(np.any((arr != 0.0) & (np.abs(arr) != 1.0), axis=-1).sum())
-        for lt in trace.layers:
-            score_gap, tie_values = _score_row_violations(lt)
-            out["score_gap"] += score_gap
-            out["tie_values"] += tie_values
-        if trace.output_scores:
-            top2 = np.sort(np.stack(trace.output_scores), axis=-1)[..., -2:]
-            out["output_gap"] += int((np.diff(top2, axis=-1) < 1.0).sum())
-    return out
-
-
-def _score_row_violations(lt: LayerTrace) -> tuple[int, int]:
-    """(score_gap, tie_values) counts over one layer's (position, head) score
-    rows; a batch trace's rows are (position, sequence, head)."""
-    if lt.dots.size == 0:
-        return 0, 0
-    n = len(lt.dots)
-    # dots[i, h, j]: row h of position i against key j <= i; -inf past i
-    dots = lt.dots.reshape(n, -1, n)
-    integral = np.all(dots == np.rint(dots), axis=-1)
-    best = dots.max(axis=-1, keepdims=True)
-    tied = dots == best
-    gap = best[..., 0] - np.where(tied, -np.inf, dots).max(axis=-1) < 1.0  # inf if all tie
-    # Tied keys of one row must carry the value of its first tied key.
-    values = lt.v.reshape(*dots.shape[:2], lt.v.shape[-1])  # (n, rows, d_v)
-    first = tied.argmax(axis=-1)
-    i, h, j = np.nonzero(tied & (integral & (tied.sum(axis=-1) > 1))[..., None])
-    differs = np.any(values[j, h] != values[first[i, h], h], axis=-1)
-    return int((~integral | gap).sum()), len(set(zip(i[differs], h[differs])))

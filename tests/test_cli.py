@@ -54,6 +54,15 @@ def test_compile_cot_rejects_odd_r(tm_file, tmp_path):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("command", ["compile-cot", "compile-scot"])
+def test_compile_rejects_r_below_4(command, tm_file, tmp_path, capsys):
+    out = tmp_path / "m.json"
+    assert main([command, "--tm", tm_file, "--r", "2", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "usage error" in err and "r >= 4" in err
+    assert not out.exists()
+
+
 def test_model_roundtrip_bit_exact(dfa_file, tmp_path):
     model = str(tmp_path / "model.json")
     assert main(["compile-dfa", "--dfa", dfa_file, "--r", "3", "--out", model]) == 0
@@ -221,6 +230,22 @@ def test_validate_cot_cli(tmp_path):
     assert code == 0
 
 
+def test_validate_cli_exits_1_on_a_mismatch(tmp_path, monkeypatch):
+    from test_harness import _outp_swapped
+
+    from tm2tf import harness
+
+    monkeypatch.setattr(harness, "compile_cot", _outp_swapped(harness.compile_cot))
+    out = str(tmp_path / "report.json")
+    code = main(
+        ["validate", "--protocol", "cot", "--seed", "3", "--trials", "10", "--step-cap", "25",
+         "--out", out]
+    )
+    assert code == 1
+    rep = json.loads(open(out).read())
+    assert rep["mismatches"] and {t["status"] for t in rep["trials"]} >= {"mismatch"}
+
+
 def test_validate_converted_cli(tmp_path):
     out = str(tmp_path / "report.json")
     code = main(
@@ -250,6 +275,10 @@ def test_capacity_cli(capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "r=32" in out and "49 states" in out
+    # at r = 8 no machine's CoT model fits d_ff = 50
+    assert main(["capacity", "--L", "28", "--d-k", "31", "--d", "1000", "--d-ff", "50"]) == 0
+    out = capsys.readouterr().out
+    assert "r=8" in out and out.count("up to 0 states") == 9
 
 
 def test_scot_cli_end_to_end(tmp_path, capsys):

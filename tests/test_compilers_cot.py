@@ -26,6 +26,14 @@ def test_choose_r_scot_examples():
         assert 8 * (s + 3) <= 2 ** r
 
 
+def test_cot_rejects_small_or_odd_r():
+    """A CoT run holds at least <inp>, </inp>, one run token, <outp> and
+    </outp>: 5 tokens, more than r = 2 gives positions."""
+    for r in (2, 5):
+        with pytest.raises(ValueError):
+            compile_cot(fig2_machine(), r)
+
+
 def test_cot_dims_example():
     # K=1, |Q|=3 (d_Q=2), |Gamma|=3 (d_Gamma=2), r=6.
     tm = bouncer_machine(1)  # r0, l0, halt over {x, y, _}

@@ -160,6 +160,26 @@ def test_instantiate_capacity_gpt3():
     assert row["fits_d"]
 
 
+@pytest.mark.parametrize("construction", ["cot", "scot"])
+def test_instantiate_capacity_counts_the_width_that_grows_with_r(construction):
+    """At r = 8 the layers whose width grows with r need d_ff >= 146 (CoT)
+    or 187 (SCoT) whatever the machine, so a budget of 50 lists no states.
+    Under a budget of 200, each listed machine compiles within it, and one
+    state more would not."""
+    from tm2tf.compilers import cot_dims, scot_dims
+
+    dims = cot_dims if construction == "cot" else scot_dims
+    table = instantiate_capacity(28, 31, 1000, 50, construction)
+    assert table["r"] == 8
+    assert [row["max_states"] for row in table["machines"]] == [0] * 9
+    table = instantiate_capacity(28, 31, 1000, 200, construction)
+    listed = [row for row in table["machines"] if row["max_states"]]
+    assert listed
+    for row in listed:
+        k, q, g = row["tapes"], row["max_states"], row["gamma"]
+        assert dims(sample_tm(0, k, q, g), 8).d_ff <= 200 < dims(sample_tm(0, k, q + 1, g), 8).d_ff
+
+
 def test_instantiate_capacity_small():
     table = instantiate_capacity(23, 1000, 1000, 1000, "cot")
     assert table["r_from_depth"] == 6
@@ -249,3 +269,47 @@ def test_batched_validate_dfa_matches_per_word_loop_on_a_broken_model(monkeypatc
     assert 0 < len(mismatches) < report.checked
     assert report.mismatches == mismatches
     assert report.violations == violations
+
+
+def _outp_swapped(compile_tm):
+    """compile_tm with the unembeddings of <outp> and </outp> swapped: the
+    model decodes the oracle's tokens up to <outp>, emits </outp> there and
+    stops, and every audited invariant still holds."""
+
+    def broken_compile(tm, r):
+        import copy
+
+        from tm2tf.automata import EOUTP, OUTP
+
+        params, report = compile_tm(tm, r)
+        broken = copy.deepcopy(params)
+        i, j = broken.vocab.index(OUTP), broken.vocab.index(EOUTP)
+        broken.unemb[[i, j]] = broken.unemb[[j, i]]
+        return broken, report
+
+    return broken_compile
+
+
+# SCoT seed 5 has a trial whose output comes in its second segment.
+@pytest.mark.parametrize("protocol, seed, trials", [("cot", 3, 10), ("scot", 5, 17)])
+def test_mismatch_report_names_the_first_differing_token(protocol, seed, trials, monkeypatch):
+    from tm2tf import harness
+    from tm2tf.automata import EOUTP, OUTP
+
+    name = f"compile_{protocol}"
+    monkeypatch.setattr(harness, name, _outp_swapped(getattr(harness, name)))
+    report = validate_trials(protocol, "hardmax", seed, trials, FAST)
+    assert not report.ok and not any(report.violations.values())
+    assert report.checked > 0 and len(report.mismatches) == report.checked
+    statuses = {t["index"]: t["status"] for t in report.trials}
+    for m in report.mismatches:
+        assert statuses[m["trial"]] == "mismatch"
+        assert set(m) == {
+            "trial", "segment", "index", "expected", "actual", "expected_len", "actual_len"
+        }
+        assert (m["expected"], m["actual"]) == (OUTP, EOUTP)
+        assert m["actual_len"] == m["index"] + 1 < m["expected_len"]
+        if protocol == "cot":
+            assert m["segment"] == 0
+    if protocol == "scot":  # the summary segments before the output one agree
+        assert any(m["segment"] > 0 for m in report.mismatches)

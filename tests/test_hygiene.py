@@ -53,3 +53,50 @@ def test_module_imports_are_used_and_exports_resolve(path):
         if name not in used and name not in exported
     }
     assert unused == {}
+
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def _bench_wrapped_names() -> list[tuple[str, str]]:
+    """(module, qualname) of every entry of the wrap list in bench/layers.py,
+    the tuple that `install_tracer` loops over."""
+    tree = ast.parse((BENCH / "layers.py").read_text())
+    loops = [n for n in ast.walk(tree) if isinstance(n, ast.For) and isinstance(n.iter, ast.Tuple)]
+    return [
+        (ast.literal_eval(entry.elts[0]), ast.literal_eval(entry.elts[1]))
+        for loop in loops
+        for entry in loop.iter.elts
+    ]
+
+
+def _bench_harness_patches() -> list[str]:
+    """The names bench/run.py reads with getattr(harness, name) to patch them."""
+    tree = ast.parse((BENCH / "run.py").read_text())
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.DictComp) and ast.unparse(node.value).startswith(
+            "getattr(harness, "
+        ):
+            names += [name for gen in node.generators for name in ast.literal_eval(gen.iter)]
+    return names
+
+
+def test_bench_name_lookups_resolve():
+    """The benchmark wraps tm2tf functions by attribute lookup and patches
+    harness attributes, so a moved or renamed function would break a traced
+    bench run while every other test passes."""
+    wrapped = _bench_wrapped_names()
+    assert len(wrapped) > 20
+    missing = []
+    for module, qualname in wrapped:
+        owner = importlib.import_module(module)
+        for attr in qualname.split("."):
+            owner = getattr(owner, attr, None)
+        if not callable(owner):
+            missing.append(f"{module}.{qualname}")
+    assert missing == []
+    patched = _bench_harness_patches()
+    assert patched == ["run_cot", "run_scot"]
+    harness = importlib.import_module("tm2tf.harness")
+    assert [name for name in patched if not callable(getattr(harness, name, None))] == []

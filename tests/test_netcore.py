@@ -862,12 +862,14 @@ def test_block_extend_equals_per_position_extend_on_a_dfa():
 
 
 # Digests of final representations and traces of the rotary prefix on
-# ["first"] + ["rest"] * (2^r - 1), recorded with the one-position evaluator
-# that predates block steps. Rotary models still step one position at a time.
+# ["first"] + ["rest"] * (2^r - 1). Rotary models still step one position at
+# a time. The trace fields other than att_err (all 0 under hardmax) hash to
+# the digests recorded with the one-position evaluator that predates block
+# steps; these add att_err.
 ROPE_DIGESTS = {
-    2: "14343c38d618ac2bef66a606a7e72fda76f9681c22fe8c3b4f1ad8709900d4ba",
-    3: "3e115d0f27f7f52fb656a77d768449ca96e965cc8255c440848611489915184b",
-    4: "26c3fd55d47d01890802d2a95bc2f59442fada686a7d41242a97485f12ebc665",
+    2: "dd249d34def4127cb9dfd1f003e954c6bd1c052c531b4299fcf38cf649c7be9e",
+    3: "1ba6f6010d854bb3f46bc99c7576b3f80b1bb0356cf8564dca3694896d33cb75",
+    4: "04b49820bd6aa19a32a82fbd3e5946c03af4861e07ef0a555cb8b828361dcef9",
 }
 
 

@@ -8,7 +8,7 @@ from machines import bouncer_machine, copy_machine, fig2_machine, parity_dfa
 
 from tm2tf.automata import BOS, FALSE, TRUE, cot_token_oracle, dfa_accepts
 from tm2tf.compilers import choose_r_cot, compile_cot, compile_dfa, compile_scot
-from tm2tf.fpcore import PRESETS
+from tm2tf.fpcore import PRESETS, FloatFormat
 from tm2tf.gadgets import denoising_neurons, mlp_weights
 from tm2tf.generation import run_cot, run_scot
 from tm2tf.netcore import EvalConfig, LayerParams, next_token
@@ -245,7 +245,7 @@ def test_trace_invariant_counts_on_a_broken_model():
 
     from tm2tf.automata import EINP, INP
     from tm2tf.netcore import Evaluator
-    from tm2tf.softmaxify import trace_invariant_violations
+    from tm2tf.harness import trace_invariant_violations
 
     params, _ = compile_cot(fig2_machine(), 6)
     broken = copy.deepcopy(params)
@@ -295,6 +295,69 @@ def test_denoised_audit_counts_on_a_broken_model():
     assert _denoising_margin_violations(params, trace) == 989
     att_fmt = cfg.att_precision.fmt
     assert sum(attention_rounding_bound_violations(t, att_fmt) for t in trace.eval_traces) == 0
+
+
+def _reconstructed_rounding(trace, att_fmt):
+    """Each layer's (P, H) weight-rounding errors and the bound violations,
+    recomputed from the traced scores one position at a time, as the
+    evaluator computes them: the reference for the traced `att_err`."""
+    from tm2tf.fpcore import round_array
+    from tm2tf.netcore import separation, softmax_weights
+
+    errs, violations = [], 0
+    for lt in trace.layers:
+        err = np.zeros(lt.att_err.shape)
+        for i, dots in enumerate(lt.dots if lt.dots.size else []):
+            scores = dots[..., : i + 1] / math.sqrt(lt.q.shape[-1])
+            raw = softmax_weights(scores)
+            rounded, _ = round_array(raw, att_fmt)
+            err[i] = np.abs(rounded - raw).sum(axis=-1)
+            bound = 2.0 ** (-att_fmt.mantissa_bits - 1) + (i + 1) * np.exp(-separation(scores))
+            violations += int((err[i] > bound + 1e-12).sum())
+        errs.append(err)
+    return errs, violations
+
+
+@pytest.mark.parametrize(
+    "machine, protocol, word, c, att_fmt, count",
+    [
+        (fig2_machine, "cot", "aab", None, None, 0),
+        (fig2_machine, "cot", "aab", None, FloatFormat(4, 3), 16),
+        (lambda: bouncer_machine(4), "scot", "xyx", None, FloatFormat(4, 3), 236),
+        (fig2_machine, "cot", "aab", 4.0, FloatFormat(4, 2), 296),
+    ],
+    ids=["fig2-cot-6", "fig2-cot-6-att43", "bouncer4-scot-6-att43", "fig2-cot-6-c4-att42"],
+)
+def test_traced_rounding_error_matches_its_reconstruction(
+    machine, protocol, word, c, att_fmt, count
+):
+    """The traced att_err equals the per-position reconstruction byte for
+    byte, and the audit counts what the reconstruction counts, at the
+    theorem's c and at c = 4, under its attention format and below it."""
+    from tm2tf.automata import scot_segments_oracle
+    from tm2tf.fpcore import Precision
+    from tm2tf.harness import attention_rounding_bound_violations
+
+    tm = machine()
+    params, _ = (compile_cot if protocol == "cot" else compile_scot)(tm, 6)
+    converted, cfg = convert(params, "denoised", 64, c=c)
+    if att_fmt is not None:
+        cfg = replace(cfg, att_precision=Precision(att_fmt))
+    att_fmt = cfg.att_precision.fmt
+    if protocol == "cot":
+        draft = [cot_token_oracle(tm, word, 6)]
+        trace = run_cot(converted, word, replace(cfg, capture_trace=True), draft=draft)
+    else:
+        draft = scot_segments_oracle(tm, word, 6)
+        trace = run_scot(converted, word, replace(cfg, capture_trace=True), draft=draft)
+    reconstructed = 0
+    for t in trace.eval_traces:
+        errs, violations = _reconstructed_rounding(t, att_fmt)
+        reconstructed += violations
+        for err, lt in zip(errs, t.layers, strict=True):
+            assert err.shape == lt.att_err.shape and err.tobytes() == lt.att_err.tobytes()
+    audited = sum(attention_rounding_bound_violations(t, att_fmt) for t in trace.eval_traces)
+    assert audited == reconstructed == count
 
 
 def test_convert_settings_of_fig2_cot():
