@@ -199,7 +199,8 @@ class TuringMachine:
             _check_name(s, "state")
         for a in self.tape_alphabet:
             _check_name(a, "symbol")
-        if len(set(self.states)) != len(self.states) or len(set(self.tape_alphabet)) != len(self.tape_alphabet):
+        names = (self.states, self.input_alphabet, self.tape_alphabet)
+        if any(len(set(group)) != len(group) for group in names):
             raise MachineError("duplicate state or symbol names")
         if not set(self.input_alphabet) <= set(self.tape_alphabet):
             raise MachineError("input alphabet must be contained in the tape alphabet")
@@ -373,42 +374,6 @@ def _pos_block(heads: list[int], r: int) -> list[str]:
     )
 
 
-def cot_token_oracle(
-    tm: TuringMachine, word: list[str] | str, r: int, step_cap: int | None = None
-) -> list[str]:
-    """The exact CoT token sequence for running tm on word with r position bits.
-
-    Alternates chunks of r run tokens with <p>...</p> blocks spelling the
-    head positions LSB-first, ends the trace at the halting run token and
-    appends the output block.
-    """
-    if r < 2 or r % 2 != 0:
-        raise ValueError("r must be even and >= 2")
-    if step_cap is None:
-        step_cap = 2 ** r - 2
-    result = tm_run(tm, word, step_cap)
-    if not result.halted:
-        raise NonHaltingError(f"no halt within {step_cap} steps")
-    if result.output is None:
-        raise InvalidOutputError("tape 1 is not a word over the input alphabet")
-
-    tokens = [INP, *word, EINP]
-    chunk = 0
-    for t, tok in enumerate(result.run_tokens, start=1):
-        tokens.append(tok)
-        if t == result.steps:
-            break
-        chunk += 1
-        if chunk == r:
-            tokens.extend(_pos_block(result.head_trace[t - 1], r))
-            chunk = 0
-    tokens.extend([OUTP, *result.output, EOUTP])
-
-    if len(tokens) > 2 ** r:
-        raise TokenBudgetError(f"{len(tokens)} tokens exceed the 2^{r} context bound")
-    return tokens
-
-
 def encode_summary(config: Configuration, used_cells: int, blank: str) -> list[str]:
     """<summ>, per-cell tape tokens with hats at head positions, state, </summ>."""
     if used_cells < 1 + max(config.heads):
@@ -425,17 +390,18 @@ def encode_summary(config: Configuration, used_cells: int, blank: str) -> list[s
     return toks
 
 
-def scot_segments_oracle(
-    tm: TuringMachine, word: list[str] | str, r: int, step_cap: int = 10_000
+def _segments(
+    tm: TuringMachine, word: list[str] | str, r: int, step_cap: int, summaries: bool
 ) -> list[list[str]]:
-    """The SCoT segments: summary_{i-1}, trace_i, summary_i per segment.
+    """The segments of running tm on word: prompt, trace, end block each.
 
-    A trace ends at the halting run token, or at the first run token once
-    its length reaches 3*(len(previous summary) - 1). The last segment ends
-    with the output block instead of a summary.
+    A trace holds run tokens with a <p>...</p> block of head positions
+    after every r of them, and ends at the halting run token; the last
+    segment ends with the output block. With summaries, a trace also ends
+    at the first run token once its length reaches 3*(len(prompt) - 1), and
+    closes with the summary of the tape and state, which becomes the next
+    segment's prompt. Without them there is exactly one segment.
     """
-    if r < 4 or r % 2 != 0:
-        raise ValueError("r must be even and >= 4")
     word = list(word)
     result = tm_run(tm, word, step_cap)
     if not result.halted:
@@ -443,47 +409,61 @@ def scot_segments_oracle(
     if result.output is None:
         raise InvalidOutputError("tape 1 is not a word over the input alphabet")
 
-    # Space used after t steps, per the summary definition (s_0 = |word|).
-    space_at = [len(word)]
-    for heads in result.head_trace:
-        space_at.append(max(space_at[-1], 1 + max(heads)))
-
-    summary_prev = [INP, *word, EINP]
+    prompt = [INP, *word, EINP]
+    space = len(word)  # cells used so far, per the summary definition
     segments: list[list[str]] = []
     t = 0
     while True:
-        if len(summary_prev) - 1 >= 2 ** (r - 2):
+        if summaries and len(prompt) - 1 >= 2 ** (r - 2):
             raise TokenBudgetError(
-                f"prompt end position {len(summary_prev) - 1} breaks the 4j length-cap "
+                f"prompt end position {len(prompt) - 1} breaks the 4j length-cap "
                 f"detection for r={r}"
             )
-        cap = 3 * (len(summary_prev) - 1)
+        cap = 3 * (len(prompt) - 1) if summaries else float("inf")
         trace: list[str] = []
         chunk = 0
-        halted_here = False
         while True:
             t += 1
             trace.append(result.run_tokens[t - 1])
+            space = max(space, 1 + max(result.head_trace[t - 1]))
+            if t == result.steps or len(trace) >= cap:
+                break
             chunk += 1
-            if parse_run_token(result.run_tokens[t - 1])[0] == tm.q_halt:
-                halted_here = True
-                break
-            if len(trace) >= cap:
-                break
             if chunk == r:
                 trace.extend(_pos_block(result.head_trace[t - 1], r))
                 chunk = 0
-        if halted_here:
-            summary_next = [OUTP, *result.output, EOUTP]
+        if t == result.steps:
+            end = [OUTP, *result.output, EOUTP]
         else:
-            summary_next = encode_summary(result.config_trace[t], space_at[t], tm.blank)
-        segment = summary_prev + trace + summary_next
+            end = encode_summary(result.config_trace[t], space, tm.blank)
+        segment = prompt + trace + end
         if len(segment) > 2 ** r:
             raise TokenBudgetError(f"segment of {len(segment)} tokens exceeds 2^{r}")
         segments.append(segment)
-        if halted_here:
+        if t == result.steps:
             return segments
-        summary_prev = summary_next
+        prompt = end
+
+
+def cot_token_oracle(
+    tm: TuringMachine, word: list[str] | str, r: int, step_cap: int | None = None
+) -> list[str]:
+    """The exact CoT token sequence for running tm on word with r position
+    bits: the one segment of a run without summaries."""
+    if r < 2 or r % 2 != 0:
+        raise ValueError("r must be even and >= 2")
+    step_cap = 2 ** r - 2 if step_cap is None else step_cap
+    (tokens,) = _segments(tm, word, r, step_cap, summaries=False)
+    return tokens
+
+
+def scot_segments_oracle(
+    tm: TuringMachine, word: list[str] | str, r: int, step_cap: int = 10_000
+) -> list[list[str]]:
+    """The SCoT segments: summary_{i-1}, trace_i, summary_i per segment."""
+    if r < 4 or r % 2 != 0:
+        raise ValueError("r must be even and >= 4")
+    return _segments(tm, word, r, step_cap, summaries=True)
 
 
 # ---------------------------------------------------------------------------
@@ -501,14 +481,25 @@ def _spec_delta(doc, kind: str) -> dict[str, str]:
     return delta
 
 
+def _spec_names(doc: dict, name: str, kind: str) -> tuple[str, ...]:
+    """A list field of a machine spec, which must be a JSON list of strings:
+    a string would otherwise be split into its characters."""
+    if name not in doc:
+        raise MachineError(f"{kind} spec missing field: {name!r}")
+    value = doc[name]
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise MachineError(f"{kind} spec field {name!r} must be a list of strings, got {value!r}")
+    return tuple(value)
+
+
 def load_dfa(doc: dict) -> Dfa:
     raw_delta = _spec_delta(doc, "DFA")
+    states = _spec_names(doc, "states", "DFA")
+    alphabet = _spec_names(doc, "alphabet", "DFA")
+    accepting = frozenset(_spec_names(doc, "accepting", "DFA"))
     try:
-        states = tuple(doc["states"])
-        alphabet = tuple(doc["alphabet"])
         init = doc["init"]
-        accepting = frozenset(doc["accepting"])
-    except (KeyError, TypeError) as exc:
+    except KeyError as exc:
         raise MachineError(f"DFA spec missing field: {exc}") from exc
     delta = {}
     for key, target in raw_delta.items():
@@ -531,16 +522,16 @@ def dfa_to_json(dfa: Dfa) -> dict:
 
 def load_tm(doc: dict) -> TuringMachine:
     raw_delta = _spec_delta(doc, "TM")
+    states = _spec_names(doc, "states", "TM")
+    input_alphabet = _spec_names(doc, "input_alphabet", "TM")
+    tape_alphabet = _spec_names(doc, "tape_alphabet", "TM")
     try:
         tapes = doc["tapes"]
-        states = tuple(doc["states"])
-        input_alphabet = tuple(doc["input_alphabet"])
-        tape_alphabet = tuple(doc["tape_alphabet"])
         blank = doc["blank"]
         init = doc["init"]
         halt = doc["halt"]
-    except (KeyError, TypeError) as exc:
-        raise MachineError(f"TM spec missing/bad field: {exc}") from exc
+    except KeyError as exc:
+        raise MachineError(f"TM spec missing field: {exc}") from exc
     if type(tapes) is not int:
         raise MachineError(f"TM spec field 'tapes' must be an integer, got {tapes!r}")
     delta = {}

@@ -271,10 +271,12 @@ def _cmd_capacity(args) -> int:
         f"{table['r_from_d_k']} (d_k) -> r={table['r']}, context {table['context_bound']}"
     )
     for row in table["machines"]:
-        fits = "fits" if row["fits_d"] else "exceeds d"
+        if not row["max_states"]:
+            note = "no machine fits"
+        else:
+            note = f"d={row['d_used']}, " + ("fits" if row["fits_d"] else "exceeds d")
         print(
-            f"  K={row['tapes']} |Gamma|={row['gamma']}: up to {row['max_states']} states "
-            f"(d={row['d_used']}, {fits})"
+            f"  K={row['tapes']} |Gamma|={row['gamma']}: up to {row['max_states']} states ({note})"
         )
     return 0
 

@@ -114,23 +114,18 @@ def _feedable(
     return fed
 
 
-def _find_block(tokens: list[str], start: int, opener: str, closer: str):
-    """Validate a single opener...closer block after index start."""
+def _find_block(tokens: list[str], start: int, opener: str):
+    """The body of the single opener block after index start. The last token
+    is its closer: `generate` stops at the first stop token."""
     openers = [i for i in range(start, len(tokens)) if tokens[i] == opener]
     if len(openers) != 1:
         return None, f"{opener} occurs {len(openers)} times after the prompt"
-    o = openers[0]
-    if tokens[-1] != closer:
-        return None, f"sequence does not end with {closer}"
-    body = tokens[o + 1 : len(tokens) - 1]
-    if closer in body or opener in body:
-        return None, f"nested {opener} block"
-    return body, None
+    return tokens[openers[0] + 1 : -1], None
 
 
 def _finish_output(trace: GenerationTrace, tokens: list[str], start: int) -> GenerationTrace:
     """Validate the final <outp> block after index start and record the outcome."""
-    body, err = _find_block(tokens, start, OUTP, EOUTP)
+    body, err = _find_block(tokens, start, OUTP)
     if err is None and any(token_class(t) != "sym" for t in body):
         err = "output block contains non-input symbols"
     if err is not None:
@@ -179,7 +174,7 @@ def _run_segments(
             return trace
         if tokens[-1] == EOUTP:
             return _finish_output(trace, tokens, len(prompt))
-        body, err = _find_block(tokens, len(prompt), SUMM, ESUMM)
+        body, err = _find_block(tokens, len(prompt), SUMM)
         if err is not None:
             trace.outcome, trace.reason = "undefined", err
             return trace

@@ -604,7 +604,10 @@ def instantiate_capacity(
     construction: str = "cot",
 ) -> dict:
     """Largest even r per budget and machine sizes fitting the width budgets,
-    with the compiler's d_ff: no states fit where its floor at r is over budget."""
+    with the compiler's d_ff. A row lists no states (max_states 0, d_used
+    None, fits_d False) where no machine compiles: r below the compilers'
+    minimum of 4, fewer than the 2 states a machine needs (distinct init and
+    halt), or the d_ff floor at r over budget."""
     if min(l_budget, d_k_budget, d_budget, d_ff_budget) < 1:
         raise ValueError("budgets must be >= 1")
     if construction not in ("cot", "scot"):
@@ -618,18 +621,22 @@ def instantiate_capacity(
         for gamma in (2, 4, 10):
             d_g = (gamma - 1).bit_length()
             _, extra = _tm_widths(scot, tapes, r, 0, d_g)
-            max_states = max(0, (d_ff_budget - extra) // gamma ** tapes)
-            if _tm_d_ff(scot, tapes, r, max_states * gamma ** tapes + extra) > d_ff_budget:
-                max_states = 0
-            d_q = (max_states - 1).bit_length() if max_states else 0
-            d_used, _ = _tm_widths(scot, tapes, r, d_q, d_g)
+            max_states = (d_ff_budget - extra) // gamma ** tapes
+            if (
+                r < 4
+                or max_states < 2
+                or _tm_d_ff(scot, tapes, r, max_states * gamma ** tapes + extra) > d_ff_budget
+            ):
+                max_states, d_used = 0, None
+            else:
+                d_used, _ = _tm_widths(scot, tapes, r, (max_states - 1).bit_length(), d_g)
             rows.append(
                 {
                     "tapes": tapes,
                     "gamma": gamma,
                     "max_states": max_states,
                     "d_used": d_used,
-                    "fits_d": d_used <= d_budget,
+                    "fits_d": d_used is not None and d_used <= d_budget,
                 }
             )
     return {

@@ -120,3 +120,28 @@ def copy_machine() -> TuringMachine:
     return TuringMachine(
         2, ("copy", "rew", "halt"), sig, sig + (blank,), blank, "copy", "halt", delta
     )
+
+
+def counter_machine() -> TuringMachine:
+    """One-tape binary counter, least significant bit rightmost.
+
+    On h0...0 (n digits) it walks right to the blank, carries left, and
+    walks right again after each increment; it halts when the carry
+    reaches h. That takes 4 * 2^n - 1 steps on n + 2 cells, so its run
+    outgrows any context fixed by its space.
+    """
+    blank = "_"
+    delta = {
+        ("right", ("h",)): ("right", ("h",), ("R",)),
+        ("right", ("0",)): ("right", ("0",), ("R",)),
+        ("right", ("1",)): ("right", ("1",), ("R",)),
+        ("right", (blank,)): ("inc", (blank,), ("L",)),
+        ("inc", ("1",)): ("inc", ("0",), ("L",)),
+        ("inc", ("0",)): ("right", ("1",), ("R",)),
+        ("inc", ("h",)): ("halt", ("h",), ("S",)),
+        ("inc", (blank,)): ("halt", (blank,), ("S",)),  # unreachable
+    }
+    return TuringMachine(
+        1, ("right", "inc", "halt"), ("h", "0", "1"), ("h", "0", "1", blank), blank,
+        "right", "halt", delta,
+    )

@@ -281,6 +281,20 @@ def test_capacity_cli(capsys):
     assert "r=8" in out and out.count("up to 0 states") == 9
 
 
+def test_capacity_cli_says_when_no_machine_fits(capsys):
+    # r = 2 is below the compilers' minimum of 4
+    assert main(["capacity", "--L", "15", "--d-k", "31", "--d", "1000", "--d-ff", "500"]) == 0
+    out = capsys.readouterr().out
+    assert "r=2" in out and out.count("up to 0 states (no machine fits)") == 9
+    assert "fits)" not in out.replace("no machine fits)", "")
+    # room for a single state, and a machine needs distinct init and halt states
+    argv = ["capacity", "--L", "28", "--d-k", "31", "--d", "100000", "--d-ff", "1500"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert "K=3 |Gamma|=10: up to 0 states (no machine fits)" in out
+    assert "up to 1 states" not in out
+
+
 def test_scot_cli_end_to_end(tmp_path, capsys):
     from machines import bouncer_machine
 
@@ -480,6 +494,86 @@ def test_malformed_spec_is_a_schema_error(command, doc, tmp_path, capsys):
     code = main([command, flag, str(spec), "--r", r, "--out", str(tmp_path / "m.json")])
     assert code == 2
     assert "schema error" in capsys.readouterr().err
+
+
+def _bad_machine_cases():
+    """Machine specs that must exit 2, as (command, spec text, stderr fragment)."""
+    tm, dfa = tm_to_json(fig2_machine()), dfa_to_json(parity_dfa())
+    not_listed = "must be a list of strings"
+
+    def tm_delta(**entries):
+        delta = {**tm["delta"], **entries}
+        return {**tm, "delta": {k: v for k, v in delta.items() if v is not None}}
+
+    def dfa_delta(**entries):
+        delta = {**dfa["delta"], **entries}
+        return {**dfa, "delta": {k: v for k, v in delta.items() if v is not None}}
+
+    dfa_cases = {
+        "dfa-alphabet-string": ({**dfa, "alphabet": "01"}, not_listed),
+        "dfa-accepting-letter": ({**dfa, "accepting": "e"}, not_listed),
+        "dfa-accepting-word": ({**dfa, "accepting": "even"}, not_listed),
+        "dfa-states-string": ({**dfa, "states": "eo"}, not_listed),
+        "dfa-states-empty": ({**dfa, "states": []}, "at least one state"),
+        "dfa-reserved-state": ({**dfa, "states": ["even", "odd", "<inp>"]}, "invalid state name"),
+        "dfa-duplicate-state": ({**dfa, "states": ["even", "odd", "odd"]}, "duplicate"),
+        "dfa-duplicate-symbol": ({**dfa, "alphabet": ["0", "1", "1"]}, "duplicate"),
+        "dfa-missing-init": ({k: v for k, v in dfa.items() if k != "init"}, "missing field"),
+        "dfa-unknown-init": ({**dfa, "init": "nowhere"}, "init state 'nowhere'"),
+        "dfa-unknown-accepting": ({**dfa, "accepting": ["nowhere"]}, "accepting state"),
+        "dfa-missing-delta": (dfa_delta(**{"odd,1": None}), "delta missing entry"),
+        "dfa-delta-unknown-symbol": (dfa_delta(**{"odd,2": "odd"}), "unknown state/symbol"),
+        "dfa-delta-unknown-target": (dfa_delta(**{"odd,1": "nowhere"}), "targets unknown state"),
+        "dfa-delta-bad-key": (dfa_delta(odd="odd"), "bad DFA delta key"),
+    }
+    tm_cases = {
+        "tm-input-alphabet-string": ({**tm, "input_alphabet": "a"}, not_listed),
+        "tm-tape-alphabet-string": ({**tm, "tape_alphabet": "abc_"}, not_listed),
+        "tm-states-string": ({**tm, "states": "go"}, not_listed),
+        "tm-no-tapes": ({**tm, "tapes": 0}, "at least one tape"),
+        "tm-input-alphabet-empty": ({**tm, "input_alphabet": []}, "must be nonempty"),
+        "tm-duplicate-state": ({**tm, "states": [*tm["states"], "go"]}, "duplicate"),
+        "tm-duplicate-input": ({**tm, "input_alphabet": ["a", "a", "b", "c"]}, "duplicate"),
+        "tm-input-outside-tape": ({**tm, "input_alphabet": ["a", "z"]}, "contained in the tape"),
+        "tm-blank-is-input": ({**tm, "blank": "a"}, "blank must be"),
+        "tm-unknown-init": ({**tm, "init": "nowhere"}, "init/halt state not in states"),
+        "tm-unknown-halt": ({**tm, "halt": "nowhere"}, "init/halt state not in states"),
+        "tm-init-is-halt": ({**tm, "init": "halt"}, "init and halt states must differ"),
+        "tm-missing-delta": (tm_delta(**{"go|a": None}), "delta missing entry"),
+        "tm-delta-from-halt": (tm_delta(**{"halt|a": "go|a|R"}), "invalid source state"),
+        "tm-delta-arity": (tm_delta(**{"go|a": "go|a,b|R,R"}), "wrong arity"),
+        "tm-delta-unknown-symbol": (tm_delta(**{"go|a": "go|z|R"}), "unknown symbols"),
+        "tm-delta-bad-move": (tm_delta(**{"go|a": "go|a|X"}), "invalid moves"),
+        "tm-delta-bad-entry": (tm_delta(**{"go|a": "go|a"}), "bad TM delta entry"),
+    }
+    cases = [
+        pytest.param("compile-dfa", json.dumps(doc), "schema error", want, id=name)
+        for name, (doc, want) in dfa_cases.items()
+    ]
+    cases += [
+        pytest.param("compile-cot", json.dumps(doc), "schema error", want, id=name)
+        for name, (doc, want) in tm_cases.items()
+    ]
+    other = {
+        "invalid-json": ("compile-cot", '{"tapes": 1,', "schema error", "not valid JSON"),
+        "tm-to-compile-dfa": ("compile-dfa", json.dumps(tm), "usage error", "expects a DFA"),
+        "dfa-to-compile-cot": ("compile-cot", json.dumps(dfa), "usage error", "expected a Turing"),
+    }
+    cases += [pytest.param(*case, id=name) for name, case in other.items()]
+    return cases
+
+
+@pytest.mark.parametrize("command,text,kind,want", _bad_machine_cases())
+def test_bad_machine_spec_exits_2(command, text, kind, want, tmp_path, capsys):
+    """Each malformed spec fails at load time with its own message, and no
+    model is written."""
+    spec, out = tmp_path / "spec.json", tmp_path / "m.json"
+    spec.write_text(text)
+    r = "3" if command == "compile-dfa" else "6"
+    assert main([command, "--machine", str(spec), "--r", r, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(kind) and want in err, err
+    assert not out.exists()
 
 
 def test_load_machine_specs_reject_non_string_delta_keys():

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from machines import bouncer_machine, copy_machine, fig2_machine, one_step_machine
+from machines import bouncer_machine, copy_machine, counter_machine, fig2_machine, one_step_machine
 
 from tm2tf.automata import scot_segments_oracle, tm_run
 from tm2tf.compilers import choose_r_scot, compile_scot, scot_dims
 from tm2tf.generation import run_scot
+from tm2tf.harness import trace_invariant_violations
 from tm2tf.netcore import EvalConfig
 
 
@@ -80,3 +81,23 @@ def test_two_tape_scot():
     params, _ = compile_scot(tm, r)
     trace = run_scot(params, "0110", EvalConfig())
     assert trace.segments == scot_segments_oracle(tm, "0110", r)
+
+
+def test_scot_run_outgrows_its_context():
+    """Space, not time, sets the SCoT model: the counter takes 255 steps on
+    8 cells of h000000, and the model at r = 8 decodes the run as 893 tokens
+    in 16 segments, past its 2^8 = 256 positions, token for token with the
+    oracle and with no invariant violated."""
+    tm, word = counter_machine(), "h000000"
+    result = tm_run(tm, word, 10_000)
+    assert (result.steps, result.space) == (255, 8)
+    r = choose_r_scot(result.space)
+    assert r == 8
+    params, _ = compile_scot(tm, r)
+    expected = scot_segments_oracle(tm, word, r)
+    trace = run_scot(params, word, EvalConfig(capture_trace=True), draft=expected)
+    assert trace.segments == expected
+    assert (trace.total_tokens, len(trace.segments)) == (893, 16)
+    assert trace.total_tokens > 2 ** r >= trace.max_segment
+    assert trace.outcome == "output" and trace.output == result.output
+    assert sum(trace_invariant_violations(trace.eval_traces).values()) == 0

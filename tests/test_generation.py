@@ -5,6 +5,7 @@ from machines import fig2_machine
 
 from tm2tf.automata import EINP, EOUTP, INP, OUTP, SUMM, ESUMM
 from tm2tf.compilers import compile_cot
+from tm2tf import generation
 from tm2tf.generation import generate, run_cot, run_scot
 from tm2tf.netcore import (
     Dims,
@@ -46,6 +47,30 @@ def constant_model(vocab: list[str], emitted: str) -> TransformerParams:
     )
 
 
+def successor_model(vocab: list[str], successor: dict[str, str]) -> TransformerParams:
+    """A model that emits successor[t] after token t: one coordinate per
+    token, and each token's unembedding reads the tokens it succeeds."""
+    d = len(vocab)
+    unemb = np.zeros((d, d), dtype=np.int8)
+    for tok, nxt in successor.items():
+        unemb[vocab.index(nxt), vocab.index(tok)] = 1
+    q, k, v = (np.zeros((1, d), np.int8) for _ in range(3))
+    layer = LayerParams(
+        heads=[HeadParams(q, k, v, np.zeros((d, 1), np.int8))],
+        w1=np.zeros((1, d), np.int8),
+        bias4=np.zeros(1, np.int32),
+        w2=np.zeros((d, 1), np.int8),
+    )
+    return TransformerParams(
+        dims=Dims(d=d, d_k=1, d_v=1, d_ff=1, n_heads=1, n_layers=1),
+        vocab=vocab,
+        emb=np.eye(d, dtype=np.int8),
+        unemb=unemb,
+        positional=NoPositional(),
+        layers=[layer],
+    )
+
+
 VOCAB = [INP, EINP, OUTP, EOUTP, SUMM, ESUMM, "a"]
 
 
@@ -79,6 +104,30 @@ def test_run_scot_undefined_empty_summary():
     params = constant_model(VOCAB, ESUMM)  # emits </summ> with no <summ>
     trace = run_scot(params, ["a"], EvalConfig(), budget=4)
     assert trace.outcome == "undefined"
+
+
+def test_run_scot_undefined_on_an_empty_summary_block():
+    params = successor_model(VOCAB, {EINP: SUMM, SUMM: ESUMM})
+    trace = run_scot(params, ["a"], EvalConfig())
+    assert trace.segments == [[INP, "a", EINP, SUMM, ESUMM]]
+    assert (trace.outcome, trace.reason) == ("undefined", "empty summary block")
+
+
+def test_run_cot_undefined_on_a_non_input_symbol_in_the_output():
+    params = successor_model(VOCAB, {EINP: OUTP, OUTP: SUMM, SUMM: EOUTP})
+    trace = run_cot(params, ["a"], EvalConfig())
+    assert trace.segments == [[INP, "a", EINP, OUTP, SUMM, EOUTP]]
+    assert (trace.outcome, trace.reason) == ("undefined", "output block contains non-input symbols")
+    assert trace.output is None
+
+
+def test_run_scot_undefined_at_the_segment_limit(monkeypatch):
+    """Each summary <summ> a </summ> is promoted and summarized again."""
+    monkeypatch.setattr(generation, "_MAX_SEGMENTS", 3)
+    params = successor_model(VOCAB, {EINP: SUMM, SUMM: "a", "a": ESUMM, ESUMM: SUMM})
+    trace = run_scot(params, ["a"], EvalConfig())
+    assert trace.segments == [[INP, "a", EINP, SUMM, "a", ESUMM]] + [[SUMM, "a", ESUMM] * 2] * 2
+    assert (trace.outcome, trace.reason) == ("undefined", "segment limit reached")
 
 
 def test_run_cot_happy_path_counts():

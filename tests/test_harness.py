@@ -180,6 +180,24 @@ def test_instantiate_capacity_counts_the_width_that_grows_with_r(construction):
         assert dims(sample_tm(0, k, q, g), 8).d_ff <= 200 < dims(sample_tm(0, k, q + 1, g), 8).d_ff
 
 
+@pytest.mark.parametrize(
+    "budgets, empty_rows",
+    [
+        ((15, 31, 1000, 500), [(k, g) for k in (1, 2, 3) for g in (2, 4, 10)]),  # r = 2 < 4
+        ((28, 31, 1000, 50), [(k, g) for k in (1, 2, 3) for g in (2, 4, 10)]),  # d_ff floor
+        ((28, 31, 100000, 1500), [(3, 10)]),  # room for 1 state, but init != halt
+    ],
+)
+def test_instantiate_capacity_lists_only_machines_that_compile(budgets, empty_rows):
+    """A row lists states only at r >= 4 with at least 2 states; any other
+    row has no states, no width and does not fit."""
+    for row in instantiate_capacity(*budgets, "cot")["machines"]:
+        if (row["tapes"], row["gamma"]) in empty_rows:
+            assert (row["max_states"], row["d_used"], row["fits_d"]) == (0, None, False)
+        else:
+            assert row["max_states"] >= 2 and row["fits_d"]
+
+
 def test_instantiate_capacity_small():
     table = instantiate_capacity(23, 1000, 1000, 1000, "cot")
     assert table["r_from_depth"] == 6
@@ -197,6 +215,22 @@ def test_skip_rate_band():
     report = validate_cot(seed=123, trials=60, cfg=FAST)
     rate = report.skipped / report.attempted
     assert 0.3 <= rate <= 0.95
+
+
+def test_a_run_longer_than_its_context_is_skipped(monkeypatch):
+    """With r = 2 no CoT run fits its 4 positions: the oracle's
+    TokenBudgetError skips the trial, which still records its run."""
+    from tm2tf import harness
+
+    monkeypatch.setattr(harness, "choose_r_cot", lambda t_hat: 2)
+    report = validate_trials("cot", "hardmax", 0, 6, TrialConfig(r_spread=0))
+    too_small = [t for t in report.trials if t["status"] == "skipped-r-too-small"]
+    assert [(t["index"], t["steps"], t["space"], t["r"]) for t in too_small] == [
+        (2, 3, 2, 2),
+        (5, 2, 2, 2),
+    ]
+    assert report.skipped == report.attempted == 6 and report.checked == 0
+    assert report.ok
 
 
 def test_reports_deterministic():
