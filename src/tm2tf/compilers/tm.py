@@ -193,6 +193,7 @@ class _TmCompiler:
         self.i_state_new = lay.register("state_new", self.d_q)
         self.i_sym_new = [lay.register(f"sym_new{k}", self.d_g) for k in range(K)]
         self.i_move_new = [lay.register(f"move_new{k}", 2) for k in range(K)]
+        self.run_new = (self.i_state_new, self.i_sym_new, self.i_move_new)
         self.f_blank = lay.flag("blank")
         self.f_to_eoutp = lay.flag("to_eoutp")
         self.f_to_sigma = lay.flag("to_sigma")
@@ -248,78 +249,117 @@ class _TmCompiler:
             ]
         self.b.declare_exclusive(group)
 
-    # -- embeddings ----------------------------------------------------------
+    # -- embeddings and unembeddings ----------------------------------------
 
-    def _embeddings(self) -> None:
+    def _run_code(self, step, regs) -> dict[int, int]:
+        """The +-1 code of a run step (state, written symbols, moves) on the
+        (state, symbol, move) registers regs: every coordinate gets a weight."""
+        (q, writes, moves), (state, syms, move) = step, regs
+        code = dict(zip(state.coords, self.enc_q[q]))
+        for k in range(self.K):
+            code.update(zip(syms[k].coords, self.enc_g[writes[k]]))
+            code.update(zip(move[k].coords, ENC_MOVES[moves[k]]))
+        return code
+
+    def _tokens(self) -> None:
+        """Each token's embedding, and its unembedding: the coordinates the
+        last layer sets on the tokens where it must be emitted."""
         b, tm = self.b, self.tm
+        # The flag a delimiter sets when read, and the flag that selects it.
+        reads = {
+            INP: self.f_inp,
+            EINP: self.f_einp,
+            OUTP: self.f_outp,
+            EOUTP: self.f_eoutp,
+            POPEN: self.f_popen,
+            PCLOSE: self.f_pclose,
+        }
+        emits = {
+            OUTP: self.f_halt,
+            POPEN: self.f_to_popen,
+            PCLOSE: self.f_to_pclose,
+            EOUTP: self.f_to_eoutp,
+        }
+        if self.scot:
+            reads.update({SUMM: self.f_summ, ESUMM: self.f_esumm})
+            emits.update({SUMM: self.f_to_summ, ESUMM: self.f_q})
+        # The search positions that start at 0: each tape's head at </inp>,
+        # the output offset at <outp>.
+        searches = {EINP: self.i_searchpos, OUTP: self.i_searchpos[:1]}
         for tok in self.vocab:
-            vals = {self.f_const.coord: 1}
+            emb, unemb = {self.f_const.coord: 1}, {}
             if tok != INP:
-                vals[self.f_notinp.coord] = 1
+                emb[self.f_notinp.coord] = 1
             cls = token_class(tok)
-            if tok == INP:
-                vals[self.f_inp.coord] = 1
-            elif tok == EINP:
-                vals[self.f_einp.coord] = 1
-                vals.update(zip(self.i_state.coords, self.enc_q[tm.q_init]))
-                for k in range(self.K):
-                    vals.update(zip(self.i_searchpos[k].coords, bin_pm1(self.r, 0)))
-            elif tok == OUTP:
-                vals[self.f_outp.coord] = 1
-                vals.update(zip(self.i_searchpos[0].coords, bin_pm1(self.r, 0)))
-            elif tok == EOUTP:
-                vals[self.f_eoutp.coord] = 1
-            elif tok == POPEN:
-                vals[self.f_popen.coord] = 1
-            elif tok == PCLOSE:
-                vals[self.f_pclose.coord] = 1
-            elif tok == SUMM:
-                vals[self.f_summ.coord] = 1
-            elif tok == ESUMM:
-                vals[self.f_esumm.coord] = 1
+            if cls == "delim":
+                emb[reads[tok].coord] = 1
+                if tok in emits:
+                    unemb[emits[tok].coord] = 1
+                if tok == EINP:
+                    emb.update(zip(self.i_state.coords, self.enc_q[tm.q_init]))
+                for reg in searches.get(tok, []):
+                    emb.update(zip(reg.coords, bin_pm1(self.r, 0)))
             elif cls == "sym":
-                vals[self.f_sym.coord] = 1
-                vals.update(zip(self.i_sym[0].coords, self.enc_g[tok]))
+                emb[self.f_sym.coord] = 1
+                emb.update(zip(self.i_sym[0].coords, self.enc_g[tok]))
+                unemb.update(zip(self.i_newsym_sigma.coords, self.enc_g[tok]))
             elif cls == "run":
-                state, written, moves = parse_run_token(tok)
-                vals[self.f_run.coord] = 1
-                vals.update(zip(self.i_state.coords, self.enc_q[state]))
-                if state == tm.q_halt:
-                    vals[self.f_halt.coord] = 1
-                for k in range(self.K):
-                    vals.update(zip(self.i_sym[k].coords, self.enc_g[written[k]]))
-                    vals.update(zip(self.i_move[k].coords, ENC_MOVES[moves[k]]))
+                step = parse_run_token(tok)
+                emb[self.f_run.coord] = 1
+                if step[0] == tm.q_halt:
+                    emb[self.f_halt.coord] = 1
+                emb.update(self._run_code(step, (self.i_state, self.i_sym, self.i_move)))
+                unemb.update(self._run_code(step, self.run_new))
             elif cls == "pos":
-                bits = parse_pos_token(tok)
-                vals[self.f_postok.coord] = 1
-                for k in range(self.K):
-                    vals[self.i_posbit[k].coords[0]] = bits[k]
+                emb[self.f_postok.coord] = 1
+                for k, bit in enumerate(parse_pos_token(tok)):
+                    emb[self.i_posbit[k].coords[0]] = bit
+                    unemb[self.i_nextbit[k].coords[0]] = bit
             elif cls == "tape":
-                syms, hats = parse_tape_token(tok)
-                vals[self.f_tape.coord] = 1
-                for k in range(self.K):
-                    vals.update(zip(self.i_sym[k].coords, self.enc_g[syms[k]]))
-                    if hats[k]:
-                        vals[self.f_head[k].coord] = 1
-            elif cls == "state":
-                vals[self.f_q.coord] = 1
-                vals.update(zip(self.i_state.coords, self.enc_q[parse_state_token(tok)]))
-            b.set_embedding(tok, {c: v for c, v in vals.items() if v})
+                emb[self.f_tape.coord] = 1
+                for k, (sym, hat) in enumerate(zip(*parse_tape_token(tok))):
+                    emb.update(zip(self.i_sym[k].coords, self.enc_g[sym]))
+                    unemb.update(zip(self.i_sym_next[k].coords, self.enc_g[sym]))
+                    if hat:
+                        emb[self.f_head[k].coord] = 1
+                    unemb[self.i_head_next[k].coords[0]] = 1 if hat else -1
+            else:  # a state token
+                q = parse_state_token(tok)
+                emb[self.f_q.coord] = 1
+                emb.update(zip(self.i_state.coords, self.enc_q[q]))
+                unemb.update(zip(self.i_state_fin_out.coords, self.enc_q[q]))
+            b.set_embedding(tok, emb)
+            b.set_unembedding(tok, unemb)
 
     def _flag_op(self, layer: int, label: str, *rules) -> None:
         """One MLP op of flag-gated neurons, one per (gates, outputs) rule."""
         self.b.add_neurons(layer, [single_neuron([], gates, out) for gates, out in rules], label)
 
+    # -- named heads ---------------------------------------------------------
+
+    def _broadcast_head(self, layer: int, name: str, marker, reg) -> None:
+        """Send reg from the unique marker token to all later tokens; marker
+        is a flag or a list of (coord, sign) pairs."""
+        self.b.add_head(
+            layer,
+            selector_head(
+                name, [self.f_const, marker, marker], [marker, self.f_inp, self.f_inp], [reg], reg
+            ),
+        )
+
+    def _lookup(self, layer: int, name: str, at, value, out) -> None:
+        """Copy value from the token whose position equals register at."""
+        self.b.add_head(layer, selector_head(name, [at], [self.i_pos], [value], out))
+
+    def _exists(self, layer: int, name: str, flag, out) -> None:
+        """Set out to 1 on each token that is or follows a token with flag set."""
+        self.b.add_head(layer, selector_head(name, [self.f_const], [flag], [flag], out))
+
     # -- layer 1 -------------------------------------------------------------
 
     def _layer1(self) -> None:
         b = self.b
-        b.add_head(
-            1,
-            selector_head(
-                "exists-outp", [self.f_const], [self.f_outp], [self.f_outp], self.f_exists_outp
-            ),
-        )
+        self._exists(1, "exists-outp", self.f_outp, self.f_exists_outp)
         self._flag_op(
             1,
             "mark-input-output",
@@ -346,26 +386,8 @@ class _TmCompiler:
         b.add_neurons(1, sub_pow2(self.i_pos, self.i_pos_minus, 0, []), "pos-minus-init")
 
         if self.scot:
-            b.add_head(
-                1,
-                selector_head(
-                    "exists-einp",
-                    [self.f_const],
-                    [self.f_einp],
-                    [self.f_einp],
-                    self.f_exists_einp,
-                ),
-            )
-            b.add_head(
-                1,
-                selector_head(
-                    "exists-esumm",
-                    [self.f_const],
-                    [self.f_esumm],
-                    [self.f_esumm],
-                    self.f_exists_esumm,
-                ),
-            )
+            self._exists(1, "exists-einp", self.f_einp, self.f_exists_einp)
+            self._exists(1, "exists-esumm", self.f_esumm, self.f_exists_esumm)
             no_prompt_end = [(self.f_exists_einp, 0), (self.f_exists_esumm, 0)]
             self._flag_op(
                 1,
@@ -381,34 +403,18 @@ class _TmCompiler:
                 ([(self.f_tape, 1), (self.f_exists_einp, 1)], {self.f_tape_fin.coord: 1}),
                 ([(self.f_tape, 1), (self.f_exists_esumm, 1)], {self.f_tape_fin.coord: 1}),
             )
-            b.add_neurons(
-                1,
-                copy_register(self.i_pos, self.i_pos_promptend, [(self.f_einp, 1)]),
-                "promptend-einp",
-            )
-            b.add_neurons(
-                1,
-                copy_register(self.i_pos, self.i_pos_promptend, [(self.f_esumm, 1)]),
-                "promptend-esumm",
-            )
+            for flag in (self.f_einp, self.f_esumm):
+                b.add_neurons(
+                    1,
+                    copy_register(self.i_pos, self.i_pos_promptend, [(flag, 1)]),
+                    f"promptend-{flag.name}",
+                )
 
     # -- layer 2 -------------------------------------------------------------
 
-    def _broadcast_head(self, name: str, marker, values, out) -> None:
-        """Send a register from the unique marker token to all later tokens."""
-        return selector_head(
-            name,
-            [self.f_const, marker, marker],
-            [marker, self.f_inp, self.f_inp],
-            [values],
-            out,
-        )
-
     def _layer2(self) -> None:
         b, r, K = self.b, self.r, self.K
-        b.add_head(
-            2, self._broadcast_head("broadcast-outp-pos", self.f_outp, self.i_pos_outp, self.i_pos_outp)
-        )
+        self._broadcast_head(2, "broadcast-outp-pos", self.f_outp, self.i_pos_outp)
         b.add_neurons(
             2,
             copy_register(self.i_pos, self.i_searchpos[0], [(self.f_output, 1)]),
@@ -426,17 +432,8 @@ class _TmCompiler:
             "pos-sym-input",
         )
         if self.scot:
-            pe_row = [(self.f_einp.coord, 1), (self.f_esumm.coord, 1)]
-            b.add_head(
-                2,
-                selector_head(
-                    "broadcast-promptend",
-                    [self.f_const, pe_row, pe_row],
-                    [pe_row, self.f_inp, self.f_inp],
-                    [self.i_pos_promptend],
-                    self.i_pos_promptend,
-                ),
-            )
+            prompt_end = [(self.f_einp.coord, 1), (self.f_esumm.coord, 1)]
+            self._broadcast_head(2, "broadcast-promptend", prompt_end, self.i_pos_promptend)
             for k in range(K):
                 b.add_neurons(
                     2,
@@ -475,26 +472,9 @@ class _TmCompiler:
         for j in range(1, r // 2 + 1):
             layer = j + 1
             for k in range(K):
-                b.add_head(
-                    layer,
-                    selector_head(
-                        f"collect1-{j}-{k}",
-                        [self.i_pos1],
-                        [self.i_pos],
-                        [self.i_posbit[k]],
-                        self.i_bits_ex1[k],
-                    ),
-                )
-                b.add_head(
-                    layer,
-                    selector_head(
-                        f"collect2-{j}-{k}",
-                        [self.i_pos2],
-                        [self.i_pos],
-                        [self.i_posbit[k]],
-                        self.i_bits_ex2[k],
-                    ),
-                )
+                bit = self.i_posbit[k]
+                self._lookup(layer, f"collect1-{j}-{k}", self.i_pos1, bit, self.i_bits_ex1[k])
+                self._lookup(layer, f"collect2-{j}-{k}", self.i_pos2, bit, self.i_bits_ex2[k])
                 b.add_neurons(
                     layer,
                     copy_register(
@@ -547,9 +527,7 @@ class _TmCompiler:
                 self.i_state,
             ),
         )
-        b.add_head(
-            3, self._broadcast_head("broadcast-summ-pos", self.f_finalsumm, self.i_pos_summ, self.i_pos_summ)
-        )
+        self._broadcast_head(3, "broadcast-summ-pos", self.f_finalsumm, self.i_pos_summ)
         cap_patterns = [(f, 1) for f in self.f_bit_equal]
         b.add_neurons(
             3,
@@ -572,12 +550,7 @@ class _TmCompiler:
                     copy_register(self.i_pos, self.i_searchpos[k], [(flag, 1)]),
                     f"summary-offset-copy-{tag}-{k}",
                 )
-        b.add_head(
-            4,
-            self._broadcast_head(
-                "broadcast-lengthcap", self.f_lengthcap, self.f_lengthcap, self.f_lengthcap
-            ),
-        )
+        self._broadcast_head(4, "broadcast-lengthcap", self.f_lengthcap, self.f_lengthcap)
         self._flag_op(
             4,
             "to-summ",
@@ -590,7 +563,7 @@ class _TmCompiler:
     # -- subtraction pipelines ------------------------------------------------
 
     def _subtractions(self) -> None:
-        b, r = self.b, self.r
+        b = self.b
         stages = full_subtract(self.i_pos_outp, self.i_searchpos[0], self.f_output)
         for s, stage in enumerate(stages):
             b.add_neurons(
@@ -616,16 +589,8 @@ class _TmCompiler:
         for j in range(1, r + 2):
             layer = self.L1 + j
             for k in range(K):
-                b.add_head(
-                    layer,
-                    selector_head(
-                        f"prop-fetch-{j}-{k}",
-                        [self.i_pos_minus],
-                        [self.i_pos],
-                        [self.i_searchpos[k]],
-                        self.i_hpos_minus[k],
-                    ),
-                )
+                hpos, hpos_minus = self.i_searchpos[k], self.i_hpos_minus[k]
+                self._lookup(layer, f"prop-fetch-{j}-{k}", self.i_pos_minus, hpos, hpos_minus)
                 b.add_neurons(
                     layer,
                     add_head_movement(
@@ -676,26 +641,9 @@ class _TmCompiler:
         b.add_neurons(self.L2, sub_pow2(self.i_pos, self.i_pos_scan, 0, []), "pos-scan-init")
         if self.scot:
             for k in range(K):
-                b.add_head(
-                    self.L2,
-                    selector_head(
-                        f"fin-hpos-{k}",
-                        [self.i_pos_minus],
-                        [self.i_pos],
-                        [self.i_searchpos[k]],
-                        self.i_hpos_fin[k],
-                    ),
-                )
-            b.add_head(
-                self.L2,
-                selector_head(
-                    "fin-state",
-                    [self.i_pos_minus],
-                    [self.i_pos],
-                    [self.i_state],
-                    self.i_state_fin,
-                ),
-            )
+                hpos, fin = self.i_searchpos[k], self.i_hpos_fin[k]
+                self._lookup(self.L2, f"fin-hpos-{k}", self.i_pos_minus, hpos, fin)
+            self._lookup(self.L2, "fin-state", self.i_pos_minus, self.i_state, self.i_state_fin)
 
     # -- symbol search: layers L2+1..L3 -----------------------------------------
 
@@ -750,34 +698,18 @@ class _TmCompiler:
         for p in range(1, r):
             layer = self.L2 + p
             for k in range(K):
-                b.add_head(
-                    layer,
-                    selector_head(
-                        f"nextbit-fetch-{p}-{k}",
-                        [self.i_pos_scan],
-                        [self.i_pos],
-                        [self.i_hpos_p[k].bit(p)],
-                        self.i_nextbit[k],
-                    ),
-                )
+                bit, out = self.i_hpos_p[k].bit(p), self.i_nextbit[k]
+                self._lookup(layer, f"nextbit-fetch-{p}-{k}", self.i_pos_scan, bit, out)
             b.add_neurons(layer, sub_pow2_inplace(self.i_pos_scan, 0, []), f"pos-scan-dec-{p}")
         # The r'th run token of a chunk must emit <p>: look r-1 back for a run
         # token.
-        b.add_head(
-            self.L2 + r - 1,
-            selector_head("lastrun", [self.i_pos_scan], [self.i_pos], [self.f_run], self.f_lastrun),
-        )
+        self._lookup(self.L2 + r - 1, "lastrun", self.i_pos_scan, self.f_run, self.f_lastrun)
         self._flag_op(
             self.L2 + r - 1,
             "to-popen",
             ([(self.f_lastrun, 1), (self.f_run, 1), (self.f_halt, 0)], {self.f_to_popen.coord: 1}),
         )
-        b.add_head(
-            self.L2 + r,
-            selector_head(
-                "to-pclose", [self.i_pos_scan], [self.i_pos], [self.f_popen], self.f_to_pclose
-            ),
-        )
+        self._lookup(self.L2 + r, "to-pclose", self.i_pos_scan, self.f_popen, self.f_to_pclose)
         b.add_neurons(self.L2 + r, sub_pow2_inplace(self.i_pos_scan, 1, []), "pos-scan-dec-2")
         if self.scot:
             # Clear the <p> emission when the length cap fires the summary.
@@ -802,12 +734,7 @@ class _TmCompiler:
             zero_register(self.i_state_fin, [(self.f_finalsumm, 0)]),
             "fin-state-clear",
         )
-        b.add_head(
-            self.L2 + 2,
-            self._broadcast_head(
-                "broadcast-fin-state", self.f_finalsumm, self.i_state_fin, self.i_state_fin
-            ),
-        )
+        self._broadcast_head(self.L2 + 2, "broadcast-fin-state", self.f_finalsumm, self.i_state_fin)
         for k in range(K):
             b.add_head(
                 self.L2 + 2,
@@ -835,7 +762,7 @@ class _TmCompiler:
     # -- extraction layer L3 ---------------------------------------------------
 
     def _extraction_layer(self) -> None:
-        b, r, K = self.b, self.r, self.K
+        b, K = self.b, self.K
         for k in range(K):
             b.add_head(
                 self.L3,
@@ -847,12 +774,7 @@ class _TmCompiler:
                     self.i_sym_ex[k],
                 ),
             )
-        b.add_head(
-            self.L3,
-            selector_head(
-                "extract-state", [self.i_pos_scan], [self.i_pos], [self.i_state], self.i_state_ex
-            ),
-        )
+        self._lookup(self.L3, "extract-state", self.i_pos_scan, self.i_state, self.i_state_ex)
         blank_enc = self.enc_g[self.tm.blank]
         blank_fill = []
         for k in range(K):
@@ -877,18 +799,13 @@ class _TmCompiler:
                 if q == tm.q_halt:
                     # delta is unused on the halting state; emit a dummy stay
                     # step whose outputs get zeroed by the halt gate anyway.
-                    q2, writes, moves = q, syms, ("S",) * K
+                    step = q, syms, ("S",) * K
                 else:
-                    q2, writes, moves = tm.delta[(q, syms)]
-                # Encodings are +-1 words, so every coordinate gets a weight.
-                out = dict(zip(self.i_state_new.coords, self.enc_q[q2]))
-                for k in range(K):
-                    out.update(zip(self.i_sym_new[k].coords, self.enc_g[writes[k]]))
-                    out.update(zip(self.i_move_new[k].coords, ENC_MOVES[moves[k]]))
+                    step = tm.delta[(q, syms)]
                 pats = [(self.i_state, self.enc_q[q])]
                 for k in range(K):
                     pats.append((self.i_sym_ex[k], self.enc_g[syms[k]]))
-                neurons.append(single_neuron(pats, [], out))
+                neurons.append(single_neuron(pats, [], self._run_code(step, self.run_new)))
         b.add_neurons(layer, neurons, "transition")
         b.add_neurons(
             layer,
@@ -922,7 +839,7 @@ class _TmCompiler:
     # -- output logic layers L3+2..L ----------------------------------------------
 
     def _output_layers(self) -> None:
-        b, K = self.b, self.K
+        b = self.b
         self._flag_op(
             self.L3 + 2,
             "to-eoutp",
@@ -970,52 +887,11 @@ class _TmCompiler:
             "newsym-copy",
         )
 
-    # -- unembeddings ---------------------------------------------------------------
-
-    def _unembeddings(self) -> None:
-        b, tm, K = self.b, self.tm, self.K
-        for tok in self.vocab:
-            cls = token_class(tok)
-            vals: dict[int, int] = {}
-            if tok == OUTP:
-                vals[self.f_halt.coord] = 1
-            elif tok == POPEN:
-                vals[self.f_to_popen.coord] = 1
-            elif tok == PCLOSE:
-                vals[self.f_to_pclose.coord] = 1
-            elif tok == EOUTP:
-                vals[self.f_to_eoutp.coord] = 1
-            elif tok == SUMM:
-                vals[self.f_to_summ.coord] = 1
-            elif tok == ESUMM:
-                vals[self.f_q.coord] = 1
-            elif cls == "run":
-                state, written, moves = parse_run_token(tok)
-                vals.update(zip(self.i_state_new.coords, self.enc_q[state]))
-                for k in range(K):
-                    vals.update(zip(self.i_sym_new[k].coords, self.enc_g[written[k]]))
-                    vals.update(zip(self.i_move_new[k].coords, ENC_MOVES[moves[k]]))
-            elif cls == "pos":
-                bits = parse_pos_token(tok)
-                for k in range(K):
-                    vals[self.i_nextbit[k].coords[0]] = bits[k]
-            elif cls == "sym":
-                vals.update(zip(self.i_newsym_sigma.coords, self.enc_g[tok]))
-            elif cls == "tape":
-                syms, hats = parse_tape_token(tok)
-                for k in range(K):
-                    vals.update(zip(self.i_sym_next[k].coords, self.enc_g[syms[k]]))
-                    vals[self.i_head_next[k].coords[0]] = 1 if hats[k] else -1
-            elif cls == "state":
-                vals.update(zip(self.i_state_fin_out.coords, self.enc_q[parse_state_token(tok)]))
-            if vals:
-                b.set_unembedding(tok, vals)
-
     # -- assembly --------------------------------------------------------------------
 
     def build(self) -> tuple[TransformerParams, CompileReport]:
         self._allocate()
-        self._embeddings()
+        self._tokens()
         self._layer1()
         self._layer2()
         self._collection()
@@ -1031,7 +907,6 @@ class _TmCompiler:
         self._extraction_layer()
         self._transition_layer()
         self._output_layers()
-        self._unembeddings()
 
         return self.b.finalize(
             self.vocab,

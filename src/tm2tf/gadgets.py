@@ -442,7 +442,7 @@ class HeadSpec:
 
 
 def rows_of(*items) -> list[tuple[tuple[int, int], ...]]:
-    """Expand registers/flags/raw coords into selector rows.
+    """Expand registers and flags into selector rows.
 
     Each item becomes one row per coordinate; an item may also be a list of
     (coord, sign) pairs forming a single combined row, or a tuple
@@ -454,8 +454,6 @@ def rows_of(*items) -> list[tuple[tuple[int, int], ...]]:
             rows.extend(((c, 1),) for c in item.coords)
         elif isinstance(item, Flag):
             rows.append(((item.coord, 1),))
-        elif isinstance(item, int):
-            rows.append(((item, 1),))
         elif isinstance(item, list):
             rows.append(tuple(item))
         elif isinstance(item, tuple) and len(item) == 2 and isinstance(item[1], int):

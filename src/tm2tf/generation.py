@@ -2,9 +2,10 @@
 
 A CoT run extends the input block until </outp> appears. An SCoT run
 iterates segments: a segment ending in </summ> has its summary block
-promoted to the next prompt; a segment ending in </outp> carries the
-output. Ill-formed generations become an explicit "undefined" outcome
-with a machine-readable reason instead of silently passing.
+(tape tokens, then one state token) promoted to the next prompt; a segment
+ending in </outp> carries the output. Ill-formed generations become an
+explicit "undefined" outcome with a machine-readable reason instead of
+silently passing.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ __all__ = ["GenerationTrace", "generate", "run_cot", "run_scot"]
 
 @dataclass
 class GenerationTrace:
-    protocol: str  # plain | cot | scot
     segments: list[list[str]] = field(default_factory=list)
     outcome: str = "undefined"  # output | undefined | budget_exceeded
     output: list[str] | None = None
@@ -135,11 +135,21 @@ def _finish_output(trace: GenerationTrace, tokens: list[str], start: int) -> Gen
     return trace
 
 
+def _summary_error(body: list[str]) -> str | None:
+    """Why a summary body is not of `encode_summary`'s form, one or more
+    tape tokens then one state token; None if it is."""
+    if not body:
+        return "empty summary block"
+    classes = [token_class(t) for t in body]
+    if len(classes) < 2 or classes != ["tape"] * (len(classes) - 1) + ["state"]:
+        return "summary block is not tape tokens then a state token"
+    return None
+
+
 _MAX_SEGMENTS = 4096  # SCoT segments before a run is given up as undefined
 
 
 def _run_segments(
-    protocol: str,
     stop_set: set[str],
     params: TransformerParams,
     word: list[str] | str,
@@ -148,12 +158,12 @@ def _run_segments(
     record_steps: bool,
     draft: list[list[str]] | None,
 ) -> GenerationTrace:
-    """Decode segments until </outp>, promoting each summary block to the
-    next prompt; budget applies per segment. With stop set {</outp>} the
-    first segment is the whole run. Segment i's draft is draft[i] past the
-    prompt's length."""
+    """Decode segments until </outp>, promoting each well-formed summary
+    block to the next prompt; budget applies per segment. With stop set
+    {</outp>} the first segment is the whole run. Segment i's draft is
+    draft[i] past the prompt's length."""
     word = list(word)
-    trace = GenerationTrace(protocol=protocol)
+    trace = GenerationTrace()
     prompt = [INP, *word, EINP]
     for seg_idx in range(_MAX_SEGMENTS):
         records = trace.records if record_steps else None
@@ -175,11 +185,9 @@ def _run_segments(
         if tokens[-1] == EOUTP:
             return _finish_output(trace, tokens, len(prompt))
         body, err = _find_block(tokens, len(prompt), SUMM)
+        err = err or _summary_error(body)
         if err is not None:
             trace.outcome, trace.reason = "undefined", err
-            return trace
-        if not body:
-            trace.outcome, trace.reason = "undefined", "empty summary block"
             return trace
         prompt = [SUMM, *body, ESUMM]
     trace.outcome, trace.reason = "undefined", "segment limit reached"
@@ -198,7 +206,7 @@ def run_cot(
 
     `draft` is the expected run in the form of `GenerationTrace.segments`
     (one segment, prompt included); it only saves work, see `generate`."""
-    return _run_segments("cot", {EOUTP}, params, word, cfg, budget, record_steps, draft)
+    return _run_segments({EOUTP}, params, word, cfg, budget, record_steps, draft)
 
 
 def run_scot(
@@ -212,4 +220,4 @@ def run_scot(
     """The iterated segment/summary loop; budget applies per segment.
 
     `draft` is the expected segments, prompts included, as in `run_cot`."""
-    return _run_segments("scot", {EOUTP, ESUMM}, params, word, cfg, budget, record_steps, draft)
+    return _run_segments({EOUTP, ESUMM}, params, word, cfg, budget, record_steps, draft)

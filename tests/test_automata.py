@@ -220,6 +220,30 @@ def test_cot_oracle_errors():
         cot_token_oracle(tm, "", r=4)
 
 
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: tm_run(fig2_machine(), "ax", 10), MachineError, "symbol 'x' not in input"),
+        (lambda: tm_run(fig2_machine(), "ab", -1), ValueError, "step_cap must be >= 0"),
+        # fig2 scans b's rightwards: the <p> block after step 4 holds head 4.
+        (
+            lambda: cot_token_oracle(fig2_machine(), "bbbbb", r=2, step_cap=50),
+            TokenBudgetError,
+            "head position 4 needs more than 2 bits",
+        ),
+        (
+            lambda: scot_segments_oracle(fig2_machine(), "aaa", r=4),
+            TokenBudgetError,
+            "prompt end position 4 breaks the 4j length-cap detection for r=4",
+        ),
+    ],
+    ids=["input symbol", "step cap", "head position", "prompt end"],
+)
+def test_the_oracle_refuses(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
 def test_pos_blocks_decode_to_head_positions():
     tm = fig2_machine()
     result = tm_run(tm, "bbaab", 100)

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from tm2tf.gadgets import (
     decode_pm1,
     denoising_neurons,
     full_subtract,
+    rows_of,
     selector_head,
     single_neuron,
     sub_pow2,
@@ -429,3 +431,90 @@ def test_finalize_refuses_builds_over_budget(n_heads, d_ff, message):
     assert report.heads_used == [0, 2] and report.neurons_used == [4, 0]
     with pytest.raises(ValueError, match=message):
         _budget_build(n_heads, d_ff)
+
+
+def _conflict(set_values) -> None:
+    set_values("x", {0: 1})
+    set_values("x", {0: -1})
+
+
+def _finalize(layout, builder, **dims) -> None:
+    dims = {"d": layout.d, "d_k": 2, "d_v": 2, "d_ff": 4, "n_heads": 1, "n_layers": 2, **dims}
+    builder.finalize(["x"], Dims(**dims), NoPositional(), "test", 2)
+
+
+def _oversized_head(layout, builder, a) -> None:
+    builder.add_head(1, selector_head("h", [a], [a], [a], a))
+    _finalize(layout, builder, d_k=1)
+
+
+# Each refusal as (call on a layout with register a (2 bits) and flag f, and
+# a 2-layer builder over it; the BuildError message).
+REFUSALS = {
+    "duplicate register": (lambda lay, a, f, b: lay.register("f", 1), "duplicate allocation 'f'"),
+    "duplicate flag": (lambda lay, a, f, b: lay.flag("a"), "duplicate allocation 'a'"),
+    "negative size": (lambda lay, a, f, b: lay.register("n", -1), "register size must be >= 0"),
+    "pattern size": (
+        lambda lay, a, f, b: single_neuron([(a, (1,))], [], {}),
+        "pattern size mismatch on a",
+    ),
+    "pattern value": (
+        lambda lay, a, f, b: single_neuron([(a, (1, 0))], [], {}),
+        "register patterns must be +-1",
+    ),
+    "register overlap": (
+        lambda lay, a, f, b: single_neuron([(a, (1, 1)), (a.bit(0), (1,))], [], {}),
+        "overlapping register/flag references",
+    ),
+    "flag value": (
+        lambda lay, a, f, b: single_neuron([], [(f, 2)], {}),
+        "flag patterns must be 0/1",
+    ),
+    "flag overlap": (
+        lambda lay, a, f, b: single_neuron([], [(f, 1), (f, 0)], {}),
+        "overlapping register/flag references",
+    ),
+    "repeat of a register": (
+        lambda lay, a, f, b: rows_of((a, 2)),
+        "repeat applies to single-row items",
+    ),
+    "raw coordinate row": (lambda lay, a, f, b: rows_of(3), "cannot interpret row item 3"),
+    "query/key rows": (
+        lambda lay, a, f, b: selector_head("h", [a], [f], [a], a),
+        "head h: query/key row counts differ",
+    ),
+    "value rows": (
+        lambda lay, a, f, b: selector_head("h", [a], [a], [a], f),
+        "head h: value rows and output size differ",
+    ),
+    "embedding": (
+        lambda lay, a, f, b: _conflict(b.set_embedding),
+        "conflicting embedding for 'x' at coord 0",
+    ),
+    "unembedding": (
+        lambda lay, a, f, b: _conflict(b.set_unembedding),
+        "conflicting unembedding for 'x' at coord 0",
+    ),
+    "head layer": (
+        lambda lay, a, f, b: b.add_head(0, selector_head("h", [a], [a], [f], f)),
+        "layer 0 out of range",
+    ),
+    "neuron layer": (
+        lambda lay, a, f, b: b.add_neurons(3, zero_register(a, []), "z"),
+        "layer 3 out of range",
+    ),
+    "layout width": (
+        lambda lay, a, f, b: _finalize(lay, b, d=4),
+        "layout uses 3 coordinates but dims.d = 4",
+    ),
+    "head size": (lambda lay, a, f, b: _oversized_head(lay, b, a), "head h exceeds d_k/d_v"),
+}
+
+
+@pytest.mark.parametrize("case", list(REFUSALS))
+def test_the_construction_kit_refuses(case):
+    call, message = REFUSALS[case]
+    layout = RegisterLayout()
+    a, f = layout.register("a", 2), layout.flag("f")
+    with pytest.raises(BuildError, match=re.escape(message)):
+        call(layout, a, f, ModelBuilder(layout, n_layers=2))

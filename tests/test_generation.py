@@ -121,13 +121,36 @@ def test_run_cot_undefined_on_a_non_input_symbol_in_the_output():
     assert trace.output is None
 
 
+def summarizing_model(block: list[str]) -> TransformerParams:
+    """A successor model that writes block after </inp> and after each
+    </summ>, over VOCAB with one tape and one state token added."""
+    successor = dict(zip(block, block[1:]), **{EINP: block[0], ESUMM: block[0]})
+    return successor_model(VOCAB + ["tape:^a", "state:q"], successor)
+
+
 def test_run_scot_undefined_at_the_segment_limit(monkeypatch):
-    """Each summary <summ> a </summ> is promoted and summarized again."""
+    """Each summary <summ> tape:^a state:q </summ> is promoted and
+    summarized again."""
     monkeypatch.setattr(generation, "_MAX_SEGMENTS", 3)
-    params = successor_model(VOCAB, {EINP: SUMM, SUMM: "a", "a": ESUMM, ESUMM: SUMM})
-    trace = run_scot(params, ["a"], EvalConfig())
-    assert trace.segments == [[INP, "a", EINP, SUMM, "a", ESUMM]] + [[SUMM, "a", ESUMM] * 2] * 2
+    summary = [SUMM, "tape:^a", "state:q", ESUMM]
+    trace = run_scot(summarizing_model(summary), ["a"], EvalConfig())
+    assert trace.segments == [[INP, "a", EINP, *summary]] + [summary * 2] * 2
     assert (trace.outcome, trace.reason) == ("undefined", "segment limit reached")
+
+
+@pytest.mark.parametrize(
+    "body",
+    [["a"], ["tape:^a"], ["state:q"], ["state:q", "tape:^a"], ["tape:^a", "a", "state:q"]],
+)
+def test_run_scot_undefined_on_an_ill_formed_summary(body):
+    """Only tape tokens then one state token are promoted to a prompt."""
+    block = [SUMM, *body, ESUMM]
+    trace = run_scot(summarizing_model(block), ["a"], EvalConfig())
+    assert trace.segments == [[INP, "a", EINP, *block]]
+    assert (trace.outcome, trace.reason) == (
+        "undefined",
+        "summary block is not tape tokens then a state token",
+    )
 
 
 def test_run_cot_happy_path_counts():

@@ -13,6 +13,7 @@ from tm2tf.netcore import (
     BinaryAbsolute,
     Dims,
     EvalConfig,
+    EvalError,
     Evaluator,
     NoPositional,
     TransformerParams,
@@ -163,6 +164,43 @@ def test_context_length_guard():
         ev.extend(["x"])
     with pytest.raises(EvalError):
         ev.extend(["y"])  # unknown token
+
+
+def _batch_of_three(ev):
+    ev.extend([("a", "b", "a")])
+
+
+def _scores_past_the_end(ev):
+    ev.extend(["a"])
+    ev.output_scores(1)
+
+
+# Each refusal as (batch size, call on a fresh evaluator of the zero model
+# or None where the constructor refuses, error type, message).
+EVALUATOR_REFUSALS = {
+    "batch size": (0, None, ValueError, "batch must be >= 1"),
+    "tokens per position": (2, _batch_of_three, ValueError, "each position needs 2 tokens, got 3"),
+    "scores before a token": (
+        None,
+        lambda ev: ev.output_scores(),
+        EvalError,
+        "no tokens processed",
+    ),
+    "scores past the end": (None, _scores_past_the_end, ValueError, "position 1 not processed"),
+    "next_token on a batch": (
+        2,
+        lambda ev: ev.next_token(),
+        ValueError,
+        "next_token needs a single sequence; use next_tokens",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(EVALUATOR_REFUSALS))
+def test_the_evaluator_refuses(case):
+    batch, call, error, message = EVALUATOR_REFUSALS[case]
+    with pytest.raises(error, match=message):
+        call(Evaluator(_zero_model(), EvalConfig(), batch=batch))
 
 
 def test_params_json_roundtrip():
