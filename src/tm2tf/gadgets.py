@@ -199,49 +199,25 @@ def _place(pattern: Neurons, in_coords, out_coords) -> Neurons:
     return Neurons(ins, pattern.bias4, outs)
 
 
-def single_neuron(
-    register_patterns: list[tuple[Register, tuple[int, ...]]],
-    flag_patterns: list[tuple[Flag, int]],
-    output: dict[int, int],
-) -> Neurons:
-    """A one-row block firing to 1 exactly when all patterns match, else 0.
+# Every neuron of the kit is one `_conj` row. `single_neuron` places one;
+# register-wide gadgets cache theirs once per shape as a pattern over local
+# indices (the read registers' bits, then the gate flags) that each call
+# maps onto its coordinates.
 
-    Register patterns are +-1 vectors, flag patterns bits in {0,1}; the
-    bias is -(sum of register sizes + number of 1-valued flags) + 1.
-    """
-    in_w: dict[int, int] = {}
-    total = 0
-    for reg, pattern in register_patterns:
+
+def _check_patterns(patterns: list[tuple[Register, tuple[int, ...]]]) -> None:
+    """Each register pattern is a +-1 vector as wide as its register."""
+    for reg, pattern in patterns:
         if len(pattern) != len(reg):
             raise BuildError(f"pattern size mismatch on {reg.name}")
-        for coord, want in zip(reg.coords, pattern):
-            if want not in (-1, 1):
-                raise BuildError("register patterns must be +-1")
-            if coord in in_w:
-                raise BuildError("overlapping register/flag references")
-            in_w[coord] = want
-            total += 1
-    positive_flags = 0
-    for flag, want in flag_patterns:
-        if want not in (0, 1):
-            raise BuildError("flag patterns must be 0/1")
-        if flag.coord in in_w:
-            raise BuildError("overlapping register/flag references")
-        in_w[flag.coord] = 1 if want == 1 else -1
-        if want == 1:
-            positive_flags += 1
-    bias = -(total + positive_flags) + 1
-    return _block([(in_w.items(), 4 * bias, output.items())])
-
-
-# Register-wide gadgets build their neurons as `single_neuron` would, but
-# once per shape: a cached pattern over local indices (the read registers'
-# bits, then the gate flags) that each call maps onto its coordinates.
+        if any(want not in (-1, 1) for want in pattern):
+            raise BuildError("register patterns must be +-1")
 
 
 def _inputs(gates: list[tuple[Flag, int]], *regs: Register) -> tuple[tuple, tuple]:
-    """(gate values, input coordinates) of a gadget reading `regs`, then its
-    gate flags, checked as `single_neuron` checks a neuron's inputs."""
+    """(gate values, input coordinates) of a row reading `regs`, then its
+    gate flags: gate values are bits in {0,1}, and no coordinate is read
+    twice."""
     values = tuple(want for _, want in gates)
     if any(want not in (0, 1) for want in values):
         raise BuildError("flag patterns must be 0/1")
@@ -255,6 +231,23 @@ def _conj(reads: list[tuple[int, int]], gate_values, first_gate: int, outs) -> t
     """A conjunction row over local indices; gate i sits at first_gate + i."""
     ins = reads + [(first_gate + i, 1 if v == 1 else -1) for i, v in enumerate(gate_values)]
     return ins, 4 * (1 - len(reads) - sum(gate_values)), outs
+
+
+def single_neuron(
+    register_patterns: list[tuple[Register, tuple[int, ...]]],
+    flag_patterns: list[tuple[Flag, int]],
+    output: dict[int, int],
+) -> Neurons:
+    """A one-row block firing to 1 exactly when all patterns match, else 0.
+
+    Register patterns are +-1 vectors, flag patterns bits in {0,1}; the
+    bias is -(sum of register sizes + number of 1-valued flags) + 1.
+    """
+    _check_patterns(register_patterns)
+    values, coords = _inputs(flag_patterns, *(reg for reg, _ in register_patterns))
+    reads = list(enumerate(want for _, pattern in register_patterns for want in pattern))
+    ins, bias4, _ = _conj(reads, values, len(reads), ())
+    return _block([([(coords[i], w) for i, w in ins], bias4, output.items())])
 
 
 @lru_cache(maxsize=None)
@@ -343,11 +336,7 @@ def add_head_movement(
     if set(src.coords) & set(dst.coords):
         raise BuildError("copy with overlapping registers")
     codes = tuple(tuple(enc_moves[m]) for m in ("L", "R"))
-    for code in codes:
-        if len(code) != 2:
-            raise BuildError(f"pattern size mismatch on {move.name}")
-        if any(v not in (-1, 1) for v in code):
-            raise BuildError("register patterns must be +-1")
+    _check_patterns([(move, code) for code in codes])
     _, coords = _inputs([(gate, 1)], src, move)
     return _place(_movement_pattern(len(src), *codes), coords, dst.coords)
 

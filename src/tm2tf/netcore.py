@@ -11,19 +11,18 @@ Hardmax decisions compare raw integer dot products, sidestepping the
 A step runs P new positions of B equal-length sequences through each layer
 at once: one fused Q/K/V matmul, one KV cache of shape (positions, B*H,
 d_k + d_v), causally masked attention for all heads, one (d, H*d_v) output
-matmul, and one rounding call per quantity. One condition, exact arithmetic
-(hardmax without rotary positions), decides two things. A whole block of
-known tokens is one step, which is what lets generation verify a draft of
-expected tokens in one pass. And the Q/K/V, output and W1 matmuls gather
-only the live input coordinates, those with a nonzero weight, and multiply
-float64 weights cut from the int8 codes on those rows alone. Softmax and
-rotary models step one position at a time with whole float64 matrices, so
-their rounding and sums are those of plain incremental decoding. The trace
-holds one array per quantity whose first axis is position, with a (B,)
-axis after it for a batch: (P, H, .) for q, k, v and o, (P, H, P) for the
-causally masked dots, (P, H) for att_err, (P, d) or (P, m) for y, x_mid,
-hidden and x_out. They are views into buffers that grow with the KV cache,
-so `truncate` only re-slices them.
+matmul, and one rounding call per quantity. The Q/K/V, output and W1
+matmuls gather only the live input coordinates, those with a nonzero
+weight, and multiply float64 weights cut from the int8 codes on those rows
+alone. Under exact arithmetic (hardmax without rotary positions) a whole
+block of known tokens is one step, which is what lets generation verify a
+draft of expected tokens in one pass; softmax and rotary models step one
+position at a time, so their rounding is that of plain incremental
+decoding. The trace holds one array per quantity whose first axis is
+position, with a (B,) axis after it for a batch: (P, H, .) for q, k, v and
+o, (P, H, P) for the causally masked dots, (P, H) for att_err, (P, d) or
+(P, m) for y, x_mid, hidden and x_out. They are views into buffers that
+grow with the KV cache, so `truncate` only re-slices them.
 """
 
 from __future__ import annotations
@@ -328,15 +327,14 @@ class Evaluator:
     output matrix. A layer without heads runs the same code on empty
     arrays, but computes no attention weights and rounds nothing empty.
 
-    `_exact`, hardmax attention without rotary positions, is the one
-    condition for two shortcuts; under it the compiled models' values are
-    small integers and no sum depends on its order. `extend` runs a whole
-    block as one step, and the Q/K/V, W_O and W1 products gather the live
-    input coordinates of their rows (`x.take(live, axis=1)`) and multiply
-    float64 weights on those coordinates alone: dropping a zero weight drops
-    a +-0 term. W2 stays whole, since every neuron is one of its inputs.
-    Softmax and rotary models step one position at a time through whole
-    float64 matrices, the same dot calls on the same arrays as ever.
+    The Q/K/V, W_O and W1 products gather the live input coordinates of
+    their rows (`x.take(live, axis=1)`) and multiply float64 weights on
+    those coordinates alone: dropping a zero weight drops a +-0 term. W2
+    stays whole, since every neuron is one of its inputs. `_exact`, hardmax
+    attention without rotary positions, decides only the step: under it the
+    compiled models' values are small integers and no sum depends on its
+    order, so `extend` runs a whole block as one step. Softmax and rotary
+    models step one position at a time.
     """
 
     def __init__(self, params: TransformerParams, cfg: EvalConfig, batch: int | None = None):
@@ -358,20 +356,18 @@ class Evaluator:
         self._exact = cfg.attention == "hardmax" and self._rotary is None
         # (H, then the input coordinates read and W^T on them for Q/K/V,
         # W_O and W1, bias, W2^T) per layer: rows times W^T, as ndarray.dot,
-        # which costs less per call than matmul. Only exact evaluators cut
-        # the int8 weights; the others stack float64 at once.
-        stack = np.int8 if self._exact else np.float64
+        # which costs less per call than matmul.
         self._w = []
         for layer in params.layers:
             heads, n_heads = layer.heads, len(layer.heads)
-            wqkv = np.array([np.concatenate([h.wq, h.wk, h.wv]) for h in heads], stack)
-            wo = np.array([h.wo for h in heads], stack).reshape(n_heads, d, d_v)
+            wqkv = np.array([np.concatenate([h.wq, h.wk, h.wv]) for h in heads], np.int8)
+            wo = np.array([h.wo for h in heads], np.int8).reshape(n_heads, d, d_v)
             self._w.append(
                 (
                     n_heads,
-                    *_read(wqkv.reshape(n_heads * (2 * d_k + d_v), d), self._exact),
-                    *_read(wo.transpose(1, 0, 2).reshape(d, n_heads * d_v), self._exact),
-                    *_read(layer.w1, self._exact),
+                    *_read(wqkv.reshape(n_heads * (2 * d_k + d_v), d)),
+                    *_read(wo.transpose(1, 0, 2).reshape(d, n_heads * d_v)),
+                    *_read(layer.w1),
                     layer.bias4.astype(np.float64) / 4.0,
                     layer.w2.astype(np.float64).T,
                 )
@@ -416,9 +412,12 @@ class Evaluator:
         params = self.params
         rows = [tokens]
         if self.batch is not None:
-            rows = list(zip(*tokens, strict=True))
-            if len(rows) != self.batch:
-                raise ValueError(f"each position needs {self.batch} tokens, got {len(rows)}")
+            for i, row in enumerate(tokens, start):
+                if len(row) != self.batch:
+                    raise ValueError(
+                        f"position {i}: each position needs {self.batch} tokens, got {len(row)}"
+                    )
+            rows = list(zip(*tokens))
         x = self._emb[np.array([[params.token_index(tok) for tok in row] for row in rows])]
         pos = params.positional
         if isinstance(pos, BinaryAbsolute):
@@ -511,7 +510,7 @@ class Evaluator:
             self._traced[0]["x0"][start:n] = x.reshape(n_new, n_seq, d)
         for li, (plan, kv) in enumerate(zip(self._w, self._kv)):
             n_heads, qkv_in, wqkv, o_in, wo, w1_in, w1, bias, w2 = plan
-            qkv = _cols(x, qkv_in).dot(wqkv)
+            qkv = x.take(qkv_in, axis=1).dot(wqkv)
             qkv = qkv.reshape(n_new * n_seq, n_heads, 2 * d_k + d_v)  # q, k, v per head
             if rotary is not None:  # one position per step
                 qkv[..., :d_k] = rope_rotate(qkv[..., :d_k], start, rotary.freqs)
@@ -539,9 +538,9 @@ class Evaluator:
                 o = (mask.astype(np.float64) @ values) / mask.sum(axis=-1, keepdims=True)
             # (P, B, H, d_v) head outputs
             o = rnd(o.reshape(n_seq, n_heads, n_new, d_v).transpose(2, 0, 1, 3), act)
-            y = rnd(_cols(o.reshape(n_new * n_seq, n_heads * d_v), o_in).dot(wo), act)
+            y = rnd(o.reshape(n_new * n_seq, n_heads * d_v).take(o_in, axis=1).dot(wo), act)
             x_mid = rnd(x + y, act)
-            hidden = _cols(x_mid, w1_in).dot(w1)
+            hidden = x_mid.take(w1_in, axis=1).dot(w1)
             hidden += bias
             hidden = rnd(np.maximum(hidden, 0.0, out=hidden), act)
             x = rnd(x_mid + rnd(hidden.dot(w2), act), act)
@@ -617,20 +616,11 @@ def _unrounded(x: np.ndarray, fmt: FloatFormat | None) -> np.ndarray:
     return x
 
 
-def _read(w: np.ndarray, exact: bool) -> tuple[np.ndarray | None, np.ndarray]:
-    """For an (outputs, inputs) matrix w: the input coordinates that rows
-    times W^T reads and float64 W^T on those rows. An exact evaluator reads
-    the coordinates with a nonzero weight, the others all (None), with W^T
-    F-contiguous as ever."""
-    if not exact:
-        return None, w.T.astype(np.float64, copy=False)
+def _read(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For an (outputs, inputs) int8 matrix w: the input coordinates with a
+    nonzero weight, which rows times W^T reads, and float64 W^T on them."""
     live = np.flatnonzero(w.any(axis=0))
     return live, w.T[live].astype(np.float64)
-
-
-def _cols(x: np.ndarray, live: np.ndarray | None) -> np.ndarray:
-    """The columns `live` of rows x, or x itself for None."""
-    return x if live is None else x.take(live, axis=1)
 
 
 def forward(

@@ -100,3 +100,50 @@ def test_bench_name_lookups_resolve():
     assert patched == ["run_cot", "run_scot"]
     harness = importlib.import_module("tm2tf.harness")
     assert [name for name in patched if not callable(getattr(harness, name, None))] == []
+
+
+ROOT = PACKAGE.parents[1]
+SOURCES = sorted(path for top in ("src", "tests", "bench") for path in (ROOT / top).rglob("*.py"))
+_DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _is_all(node: ast.stmt) -> bool:
+    return isinstance(node, ast.Assign) and any(
+        isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+    )
+
+
+def _references(tree: ast.Module) -> set[str]:
+    """The names a module reads, as names, attributes or strings such as
+    the bench's lookups by name, outside `__all__` and outside the
+    top-level definition of the same name."""
+    names = set()
+    for top in tree.body:
+        if _is_all(top):
+            continue
+        own = top.name if isinstance(top, _DEFINITIONS) else None
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name):
+                found = [node.id]
+            elif isinstance(node, ast.Attribute):
+                found = [node.attr]
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                found = node.value.split(".")
+            else:
+                continue
+            names.update(name for name in found if name != own)
+    return names
+
+
+def test_every_module_level_definition_is_referenced():
+    """No unused gadget or helper: each function and class defined at the
+    top of a `tm2tf` module is read somewhere in the sources, tests or
+    bench scripts."""
+    referenced = set().union(*(_references(ast.parse(p.read_text(), str(p))) for p in SOURCES))
+    unused = [
+        f"{_module_name(path)}.{node.name}"
+        for path in MODULES
+        for node in ast.parse(path.read_text(), str(path)).body
+        if isinstance(node, _DEFINITIONS) and node.name not in referenced
+    ]
+    assert unused == []

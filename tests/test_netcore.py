@@ -170,6 +170,15 @@ def _batch_of_three(ev):
     ev.extend([("a", "b", "a")])
 
 
+def _ragged(width):
+    """A batch of two whose second position holds `width` tokens."""
+
+    def call(ev):
+        ev.extend([("a", "b"), ("a", "b", "a")[:width]])
+
+    return call
+
+
 def _scores_past_the_end(ev):
     ev.extend(["a"])
     ev.output_scores(1)
@@ -180,6 +189,18 @@ def _scores_past_the_end(ev):
 EVALUATOR_REFUSALS = {
     "batch size": (0, None, ValueError, "batch must be >= 1"),
     "tokens per position": (2, _batch_of_three, ValueError, "each position needs 2 tokens, got 3"),
+    "ragged, shorter": (
+        2,
+        _ragged(1),
+        ValueError,
+        "position 1: each position needs 2 tokens, got 1",
+    ),
+    "ragged, longer": (
+        2,
+        _ragged(3),
+        ValueError,
+        "position 1: each position needs 2 tokens, got 3",
+    ),
     "scores before a token": (
         None,
         lambda ev: ev.output_scores(),
@@ -780,25 +801,28 @@ def test_an_edited_copy_gets_a_fresh_plan():
     assert got.tobytes() == _assert_matches_reference(edited, tokens, cfg, trace).tobytes()
 
 
-def test_a_bouncer8_evaluator_holds_no_dense_float64_copy_of_its_weights():
-    """The exact bouncer8 CoT r=10 evaluator keeps float64 weights only on
-    the input coordinates each product reads (W2 whole): 6.2 MB, against
-    14.0 MB for dense stacks of every matrix."""
+@pytest.mark.parametrize("mode", ["hardmax", "scaled_only", "denoised"])
+def test_a_bouncer8_evaluator_holds_no_dense_float64_copy_of_its_weights(mode):
+    """The bouncer8 CoT r=10 evaluator keeps float64 weights only on the
+    input coordinates each product reads (W2 whole), for the hardmax model
+    and its softmax conversions alike: 6.2 MB hardmax or scaled and 7.7 MB
+    denoised, against 14.0 and 16.8 MB for dense stacks of every matrix."""
     import tracemalloc
 
     from machines import bouncer_machine
 
     from tm2tf.compilers import compile_cot
+    from tm2tf.softmaxify import convert
 
-    params, _ = compile_cot(bouncer_machine(8), 10)
+    params, cfg = convert(compile_cot(bouncer_machine(8), 10)[0], mode, 2 ** 10)
     tracemalloc.start()
     try:
-        ev = Evaluator(params, EvalConfig())
+        ev = Evaluator(params, cfg)
         retained, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     del ev
-    assert retained < 8e6
+    assert retained < {"hardmax": 8e6, "scaled_only": 8e6, "denoised": 9e6}[mode]
 
 
 # ---------------------------------------------------------------------------
@@ -919,6 +943,52 @@ def test_rope_prefix_steps_one_position_at_a_time(r):
     tokens = ["first"] + ["rest"] * (2 ** r - 1)
     reps, trace = forward(params, tokens, EvalConfig(capture_trace=True))
     assert _digest(reps, trace) == ROPE_DIGESTS[r]
+
+
+def _fig2_softmax_case(case: str):
+    """fig2 CoT r=6 as `case` names it, with a capturing config."""
+    from machines import fig2_machine
+
+    from tm2tf.compilers import compile_cot
+    from tm2tf.fpcore import PRESETS
+    from tm2tf.softmaxify import convert, scale_qk
+
+    r = 6
+    hard = compile_cot(fig2_machine(), r)[0]
+    if case == "c=2 bf16":
+        bf16 = Precision(PRESETS["bf16"])
+        params = scale_qk(hard, 2.0)
+        cfg = EvalConfig("softmax", act_precision=bf16, att_precision=bf16)
+    else:
+        mode, _, c = case.partition(" c=")
+        params, cfg = convert(hard, mode, 2 ** r, float(c) if c else None)
+    return params, dataclasses.replace(cfg, capture_trace=True)
+
+
+# Digests of the evaluator that decodes fig2 CoT r=6 on "abab" (final
+# representations, every trace field and each decoded step's scores) under
+# rounded softmax: each conversion at the theorem's c, the denoised model at
+# c=4, and scale_qk at c=2 with bf16 activations and attention weights.
+# Recorded with the evaluator that stacked whole float64 matrices for
+# softmax models, so they pin that reading only the live input coordinates
+# moves no bit.
+SOFTMAX_DIGESTS = {
+    "scaled_only": "731260ac5c537a9ba673e5ace8bbd83fdade346b770835164ec2f9844db49a75",
+    "denoised": "174f7108d75441bc928e890558ed5a31bdec0dc19217a38416d52667d33706f8",
+    "denoised c=4": "3af3207b1686a8f00b8e5fd6d7b23471499b70ebd164ea6d2e0d39a152618494",
+    "c=2 bf16": "4a762327b62951068d80997991189156990ee4e8f366ac7e969c932de5742cd6",
+}
+
+
+@pytest.mark.parametrize("case", list(SOFTMAX_DIGESTS))
+def test_softmax_decode_digests(case):
+    from tm2tf.automata import EINP, EOUTP, INP
+    from tm2tf.generation import generate
+
+    params, cfg = _fig2_softmax_case(case)
+    prompt = [INP, *"abab", EINP]
+    _, _, ev = generate(params, prompt, {EOUTP}, 2 ** 6 - len(prompt), cfg)
+    assert _ev_digest(ev) == SOFTMAX_DIGESTS[case]
 
 
 @pytest.mark.parametrize("attention", ["hardmax", "softmax"])
