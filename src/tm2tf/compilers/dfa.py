@@ -99,19 +99,21 @@ def compile_dfa(dfa: Dfa, r: int) -> tuple[TransformerParams, CompileReport]:
             layer,
             selector_head(f"fetch-2^{k}", [i_pos_ex], [i_pos], [i_enc], i_enc_ex),
         )
+        # Each zero-and-rewrite pair is one op: its writes add up.
         builder.add_neurons(
             layer,
-            compose_function_encoding(i_enc, i_enc_ex, n_q, d_q),
+            [compose_function_encoding(i_enc, i_enc_ex, n_q, d_q), zero_register(i_enc, [])],
             f"compose-2^{k}",
-            bundle="enc",
         )
-        builder.add_neurons(layer, zero_register(i_enc, []), f"zero-enc-2^{k}", bundle="enc")
         builder.add_neurons(layer, zero_register(i_enc_ex, []), f"zero-encex-2^{k}")
-        builder.add_neurons(layer, zero_register(i_pos_ex, []), f"zero-posex-2^{k}", bundle="posex")
         if k < r - 1:
             builder.add_neurons(
-                layer, sub_pow2(i_pos, i_pos_ex, k + 1, []), f"posex-2^{k + 1}", bundle="posex"
+                layer,
+                [zero_register(i_pos_ex, []), sub_pow2(i_pos, i_pos_ex, k + 1, [])],
+                f"posex-2^{k + 1}",
             )
+        else:
+            builder.add_neurons(layer, zero_register(i_pos_ex, []), f"zero-posex-2^{k}")
 
     # Final layer: map the accumulated initial-state image to +-1 in coord 0.
     answer = []
@@ -119,10 +121,7 @@ def compile_dfa(dfa: Dfa, r: int) -> tuple[TransformerParams, CompileReport]:
     for q in states:
         sign = 1 if q in dfa.accepting else -1
         answer.append(single_neuron([(first_block, enc_q[q])], [], {0: sign}))
-    builder.add_neurons(dims.n_layers, answer, "answer", bundle="answer")
-    builder.add_neurons(
-        dims.n_layers, zero_register(i_pos.bit(0), []), "zero-coord0", bundle="answer"
-    )
+    builder.add_neurons(dims.n_layers, [*answer, zero_register(i_pos.bit(0), [])], "answer")
     builder.set_unembedding(TRUE, {0: 1})
     builder.set_unembedding(FALSE, {0: -1})
 

@@ -10,7 +10,15 @@ from __future__ import annotations
 
 import math
 
-from ..gadgets import CompileReport, HeadSpec, ModelBuilder, RegisterLayout, single_neuron
+from ..gadgets import (
+    CompileReport,
+    Flag,
+    HeadSpec,
+    ModelBuilder,
+    RegisterLayout,
+    selector_head,
+    single_neuron,
+)
 from ..netcore import Dims, RotaryOnly, TransformerParams
 
 __all__ = ["build_rope_position_prefix", "rope_dims"]
@@ -27,11 +35,12 @@ def rope_dims(r: int) -> Dims:
     )
 
 
-def _head(dims: Dims, name: str, q_parts: dict, k_parts: dict, value_coord: int, out_coord: int) -> HeadSpec:
-    """q_parts/k_parts map a d_k row index to a list of (coord, sign) terms."""
-    q_rows = [tuple(q_parts.get(row, ())) for row in range(dims.d_k)]
-    k_rows = [tuple(k_parts.get(row, ())) for row in range(dims.d_k)]
-    return HeadSpec(name, tuple(q_rows), tuple(k_rows), (((value_coord, 1),),), (out_coord,))
+def _head(dims: Dims, name: str, q_parts: dict, k_parts: dict, value: Flag, out: Flag) -> HeadSpec:
+    """q_parts/k_parts map a d_k row index to a list of (coord, sign) terms;
+    the other rows are empty."""
+    q_rows = [q_parts.get(row, []) for row in range(dims.d_k)]
+    k_rows = [k_parts.get(row, []) for row in range(dims.d_k)]
+    return selector_head(name, q_rows, k_rows, [value], out)
 
 
 def build_rope_position_prefix(r: int) -> tuple[TransformerParams, CompileReport]:
@@ -76,8 +85,8 @@ def build_rope_position_prefix(r: int) -> tuple[TransformerParams, CompileReport
             "mod-2",
             {rot(1): one, u1: one},
             {rot(1): one, u1: first},
-            f_first.coord,
-            f_mod[0].coord,
+            f_first,
+            f_mod[0],
         ),
     )
     # Layer k: f_mod[k-1] via the angle of position i at frequency 2pi/2^k.
@@ -90,8 +99,8 @@ def build_rope_position_prefix(r: int) -> tuple[TransformerParams, CompileReport
                 f"mod-2^{k}",
                 {rot(k): prev, u1: prev, u2: one},
                 {rot(k): first, u1: first, u2: [(f_const.coord, 1), (f_first.coord, -1)]},
-                f_first.coord,
-                f_mod[k - 1].coord,
+                f_first,
+                f_mod[k - 1],
             ),
         )
 
@@ -119,7 +128,7 @@ def build_rope_position_prefix(r: int) -> tuple[TransformerParams, CompileReport
             q_parts[rot(s)] = one
             k_parts[rot(s)] = one
         builder.add_head(
-            layer, _head(dims, f"bit-{k}-probe", q_parts, k_parts, f_mod[k].coord, f_ex.coord)
+            layer, _head(dims, f"bit-{k}-probe", q_parts, k_parts, f_mod[k], f_ex)
         )
         builder.add_neurons(
             layer,

@@ -524,9 +524,18 @@ def _shared_inputs(neurons: Neurons) -> dict[int, int]:
 class _MlpOp:
     neurons: Neurons
     label: str
-    bundle: str | None
     gate: dict[int, int]  # shared input weights of the neurons
     writes: set[int]
+
+
+def _merge(table: dict[str, dict[int, int]], kind: str, token: str, values: dict[int, int]) -> None:
+    """Add a token's (coord -> value) entries to an embedding table; a
+    coordinate may be set twice only to the same value."""
+    slot = table.setdefault(token, {})
+    for c, v in values.items():
+        if c in slot and slot[c] != v:
+            raise BuildError(f"conflicting {kind} for {token!r} at coord {c}")
+        slot[c] = v
 
 
 @dataclass
@@ -581,18 +590,10 @@ class ModelBuilder:
         self._exclusive.append({f.coord for f in flags})
 
     def set_embedding(self, token: str, values: dict[int, int]) -> None:
-        slot = self._emb.setdefault(token, {})
-        for c, v in values.items():
-            if c in slot and slot[c] != v:
-                raise BuildError(f"conflicting embedding for {token!r} at coord {c}")
-            slot[c] = v
+        _merge(self._emb, "embedding", token, values)
 
     def set_unembedding(self, token: str, values: dict[int, int]) -> None:
-        slot = self._unemb.setdefault(token, {})
-        for c, v in values.items():
-            if c in slot and slot[c] != v:
-                raise BuildError(f"conflicting unembedding for {token!r} at coord {c}")
-            slot[c] = v
+        _merge(self._unemb, "unembedding", token, values)
 
     def add_head(self, layer: int, head: HeadSpec) -> None:
         if not 1 <= layer <= self.n_layers:
@@ -615,13 +616,7 @@ class ModelBuilder:
                 return True
         return False
 
-    def add_neurons(
-        self,
-        layer: int,
-        neurons: Neurons | list[Neurons],
-        label: str,
-        bundle: str | None = None,
-    ) -> None:
+    def add_neurons(self, layer: int, neurons: Neurons | list[Neurons], label: str) -> None:
         """Add one MLP op, a block or a list of blocks joined in order, to
         a layer.
 
@@ -631,21 +626,16 @@ class ModelBuilder:
         nothing on a token that fails its gate. Two ops writing a common
         coordinate in one layer must have disjoint gates: opposite values
         on one coordinate, or different flags of one `declare_exclusive`
-        group set to 1. Ops with the same `bundle` name skip the check:
-        they are parts of one update whose writes add up by design, such
-        as zeroing a register and rewriting it in the same layer.
+        group set to 1. An update whose writes add up by design, such as
+        zeroing a register and rewriting it in the same layer, is one op.
         """
         if not 1 <= layer <= self.n_layers:
             raise BuildError(f"layer {layer} out of range")
         if not isinstance(neurons, Neurons):
             neurons = Neurons.join(neurons)
-        op = _MlpOp(
-            neurons, label, bundle, _shared_inputs(neurons), set(neurons.outs[:, 1].tolist())
-        )
+        op = _MlpOp(neurons, label, _shared_inputs(neurons), set(neurons.outs[:, 1].tolist()))
         for other in self._mlp_ops[layer - 1]:
             if op.writes.isdisjoint(other.writes):
-                continue
-            if bundle is not None and other.bundle == bundle:
                 continue
             if self._provably_disjoint(op.gate, other.gate):
                 continue
@@ -657,12 +647,6 @@ class ModelBuilder:
         self.manifest.append(
             {"layer": layer, "kind": "mlp", "label": label, "neurons": len(neurons)}
         )
-
-    def heads_used(self) -> list[int]:
-        return [len(hs) for hs in self._heads]
-
-    def neurons_used(self) -> list[int]:
-        return [sum(len(op.neurons) for op in ops) for ops in self._mlp_ops]
 
     def finalize(
         self,
@@ -682,12 +666,9 @@ class ModelBuilder:
         emb = np.zeros((len(vocab), d), dtype=np.int8)
         unemb = np.zeros((len(vocab), d), dtype=np.int8)
         index = {t: i for i, t in enumerate(vocab)}
-        for token, values in self._emb.items():
-            for c, v in values.items():
-                emb[index[token], c] = v
-        for token, values in self._unemb.items():
-            for c, v in values.items():
-                unemb[index[token], c] = v
+        for table, out in ((self._emb, emb), (self._unemb, unemb)):
+            for token, values in table.items():
+                out[index[token], list(values)] = list(values.values())
 
         d_k, d_v = dims.d_k, dims.d_v
         specs = [spec for heads in self._heads for spec in heads]
@@ -722,7 +703,7 @@ class ModelBuilder:
             dims=dims,
             registers=self.layout.as_dict(),
             manifest=self.manifest,
-            heads_used=self.heads_used(),
-            neurons_used=self.neurons_used(),
+            heads_used=[len(heads) for heads in self._heads],
+            neurons_used=[sum(len(op.neurons) for op in ops) for ops in self._mlp_ops],
         )
         return params, report

@@ -47,8 +47,6 @@ def generate(
     stop_set: set[str],
     max_steps: int,
     cfg: EvalConfig,
-    records: list[dict] | None = None,
-    segment_index: int = 0,
     draft: list[str] | None = None,
 ) -> tuple[list[str], bool, Evaluator]:
     """Greedy extension until a stop token is emitted (inclusive).
@@ -73,19 +71,6 @@ def generate(
     for _ in range(max_steps):
         tok = ev.next_token(len(tokens) - 1)
         tokens.append(tok)
-        if records is not None:
-            scores = ev.output_scores(len(tokens) - 2)
-            top2 = np.argsort(scores)[-2:][::-1]
-            records.append(
-                {
-                    "segment": segment_index,
-                    "position": len(tokens) - 1,
-                    "token": tok,
-                    "top2": [
-                        [params.vocab[int(i)], float(scores[int(i)])] for i in top2
-                    ],
-                }
-            )
         if tok in stop_set:
             ev.truncate(len(tokens) - 1)  # drops what the draft had past this step
             return tokens, False, ev
@@ -166,12 +151,21 @@ def _run_segments(
     trace = GenerationTrace()
     prompt = [INP, *word, EINP]
     for seg_idx in range(_MAX_SEGMENTS):
-        records = trace.records if record_steps else None
         steps = budget if budget is not None else _default_budget(params, prompt)
         expected = draft[seg_idx][len(prompt) :] if draft and seg_idx < len(draft) else None
-        tokens, exceeded, ev = generate(
-            params, prompt, stop_set, steps, cfg, records, segment_index=seg_idx, draft=expected
-        )
+        tokens, exceeded, ev = generate(params, prompt, stop_set, steps, cfg, draft=expected)
+        if record_steps:  # each token's scores sit at the position before it
+            for position in range(len(prompt), len(tokens)):
+                scores = ev.output_scores(position - 1)
+                top2 = np.argsort(scores)[-2:][::-1]
+                trace.records.append(
+                    {
+                        "segment": seg_idx,
+                        "position": position,
+                        "token": tokens[position],
+                        "top2": [[params.vocab[int(i)], float(scores[int(i)])] for i in top2],
+                    }
+                )
         trace.segments.append(tokens)
         trace.total_tokens += len(tokens)
         trace.max_segment = max(trace.max_segment, len(tokens))

@@ -348,9 +348,9 @@ class Evaluator:
         dims = params.dims
         d, d_k, d_v = dims.d, dims.d_k, dims.d_v
         pos = params.positional
-        self._coords = list(pos.coords) if isinstance(pos, BinaryAbsolute) else []
         self._emb = params.emb.astype(np.float64)
-        self._emb[:, self._coords] = 0.0  # the position code goes there
+        if isinstance(pos, BinaryAbsolute):  # the coordinates of bits 0..r-1, and 2^0..2^(r-1)
+            self._pos_bits = np.array(pos.coords, np.intp), 1 << np.arange(pos.r)
         self._unemb_t = params.unemb.astype(np.float64).T
         self._rotary = pos if isinstance(pos, RotaryOnly) else None
         self._exact = cfg.attention == "hardmax" and self._rotary is None
@@ -374,14 +374,12 @@ class Evaluator:
             )
         # Per position: (B*H, d_k + d_v) rotated, scaled and rounded keys,
         # then values, of each sequence and head; (B, d) final
-        # representations; the (d,) binary position code, zero off its
-        # coordinates; trace.saturations after it. With capture, the (B, .)
-        # rows of x0, then of each layer's traced quantities, dots as
+        # representations; trace.saturations after it. With capture, the
+        # (B, .) rows of x0, then of each layer's traced quantities, dots as
         # (B, H, positions) scores and att_err as (B, H). Grown by _reserve.
         self._capacity = 0
         self._kv = [np.empty((0, n_seq * len(layer.heads), d_k + d_v)) for layer in params.layers]
         self._x = np.empty((0, n_seq, d))
-        self._pos_codes = np.empty((0, d))
         self._saturations = np.empty(0, np.int64)
         self._traced: list[dict[str, np.ndarray]] = []
         if cfg.capture_trace:
@@ -408,11 +406,14 @@ class Evaluator:
     # -- core ---------------------------------------------------------------
 
     def _embed(self, tokens: list, start: int) -> np.ndarray:
-        """(B, P, d) embeddings of P new positions from `start` on."""
+        """(B, P, d) embeddings of P new positions from `start` on, the
+        +-1 binary code of each position written over its coordinates."""
         params = self.params
         rows = [tokens]
         if self.batch is not None:
             for i, row in enumerate(tokens, start):
+                if isinstance(row, str):
+                    raise ValueError(f"position {i}: a batch position is a sequence, not {row!r}")
                 if len(row) != self.batch:
                     raise ValueError(
                         f"position {i}: each position needs {self.batch} tokens, got {len(row)}"
@@ -425,7 +426,9 @@ class Evaluator:
                 raise EvalError(
                     f"position {max(start, 2 ** pos.r)} does not fit {pos.r} positional bits"
                 )
-            x += self._pos_codes[start : start + len(tokens)]
+            coords, bit_values = self._pos_bits
+            bits = np.arange(start, start + len(tokens))[:, None] & bit_values
+            x[..., coords] = np.where(bits, 1.0, -1.0)
         return x
 
     def extend(self, tokens: Iterable) -> None:
@@ -480,10 +483,6 @@ class Evaluator:
         self._x = grown(self._x)
         self._saturations = grown(self._saturations)
         self._traced = [{k: grown(a, k) for k, a in t.items()} for t in self._traced]
-        if self._coords:
-            bits = (np.arange(self._capacity)[:, None] >> np.arange(len(self._coords))) & 1
-            self._pos_codes = np.zeros((self._capacity, self._x.shape[-1]))
-            self._pos_codes[:, self._coords] = np.where(bits, 1.0, -1.0)
 
     def _step(self, x: np.ndarray, start: int) -> None:
         """Run the (B, P, d) embeddings of positions start .. start+P-1.

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 
@@ -460,3 +461,51 @@ def test_tm_run_matches_single_step_reference():
                 pa = a + [tm.blank] * (len(b) - len(a))
                 pb = b + [tm.blank] * (len(a) - len(b))
                 assert pa == pb
+
+
+def _one_state_dfa(state: str, symbol: str) -> Dfa:
+    return Dfa((state,), (symbol,), {(state, symbol): state}, state, frozenset())
+
+
+# Each refusal as (call, error, message).
+AUTOMATA_REFUSALS = {
+    "separator in a state name": (
+        lambda: _one_state_dfa("a|b", "0"),
+        MachineError,
+        "invalid state name 'a|b'",
+    ),
+    "space in a symbol": (
+        lambda: _one_state_dfa("q", "0 1"),
+        MachineError,
+        "invalid symbol name '0 1'",
+    ),
+    "odd CoT r": (
+        lambda: cot_token_oracle(fig2_machine(), "ab", 3),
+        ValueError,
+        "r must be even and >= 2",
+    ),
+    "SCoT r below 4": (
+        lambda: scot_segments_oracle(fig2_machine(), "ab", 2),
+        ValueError,
+        "r must be even and >= 4",
+    ),
+    "spec without states": (
+        lambda: load_dfa({"delta": {}}),
+        MachineError,
+        "DFA spec missing field: 'states'",
+    ),
+    "TM spec without a tape alphabet": (
+        lambda: load_tm(
+            {k: v for k, v in tm_to_json(fig2_machine()).items() if k != "tape_alphabet"}
+        ),
+        MachineError,
+        "TM spec missing field: 'tape_alphabet'",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(AUTOMATA_REFUSALS))
+def test_automata_refuses(case):
+    call, error, message = AUTOMATA_REFUSALS[case]
+    with pytest.raises(error, match=re.escape(message)):
+        call()

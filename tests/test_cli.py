@@ -9,7 +9,9 @@ from model_docs import CORRUPTIONS, overlap_heads, truncate_rows
 from tm2tf.automata import dfa_to_json, tm_to_json
 from tm2tf.cli import main
 from tm2tf.compilers import build_rope_position_prefix
+from tm2tf.harness import instantiate_capacity
 from tm2tf.netcore import load_model, save_model
+from tm2tf.softmaxify import c0_exact_attention
 
 
 @pytest.fixture
@@ -649,3 +651,84 @@ def test_readme_cli_examples_parse():
     parser = build_parser()
     for line in lines:
         parser.parse_args(shlex.split(line.split("#", 1)[0])[1:])
+
+
+def test_c0_cli_exact_mode_and_missing_denoising_sizes(capsys):
+    sizes = ["--d", "10", "--d-ff", "10", "--d-k", "4", "--L", "2", "--N", "64"]
+    assert main(["c0", "--mode", "exact", *sizes]) == 0
+    assert f"c0 = {c0_exact_attention(10, 10, 4, 2, 64):.6g}" in capsys.readouterr().out
+    assert main(["c0", "--mode", "denoising", "--N", "64"]) == 2
+    assert "usage error: c0 --mode denoising needs --d-k --N" in capsys.readouterr().err
+
+
+def test_probe_cli_exact_format_and_out_file(tmp_path, capsys):
+    assert main(["probe-phi", "--format", "exact"]) == 0
+    assert capsys.readouterr().out == "exact precision never confuses positions\n"
+    out = tmp_path / "probe.json"
+    assert main(["probe-phi", "--format", "bf16", "--max", "6", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == "bf16: no confusion up to 6\n"
+    assert json.loads(out.read_text()) == {
+        "format": "bf16",
+        "scanned": 6,
+        "first_confusion": None,
+        "confounder": None,
+    }
+
+
+def test_capacity_cli_out_file(tmp_path):
+    out = tmp_path / "capacity.json"
+    sizes = ["--L", "28", "--d-k", "31", "--d", "1000", "--d-ff", "50"]
+    assert main(["capacity", *sizes, "--out", str(out)]) == 0
+    table = instantiate_capacity(28, 31, 1000, 50, "cot")
+    assert json.loads(out.read_text()) == json.loads(json.dumps(table))
+
+
+def test_convert_refuses_a_model_without_r_unless_given_n(dfa_file, tmp_path, capsys):
+    model = tmp_path / "model.json"
+    assert main(["compile-dfa", "--dfa", dfa_file, "--r", "3", "--out", str(model)]) == 0
+    doc = json.loads(model.read_text())
+    del doc["meta"]["r"]
+    model.write_text(json.dumps(doc))
+    out = tmp_path / "scaled.json"
+    argv = ["convert", "--model", str(model), "--mode", "scaled", "--out", str(out)]
+    assert main(argv) == 2
+    assert "usage error: model has no r; pass --N explicitly" in capsys.readouterr().err
+    assert not out.exists()
+    assert main([*argv, "--N", "8"]) == 0
+    assert load_model(str(out)).meta == {"N": 8}
+
+
+def test_run_prints_the_reason_of_an_undefined_outcome(tmp_path, capsys):
+    from test_generation import VOCAB, successor_model
+
+    from tm2tf.automata import EINP, EOUTP, OUTP, SUMM
+
+    model = str(tmp_path / "model.json")
+    save_model(successor_model(VOCAB, {EINP: OUTP, OUTP: SUMM, SUMM: EOUTP}), model)
+    assert main(["run-cot", "--model", model, "--word", "a"]) == 1
+    out = capsys.readouterr().out
+    assert "outcome: undefined" in out
+    assert "reason: output block contains non-input symbols" in out
+
+
+def test_run_without_a_word_runs_the_empty_word(tm_file, tmp_path, capsys):
+    model = str(tmp_path / "model.json")
+    assert main(["compile-cot", "--tm", tm_file, "--r", "6", "--out", model]) == 0
+    capsys.readouterr()
+    assert main(["run-cot", "--model", model]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert "outcome: output" in out and "output: " in out
+
+
+@pytest.mark.parametrize("command", ["capacity", "run-cot"])
+def test_unwritable_report_or_trace_is_a_file_error(command, tm_file, tmp_path, capsys):
+    bad = str(tmp_path / "no-such-dir" / "out.json")
+    if command == "capacity":
+        argv = ["capacity", "--L", "28", "--d-k", "31", "--d", "1000", "--d-ff", "50", "--out", bad]
+    else:
+        model = str(tmp_path / "model.json")
+        assert main(["compile-cot", "--tm", tm_file, "--r", "6", "--out", model]) == 0
+        argv = ["run-cot", "--model", model, "--word", "ab", "--trace-out", bad]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("file error: ") and bad in err

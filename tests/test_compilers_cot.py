@@ -165,3 +165,11 @@ def test_structural_registers_decode_to_oracle_positions():
         if tok == PCLOSE:
             x_l2 = trace.layers[l2 - 1].x_out[m]
             assert decode_pm1(x_l2[search]) == result.head_trace[run_count - 1][0]
+
+
+@pytest.mark.parametrize(
+    "choose, message", [(choose_r_cot, "t_hat must be >= 1"), (choose_r_scot, "s_hat must be >= 1")]
+)
+def test_choose_r_refuses_a_bound_below_1(choose, message):
+    with pytest.raises(ValueError, match=message):
+        choose(0)

@@ -79,3 +79,9 @@ def test_ternary_activations_and_output_gap():
     scores = params.unemb.astype(float) @ reps[-1]
     top = np.sort(scores)[::-1]
     assert top[0] - top[1] >= 1.0
+
+
+@pytest.mark.parametrize("r", [0, -1])
+def test_compile_dfa_refuses_r_below_1(r):
+    with pytest.raises(ValueError, match="r must be >= 1"):
+        compile_dfa(parity_dfa(), r)

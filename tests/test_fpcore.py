@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -272,3 +274,27 @@ def test_round_array_refuses_non_finite_inputs(bad):
     for xs in ([bad], [1.0, bad, -0.5], [7.5, bad, -128.0], [bad, 1e308]):
         with pytest.raises(ValueError):
             round_array(np.array(xs), fmt)
+
+
+# Each refusal as (call, message).
+FPCORE_REFUSALS = {
+    "no mantissa bits": (lambda: FloatFormat(0, 5), "mantissa_bits must be >= 1"),
+    "one exponent bit": (lambda: FloatFormat(3, 1), "exponent_bits must be >= 2"),
+    "mantissa past float64": (lambda: FloatFormat(53, 5), "format exceeds float64 host precision"),
+    "exponent past float64": (lambda: FloatFormat(3, 12), "format exceeds float64 host precision"),
+    "round inf": (
+        lambda: round_nearest_info(float("inf"), FloatFormat(3, 4)),
+        "round_nearest requires a finite input",
+    ),
+    "round nan": (
+        lambda: round_nearest_info(float("nan"), FloatFormat(3, 4)),
+        "round_nearest requires a finite input",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(FPCORE_REFUSALS))
+def test_fpcore_refuses(case):
+    call, message = FPCORE_REFUSALS[case]
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()

@@ -313,7 +313,6 @@ def test_single_neuron_and_joins_match_reference():
 
 def test_builder_gate_is_the_shared_inputs():
     layout, a, b, move, f, g = layout_for(3)
-    builder = ModelBuilder(layout, n_layers=1)
     ops = [
         zero_register(a, [(f, 1), (g, 0)]),
         copy_register(a, b, []),
@@ -322,9 +321,10 @@ def test_builder_gate_is_the_shared_inputs():
          single_neuron([(a[0:1], (1,))], [(f, 1), (g, 1)], {b.coords[1]: 1})],
         [],
     ]
+    builder = ModelBuilder(layout, n_layers=len(ops))
     for i, op in enumerate(ops):
-        builder.add_neurons(1, op, f"op{i}", bundle="all")
-    gates = [op.gate for op in builder._mlp_ops[0]]
+        builder.add_neurons(i + 1, op, f"op{i}")
+    gates = [layer_ops[0].gate for layer_ops in builder._mlp_ops]
     assert gates == [
         {f.coord: 1, g.coord: -1},
         {},

@@ -339,11 +339,9 @@ def test_builder_conflict_detection():
     with pytest.raises(BuildError):
         builder.add_neurons(1, copy_register(a, b, [(g, 1)]), "copy3")
     # Ungated double write is always an error.
-    builder.add_neurons(2, copy_register(a, b, []), "u1", bundle="rewrite-b")
+    builder.add_neurons(2, copy_register(a, b, []), "u1")
     with pytest.raises(BuildError):
         builder.add_neurons(2, zero_register(b, []), "u2")
-    # Unless the two ops belong to one bundle (zero + rewrite idiom).
-    builder.add_neurons(2, zero_register(b, []), "u2", bundle="rewrite-b")
 
     # With f and g declared mutually exclusive, f=1 vs g=1 gating is disjoint.
     builder2 = ModelBuilder(layout, n_layers=1)

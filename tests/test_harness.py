@@ -347,3 +347,25 @@ def test_mismatch_report_names_the_first_differing_token(protocol, seed, trials,
             assert m["segment"] == 0
     if protocol == "scot":  # the summary segments before the output one agree
         assert any(m["segment"] > 0 for m in report.mismatches)
+
+
+# Each argument check as (call, message).
+HARNESS_REFUSALS = {
+    "validate_softmax of hardmax": (
+        lambda: validate_softmax("hardmax", 0, 1),
+        "mode must be scaled_only or denoised",
+    ),
+    "probe below 2": (lambda: probe_phi(PRESETS["bf16"], 1), "max_i must be >= 2"),
+    "budget below 1": (lambda: instantiate_capacity(28, 0, 1000, 50), "budgets must be >= 1"),
+    "unknown construction": (
+        lambda: instantiate_capacity(28, 31, 1000, 50, "dfa"),
+        "construction must be cot or scot",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(HARNESS_REFUSALS))
+def test_harness_refuses(case):
+    call, message = HARNESS_REFUSALS[case]
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -200,6 +201,12 @@ EVALUATOR_REFUSALS = {
         _ragged(3),
         ValueError,
         "position 1: each position needs 2 tokens, got 3",
+    ),
+    "a bare string in a batch": (
+        2,
+        lambda ev: ev.extend([("a", "b"), "ab"]),
+        ValueError,
+        "position 1: a batch position is a sequence, not 'ab'",
     ),
     "scores before a token": (
         None,
@@ -1149,3 +1156,38 @@ def test_an_evaluator_is_freed_without_the_cycle_collector(attention):
     finally:
         if enabled:
             gc.enable()
+
+
+def _validated(**changes):
+    dataclasses.replace(_zero_model(), **changes).validate_weights()
+
+
+# Each refusal of a weight check or attention helper as (call, message).
+NETCORE_REFUSALS = {
+    "position coordinate out of range": (
+        lambda: _validated(positional=BinaryAbsolute(1, (4,))),
+        "positional coordinates must be integers in [0, 4)",
+    ),
+    "layer count": (
+        lambda: _validated(layers=_zero_model().layers[:1]),
+        "1 layers but dims.n_layers = 2",
+    ),
+    "array shape": (
+        lambda: _validated(emb=np.zeros((2, 3), np.int8)),
+        "emb has shape (2, 3), expected (2, 4)",
+    ),
+    "empty hardmax": (lambda: hardmax_weights([]), "hardmax of empty score list"),
+    "empty softmax": (lambda: softmax_weights([]), "softmax of empty score list"),
+    "scalar softmax": (lambda: softmax_weights(1.0), "softmax of empty score list"),
+    "rope pairs past the vector": (
+        lambda: rope_rotate(np.zeros(3), 1, (0.5, 0.25)),
+        "more frequency pairs than vector coordinates",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(NETCORE_REFUSALS))
+def test_netcore_refuses(case):
+    call, message = NETCORE_REFUSALS[case]
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()

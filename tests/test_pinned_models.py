@@ -83,9 +83,9 @@ PINNED = {
     "bouncer8-cot-10": "be018dc0ae15d46a7e2cbc557f3f776647a7d928f6a6bd4401f681fa2a5510f9",
     "copy-cot-6": "b74df8189fe3ca0b5e48fb1b9c933e205c34c6fe6e018ec408aaf1ad6a9115fa",
     "copy-scot-6": "0b6c2b32e337e1cf0ac7958b49f4e42d70370a8b8b3125c97722339f78416365",
-    "dfa0-3": "6b98e49ea0209c78d5dc86fde76c3764808ca9ac361fe0cf3685953b60e64a39",
-    "dfa1-3": "a5626b1605e98eec568342d134df5c65f30695744ea1caa837dbaf5ad69cda96",
-    "dfa2-3": "c97679086decf5dac1686c9668d53e4e47343f5d2468fb0459cbc11c6f1429b0",
+    "dfa0-3": "86ab537b23cf24efdd672165c79e0d8e332fd243b42de421e768b9c4de5515cb",
+    "dfa1-3": "0d7e4b2244a1a0d0de3153adc34fb0d5eaa33a1ffbb2f2ecb939bd4310e6fbed",
+    "dfa2-3": "8a7f6273a86904be83389d844e5c905cb16e1a6775ea59c564902c6d48b80dad",
     "fig2-cot-6": "2b184101fb18597d5fc09aea6c3c12d7c7fb755f84ead5330d5fbbf511aef2ea",
     "fig2-cot-6-denoised": "85022eb774eb6918be9c60b6de9d187cc2abb52adf5bae8ba225d27b6323aa97",
     "fig2-scot-6": "f42245d2305092312a4baba06b4b93188e46fd902018e0cf529908c45f1239ae",

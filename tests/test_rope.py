@@ -66,3 +66,9 @@ def test_rope_mod_flags(monkeypatch=None):
         for i in range(2 ** r):
             want = 1.0 if i % (2 ** k) == 0 else 0.0
             assert reps[i][coord] == want, (k, i)
+
+
+@pytest.mark.parametrize("r", [0, -1])
+def test_rope_prefix_refuses_r_below_1(r):
+    with pytest.raises(ValueError, match="r must be >= 1"):
+        build_rope_position_prefix(r)

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -23,6 +24,7 @@ from tm2tf.softmaxify import (
     min_att_exponent_bits,
     next_pow2_at_least,
     scale_qk,
+    theorem_c,
 )
 
 
@@ -410,3 +412,43 @@ def test_eval_config_of_a_denoised_model_needs_its_context_bound():
     converted, cfg = convert(params, "denoised", 8, c=8.0)
     assert converted.meta["N"] == 8 and eval_config(converted) == cfg
     assert "N" not in params.meta  # the source model is left as it was
+
+
+def _parity_model():
+    return compile_dfa(parity_dfa(), 2)[0]
+
+
+# Each argument check as (call, message).
+SOFTMAXIFY_REFUSALS = {
+    "c0 exact": (lambda: c0_exact_attention(1, 1, 0, 1, 1), "all arguments must be >= 1"),
+    "c0 denoising": (lambda: c0_denoising(4, 0), "arguments must be >= 1"),
+    "exponent bits": (lambda: min_att_exponent_bits(0), "context bound must be >= 1"),
+    "next power of two": (lambda: next_pow2_at_least(0.0), "x must be positive"),
+    "theorem c of hardmax": (
+        lambda: theorem_c("hardmax", _parity_model().dims, 4),
+        "mode must be scaled_only or denoised",
+    ),
+    "eval config of an unknown mode": (
+        lambda: eval_config(replace(_parity_model(), mode="unknown")),
+        "mode must be one of hardmax, scaled_only, denoised, got 'unknown'",
+    ),
+    "convert to an unknown mode": (
+        lambda: convert(_parity_model(), "scaled", 4),
+        "mode must be one of hardmax, scaled_only, denoised",
+    ),
+    "context bound 0": (
+        lambda: convert(_parity_model(), "scaled_only", 0),
+        "context bound must be an integer >= 1, got 0",
+    ),
+    "fractional context bound": (
+        lambda: convert(_parity_model(), "denoised", 4.0),
+        "context bound must be an integer >= 1, got 4.0",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(SOFTMAXIFY_REFUSALS))
+def test_softmaxify_refuses(case):
+    call, message = SOFTMAXIFY_REFUSALS[case]
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
