@@ -247,7 +247,16 @@ def single_neuron(
     values, coords = _inputs(flag_patterns, *(reg for reg, _ in register_patterns))
     reads = list(enumerate(want for _, pattern in register_patterns for want in pattern))
     ins, bias4, _ = _conj(reads, values, len(reads), ())
-    return _block([([(coords[i], w) for i, w in ins], bias4, output.items())])
+    # Row 0 throughout, and `_conj`'s local index i is coords[i]. Not a
+    # cached pattern, so the arrays are filled in place and stay writeable.
+    block = Neurons(
+        np.zeros((len(ins), 3), np.intp),
+        np.array([bias4], np.int32),
+        np.zeros((len(output), 3), np.intp),
+    )
+    block.ins[:, 1], block.ins[:, 2] = coords, [w for _, w in ins]
+    block.outs[:, 1], block.outs[:, 2] = list(output), list(output.values())
+    return block
 
 
 @lru_cache(maxsize=None)

@@ -324,8 +324,11 @@ class Evaluator:
     [q_h; k_h; v_h] into one (H*(2 d_k + d_v), d) matrix, keys and values of
     every head share one cache row per position, and the head outputs are
     concatenated into one H*d_v vector per position for the (d, H*d_v)
-    output matrix. A layer without heads runs the same code on empty
-    arrays, but computes no attention weights and rounds nothing empty.
+    output matrix. A layer without heads skips its attention half and a
+    layer without MLP rows its MLP half: `x_mid` = x + 0.0 and `x_out` =
+    x_mid + 0.0, which is what the full half gives bit for bit, since x is
+    already a value of the activation format and the half adds +0.0. The
+    trace keeps its shapes, with a zero `y`.
 
     The Q/K/V, W_O and W1 products gather the live input coordinates of
     their rows (`x.take(live, axis=1)`) and multiply float64 weights on
@@ -354,24 +357,27 @@ class Evaluator:
         self._unemb_t = params.unemb.astype(np.float64).T
         self._rotary = pos if isinstance(pos, RotaryOnly) else None
         self._exact = cfg.attention == "hardmax" and self._rotary is None
-        # (H, then the input coordinates read and W^T on them for Q/K/V,
-        # W_O and W1, bias, W2^T) per layer: rows times W^T, as ndarray.dot,
-        # which costs less per call than matmul.
+        # Per layer, (attention, MLP) plans: (H, then the input coordinates
+        # read and W^T on them for Q/K/V and W_O), None without heads;
+        # (W1's input coordinates and W1^T on them, bias, W2^T), None
+        # without MLP rows. Rows times W^T, as ndarray.dot, which costs less
+        # per call than matmul.
         self._w = []
         for layer in params.layers:
             heads, n_heads = layer.heads, len(layer.heads)
-            wqkv = np.array([np.concatenate([h.wq, h.wk, h.wv]) for h in heads], np.int8)
-            wo = np.array([h.wo for h in heads], np.int8).reshape(n_heads, d, d_v)
-            self._w.append(
-                (
+            attention = mlp = None
+            if heads:
+                wqkv = np.array([np.concatenate([h.wq, h.wk, h.wv]) for h in heads], np.int8)
+                wo = np.array([h.wo for h in heads], np.int8)
+                attention = (
                     n_heads,
                     *_read(wqkv.reshape(n_heads * (2 * d_k + d_v), d)),
                     *_read(wo.transpose(1, 0, 2).reshape(d, n_heads * d_v)),
-                    *_read(layer.w1),
-                    layer.bias4.astype(np.float64) / 4.0,
-                    layer.w2.astype(np.float64).T,
                 )
-            )
+            if layer.bias4.size:
+                bias = layer.bias4.astype(np.float64) / 4.0
+                mlp = (*_read(layer.w1), bias, layer.w2.astype(np.float64).T)
+            self._w.append((attention, mlp))
         # Per position: (B*H, d_k + d_v) rotated, scaled and rounded keys,
         # then values, of each sequence and head; (B, d) final
         # representations; trace.saturations after it. With capture, the
@@ -412,7 +418,7 @@ class Evaluator:
         rows = [tokens]
         if self.batch is not None:
             for i, row in enumerate(tokens, start):
-                if isinstance(row, str):
+                if isinstance(row, str) or not hasattr(row, "__len__"):
                     raise ValueError(f"position {i}: a batch position is a sequence, not {row!r}")
                 if len(row) != self.batch:
                     raise ValueError(
@@ -507,53 +513,68 @@ class Evaluator:
         x = rnd(x.swapaxes(0, 1).reshape(n_new * n_seq, d), act)
         if capture:
             self._traced[0]["x0"][start:n] = x.reshape(n_new, n_seq, d)
-        for li, (plan, kv) in enumerate(zip(self._w, self._kv)):
-            n_heads, qkv_in, wqkv, o_in, wo, w1_in, w1, bias, w2 = plan
-            qkv = x.take(qkv_in, axis=1).dot(wqkv)
-            qkv = qkv.reshape(n_new * n_seq, n_heads, 2 * d_k + d_v)  # q, k, v per head
-            if rotary is not None:  # one position per step
-                qkv[..., :d_k] = rope_rotate(qkv[..., :d_k], start, rotary.freqs)
-                qkv[..., d_k : 2 * d_k] = rope_rotate(qkv[..., d_k : 2 * d_k], start, rotary.freqs)
-            if c != 1.0:
-                qkv[..., : 2 * d_k] *= c
-            qkv = rnd(qkv, act)
-            rows = n_seq * n_heads  # one attention stack per sequence and head
-            kv[start:n] = qkv[..., d_k:].reshape(n_new, rows, d_k + d_v)
-            keys = kv[:n, :, :d_k].transpose(1, 0, 2)  # (B*H, n, d_k)
-            values = kv[:n, :, d_k:].transpose(1, 0, 2)  # (B*H, n, d_v)
-            q = qkv[..., :d_k].reshape(n_new, rows, d_k).transpose(1, 2, 0)  # (B*H, d_k, P)
-            dots = (keys @ q).transpose(0, 2, 1)  # (B*H, P, n)
-            if not n_heads:  # a layer without heads
-                o = np.empty((0, n_new, d_v))
-            elif softmax_mode:
-                raw = softmax_weights(dots / self._sqrt_dk)
-                weights = rnd(raw, att)
-                o = weights @ values
+        for li, ((attention, mlp), kv) in enumerate(zip(self._w, self._kv)):
+            # x is a value of act, rounded at the embedding or at the end of
+            # the layer before. Without heads y is +0.0, so x_mid = rnd(x +
+            # y, act) is x + 0.0, bit for bit and with no saturation, and
+            # without MLP rows x_out is x_mid + 0.0 the same way.
+            if attention is None:
+                x_mid = x + 0.0
             else:
-                # Sum over the argmax set, then divide once: exact for
-                # the integer-valued activations of compiled models.
-                dots = dots if future is None else np.where(future, -np.inf, dots)
-                mask = dots == dots.max(axis=-1, keepdims=True)
-                o = (mask.astype(np.float64) @ values) / mask.sum(axis=-1, keepdims=True)
-            # (P, B, H, d_v) head outputs
-            o = rnd(o.reshape(n_seq, n_heads, n_new, d_v).transpose(2, 0, 1, 3), act)
-            y = rnd(o.reshape(n_new * n_seq, n_heads * d_v).take(o_in, axis=1).dot(wo), act)
-            x_mid = rnd(x + y, act)
-            hidden = x_mid.take(w1_in, axis=1).dot(w1)
-            hidden += bias
-            hidden = rnd(np.maximum(hidden, 0.0, out=hidden), act)
-            x = rnd(x_mid + rnd(hidden.dot(w2), act), act)
+                n_heads, qkv_in, wqkv, o_in, wo = attention
+                qkv = x.take(qkv_in, axis=1).dot(wqkv)
+                qkv = qkv.reshape(n_new * n_seq, n_heads, 2 * d_k + d_v)  # q, k, v per head
+                if rotary is not None:  # one position per step
+                    for qk in (slice(0, d_k), slice(d_k, 2 * d_k)):
+                        qkv[..., qk] = rope_rotate(qkv[..., qk], start, rotary.freqs)
+                if c != 1.0:
+                    qkv[..., : 2 * d_k] *= c
+                qkv = rnd(qkv, act)
+                rows = n_seq * n_heads  # one attention stack per sequence and head
+                kv[start:n] = qkv[..., d_k:].reshape(n_new, rows, d_k + d_v)
+                keys = kv[:n, :, :d_k].transpose(1, 0, 2)  # (B*H, n, d_k)
+                values = kv[:n, :, d_k:].transpose(1, 0, 2)  # (B*H, n, d_v)
+                q = qkv[..., :d_k].reshape(n_new, rows, d_k).transpose(1, 2, 0)  # (B*H, d_k, P)
+                dots = (keys @ q).transpose(0, 2, 1)  # (B*H, P, n)
+                if softmax_mode:
+                    raw = softmax_weights(dots / self._sqrt_dk)
+                    weights = rnd(raw, att)
+                    o = weights @ values
+                else:
+                    # Sum over the argmax set, then divide once: exact for
+                    # the integer-valued activations of compiled models.
+                    dots = dots if future is None else np.where(future, -np.inf, dots)
+                    mask = dots == dots.max(axis=-1, keepdims=True)
+                    o = (mask.astype(np.float64) @ values) / mask.sum(axis=-1, keepdims=True)
+                # (P, B, H, d_v) head outputs
+                o = rnd(o.reshape(n_seq, n_heads, n_new, d_v).transpose(2, 0, 1, 3), act)
+                y = rnd(o.reshape(n_new * n_seq, n_heads * d_v).take(o_in, axis=1).dot(wo), act)
+                x_mid = rnd(x + y, act)
+            if mlp is None:
+                x = x_mid + 0.0
+            else:
+                w1_in, w1, bias, w2 = mlp
+                hidden = x_mid.take(w1_in, axis=1).dot(w1)
+                hidden += bias
+                hidden = rnd(np.maximum(hidden, 0.0, out=hidden), act)
+                x = rnd(x_mid + rnd(hidden.dot(w2), act), act)
             if capture:  # (P*B, ...) rows, position-major
                 bufs = self._traced[li + 1]
-                new = dict(q=qkv[..., :d_k], k=qkv[..., d_k : 2 * d_k], v=qkv[..., 2 * d_k :])
-                new.update(o=o, y=y, x_mid=x_mid, hidden=hidden, x_out=x)
+                new = dict(x_mid=x_mid, x_out=x)
+                if attention is None:  # q, k, v, o, dots and att_err are empty
+                    bufs["y"][start:n] = 0.0  # the buffers grow with np.empty
+                else:
+                    new.update(q=qkv[..., :d_k], k=qkv[..., d_k : 2 * d_k], v=qkv[..., 2 * d_k :])
+                    new.update(o=o, y=y)
+                    dots = dots.reshape(n_seq, n_heads, n_new, n).transpose(2, 0, 1, 3)
+                    bufs["dots"][start:n, ..., :n] = dots
+                    if softmax_mode and att is not None:  # one error per row
+                        err = np.abs(weights - raw).sum(axis=-1).reshape(n_seq, n_heads, n_new)
+                        bufs["att_err"][start:n] = err.transpose(2, 0, 1)
+                if mlp is not None:  # hidden is empty without MLP rows
+                    new["hidden"] = hidden
                 for name, a in new.items():
                     bufs[name][start:n] = a.reshape(n_new, *bufs[name].shape[1:])
-                dots = dots.reshape(n_seq, n_heads, n_new, n).transpose(2, 0, 1, 3)
-                bufs["dots"][start:n, ..., :n] = dots
-                if n_heads and softmax_mode and att is not None:  # one error per row
-                    err = np.abs(weights - raw).sum(axis=-1).reshape(n_seq, n_heads, n_new)
-                    bufs["att_err"][start:n] = err.transpose(2, 0, 1)
         self._x[start:n] = x.reshape(n_new, n_seq, d)
         self._saturations[start:n] = self.trace.saturations
 

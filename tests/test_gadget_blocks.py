@@ -311,6 +311,19 @@ def test_single_neuron_and_joins_match_reference():
     assert_same_rows(Neurons.join([]), [], d)
 
 
+def test_single_neuron_entry_arrays_have_the_block_layout():
+    """One row: (entries, 3) intp ins and outs with row index 0, in the
+    order of the patterns and of the output dict, and an int32 bias."""
+    layout, a, b, move, f, g = layout_for(2)
+    n = single_neuron([(a, (1, -1))], [(f, 1), (g, 0)], {b.coords[1]: -2, b.coords[0]: 1})
+    want_ins = [[0, a.coords[0], 1], [0, a.coords[1], -1], [0, f.coord, 1], [0, g.coord, -1]]
+    assert n.ins.dtype == np.intp and n.ins.tolist() == want_ins
+    assert n.outs.dtype == np.intp and n.outs.tolist() == [[0, b.coords[1], -2], [0, b.coords[0], 1]]
+    assert n.bias4.dtype == np.int32 and n.bias4.tolist() == [4 * (1 - 2 - 1)]
+    empty = single_neuron([], [], {})
+    assert empty.ins.shape == empty.outs.shape == (0, 3) and empty.bias4.tolist() == [4]
+
+
 def test_builder_gate_is_the_shared_inputs():
     layout, a, b, move, f, g = layout_for(3)
     ops = [

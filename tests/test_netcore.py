@@ -208,6 +208,18 @@ EVALUATOR_REFUSALS = {
         ValueError,
         "position 1: a batch position is a sequence, not 'ab'",
     ),
+    "an integer in a batch": (
+        2,
+        lambda ev: ev.extend([("a", "b"), 3]),
+        ValueError,
+        "position 1: a batch position is a sequence, not 3",
+    ),
+    "None in a batch": (
+        2,
+        lambda ev: ev.extend([None, ("a", "b")]),
+        ValueError,
+        "position 0: a batch position is a sequence, not None",
+    ),
     "scores before a token": (
         None,
         lambda ev: ev.output_scores(),
@@ -649,6 +661,70 @@ def test_a_rounded_decode_calls_round_array_by_its_module_name(monkeypatch):
     assert sizes and min(sizes) > 0  # empty arrays are not rounded
 
 
+@pytest.mark.parametrize("mode", ["scaled_only", "denoised"])
+def test_rounding_calls_per_position_skip_empty_half_layers(mode, monkeypatch):
+    """Each position rounds its embedding; a layer with heads rounds Q/K/V,
+    o, y and x_mid, plus the attention weights under an attention format;
+    a layer with MLP rows rounds hidden, the MLP output and x_out. A layer
+    without heads or without MLP rows rounds nothing for that half."""
+    from tm2tf import netcore
+    from tm2tf.automata import EINP, EOUTP, INP
+    from tm2tf.generation import generate
+
+    params, cfg = _softmax_case(mode)
+    cfg = dataclasses.replace(cfg, capture_trace=False)
+    assert any(not layer.heads for layer in params.layers)
+    round_array, calls = netcore.round_array, []
+
+    def counting(x, fmt):
+        calls.append(x.size)
+        return round_array(x, fmt)
+
+    monkeypatch.setattr(netcore, "round_array", counting)
+    prompt = [INP, *"ab", EINP]
+    tokens, _, ev = generate(params, prompt, {EOUTP}, 2 ** 6 - len(prompt), cfg)
+    assert tokens[-1] == EOUTP
+    attention = 4 + (not cfg.att_precision.exact)
+    per_position = 1 + sum(
+        attention * bool(layer.heads) + 3 * bool(layer.bias4.size) for layer in params.layers
+    )
+    assert len(calls) == len(ev.tokens) * per_position
+
+
+def test_empty_half_layers_in_a_traced_run_that_re_extends():
+    """A draft wrong in its middle is fed as one block, truncated there and
+    re-extended one position at a time into the grown buffers; the trace
+    equals a plain decode's. A layer without heads traces y as +0.0 and
+    passes its input on as x_mid; one without MLP rows passes x_mid on as
+    x_out, bit for bit."""
+    from tm2tf.automata import EINP, EOUTP, INP
+    from tm2tf.generation import generate
+
+    params, cfg = _softmax_case("denoised")
+    prompt = [INP, *"abab", EINP]
+    budget = 2 ** 6 - len(prompt)
+    tokens, _, plain = generate(params, prompt, {EOUTP}, budget, cfg)
+    draft = tokens[len(prompt) : -1]
+    mid = len(draft) // 2
+    draft[mid] = next(t for t in params.vocab if t not in (draft[mid], EOUTP))
+    got, _, drafted = generate(params, prompt, {EOUTP}, budget, cfg, draft=draft)
+    assert got == tokens and len(drafted.tokens) > 16  # more than the first buffers hold
+    assert _ev_digest(drafted) == _ev_digest(plain)
+    headless = [li for li, layer in enumerate(params.layers) if not layer.heads]
+    rowless = [li for li, layer in enumerate(params.layers) if not layer.bias4.size]
+    assert headless and rowless
+    trace = drafted.trace
+    for li in headless:
+        lt, layer_input = trace.layers[li], (trace.layers[li - 1].x_out if li else trace.x0)
+        assert lt.y.shape == lt.x_mid.shape
+        assert lt.y.tobytes() == np.zeros_like(lt.y).tobytes(), li
+        assert lt.x_mid.tobytes() == layer_input.tobytes(), li
+    for li in rowless:
+        lt = trace.layers[li]
+        assert lt.hidden.shape == (len(tokens) - 1, 0)
+        assert lt.x_out.tobytes() == lt.x_mid.tobytes(), li
+
+
 def test_copy_scot_matches_per_head_reference():
     from machines import copy_machine
 
@@ -996,6 +1072,50 @@ def test_softmax_decode_digests(case):
     prompt = [INP, *"abab", EINP]
     _, _, ev = generate(params, prompt, {EOUTP}, 2 ** 6 - len(prompt), cfg)
     assert _ev_digest(ev) == SOFTMAX_DIGESTS[case]
+
+
+def _hardmax_decode_digest(case: str) -> str:
+    """sha256 over the `_ev_digest`s of the traced decodes `case` names:
+    the one segment of a CoT run, every segment of an SCoT run, each
+    decoded by `generate` from its prompt within the context's budget."""
+    import hashlib
+
+    from machines import bouncer_machine, copy_machine
+
+    from tm2tf.automata import EINP, EOUTP, ESUMM, INP
+    from tm2tf.compilers import compile_cot, compile_scot
+    from tm2tf.generation import generate, run_cot, run_scot
+
+    machine, protocol, r, word = case.split()
+    tm = copy_machine() if machine == "copy" else bouncer_machine(int(machine[len("bouncer"):]))
+    r = int(r[len("r="):])
+    compile_fn, run = (compile_cot, run_cot) if protocol == "cot" else (compile_scot, run_scot)
+    stop = {EOUTP} if protocol == "cot" else {EOUTP, ESUMM}
+    params, _ = compile_fn(tm, r)
+    segments = run(params, word, EvalConfig()).segments
+    cfg = EvalConfig(capture_trace=True)
+    h = hashlib.sha256()
+    for seg in segments:
+        prompt = seg[: seg.index(EINP if seg[0] == INP else ESUMM) + 1]
+        tokens, _, ev = generate(params, prompt, stop, 2 ** r - len(prompt), cfg)
+        assert tokens == seg
+        h.update(_ev_digest(ev).encode())
+    return h.hexdigest()
+
+
+# Digests of traced hardmax decodes of models that have layers without
+# heads, recorded with the evaluator that ran the attention half of those
+# layers on empty arrays, so they pin that skipping it moves no bit.
+HARDMAX_DIGESTS = {
+    "bouncer8 cot r=10 xyxy": "3081fec03f774872cf2cc9aad76c2e0a2b01343320beefa97be05f9e01034296",
+    "bouncer4 scot r=6 xyx": "de0e33b1f0bb22f0ebb04e5dd309de6faca8607fa51f4e664c47a1f8747d1cef",
+    "copy cot r=6 0011": "8217fdaa88b31f0e0d8d1eac7454e20cf9bacad4eacf85be945870b4b14aecd9",
+}
+
+
+@pytest.mark.parametrize("case", list(HARDMAX_DIGESTS))
+def test_hardmax_decode_digests(case):
+    assert _hardmax_decode_digest(case) == HARDMAX_DIGESTS[case]
 
 
 @pytest.mark.parametrize("attention", ["hardmax", "softmax"])
