@@ -253,7 +253,6 @@ class RunResult:
     output: list[str] | None
     config_trace: list[Configuration] = field(default_factory=list)
     run_tokens: list[str] = field(default_factory=list)
-    head_trace: list[list[int]] = field(default_factory=list)  # heads after each step
 
 
 # ---------------------------------------------------------------------------
@@ -297,13 +296,12 @@ def tm_run(tm: TuringMachine, word: list[str] | str, step_cap: int) -> RunResult
     )
     trace = [config.clone()]
     run_tokens: list[str] = []
-    head_trace: list[list[int]] = []
     space = max(len(word), 1)  # t=0 heads sit on cell 0
 
     steps = 0
     while config.state != tm.q_halt:
         if steps >= step_cap:
-            return RunResult(False, steps, space, None, trace, run_tokens, head_trace)
+            return RunResult(False, steps, space, None, trace, run_tokens)
         read = config.read(tm.blank)
         q2, writes, moves = tm.delta[(config.state, read)]
         for k in range(tm.tapes):
@@ -319,11 +317,10 @@ def tm_run(tm: TuringMachine, word: list[str] | str, step_cap: int) -> RunResult
         steps += 1
         space = max(space, 1 + max(config.heads))
         run_tokens.append(run_token(q2, writes, moves))
-        head_trace.append(list(config.heads))
         trace.append(config.clone())
 
     output = _read_output(tm, config.tapes[0])
-    return RunResult(True, steps, space, output, trace, run_tokens, head_trace)
+    return RunResult(True, steps, space, output, trace, run_tokens)
 
 
 # ---------------------------------------------------------------------------
@@ -425,12 +422,13 @@ def _segments(
         while True:
             t += 1
             trace.append(result.run_tokens[t - 1])
-            space = max(space, 1 + max(result.head_trace[t - 1]))
+            heads = result.config_trace[t].heads
+            space = max(space, 1 + max(heads))
             if t == result.steps or len(trace) >= cap:
                 break
             chunk += 1
             if chunk == r:
-                trace.extend(_pos_block(result.head_trace[t - 1], r))
+                trace.extend(_pos_block(heads, r))
                 chunk = 0
         if t == result.steps:
             end = [OUTP, *result.output, EOUTP]

@@ -14,13 +14,13 @@ from ..gadgets import (
     ModelBuilder,
     RegisterLayout,
     compose_function_encoding,
+    enc_table,
     selector_head,
     single_neuron,
     sub_pow2,
     zero_register,
 )
 from ..netcore import BinaryAbsolute, Dims, TransformerParams
-from .common import enc_table
 
 __all__ = ["compile_dfa", "dfa_dims"]
 

@@ -37,12 +37,14 @@ from ..automata import (
     token_class,
 )
 from ..gadgets import (
+    ENC_MOVES,
     CompileReport,
     ModelBuilder,
     RegisterLayout,
     add_head_movement,
     bin_pm1,
     copy_register,
+    enc_table,
     full_subtract,
     selector_head,
     single_neuron,
@@ -51,7 +53,6 @@ from ..gadgets import (
     zero_register,
 )
 from ..netcore import BinaryAbsolute, Dims, TransformerParams
-from .common import ENC_MOVES, enc_table
 
 __all__ = [
     "choose_r_cot",
@@ -598,7 +599,6 @@ class _TmCompiler:
                         self.i_searchpos[k],
                         self.i_move[k],
                         self.f_run,
-                        ENC_MOVES,
                     )
                     + zero_register(self.i_searchpos[k], [(self.f_run, 1)]),
                     f"prop-move-{j}-{k}",

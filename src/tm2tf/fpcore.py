@@ -24,7 +24,6 @@ __all__ = [
     "round_nearest",
     "round_nearest_info",
     "round_array",
-    "normal_range",
     "is_representable",
     "representables_between",
 ]
@@ -107,11 +106,6 @@ def parse_precision(name: str) -> Precision:
     raise ValueError(f"unknown precision {name!r}")
 
 
-def normal_range(fmt: FloatFormat) -> tuple[float, float]:
-    """(smallest positive normal, largest finite value) of the format."""
-    return fmt.min_normal, fmt.max_value
-
-
 def round_nearest_info(x: float, fmt: FloatFormat) -> tuple[float, bool]:
     """Round x to the nearest format element, ties to even.
 
@@ -130,11 +124,9 @@ def round_nearest_info(x: float, fmt: FloatFormat) -> tuple[float, bool]:
     _, e = math.frexp(x)  # x = m * 2^e with 0.5 <= |m| < 1
     eff = min(max(e - 1, fmt.e_min), fmt.e_max)
     # Scale so the grid step becomes 1; both scalings are exact powers of 2.
+    # |x| <= max_value, an element, so the rounded value needs no clamp.
     n = math.ldexp(x, fmt.mantissa_bits - eff)
-    y = math.ldexp(round(n), eff - fmt.mantissa_bits)
-    if abs(y) > fmt.max_value:
-        return math.copysign(fmt.max_value, x), True
-    return y, False
+    return math.ldexp(round(n), eff - fmt.mantissa_bits), False
 
 
 def round_nearest(x: float, fmt: FloatFormat) -> float:

@@ -2,16 +2,18 @@
 
 Registers are named disjoint coordinate groups of the residual stream
 holding +-1 binary numbers (LSB first); flags are single coordinates
-holding bits in {0,1}. MLP gadgets return `Neurons` blocks: m neurons
-held as entry arrays, which `+` joins in order, so neuron counts stay
-auditable against the construction-size formulas. A register-wide
-gadget builds its pattern over local indices once per shape (register
-width, k, gate values, move codes), caches it, and maps it onto the
-register's coordinates with one fancy index. `ModelBuilder.add_neurons`
-derives each op's gate from the block: the (coord, sign) input entries
-that every row shares. `finalize` fills each layer's MLP with one scatter,
-leaves the model contract to `validate_weights`, and returns the
-parameters with their `CompileReport`.
+holding bits in {0,1}. `enc_table` gives a compiler's states and symbols
+their +-1 codes, and `ENC_MOVES` is the one code of the L/S/R moves. MLP
+gadgets return `Neurons` blocks: m neurons held as entry arrays, which
+`+` joins in order, so neuron counts stay auditable against the
+construction-size formulas. A register-wide gadget builds its pattern
+over local indices once per shape (register width, k, gate values),
+caches it, and maps it onto the register's coordinates with one fancy
+index. `ModelBuilder.add_neurons` derives each op's gate from the block:
+the (coord, sign) input entries that every row shares. `finalize` fills
+each layer's MLP with one scatter, leaves the model contract to
+`validate_weights`, and returns the parameters with their
+`CompileReport`.
 """
 
 from __future__ import annotations
@@ -28,6 +30,8 @@ from .netcore import Dims, HeadParams, LayerParams, TransformerParams
 __all__ = [
     "bin_pm1",
     "decode_pm1",
+    "enc_table",
+    "ENC_MOVES",
     "Register",
     "Flag",
     "RegisterLayout",
@@ -65,6 +69,20 @@ def bin_pm1(r: int, i: int) -> tuple[int, ...]:
 
 def decode_pm1(bits) -> int:
     return sum(2 ** s for s, b in enumerate(bits) if b > 0)
+
+
+def enc_table(elements: tuple[str, ...]) -> dict[str, tuple[int, ...]]:
+    """Injective +-1 encoding: LSB-first binary of the declaration index.
+
+    Width is ceil(log2 n); a single element gets the empty encoding.
+    """
+    width = (len(elements) - 1).bit_length()
+    return {e: bin_pm1(width, i) for i, e in enumerate(elements)}
+
+
+# L, S, R in declaration order, encoded as 2-bit LSB-first words: the code
+# a run token embeds and the one `add_head_movement` reads.
+ENC_MOVES: dict[str, tuple[int, ...]] = enc_table(("L", "S", "R"))
 
 
 @dataclass(frozen=True)
@@ -320,11 +338,11 @@ def _decrement_pow2(
 
 
 @lru_cache(maxsize=None)
-def _movement_pattern(r: int, enc_l: tuple[int, int], enc_r: tuple[int, int]) -> Neurons:
+def _movement_pattern(r: int) -> Neurons:
     """Local indices: src bits 0..r-1, the move code r, r+1, the gate r+2."""
     rows = [_conj([(i, s)], (1,), r + 2, [(i, s)]) for i in range(r) for s in (1, -1)]
     for j in range(r):
-        for sign, enc in ((1, enc_l), (-1, enc_r)):
+        for sign, enc in ((1, ENC_MOVES["L"]), (-1, ENC_MOVES["R"])):
             # Decrement: bit j set above a run of clear bits; increment: mirrored.
             reads = [(j, sign)] + [(t, -sign) for t in range(j)] + [(r, enc[0]), (r + 1, enc[1])]
             outs = [(j, -sign)] + [(t, sign) for t in range(j)]
@@ -332,22 +350,15 @@ def _movement_pattern(r: int, enc_l: tuple[int, int], enc_r: tuple[int, int]) ->
     return _block(rows)
 
 
-def add_head_movement(
-    src: Register,
-    dst: Register,
-    move: Register,
-    gate: Flag,
-    enc_moves: dict[str, tuple[int, int]],
-) -> Neurons:
-    """6r neurons: dst <- bin(s-1 / s / s+1) per the move code, L saturating at 0."""
+def add_head_movement(src: Register, dst: Register, move: Register, gate: Flag) -> Neurons:
+    """6r neurons: dst <- bin(s-1 / s / s+1) per the `ENC_MOVES` code in
+    `move`, L saturating at 0."""
     if len(dst) != len(src) or len(move) != 2:
         raise BuildError("register widths must match")
     if set(src.coords) & set(dst.coords):
         raise BuildError("copy with overlapping registers")
-    codes = tuple(tuple(enc_moves[m]) for m in ("L", "R"))
-    _check_patterns([(move, code) for code in codes])
     _, coords = _inputs([(gate, 1)], src, move)
-    return _place(_movement_pattern(len(src), *codes), coords, dst.coords)
+    return _place(_movement_pattern(len(src)), coords, dst.coords)
 
 
 @lru_cache(maxsize=None)

@@ -18,7 +18,6 @@ import math
 import random
 import time
 from dataclasses import dataclass, field, replace
-from fractions import Fraction
 
 import numpy as np
 
@@ -522,11 +521,6 @@ def _round_sqrt_mantissa(p: int, q: int, fmt: FloatFormat) -> tuple[int, int]:
 
 
 _PHI_SHIFT = 80  # fixed-point scale 2^-80 covers every coordinate exactly
-
-
-def _round_sqrt_ratio_exact(p: int, q: int, fmt: FloatFormat) -> Fraction:
-    mant, exp = _round_sqrt_mantissa(p, q, fmt)
-    return Fraction(mant) * Fraction(2) ** exp
 
 
 def _phi_coords(max_i: int, fmt: FloatFormat, start: int = 0):

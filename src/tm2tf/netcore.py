@@ -146,9 +146,11 @@ class TransformerParams:
         """Check the model contract: integer dims, a vocabulary of unique
         strings, ternary embeddings and attention weights, MLP codes in
         {0,+-1,+-2}, biases in [-d-1, d+1], a positive finite qk_scale, a
-        mode in MODES, an integer meta.N >= 1 if present, at most d_k // 2
-        finite rotary frequencies, and every shape within the dims budgets
-        (n_layers layers, at most n_heads heads and d_ff MLP rows each).
+        string source, a mode in MODES, a dict meta whose N and r are
+        integers >= 1 if present (r equal to a binary positional's r), at
+        most d_k // 2 finite rotary frequencies, and every shape within the
+        dims budgets (n_layers layers, at most n_heads heads and d_ff MLP
+        rows each).
         This is the one place that states the contract; builders and
         loaders call it."""
         dims, d, n_vocab = self.dims, self.dims.d, len(self.vocab)
@@ -157,10 +159,15 @@ class TransformerParams:
             raise ValueError("vocabulary tokens must be strings")
         if len(set(self.vocab)) != n_vocab:
             raise ValueError("vocabulary tokens must be unique")
+        if type(self.source) is not str:
+            raise ValueError(f"source must be a string, got {self.source!r}")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {', '.join(MODES)}, got {self.mode!r}")
-        if "N" in self.meta and (type(self.meta["N"]) is not int or self.meta["N"] < 1):
-            raise ValueError(f"meta.N must be an integer >= 1, got {self.meta['N']!r}")
+        if type(self.meta) is not dict:
+            raise ValueError(f"meta must be an object, got {self.meta!r}")
+        for key in ("N", "r"):
+            if key in self.meta and (type(self.meta[key]) is not int or self.meta[key] < 1):
+                raise ValueError(f"meta.{key} must be an integer >= 1, got {self.meta[key]!r}")
         pos = self.positional
         if isinstance(pos, BinaryAbsolute):
             if type(pos.r) is not int or pos.r < 1:
@@ -403,7 +410,7 @@ class Evaluator:
 
     def _round(self, x: np.ndarray, fmt: FloatFormat | None) -> np.ndarray:
         """x rounded to fmt, or x itself for exact arithmetic (fmt None)."""
-        if fmt is None or x.size == 0:
+        if fmt is None:
             return x
         y, saturated = round_array(x, fmt)
         self.trace.saturations += saturated
@@ -812,7 +819,7 @@ def params_from_json(doc: dict) -> TransformerParams:
         qk_scale=float.fromhex(doc["qk_scale"]),
         source=doc.get("source", ""),
         mode=doc.get("mode", "hardmax"),
-        meta=dict(doc.get("meta", {})),
+        meta=doc.get("meta", {}),
     )
     params.validate_weights()
     return params

@@ -3,39 +3,22 @@
 import itertools
 
 from tm2tf.automata import Dfa, TuringMachine
+from tm2tf.harness import acceptance_dfas
 
 
 def parity_dfa() -> Dfa:
     # Accepts words with an even number of "1"s.
-    delta = {
-        ("even", "0"): "even",
-        ("even", "1"): "odd",
-        ("odd", "0"): "odd",
-        ("odd", "1"): "even",
-    }
-    return Dfa(("even", "odd"), ("0", "1"), delta, "even", frozenset({"even"}))
+    return acceptance_dfas()[0]
 
 
 def contains_ab_dfa() -> Dfa:
     # Accepts words containing "ab" as a substring.
-    delta = {
-        ("start", "a"): "saw_a",
-        ("start", "b"): "start",
-        ("saw_a", "a"): "saw_a",
-        ("saw_a", "b"): "hit",
-        ("hit", "a"): "hit",
-        ("hit", "b"): "hit",
-    }
-    return Dfa(("start", "saw_a", "hit"), ("a", "b"), delta, "start", frozenset({"hit"}))
+    return acceptance_dfas()[1]
 
 
 def mod3_dfa() -> Dfa:
     # Accepts words whose count of "a"s is divisible by 3.
-    delta = {}
-    for i in range(3):
-        delta[(f"m{i}", "a")] = f"m{(i + 1) % 3}"
-        delta[(f"m{i}", "b")] = f"m{i}"
-    return Dfa(("m0", "m1", "m2"), ("a", "b"), delta, "m0", frozenset({"m0"}))
+    return acceptance_dfas()[2]
 
 
 def fig2_machine() -> TuringMachine:

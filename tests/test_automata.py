@@ -1,8 +1,12 @@
 import itertools
+import json
 import random
 import re
+from pathlib import Path
 
 import pytest
+
+from machines import bouncer_machine, copy_machine, fig2_machine, one_step_machine, parity_dfa
 
 from tm2tf.automata import (
     EINP,
@@ -38,60 +42,6 @@ from tm2tf.automata import (
     tm_to_json,
     token_class,
 )
-
-
-def parity_dfa() -> Dfa:
-    # Accepts words with an even number of "1"s.
-    delta = {
-        ("even", "0"): "even",
-        ("even", "1"): "odd",
-        ("odd", "0"): "odd",
-        ("odd", "1"): "even",
-    }
-    return Dfa(("even", "odd"), ("0", "1"), delta, "even", frozenset({"even"}))
-
-
-def fig2_machine() -> TuringMachine:
-    """One-tape machine that replaces the first "ab" with "cb".
-
-    Scans right; after an "a" it checks the next cell, and on "b" walks back
-    to rewrite the "a" as "c". Halts at the first blank.
-    """
-    blank = "_"
-    delta = {
-        ("go", ("a",)): ("after_a", ("a",), ("R",)),
-        ("go", ("b",)): ("go", ("b",), ("R",)),
-        ("go", ("c",)): ("go", ("c",), ("R",)),
-        ("go", (blank,)): ("halt", (blank,), ("S",)),
-        ("after_a", ("a",)): ("go", ("a",), ("S",)),
-        ("after_a", ("b",)): ("saw_ab", ("b",), ("L",)),
-        ("after_a", ("c",)): ("go", ("c",), ("R",)),
-        ("after_a", (blank,)): ("halt", (blank,), ("S",)),
-        ("saw_ab", ("a",)): ("go", ("c",), ("R",)),
-        ("saw_ab", ("b",)): ("halt", ("b",), ("S",)),
-        ("saw_ab", ("c",)): ("halt", ("c",), ("S",)),
-        ("saw_ab", (blank,)): ("halt", (blank,), ("S",)),
-    }
-    return TuringMachine(
-        tapes=1,
-        states=("go", "after_a", "saw_ab", "halt"),
-        input_alphabet=("a", "b", "c"),
-        tape_alphabet=("a", "b", "c", blank),
-        blank=blank,
-        q_init="go",
-        q_halt="halt",
-        delta=delta,
-    )
-
-
-def one_step_machine(tapes: int = 1) -> TuringMachine:
-    blank = "_"
-    delta = {}
-    for syms in itertools.product(("x", blank), repeat=tapes):
-        delta[("s", syms)] = ("halt", syms, ("S",) * tapes)
-    return TuringMachine(
-        tapes, ("s", "halt"), ("x",), ("x", blank), blank, "s", "halt", delta
-    )
 
 
 def runner_machine() -> TuringMachine:
@@ -140,7 +90,7 @@ def test_fig2_run():
         run_token("halt", ("_",), ("S",)),
     ]
     assert result.run_tokens == expected_runs
-    assert result.head_trace == [[1], [1], [2], [1], [2], [3], [3]]
+    assert [c.heads for c in result.config_trace[1:]] == [[1], [1], [2], [1], [2], [3], [3]]
     assert result.space == 4
 
 
@@ -166,7 +116,7 @@ def test_left_saturation():
     }
     tm = TuringMachine(1, ("s", "s2", "halt"), ("x",), ("x", blank), blank, "s", "halt", delta)
     result = tm_run(tm, "x", step_cap=5)
-    assert result.head_trace[0] == [0]  # L at cell 0 stays at 0
+    assert result.config_trace[1].heads == [0]  # L at cell 0 stays at 0
 
 
 def test_cot_oracle_one_step():
@@ -261,7 +211,7 @@ def test_pos_blocks_decode_to_head_positions():
                 sum(2 ** s for s, bit in enumerate(col) if bit > 0)
                 for col in zip(*bits)
             ]
-            assert decoded == result.head_trace[run_count - 1]
+            assert decoded == result.config_trace[run_count].heads
             i += r + 2
         else:
             assert token_class(toks[i]) == "run"
@@ -309,22 +259,9 @@ def test_scot_oracle_single_segment():
 
 
 def test_scot_oracle_segments_properties():
-    # A machine that bounces right (rewriting x->y) then left (y->x) four
-    # times before halting, producing several segments. It detects the left
-    # end via the head saturation at cell 0.
-    blank = "_"
-    delta = {}
-    for bounce in range(4):
-        right, left = f"r{bounce}", f"l{bounce}"
-        nxt = f"r{bounce + 1}" if bounce < 3 else "halt"
-        delta[(right, ("x",))] = (right, ("y",), ("R",))
-        delta[(right, ("y",))] = (right, ("y",), ("R",))
-        delta[(right, (blank,))] = (left, (blank,), ("L",))
-        delta[(left, ("y",))] = (left, ("x",), ("L",))  # cell 0 re-read gives x
-        delta[(left, ("x",))] = (nxt, ("x",), ("S",))
-        delta[(left, (blank,))] = (nxt, (blank,), ("S",))
-    states = tuple(f"r{b}" for b in range(4)) + tuple(f"l{b}" for b in range(4)) + ("halt",)
-    tm = TuringMachine(1, states, ("x", "y"), ("x", "y", blank), blank, "r0", "halt", delta)
+    # Four bounces, producing several segments; the machine detects the
+    # left end via the head saturation at cell 0.
+    tm = bouncer_machine(4)
 
     result = tm_run(tm, "xxxx", 500)
     assert result.halted and result.output is not None
@@ -370,7 +307,7 @@ def test_scot_summaries_match_encode_summary():
                 t += 1
         end = len(seg) - 1 - seg[::-1].index(SUMM)
         summary = seg[end:]
-        space = max(space, 1 + max(result.head_trace[t - 1]))
+        space = max(space, 1 + max(result.config_trace[t].heads))
         assert summary == encode_summary(result.config_trace[t], space, tm.blank)
 
 
@@ -395,6 +332,22 @@ def test_machine_json_roundtrip():
     assert load_tm(tm_to_json(tm)) == tm
     dfa = parity_dfa()
     assert load_dfa(dfa_to_json(dfa)) == dfa
+
+
+BENCH_MACHINES = {
+    "fig2": fig2_machine,
+    "bouncer4": lambda: bouncer_machine(4),
+    "bouncer8": lambda: bouncer_machine(8),
+    "copy": copy_machine,
+}
+
+
+@pytest.mark.parametrize("name", BENCH_MACHINES)
+def test_bench_machine_files_match_their_builders(name):
+    """The benchmark reads its own copies of these machines; each copy must
+    still be the spec of the test machine it was written from."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "machines" / f"{name}.json"
+    assert json.loads(path.read_text()) == tm_to_json(BENCH_MACHINES[name]())
 
 
 def test_machine_json_schema_errors():

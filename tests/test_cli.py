@@ -352,6 +352,18 @@ def _model_file_cases(tmp_path, dfa_file):
         "old-mode-name": {"mode": "denoised-softmax"},
         "zero-meta-N": {"meta": {**doc["meta"], "N": 0}},
         "fractional-meta-N": {"meta": {**doc["meta"], "N": 6.0}},
+        "list-source": {"source": []},
+        "object-source": {"source": {}},
+        "list-meta": {"meta": list(doc["meta"].items())},
+        # convert without --N reads meta.r whatever the positional kind
+        "rotary-string-meta-r": {
+            "positional": {"kind": "rotary", "freqs": []},
+            "meta": {**doc["meta"], "r": "x"},
+        },
+        "unpositioned-list-meta-r": {
+            "positional": {"kind": "none"},
+            "meta": {**doc["meta"], "r": [3]},
+        },
     }
     for name, fields in header.items():
         files[name] = json.dumps({**doc, **fields})

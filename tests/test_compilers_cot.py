@@ -150,7 +150,7 @@ def test_structural_registers_decode_to_oracle_positions():
             writer_positions[m - 1] = m  # input token w_{m-1} sits at cell m-1
         if token_class(tok) == "run":
             run_count += 1
-            head_after = result.head_trace[run_count - 1][0]
+            head_after = result.config_trace[run_count].heads[0]
             cell_written = result.config_trace[run_count - 1].heads[0]
             writer_positions[cell_written] = m  # the search includes position m
             x_l2 = trace.layers[l2 - 1].x_out[m]
@@ -164,7 +164,7 @@ def test_structural_registers_decode_to_oracle_positions():
                 assert decode_pm1(trace.layers[l2 + r - 1].x_out[expected][spos]) == head_after
         if tok == PCLOSE:
             x_l2 = trace.layers[l2 - 1].x_out[m]
-            assert decode_pm1(x_l2[search]) == result.head_trace[run_count - 1][0]
+            assert decode_pm1(x_l2[search]) == result.config_trace[run_count].heads[0]
 
 
 @pytest.mark.parametrize(

@@ -11,7 +11,6 @@ from tm2tf.fpcore import (
     FloatFormat,
     Precision,
     is_representable,
-    normal_range,
     parse_precision,
     representables_between,
     round_array,
@@ -54,16 +53,14 @@ def test_round_idempotent_on_representables():
 
 def test_normal_range_bf16():
     fmt = PRESETS["bf16"]
-    min_normal, max_value = normal_range(fmt)
-    assert min_normal == 2.0 ** -126
-    assert max_value == (2 - 2.0 ** -7) * 2.0 ** 127
+    assert fmt.min_normal == 2.0 ** -126
+    assert fmt.max_value == (2 - 2.0 ** -7) * 2.0 ** 127
 
 
 def test_normal_range_tiny_format():
     fmt = FloatFormat(1, 2)
-    min_normal, max_value = normal_range(fmt)
-    assert min_normal == 1.0  # e_min = 0
-    assert max_value == 3.0  # 1.5 * 2^1
+    assert fmt.min_normal == 1.0  # e_min = 0
+    assert fmt.max_value == 3.0  # 1.5 * 2^1
 
 
 @pytest.mark.parametrize("bm,be", [(1, 2), (1, 3), (4, 4), (7, 8), (10, 5)])

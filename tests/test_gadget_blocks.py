@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from tm2tf.gadgets import (
+    ENC_MOVES,
     BuildError,
     Flag,
     ModelBuilder,
@@ -31,8 +32,6 @@ from tm2tf.gadgets import (
     sub_pow2_inplace,
     zero_register,
 )
-
-ENC_MOVES = {"L": bin_pm1(2, 0), "S": bin_pm1(2, 1), "R": bin_pm1(2, 2)}
 
 # ---------------------------------------------------------------------------
 # reference: one dict per neuron
@@ -122,13 +121,13 @@ def ref_sub_pow2(src, dst, k, gates):
     return ref_copy(src, dst, gates) + ref_decrement(src, dst, k, gates)
 
 
-def ref_movement(src, dst, move, gate, enc_moves):
+def ref_movement(src, dst, move, gate):
     r = len(src)
     if len(dst) != r or len(move) != 2:
         raise BuildError("register widths must match")
     gates = [(gate, 1)]
     neurons = ref_copy(src, dst, gates)
-    enc_l, enc_r = enc_moves["L"], enc_moves["R"]
+    enc_l, enc_r = ENC_MOVES["L"], ENC_MOVES["R"]
     for j in range(r):
         dec_cond = ref_pattern(src, {j: 1, **{t: -1 for t in range(j)}}) + [(move, enc_l)]
         dec_out = {dst.coords[j]: -1}
@@ -260,12 +259,8 @@ def test_register_gadgets_match_reference(w):
 def test_movement_and_subtraction_match_reference(w):
     layout, a, b, move, f, g = layout_for(w)
     d = layout.d
-    swapped = {"L": ENC_MOVES["R"], "S": ENC_MOVES["S"], "R": ENC_MOVES["L"]}
-    for enc in (ENC_MOVES, swapped):
-        for gate in (f, g):
-            assert_same_rows(
-                add_head_movement(a, b, move, gate, enc), ref_movement(a, b, move, gate, enc), d
-            )
+    for gate in (f, g):
+        assert_same_rows(add_head_movement(a, b, move, gate), ref_movement(a, b, move, gate), d)
     for gate in (f, g):
         for sub, target in ((a, b), (b, a)):
             stages = full_subtract(sub, target, gate)
@@ -329,7 +324,7 @@ def test_builder_gate_is_the_shared_inputs():
     ops = [
         zero_register(a, [(f, 1), (g, 0)]),
         copy_register(a, b, []),
-        add_head_movement(a, b, move, g, ENC_MOVES),
+        add_head_movement(a, b, move, g),
         [single_neuron([(a, (1, 1, -1))], [(f, 1)], {b.coords[0]: 1}),
          single_neuron([(a[0:1], (1,))], [(f, 1), (g, 1)], {b.coords[1]: 1})],
         [],
@@ -369,12 +364,12 @@ def test_gadget_errors_match_reference():
         (lambda: copy_register(a, short, []), lambda: ref_copy(a, short, [])),
         (lambda: sub_pow2(a, short, 1, []), lambda: ref_sub_pow2(a, short, 1, [])),
         (
-            lambda: add_head_movement(a, short, move, f, ENC_MOVES),
-            lambda: ref_movement(a, short, move, f, ENC_MOVES),
+            lambda: add_head_movement(a, short, move, f),
+            lambda: ref_movement(a, short, move, f),
         ),
         (
-            lambda: add_head_movement(a, b, a, f, ENC_MOVES),
-            lambda: ref_movement(a, b, a, f, ENC_MOVES),
+            lambda: add_head_movement(a, b, a, f),
+            lambda: ref_movement(a, b, a, f),
         ),
         (lambda: full_subtract(a, short, f), lambda: ref_subtract(a, short, f)),
         (
@@ -385,8 +380,8 @@ def test_gadget_errors_match_reference():
         (lambda: copy_register(a, overlap, []), lambda: ref_copy(a, overlap, [])),
         (lambda: sub_pow2(a, overlap, 0, []), lambda: ref_sub_pow2(a, overlap, 0, [])),
         (
-            lambda: add_head_movement(a, overlap, move, f, ENC_MOVES),
-            lambda: ref_movement(a, overlap, move, f, ENC_MOVES),
+            lambda: add_head_movement(a, overlap, move, f),
+            lambda: ref_movement(a, overlap, move, f),
         ),
     ]
     # k out of range
@@ -417,22 +412,6 @@ def test_gadget_errors_match_reference():
                 lambda gates=gates: ref_single([], gates, {}),
             ),
         ]
-    # a move code outside +-1
-    for code in ((0, 1), (1, 2), (1,), (-1, 1, 1)):
-        enc = {**ENC_MOVES, "L": code}
-        cases.append(
-            (
-                lambda enc=enc: add_head_movement(a, b, move, f, enc),
-                lambda enc=enc: ref_movement(a, b, move, f, enc),
-            )
-        )
-        enc = {**ENC_MOVES, "R": code}
-        cases.append(
-            (
-                lambda enc=enc: add_head_movement(a, b, move, f, enc),
-                lambda enc=enc: ref_movement(a, b, move, f, enc),
-            )
-        )
     # a gate flag on a register coordinate, or the same flag twice
     for gates in ([(on_a, 1)], [(f, 0), (on_a, 0)], [(f, 1), (f, 1)]):
         cases += [
@@ -453,16 +432,16 @@ def test_gadget_errors_match_reference():
     for gate in (on_a, on_move):
         cases.append(
             (
-                lambda gate=gate: add_head_movement(a, b, move, gate, ENC_MOVES),
-                lambda gate=gate: ref_movement(a, b, move, gate, ENC_MOVES),
+                lambda gate=gate: add_head_movement(a, b, move, gate),
+                lambda gate=gate: ref_movement(a, b, move, gate),
             )
         )
     cases.append((lambda: full_subtract(b, a, on_a), lambda: ref_subtract(b, a, on_a)))
     # the move register overlapping the position it reads
     cases.append(
         (
-            lambda: add_head_movement(a, b, a[2:4], f, ENC_MOVES),
-            lambda: ref_movement(a, b, a[2:4], f, ENC_MOVES),
+            lambda: add_head_movement(a, b, a[2:4], f),
+            lambda: ref_movement(a, b, a[2:4], f),
         )
     )
     for block_fn, ref_fn in cases:

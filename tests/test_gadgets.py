@@ -8,6 +8,7 @@ import pytest
 from tm2tf.fpcore import FloatFormat, round_nearest
 from tm2tf.netcore import Dims, NoPositional
 from tm2tf.gadgets import (
+    ENC_MOVES,
     BuildError,
     ModelBuilder,
     RegisterLayout,
@@ -25,8 +26,6 @@ from tm2tf.gadgets import (
     sub_pow2_inplace,
     zero_register,
 )
-
-ENC_MOVES = {"L": bin_pm1(2, 0), "S": bin_pm1(2, 1), "R": bin_pm1(2, 2)}
 
 
 def mlp_eval(neurons, x: np.ndarray) -> np.ndarray:
@@ -191,8 +190,9 @@ def test_add_head_movement():
     dst = layout.register("dst", r)
     move = layout.register("move", 2)
     f = layout.flag("f")
-    neurons = add_head_movement(src, dst, move, f, ENC_MOVES)
+    neurons = add_head_movement(src, dst, move, f)
     assert len(neurons) == 6 * r
+    assert ENC_MOVES == {"L": bin_pm1(2, 0), "S": bin_pm1(2, 1), "R": bin_pm1(2, 2)}
     cases = [(3, "R", 4), (0, "L", 0), (5, "S", 5), (4, "L", 3), (6, "R", 7), (1, "L", 0)]
     for s, mv, want in cases:
         x = np.zeros(layout.d)

@@ -147,3 +147,37 @@ def test_every_module_level_definition_is_referenced():
         if isinstance(node, _DEFINITIONS) and node.name not in referenced
     ]
     assert unused == []
+
+
+# Library definitions that only tests read, and why each stays.
+TEST_ONLY = {
+    "tm2tf.automata.dfa_to_json": "writes the machine spec format that load_dfa reads",
+    "tm2tf.automata.tm_to_json": "writes the machine spec format; the bench machine files are "
+    "checked against it",
+    "tm2tf.compilers.rope.build_rope_position_prefix": "acceptance criterion 11",
+    "tm2tf.compilers.tm.cot_dims": "the CoT size formula, checked without compiling",
+    "tm2tf.compilers.tm.scot_dims": "the SCoT size formula, checked without compiling",
+    "tm2tf.fpcore.representables_between": "reference enumeration of a format's elements",
+    "tm2tf.gadgets.decode_pm1": "reference decoder of the +-1 binary codes",
+    "tm2tf.harness.validate_softmax": "the softmax trial pipeline, to be extended (ROADMAP item 1)",
+    "tm2tf.harness.rounding_relative_error_suite": "acceptance criterion 10",
+    "tm2tf.harness.perturbation_doubling_suite": "acceptance criterion 10",
+    "tm2tf.harness.softmax_hardmax_distance_suite": "acceptance criterion 10",
+}
+
+
+def test_definitions_only_tests_read_are_listed():
+    """A top-level definition that no `tm2tf` module or bench script reads
+    is library code kept for the tests alone; each needs a reason in
+    TEST_ONLY, and a listed one that the program reads again leaves it."""
+    trees = {path: ast.parse(path.read_text(), str(path)) for path in SOURCES}
+    program = set().union(
+        *(_references(tree) for path, tree in trees.items() if ROOT / "tests" not in path.parents)
+    )
+    test_only = [
+        f"{_module_name(path)}.{node.name}"
+        for path in MODULES
+        for node in trees[path].body
+        if isinstance(node, _DEFINITIONS) and node.name not in program
+    ]
+    assert sorted(test_only) == sorted(TEST_ONLY)
