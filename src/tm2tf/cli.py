@@ -12,12 +12,11 @@ import json
 import sys
 
 from .automata import MachineError, load_dfa, load_tm
+from .compilers import instantiate_capacity
 from .fpcore import parse_precision
 from .generation import run_cot, run_scot
 from .harness import (
-    TrialConfig,
     acceptance_dfas,
-    instantiate_capacity,
     probe_phi,
     validate_dfa,
     validate_trials,
@@ -206,7 +205,6 @@ def _cmd_run(args) -> int:
 def _cmd_validate(args) -> int:
     from .automata import Dfa
 
-    cfg = TrialConfig(step_cap=args.step_cap)
     if args.protocol == "dfa":
         if args.mode != "hardmax":
             raise CliError(f"usage error: the dfa protocol validates hardmax only, not {args.mode}")
@@ -218,7 +216,9 @@ def _cmd_validate(args) -> int:
         except ValueError as exc:
             raise CliError(f"usage error: {exc}") from exc
     else:
-        report = validate_trials(args.protocol, _MODES[args.mode], args.seed, args.trials, cfg)
+        report = validate_trials(
+            args.protocol, _MODES[args.mode], args.seed, args.trials, args.step_cap
+        )
     if args.out:
         _write_json(args.out, report.to_json())
     print(
@@ -268,7 +268,7 @@ def _cmd_capacity(args) -> int:
         _write_json(args.out, table)
     print(
         f"{table['construction']}: r<= {table['r_from_depth']} (depth), "
-        f"{table['r_from_d_k']} (d_k) -> r={table['r']}, context {table['context_bound']}"
+        f"{table['r_from_d_k']} (d_k) -> r={table['r']}, context 2^{table['r']}"
     )
     for row in table["machines"]:
         if not row["max_states"]:

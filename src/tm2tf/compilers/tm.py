@@ -15,6 +15,7 @@ at L3 = L2 + r + 1, output logic in the final four layers.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 
@@ -61,6 +62,7 @@ __all__ = [
     "scot_dims",
     "compile_cot",
     "compile_scot",
+    "instantiate_capacity",
 ]
 
 
@@ -78,52 +80,99 @@ def choose_r_scot(s_hat: int) -> int:
     return max(4, 2 * math.ceil(0.5 * math.log2(8 * (s_hat + 3))))
 
 
-def _log_dims(tm: TuringMachine) -> tuple[int, int]:
-    d_q = (len(tm.states) - 1).bit_length()
-    d_g = (len(tm.tape_alphabet) - 1).bit_length()
-    return d_q, d_g
-
-
-def _tm_widths(scot: bool, tapes: int, r: int, d_q: int, d_g: int) -> tuple[int, int]:
-    """(d, extra): the residual width, and the MLP rows the transition
-    layer needs besides one per (state, symbols) table entry."""
+def _tm_dims(scot: bool, tapes: int, n_states: int, n_symbols: int, r: int) -> Dims:
+    """The CoT or SCoT model's size for a machine of these counts. d_ff is
+    the transition layer's rows (one per (state, symbols) table entry, plus
+    those it needs besides), or the widest of the other layers, whose rows
+    grow with r, if that is more."""
     k = tapes
+    d_q = (n_states - 1).bit_length()
+    d_g = (n_symbols - 1).bit_length()
+    transitions = n_states * n_symbols ** k
     if scot:
         d = 7 * k * r + 9 * r + 5 * d_q + (4 * k + 1) * d_g + 13 * k + 31
-        return d, 4 * k * d_g + 4 * k + 1
-    return 6 * k * r + 6 * r + 3 * d_q + (3 * k + 1) * d_g + 10 * k + 21, 1
-
-
-def _tm_d_ff(scot: bool, tapes: int, r: int, transition_rows: int) -> int:
-    """The MLP width: the transition layer's rows, or the widest of the
-    other layers, whose rows grow with r, if that is more."""
-    k = tapes
-    if scot:
-        return max(22 * r + 11, 18 * k * r + 2 * r + 1, transition_rows)
-    return max(18 * r + 2, 14 * k * r + 2 * r, transition_rows)
-
-
-def _tm_dims(tm: TuringMachine, r: int, scot: bool) -> Dims:
-    d_q, d_g = _log_dims(tm)
-    k = tm.tapes
-    n_trans = len(tm.states) * len(tm.tape_alphabet) ** k
-    d, extra = _tm_widths(scot, k, r, d_q, d_g)
+        d_ff = max(22 * r + 11, 18 * k * r + 2 * r + 1, transitions + 4 * k * d_g + 4 * k + 1)
+    else:
+        d = 6 * k * r + 6 * r + 3 * d_q + (3 * k + 1) * d_g + 10 * k + 21
+        d_ff = max(18 * r + 2, 14 * k * r + 2 * r, transitions + 1)
     return Dims(
         d=d,
         d_k=4 * r - 1,
         d_v=max(r, d_q, d_g),
-        d_ff=_tm_d_ff(scot, k, r, n_trans + extra),
+        d_ff=d_ff,
         n_heads=3 * k + 2 if scot else 3 * k,
         n_layers=5 * r // 2 + 8,
     )
 
 
 def cot_dims(tm: TuringMachine, r: int) -> Dims:
-    return _tm_dims(tm, r, scot=False)
+    return _tm_dims(False, tm.tapes, len(tm.states), len(tm.tape_alphabet), r)
 
 
 def scot_dims(tm: TuringMachine, r: int) -> Dims:
-    return _tm_dims(tm, r, scot=True)
+    return _tm_dims(True, tm.tapes, len(tm.states), len(tm.tape_alphabet), r)
+
+
+def _last_fitting(values: range, budget: int, size) -> int:
+    """The last of `values` whose size, nondecreasing along them, is within
+    the budget, or 0 if none is."""
+    fitting = bisect.bisect_right(values, budget, key=size)
+    return values[fitting - 1] if fitting else 0
+
+
+def instantiate_capacity(
+    l_budget: int,
+    d_k_budget: int,
+    d_budget: int,
+    d_ff_budget: int,
+    construction: str = "cot",
+) -> dict:
+    """Largest even r per budget, read off `_tm_dims`, and the most states a
+    machine of each size can have within the d_ff budget at that r. The
+    context is 2^r. A row lists no states (max_states 0, d_used None,
+    fits_d False) where no machine compiles: r below the compilers'
+    minimum of 4, fewer than the 2 states a machine needs (distinct init and
+    halt), or the d_ff floor at r over budget."""
+    if min(l_budget, d_k_budget, d_budget, d_ff_budget) < 1:
+        raise ValueError("budgets must be >= 1")
+    if construction not in ("cot", "scot"):
+        raise ValueError("construction must be cot or scot")
+    scot = construction == "scot"
+    # depth and d_k depend on r alone, so any machine sizes them
+    r_depth = _last_fitting(
+        range(0, l_budget + 1, 2), l_budget, lambda r: _tm_dims(scot, 1, 2, 2, r).n_layers
+    )
+    r_dk = _last_fitting(
+        range(0, d_k_budget + 1, 2), d_k_budget, lambda r: _tm_dims(scot, 1, 2, 2, r).d_k
+    )
+    r = min(r_depth, r_dk)
+    rows = []
+    for tapes, gamma in itertools.product((1, 2, 3), (2, 4, 10)):
+        max_states, d_used = 0, None
+        if r >= 4:
+            max_states = _last_fitting(
+                range(2, d_ff_budget + 1),
+                d_ff_budget,
+                lambda q: _tm_dims(scot, tapes, q, gamma, r).d_ff,
+            )
+        if max_states:
+            d_used = _tm_dims(scot, tapes, max_states, gamma, r).d
+        rows.append(
+            {
+                "tapes": tapes,
+                "gamma": gamma,
+                "max_states": max_states,
+                "d_used": d_used,
+                "fits_d": d_used is not None and d_used <= d_budget,
+            }
+        )
+    return {
+        "construction": construction,
+        "r_from_depth": r_depth,
+        "r_from_d_k": r_dk,
+        "r": r,
+        "machines": rows,
+    }
 
 
 class _TmCompiler:
@@ -138,8 +187,9 @@ class _TmCompiler:
         self.K = tm.tapes
         self.enc_q = enc_table(tm.states)
         self.enc_g = enc_table(tm.tape_alphabet)
-        self.d_q, self.d_g = _log_dims(tm)
-        self.dims = _tm_dims(tm, r, scot)
+        self.d_q = len(self.enc_q[tm.q_init])
+        self.d_g = len(self.enc_g[tm.blank])
+        self.dims = (scot_dims if scot else cot_dims)(tm, r)
         self.L1 = r // 2 + 1
         self.L2 = self.L1 + r + 2
         self.L3 = self.L2 + r + 1

@@ -1,5 +1,5 @@
 """Randomized oracle validation, the position-vector precision probe, and
-capacity/property drivers.
+the property test suites.
 
 Validation samples small random Turing machines, skips the ones that do
 not halt cleanly, compiles the rest (and optionally converts them to
@@ -39,7 +39,6 @@ from .compilers import (
     compile_dfa,
     compile_scot,
 )
-from .compilers.tm import _tm_d_ff, _tm_widths
 from .fpcore import FloatFormat, round_array
 from .generation import run_cot, run_scot
 from .netcore import (
@@ -58,7 +57,6 @@ from .softmaxify import convert
 __all__ = [
     "ValidationReport",
     "ProbeReport",
-    "TrialConfig",
     "acceptance_dfas",
     "sample_tm",
     "sample_word",
@@ -68,7 +66,6 @@ __all__ = [
     "validate_dfa",
     "validate_softmax",
     "probe_phi",
-    "instantiate_capacity",
     "trace_invariant_violations",
     "rounding_relative_error_suite",
     "perturbation_doubling_suite",
@@ -275,24 +272,16 @@ def attention_rounding_bound_violations(
 # randomized validation
 
 
-@dataclass(frozen=True)
-class TrialConfig:
-    tapes_choices: tuple[int, ...] = (1, 2)
-    q_max: int = 4
-    gamma_max: int = 3
-    word_max: int = 4
-    step_cap: int = 40
-    r_spread: int = 8  # r drawn from r_min, r_min+2, ..., r_min+r_spread
-
-
-def _sample_trial(seed: int, index: int, cfg: TrialConfig):
+def _sample_trial(seed: int, index: int):
+    """A random machine of 1-2 tapes, 2-4 states and 2-3 symbols, a word of
+    at most 4 symbols, and an even bump of 0-8 on the r the run needs."""
     rng = random.Random(f"{seed}|trial|{index}")
-    tapes = rng.choice(cfg.tapes_choices)
-    q_count = rng.randint(2, cfg.q_max)
-    gamma_count = rng.randint(2, cfg.gamma_max)
+    tapes = rng.choice((1, 2))
+    q_count = rng.randint(2, 4)
+    gamma_count = rng.randint(2, 3)
     tm = sample_tm(f"{seed}|tm|{index}", tapes, q_count, gamma_count)
-    word = sample_word(f"{seed}|w|{index}", tm, cfg.word_max)
-    r_bump = 2 * rng.randint(0, cfg.r_spread // 2)
+    word = sample_word(f"{seed}|w|{index}", tm, 4)
+    r_bump = 2 * rng.randint(0, 4)
     return tm, word, r_bump
 
 
@@ -322,7 +311,7 @@ def _segment_divergence(expected: list[list[str]], got: list[list[str]]) -> dict
 
 
 def validate_trials(
-    protocol: str, mode: str, seed: int, trials: int, cfg: TrialConfig = TrialConfig()
+    protocol: str, mode: str, seed: int, trials: int, step_cap: int = 40
 ) -> ValidationReport:
     """Compare compiled models on random machines against the oracle.
 
@@ -334,6 +323,7 @@ def validate_trials(
     and the attention-weight rounding error against its bound. The
     oracle's segments are passed as the draft, which changes no result:
     under hardmax a right model is verified in one block step per segment.
+    A machine that does not halt within `step_cap` steps is skipped.
     """
     if protocol not in ("cot", "scot"):
         raise ValueError("protocol must be cot or scot")
@@ -346,8 +336,8 @@ def validate_trials(
     cot = protocol == "cot"
     for index in range(trials):
         report.attempted += 1
-        tm, word, r_bump = _sample_trial(seed, index, cfg)
-        result = tm_run(tm, word, cfg.step_cap)
+        tm, word, r_bump = _sample_trial(seed, index)
+        result = tm_run(tm, word, step_cap)
         trial = {
             "index": index,
             "tapes": tm.tapes,
@@ -369,9 +359,9 @@ def validate_trials(
         trial.update({"steps": result.steps, "space": result.space, "r": r})
         try:
             if cot:
-                expected = [cot_token_oracle(tm, word, r, step_cap=cfg.step_cap)]
+                expected = [cot_token_oracle(tm, word, r, step_cap=step_cap)]
             else:
-                expected = scot_segments_oracle(tm, word, r, step_cap=cfg.step_cap)
+                expected = scot_segments_oracle(tm, word, r, step_cap=step_cap)
         except TokenBudgetError:
             report.skipped += 1
             trial["status"] = "skipped-r-too-small"
@@ -414,14 +404,14 @@ def validate_trials(
     return report
 
 
-def validate_cot(seed: int, trials: int, cfg: TrialConfig = TrialConfig()) -> ValidationReport:
+def validate_cot(seed: int, trials: int, step_cap: int = 40) -> ValidationReport:
     """Token-for-token comparison of compiled CoT models against the oracle."""
-    return validate_trials("cot", "hardmax", seed, trials, cfg)
+    return validate_trials("cot", "hardmax", seed, trials, step_cap)
 
 
-def validate_scot(seed: int, trials: int, cfg: TrialConfig = TrialConfig()) -> ValidationReport:
+def validate_scot(seed: int, trials: int, step_cap: int = 40) -> ValidationReport:
     """Segment-for-segment comparison of compiled SCoT models."""
-    return validate_trials("scot", "hardmax", seed, trials, cfg)
+    return validate_trials("scot", "hardmax", seed, trials, step_cap)
 
 
 def validate_dfa(dfas: list, r: int, max_len: int) -> ValidationReport:
@@ -459,13 +449,13 @@ def validate_softmax(
     mode: str,
     seed: int,
     trials: int,
-    cfg: TrialConfig = TrialConfig(),
+    step_cap: int = 40,
     protocol: str = "cot",
 ) -> ValidationReport:
     """CoT/SCoT validation of "scaled_only" or "denoised" conversions."""
     if mode not in MODES or mode == "hardmax":
         raise ValueError("mode must be scaled_only or denoised")
-    return validate_trials(protocol, mode, seed, trials, cfg)
+    return validate_trials(protocol, mode, seed, trials, step_cap)
 
 
 def _denoising_margin_violations(hard_params, trace) -> int:
@@ -584,63 +574,6 @@ def probe_phi(fmt: FloatFormat, max_i: int, format_name: str = "") -> ProbeRepor
         if best_j is not None:
             return ProbeReport(format_name or str(fmt), i, i, best_j)
     return ProbeReport(format_name or str(fmt), max_i, None, None)
-
-
-# ---------------------------------------------------------------------------
-# capacity instantiation
-
-
-def instantiate_capacity(
-    l_budget: int,
-    d_k_budget: int,
-    d_budget: int,
-    d_ff_budget: int,
-    construction: str = "cot",
-) -> dict:
-    """Largest even r per budget and machine sizes fitting the width budgets,
-    with the compiler's d_ff. A row lists no states (max_states 0, d_used
-    None, fits_d False) where no machine compiles: r below the compilers'
-    minimum of 4, fewer than the 2 states a machine needs (distinct init and
-    halt), or the d_ff floor at r over budget."""
-    if min(l_budget, d_k_budget, d_budget, d_ff_budget) < 1:
-        raise ValueError("budgets must be >= 1")
-    if construction not in ("cot", "scot"):
-        raise ValueError("construction must be cot or scot")
-    r_depth = max(0, (2 * (l_budget - 8) // 5) // 2 * 2)
-    r_dk = max(0, ((d_k_budget + 1) // 4) // 2 * 2)
-    r = min(r_depth, r_dk)
-    scot = construction == "scot"
-    rows = []
-    for tapes in (1, 2, 3):
-        for gamma in (2, 4, 10):
-            d_g = (gamma - 1).bit_length()
-            _, extra = _tm_widths(scot, tapes, r, 0, d_g)
-            max_states = (d_ff_budget - extra) // gamma ** tapes
-            if (
-                r < 4
-                or max_states < 2
-                or _tm_d_ff(scot, tapes, r, max_states * gamma ** tapes + extra) > d_ff_budget
-            ):
-                max_states, d_used = 0, None
-            else:
-                d_used, _ = _tm_widths(scot, tapes, r, (max_states - 1).bit_length(), d_g)
-            rows.append(
-                {
-                    "tapes": tapes,
-                    "gamma": gamma,
-                    "max_states": max_states,
-                    "d_used": d_used,
-                    "fits_d": d_used is not None and d_used <= d_budget,
-                }
-            )
-    return {
-        "construction": construction,
-        "r_from_depth": r_depth,
-        "r_from_d_k": r_dk,
-        "r": r,
-        "context_bound": 2 ** r,
-        "machines": rows,
-    }
 
 
 # ---------------------------------------------------------------------------

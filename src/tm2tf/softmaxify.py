@@ -109,7 +109,8 @@ def c0_denoising(d_k: int, context_bound: int) -> float:
     """Scale threshold when attention weights are rounded and denoised."""
     if d_k < 1 or context_bound < 1:
         raise ValueError("arguments must be >= 1")
-    return d_k ** 0.25 * math.sqrt(math.log(96.0 * context_bound))
+    # math.log takes any int; 96.0 * N overflows once N is past float range
+    return d_k ** 0.25 * math.sqrt(math.log(96) + math.log(context_bound))
 
 
 def min_att_exponent_bits(context_bound: int) -> int:

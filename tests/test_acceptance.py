@@ -9,13 +9,11 @@ import numpy as np
 import pytest
 
 from tm2tf.automata import BOS
-from tm2tf.compilers import build_rope_position_prefix
+from tm2tf.compilers import build_rope_position_prefix, instantiate_capacity
 from tm2tf.fpcore import PRESETS, FloatFormat, representables_between, round_nearest
 from tm2tf.gadgets import bin_pm1, denoising_neurons
 from tm2tf.harness import (
-    TrialConfig,
     acceptance_dfas,
-    instantiate_capacity,
     perturbation_doubling_suite,
     probe_phi,
     rounding_relative_error_suite,
@@ -29,9 +27,6 @@ from tm2tf.netcore import EvalConfig, forward
 from tm2tf.softmaxify import c0_denoising
 
 SEED = 20240817
-CFG = TrialConfig(
-    tapes_choices=(1, 2), q_max=4, gamma_max=3, word_max=4, step_cap=40, r_spread=8
-)
 
 
 def _line(num: int, ok: bool, detail: str) -> None:
@@ -41,12 +36,12 @@ def _line(num: int, ok: bool, detail: str) -> None:
 
 @pytest.fixture(scope="module")
 def cot_report():
-    return validate_cot(seed=SEED, trials=200, cfg=CFG)
+    return validate_cot(seed=SEED, trials=200)
 
 
 @pytest.fixture(scope="module")
 def scot_report():
-    return validate_scot(seed=SEED + 1, trials=200, cfg=CFG)
+    return validate_scot(seed=SEED + 1, trials=200)
 
 
 def test_criterion_1_cot_validation(cot_report):
@@ -98,7 +93,7 @@ def test_criterion_4_ternary_suite(cot_report, scot_report):
 
 
 def test_criterion_5_exact_attention_conversion():
-    report = validate_softmax("scaled_only", seed=SEED + 2, trials=50, cfg=CFG)
+    report = validate_softmax("scaled_only", seed=SEED + 2, trials=50)
     ok = report.attempted == 50 and not report.mismatches and report.checked > 0
     _line(
         5,
@@ -109,7 +104,7 @@ def test_criterion_5_exact_attention_conversion():
 
 
 def test_criterion_6_denoising_conversion():
-    report = validate_softmax("denoised", seed=SEED + 3, trials=50, cfg=CFG)
+    report = validate_softmax("denoised", seed=SEED + 3, trials=50)
     margin = report.violations.get("denoising_margin", 0)
     ok = (
         report.attempted == 50

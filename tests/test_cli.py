@@ -8,8 +8,7 @@ from model_docs import CORRUPTIONS, overlap_heads, truncate_rows
 
 from tm2tf.automata import dfa_to_json, tm_to_json
 from tm2tf.cli import main
-from tm2tf.compilers import build_rope_position_prefix
-from tm2tf.harness import instantiate_capacity
+from tm2tf.compilers import build_rope_position_prefix, instantiate_capacity
 from tm2tf.netcore import load_model, save_model
 from tm2tf.softmaxify import c0_exact_attention
 
@@ -262,11 +261,18 @@ def test_validate_converted_cli(tmp_path):
 def test_probe_cli(capsys):
     assert main(["probe-phi", "--format", "bf16", "--max", "100"]) == 0
     assert "i*=7" in capsys.readouterr().out
+    assert main(["probe-phi", "--format", "nope"]) == 2
+    assert "usage error: unknown precision" in capsys.readouterr().err
+
+
+BEYOND_FLOAT = str(2 ** 1100)  # a context bound past float range
 
 
 def test_c0_cli(capsys):
     assert main(["c0", "--mode", "denoising", "--d-k", "128", "--N", "65536"]) == 0
     assert "13.3" in capsys.readouterr().out
+    assert main(["c0", "--mode", "denoising", "--d-k", "8", "--N", BEYOND_FLOAT]) == 0
+    assert capsys.readouterr().out == "c0 = 46.5777  (next power of two: 64)\n"
     assert main(["c0", "--mode", "exact"]) == 2
 
 
@@ -693,6 +699,29 @@ def test_capacity_cli_out_file(tmp_path):
     assert main(["capacity", *sizes, "--out", str(out)]) == 0
     table = instantiate_capacity(28, 31, 1000, 50, "cot")
     assert json.loads(out.read_text()) == json.loads(json.dumps(table))
+
+
+def test_capacity_cli_at_a_context_too_long_to_write_out(tmp_path, capsys):
+    """At r = 25,000 the context 2^r has 7,526 digits, past Python's limit
+    on int-to-str conversion; the table and the summary give r alone."""
+    out = tmp_path / "capacity.json"
+    sizes = ["--L", "100000", "--d-k", "100000", "--d", "10", "--d-ff", "10"]
+    assert main(["capacity", *sizes, "--out", str(out)]) == 0
+    assert "-> r=25000, context 2^25000\n" in capsys.readouterr().out
+    table = json.loads(out.read_text())
+    assert (table["r_from_depth"], table["r_from_d_k"], table["r"]) == (39996, 25000, 25000)
+    assert [row["max_states"] for row in table["machines"]] == [0] * 9
+
+
+def test_convert_at_a_context_bound_beyond_float_range(dfa_file, tmp_path, capsys):
+    """c0 is finite, but attention weights down to 1/N = 2^-1100 need a
+    format of 12 exponent bits, more than float64 holds: a usage error."""
+    model, out = str(tmp_path / "model.json"), tmp_path / "denoised.json"
+    assert main(["compile-dfa", "--dfa", dfa_file, "--r", "3", "--out", model]) == 0
+    argv = ["convert", "--model", model, "--mode", "denoised", "--N", BEYOND_FLOAT]
+    assert main([*argv, "--out", str(out)]) == 2
+    assert "usage error: format exceeds float64 host precision" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_convert_refuses_a_model_without_r_unless_given_n(dfa_file, tmp_path, capsys):

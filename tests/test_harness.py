@@ -1,11 +1,14 @@
+import hashlib
+import itertools
+import json
+
 import pytest
 
 from machines import contains_ab_dfa, mod3_dfa, parity_dfa
 
+from tm2tf.compilers import instantiate_capacity
 from tm2tf.fpcore import PRESETS, FloatFormat
 from tm2tf.harness import (
-    TrialConfig,
-    instantiate_capacity,
     perturbation_doubling_suite,
     probe_phi,
     rounding_relative_error_suite,
@@ -18,7 +21,7 @@ from tm2tf.harness import (
     validate_trials,
 )
 
-FAST = TrialConfig(step_cap=25)
+FAST = 25  # step cap
 
 
 def test_sample_tm_deterministic():
@@ -36,7 +39,7 @@ def test_sample_tm_validation():
 
 
 def test_validate_cot_small_run():
-    report = validate_cot(seed=7, trials=30, cfg=FAST)
+    report = validate_cot(seed=7, trials=30, step_cap=FAST)
     assert report.attempted == 30
     assert report.attempted == report.skipped + report.checked
     assert report.checked >= 1
@@ -51,7 +54,7 @@ def test_validate_cot_rejects_zero_trials():
 
 
 def test_validate_scot_small_run():
-    report = validate_scot(seed=11, trials=30, cfg=FAST)
+    report = validate_scot(seed=11, trials=30, step_cap=FAST)
     assert report.attempted == report.skipped + report.checked
     assert report.checked >= 1
     assert report.mismatches == []
@@ -73,12 +76,12 @@ def test_validate_dfa_refuses_words_longer_than_the_context():
 
 
 def test_validate_softmax_scaled_small():
-    report = validate_softmax("scaled_only", seed=5, trials=12, cfg=FAST)
+    report = validate_softmax("scaled_only", seed=5, trials=12, step_cap=FAST)
     assert report.mismatches == []
     assert report.checked >= 1
     # Converted trials carry the hardmax record fields and skip statuses,
     # plus the scale c on every checked trial.
-    hardmax = validate_cot(seed=5, trials=12, cfg=FAST)
+    hardmax = validate_cot(seed=5, trials=12, step_cap=FAST)
     assert report.skipped == hardmax.skipped
     for soft, hard in zip(report.trials, hardmax.trials, strict=True):
         assert ("c" in soft) == (soft["status"] == "checked")
@@ -93,7 +96,7 @@ def test_validate_trials_rejects_unknown_protocol_or_mode():
 
 
 def test_validate_softmax_denoised_small():
-    report = validate_softmax("denoised", seed=5, trials=12, cfg=FAST)
+    report = validate_softmax("denoised", seed=5, trials=12, step_cap=FAST)
     assert report.mismatches == []
     assert report.checked >= 1
     assert not any(report.violations.values())
@@ -203,6 +206,34 @@ def test_instantiate_capacity_small():
     assert table["r_from_depth"] == 6
 
 
+BIG = 10 ** 9
+# (L, d_k, d, d_ff) budgets: r < 4 (L 7, 15; d_k 1, 15), the d_ff floor at
+# r = 8 (50 vs 200), the 2-state edge (28, 31, 100000, 1500), GPT-3's
+# (96, 128, 12288, 49152) and 10^9, never for L and d_k together.
+CAPACITY_GRID = [
+    budgets
+    for budgets in itertools.product(
+        (7, 15, 18, 28, 96, BIG),
+        (1, 15, 31, 128, BIG),
+        (100, 12288, 100000, BIG),
+        (1, 50, 200, 1500, 49152, BIG),
+    )
+    if budgets[:2] != (BIG, BIG)
+]
+
+
+def test_instantiate_capacity_tables_are_pinned():
+    """Every table of the grid, under both constructions, hashes as when
+    the bounds were read off the size formula in closed form."""
+    h = hashlib.sha256()
+    for construction in ("cot", "scot"):
+        for budgets in CAPACITY_GRID:
+            table = instantiate_capacity(*budgets, construction)
+            h.update(json.dumps(table, sort_keys=True).encode())
+    assert len(CAPACITY_GRID) == 696
+    assert h.hexdigest() == "090e59edd3afa0e235f43b3b3585ea1e5f3f7b82cccd72f7f4c5f8a2e14420e2"
+
+
 def test_property_suites_clean():
     for fmt in (PRESETS["bf16"], PRESETS["fp16"], FloatFormat(3, 4)):
         assert rounding_relative_error_suite(fmt, 20000, 1) == 0
@@ -212,7 +243,7 @@ def test_property_suites_clean():
 
 def test_skip_rate_band():
     """Around 70-80 percent of random machines skip; allow a broad band."""
-    report = validate_cot(seed=123, trials=60, cfg=FAST)
+    report = validate_cot(seed=123, trials=60, step_cap=FAST)
     rate = report.skipped / report.attempted
     assert 0.3 <= rate <= 0.95
 
@@ -222,8 +253,11 @@ def test_a_run_longer_than_its_context_is_skipped(monkeypatch):
     TokenBudgetError skips the trial, which still records its run."""
     from tm2tf import harness
 
+    sample_trial = harness._sample_trial
+    # each trial as sampled, with no bump on r
+    monkeypatch.setattr(harness, "_sample_trial", lambda *args: (*sample_trial(*args)[:2], 0))
     monkeypatch.setattr(harness, "choose_r_cot", lambda t_hat: 2)
-    report = validate_trials("cot", "hardmax", 0, 6, TrialConfig(r_spread=0))
+    report = validate_trials("cot", "hardmax", 0, 6)
     too_small = [t for t in report.trials if t["status"] == "skipped-r-too-small"]
     assert [(t["index"], t["steps"], t["space"], t["r"]) for t in too_small] == [
         (2, 3, 2, 2),
@@ -234,18 +268,18 @@ def test_a_run_longer_than_its_context_is_skipped(monkeypatch):
 
 
 def test_reports_deterministic():
-    a = validate_cot(seed=42, trials=15, cfg=FAST).to_json()
-    b = validate_cot(seed=42, trials=15, cfg=FAST).to_json()
+    a = validate_cot(seed=42, trials=15, step_cap=FAST).to_json()
+    b = validate_cot(seed=42, trials=15, step_cap=FAST).to_json()
     a.pop("wall_time")
     b.pop("wall_time")
     assert a == b
-    c = validate_cot(seed=43, trials=15, cfg=FAST).to_json()
+    c = validate_cot(seed=43, trials=15, step_cap=FAST).to_json()
     c.pop("wall_time")
     assert a != c
 
 
 def test_validate_softmax_scot_denoised_small():
-    report = validate_softmax("denoised", seed=9, trials=8, cfg=FAST, protocol="scot")
+    report = validate_softmax("denoised", seed=9, trials=8, step_cap=FAST, protocol="scot")
     assert report.mismatches == []
     assert not any(report.violations.values())
 

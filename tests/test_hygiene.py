@@ -1,5 +1,6 @@
-"""Import hygiene of every `tm2tf` module: `__all__` names exist, and no
-imported name goes unused unless `__all__` re-exports it."""
+"""Import hygiene of every `tm2tf` module: `__all__` names exist, no
+imported name goes unused unless `__all__` re-exports it, and no module
+imports another's underscore name."""
 
 import ast
 import importlib
@@ -53,6 +54,21 @@ def test_module_imports_are_used_and_exports_resolve(path):
         if name not in used and name not in exported
     }
     assert unused == {}
+
+
+def test_no_module_imports_a_private_name_of_another():
+    """An underscore name is private to its module: no other `tm2tf`
+    module imports it."""
+    private = [
+        f"{_module_name(path)}: {alias.name}"
+        for path in MODULES
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").split(".")[0] == "tm2tf")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []
 
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -155,8 +171,6 @@ TEST_ONLY = {
     "tm2tf.automata.tm_to_json": "writes the machine spec format; the bench machine files are "
     "checked against it",
     "tm2tf.compilers.rope.build_rope_position_prefix": "acceptance criterion 11",
-    "tm2tf.compilers.tm.cot_dims": "the CoT size formula, checked without compiling",
-    "tm2tf.compilers.tm.scot_dims": "the SCoT size formula, checked without compiling",
     "tm2tf.fpcore.representables_between": "reference enumeration of a format's elements",
     "tm2tf.gadgets.decode_pm1": "reference decoder of the +-1 binary codes",
     "tm2tf.harness.validate_softmax": "the softmax trial pipeline, to be extended (ROADMAP item 1)",
