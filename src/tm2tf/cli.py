@@ -64,6 +64,8 @@ def _save_model(params, path: str) -> None:
         save_model(params, path)
     except OSError as exc:
         raise CliError(f"file error: cannot write {path}: {exc}") from exc
+    except ValueError as exc:  # the encoder's, raised before the file is opened
+        raise CliError(f"usage error: cannot write the model as JSON: {exc}") from exc
 
 
 def load_machine(path: str):

@@ -93,10 +93,8 @@ class Register:
     def __len__(self) -> int:
         return len(self.coords)
 
-    def __getitem__(self, idx):
-        if isinstance(idx, slice):
-            return Register(f"{self.name}[{idx.start}:{idx.stop}]", self.coords[idx])
-        return self.coords[idx]
+    def __getitem__(self, idx: slice) -> "Register":
+        return Register(f"{self.name}[{idx.start}:{idx.stop}]", self.coords[idx])
 
     def bit(self, idx: int) -> "Register":
         return Register(f"{self.name}[{idx}]", (self.coords[idx],))

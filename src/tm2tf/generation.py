@@ -34,11 +34,12 @@ class GenerationTrace:
     records: list[dict] = field(default_factory=list)
 
 
-def _default_budget(params: TransformerParams, prompt: list[str]) -> int:
-    """Steps that fit the context: the positions left after the prompt."""
+def _context_room(params: TransformerParams, n_prompt: int, default: int) -> int:
+    """The positions left after a prompt of n_prompt tokens, for a model
+    with binary positions; `default` for any other."""
     if isinstance(params.positional, BinaryAbsolute):
-        return max(0, 2 ** params.positional.r - len(prompt))
-    return 4096
+        return max(0, 2 ** params.positional.r - n_prompt)
+    return default
 
 
 def generate(
@@ -56,30 +57,32 @@ def generate(
 
     `draft` holds the tokens expected after the prompt. They are fed with
     the prompt as one block (up to the first stop token, the budget or the
-    context), and each stands while it is the greedy token at its step; at
-    the first that is not, the evaluator is truncated there and decoding
-    goes on one token at a time. The model is causal, so the tokens, the
-    evaluator and its trace are the same for any draft, right or wrong.
+    context), and each stands while it is the greedy token at its step. At
+    the first that is not, the tokens that stand, that greedy token last,
+    are decoded again as the draft of a fresh evaluator, which cannot
+    disagree with them. The model is causal, so the tokens, the evaluator
+    and its trace are the same for any draft, right or wrong.
     """
     if not prompt:
         raise ValueError("prompt must be nonempty")
     if not stop_set:
         raise ValueError("stop_set must be nonempty")
-    ev = Evaluator(params, cfg)
-    ev.extend([*prompt, *_feedable(params, draft or [], stop_set, max_steps, len(prompt))])
-    tokens = list(prompt)
-    for _ in range(max_steps):
-        tok = ev.next_token(len(tokens) - 1)
-        tokens.append(tok)
-        if tok in stop_set:
-            ev.truncate(len(tokens) - 1)  # drops what the draft had past this step
-            return tokens, False, ev
-        if len(ev.tokens) < len(tokens):  # past the draft
-            ev.extend([tok])
-        elif ev.tokens[len(tokens) - 1] != tok:  # the draft is wrong from here on
-            ev.truncate(len(tokens) - 1)
-            ev.extend([tok])
-    return tokens, True, ev
+    while True:
+        ev = Evaluator(params, cfg)
+        ev.extend([*prompt, *_feedable(params, draft or [], stop_set, max_steps, len(prompt))])
+        tokens = list(prompt)
+        for _ in range(max_steps):
+            tok = ev.next_token(len(tokens) - 1)
+            tokens.append(tok)
+            if len(tokens) <= len(ev.tokens) and ev.tokens[len(tokens) - 1] != tok:
+                break  # the draft is wrong from here on
+            if tok in stop_set:
+                return tokens, False, ev
+            if len(ev.tokens) < len(tokens):  # past the draft
+                ev.extend([tok])
+        else:
+            return tokens, True, ev
+        draft = tokens[len(prompt) :]
 
 
 def _feedable(
@@ -87,9 +90,7 @@ def _feedable(
 ) -> list[str]:
     """The draft tokens that greedy decoding could feed: at most max_steps,
     within the context, before the first stop or unknown token."""
-    room = max_steps
-    if isinstance(params.positional, BinaryAbsolute):
-        room = min(room, 2 ** params.positional.r - n_prompt)
+    room = min(max_steps, _context_room(params, n_prompt, max_steps))
     vocab = set(params.vocab)
     fed = []
     for tok in draft[: max(room, 0)]:
@@ -151,7 +152,7 @@ def _run_segments(
     trace = GenerationTrace()
     prompt = [INP, *word, EINP]
     for seg_idx in range(_MAX_SEGMENTS):
-        steps = budget if budget is not None else _default_budget(params, prompt)
+        steps = budget if budget is not None else _context_room(params, len(prompt), 4096)
         expected = draft[seg_idx][len(prompt) :] if draft and seg_idx < len(draft) else None
         tokens, exceeded, ev = generate(params, prompt, stop_set, steps, cfg, draft=expected)
         if record_steps:  # each token's scores sit at the position before it

@@ -4,7 +4,7 @@ Weights are stored as small-integer codes in {0,+-1,+-2}; query/key
 projections additionally carry one shared positive scale c (1 for plain
 hardmax constructions). Evaluation is causal and incremental: positions
 are appended to cached keys and values, so autoregressive generation never
-recomputes a prefix, and `truncate` drops the newest positions again.
+recomputes a prefix; a prefix, once run, never changes.
 Hardmax decisions compare raw integer dot products, sidestepping the
 1/sqrt(d_k) division.
 
@@ -22,7 +22,7 @@ decoding. The trace holds one array per quantity whose first axis is
 position, with a (B,) axis after it for a batch: (P, H, .) for q, k, v and
 o, (P, H, P) for the causally masked dots, (P, H) for att_err, (P, d) or
 (P, m) for y, x_mid, hidden and x_out. They are views into buffers that
-grow with the KV cache, so `truncate` only re-slices them.
+grow with the KV cache.
 """
 
 from __future__ import annotations
@@ -387,13 +387,12 @@ class Evaluator:
             self._w.append((attention, mlp))
         # Per position: (B*H, d_k + d_v) rotated, scaled and rounded keys,
         # then values, of each sequence and head; (B, d) final
-        # representations; trace.saturations after it. With capture, the
-        # (B, .) rows of x0, then of each layer's traced quantities, dots as
-        # (B, H, positions) scores and att_err as (B, H). Grown by _reserve.
+        # representations. With capture, the (B, .) rows of x0, then of
+        # each layer's traced quantities, dots as (B, H, positions) scores
+        # and att_err as (B, H). Grown by _reserve.
         self._capacity = 0
         self._kv = [np.empty((0, n_seq * len(layer.heads), d_k + d_v)) for layer in params.layers]
         self._x = np.empty((0, n_seq, d))
-        self._saturations = np.empty(0, np.int64)
         self._traced: list[dict[str, np.ndarray]] = []
         if cfg.capture_trace:
             self._traced.append({"x0": np.empty((0, n_seq, d))})
@@ -460,19 +459,10 @@ class Evaluator:
         else:
             for i in range(len(tokens)):
                 self._step(x[:, i : i + 1], start + i)
-        self._show(len(self.tokens))
-
-    def truncate(self, n: int) -> None:
-        """Drop positions >= n: their tokens, cache rows, final
-        representations, trace entries and saturations. Output scores and
-        tie warnings belong to decoded steps and stay."""
-        if not 0 <= n <= len(self.tokens):
-            raise ValueError(f"cannot truncate {len(self.tokens)} positions to {n}")
-        if n == len(self.tokens):
-            return
-        del self.tokens[n:]
-        self.trace.saturations = int(self._saturations[n - 1]) if n else 0
-        self._show(n)
+        n, pick = len(self.tokens), 0 if self.batch is None else slice(None)
+        for target, bufs in zip([self.trace, *self.trace.layers], self._traced):
+            for name, buf in bufs.items():  # the captured trace: views of the first n positions
+                setattr(target, name, buf[:n, pick, ..., :n] if name == "dots" else buf[:n, pick])
 
     def _reserve(self, n: int) -> None:
         """Room for n positions, doubling the capacity (16 at least)."""
@@ -494,7 +484,6 @@ class Evaluator:
 
         self._kv = [grown(kv) for kv in self._kv]
         self._x = grown(self._x)
-        self._saturations = grown(self._saturations)
         self._traced = [{k: grown(a, k) for k, a in t.items()} for t in self._traced]
 
     def _step(self, x: np.ndarray, start: int) -> None:
@@ -583,14 +572,6 @@ class Evaluator:
                 for name, a in new.items():
                     bufs[name][start:n] = a.reshape(n_new, *bufs[name].shape[1:])
         self._x[start:n] = x.reshape(n_new, n_seq, d)
-        self._saturations[start:n] = self.trace.saturations
-
-    def _show(self, n: int) -> None:
-        """Point a captured trace at the first n positions of its buffers."""
-        pick = 0 if self.batch is None else slice(None)
-        for target, bufs in zip([self.trace, *self.trace.layers], self._traced):
-            for name, buf in bufs.items():
-                setattr(target, name, buf[:n, pick, ..., :n] if name == "dots" else buf[:n, pick])
 
     # -- outputs ------------------------------------------------------------
 

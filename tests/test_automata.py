@@ -169,6 +169,14 @@ def test_cot_oracle_errors():
     tm = TuringMachine(1, ("s", "s2", "halt"), ("x",), ("x", blank), blank, "s", "halt", delta)
     with pytest.raises(InvalidOutputError):
         cot_token_oracle(tm, "", r=4)
+    # One step writes sym over cell 0 of "aa": a symbol after a blank, or
+    # one outside the input alphabet, on tape 1.
+    for sym in (blank, "y"):
+        delta = {("s", (a,)): ("halt", (sym,), ("S",)) for a in ("a", "y", blank)}
+        tm = TuringMachine(1, ("s", "halt"), ("a",), ("a", "y", blank), blank, "s", "halt", delta)
+        assert tm_run(tm, "aa", 5).output is None, sym
+        with pytest.raises(InvalidOutputError):
+            cot_token_oracle(tm, "aa", r=4)
 
 
 @pytest.mark.parametrize(

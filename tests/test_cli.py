@@ -724,6 +724,31 @@ def test_convert_at_a_context_bound_beyond_float_range(dfa_file, tmp_path, capsy
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "mode, error",
+    [
+        ("scaled", "usage error: cannot write the model as JSON: Exceeds the limit"),
+        ("denoised", "usage error: format exceeds float64 host precision"),
+    ],
+    ids=["scaled", "denoised"],
+)
+def test_convert_at_a_context_bound_too_long_to_write_out(mode, error, dfa_file, tmp_path, capsys):
+    """meta.r = 20,000 gives meta.N = 2^20000, 6,021 digits, past Python's
+    limit on int-to-str conversion. The scaled model cannot be written and
+    the denoised one needs more exponent bits than float64 has: both are
+    usage errors that write no file."""
+    model, out = tmp_path / "model.json", tmp_path / "converted.json"
+    assert main(["compile-dfa", "--dfa", dfa_file, "--r", "3", "--out", str(model)]) == 0
+    doc = json.loads(model.read_text())
+    model.write_text(
+        json.dumps({**doc, "positional": {"kind": "none"}, "meta": {**doc["meta"], "r": 20000}})
+    )
+    capsys.readouterr()
+    assert main(["convert", "--model", str(model), "--mode", mode, "--out", str(out)]) == 2
+    assert error in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_convert_refuses_a_model_without_r_unless_given_n(dfa_file, tmp_path, capsys):
     model = tmp_path / "model.json"
     assert main(["compile-dfa", "--dfa", dfa_file, "--r", "3", "--out", str(model)]) == 0

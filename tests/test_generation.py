@@ -371,3 +371,54 @@ def test_the_expected_draft_is_one_block_step_per_segment(monkeypatch):
     trace = run_scot(params, "011", EvalConfig(), draft=expected)
     assert trace.segments == expected
     assert steps == [(1, len(seg) - 1, params.dims.d) for seg in expected]
+
+
+def test_a_wrong_draft_is_decoded_again_on_one_fresh_evaluator(monkeypatch):
+    """A draft wrong in its middle builds two evaluators in its segment's
+    `generate` call: one fed the whole draft, one fed the tokens that stand
+    and then stepped; under hardmax each makes one block step. The expected
+    draft builds one. `generate` is called once per segment either way."""
+    from machines import copy_machine
+
+    from tm2tf.automata import scot_segments_oracle
+    from tm2tf.compilers import compile_scot
+    from tm2tf.netcore import Evaluator
+
+    steps: dict[Evaluator, list[int]] = {}  # per evaluator built, the positions of each step
+    calls = []  # per generate call, the steps of the evaluators it built
+    init, step, generate = Evaluator.__init__, Evaluator._step, generation.generate
+
+    def counted_init(ev, *args, **kwargs):
+        steps[ev] = []
+        init(ev, *args, **kwargs)
+
+    def counted_step(ev, x, start):
+        steps[ev].append(x.shape[1])
+        step(ev, x, start)
+
+    def wrapped(*args, **kwargs):
+        before = len(steps)
+        result = generate(*args, **kwargs)
+        calls.append(list(steps.values())[before:])
+        return result
+
+    monkeypatch.setattr(Evaluator, "__init__", counted_init)
+    monkeypatch.setattr(Evaluator, "_step", counted_step)
+    monkeypatch.setattr(generation, "generate", wrapped)
+    params, _ = compile_scot(copy_machine(), 6)
+    expected = scot_segments_oracle(copy_machine(), "011", 6)
+    first, rest = expected[0], [[[len(seg) - 1]] for seg in expected[1:]]
+    mid = (first.index(EINP) + 1 + len(first)) // 2
+    wrong = next(t for t in params.vocab if t not in (first[mid], EOUTP, ESUMM))
+    drafts = {
+        "expected": (expected, [[len(first) - 1]]),
+        "diverges mid-segment": (
+            [first[:mid] + [wrong] + first[mid + 1 :], *expected[1:]],
+            [[len(first) - 1], [mid + 1] + [1] * (len(first) - 2 - mid)],
+        ),
+    }
+    for name, (draft, first_call) in drafts.items():
+        steps.clear()
+        calls.clear()
+        assert run_scot(params, "011", EvalConfig(), draft=draft).segments == expected, name
+        assert calls == [first_call, *rest], name
