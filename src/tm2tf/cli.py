@@ -11,8 +11,8 @@ import argparse
 import json
 import sys
 
-from .automata import MachineError, load_dfa, load_tm
-from .compilers import instantiate_capacity
+from .automata import Dfa, MachineError, TuringMachine, load_dfa, load_tm
+from .compilers import compile_cot, compile_dfa, compile_scot, instantiate_capacity
 from .fpcore import parse_precision
 from .generation import run_cot, run_scot
 from .harness import (
@@ -116,23 +116,18 @@ def _load_model(path: str):
 
 def _cmd_compile(args) -> int:
     machine = load_machine(args.machine)
-    from .automata import Dfa, TuringMachine
-    from .compilers import compile_cot, compile_dfa, compile_scot
-
     if args.command == "compile-dfa":
         if not isinstance(machine, Dfa):
             raise CliError("usage error: compile-dfa expects a DFA spec")
-        params, report = compile_dfa(machine, args.r)
+        compile_fn = compile_dfa
     else:
         if not isinstance(machine, TuringMachine):
             raise CliError("usage error: expected a Turing machine spec")
-        try:
-            if args.command == "compile-cot":
-                params, report = compile_cot(machine, args.r)
-            else:
-                params, report = compile_scot(machine, args.r)
-        except ValueError as exc:
-            raise CliError(f"usage error: {exc}") from exc
+        compile_fn = compile_cot if args.command == "compile-cot" else compile_scot
+    try:
+        params, report = compile_fn(machine, args.r)
+    except ValueError as exc:  # an r too small, or dims over the size bound
+        raise CliError(f"usage error: {exc}") from exc
     _save_model(params, args.out)
     if args.report:
         _write_json(args.report, report.to_json())
@@ -205,8 +200,6 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    from .automata import Dfa
-
     if args.protocol == "dfa":
         if args.mode != "hardmax":
             raise CliError(f"usage error: the dfa protocol validates hardmax only, not {args.mode}")

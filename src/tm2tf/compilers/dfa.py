@@ -20,7 +20,7 @@ from ..gadgets import (
     sub_pow2,
     zero_register,
 )
-from ..netcore import BinaryAbsolute, Dims, TransformerParams
+from ..netcore import BinaryAbsolute, Dims, TransformerParams, check_dims
 
 __all__ = ["compile_dfa", "dfa_dims"]
 
@@ -52,6 +52,8 @@ def compile_dfa(dfa: Dfa, r: int) -> tuple[TransformerParams, CompileReport]:
     enc_q = enc_table(states)
     enc_sigma = enc_table(dfa.alphabet)
     dims = dfa_dims(dfa, r)
+    vocab = [BOS, TRUE, FALSE] + list(dfa.alphabet)
+    check_dims(dims, len(vocab))
 
     def enc_fn(fn: dict[str, str]) -> dict[int, int]:
         vec: list[int] = []
@@ -69,7 +71,6 @@ def compile_dfa(dfa: Dfa, r: int) -> tuple[TransformerParams, CompileReport]:
 
     builder = ModelBuilder(layout, n_layers=dims.n_layers)
 
-    vocab = [BOS, TRUE, FALSE] + list(dfa.alphabet)
     for sigma in dfa.alphabet:
         builder.set_embedding(sigma, dict(zip(i_sym.coords, enc_sigma[sigma])))
     builder.set_embedding(BOS, {f_bos.coord: 1})

@@ -19,7 +19,7 @@ from ..gadgets import (
     selector_head,
     single_neuron,
 )
-from ..netcore import Dims, RotaryOnly, TransformerParams
+from ..netcore import Dims, RotaryOnly, TransformerParams, check_dims
 
 __all__ = ["build_rope_position_prefix", "rope_dims"]
 
@@ -53,6 +53,8 @@ def build_rope_position_prefix(r: int) -> tuple[TransformerParams, CompileReport
     if r < 1:
         raise ValueError("r must be >= 1")
     dims = rope_dims(r)
+    vocab = ["first", "rest"]
+    check_dims(dims, len(vocab))
     # Frequency ladder 2pi/2, 2pi/4, ..., 2pi/2^(r+2); pairs (2s, 2s+1) of
     # the key-query space rotate, the final pair stays fixed.
     freqs = tuple(2.0 * math.pi / 2 ** s for s in range(1, r + 3))
@@ -139,4 +141,4 @@ def build_rope_position_prefix(r: int) -> tuple[TransformerParams, CompileReport
             f"bit-{k}",
         )
 
-    return builder.finalize(["first", "rest"], dims, RotaryOnly(freqs), "rope_prefix", r)
+    return builder.finalize(vocab, dims, RotaryOnly(freqs), "rope_prefix", r)

@@ -53,7 +53,7 @@ from ..gadgets import (
     sub_pow2_inplace,
     zero_register,
 )
-from ..netcore import BinaryAbsolute, Dims, TransformerParams
+from ..netcore import BinaryAbsolute, Dims, TransformerParams, check_dims
 
 __all__ = [
     "choose_r_cot",
@@ -190,10 +190,11 @@ class _TmCompiler:
         self.d_q = len(self.enc_q[tm.q_init])
         self.d_g = len(self.enc_g[tm.blank])
         self.dims = (scot_dims if scot else cot_dims)(tm, r)
+        self.vocab = scot_vocab(tm) if scot else cot_vocab(tm)
+        check_dims(self.dims, len(self.vocab))
         self.L1 = r // 2 + 1
         self.L2 = self.L1 + r + 2
         self.L3 = self.L2 + r + 1
-        self.vocab = scot_vocab(tm) if scot else cot_vocab(tm)
 
     # -- layout ------------------------------------------------------------
 
@@ -546,7 +547,7 @@ class _TmCompiler:
                 )
                 b.add_neurons(
                     layer,
-                    zero_register(self.i_bits_ex1[k], []) + zero_register(self.i_bits_ex2[k], []),
+                    [zero_register(self.i_bits_ex1[k], []), zero_register(self.i_bits_ex2[k], [])],
                     f"collect-zero-{j}-{k}",
                 )
             b.add_neurons(layer, sub_pow2_inplace(self.i_pos1, 1, []), f"pos1-dec-{j}")
@@ -644,19 +645,25 @@ class _TmCompiler:
                 self._lookup(layer, f"prop-fetch-{j}-{k}", self.i_pos_minus, hpos, hpos_minus)
                 b.add_neurons(
                     layer,
-                    add_head_movement(
-                        self.i_hpos_minus[k],
-                        self.i_searchpos[k],
-                        self.i_move[k],
-                        self.f_run,
-                    )
-                    + zero_register(self.i_searchpos[k], [(self.f_run, 1)]),
+                    [
+                        add_head_movement(
+                            self.i_hpos_minus[k],
+                            self.i_searchpos[k],
+                            self.i_move[k],
+                            self.f_run,
+                        ),
+                        zero_register(self.i_searchpos[k], [(self.f_run, 1)]),
+                    ],
                     f"prop-move-{j}-{k}",
                 )
                 b.add_neurons(
                     layer,
-                    copy_register(self.i_hpos_minus[k], self.i_searchpos[k], [(self.f_popen, 1)])
-                    + zero_register(self.i_searchpos[k], [(self.f_popen, 1)]),
+                    [
+                        copy_register(
+                            self.i_hpos_minus[k], self.i_searchpos[k], [(self.f_popen, 1)]
+                        ),
+                        zero_register(self.i_searchpos[k], [(self.f_popen, 1)]),
+                    ],
                     f"prop-popen-{j}-{k}",
                 )
                 if j <= r:

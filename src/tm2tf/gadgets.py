@@ -5,13 +5,14 @@ holding +-1 binary numbers (LSB first); flags are single coordinates
 holding bits in {0,1}. `enc_table` gives a compiler's states and symbols
 their +-1 codes, and `ENC_MOVES` is the one code of the L/S/R moves. MLP
 gadgets return `Neurons` blocks: m neurons held as entry arrays, which
-`+` joins in order, so neuron counts stay auditable against the
-construction-size formulas. A register-wide gadget builds its pattern
-over local indices once per shape (register width, k, gate values),
-caches it, and maps it onto the register's coordinates with one fancy
-index. `ModelBuilder.add_neurons` derives each op's gate from the block:
-the (coord, sign) input entries that every row shares. `finalize` fills
-each layer's MLP with one scatter, leaves the model contract to
+`Neurons.join` joins in order, so neuron counts stay auditable against
+the construction-size formulas; `mlp_weights` reads a block as its
+weight matrices. A register-wide gadget builds its pattern over local
+indices once per shape (register width, k, gate values), caches it, and
+maps it onto the register's coordinates with one fancy index.
+`ModelBuilder.add_neurons` derives each op's gate from the block: the
+(coord, sign) input entries that every row shares. `finalize` fills each
+layer's MLP with one scatter, leaves the model contract to
 `validate_weights`, and returns the parameters with their
 `CompileReport`.
 """
@@ -21,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import accumulate, chain
-from typing import NamedTuple
 
 import numpy as np
 
@@ -35,7 +35,6 @@ __all__ = [
     "Register",
     "Flag",
     "RegisterLayout",
-    "Neuron",
     "Neurons",
     "single_neuron",
     "zero_register",
@@ -142,22 +141,14 @@ class RegisterLayout:
         return out
 
 
-class Neuron(NamedTuple):
-    """One row of a `Neurons` block as dicts (coord -> weight)."""
-
-    in_w: dict[int, int]
-    bias4: int
-    out_w: dict[int, int]
-
-
 @dataclass(frozen=True, eq=False)
 class Neurons:
     """m MLP neurons as entry arrays, in row order.
 
     `ins` holds the (row, coord, +-1) input weights, at most one per (row,
     coord); `bias4` the (m,) bias numerators over 4; `outs` the (row,
-    coord, weight) output weights. `+` joins two blocks and keeps the order
-    of their rows; iterating yields one `Neuron` record per row.
+    coord, weight) output weights. `join` concatenates blocks and keeps
+    the order of their rows.
     """
 
     ins: np.ndarray  # (entries, 3)
@@ -166,17 +157,6 @@ class Neurons:
 
     def __len__(self) -> int:
         return len(self.bias4)
-
-    def __add__(self, other: "Neurons") -> "Neurons":
-        return Neurons.join([self, other])
-
-    def __iter__(self):
-        ins: list[dict[int, int]] = [{} for _ in range(len(self))]
-        outs: list[dict[int, int]] = [{} for _ in range(len(self))]
-        for entries, dicts in ((self.ins, ins), (self.outs, outs)):
-            for row, c, w in entries.tolist():
-                dicts[row][c] = w
-        return map(Neuron, ins, self.bias4.tolist(), outs)
 
     @staticmethod
     def join(blocks) -> "Neurons":
@@ -301,7 +281,7 @@ def copy_register(src: Register, dst: Register, gates: list[tuple[Flag, int]]) -
 
 def sub_pow2(src: Register, dst: Register, k: int, gates: list[tuple[Flag, int]]) -> Neurons:
     """4|I1| neurons writing bin(max(0, p - 2^k)) to dst when gated."""
-    return copy_register(src, dst, gates) + _decrement_pow2(src, dst, k, gates)
+    return Neurons.join([copy_register(src, dst, gates), _decrement_pow2(src, dst, k, gates)])
 
 
 def sub_pow2_inplace(reg: Register, k: int, gates: list[tuple[Flag, int]]) -> Neurons:
@@ -478,20 +458,16 @@ def selector_head(
     queries,
     keys,
     values,
-    out,
+    out: Register | Flag,
 ) -> HeadSpec:
-    """Build a head whose q/k/v extract the named coordinate combinations."""
+    """Build a head whose q/k/v extract the named coordinate combinations
+    and whose output is written to `out`."""
     q_rows = tuple(rows_of(*queries))
     k_rows = tuple(rows_of(*keys))
     v_rows = tuple(rows_of(*values))
     if len(q_rows) != len(k_rows):
         raise BuildError(f"head {name}: query/key row counts differ")
-    if isinstance(out, Register):
-        out_coords = out.coords
-    elif isinstance(out, Flag):
-        out_coords = (out.coord,)
-    else:
-        out_coords = tuple(out)
+    out_coords = out.coords if isinstance(out, Register) else (out.coord,)
     if len(v_rows) != len(out_coords):
         raise BuildError(f"head {name}: value rows and output size differ")
     return HeadSpec(name, q_rows, k_rows, v_rows, out_coords)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .automata import EINP, EOUTP, ESUMM, INP, OUTP, SUMM, token_class
-from .netcore import BinaryAbsolute, EvalConfig, Evaluator, TransformerParams
+from .netcore import BinaryAbsolute, EvalConfig, EvalError, Evaluator, TransformerParams
 
 __all__ = ["GenerationTrace", "generate", "run_cot", "run_scot"]
 
@@ -147,8 +147,12 @@ def _run_segments(
     """Decode segments until </outp>, promoting each well-formed summary
     block to the next prompt; budget applies per segment. With stop set
     {</outp>} the first segment is the whole run. Segment i's draft is
-    draft[i] past the prompt's length."""
+    draft[i] past the prompt's length. A word token that is not an input
+    symbol (`token_class` other than "sym") raises EvalError."""
     word = list(word)
+    for tok in word:
+        if token_class(tok) != "sym":
+            raise EvalError(f"word token {tok!r} is not an input symbol")
     trace = GenerationTrace()
     prompt = [INP, *word, EINP]
     for seg_idx in range(_MAX_SEGMENTS):
@@ -158,13 +162,16 @@ def _run_segments(
         if record_steps:  # each token's scores sit at the position before it
             for position in range(len(prompt), len(tokens)):
                 scores = ev.output_scores(position - 1)
-                top2 = np.argsort(scores)[-2:][::-1]
+                # the emitted token first, also when the greedy rule broke a tie for it
+                first = params.token_index(tokens[position])
+                best = np.argsort(scores)[::-1][:2]
+                second = best[1] if best[0] == first else best[0]
                 trace.records.append(
                     {
                         "segment": seg_idx,
                         "position": position,
                         "token": tokens[position],
-                        "top2": [[params.vocab[int(i)], float(scores[int(i)])] for i in top2],
+                        "top2": [[params.vocab[i], float(scores[i])] for i in (first, second)],
                     }
                 )
         trace.segments.append(tokens)

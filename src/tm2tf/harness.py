@@ -17,7 +17,7 @@ import itertools
 import math
 import random
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -25,6 +25,7 @@ from .automata import (
     BOS,
     FALSE,
     TRUE,
+    Dfa,
     TokenBudgetError,
     TuringMachine,
     cot_token_oracle,
@@ -64,7 +65,6 @@ __all__ = [
     "validate_cot",
     "validate_scot",
     "validate_dfa",
-    "validate_softmax",
     "probe_phi",
     "trace_invariant_violations",
     "rounding_relative_error_suite",
@@ -81,24 +81,15 @@ class ValidationReport:
     checked: int = 0
     mismatches: list[dict] = field(default_factory=list)
     violations: dict[str, int] = field(default_factory=dict)
-    trials: list[dict] = field(default_factory=list)
     wall_time: float = 0.0
+    trials: list[dict] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
         return not self.mismatches and not any(self.violations.values())
 
     def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "attempted": self.attempted,
-            "skipped": self.skipped,
-            "checked": self.checked,
-            "mismatches": self.mismatches,
-            "violations": self.violations,
-            "wall_time": self.wall_time,
-            "trials": self.trials,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -123,8 +114,6 @@ class ProbeReport:
 
 def acceptance_dfas() -> list:
     """The three fixed recognizers used by the exhaustive DFA validation."""
-    from .automata import Dfa
-
     parity = Dfa(
         ("even", "odd"),
         ("0", "1"),
@@ -445,19 +434,6 @@ def validate_dfa(dfas: list, r: int, max_len: int) -> ValidationReport:
     return report
 
 
-def validate_softmax(
-    mode: str,
-    seed: int,
-    trials: int,
-    step_cap: int = 40,
-    protocol: str = "cot",
-) -> ValidationReport:
-    """CoT/SCoT validation of "scaled_only" or "denoised" conversions."""
-    if mode not in MODES or mode == "hardmax":
-        raise ValueError("mode must be scaled_only or denoised")
-    return validate_trials(protocol, mode, seed, trials, step_cap)
-
-
 def _denoising_margin_violations(hard_params, trace) -> int:
     """Check pre-denoising deviations <= 1/4 against the hardmax reference."""
     violations = 0
@@ -482,17 +458,11 @@ def _round_sqrt_mantissa(p: int, q: int, fmt: FloatFormat) -> tuple[int, int]:
     """
     if p == 0:
         return 0, 0
-
-    def at_least_pow2(e: int) -> bool:  # sqrt(p/q) >= 2^e
-        if e >= 0:
-            return p >= q * 4 ** e
-        return p * 4 ** (-e) >= q
-
-    e = (p.bit_length() - q.bit_length()) // 2  # within one of the answer
-    while not at_least_pow2(e):
+    # With b = p.bit_length() - q.bit_length(), p/q lies in (2^(b-1),
+    # 2^(b+1)), so b // 2 is the exponent of sqrt(p/q) or one above it.
+    e = (p.bit_length() - q.bit_length()) // 2
+    if p * 4 ** max(0, -e) < q * 4 ** max(0, e):  # sqrt(p/q) < 2^e
         e -= 1
-    while at_least_pow2(e + 1):
-        e += 1
     eff = min(max(e, fmt.e_min), fmt.e_max)
     s = fmt.mantissa_bits - eff
     # n = sqrt(p/q) * 2^s; a/b = n^2 with non-negative integers.

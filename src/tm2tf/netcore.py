@@ -40,6 +40,7 @@ from .fpcore import EXACT, FloatFormat, Precision, round_array
 __all__ = [
     "MODES",
     "Dims",
+    "check_dims",
     "HeadParams",
     "LayerParams",
     "BinaryAbsolute",
@@ -81,10 +82,24 @@ class Dims:
     n_layers: int
 
 
-def _check_dims(dims: Dims) -> None:
+# The most weight entries dims may imply (n_layers layers of n_heads heads
+# and d_ff MLP rows, plus emb and unemb): about 35 times the denoised
+# bouncer8 CoT r=10 model, and ten times that model at the theorem's width
+# of 6d denoising rows per layer, so that neither a few bytes of JSON nor a
+# large r can ask for a huge allocation.
+MAX_DIMS_ENTRIES = 2 ** 28
+
+
+def check_dims(dims: Dims, n_vocab: int) -> None:
+    """Integer dims >= 0 whose weights, for a vocabulary of n_vocab tokens,
+    fit MAX_DIMS_ENTRIES entries. Compilers call it before they build,
+    the loader before it allocates, and `validate_weights` on every model."""
     for name, value in vars(dims).items():
         if type(value) is not int or value < 0:
             raise ValueError(f"dims.{name} must be an integer >= 0, got {value!r}")
+    per_layer = dims.n_heads * 2 * (dims.d_k + dims.d_v) * dims.d + dims.d_ff * (2 * dims.d + 1)
+    if dims.n_layers * per_layer + 2 * n_vocab * dims.d > MAX_DIMS_ENTRIES:
+        raise ValueError(f"dims imply more than {MAX_DIMS_ENTRIES} weight entries")
 
 
 @dataclass
@@ -143,18 +158,18 @@ class TransformerParams:
             raise EvalError(f"token {tok!r} not in vocabulary") from None
 
     def validate_weights(self) -> None:
-        """Check the model contract: integer dims, a vocabulary of unique
-        strings, ternary embeddings and attention weights, MLP codes in
-        {0,+-1,+-2}, biases in [-d-1, d+1], a positive finite qk_scale, a
-        string source, a mode in MODES, a dict meta whose N and r are
-        integers >= 1 if present (r equal to a binary positional's r), at
-        most d_k // 2 finite rotary frequencies, and every shape within the
-        dims budgets (n_layers layers, at most n_heads heads and d_ff MLP
-        rows each).
+        """Check the model contract: dims that pass `check_dims`, a
+        vocabulary of unique strings, ternary embeddings and attention
+        weights, MLP codes in {0,+-1,+-2}, biases in [-d-1, d+1], a
+        positive finite qk_scale, a string source, a mode in MODES, a dict
+        meta whose N and r are integers >= 1 if present (r equal to a
+        binary positional's r), at most d_k // 2 finite rotary
+        frequencies, and every shape within the dims budgets (n_layers
+        layers, at most n_heads heads and d_ff MLP rows each).
         This is the one place that states the contract; builders and
         loaders call it."""
         dims, d, n_vocab = self.dims, self.dims.d, len(self.vocab)
-        _check_dims(dims)
+        check_dims(dims, n_vocab)
         if not all(isinstance(t, str) for t in self.vocab):
             raise ValueError("vocabulary tokens must be strings")
         if len(set(self.vocab)) != n_vocab:
@@ -671,13 +686,6 @@ def _pos_from_json(doc: dict):
 # The one model-file format: `params_from_json` refuses every other.
 MODEL_FORMAT = 2
 
-# The most weight entries a file's dims may imply (n_layers layers of
-# n_heads heads and d_ff MLP rows, plus emb and unemb): about 35 times the
-# denoised bouncer8 CoT r=10 model, and ten times that model at the
-# theorem's width of 6d denoising rows per layer, so that a few bytes of
-# JSON cannot ask for a huge allocation.
-MAX_DIMS_ENTRIES = 2 ** 28
-
 _HEAD_KEYS = ("wq", "wk", "wv", "wo")
 
 
@@ -754,15 +762,10 @@ def params_from_json(doc: dict) -> TransformerParams:
             f"not a format-{MODEL_FORMAT} model file: compile or convert the model again"
         )
     dims = Dims(**doc["dims"])
-    _check_dims(dims)
     if not isinstance(doc["vocab"], list):
         raise ValueError("vocab must be a list of tokens")
-    # The budgets bound what the arrays may allocate, so they are checked
-    # here, before any array is built, and again by validate_weights.
     d, n_vocab = dims.d, len(doc["vocab"])
-    per_layer = dims.n_heads * 2 * (dims.d_k + dims.d_v) * d + dims.d_ff * (2 * d + 1)
-    if dims.n_layers * per_layer + 2 * n_vocab * d > MAX_DIMS_ENTRIES:
-        raise ValueError(f"dims imply more than {MAX_DIMS_ENTRIES} weight entries")
+    check_dims(dims, n_vocab)  # before any array is built
     if len(doc["layers"]) != dims.n_layers:
         raise ValueError(f"{len(doc['layers'])} layers but dims.n_layers = {dims.n_layers}")
     head_shapes = (dims.d_k, d), (dims.d_k, d), (dims.d_v, d), (d, dims.d_v)

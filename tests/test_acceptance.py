@@ -11,7 +11,7 @@ import pytest
 from tm2tf.automata import BOS
 from tm2tf.compilers import build_rope_position_prefix, instantiate_capacity
 from tm2tf.fpcore import PRESETS, FloatFormat, representables_between, round_nearest
-from tm2tf.gadgets import bin_pm1, denoising_neurons
+from tm2tf.gadgets import bin_pm1, denoising_neurons, mlp_weights
 from tm2tf.harness import (
     acceptance_dfas,
     perturbation_doubling_suite,
@@ -21,7 +21,7 @@ from tm2tf.harness import (
     validate_cot,
     validate_dfa,
     validate_scot,
-    validate_softmax,
+    validate_trials,
 )
 from tm2tf.netcore import EvalConfig, forward
 from tm2tf.softmaxify import c0_denoising
@@ -93,7 +93,7 @@ def test_criterion_4_ternary_suite(cot_report, scot_report):
 
 
 def test_criterion_5_exact_attention_conversion():
-    report = validate_softmax("scaled_only", seed=SEED + 2, trials=50)
+    report = validate_trials("cot", "scaled_only", seed=SEED + 2, trials=50)
     ok = report.attempted == 50 and not report.mismatches and report.checked > 0
     _line(
         5,
@@ -104,7 +104,7 @@ def test_criterion_5_exact_attention_conversion():
 
 
 def test_criterion_6_denoising_conversion():
-    report = validate_softmax("denoised", seed=SEED + 3, trials=50)
+    report = validate_trials("cot", "denoised", seed=SEED + 3, trials=50)
     margin = report.violations.get("denoising_margin", 0)
     ok = (
         report.attempted == 50
@@ -122,7 +122,8 @@ def test_criterion_6_denoising_conversion():
 
 
 def test_criterion_7_denoising_mlp_unit():
-    neurons = denoising_neurons([0])
+    w1, bias4, w2 = mlp_weights(denoising_neurons([0]), 1)
+    rows = list(zip(w1[:, 0].tolist(), bias4.tolist(), w2[0].tolist()))
     checked = 0
     for b_m in (1, 2, 4, 7):
         for b_e in (3, 4, 5):
@@ -131,10 +132,10 @@ def test_criterion_7_denoising_mlp_unit():
             for lo, hi, target in bands:
                 for x in representables_between(fmt, lo, hi):
                     acc = 0.0
-                    for n in neurons:
-                        pre = n.in_w[0] * x + n.bias4 / 4.0
+                    for w_in, b, w_out in rows:
+                        pre = w_in * x + b / 4.0
                         hidden = round_nearest(max(pre, 0.0), fmt)
-                        acc += n.out_w[0] * hidden
+                        acc += w_out * hidden
                     z = round_nearest(acc, fmt)
                     y = round_nearest(x + z, fmt)
                     assert y == target, (b_m, b_e, x)

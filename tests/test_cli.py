@@ -441,6 +441,10 @@ def test_run_usage_errors_exit_2_and_internal_errors_propagate(
     for command in ("run-cot", "run-scot"):
         assert main([command, "--model", model, "--word", "ax"]) == 2
         assert "usage error: token 'x' not in vocabulary" in capsys.readouterr().err
+        for bad in ("<outp>", "</inp>"):
+            assert main([command, "--model", model, "--word", f"a,{bad}"]) == 2
+            err = capsys.readouterr().err
+            assert f"usage error: word token '{bad}' is not an input symbol" in err
     # <inp>, 63 symbols and </inp> put the last prompt token at position 2^6.
     assert main(["run-cot", "--model", model, "--word", "a" * 63]) == 2
     assert "usage error: position 64 does not fit 6 positional bits" in capsys.readouterr().err
@@ -451,6 +455,23 @@ def test_run_usage_errors_exit_2_and_internal_errors_propagate(
     monkeypatch.setattr(tm2tf.cli, "run_cot", broken)
     with pytest.raises(RuntimeError, match="internal bug"):
         main(["run-cot", "--model", model, "--word", "ab"])
+
+
+def test_compile_and_convert_write_no_model_over_the_size_bound(
+    tm_file, dfa_file, tmp_path, capsys
+):
+    """A model whose dims the loader would refuse is never written."""
+    for command, machine, r in (("compile-cot", tm_file, "60"), ("compile-dfa", dfa_file, "1000")):
+        out = tmp_path / f"{command}.json"
+        assert main([command, "--machine", machine, "--r", r, "--out", str(out)]) == 2
+        assert "usage error: dims imply more than" in capsys.readouterr().err
+        assert not out.exists()
+    model, denoised = tmp_path / "r40.json", tmp_path / "denoised.json"
+    assert main(["compile-cot", "--tm", tm_file, "--r", "40", "--out", str(model)]) == 0
+    argv = ["convert", "--model", str(model), "--mode", "denoised", "--out", str(denoised)]
+    assert main(argv) == 2
+    assert "usage error: dims imply more than" in capsys.readouterr().err
+    assert not denoised.exists()
 
 
 def test_run_cot_full_context_is_budget_exceeded(tm_file, tmp_path, capsys):

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from machines import bouncer_machine, copy_machine, fig2_machine, one_step_machine
+from machines import bouncer_machine, copy_machine, fig2_machine, one_step_machine, parity_dfa
 
 from tm2tf.automata import cot_token_oracle, tm_run
-from tm2tf.compilers import choose_r_cot, choose_r_scot, compile_cot, cot_dims
+from tm2tf.compilers import choose_r_cot, choose_r_scot, compile_cot, compile_dfa, cot_dims
+from tm2tf.gadgets import ModelBuilder
 from tm2tf.generation import run_cot
 from tm2tf.netcore import EvalConfig
 
@@ -173,3 +174,21 @@ def test_structural_registers_decode_to_oracle_positions():
 def test_choose_r_refuses_a_bound_below_1(choose, message):
     with pytest.raises(ValueError, match=message):
         choose(0)
+
+
+@pytest.mark.parametrize(
+    "compile_fn, machine", [(compile_dfa, parity_dfa()), (compile_cot, fig2_machine())]
+)
+def test_compilers_refuse_dims_over_the_size_bound_before_building(
+    compile_fn, machine, monkeypatch
+):
+    """At r = 10^4 the dims imply far more than MAX_DIMS_ENTRIES weights:
+    the compiler refuses before it adds a single op."""
+
+    def built(*args, **kwargs):
+        raise AssertionError("an op was built")
+
+    monkeypatch.setattr(ModelBuilder, "add_neurons", built)
+    monkeypatch.setattr(ModelBuilder, "add_head", built)
+    with pytest.raises(ValueError, match="dims imply more than"):
+        compile_fn(machine, 10 ** 4)

@@ -11,6 +11,8 @@ from tm2tf.gadgets import (
     ENC_MOVES,
     BuildError,
     ModelBuilder,
+    Neurons,
+    Register,
     RegisterLayout,
     add_head_movement,
     bin_pm1,
@@ -19,6 +21,7 @@ from tm2tf.gadgets import (
     decode_pm1,
     denoising_neurons,
     full_subtract,
+    mlp_weights,
     rows_of,
     selector_head,
     single_neuron,
@@ -29,13 +32,14 @@ from tm2tf.gadgets import (
 
 
 def mlp_eval(neurons, x: np.ndarray) -> np.ndarray:
-    """W2 relu(W1 x + b) for a block, neuron by neuron."""
+    """W2 relu(W1 x + b) for a block read through `mlp_weights`, summed
+    neuron by neuron."""
+    w1, bias4, w2 = mlp_weights(neurons, len(x))
     out = np.zeros_like(x, dtype=np.float64)
-    for n in neurons:
-        acc = sum(w * x[c] for c, w in n.in_w.items()) + n.bias4 / 4.0
+    for w_in, b, w_out in zip(w1, bias4.tolist(), w2.T):
+        acc = w_in @ x + b / 4.0
         if acc > 0:
-            for c, w in n.out_w.items():
-                out[c] += w * acc
+            out += w_out * acc
     return out
 
 
@@ -292,37 +296,39 @@ def test_denoising_exact_real_arithmetic():
 def test_denoising_with_per_step_rounding():
     # x = -0.8125 under a 3-mantissa-bit format: every term stays representable.
     fmt = FloatFormat(3, 4)
-    neurons = denoising_neurons([0])
+    w1, bias4, w2 = mlp_weights(denoising_neurons([0]), 1)
     x = -0.8125
     assert round_nearest(x, fmt) == x
     acc = 0.0
-    for n in neurons:
-        pre = n.in_w[0] * x + n.bias4 / 4.0
+    for w_in, b, w_out in zip(w1[:, 0].tolist(), bias4.tolist(), w2[0].tolist()):
+        pre = w_in * x + b / 4.0
         hidden = round_nearest(max(pre, 0.0), fmt)
-        acc += n.out_w[0] * hidden
+        acc += w_out * hidden
     z = round_nearest(acc, fmt)
     assert round_nearest(x + z, fmt) == -1.0
 
 
 def test_denoising_weight_ranges():
-    for n in denoising_neurons([0, 1]):
-        assert all(abs(w) == 1 for w in n.in_w.values())
-        assert n.bias4 in (0, -1, -3)
-        assert all(abs(w) in (1, 2) for w in n.out_w.values())
+    w1, bias4, w2 = mlp_weights(denoising_neurons([0, 1]), 2)
+    assert set(np.abs(w1[w1 != 0]).tolist()) == {1}
+    assert set(bias4.tolist()) <= {0, -1, -3}
+    assert set(np.abs(w2[w2 != 0]).tolist()) <= {1, 2}
 
 
 def test_gadget_hidden_activations_are_binary():
     layout, a, b, move, f, g = make_layout(3)
-    bag = (
-        zero_register(a, [(f, 1)])
-        + copy_register(a, b, [(g, 1)])
-        + sub_pow2_inplace(a, 1, [(f, 0)])
+    bag = Neurons.join(
+        [
+            zero_register(a, [(f, 1)]),
+            copy_register(a, b, [(g, 1)]),
+            sub_pow2_inplace(a, 1, [(f, 0)]),
+        ]
     )
+    w1, bias4, _ = mlp_weights(bag, layout.d)
     rng = random.Random(3)
     for x in admissible_inputs(layout, rng, count=80):
-        for n in bag:
-            acc = sum(w * x[c] for c, w in n.in_w.items()) + n.bias4 / 4.0
-            assert max(acc, 0.0) in (0.0, 1.0)
+        hidden = np.maximum(w1 @ x + bias4 / 4.0, 0.0)
+        assert set(hidden.tolist()) <= {0.0, 1.0}
 
 
 def test_builder_conflict_detection():
@@ -359,7 +365,9 @@ def test_builder_refuses_heads_writing_one_coordinate():
     builder.add_head(1, selector_head("h0", [a], [a], [a], b))
     # b[1] is already written by h0 in layer 1.
     with pytest.raises(BuildError, match="output coords already written in layer 1"):
-        builder.add_head(1, selector_head("h1", [a], [a], [a], [c.coords[0], b.coords[1]]))
+        builder.add_head(
+            1, selector_head("h1", [a], [a], [a], Register("cb", (c.coords[0], b.coords[1])))
+        )
     # Other coordinates, or another layer, are fine.
     builder.add_head(1, selector_head("h2", [a], [a], [a], c))
     builder.add_head(2, selector_head("h3", [a], [a], [a], b))

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from tm2tf.generation import generate, run_cot, run_scot
 from tm2tf.netcore import (
     Dims,
     EvalConfig,
+    EvalError,
     HeadParams,
     LayerParams,
     NoPositional,
@@ -176,6 +179,28 @@ def test_step_records():
     # hardmax output-score gap of at least 1 visible in the records
     for rec in trace.records:
         assert rec["top2"][0][1] - rec["top2"][1][1] >= 1.0
+
+
+def test_step_records_name_the_emitted_token_first_on_ties():
+    """With every output score 0 the greedy token is the lowest index,
+    <inp>, and each record's top2 names it first, then another token."""
+    params, _ = compile_cot(fig2_machine(), 6)
+    params.unemb[:] = 0
+    trace = run_cot(params, "ab", EvalConfig(), budget=2, record_steps=True)
+    assert trace.tie_warnings == 2
+    assert [rec["token"] for rec in trace.records] == [INP, INP]
+    for rec in trace.records:
+        (first, first_score), (second, second_score) = rec["top2"]
+        assert (first, first_score, second_score) == (INP, 0.0, 0.0)
+        assert second != INP
+
+
+@pytest.mark.parametrize("runner", [run_cot, run_scot])
+@pytest.mark.parametrize("word, bad", [(["a", EINP], EINP), (["state:q", "a"], "state:q")])
+def test_a_word_token_that_is_not_an_input_symbol_is_refused(runner, word, bad):
+    params = constant_model(VOCAB + ["tape:^a", "state:q"], EOUTP)
+    with pytest.raises(EvalError, match=re.escape(f"word token {bad!r} is not an input symbol")):
+        runner(params, word, EvalConfig())
 
 
 def test_generate_validates_inputs():

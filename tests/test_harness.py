@@ -1,14 +1,17 @@
 import hashlib
 import itertools
 import json
+import math
+from fractions import Fraction
 
 import pytest
 
 from machines import contains_ab_dfa, mod3_dfa, parity_dfa
 
 from tm2tf.compilers import instantiate_capacity
-from tm2tf.fpcore import PRESETS, FloatFormat
+from tm2tf.fpcore import PRESETS, FloatFormat, representables_between
 from tm2tf.harness import (
+    _round_sqrt_mantissa,
     perturbation_doubling_suite,
     probe_phi,
     rounding_relative_error_suite,
@@ -17,7 +20,6 @@ from tm2tf.harness import (
     validate_cot,
     validate_dfa,
     validate_scot,
-    validate_softmax,
     validate_trials,
 )
 
@@ -76,7 +78,7 @@ def test_validate_dfa_refuses_words_longer_than_the_context():
 
 
 def test_validate_softmax_scaled_small():
-    report = validate_softmax("scaled_only", seed=5, trials=12, step_cap=FAST)
+    report = validate_trials("cot", "scaled_only", seed=5, trials=12, step_cap=FAST)
     assert report.mismatches == []
     assert report.checked >= 1
     # Converted trials carry the hardmax record fields and skip statuses,
@@ -96,7 +98,7 @@ def test_validate_trials_rejects_unknown_protocol_or_mode():
 
 
 def test_validate_softmax_denoised_small():
-    report = validate_softmax("denoised", seed=5, trials=12, step_cap=FAST)
+    report = validate_trials("cot", "denoised", seed=5, trials=12, step_cap=FAST)
     assert report.mismatches == []
     assert report.checked >= 1
     assert not any(report.violations.values())
@@ -151,6 +153,43 @@ def test_exact_sqrt_rounding_matches_float():
         # For values far from rounding boundaries the float path agrees.
         want = round_nearest(math.sqrt(p / q), fmt)
         assert math.ldexp(mant, exp) == want, (p, q)
+
+
+def _even(v: Fraction, fmt: FloatFormat) -> bool:
+    """v is an even multiple of its binade's step (0 counts as even)."""
+    if v == 0:
+        return True
+    exponent = max(math.frexp(float(v))[1] - 1, fmt.e_min)
+    return v / Fraction(2) ** (exponent - fmt.mantissa_bits) % 2 == 0
+
+
+def test_exact_sqrt_rounding_matches_a_brute_force_reference():
+    """sqrt(p/q) rounds to the nearest non-negative element, ties to even,
+    max_value for anything beyond it; decided in exact arithmetic by
+    comparing p/q with the squared midpoints of adjacent elements. The
+    cases cover p = 0, saturation, subnormal results and exact ties."""
+    seen = {"zero": 0, "saturated": 0, "subnormal": 0, "tie": 0}
+    for fmt in (FloatFormat(1, 2), FloatFormat(1, 3), FloatFormat(2, 3), FloatFormat(3, 2)):
+        elements = [Fraction(v) for v in representables_between(fmt, 0.0, fmt.max_value)]
+        for p in range(61):
+            for q in range(1, 61):
+                square = Fraction(p, q)
+                want = elements[0]
+                for lo, hi in zip(elements, elements[1:]):
+                    mid_square = ((lo + hi) / 2) ** 2
+                    if square == mid_square:
+                        want = lo if _even(lo, fmt) else hi
+                        seen["tie"] += 1
+                    if square <= mid_square:
+                        break
+                    want = hi
+                mant, exp = _round_sqrt_mantissa(p, q, fmt)
+                assert mant * Fraction(2) ** exp == want, (fmt, p, q)
+                seen["zero"] += p == 0
+                seen["saturated"] += square > Fraction(fmt.max_value) ** 2
+                seen["subnormal"] += 0 < want < Fraction(fmt.min_normal)
+    assert all(seen.values()), seen
+    assert _round_sqrt_mantissa(25, 16, FloatFormat(1, 3)) == (2, -1)  # 1.25 ties to 1.0
 
 
 def test_instantiate_capacity_gpt3():
@@ -279,7 +318,7 @@ def test_reports_deterministic():
 
 
 def test_validate_softmax_scot_denoised_small():
-    report = validate_softmax("denoised", seed=9, trials=8, step_cap=FAST, protocol="scot")
+    report = validate_trials("scot", "denoised", seed=9, trials=8, step_cap=FAST)
     assert report.mismatches == []
     assert not any(report.violations.values())
 
@@ -385,10 +424,6 @@ def test_mismatch_report_names_the_first_differing_token(protocol, seed, trials,
 
 # Each argument check as (call, message).
 HARNESS_REFUSALS = {
-    "validate_softmax of hardmax": (
-        lambda: validate_softmax("hardmax", 0, 1),
-        "mode must be scaled_only or denoised",
-    ),
     "probe below 2": (lambda: probe_phi(PRESETS["bf16"], 1), "max_i must be >= 2"),
     "budget below 1": (lambda: instantiate_capacity(28, 0, 1000, 50), "budgets must be >= 1"),
     "unknown construction": (

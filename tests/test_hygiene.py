@@ -1,6 +1,7 @@
 """Import hygiene of every `tm2tf` module: `__all__` names exist, no
-imported name goes unused unless `__all__` re-exports it, and no module
-imports another's underscore name."""
+imported name goes unused unless `__all__` re-exports it, no module
+imports another's underscore name, and every `tm2tf` import sits at the
+top of its module."""
 
 import ast
 import importlib
@@ -69,6 +70,28 @@ def test_no_module_imports_a_private_name_of_another():
         if alias.name.startswith("_")
     ]
     assert private == []
+
+
+def _imports_tm2tf(node: ast.AST) -> bool:
+    if isinstance(node, ast.ImportFrom):
+        return node.level > 0 or node.module.split(".")[0] == "tm2tf"
+    return isinstance(node, ast.Import) and any(
+        alias.name.split(".")[0] == "tm2tf" for alias in node.names
+    )
+
+
+def test_no_function_imports_a_tm2tf_name():
+    """`tm2tf` names are imported at module top, where the import graph
+    can be read, never inside a function body."""
+    local = {
+        f"{_module_name(path)}:{node.lineno}"
+        for path in MODULES
+        for fn in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(fn)
+        if _imports_tm2tf(node)
+    }
+    assert sorted(local) == []
 
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -173,7 +196,6 @@ TEST_ONLY = {
     "tm2tf.compilers.rope.build_rope_position_prefix": "acceptance criterion 11",
     "tm2tf.fpcore.representables_between": "reference enumeration of a format's elements",
     "tm2tf.gadgets.decode_pm1": "reference decoder of the +-1 binary codes",
-    "tm2tf.harness.validate_softmax": "the softmax trial pipeline, to be extended (ROADMAP item 1)",
     "tm2tf.harness.rounding_relative_error_suite": "acceptance criterion 10",
     "tm2tf.harness.perturbation_doubling_suite": "acceptance criterion 10",
     "tm2tf.harness.softmax_hardmax_distance_suite": "acceptance criterion 10",
