@@ -311,7 +311,9 @@ def validate_trials(
     "denoised" audits the pre-denoising margin against the hardmax model
     and the attention-weight rounding error against its bound. The
     oracle's segments are passed as the draft, which changes no result:
-    under hardmax a right model is verified in one block step per segment.
+    under hardmax, and under the denoised formats at these trials' r,
+    where every sum is exact (`netcore.sum_bits`), a right model is
+    verified in one block step per segment.
     A machine that does not halt within `step_cap` steps is skipped.
     """
     if protocol not in ("cot", "scot"):

@@ -14,10 +14,12 @@ d_k + d_v), causally masked attention for all heads, one (d, H*d_v) output
 matmul, and one rounding call per quantity. The Q/K/V, output and W1
 matmuls gather only the live input coordinates, those with a nonzero
 weight, and multiply float64 weights cut from the int8 codes on those rows
-alone. Under exact arithmetic (hardmax without rotary positions) a whole
-block of known tokens is one step, which is what lets generation verify a
-draft of expected tokens in one pass; softmax and rotary models step one
-position at a time, so their rounding is that of plain incremental
+alone. Where every order-dependent sum is exact (no rotary positions, and
+hardmax or rounded softmax whose formats pass `sum_bits`) a whole block of
+known tokens is one step, which is what lets generation verify a draft of
+expected tokens in one pass; there a block row's softmax denominator sums
+its own keys as a one-position step does. Every other model steps one
+position at a time, so its rounding is that of plain incremental
 decoding. The trace holds one array per quantity whose first axis is
 position, with a (B,) axis after it for a batch: (P, H, .) for q, k, v and
 o, (P, H, P) for the causally masked dots, (P, H) for att_err, (P, d) or
@@ -30,6 +32,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import cached_property
 from typing import Iterable
 
@@ -54,6 +57,7 @@ __all__ = [
     "softmax_weights",
     "separation",
     "rope_rotate",
+    "sum_bits",
     "Evaluator",
     "forward",
     "next_token",
@@ -305,13 +309,32 @@ def hardmax_weights(scores: np.ndarray) -> np.ndarray:
     return mask / mask.sum()
 
 
-def softmax_weights(scores: np.ndarray) -> np.ndarray:
-    """Standard softmax over the last axis with max subtraction, in float64."""
+def softmax_weights(scores: np.ndarray, causal: bool = False) -> np.ndarray:
+    """Standard softmax over the last axis with max subtraction, in float64.
+
+    `causal` reads (..., P, n) scores as the queries of the last P of n
+    positions, -inf past each: row i's denominator sums only its own first
+    n - P + 1 + i terms (`_causal_sum`), as a call on that row alone would.
+    """
     scores = np.asarray(scores, dtype=np.float64)
     if scores.ndim == 0 or scores.shape[-1] == 0:
         raise ValueError("softmax of empty score list")
     e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
+    return e / (_causal_sum(e) if causal else e.sum(axis=-1, keepdims=True))
+
+
+def _causal_sum(a: np.ndarray) -> np.ndarray:
+    """Sums over the last axis of a causal (..., P, n) block, keeping it:
+    row i sums its first n - P + 1 + i entries in a call of its own, since
+    a float sum's grouping depends on its length and trailing zeros would
+    change it."""
+    n_rows, n = a.shape[-2:]
+    if n_rows == 1:
+        return a.sum(axis=-1, keepdims=True)
+    out = np.empty((*a.shape[:-1], 1))
+    for i in range(n_rows):
+        out[..., i : i + 1, :] = a[..., i : i + 1, : n - n_rows + 1 + i].sum(axis=-1, keepdims=True)
+    return out
 
 
 def separation(scores: np.ndarray) -> np.ndarray:
@@ -336,6 +359,38 @@ def rope_rotate(vec: np.ndarray, position: int, freqs: tuple[float, ...]) -> np.
     return out
 
 
+def sum_bits(
+    dims: Dims, act: FloatFormat | None, att: FloatFormat | None, n_keys: int | None
+) -> float:
+    """The bits that the widest order-dependent sum of a rounded-softmax
+    step can need on its grid, for activations in `act`, attention weights
+    in `att` and at most n_keys keys; inf for an exact format (None) or an
+    unbounded context (n_keys None), which put a sum on no grid.
+
+    With g_a and M_a the smallest subnormal and the largest element of act
+    and g_w the smallest subnormal of att, every product and partial sum of
+    a matmul is a multiple of its grid step, and these bound it in steps:
+    Q/K/V d M_a/g_a, W_O H d_v M_a/g_a, W1 plus its quarter-integer bias
+    (2d M_a + d + 1)/min(g_a, 1/4), W2 2 d_ff M_a/g_a, the scores
+    d_k M_a^2/g_a^2 and the attention output n_keys M_a/(g_w g_a). Within
+    53 bits float64 holds every partial sum exactly, so any grouping of a
+    sum, and so any block of positions, gives the same bits.
+    """
+    if act is None or att is None or n_keys is None:
+        return math.inf
+    g_a, m_a, g_w = map(Fraction, (act.min_subnormal, act.max_value, att.min_subnormal))
+    d = dims.d
+    steps = (
+        d * m_a / g_a,
+        dims.n_heads * dims.d_v * m_a / g_a,
+        (2 * d * m_a + d + 1) / min(g_a, Fraction(1, 4)),
+        2 * dims.d_ff * m_a / g_a,
+        dims.d_k * (m_a / g_a) ** 2,
+        n_keys * m_a / (g_w * g_a),
+    )
+    return math.log2(math.ceil(max(steps)))  # an int: no overflow past float range
+
+
 class Evaluator:
     """Causal evaluator over a growing token sequence, or, given `batch`,
     over that many sequences of equal length run together.
@@ -355,11 +410,14 @@ class Evaluator:
     The Q/K/V, W_O and W1 products gather the live input coordinates of
     their rows (`x.take(live, axis=1)`) and multiply float64 weights on
     those coordinates alone: dropping a zero weight drops a +-0 term. W2
-    stays whole, since every neuron is one of its inputs. `_exact`, hardmax
-    attention without rotary positions, decides only the step: under it the
-    compiled models' values are small integers and no sum depends on its
-    order, so `extend` runs a whole block as one step. Softmax and rotary
-    models step one position at a time.
+    stays whole, since every neuron is one of its inputs. `_exact` decides
+    only the step. It holds without rotary positions under hardmax, where
+    the compiled models' values are small integers, and under rounded
+    softmax whose formats keep every sum within `sum_bits` <= 53 for the
+    2^r keys of binary positions. Then no sum depends on its grouping, and
+    `extend` runs a whole block as one step, with future keys masked by
+    -inf and each row's softmax denominator and att_err summed over its own
+    keys (`_causal_sum`). Every other model steps one position at a time.
     """
 
     def __init__(self, params: TransformerParams, cfg: EvalConfig, batch: int | None = None):
@@ -378,7 +436,11 @@ class Evaluator:
             self._pos_bits = np.array(pos.coords, np.intp), 1 << np.arange(pos.r)
         self._unemb_t = params.unemb.astype(np.float64).T
         self._rotary = pos if isinstance(pos, RotaryOnly) else None
-        self._exact = cfg.attention == "hardmax" and self._rotary is None
+        self._formats = cfg.act_precision.fmt, cfg.att_precision.fmt  # None: exact
+        n_keys = 2 ** pos.r if isinstance(pos, BinaryAbsolute) else None
+        self._exact = self._rotary is None and (
+            cfg.attention == "hardmax" or sum_bits(dims, *self._formats, n_keys) <= 53
+        )
         # Per layer, (attention, MLP) plans: (H, then the input coordinates
         # read and W^T on them for Q/K/V and W_O), None without heads;
         # (W1's input coordinates and W1^T on them, bias, W2^T), None
@@ -417,7 +479,6 @@ class Evaluator:
                 shapes.update(o=(h, d_v), y=(d,), x_mid=(d,), hidden=(m,), x_out=(d,))
                 self._traced.append({k: np.empty((0, n_seq, *v)) for k, v in shapes.items()})
         self._sqrt_dk = math.sqrt(d_k)
-        self._formats = cfg.act_precision.fmt, cfg.att_precision.fmt  # None: exact
         self.trace = ActivationTrace(layers=[LayerTrace() for _ in params.layers])
 
     # -- rounding helpers ---------------------------------------------------
@@ -547,14 +608,14 @@ class Evaluator:
                 values = kv[:n, :, d_k:].transpose(1, 0, 2)  # (B*H, n, d_v)
                 q = qkv[..., :d_k].reshape(n_new, rows, d_k).transpose(1, 2, 0)  # (B*H, d_k, P)
                 dots = (keys @ q).transpose(0, 2, 1)  # (B*H, P, n)
+                dots = dots if future is None else np.where(future, -np.inf, dots)
                 if softmax_mode:
-                    raw = softmax_weights(dots / self._sqrt_dk)
+                    raw = softmax_weights(dots / self._sqrt_dk, causal=True)
                     weights = rnd(raw, att)
                     o = weights @ values
                 else:
                     # Sum over the argmax set, then divide once: exact for
                     # the integer-valued activations of compiled models.
-                    dots = dots if future is None else np.where(future, -np.inf, dots)
                     mask = dots == dots.max(axis=-1, keepdims=True)
                     o = (mask.astype(np.float64) @ values) / mask.sum(axis=-1, keepdims=True)
                 # (P, B, H, d_v) head outputs
@@ -580,7 +641,7 @@ class Evaluator:
                     dots = dots.reshape(n_seq, n_heads, n_new, n).transpose(2, 0, 1, 3)
                     bufs["dots"][start:n, ..., :n] = dots
                     if softmax_mode and att is not None:  # one error per row
-                        err = np.abs(weights - raw).sum(axis=-1).reshape(n_seq, n_heads, n_new)
+                        err = _causal_sum(np.abs(weights - raw)).reshape(n_seq, n_heads, n_new)
                         bufs["att_err"][start:n] = err.transpose(2, 0, 1)
                 if mlp is not None:  # hidden is empty without MLP rows
                     new["hidden"] = hidden

@@ -30,6 +30,7 @@ from .netcore import (
     EvalConfig,
     LayerParams,
     TransformerParams,
+    check_dims,
 )
 
 __all__ = [
@@ -168,6 +169,7 @@ def convert_with_denoising(params: TransformerParams, c: float) -> TransformerPa
     dims, d = params.dims, params.dims.d
     widest = max(map(len, written), default=0)
     new_dims = replace(dims, d_ff=max(dims.d_ff, 6 * widest), n_layers=2 * dims.n_layers)
+    check_dims(new_dims, len(params.vocab))  # before any layer is built
     layers: list[LayerParams] = []
     for layer, coords in zip(params.layers, written):
         layers.append(LayerParams(layer.heads, *mlp_weights(denoising_neurons(coords), d)))

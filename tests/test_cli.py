@@ -474,6 +474,24 @@ def test_compile_and_convert_write_no_model_over_the_size_bound(
     assert not denoised.exists()
 
 
+def test_a_denoised_conversion_over_the_size_bound_builds_no_denoiser(
+    tm_file, tmp_path, capsys, monkeypatch
+):
+    """The denoised dims are checked before any layer is built."""
+    from tm2tf import softmaxify
+
+    built = []
+    monkeypatch.setattr(
+        softmaxify, "denoising_neurons", lambda coords: built.append(coords) or []
+    )
+    model, denoised = tmp_path / "r40.json", tmp_path / "denoised.json"
+    assert main(["compile-cot", "--tm", tm_file, "--r", "40", "--out", str(model)]) == 0
+    argv = ["convert", "--model", str(model), "--mode", "denoised", "--out", str(denoised)]
+    assert main(argv) == 2
+    assert "usage error: dims imply more than" in capsys.readouterr().err
+    assert not denoised.exists() and built == []
+
+
 def test_run_cot_full_context_is_budget_exceeded(tm_file, tmp_path, capsys):
     model = str(tmp_path / "model.json")
     assert main(["compile-cot", "--tm", tm_file, "--r", "4", "--out", model]) == 0

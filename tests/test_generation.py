@@ -398,6 +398,49 @@ def test_the_expected_draft_is_one_block_step_per_segment(monkeypatch):
     assert steps == [(1, len(seg) - 1, params.dims.d) for seg in expected]
 
 
+@pytest.mark.parametrize("case", ["denoised", "scaled_only", "bf16", "exact attention"])
+def test_a_rounded_softmax_draft_is_one_block_step_only_where_every_sum_is_exact(
+    case, monkeypatch
+):
+    """The denoised model's formats keep every sum exact, so its expected
+    draft is verified in one step per segment, as under hardmax. Exact
+    attention weights, bf16 formats and the scaled model's settings put
+    sums on no grid of 53 bits: those step one position at a time."""
+    from dataclasses import replace
+
+    from machines import copy_machine
+
+    from tm2tf.automata import scot_segments_oracle
+    from tm2tf.compilers import compile_scot
+    from tm2tf.fpcore import EXACT, PRESETS, Precision
+    from tm2tf.netcore import Evaluator
+    from tm2tf.softmaxify import convert
+
+    steps = []
+    step = Evaluator._step
+
+    def counted(ev, x, start):
+        steps.append(x.shape[1])
+        step(ev, x, start)
+
+    r = 6
+    hard = compile_scot(copy_machine(), r)[0]
+    params, cfg = convert(hard, "scaled_only" if case == "scaled_only" else "denoised", 2 ** r)
+    if case == "bf16":
+        bf16 = Precision(PRESETS["bf16"])
+        cfg = replace(cfg, act_precision=bf16, att_precision=bf16)
+    elif case == "exact attention":
+        cfg = replace(cfg, att_precision=EXACT)
+    monkeypatch.setattr(Evaluator, "_step", counted)
+    expected = scot_segments_oracle(copy_machine(), "011", r)
+    trace = run_scot(params, "011", cfg, draft=expected)
+    assert trace.segments == expected
+    if case == "denoised":
+        assert steps == [len(seg) - 1 for seg in expected]
+    else:
+        assert steps == [1] * sum(len(seg) - 1 for seg in expected)
+
+
 def test_a_wrong_draft_is_decoded_again_on_one_fresh_evaluator(monkeypatch):
     """A draft wrong in its middle builds two evaluators in its segment's
     `generate` call: one fed the whole draft, one fed the tokens that stand

@@ -25,6 +25,7 @@ from tm2tf.netcore import (
     rope_rotate,
     separation,
     softmax_weights,
+    sum_bits,
 )
 
 
@@ -662,11 +663,13 @@ def test_a_rounded_decode_calls_round_array_by_its_module_name(monkeypatch):
 
 
 @pytest.mark.parametrize("mode", ["scaled_only", "denoised"])
-def test_rounding_calls_per_position_skip_empty_half_layers(mode, monkeypatch):
-    """Each position rounds its embedding; a layer with heads rounds Q/K/V,
+def test_rounding_calls_per_step_skip_empty_half_layers(mode, monkeypatch):
+    """Each step rounds its embeddings; a layer with heads rounds Q/K/V,
     o, y and x_mid, plus the attention weights under an attention format;
     a layer with MLP rows rounds hidden, the MLP output and x_out. A layer
-    without heads or without MLP rows rounds nothing for that half."""
+    without heads or without MLP rows rounds nothing for that half. The
+    denoised model runs its prompt as one step, the scaled one steps each
+    position."""
     from tm2tf import netcore
     from tm2tf.automata import EINP, EOUTP, INP
     from tm2tf.generation import generate
@@ -674,21 +677,28 @@ def test_rounding_calls_per_position_skip_empty_half_layers(mode, monkeypatch):
     params, cfg = _softmax_case(mode)
     cfg = dataclasses.replace(cfg, capture_trace=False)
     assert any(not layer.heads for layer in params.layers)
-    round_array, calls = netcore.round_array, []
+    round_array, step, calls, steps = netcore.round_array, Evaluator._step, [], []
 
     def counting(x, fmt):
         calls.append(x.size)
         return round_array(x, fmt)
 
+    def counted(ev, x, start):
+        steps.append(x.shape[1])
+        step(ev, x, start)
+
     monkeypatch.setattr(netcore, "round_array", counting)
+    monkeypatch.setattr(Evaluator, "_step", counted)
     prompt = [INP, *"ab", EINP]
     tokens, _, ev = generate(params, prompt, {EOUTP}, 2 ** 6 - len(prompt), cfg)
     assert tokens[-1] == EOUTP
+    first = len(prompt) if mode == "denoised" else 1
+    assert steps == [first] + [1] * (len(ev.tokens) - first)
     attention = 4 + (not cfg.att_precision.exact)
-    per_position = 1 + sum(
+    per_step = 1 + sum(
         attention * bool(layer.heads) + 3 * bool(layer.bias4.size) for layer in params.layers
     )
-    assert len(calls) == len(ev.tokens) * per_position
+    assert len(calls) == len(steps) * per_step
 
 
 def test_empty_half_layers_in_a_traced_run_that_re_extends():
@@ -1006,6 +1016,98 @@ def test_block_extend_equals_per_position_extend_on_a_dfa():
             stepped.extend([])
         assert block.next_token() == stepped.next_token()
         assert _ev_digest(block) == _ev_digest(stepped)
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["fig2 cot r=6 abab", "fig2 cot r=6 abab c=4", "bouncer4 scot r=6 xyx", "copy cot r=6 0011"],
+)
+def test_a_denoised_block_equals_per_position_steps(case):
+    """Under the denoised formats every sum is exact, so feeding each
+    expected segment as one block traces the bits of feeding it one
+    position at a time: the softmax denominators and att_err of each row
+    sum its own keys."""
+    from machines import bouncer_machine, copy_machine, fig2_machine
+
+    from tm2tf.automata import cot_token_oracle, scot_segments_oracle
+    from tm2tf.compilers import compile_cot, compile_scot
+    from tm2tf.softmaxify import convert
+
+    machine, protocol, r, word, *c = case.split()
+    tm = {"fig2": fig2_machine, "copy": copy_machine}.get(machine)
+    tm = tm() if tm else bouncer_machine(int(machine[len("bouncer"):]))
+    r = int(r[len("r="):])
+    c = float(c[0][len("c="):]) if c else None
+    if protocol == "cot":
+        hard, segments = compile_cot(tm, r)[0], [cot_token_oracle(tm, word, r)]
+    else:
+        hard, segments = compile_scot(tm, r)[0], scot_segments_oracle(tm, word, r)
+    params, cfg = convert(hard, "denoised", 2 ** r, c)
+    assert sum_bits(params.dims, cfg.act_precision.fmt, cfg.att_precision.fmt, 2 ** r) <= 53
+    cfg = dataclasses.replace(cfg, capture_trace=True)
+    for seg in segments:
+        block, stepped = Evaluator(params, cfg), Evaluator(params, cfg)
+        assert block._exact
+        block.extend(seg[:-1])
+        for tok in seg[:-1]:
+            stepped.extend([tok])
+        assert block.next_token() == stepped.next_token()
+        assert _ev_digest(block) == _ev_digest(stepped)
+        assert block.trace.saturations == stepped.trace.saturations == 0
+        assert block.trace.layers[0].att_err.any()  # the rounded weights were traced
+
+
+def _theorem_formats(machine: str, protocol: str, r: int, mode: str):
+    """Dims and the (act, att) formats of the `mode` conversion of a bench machine."""
+    from tm2tf.compilers import compile_cot, compile_scot
+    from tm2tf.softmaxify import convert
+
+    compile_fn = compile_cot if protocol == "cot" else compile_scot
+    params, cfg = convert(compile_fn(_bench_machine(machine), r)[0], mode, 2 ** r)
+    return params.dims, cfg.act_precision.fmt, cfg.att_precision.fmt
+
+
+def test_sum_bits_bounds_each_matmul_on_its_grid():
+    """custom:1,3 activations step by 1/8 up to 12 (96 steps), custom:4,4
+    weights by 2^-10; with all other dims 1, each named dim makes its sum
+    the widest."""
+    act, att = FloatFormat(1, 3), FloatFormat(4, 4)
+    one = Dims(d=1, d_k=1, d_v=1, d_ff=1, n_heads=1, n_layers=1)
+    big = 2 ** 20
+    cases = {  # (dims, n_keys): the widest sum in grid steps
+        "W_O": ((dataclasses.replace(one, n_heads=big), 1), big * 96),
+        "W1 plus bias": ((dataclasses.replace(one, d=big), 1), (2 * big * 12 + big + 1) * 8),
+        "W2": ((dataclasses.replace(one, d_ff=big), 1), 2 * big * 96),
+        "scores": ((dataclasses.replace(one, d_k=big), 1), big * 96 ** 2),
+        "attention output": ((one, big), big * 12 * 2 ** 13),
+    }
+    for name, ((dims, n_keys), steps) in cases.items():
+        assert sum_bits(dims, act, att, n_keys) == math.log2(steps), name
+    assert sum_bits(one, act, att, None) == math.inf  # no binary positions: no bound on keys
+    assert sum_bits(one, act, None, 1) == sum_bits(one, None, att, 1) == math.inf
+
+
+def test_sum_bits_passes_the_denoised_formats_and_fails_wide_ones():
+    """The theorem's denoised formats pass: bouncer8 CoT r=10, the widest
+    bench model, needs 42.6 bits. Exact attention weights (scaled_only),
+    bf16 and an activation format with 11 exponent bits fail, and so do
+    their evaluators' block steps."""
+    from tm2tf.fpcore import PRESETS
+    from tm2tf.softmaxify import act_format_containing
+
+    for machine, protocol, r in (("fig2", "cot", 6), ("bouncer4", "scot", 6), ("copy", "cot", 6)):
+        assert sum_bits(*_theorem_formats(machine, protocol, r, "denoised"), 2 ** r) <= 53
+    dims, act, att = _theorem_formats("bouncer8", "cot", 10, "denoised")
+    assert round(sum_bits(dims, act, att, 2 ** 10), 1) == 42.6
+    assert sum_bits(*_theorem_formats("fig2", "cot", 6, "scaled_only"), 2 ** 6) == math.inf
+    bf16, wide = PRESETS["bf16"], act_format_containing(2.0 ** 600)
+    assert wide == FloatFormat(1, 11)
+    assert sum_bits(dims, bf16, bf16, 2 ** 10) > 53
+    assert sum_bits(dims, wide, att, 2 ** 10) > 53
+    params, _ = _softmax_case("denoised")
+    for act, att in ((bf16, bf16), (wide, FloatFormat(4, 4))):
+        cfg = EvalConfig("softmax", Precision(act), Precision(att))
+        assert not Evaluator(params, cfg)._exact
 
 
 # Digests of final representations and traces of the rotary prefix on
