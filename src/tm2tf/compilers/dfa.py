@@ -55,12 +55,6 @@ def compile_dfa(dfa: Dfa, r: int) -> tuple[TransformerParams, CompileReport]:
     vocab = [BOS, TRUE, FALSE] + list(dfa.alphabet)
     check_dims(dims, len(vocab))
 
-    def enc_fn(fn: dict[str, str]) -> dict[int, int]:
-        vec: list[int] = []
-        for q in states:
-            vec.extend(enc_q[fn[q]])
-        return vec
-
     layout = RegisterLayout()
     i_pos = layout.register("pos", r)
     i_enc = layout.register("enc", n_q * d_q)
@@ -68,6 +62,10 @@ def compile_dfa(dfa: Dfa, r: int) -> tuple[TransformerParams, CompileReport]:
     i_sym = layout.register("sym", d_sigma)
     f_bos = layout.flag("bos")
     i_pos_ex = layout.register("pos_ex", r)
+
+    def enc_fn(fn: dict[str, str]) -> dict[int, int]:
+        """i_enc's coordinates written with enc(fn(q)) for each state q in order."""
+        return dict(zip(i_enc.coords, (v for q in states for v in enc_q[fn[q]])))
 
     builder = ModelBuilder(layout, n_layers=dims.n_layers)
 
@@ -80,7 +78,7 @@ def compile_dfa(dfa: Dfa, r: int) -> tuple[TransformerParams, CompileReport]:
     init_neurons = []
     for sigma in dfa.alphabet:
         table = {q: dfa.delta[(q, sigma)] for q in states}
-        out = {i_enc.coords[j]: v for j, v in enumerate(enc_fn(table)) if v}
+        out = enc_fn(table)
         if d_sigma > 0:
             gate_regs = [(i_sym, enc_sigma[sigma])]
             gate_flags = []
@@ -88,8 +86,7 @@ def compile_dfa(dfa: Dfa, r: int) -> tuple[TransformerParams, CompileReport]:
             gate_regs = []
             gate_flags = [(f_bos, 0)]  # lone symbol: anything that is not <bos>
         init_neurons.append(single_neuron(gate_regs, gate_flags, out))
-    ident = {i_enc.coords[j]: v for j, v in enumerate(enc_fn({q: q for q in states})) if v}
-    init_neurons.append(single_neuron([], [(f_bos, 1)], ident))
+    init_neurons.append(single_neuron([], [(f_bos, 1)], enc_fn({q: q for q in states})))
     builder.add_neurons(1, init_neurons, "init-enc")
     builder.add_neurons(1, sub_pow2(i_pos, i_pos_ex, 0, []), "posex-init")
 
@@ -122,7 +119,7 @@ def compile_dfa(dfa: Dfa, r: int) -> tuple[TransformerParams, CompileReport]:
     for q in states:
         sign = 1 if q in dfa.accepting else -1
         answer.append(single_neuron([(first_block, enc_q[q])], [], {0: sign}))
-    builder.add_neurons(dims.n_layers, [*answer, zero_register(i_pos.bit(0), [])], "answer")
+    builder.add_neurons(dims.n_layers, [*answer, zero_register(i_pos[0:1], [])], "answer")
     builder.set_unembedding(TRUE, {0: 1})
     builder.set_unembedding(FALSE, {0: -1})
 

@@ -508,8 +508,8 @@ class _TmCompiler:
                     eq_neurons.append(
                         single_neuron(
                             [
-                                (self.i_pos.bit(s + 2), (sign,)),
-                                (self.i_pos_promptend.bit(s), (sign,)),
+                                (self.i_pos[s + 2 : s + 3], (sign,)),
+                                (self.i_pos_promptend[s : s + 1], (sign,)),
                             ],
                             [],
                             {self.f_bit_equal[s].coord: 1},
@@ -755,7 +755,7 @@ class _TmCompiler:
         for p in range(1, r):
             layer = self.L2 + p
             for k in range(K):
-                bit, out = self.i_hpos_p[k].bit(p), self.i_nextbit[k]
+                bit, out = self.i_hpos_p[k][p : p + 1], self.i_nextbit[k]
                 self._lookup(layer, f"nextbit-fetch-{p}-{k}", self.i_pos_scan, bit, out)
             b.add_neurons(layer, sub_pow2_inplace(self.i_pos_scan, 0, []), f"pos-scan-dec-{p}")
         # The r'th run token of a chunk must emit <p>: look r-1 back for a run

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -43,23 +43,25 @@ class FloatFormat:
             raise ValueError("format exceeds float64 host precision")
 
     # Derived exponent bounds, e_min = 2 - 2^(b_e-1), e_max = 2^(b_e-1) - 1.
-    @property
+    # Each derived value is computed on first use and kept on the instance;
+    # equality and hashing read only the two fields.
+    @cached_property
     def e_min(self) -> int:
         return 2 - 2 ** (self.exponent_bits - 1)
 
-    @property
+    @cached_property
     def e_max(self) -> int:
         return 2 ** (self.exponent_bits - 1) - 1
 
-    @property
+    @cached_property
     def min_normal(self) -> float:
         return math.ldexp(1.0, self.e_min)
 
-    @property
+    @cached_property
     def max_value(self) -> float:
         return (2.0 - math.ldexp(1.0, -self.mantissa_bits)) * math.ldexp(1.0, self.e_max)
 
-    @property
+    @cached_property
     def min_subnormal(self) -> float:
         return math.ldexp(1.0, self.e_min - self.mantissa_bits)
 
@@ -133,14 +135,6 @@ def round_nearest(x: float, fmt: FloatFormat) -> float:
     return round_nearest_info(x, fmt)[0]
 
 
-@lru_cache(maxsize=None)
-def _round_constants(fmt: FloatFormat) -> tuple[int, int, float]:
-    """(mantissa_bits + 1, mantissa_bits - e_min, max_value) of a format,
-    computed once: the properties cost more per call than the rounding of a
-    small array."""
-    return fmt.mantissa_bits + 1, fmt.mantissa_bits - fmt.e_min, fmt.max_value
-
-
 def round_array(x: np.ndarray, fmt: FloatFormat) -> tuple[np.ndarray, int]:
     """Vectorized round_nearest over a float64 array.
 
@@ -159,7 +153,7 @@ def round_array(x: np.ndarray, fmt: FloatFormat) -> tuple[np.ndarray, int]:
     scalar = x.ndim == 0  # frexp of a 0-d array gives scalars, which take no out=
     if scalar:
         x = x.reshape(1)
-    shift_top, shift_min, max_value = _round_constants(fmt)
+    max_value = fmt.max_value
     magnitude = np.abs(x)
     top = magnitude.max()
     saturated = 0
@@ -173,8 +167,8 @@ def round_array(x: np.ndarray, fmt: FloatFormat) -> tuple[np.ndarray, int]:
     # is 2^(eff - mantissa_bits), eff = max(e - 1, e_min) <= e_max; scale it
     # to 1 by 2^shift, shift = min(mantissa_bits + 1 - e, mantissa_bits - e_min).
     _, shift = np.frexp(x)
-    np.subtract(shift_top, shift, out=shift)
-    np.minimum(shift, shift_min, out=shift)
+    np.subtract(fmt.mantissa_bits + 1, shift, out=shift)
+    np.minimum(shift, fmt.mantissa_bits - fmt.e_min, out=shift)
     y = np.ldexp(x, shift)
     np.rint(y, out=y)  # ties to even, as round() in the scalar routine
     np.negative(shift, out=shift)

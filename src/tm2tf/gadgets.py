@@ -95,9 +95,6 @@ class Register:
     def __getitem__(self, idx: slice) -> "Register":
         return Register(f"{self.name}[{idx.start}:{idx.stop}]", self.coords[idx])
 
-    def bit(self, idx: int) -> "Register":
-        return Register(f"{self.name}[{idx}]", (self.coords[idx],))
-
 
 @dataclass(frozen=True)
 class Flag:

@@ -164,8 +164,10 @@ def _run_segments(
                 scores = ev.output_scores(position - 1)
                 # the emitted token first, also when the greedy rule broke a tie for it
                 first = params.token_index(tokens[position])
-                best = np.argsort(scores)[::-1][:2]
-                second = best[1] if best[0] == first else best[0]
+                # the runner-up by the greedy rule: best other score, lowest index on ties
+                rest = scores.copy()
+                rest[first] = -np.inf
+                second = int(np.argmax(rest))
                 trace.records.append(
                     {
                         "segment": seg_idx,

@@ -67,6 +67,7 @@ __all__ = [
     "validate_dfa",
     "probe_phi",
     "trace_invariant_violations",
+    "attention_rounding_bound_violations",
     "rounding_relative_error_suite",
     "perturbation_doubling_suite",
     "softmax_hardmax_distance_suite",
@@ -94,18 +95,13 @@ class ValidationReport:
 
 @dataclass
 class ProbeReport:
-    format_name: str
+    format: str
     scanned: int
     first_confusion: int | None = None  # i*
     confounder: int | None = None  # j*
 
     def to_json(self) -> dict:
-        return {
-            "format": self.format_name,
-            "scanned": self.scanned,
-            "first_confusion": self.first_confusion,
-            "confounder": self.confounder,
-        }
+        return asdict(self)
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +224,7 @@ def _score_row_violations(lt: LayerTrace) -> tuple[int, int]:
     integral = np.all(dots == np.rint(dots), axis=-1)
     best = dots.max(axis=-1, keepdims=True)
     tied = dots == best
-    gap = best[..., 0] - np.where(tied, -np.inf, dots).max(axis=-1) < 1.0  # inf if all tie
+    gap = separation(dots) < 1.0  # inf if all tie
     # Tied keys of one row must carry the value of its first tied key.
     values = lt.v.reshape(*dots.shape[:2], lt.v.shape[-1])  # (n, rows, d_v)
     first = tied.argmax(axis=-1)

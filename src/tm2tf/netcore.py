@@ -52,6 +52,7 @@ __all__ = [
     "TransformerParams",
     "EvalConfig",
     "ActivationTrace",
+    "LayerTrace",
     "EvalError",
     "hardmax_weights",
     "softmax_weights",
@@ -63,6 +64,8 @@ __all__ = [
     "next_token",
     "params_to_json",
     "params_from_json",
+    "save_model",
+    "load_model",
 ]
 
 
@@ -405,7 +408,8 @@ class Evaluator:
     layer without MLP rows its MLP half: `x_mid` = x + 0.0 and `x_out` =
     x_mid + 0.0, which is what the full half gives bit for bit, since x is
     already a value of the activation format and the half adds +0.0. The
-    trace keeps its shapes, with a zero `y`.
+    embeddings are not rounded: ternary codes and +-1 position bits are
+    elements of every format. The trace keeps its shapes, with a zero `y`.
 
     The Q/K/V, W_O and W1 products gather the live input coordinates of
     their rows (`x.take(live, axis=1)`) and multiply float64 weights on
@@ -582,11 +586,12 @@ class Evaluator:
         # key j is in the future of query row i when j > start + i
         future = np.arange(n) > np.arange(start, n)[:, None] if n_new > 1 else None
 
-        x = rnd(x.swapaxes(0, 1).reshape(n_new * n_seq, d), act)
+        # ternary codes and +-1 position bits are elements of every format
+        x = x.swapaxes(0, 1).reshape(n_new * n_seq, d)
         if capture:
             self._traced[0]["x0"][start:n] = x.reshape(n_new, n_seq, d)
         for li, ((attention, mlp), kv) in enumerate(zip(self._w, self._kv)):
-            # x is a value of act, rounded at the embedding or at the end of
+            # x is a value of act: an embedding, or rounded at the end of
             # the layer before. Without heads y is +0.0, so x_mid = rnd(x +
             # y, act) is x + 0.0, bit for bit and with no saturation, and
             # without MLP rows x_out is x_mid + 0.0 the same way.

@@ -384,7 +384,7 @@ def test_builder_derives_gates_from_neurons():
     builder.add_neurons(
         1,
         [
-            single_neuron([(a.bit(0), (1,))], [], {b.coords[0]: 1}),
+            single_neuron([(a[0:1], (1,))], [], {b.coords[0]: 1}),
             single_neuron([(a, (1, 1))], [], {b.coords[1]: -1}),
         ],
         "a0-high",
@@ -406,8 +406,8 @@ def test_builder_partly_gated_op_conflicts():
     builder.add_neurons(1, copy_register(a, b, [(f, 0)]), "copy-not-f")
     # Only the first neuron needs f = 1; the second fires whatever f is.
     partly_gated = [
-        single_neuron([(a.bit(0), (1,))], [(f, 1)], {b.coords[0]: 1}),
-        single_neuron([(a.bit(1), (1,))], [], {b.coords[1]: 1}),
+        single_neuron([(a[0:1], (1,))], [(f, 1)], {b.coords[0]: 1}),
+        single_neuron([(a[1:2], (1,))], [], {b.coords[1]: 1}),
     ]
     with pytest.raises(BuildError):
         builder.add_neurons(1, partly_gated, "partly-f")
@@ -421,7 +421,7 @@ def _budget_build(n_heads: int, d_ff: int):
     builder = ModelBuilder(layout, n_layers=2)
     builder.add_neurons(1, copy_register(a, b, []), "copy")
     for i in range(2):
-        builder.add_head(2, selector_head(f"h{i}", [a], [a], [a.bit(i)], b.bit(i)))
+        builder.add_head(2, selector_head(f"h{i}", [a], [a], [a[i : i + 1]], b[i : i + 1]))
     dims = Dims(d=layout.d, d_k=2, d_v=1, d_ff=d_ff, n_heads=n_heads, n_layers=2)
     return builder.finalize(["x"], dims, NoPositional(), "test", 2)
 
@@ -469,7 +469,7 @@ REFUSALS = {
         "register patterns must be +-1",
     ),
     "register overlap": (
-        lambda lay, a, f, b: single_neuron([(a, (1, 1)), (a.bit(0), (1,))], [], {}),
+        lambda lay, a, f, b: single_neuron([(a, (1, 1)), (a[0:1], (1,))], [], {}),
         "overlapping register/flag references",
     ),
     "flag value": (

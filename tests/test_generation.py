@@ -195,6 +195,14 @@ def test_step_records_name_the_emitted_token_first_on_ties():
         assert second != INP
 
 
+def test_step_records_name_the_lowest_index_runner_up_on_ties():
+    """The runner-up follows the greedy rule: the best score other than the
+    emitted token's, the lowest index among equal scores. Every token but
+    </outp> scores 0, so it is <inp>, vocabulary index 0."""
+    trace = run_cot(constant_model(VOCAB, EOUTP), "a", EvalConfig(), record_steps=True)
+    assert [rec["top2"] for rec in trace.records] == [[[EOUTP, 1.0], [INP, 0.0]]]
+
+
 @pytest.mark.parametrize("runner", [run_cot, run_scot])
 @pytest.mark.parametrize("word, bad", [(["a", EINP], EINP), (["state:q", "a"], "state:q")])
 def test_a_word_token_that_is_not_an_input_symbol_is_refused(runner, word, bad):

@@ -5,6 +5,7 @@ top of its module."""
 
 import ast
 import importlib
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -217,3 +218,39 @@ def test_definitions_only_tests_read_are_listed():
         if isinstance(node, _DEFINITIONS) and node.name not in program
     ]
     assert sorted(test_only) == sorted(TEST_ONLY)
+
+
+def _imported_from_tm2tf(path: Path, tree: ast.Module) -> list[tuple[str, str]]:
+    """(module, name) of each name that an import statement of `path`
+    takes from a `tm2tf` module, relative imports of the package resolved."""
+    package = path.parent.relative_to(PACKAGE.parent).parts if PACKAGE in path.parents else ()
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        module = node.module
+        if node.level:
+            base = package[: len(package) - node.level + 1]
+            module = ".".join([*base, *filter(None, [node.module])])
+        if module.split(".")[0] == "tm2tf":
+            found += [(module, alias.name) for alias in node.names]
+    return found
+
+
+def test_all_lists_every_public_name_that_others_import():
+    """A public name that a `tm2tf` module, a test or a bench script imports
+    by name from a `tm2tf` module is in that module's `__all__`, if it
+    declares one; a submodule imported from its package is not a name of
+    the package."""
+    missing = set()
+    for path in SOURCES:
+        for module, name in _imported_from_tm2tf(path, ast.parse(path.read_text(), str(path))):
+            target = importlib.import_module(module)
+            if name.startswith("_") or (
+                hasattr(target, "__path__") and importlib.util.find_spec(f"{module}.{name}")
+            ):
+                continue
+            exported = getattr(target, "__all__", None)  # None: every public name
+            if exported is not None and name not in exported:
+                missing.add(f"{module}.{name}")
+    assert sorted(missing) == []

@@ -664,7 +664,8 @@ def test_a_rounded_decode_calls_round_array_by_its_module_name(monkeypatch):
 
 @pytest.mark.parametrize("mode", ["scaled_only", "denoised"])
 def test_rounding_calls_per_step_skip_empty_half_layers(mode, monkeypatch):
-    """Each step rounds its embeddings; a layer with heads rounds Q/K/V,
+    """No step rounds its embeddings, which every format holds (ternary
+    codes and +-1 position bits); a layer with heads rounds Q/K/V,
     o, y and x_mid, plus the attention weights under an attention format;
     a layer with MLP rows rounds hidden, the MLP output and x_out. A layer
     without heads or without MLP rows rounds nothing for that half. The
@@ -695,7 +696,7 @@ def test_rounding_calls_per_step_skip_empty_half_layers(mode, monkeypatch):
     first = len(prompt) if mode == "denoised" else 1
     assert steps == [first] + [1] * (len(ev.tokens) - first)
     attention = 4 + (not cfg.att_precision.exact)
-    per_step = 1 + sum(
+    per_step = sum(
         attention * bool(layer.heads) + 3 * bool(layer.bias4.size) for layer in params.layers
     )
     assert len(calls) == len(steps) * per_step
@@ -1175,6 +1176,36 @@ def test_softmax_decode_digests(case):
     params, cfg = _fig2_softmax_case(case)
     prompt = [INP, *"abab", EINP]
     _, _, ev = generate(params, prompt, {EOUTP}, 2 ** 6 - len(prompt), cfg)
+    assert _ev_digest(ev) == SOFTMAX_DIGESTS[case]
+
+
+@pytest.mark.parametrize("case", ["denoised", "denoised c=4"])
+def test_softmax_decode_digests_of_a_drafted_block(case, monkeypatch):
+    """With the oracle's tokens as the draft, the prompt and the draft's
+    tokens that stand run as one block step, whose rows sum their softmax
+    denominators over their own keys; the evaluator hashes to the digest of
+    the plain decode. At c=4 the model leaves the oracle's run, so its draft
+    is wrong from there and the tokens that stand are decoded again as one
+    block."""
+    from machines import fig2_machine
+
+    from tm2tf.automata import EINP, EOUTP, INP, cot_token_oracle
+    from tm2tf.generation import generate
+
+    params, cfg = _fig2_softmax_case(case)
+    prompt = [INP, *"abab", EINP]
+    oracle = cot_token_oracle(fig2_machine(), "abab", 6)
+    step, steps = Evaluator._step, []
+
+    def counted(ev, x, start):
+        steps.append(x.shape[1])
+        step(ev, x, start)
+
+    monkeypatch.setattr(Evaluator, "_step", counted)
+    _, _, ev = generate(
+        params, prompt, {EOUTP}, 2 ** 6 - len(prompt), cfg, draft=oracle[len(prompt) :]
+    )
+    assert max(steps) > len(prompt)
     assert _ev_digest(ev) == SOFTMAX_DIGESTS[case]
 
 

@@ -92,17 +92,18 @@ def test_validation_report_matches_pinned_digest(name):
 # The --trace-out file of `run-<protocol>` on a model compiled at r=6, as
 # compiled (hardmax) or after `convert --mode denoised`. Each denoised run
 # writes its hardmax run's file: at the theorem's c the two best output
-# scores of every step equal the hardmax ones.
+# scores of every step equal the hardmax ones. A record's runner-up is the
+# lowest-index token among those with the best score after the emitted one's.
 TRACE_WORDS = {"fig2": (fig2_machine, "abab"), "bouncer4": (lambda: bouncer_machine(4), "xy")}
 TRACE_DIGESTS = {
-    "fig2-cot-hardmax": "1892f64ff737c654d5fad8b537b9278f33ffc3939fe7a0bb550bc5b8d172584e",
-    "fig2-cot-denoised": "1892f64ff737c654d5fad8b537b9278f33ffc3939fe7a0bb550bc5b8d172584e",
-    "fig2-scot-hardmax": "5fe99132422981e228e25e9295f3e8fb6647edf71826e143e0812c8a4d30d092",
-    "fig2-scot-denoised": "5fe99132422981e228e25e9295f3e8fb6647edf71826e143e0812c8a4d30d092",
-    "bouncer4-cot-hardmax": "6200ef6e3de9fe4fd703fb9d8e292299eb50f425003c72b47e68c7dbe70ab69e",
-    "bouncer4-cot-denoised": "6200ef6e3de9fe4fd703fb9d8e292299eb50f425003c72b47e68c7dbe70ab69e",
-    "bouncer4-scot-hardmax": "dd54167a4fb19b88705355a0764df6bb9e3471b48dbbc28838fc75f3b4c483ea",
-    "bouncer4-scot-denoised": "dd54167a4fb19b88705355a0764df6bb9e3471b48dbbc28838fc75f3b4c483ea",
+    "fig2-cot-hardmax": "6f4c3bda4db89bb8873f343612b368a8e3db41fe64be805831653c00cf7cc78d",
+    "fig2-cot-denoised": "6f4c3bda4db89bb8873f343612b368a8e3db41fe64be805831653c00cf7cc78d",
+    "fig2-scot-hardmax": "6903e126c9983d38b5e47f6638c753cff6b6b85746a4c8ebb6808b6c17be6106",
+    "fig2-scot-denoised": "6903e126c9983d38b5e47f6638c753cff6b6b85746a4c8ebb6808b6c17be6106",
+    "bouncer4-cot-hardmax": "438315960536d9113dc0fb2b08d54b18041d2599eb596f5010777ac68a3e1c26",
+    "bouncer4-cot-denoised": "438315960536d9113dc0fb2b08d54b18041d2599eb596f5010777ac68a3e1c26",
+    "bouncer4-scot-hardmax": "7a40f7c114c5b5315f89ac8a9dd39f70f4046f9792fcac0e5dfe211fefaf8680",
+    "bouncer4-scot-denoised": "7a40f7c114c5b5315f89ac8a9dd39f70f4046f9792fcac0e5dfe211fefaf8680",
 }
 @pytest.mark.parametrize("name", list(TRACE_DIGESTS))
 def test_cli_trace_out_matches_pinned_digest(name, tmp_path, capsys):
