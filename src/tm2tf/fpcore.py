@@ -5,6 +5,15 @@ bit counts. There are no infinities or NaNs: values beyond the largest
 finite element saturate. All host-side arithmetic runs in float64, which
 is wide enough to hold every element of every supported format exactly
 (mantissa_bits <= 52, exponent_bits <= 11).
+
+`round_array` has two paths. The scaling rule (frexp, ldexp, rint) rounds
+in any format. A format of at most TABLE_CAP = 2^13 elements, which holds
+every format the conversions evaluate in, also keeps a table of its
+elements and the rounding bounds between them, and rounds an array by one
+binary search per element. The table's ties were decided by the scaling
+rule when it was built, so there is one rounding rule and the table is its
+cache. The cap leaves bf16 and wider formats on the scaling rule: a bf16
+table raised the peak RSS of a rounded-softmax decode by 3.5 MB.
 """
 
 from __future__ import annotations
@@ -20,6 +29,7 @@ __all__ = [
     "Precision",
     "EXACT",
     "PRESETS",
+    "TABLE_CAP",
     "parse_precision",
     "round_nearest",
     "round_nearest_info",
@@ -27,6 +37,17 @@ __all__ = [
     "is_representable",
     "representables_between",
 ]
+
+
+# The most elements a format may have to round by table lookup. Every
+# activation format of the conversions, FloatFormat(1, b) for b <= 11
+# (at most 8187 elements), and every attention format FloatFormat(4,
+# min_att_exponent_bits(N)) for N <= 2^64 (at most 8159) fit, at two arrays
+# of 64 kB each. bf16 (65279 elements) does not: with a cap of 2^17, its
+# 0.5 MB arrays and the temporaries that build them raised the peak RSS of
+# the bench's decode-softmax workload from 42.3 to 45.8 MB, so it keeps the
+# scaling rule.
+TABLE_CAP = 2 ** 13
 
 
 @dataclass(frozen=True)
@@ -64,6 +85,43 @@ class FloatFormat:
     @cached_property
     def min_subnormal(self) -> float:
         return math.ldexp(1.0, self.e_min - self.mantissa_bits)
+
+    @cached_property
+    def n_elements(self) -> int:
+        """Number of elements: on each side of 0, 2^b_e - 1 binades of
+        2^b_m values (the subnormal binade's first value is 0 itself)."""
+        return 2 * ((2 ** self.exponent_bits - 1) << self.mantissa_bits) - 1
+
+    @cached_property
+    def round_table(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """(elements, bounds) for rounding by lookup, or None for a format
+        of more than TABLE_CAP elements. Read-only.
+
+        x rounds to elements[bounds.searchsorted(x, "right")]. elements
+        holds the format's elements in ascending order between two NaN
+        sentinels. Between two neighbouring elements the bound is their
+        midpoint, or the next float64 above it where the scaling rule
+        rounds that tie down. The outer bounds are -max_value and the next
+        float64 above max_value, so NaN, +-inf and every saturating value
+        meet a sentinel.
+        """
+        if self.n_elements > TABLE_CAP:
+            return None
+        # The positive elements by bit pattern (E << b_m) | f: f * 2^(e_min
+        # - b_m) for E = 0 (subnormal), else (2^b_m + f) * 2^(E - 1 + e_min - b_m).
+        mb = self.mantissa_bits
+        codes = np.arange(1, (2 ** self.exponent_bits - 1) << mb)
+        k = np.maximum((codes >> mb) - 1, 0)
+        positive = np.ldexp((codes - (k << mb)).astype(np.float64), k + self.e_min - mb)
+        finite = np.concatenate([-positive[::-1], [0.0], positive])
+        mids = finite[:-1] / 2 + finite[1:] / 2  # exact, and finite next to max_value
+        down = _round_scaled(mids, self)[0] < finite[1:]
+        bounds = np.where(down, np.nextafter(mids, np.inf), mids)
+        elements = np.concatenate([[np.nan], finite, [np.nan]])
+        bounds = np.concatenate([[-self.max_value], bounds, [np.nextafter(self.max_value, np.inf)]])
+        elements.setflags(write=False)
+        bounds.setflags(write=False)
+        return elements, bounds
 
 
 @dataclass(frozen=True)
@@ -138,8 +196,32 @@ def round_nearest(x: float, fmt: FloatFormat) -> float:
 def round_array(x: np.ndarray, fmt: FloatFormat) -> tuple[np.ndarray, int]:
     """Vectorized round_nearest over a float64 array.
 
-    Returns (rounded array, number of saturated elements). Bit-for-bit
-    identical to the scalar routine on every element.
+    Returns (rounded array, number of saturated elements): a new array of
+    x's shape, bit-for-bit identical to the scalar routine on every element.
+
+    A format of at most TABLE_CAP (2^13) elements rounds by its
+    `round_table`, whose ties the scaling rule decided: one search, one
+    gather and one max, which NaN passes. If the max is NaN, an element met
+    a sentinel, as it saturates or is not finite, and the scaling rule
+    rounds the array again, so that it counts the saturations and refuses
+    non-finite input. A format over the cap (bf16, fp16, fp32, fp64) takes
+    the scaling rule alone; see TABLE_CAP for why the cap sits there.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    if x.size == 0:
+        return x.copy(), 0
+    table = fmt.round_table
+    if table is not None:
+        elements, bounds = table
+        y = elements[bounds.searchsorted(x, "right")]
+        top = np.maximum.reduce(y, axis=None)
+        if top == top:  # not NaN: no element met a sentinel
+            return np.asarray(y), 0  # a 0-d x indexes a numpy scalar
+    return _round_scaled(x, fmt)
+
+
+def _round_scaled(x: np.ndarray, fmt: FloatFormat) -> tuple[np.ndarray, int]:
+    """The scaling rule of `round_array`, for a non-empty float64 array.
 
     One abs-max reduction does three jobs: NaN propagates through it and
     +-inf reach it, so it finds non-finite inputs; it decides whether any
@@ -147,9 +229,6 @@ def round_array(x: np.ndarray, fmt: FloatFormat) -> tuple[np.ndarray, int]:
     is monotone and max_value is an element, so |x| <= max_value gives
     |y| <= max_value.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if x.size == 0:
-        return x.copy(), 0
     scalar = x.ndim == 0  # frexp of a 0-d array gives scalars, which take no out=
     if scalar:
         x = x.reshape(1)

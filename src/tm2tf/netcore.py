@@ -109,6 +109,12 @@ def check_dims(dims: Dims, n_vocab: int) -> None:
         raise ValueError(f"dims imply more than {MAX_DIMS_ENTRIES} weight entries")
 
 
+def _outside(codes: np.ndarray, bound: int) -> bool:
+    """Whether a code lies outside [-bound, bound]. By min and max, not
+    abs: np.abs wraps at the dtype minimum (int8 -128)."""
+    return codes.min(initial=0) < -bound or codes.max(initial=0) > bound
+
+
 @dataclass
 class HeadParams:
     wq: np.ndarray  # (d_k, d)
@@ -210,8 +216,10 @@ class TransformerParams:
                 )
         if len(self.layers) != dims.n_layers:
             raise ValueError(f"{len(self.layers)} layers but dims.n_layers = {dims.n_layers}")
-        # (name, array, shape, largest absolute code)
-        arrays = [("emb", self.emb, (n_vocab, d), 1), ("unemb", self.unemb, (n_vocab, d), 1)]
+        # Groups of (name, array, shape) that share a largest absolute code:
+        # one min/max pair checks a group, and only a group that fails is
+        # searched for the array to name.
+        groups = [(1, [("emb", self.emb, (n_vocab, d)), ("unemb", self.unemb, (n_vocab, d))])]
         for li, layer in enumerate(self.layers):
             m = layer.bias4.size
             if len(layer.heads) > dims.n_heads or m > dims.d_ff:
@@ -219,23 +227,25 @@ class TransformerParams:
                     f"layer {li} has {len(layer.heads)} heads and {m} MLP rows, "
                     f"over the budgets n_heads = {dims.n_heads}, d_ff = {dims.d_ff}"
                 )
+            heads = []
             for hi, h in enumerate(layer.heads):
-                arrays += [
-                    (f"layer {li} head {hi} wq", h.wq, (dims.d_k, d), 1),
-                    (f"layer {li} head {hi} wk", h.wk, (dims.d_k, d), 1),
-                    (f"layer {li} head {hi} wv", h.wv, (dims.d_v, d), 1),
-                    (f"layer {li} head {hi} wo", h.wo, (d, dims.d_v), 1),
+                heads += [
+                    (f"layer {li} head {hi} wq", h.wq, (dims.d_k, d)),
+                    (f"layer {li} head {hi} wk", h.wk, (dims.d_k, d)),
+                    (f"layer {li} head {hi} wv", h.wv, (dims.d_v, d)),
+                    (f"layer {li} head {hi} wo", h.wo, (d, dims.d_v)),
                 ]
-            arrays += [
-                (f"layer {li} w1", layer.w1, (m, d), 2),
-                (f"layer {li} bias4", layer.bias4, (m,), 4 * (d + 1)),
-                (f"layer {li} w2", layer.w2, (d, m), 2),
+            groups += [
+                (1, heads),
+                (2, [(f"layer {li} w1", layer.w1, (m, d)), (f"layer {li} w2", layer.w2, (d, m))]),
+                (4 * (d + 1), [(f"layer {li} bias4", layer.bias4, (m,))]),
             ]
-        for name, a, shape, bound in arrays:
-            if a.shape != shape:
-                raise ValueError(f"{name} has shape {a.shape}, expected {shape}")
-            # min/max, not abs: np.abs wraps at the dtype minimum (int8 -128)
-            if a.min(initial=0) < -bound or a.max(initial=0) > bound:
+        for bound, arrays in groups:
+            for name, a, shape in arrays:
+                if a.shape != shape:
+                    raise ValueError(f"{name} has shape {a.shape}, expected {shape}")
+            if arrays and _outside(np.concatenate([a.ravel() for _, a, _ in arrays]), bound):
+                name = next(name for name, a, _ in arrays if _outside(a, bound))
                 raise ValueError(f"{name} codes must lie in [-{bound}, {bound}]")
         if not (self.qk_scale > 0 and math.isfinite(self.qk_scale)):
             raise ValueError(f"qk_scale must be positive and finite, got {self.qk_scale}")

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from tm2tf.fpcore import (
     EXACT,
     PRESETS,
+    TABLE_CAP,
     FloatFormat,
     Precision,
     is_representable,
@@ -227,14 +229,18 @@ def _grid_points(fmt: FloatFormat, binades) -> np.ndarray:
 
 def _assert_matches_scalar(xs: np.ndarray, fmt: FloatFormat) -> None:
     """round_array against round_nearest_info, by bytes and per-element
-    saturation: the saturated elements count fully, the others not at all."""
+    saturation: the saturated elements count fully, the others not at all.
+    The elements that do not saturate are also rounded on their own, as
+    one saturating element sends a whole array past a format's table."""
     want = [round_nearest_info(float(x), fmt) for x in xs]
+    values = np.array([v for v, _ in want])
     got, saturated = round_array(xs, fmt)
-    assert got.tobytes() == np.array([v for v, _ in want]).tobytes(), fmt
+    assert got.tobytes() == values.tobytes(), fmt
     flags = np.array([s for _, s in want])
     assert saturated == np.count_nonzero(flags), fmt
     assert round_array(xs[flags], fmt)[1] == np.count_nonzero(flags), fmt
-    assert round_array(xs[~flags], fmt)[1] == 0, fmt
+    inside, saturated = round_array(xs[~flags], fmt)
+    assert inside.tobytes() == values[~flags].tobytes() and saturated == 0, fmt
 
 
 def test_round_array_matches_scalar_on_every_element_and_tie():
@@ -255,6 +261,101 @@ def test_round_array_matches_scalar_on_every_element_and_tie():
 def test_round_array_matches_scalar_on_subnormal_unit_and_top_binades(name):
     fmt = PRESETS[name]
     _assert_matches_scalar(_grid_points(fmt, [None, 0, fmt.e_max]), fmt)
+
+
+# Formats on both sides of TABLE_CAP: every FloatFormat(m, e) with m <= 6
+# (the ones over the cap include (2, 11), (5, 8) and (6, 7)), and presets.
+FORMATS_BOTH_SIDES = [FloatFormat(m, e) for m in range(1, 7) for e in range(2, 12)]
+FORMATS_BOTH_SIDES += [PRESETS[name] for name in ("bf16", "fp16", "fp32")]
+
+
+@st.composite
+def _format_and_points(draw):
+    """A format and an array that mixes values in and out of its range,
+    ties between neighbouring elements with their float64 neighbours, +-0,
+    float64 subnormals, and +-max_value with its neighbours."""
+    fmt = draw(st.sampled_from(FORMATS_BOTH_SIDES))
+    mb, top = fmt.mantissa_bits, fmt.max_value
+
+    @st.composite
+    def tie(draw):
+        # Neighbours a < b: integer mantissas t, t + 1 at step 2^(k - mb),
+        # with t >= 2^mb above the subnormal binade and b <= max_value.
+        k = draw(st.integers(fmt.e_min, fmt.e_max))
+        lo = 0 if k == fmt.e_min else 2 ** mb
+        t = draw(st.integers(lo, 2 ** (mb + 1) - (2 if k == fmt.e_max else 1)))
+        mid = np.ldexp(float(t), k - mb) / 2 + np.ldexp(float(t + 1), k - mb) / 2
+        return float(np.nextafter(mid, draw(st.sampled_from([-np.inf, mid, np.inf]))))
+
+    edges = [top, np.nextafter(top, np.inf), np.nextafter(top, 0.0), 0.0, -0.0]
+    point = st.one_of(
+        st.floats(-top, top),
+        tie(),
+        st.sampled_from([float(v) for v in edges]),
+        st.floats(-2.0 ** -1022, 2.0 ** -1022),
+        st.floats(allow_nan=False, allow_infinity=False),
+    )
+    signed = st.tuples(point, st.booleans()).map(lambda p: -p[0] if p[1] else p[0])
+    return fmt, np.array(draw(st.lists(signed, min_size=1, max_size=24)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_format_and_points())
+def test_round_array_matches_scalar_on_both_sides_of_the_table_cap(case):
+    """The table, its fall-back on a sentinel and the scaling rule all give
+    the scalar routine's bytes and saturation count."""
+    fmt, xs = case
+    _assert_matches_scalar(xs, fmt)
+
+
+def test_the_table_cap_holds_every_format_of_the_theorem():
+    """Every activation and attention format of the conversions rounds by
+    table; the presets are over the cap and build no table, so that a later
+    edit neither sends rounded-softmax decoding back to the scaling rule nor
+    keeps megabytes of tables."""
+    from tm2tf.softmaxify import act_format_containing, min_att_exponent_bits
+
+    formats = {act_format_containing(2.0 ** k) for k in range(1024)}
+    exponent_bits = {min_att_exponent_bits(2 ** k) for k in range(65)}
+    formats |= {FloatFormat(4, b) for b in exponent_bits}
+    assert max(exponent_bits) == min_att_exponent_bits(2 ** 64)
+    for fmt in formats:
+        elements, bounds = fmt.round_table
+        assert fmt.n_elements <= TABLE_CAP and elements.size == fmt.n_elements + 2, fmt
+        assert bounds.size == fmt.n_elements + 1, fmt
+    for fmt in PRESETS.values():
+        assert fmt.n_elements > TABLE_CAP and fmt.round_table is None, fmt
+
+
+@pytest.mark.parametrize("fmt", [FloatFormat(1, 2), FloatFormat(2, 3), FloatFormat(3, 4)])
+def test_a_round_table_lists_every_element(fmt):
+    elements, _ = fmt.round_table
+    listed = representables_between(fmt, -fmt.max_value, fmt.max_value)
+    assert fmt.n_elements == len(listed)
+    assert np.isnan(elements[[0, -1]]).all() and elements[1:-1].tolist() == listed
+
+
+@pytest.mark.parametrize("fmt", [FloatFormat(1, 2), FloatFormat(4, 8), PRESETS["bf16"]])
+@pytest.mark.parametrize("scale", [1.0, 1e300])  # in range for a table, or saturating
+@pytest.mark.parametrize("shape", [(), (6, 2, 5)])  # 0-d, and (P*B, H, d)
+def test_a_rounded_array_is_new_and_rounding_is_repeatable(fmt, scale, shape):
+    x = np.random.default_rng(5).uniform(-3.0, 3.0, shape) * scale
+    first, _ = round_array(x, fmt)
+    assert first.shape == shape and first.flags.writeable
+    assert not np.shares_memory(first, x)
+    for array in fmt.round_table or ():
+        assert not np.shares_memory(first, array)
+    want = first.tobytes()
+    first[...] = 7.0
+    assert round_array(x, fmt)[0].tobytes() == want
+
+
+def test_a_cached_table_leaves_the_format_value_alone():
+    fmt = FloatFormat(3, 4)
+    before = (fmt == FloatFormat(3, 4), hash(fmt), repr(fmt), dataclasses.asdict(fmt))
+    round_array(np.array([0.3, -2.5]), fmt)
+    assert "round_table" in vars(fmt)
+    assert (fmt == FloatFormat(3, 4), hash(fmt), repr(fmt), dataclasses.asdict(fmt)) == before
 
 
 def test_round_array_keeps_the_shape_of_a_0d_array():

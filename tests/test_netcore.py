@@ -1398,3 +1398,19 @@ def test_netcore_refuses(case):
     call, message = NETCORE_REFUSALS[case]
     with pytest.raises(ValueError, match=re.escape(message)):
         call()
+
+
+@pytest.mark.parametrize("matrix", ["wk", "wo"])
+def test_a_head_code_out_of_range_is_refused_by_name(matrix):
+    """validate_weights checks a layer's head matrices together and names
+    the one that holds the bad code."""
+    from machines import fig2_machine
+
+    from tm2tf.compilers import compile_cot
+
+    params, _ = compile_cot(fig2_machine(), 6)
+    li = next(i for i, layer in enumerate(params.layers) if len(layer.heads) > 1)
+    getattr(params.layers[li].heads[1], matrix)[0, 0] = 2
+    message = f"layer {li} head 1 {matrix} codes must lie in [-1, 1]"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        params.validate_weights()
