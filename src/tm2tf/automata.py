@@ -9,6 +9,9 @@ compiled-model vocabularies and JSON files all agree:
   position bit bits:+-            (one +/- per tape, LSB-first blocks)
   tape token   tape:a,^b          (^ marks the head position on that tape)
   state token  state:q
+
+Vocabularies hold only what runs emit: the run tokens are δ's image, and no
+summary holds the halting state, so it has no state token.
 """
 
 from __future__ import annotations
@@ -327,19 +330,23 @@ def tm_run(tm: TuringMachine, word: list[str] | str, step_cap: int) -> RunResult
 # vocabularies
 
 
-def _run_tokens_all(tm: TuringMachine) -> list[str]:
+def _run_tokens(tm: TuringMachine) -> list[str]:
+    """δ's image, the only run tokens a run emits, in the order of their
+    (state, written symbols, moves) with each part as declared."""
+    image = set(tm.delta.values())
     return [
         run_token(q, ys, ms)
         for q in tm.states
         for ys in itertools.product(tm.tape_alphabet, repeat=tm.tapes)
         for ms in itertools.product(MOVES, repeat=tm.tapes)
+        if (q, ys, ms) in image
     ]
 
 
 def cot_vocab(tm: TuringMachine) -> list[str]:
     delims = [INP, EINP, OUTP, EOUTP, POPEN, PCLOSE]
     pos = [pos_token(b) for b in itertools.product((-1, 1), repeat=tm.tapes)]
-    return delims + list(tm.input_alphabet) + _run_tokens_all(tm) + pos
+    return delims + list(tm.input_alphabet) + _run_tokens(tm) + pos
 
 
 def scot_vocab(tm: TuringMachine) -> list[str]:
@@ -348,7 +355,7 @@ def scot_vocab(tm: TuringMachine) -> list[str]:
         tape_token(tuple(s for s, _ in combo), tuple(h for _, h in combo))
         for combo in itertools.product(per_tape, repeat=tm.tapes)
     ]
-    states = [state_token(q) for q in tm.states]
+    states = [state_token(q) for q in tm.states if q != tm.q_halt]
     return cot_vocab(tm) + [SUMM, ESUMM] + tape_toks + states
 
 

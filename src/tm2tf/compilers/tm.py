@@ -84,7 +84,9 @@ def _tm_dims(scot: bool, tapes: int, n_states: int, n_symbols: int, r: int) -> D
     """The CoT or SCoT model's size for a machine of these counts. d_ff is
     the transition layer's rows (one per (state, symbols) table entry, plus
     those it needs besides), or the widest of the other layers, whose rows
-    grow with r, if that is more."""
+    grow with r, if that is more. It counts the halting state's |Γ|^K
+    entries, which get no rows, so that d_ff, which theorem c and
+    `instantiate_capacity` read, stays the bound |Q|·|Γ|^K of the counts."""
     k = tapes
     d_q = (n_states - 1).bit_length()
     d_g = (n_symbols - 1).bit_length()
@@ -851,18 +853,15 @@ class _TmCompiler:
         b, K, tm = self.b, self.K, self.tm
         layer = self.L3 + 1
         neurons = []
-        for q in tm.states:
-            for syms in itertools.product(tm.tape_alphabet, repeat=K):
-                if q == tm.q_halt:
-                    # delta is unused on the halting state; emit a dummy stay
-                    # step whose outputs get zeroed by the halt gate anyway.
-                    step = q, syms, ("S",) * K
-                else:
-                    step = tm.delta[(q, syms)]
-                pats = [(self.i_state, self.enc_q[q])]
-                for k in range(K):
-                    pats.append((self.i_sym_ex[k], self.enc_g[syms[k]]))
-                neurons.append(single_neuron(pats, [], self._run_code(step, self.run_new)))
+        # One row per delta entry, none for the halting state: on a halting
+        # run token the new state, symbols and moves stay 0.
+        table = itertools.product(tm.states, itertools.product(tm.tape_alphabet, repeat=K))
+        for q, syms in (entry for entry in table if entry in tm.delta):
+            pats = [(self.i_state, self.enc_q[q])]
+            for k in range(K):
+                pats.append((self.i_sym_ex[k], self.enc_g[syms[k]]))
+            out = self._run_code(tm.delta[(q, syms)], self.run_new)
+            neurons.append(single_neuron(pats, [], out))
         b.add_neurons(layer, neurons, "transition")
         b.add_neurons(
             layer,
@@ -903,14 +902,12 @@ class _TmCompiler:
             ([(self.f_outp, 1), (self.f_blank, 1)], {self.f_to_eoutp.coord: 1}),
             ([(self.f_output, 1), (self.f_blank, 1)], {self.f_to_eoutp.coord: 1}),
         )
-        # The three run-token cases are mutually exclusive through the halt
-        # and to_popen bits (to_popen is cleared when to_summ fires); the
-        # explicit run/qtok gating makes the disjointness checkable.
+        # Zero what the transition layer wrote where no run token comes next
+        # (after a halting one it wrote nothing). The cases are exclusive
+        # through the halt and to_popen bits (to_popen is cleared when to_summ
+        # fires); the explicit run/qtok gating makes the disjointness checkable.
         zero_targets = [self.i_state_new] + self.i_sym_new + self.i_move_new
-        gate_sets = [
-            ("halt", [(self.f_halt, 1), (self.f_run, 1)]),
-            ("popen", [(self.f_to_popen, 1), (self.f_halt, 0), (self.f_run, 1)]),
-        ]
+        gate_sets = [("popen", [(self.f_to_popen, 1), (self.f_halt, 0), (self.f_run, 1)])]
         if self.scot:
             gate_sets.append(
                 (

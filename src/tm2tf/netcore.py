@@ -61,7 +61,6 @@ __all__ = [
     "sum_bits",
     "Evaluator",
     "forward",
-    "next_token",
     "params_to_json",
     "params_from_json",
     "save_model",
@@ -216,10 +215,10 @@ class TransformerParams:
                 )
         if len(self.layers) != dims.n_layers:
             raise ValueError(f"{len(self.layers)} layers but dims.n_layers = {dims.n_layers}")
-        # Groups of (name, array, shape) that share a largest absolute code:
-        # one min/max pair checks a group, and only a group that fails is
-        # searched for the array to name.
-        groups = [(1, [("emb", self.emb, (n_vocab, d)), ("unemb", self.unemb, (n_vocab, d))])]
+        # Groups of (name parts, array, shape) that share a largest absolute
+        # code: one min/max pair checks a group, and only the name of an
+        # array that fails, such as "layer 3 head 1 wq", is joined.
+        groups = [(1, [(("emb",), self.emb, (n_vocab, d)), (("unemb",), self.unemb, (n_vocab, d))])]
         for li, layer in enumerate(self.layers):
             m = layer.bias4.size
             if len(layer.heads) > dims.n_heads or m > dims.d_ff:
@@ -230,22 +229,21 @@ class TransformerParams:
             heads = []
             for hi, h in enumerate(layer.heads):
                 heads += [
-                    (f"layer {li} head {hi} wq", h.wq, (dims.d_k, d)),
-                    (f"layer {li} head {hi} wk", h.wk, (dims.d_k, d)),
-                    (f"layer {li} head {hi} wv", h.wv, (dims.d_v, d)),
-                    (f"layer {li} head {hi} wo", h.wo, (d, dims.d_v)),
+                    (("layer", li, "head", hi, "wq"), h.wq, (dims.d_k, d)),
+                    (("layer", li, "head", hi, "wk"), h.wk, (dims.d_k, d)),
+                    (("layer", li, "head", hi, "wv"), h.wv, (dims.d_v, d)),
+                    (("layer", li, "head", hi, "wo"), h.wo, (d, dims.d_v)),
                 ]
-            groups += [
-                (1, heads),
-                (2, [(f"layer {li} w1", layer.w1, (m, d)), (f"layer {li} w2", layer.w2, (d, m))]),
-                (4 * (d + 1), [(f"layer {li} bias4", layer.bias4, (m,))]),
-            ]
+            mlp = [(("layer", li, "w1"), layer.w1, (m, d)), (("layer", li, "w2"), layer.w2, (d, m))]
+            bias = [(("layer", li, "bias4"), layer.bias4, (m,))]
+            groups += [(1, heads), (2, mlp), (4 * (d + 1), bias)]
         for bound, arrays in groups:
-            for name, a, shape in arrays:
+            for parts, a, shape in arrays:
                 if a.shape != shape:
+                    name = " ".join(map(str, parts))
                     raise ValueError(f"{name} has shape {a.shape}, expected {shape}")
             if arrays and _outside(np.concatenate([a.ravel() for _, a, _ in arrays]), bound):
-                name = next(name for name, a, _ in arrays if _outside(a, bound))
+                name = " ".join(map(str, next(p for p, a, _ in arrays if _outside(a, bound))))
                 raise ValueError(f"{name} codes must lie in [-{bound}, {bound}]")
         if not (self.qk_scale > 0 and math.isfinite(self.qk_scale)):
             raise ValueError(f"qk_scale must be positive and finite, got {self.qk_scale}")
@@ -729,12 +727,6 @@ def forward(
     ev = Evaluator(params, cfg)
     ev.extend(tokens)
     return ev.final_representations(), ev.trace
-
-
-def next_token(params: TransformerParams, tokens: list[str], cfg: EvalConfig) -> str:
-    ev = Evaluator(params, cfg)
-    ev.extend(tokens)
-    return ev.next_token()
 
 
 # ---------------------------------------------------------------------------

@@ -128,3 +128,33 @@ def counter_machine() -> TuringMachine:
         1, ("right", "inc", "halt"), ("h", "0", "1"), ("h", "0", "1", blank), blank,
         "right", "halt", delta,
     )
+
+
+def tally_machine() -> TuringMachine:
+    """Three tapes: copies the input to tape 2 while tallying its a's on
+    tape 3, erases tape 2 walking back, copies it again while tape 3's head
+    walks back, and erases tape 2 again. Tape 1 keeps the input, the output.
+
+    As in copy_machine, the left end shows as a blank read after a
+    saturating L. A run on n symbols takes 4n + 4 steps, more than an SCoT
+    trace's 3(n + 1) cap, so every SCoT run writes a summary.
+    """
+    blank = "_"
+    tape = ("a", "b", blank)
+    delta = {}
+    for syms in itertools.product(tape, repeat=3):
+        s1, s2, s3 = syms
+        if s1 == blank:
+            delta[("copy", syms)] = ("back", syms, ("L", "L", "S"))
+            delta[("recopy", syms)] = ("erase", syms, ("S", "L", "S"))
+        else:
+            tally = ("a", "R") if s1 == "a" else (s3, "S")
+            delta[("copy", syms)] = ("copy", (s1, s1, tally[0]), ("R", "R", tally[1]))
+            delta[("recopy", syms)] = ("recopy", (s1, s1, s3), ("R", "R", "L"))
+        for erasing, move1, after in (("back", "L", "recopy"), ("erase", "S", "halt")):
+            if s2 == blank:
+                delta[(erasing, syms)] = (after, syms, ("S", "S", "S"))
+            else:
+                delta[(erasing, syms)] = (erasing, (s1, blank, s3), (move1, "L", "S"))
+    states = ("copy", "back", "recopy", "erase", "halt")
+    return TuringMachine(3, states, ("a", "b"), tape, blank, "copy", "halt", delta)

@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import json
 import random
@@ -6,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import machines
 from machines import bouncer_machine, copy_machine, fig2_machine, one_step_machine, parity_dfa
 
 from tm2tf.automata import (
@@ -32,6 +34,8 @@ from tm2tf.automata import (
     load_dfa,
     load_tm,
     parse_pos_token,
+    parse_run_token,
+    parse_state_token,
     pos_token,
     run_token,
     scot_segments_oracle,
@@ -42,6 +46,7 @@ from tm2tf.automata import (
     tm_to_json,
     token_class,
 )
+from tm2tf.compilers import choose_r_cot, choose_r_scot
 
 
 def runner_machine() -> TuringMachine:
@@ -328,11 +333,70 @@ def test_vocab_classes_disjoint():
         counts[token_class(tok)] = counts.get(token_class(tok), 0) + 1
     assert counts["delim"] == 8
     assert counts["sym"] == 3
-    assert counts["run"] == 4 * 4 * 3
+    assert counts["run"] == 8  # δ's image
     assert counts["pos"] == 2
     assert counts["tape"] == 8
-    assert counts["state"] == 4
+    assert counts["state"] == 3  # no halting state
     assert set(cot_vocab(tm)) < set(vocab)
+
+
+def _every_machine() -> dict[str, TuringMachine]:
+    """Each Turing machine that a builder of tests/machines.py makes at its
+    defaults, and each machine file of the benchmark."""
+    found = {
+        name: build()
+        for name, build in inspect.getmembers(machines, inspect.isfunction)
+        if build.__module__ == machines.__name__
+    }
+    bench = Path(__file__).resolve().parents[1] / "bench" / "machines"
+    for path in sorted(bench.glob("*.json")):
+        found[f"bench/{path.name}"] = load_tm(json.loads(path.read_text()))
+    return {name: tm for name, tm in found.items() if isinstance(tm, TuringMachine)}
+
+
+EVERY_MACHINE = _every_machine()
+
+
+@pytest.mark.parametrize("name", sorted(EVERY_MACHINE))
+def test_run_tokens_are_the_image_of_delta_in_declaration_order(name):
+    """The run tokens are exactly δ's image, ordered by state, written
+    symbols and moves, each as declared; every state but the halting one
+    has a state token."""
+    tm = EVERY_MACHINE[name]
+    vocab = scot_vocab(tm)
+    steps = [parse_run_token(tok) for tok in vocab if token_class(tok) == "run"]
+    assert set(steps) == set(tm.delta.values())
+    rank = [
+        (tm.states.index(q), [tm.tape_alphabet.index(s) for s in ys], ["LSR".index(m) for m in ms])
+        for q, ys, ms in steps
+    ]
+    assert all(a < b for a, b in zip(rank, rank[1:]))
+    assert [tok for tok in cot_vocab(tm) if token_class(tok) == "run"] == [
+        run_token(*step) for step in steps
+    ]
+    states = [parse_state_token(tok) for tok in vocab if token_class(tok) == "state"]
+    assert states == [q for q in tm.states if q != tm.q_halt]
+
+
+@pytest.mark.parametrize("name", sorted(EVERY_MACHINE))
+def test_every_oracle_token_of_a_short_run_is_in_the_vocabulary(name):
+    """For each word of at most 3 symbols on which the machine halts with a
+    valid output, every CoT and SCoT oracle token, at the r the run needs,
+    is in the vocabulary of its protocol."""
+    tm = EVERY_MACHINE[name]
+    cot, scot = set(cot_vocab(tm)), set(scot_vocab(tm))
+    checked = 0
+    for n in range(4):
+        for word in itertools.product(tm.input_alphabet, repeat=n):
+            result = tm_run(tm, word, 500)
+            if not result.halted or result.output is None:
+                continue
+            r = choose_r_cot(max(result.steps, n, 1))
+            assert set(cot_token_oracle(tm, word, r)) <= cot, word
+            segments = scot_segments_oracle(tm, word, choose_r_scot(max(result.space, 1)))
+            assert set().union(*segments) <= scot, word
+            checked += 1
+    assert checked
 
 
 def test_machine_json_roundtrip():

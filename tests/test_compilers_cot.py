@@ -3,11 +3,12 @@ import pytest
 
 from machines import bouncer_machine, copy_machine, fig2_machine, one_step_machine, parity_dfa
 
-from tm2tf.automata import cot_token_oracle, tm_run
+from tm2tf.automata import cot_token_oracle, cot_vocab, tm_run, token_class
 from tm2tf.compilers import choose_r_cot, choose_r_scot, compile_cot, compile_dfa, cot_dims
 from tm2tf.gadgets import ModelBuilder
 from tm2tf.generation import run_cot
-from tm2tf.netcore import EvalConfig
+from tm2tf.harness import sample_tm
+from tm2tf.netcore import EvalConfig, check_dims
 
 
 def test_choose_r_cot_examples():
@@ -192,3 +193,16 @@ def test_compilers_refuse_dims_over_the_size_bound_before_building(
     monkeypatch.setattr(ModelBuilder, "add_head", built)
     with pytest.raises(ValueError, match="dims imply more than"):
         compile_fn(machine, 10 ** 4)
+
+
+def test_a_three_tape_machine_of_32_states_and_6_symbols_fits_at_r_10():
+    """Its vocabulary keeps the 6,571 run tokens of δ's image, so its dims
+    pass `check_dims` at r = 10; with all |Q|·|Γ|^3·3^3 = 186,624 (state,
+    symbols, moves) triples as run tokens they would not."""
+    tm = sample_tm("s", 3, 32, 6)
+    vocab = cot_vocab(tm)
+    run_tokens = sum(token_class(tok) == "run" for tok in vocab)
+    assert run_tokens == 6571
+    check_dims(cot_dims(tm, 10), len(vocab))
+    with pytest.raises(ValueError, match="dims imply more than"):
+        check_dims(cot_dims(tm, 10), len(vocab) - run_tokens + 32 * 6 ** 3 * 3 ** 3)

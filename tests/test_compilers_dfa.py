@@ -7,7 +7,14 @@ from machines import contains_ab_dfa, mod3_dfa, parity_dfa
 
 from tm2tf.automata import BOS, FALSE, TRUE, Dfa, dfa_accepts
 from tm2tf.compilers import compile_dfa, dfa_dims
-from tm2tf.netcore import EvalConfig, forward, next_token
+from tm2tf.netcore import EvalConfig, Evaluator, forward
+
+
+def _classify(params, word, cfg: EvalConfig) -> str:
+    """The token a DFA model emits after <bos> and word."""
+    ev = Evaluator(params, cfg)
+    ev.extend([BOS, *word])
+    return ev.next_token()
 
 
 def test_dims_example():
@@ -36,14 +43,14 @@ def test_exhaustive_words_up_to_7(make):
     cfg = EvalConfig()
     for n in range(8):
         for word in itertools.product(dfa.alphabet, repeat=n):
-            got = next_token(params, [BOS, *word], cfg)
+            got = _classify(params, word, cfg)
             want = TRUE if dfa_accepts(dfa, list(word)) else FALSE
             assert got == want, word
 
 
 def test_empty_word():
     params, _ = compile_dfa(parity_dfa(), 2)
-    assert next_token(params, [BOS], EvalConfig()) == TRUE  # q_init accepting
+    assert _classify(params, [], EvalConfig()) == TRUE  # q_init accepting
     rej = Dfa(
         ("q0", "q1"),
         ("0",),
@@ -52,7 +59,7 @@ def test_empty_word():
         frozenset({"q1"}),
     )
     params, _ = compile_dfa(rej, 2)
-    assert next_token(params, [BOS], EvalConfig()) == FALSE
+    assert _classify(params, [], EvalConfig()) == FALSE
 
 
 def test_single_symbol_alphabet():
@@ -65,7 +72,7 @@ def test_single_symbol_alphabet():
     )
     params, _ = compile_dfa(dfa, 3)
     for n in range(8):
-        got = next_token(params, [BOS] + ["0"] * n, EvalConfig())
+        got = _classify(params, ["0"] * n, EvalConfig())
         assert got == (TRUE if n % 2 == 0 else FALSE)
 
 

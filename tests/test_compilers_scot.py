@@ -1,11 +1,18 @@
 import numpy as np
 import pytest
 
-from machines import bouncer_machine, copy_machine, counter_machine, fig2_machine, one_step_machine
+from machines import (
+    bouncer_machine,
+    copy_machine,
+    counter_machine,
+    fig2_machine,
+    one_step_machine,
+    tally_machine,
+)
 
-from tm2tf.automata import scot_segments_oracle, tm_run
-from tm2tf.compilers import choose_r_scot, compile_scot, scot_dims
-from tm2tf.generation import run_scot
+from tm2tf.automata import cot_token_oracle, scot_segments_oracle, tm_run
+from tm2tf.compilers import choose_r_cot, choose_r_scot, compile_cot, compile_scot, scot_dims
+from tm2tf.generation import run_cot, run_scot
 from tm2tf.harness import trace_invariant_violations
 from tm2tf.netcore import EvalConfig
 
@@ -81,6 +88,29 @@ def test_two_tape_scot():
     params, _ = compile_scot(tm, r)
     trace = run_scot(params, "0110", EvalConfig())
     assert trace.segments == scot_segments_oracle(tm, "0110", r)
+
+
+@pytest.mark.parametrize("protocol", ["cot", "scot"])
+def test_three_tape_machine_matches_the_oracle(protocol):
+    """The 3-tape machine, compiled at the r that its runs on these words
+    need, emits the oracle's tokens under hardmax and breaks no invariant.
+    Each of its SCoT runs writes one summary."""
+    tm = tally_machine()
+    words = ["", "a", "b", "ab", "ba", "aab", "bba"]
+    results = [tm_run(tm, word, 100) for word in words]
+    cot = protocol == "cot"
+    if cot:
+        r = choose_r_cot(max(result.steps for result in results))
+    else:
+        r = choose_r_scot(max(result.space for result in results))
+    params, _ = (compile_cot if cot else compile_scot)(tm, r)
+    for word in words:
+        expected = [cot_token_oracle(tm, word, r)] if cot else scot_segments_oracle(tm, word, r)
+        assert len(expected) == (1 if cot else 2)
+        trace = (run_cot if cot else run_scot)(params, word, EvalConfig(capture_trace=True))
+        assert trace.segments == expected, word
+        assert trace.outcome == "output" and trace.output == list(word)
+        assert sum(trace_invariant_violations(trace.eval_traces).values()) == 0, word
 
 
 def test_scot_run_outgrows_its_context():

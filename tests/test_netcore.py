@@ -541,14 +541,14 @@ def test_readme_model_file_example_loads():
     """The README's complete format-2 model is a valid model file."""
     from pathlib import Path
 
-    from tm2tf.netcore import next_token
-
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     block = readme.split("A complete model file", 1)[1].split("```json", 1)[1].split("```", 1)[0]
     params = params_from_json(json.loads(block))
     assert params.dims == Dims(d=2, d_k=1, d_v=1, d_ff=1, n_heads=1, n_layers=1)
     assert json.loads(json.dumps(params_to_json(params))) == json.loads(block)
-    assert next_token(params, ["a"], EvalConfig()) in params.vocab
+    ev = Evaluator(params, EvalConfig())
+    ev.extend(["a"])
+    assert ev.next_token() in params.vocab
 
 
 # ---------------------------------------------------------------------------
@@ -1161,10 +1161,10 @@ def _fig2_softmax_case(case: str):
 # softmax models, so they pin that reading only the live input coordinates
 # moves no bit.
 SOFTMAX_DIGESTS = {
-    "scaled_only": "731260ac5c537a9ba673e5ace8bbd83fdade346b770835164ec2f9844db49a75",
-    "denoised": "174f7108d75441bc928e890558ed5a31bdec0dc19217a38416d52667d33706f8",
-    "denoised c=4": "3af3207b1686a8f00b8e5fd6d7b23471499b70ebd164ea6d2e0d39a152618494",
-    "c=2 bf16": "4a762327b62951068d80997991189156990ee4e8f366ac7e969c932de5742cd6",
+    "scaled_only": "e4c971110d1933d940aa77b1141f7a39d6df94c477ca01e9ea38fc769a37a2ae",
+    "denoised": "fbd268d57f044e74a55eea6fa5318b7d5f8b27100cef24ca7fd0ffd1e7e9de15",
+    "denoised c=4": "dead28bd38cb38fec9191cff8ee49f8077e25bae093baddc2ada526f7e4c23ce",
+    "c=2 bf16": "080ce249ab75b7191f83446e095a869f0988907889fb4fc80be8f5a01246f20b",
 }
 
 
@@ -1242,9 +1242,9 @@ def _hardmax_decode_digest(case: str) -> str:
 # heads, recorded with the evaluator that ran the attention half of those
 # layers on empty arrays, so they pin that skipping it moves no bit.
 HARDMAX_DIGESTS = {
-    "bouncer8 cot r=10 xyxy": "3081fec03f774872cf2cc9aad76c2e0a2b01343320beefa97be05f9e01034296",
-    "bouncer4 scot r=6 xyx": "de0e33b1f0bb22f0ebb04e5dd309de6faca8607fa51f4e664c47a1f8747d1cef",
-    "copy cot r=6 0011": "8217fdaa88b31f0e0d8d1eac7454e20cf9bacad4eacf85be945870b4b14aecd9",
+    "bouncer8 cot r=10 xyxy": "af0c23f3dc709037dd786e88985995fd2772f2ca5e70cc33e5308b8c404dfd8d",
+    "bouncer4 scot r=6 xyx": "6ee1076539abf8da418be041dfa08a60ce9f2494956708cd5cb76f55170f6a82",
+    "copy cot r=6 0011": "ccd4b42fea6808793fe2d1200b07060816e1fd6a21bd536d9630bf3a4c3c4aac",
 }
 
 

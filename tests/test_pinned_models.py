@@ -79,18 +79,18 @@ BUILDS = {
 # A change to a construction that alters any weight or report entry must
 # update these on purpose.
 PINNED = {
-    "bouncer4-scot-6": "7cd6e0932d0eef4df1e8f81bcafb29228f6bb58744027abae266f69bcd16a9c8",
-    "bouncer8-cot-10": "be018dc0ae15d46a7e2cbc557f3f776647a7d928f6a6bd4401f681fa2a5510f9",
-    "copy-cot-6": "b74df8189fe3ca0b5e48fb1b9c933e205c34c6fe6e018ec408aaf1ad6a9115fa",
-    "copy-scot-6": "0b6c2b32e337e1cf0ac7958b49f4e42d70370a8b8b3125c97722339f78416365",
+    "bouncer4-scot-6": "af472159678e0af3e74e8d3f392fff2f82da29194259c180af7c25cc5151ed9a",
+    "bouncer8-cot-10": "fc55d024462349d58ce660f35fd5fdc7e4f19f40bbe8da76fac846bb2cdfecd1",
+    "copy-cot-6": "0553aba9a4fca732dc01e5ba0605321e0d287734028c71b7ace106a835d50b13",
+    "copy-scot-6": "65308999ccb07482f1bff7220296bff15877c5b47df8fb4b3253ecc37586a0a8",
     "dfa0-3": "86ab537b23cf24efdd672165c79e0d8e332fd243b42de421e768b9c4de5515cb",
     "dfa1-3": "0d7e4b2244a1a0d0de3153adc34fb0d5eaa33a1ffbb2f2ecb939bd4310e6fbed",
     "dfa2-3": "8a7f6273a86904be83389d844e5c905cb16e1a6775ea59c564902c6d48b80dad",
-    "fig2-cot-6": "2b184101fb18597d5fc09aea6c3c12d7c7fb755f84ead5330d5fbbf511aef2ea",
-    "fig2-cot-6-denoised": "85022eb774eb6918be9c60b6de9d187cc2abb52adf5bae8ba225d27b6323aa97",
-    "fig2-scot-6": "f42245d2305092312a4baba06b4b93188e46fd902018e0cf529908c45f1239ae",
+    "fig2-cot-6": "2634aa0fe610c7523972296bbf7022e38612cc0555819a57c8df1c1fa590c3a6",
+    "fig2-cot-6-denoised": "110008208d61cf70f8fa08da2bd2f0783aba9d58621e46da9a2d4363fe0b1bb0",
+    "fig2-scot-6": "b802cfd981d780acf06ef93c15d8682ad65c88933a130be181845f01b23df714",
     "rope-3": "e7ad54550e1f4de3693980ff5c5f2a5b6535222a403cbee771ae8e9e3961ea9c",
-    "trials-0-27": "f28d3bc68a4a35676d5ad0e84857246c08caa13e85ad3310bc0320c87c8aab4d",
+    "trials-0-27": "f1e676730eff807a1ad6a7a87340120e800a0f5fa33154546a09fe020cea8089",
 }
 
 

@@ -96,14 +96,14 @@ def test_validation_report_matches_pinned_digest(name):
 # lowest-index token among those with the best score after the emitted one's.
 TRACE_WORDS = {"fig2": (fig2_machine, "abab"), "bouncer4": (lambda: bouncer_machine(4), "xy")}
 TRACE_DIGESTS = {
-    "fig2-cot-hardmax": "6f4c3bda4db89bb8873f343612b368a8e3db41fe64be805831653c00cf7cc78d",
-    "fig2-cot-denoised": "6f4c3bda4db89bb8873f343612b368a8e3db41fe64be805831653c00cf7cc78d",
-    "fig2-scot-hardmax": "6903e126c9983d38b5e47f6638c753cff6b6b85746a4c8ebb6808b6c17be6106",
-    "fig2-scot-denoised": "6903e126c9983d38b5e47f6638c753cff6b6b85746a4c8ebb6808b6c17be6106",
-    "bouncer4-cot-hardmax": "438315960536d9113dc0fb2b08d54b18041d2599eb596f5010777ac68a3e1c26",
-    "bouncer4-cot-denoised": "438315960536d9113dc0fb2b08d54b18041d2599eb596f5010777ac68a3e1c26",
-    "bouncer4-scot-hardmax": "7a40f7c114c5b5315f89ac8a9dd39f70f4046f9792fcac0e5dfe211fefaf8680",
-    "bouncer4-scot-denoised": "7a40f7c114c5b5315f89ac8a9dd39f70f4046f9792fcac0e5dfe211fefaf8680",
+    "fig2-cot-hardmax": "43f6d11ba29cdc79c6208c0908357324ff656fdf9ccf93ecd102eccc9be1235d",
+    "fig2-cot-denoised": "43f6d11ba29cdc79c6208c0908357324ff656fdf9ccf93ecd102eccc9be1235d",
+    "fig2-scot-hardmax": "afa850ba152bd778f05ef25dc9b50eb337daadecc1e9cabcfd6d44eda66ad1bb",
+    "fig2-scot-denoised": "afa850ba152bd778f05ef25dc9b50eb337daadecc1e9cabcfd6d44eda66ad1bb",
+    "bouncer4-cot-hardmax": "5daa056100ad60aa10e7be4dbd72ee4b451edaf378002538bea7eb59715d2d5e",
+    "bouncer4-cot-denoised": "5daa056100ad60aa10e7be4dbd72ee4b451edaf378002538bea7eb59715d2d5e",
+    "bouncer4-scot-hardmax": "6862f47b4169627be3a78ce148bf587c32d22c2980ec5bc5846c4b1e80d68336",
+    "bouncer4-scot-denoised": "6862f47b4169627be3a78ce148bf587c32d22c2980ec5bc5846c4b1e80d68336",
 }
 @pytest.mark.parametrize("name", list(TRACE_DIGESTS))
 def test_cli_trace_out_matches_pinned_digest(name, tmp_path, capsys):

@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 
 from machines import bouncer_machine, copy_machine, fig2_machine, parity_dfa
+from test_compilers_dfa import _classify
 
-from tm2tf.automata import BOS, FALSE, TRUE, cot_token_oracle, dfa_accepts
+from tm2tf.automata import FALSE, TRUE, cot_token_oracle, dfa_accepts
 from tm2tf.compilers import choose_r_cot, compile_cot, compile_dfa, compile_scot
 from tm2tf.fpcore import PRESETS, FloatFormat
 from tm2tf.gadgets import denoising_neurons, mlp_weights
 from tm2tf.generation import run_cot, run_scot
-from tm2tf.netcore import EvalConfig, LayerParams, next_token
+from tm2tf.netcore import EvalConfig, LayerParams
 from tm2tf.softmaxify import (
     ConversionError,
     act_format_containing,
@@ -84,8 +85,7 @@ def test_scale_qk_identity_and_hardmax_invariance():
     assert scaled.qk_scale == 5.0
     cfg = EvalConfig()
     for word in ["", "1", "10", "1101"]:
-        toks = [BOS, *word]
-        assert next_token(params, toks, cfg) == next_token(scaled, toks, cfg)
+        assert _classify(params, word, cfg) == _classify(scaled, word, cfg)
     with pytest.raises(ConversionError):
         scale_qk(params, 0.0)
     with pytest.raises(ConversionError):
@@ -123,7 +123,7 @@ def test_dfa_scaled_softmax_bf16_matches_hardmax():
 
     for n in range(6):
         for word in itertools.product(dfa.alphabet, repeat=n):
-            got = next_token(scaled, [BOS, *word], cfg)
+            got = _classify(scaled, word, cfg)
             want = TRUE if dfa_accepts(dfa, list(word)) else FALSE
             assert got == want, word
 
@@ -236,7 +236,7 @@ def test_denoised_dfa_classifies_all_words():
 
     for n in range(8):
         for word in itertools.product(dfa.alphabet, repeat=n):
-            got = next_token(converted, [BOS, *word], cfg)
+            got = _classify(converted, word, cfg)
             want = TRUE if dfa_accepts(dfa, list(word)) else FALSE
             assert got == want, word
 
