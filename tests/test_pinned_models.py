@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from machines import bouncer_machine, copy_machine, fig2_machine
+from machines import bouncer_machine, copy_machine, fig2_machine, tally_machine
 from tm2tf import harness
 from tm2tf.compilers import build_rope_position_prefix, compile_cot, compile_dfa, compile_scot
 from tm2tf.harness import acceptance_dfas
@@ -73,6 +73,8 @@ BUILDS = {
     "dfa1-3": lambda: _digest(*compile_dfa(acceptance_dfas()[1], 3)),
     "dfa2-3": lambda: _digest(*compile_dfa(acceptance_dfas()[2], 3)),
     "rope-3": lambda: _digest(*build_rope_position_prefix(3)),
+    "tally-cot-8": lambda: _digest(*compile_cot(tally_machine(), 8)),
+    "tally-scot-6": lambda: _digest(*compile_scot(tally_machine(), 6)),
     "trials-0-27": _trial_models_digest,
 }
 
@@ -90,6 +92,8 @@ PINNED = {
     "fig2-cot-6-denoised": "110008208d61cf70f8fa08da2bd2f0783aba9d58621e46da9a2d4363fe0b1bb0",
     "fig2-scot-6": "b802cfd981d780acf06ef93c15d8682ad65c88933a130be181845f01b23df714",
     "rope-3": "e7ad54550e1f4de3693980ff5c5f2a5b6535222a403cbee771ae8e9e3961ea9c",
+    "tally-cot-8": "2ee3a413364cd69d01f01ac120c35b5b6fd5671fada99ecde37ebe5466296cfc",
+    "tally-scot-6": "6f93569a89ed14eed77509abb29cdd0e018390f647f041065049b410ed420ebd",
     "trials-0-27": "f1e676730eff807a1ad6a7a87340120e800a0f5fa33154546a09fe020cea8089",
 }
 
