@@ -41,6 +41,7 @@ from ..gadgets import (
     ENC_MOVES,
     CompileReport,
     ModelBuilder,
+    Neurons,
     RegisterLayout,
     add_head_movement,
     bin_pm1,
@@ -523,6 +524,15 @@ class _TmCompiler:
 
     def _collection(self) -> None:
         b, r, K = self.b, self.r, self.K
+        # The zeroing and decrement blocks are the same in every layer.
+        zeros = [
+            Neurons.join(
+                [zero_register(self.i_bits_ex1[k], []), zero_register(self.i_bits_ex2[k], [])]
+            )
+            for k in range(K)
+        ]
+        pos1_dec = sub_pow2_inplace(self.i_pos1, 1, [])
+        pos2_dec = sub_pow2_inplace(self.i_pos2, 1, [])
         for j in range(1, r // 2 + 1):
             layer = j + 1
             for k in range(K):
@@ -547,13 +557,9 @@ class _TmCompiler:
                     ),
                     f"collect-copy2-{j}-{k}",
                 )
-                b.add_neurons(
-                    layer,
-                    [zero_register(self.i_bits_ex1[k], []), zero_register(self.i_bits_ex2[k], [])],
-                    f"collect-zero-{j}-{k}",
-                )
-            b.add_neurons(layer, sub_pow2_inplace(self.i_pos1, 1, []), f"pos1-dec-{j}")
-            b.add_neurons(layer, sub_pow2_inplace(self.i_pos2, 1, []), f"pos2-dec-{j}")
+                b.add_neurons(layer, zeros[k], f"collect-zero-{j}-{k}")
+            b.add_neurons(layer, pos1_dec, f"pos1-dec-{j}")
+            b.add_neurons(layer, pos2_dec, f"pos2-dec-{j}")
 
     # -- SCoT layers 3 and 4 --------------------------------------------------
 
@@ -640,40 +646,32 @@ class _TmCompiler:
 
     def _propagation(self) -> None:
         b, r, K = self.b, self.r, self.K
+        # Each tape's move, <p> and clear blocks are the same in every layer.
+        blocks = []
+        for k in range(K):
+            hpos, hpos_minus = self.i_searchpos[k], self.i_hpos_minus[k]
+            move = Neurons.join(
+                [
+                    add_head_movement(hpos_minus, hpos, self.i_move[k], self.f_run),
+                    zero_register(hpos, [(self.f_run, 1)]),
+                ]
+            )
+            popen = Neurons.join(
+                [
+                    copy_register(hpos_minus, hpos, [(self.f_popen, 1)]),
+                    zero_register(hpos, [(self.f_popen, 1)]),
+                ]
+            )
+            blocks.append((move, popen, zero_register(hpos_minus, [])))
         for j in range(1, r + 2):
             layer = self.L1 + j
-            for k in range(K):
+            for k, (move, popen, clear) in enumerate(blocks):
                 hpos, hpos_minus = self.i_searchpos[k], self.i_hpos_minus[k]
                 self._lookup(layer, f"prop-fetch-{j}-{k}", self.i_pos_minus, hpos, hpos_minus)
-                b.add_neurons(
-                    layer,
-                    [
-                        add_head_movement(
-                            self.i_hpos_minus[k],
-                            self.i_searchpos[k],
-                            self.i_move[k],
-                            self.f_run,
-                        ),
-                        zero_register(self.i_searchpos[k], [(self.f_run, 1)]),
-                    ],
-                    f"prop-move-{j}-{k}",
-                )
-                b.add_neurons(
-                    layer,
-                    [
-                        copy_register(
-                            self.i_hpos_minus[k], self.i_searchpos[k], [(self.f_popen, 1)]
-                        ),
-                        zero_register(self.i_searchpos[k], [(self.f_popen, 1)]),
-                    ],
-                    f"prop-popen-{j}-{k}",
-                )
+                b.add_neurons(layer, move, f"prop-move-{j}-{k}")
+                b.add_neurons(layer, popen, f"prop-popen-{j}-{k}")
                 if j <= r:
-                    b.add_neurons(
-                        layer,
-                        zero_register(self.i_hpos_minus[k], []),
-                        f"prop-clear-{j}-{k}",
-                    )
+                    b.add_neurons(layer, clear, f"prop-clear-{j}-{k}")
 
     # -- layer L2 ---------------------------------------------------------------
 
@@ -754,12 +752,13 @@ class _TmCompiler:
 
     def _pos_block_machinery(self) -> None:
         b, r, K = self.b, self.r, self.K
+        scan_dec = sub_pow2_inplace(self.i_pos_scan, 0, [])
         for p in range(1, r):
             layer = self.L2 + p
             for k in range(K):
                 bit, out = self.i_hpos_p[k][p : p + 1], self.i_nextbit[k]
                 self._lookup(layer, f"nextbit-fetch-{p}-{k}", self.i_pos_scan, bit, out)
-            b.add_neurons(layer, sub_pow2_inplace(self.i_pos_scan, 0, []), f"pos-scan-dec-{p}")
+            b.add_neurons(layer, scan_dec, f"pos-scan-dec-{p}")
         # The r'th run token of a chunk must emit <p>: look r-1 back for a run
         # token.
         self._lookup(self.L2 + r - 1, "lastrun", self.i_pos_scan, self.f_run, self.f_lastrun)

@@ -4,24 +4,26 @@ Registers are named disjoint coordinate groups of the residual stream
 holding +-1 binary numbers (LSB first); flags are single coordinates
 holding bits in {0,1}. `enc_table` gives a compiler's states and symbols
 their +-1 codes, and `ENC_MOVES` is the one code of the L/S/R moves. MLP
-gadgets return `Neurons` blocks: m neurons held as entry arrays, which
-`Neurons.join` joins in order, so neuron counts stay auditable against
-the construction-size formulas; `mlp_weights` reads a block as its
-weight matrices. A register-wide gadget builds its pattern over local
-indices once per shape (register width, k, gate values), caches it, and
-maps it onto the register's coordinates with one fancy index.
-`ModelBuilder.add_neurons` derives each op's gate from the block: the
-(coord, sign) input entries that every row shares. `finalize` fills each
-layer's MLP with one scatter, leaves the model contract to
-`validate_weights`, and returns the parameters with their
-`CompileReport`.
+gadgets return `Neurons` blocks of m neurons, so neuron counts stay
+auditable against the construction-size formulas. A gadget builds its
+pattern over local indices once per shape (register width, k, gate
+values), with the gate (the (index, sign) inputs every row reads) and the
+indices it writes, caches it, and places it on the registers'
+coordinates; a block is its placed patterns, and it carries its gate and
+writes, mapped onto those coordinates. `Neurons.join` keeps the parts in
+order, intersects the gates and unites the writes; `mlp_weights` reads a
+block as its weight matrices. `ModelBuilder.add_neurons` checks each op
+against the others of its layer by those gates and writes, and `finalize`
+fills every layer's MLP, and every head, with one scatter per matrix,
+leaves the model contract to `validate_weights`, and returns the
+parameters with their `CompileReport`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import accumulate, chain
+from itertools import accumulate, chain, repeat
 
 import numpy as np
 
@@ -139,57 +141,134 @@ class RegisterLayout:
 
 
 @dataclass(frozen=True, eq=False)
-class Neurons:
-    """m MLP neurons as entry arrays, in row order.
+class _Pattern:
+    """MLP rows over local indices. A register-wide gadget caches its
+    pattern once per shape, so the arrays are read-only.
 
-    `ins` holds the (row, coord, +-1) input weights, at most one per (row,
-    coord); `bias4` the (m,) bias numerators over 4; `outs` the (row,
-    coord, weight) output weights. `join` concatenates blocks and keeps
-    the order of their rows.
+    `ins` holds the (row, index, +-1) input weights, at most one per (row,
+    index); `bias4` the (m,) bias numerators over 4; `outs` the (row,
+    index, weight) output weights. `gate` is the (index, sign) inputs that
+    every row reads, and `writes` the indices the rows write.
     """
 
     ins: np.ndarray  # (entries, 3)
     bias4: np.ndarray  # (m,)
     outs: np.ndarray  # (entries, 3)
+    gate: tuple[tuple[int, int], ...]
+    writes: tuple[int, ...]
+
+
+@dataclass(frozen=True, eq=False)
+class Neurons:
+    """m MLP neurons: patterns placed on residual coordinates, in row order.
+
+    Each part is (pattern, in_coords, out_coords): local index i of the
+    pattern reads in_coords[i] and writes out_coords[i]. `gate` is the
+    (coord -> +-1) input weights that every neuron carries, and `writes`
+    the coordinates the neurons write; both are mapped from the patterns
+    when a block is placed, and `join` intersects and unites them. `ins`,
+    `bias4` and `outs` read the rows as entry arrays in residual
+    coordinates, rows numbered in order.
+    """
+
+    parts: tuple[tuple[_Pattern, tuple[int, ...], tuple[int, ...]], ...]
+    gate: dict[int, int]
+    writes: frozenset[int]
+    m: int
 
     def __len__(self) -> int:
-        return len(self.bias4)
+        return self.m
+
+    @property
+    def ins(self) -> np.ndarray:
+        return _entries(self.parts, 0)
+
+    @property
+    def bias4(self) -> np.ndarray:
+        return _biases(self.parts)
+
+    @property
+    def outs(self) -> np.ndarray:
+        return _entries(self.parts, 1)
 
     @staticmethod
     def join(blocks) -> "Neurons":
+        """The blocks' rows in order. The gate is the intersection of the
+        gates of the blocks that have rows, the writes their union."""
         blocks = list(blocks)
         if len(blocks) == 1:
             return blocks[0]
-        if not blocks:
-            return _block([])
-        offsets = list(accumulate((len(b) for b in blocks[:-1]), initial=0))
-        ins = np.concatenate([b.ins for b in blocks])
-        outs = np.concatenate([b.outs for b in blocks])
-        ins[:, 0] += np.repeat(offsets, [len(b.ins) for b in blocks])
-        outs[:, 0] += np.repeat(offsets, [len(b.outs) for b in blocks])
-        return Neurons(ins, np.concatenate([b.bias4 for b in blocks]), outs)
+        gates = [b.gate for b in blocks if b.m]
+        gate = gates[0] if gates else {}
+        for other in gates[1:]:
+            gate = dict(gate.items() & other.items())
+        return Neurons(
+            tuple(chain.from_iterable(b.parts for b in blocks)),
+            gate,
+            frozenset().union(*(b.writes for b in blocks)),
+            sum(b.m for b in blocks),
+        )
 
 
-def _block(rows) -> Neurons:
-    """A block from (in pairs, bias4, out pairs) rows, pairs being
-    (coord, weight). Cached patterns are blocks, so they are read-only."""
+def _entries(parts, side: int) -> np.ndarray:
+    """The (row, coord, weight) input (side 0) or output (side 1) entries of
+    placed patterns, rows numbered across the parts in order: every local
+    index mapped through the parts' coordinate tables in one fancy index."""
+    if not parts:
+        return np.zeros((0, 3), np.intp)
+    patterns, *tables = zip(*parts)
+    tables = tables[side]
+    local = [p.outs if side else p.ins for p in patterns]
+    sizes = list(map(len, local))
+
+    def firsts(lengths) -> np.ndarray:  # of consecutive runs of these lengths
+        return np.fromiter(accumulate(lengths, initial=0), np.intp, len(parts) + 1)[:-1]
+
+    out = np.concatenate(local)
+    out[:, 0] += np.repeat(firsts(len(p.bias4) for p in patterns), sizes)
+    coords = np.fromiter(chain.from_iterable(tables), np.intp)
+    out[:, 1] = coords[out[:, 1] + np.repeat(firsts(map(len, tables)), sizes)]
+    return out
+
+
+def _biases(parts) -> np.ndarray:
+    """The (m,) int32 bias numerators of placed patterns, in row order."""
+    return np.concatenate([p.bias4 for p, _, _ in parts] + [np.zeros(0, np.int32)])
+
+
+def _shared_inputs(ins: np.ndarray, m: int) -> dict[int, int]:
+    """The input weights (index -> +-1) that every one of m rows carries,
+    read from their (row, index, +-1) entries: the (index, sign) entries
+    counted once per row, as often as there are rows."""
+    if not m:
+        return {}
+    counts = np.bincount(2 * ins[:, 1] + (ins[:, 2] > 0))
+    return {k >> 1: 1 if k & 1 else -1 for k in (counts == m).nonzero()[0].tolist()}
+
+
+def _pattern(rows) -> _Pattern:
+    """A pattern from (in pairs, bias4, out pairs) rows, pairs being
+    (index, weight), with its gate and writes."""
 
     def entries(side: int) -> np.ndarray:
         triples = [(i, c, w) for i, row in enumerate(rows) for c, w in row[side]]
         return np.array(triples, np.intp).reshape(-1, 3)
 
-    block = Neurons(entries(0), np.array([row[1] for row in rows], np.int32), entries(2))
-    for a in (block.ins, block.bias4, block.outs):
+    ins, bias4, outs = entries(0), np.array([row[1] for row in rows], np.int32), entries(2)
+    for a in (ins, bias4, outs):
         a.flags.writeable = False
-    return block
+    gate = tuple(_shared_inputs(ins, len(rows)).items())
+    return _Pattern(ins, bias4, outs, gate, tuple(set(outs[:, 1].tolist())))
 
 
-def _place(pattern: Neurons, in_coords, out_coords) -> Neurons:
+def _place(pattern: _Pattern, in_coords: tuple[int, ...], out_coords: tuple[int, ...]) -> Neurons:
     """A pattern over local indices, mapped onto residual coordinates."""
-    ins, outs = pattern.ins.copy(), pattern.outs.copy()
-    ins[:, 1] = np.asarray(in_coords, np.intp)[ins[:, 1]]
-    outs[:, 1] = np.asarray(out_coords, np.intp)[outs[:, 1]]
-    return Neurons(ins, pattern.bias4, outs)
+    return Neurons(
+        ((pattern, in_coords, out_coords),),
+        {in_coords[i]: sign for i, sign in pattern.gate},
+        frozenset([out_coords[i] for i in pattern.writes]),
+        len(pattern.bias4),
+    )
 
 
 # Every neuron of the kit is one `_conj` row. `single_neuron` places one;
@@ -198,12 +277,15 @@ def _place(pattern: Neurons, in_coords, out_coords) -> Neurons:
 # maps onto its coordinates.
 
 
+_SIGNS, _BITS = frozenset((-1, 1)), frozenset((0, 1))
+
+
 def _check_patterns(patterns: list[tuple[Register, tuple[int, ...]]]) -> None:
     """Each register pattern is a +-1 vector as wide as its register."""
     for reg, pattern in patterns:
         if len(pattern) != len(reg):
             raise BuildError(f"pattern size mismatch on {reg.name}")
-        if any(want not in (-1, 1) for want in pattern):
+        if not _SIGNS.issuperset(pattern):
             raise BuildError("register patterns must be +-1")
 
 
@@ -211,10 +293,10 @@ def _inputs(gates: list[tuple[Flag, int]], *regs: Register) -> tuple[tuple, tupl
     """(gate values, input coordinates) of a row reading `regs`, then its
     gate flags: gate values are bits in {0,1}, and no coordinate is read
     twice."""
-    values = tuple(want for _, want in gates)
-    if any(want not in (0, 1) for want in values):
+    values = tuple([want for _, want in gates])
+    if not _BITS.issuperset(values):
         raise BuildError("flag patterns must be 0/1")
-    coords = sum((reg.coords for reg in regs), ()) + tuple(flag.coord for flag, _ in gates)
+    coords = tuple(chain(*[reg.coords for reg in regs], [flag.coord for flag, _ in gates]))
     if len(set(coords)) != len(coords):
         raise BuildError("overlapping register/flag references")
     return values, coords
@@ -240,22 +322,25 @@ def single_neuron(
     values, coords = _inputs(flag_patterns, *(reg for reg, _ in register_patterns))
     reads = list(enumerate(want for _, pattern in register_patterns for want in pattern))
     ins, bias4, _ = _conj(reads, values, len(reads), ())
-    # Row 0 throughout, and `_conj`'s local index i is coords[i]. Not a
-    # cached pattern, so the arrays are filled in place and stay writeable.
-    block = Neurons(
-        np.zeros((len(ins), 3), np.intp),
+    # `_conj`'s local index i is coords[i], and output j is the j-th key of
+    # `output`. One row shares all of its inputs.
+    outs = [(0, j, w) for j, w in enumerate(output.values())]
+    entries = np.array([(0, i, w) for i, w in ins] + outs, np.intp).reshape(-1, 3)
+    pattern = _Pattern(
+        entries[: len(ins)],
         np.array([bias4], np.int32),
-        np.zeros((len(output), 3), np.intp),
+        entries[len(ins) :],
+        tuple(ins),
+        tuple(range(len(output))),
     )
-    block.ins[:, 1], block.ins[:, 2] = coords, [w for _, w in ins]
-    block.outs[:, 1], block.outs[:, 2] = list(output), list(output.values())
-    return block
+    gate = {coords[i]: w for i, w in ins}
+    return Neurons(((pattern, coords, tuple(output)),), gate, frozenset(output), 1)
 
 
 @lru_cache(maxsize=None)
-def _bitwise_pattern(w: int, gate_values: tuple[int, ...], out_sign: int) -> Neurons:
+def _bitwise_pattern(w: int, gate_values: tuple[int, ...], out_sign: int) -> _Pattern:
     """Per bit, a neuron on +1 and one on -1, each adding out_sign times it."""
-    return _block(
+    return _pattern(
         [_conj([(i, s)], gate_values, w, [(i, out_sign * s)]) for i in range(w) for s in (1, -1)]
     )
 
@@ -287,7 +372,7 @@ def sub_pow2_inplace(reg: Register, k: int, gates: list[tuple[Flag, int]]) -> Ne
 
 
 @lru_cache(maxsize=None)
-def _decrement_pattern(d: int, k: int, gate_values: tuple[int, ...]) -> Neurons:
+def _decrement_pattern(d: int, k: int, gate_values: tuple[int, ...]) -> _Pattern:
     """Local indices: src bits 0..d-1, then the gates; outputs dst bits."""
     rows = []
     # Saturating case p < 2^k: force the low bits down to -1.
@@ -299,7 +384,7 @@ def _decrement_pattern(d: int, k: int, gate_values: tuple[int, ...]) -> Neurons:
         reads = [(m, 1)] + [(s, -1) for s in range(k, m)]
         outs = [(m, -1)] + [(s, 1) for s in range(k, m)]
         rows += [_conj(reads, gate_values, d, outs)] * 2
-    return _block(rows)
+    return _pattern(rows)
 
 
 def _decrement_pow2(
@@ -313,7 +398,7 @@ def _decrement_pow2(
 
 
 @lru_cache(maxsize=None)
-def _movement_pattern(r: int) -> Neurons:
+def _movement_pattern(r: int) -> _Pattern:
     """Local indices: src bits 0..r-1, the move code r, r+1, the gate r+2."""
     rows = [_conj([(i, s)], (1,), r + 2, [(i, s)]) for i in range(r) for s in (1, -1)]
     for j in range(r):
@@ -322,7 +407,7 @@ def _movement_pattern(r: int) -> Neurons:
             reads = [(j, sign)] + [(t, -sign) for t in range(j)] + [(r, enc[0]), (r + 1, enc[1])]
             outs = [(j, -sign)] + [(t, sign) for t in range(j)]
             rows += [_conj(reads, (1,), r + 2, outs)] * 2
-    return _block(rows)
+    return _pattern(rows)
 
 
 def add_head_movement(src: Register, dst: Register, move: Register, gate: Flag) -> Neurons:
@@ -337,7 +422,7 @@ def add_head_movement(src: Register, dst: Register, move: Register, gate: Flag) 
 
 
 @lru_cache(maxsize=None)
-def _subtract_pattern(r: int) -> tuple[Neurons, ...]:
+def _subtract_pattern(r: int) -> tuple[_Pattern, ...]:
     """Local indices: target bits 0..r-1, sub bits r..2r-1, the gate 2r."""
     stages = []
     for i in range(r):
@@ -346,7 +431,7 @@ def _subtract_pattern(r: int) -> tuple[Neurons, ...]:
             reads = [(j, 1)] + [(s, -1) for s in range(i, j)] + [(r + i, 1)]
             outs = [(j, -1)] + [(s, 1) for s in range(i, j)]
             rows += [_conj(reads, (1,), 2 * r, outs)] * 2
-        stages.append(_block(rows))
+        stages.append(_pattern(rows))
     return tuple(stages)
 
 
@@ -363,7 +448,7 @@ def full_subtract(sub: Register, target: Register, gate: Flag) -> list[Neurons]:
 
 
 @lru_cache(maxsize=None)
-def _compose_pattern(n_states: int, d_q: int) -> Neurons:
+def _compose_pattern(n_states: int, d_q: int) -> _Pattern:
     """Local indices: i1 bits 0..n*d_q-1, then i2 bits."""
     rows = []
     for i in range(n_states):
@@ -373,7 +458,7 @@ def _compose_pattern(n_states: int, d_q: int) -> Neurons:
                 src, out = d_q * j + kbit, d_q * i + kbit
                 rows.append(_conj(slot + [(src, 1)], (), 0, [(out, 1)]))
                 rows.append(_conj(slot + [(src, -1)], (), 0, [(out, -1)]))
-    return _block(rows)
+    return _pattern(rows)
 
 
 def compose_function_encoding(
@@ -397,8 +482,8 @@ _DENOISING_TERMS = ((-1, 0, 1), (1, 0, -1), (1, -1, 2), (1, -3, -2), (-1, -1, -2
 
 
 @lru_cache(maxsize=None)
-def _denoising_pattern(n: int) -> Neurons:
-    return _block([([(i, s)], b, [(i, w)]) for i in range(n) for s, b, w in _DENOISING_TERMS])
+def _denoising_pattern(n: int) -> _Pattern:
+    return _pattern([([(i, s)], b, [(i, w)]) for i in range(n) for s, b, w in _DENOISING_TERMS])
 
 
 def denoising_neurons(coords: list[int]) -> Neurons:
@@ -407,6 +492,7 @@ def denoising_neurons(coords: list[int]) -> Neurons:
     f (above) is applied coordinatewise. Weights lie in {0,+-1,+-2}, biases
     in {0,-1/4,-3/4} (numerators 0,-1,-3).
     """
+    coords = tuple(coords)
     return _place(_denoising_pattern(len(coords)), coords, coords)
 
 
@@ -435,7 +521,7 @@ def rows_of(*items) -> list[tuple[tuple[int, int], ...]]:
     rows: list[tuple[tuple[int, int], ...]] = []
     for item in items:
         if isinstance(item, Register):
-            rows.extend(((c, 1),) for c in item.coords)
+            rows.extend(zip(zip(item.coords, repeat(1))))  # ((c, 1),) per coordinate
         elif isinstance(item, Flag):
             rows.append(((item.coord, 1),))
         elif isinstance(item, list):
@@ -476,47 +562,61 @@ def selector_head(
 
 def mlp_weights(neurons: Neurons, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(w1, bias4, w2) of shapes (m, d), (m,), (d, m) for m neurons, in order."""
-    w1 = np.zeros((len(neurons), d), dtype=np.int8)
-    w2 = np.zeros((d, len(neurons)), dtype=np.int8)
-    w1[neurons.ins[:, 0], neurons.ins[:, 1]] = neurons.ins[:, 2]
-    w2[neurons.outs[:, 1], neurons.outs[:, 0]] = neurons.outs[:, 2]
-    return w1, neurons.bias4.astype(np.int32), w2
+    return _mlp_layers(neurons.parts, d, [len(neurons)])[0]
 
 
-def _head_weights(specs: list[HeadSpec], d_k: int, d_v: int, d: int) -> np.ndarray:
+def _mlp_layers(parts, d: int, sizes: list[int]) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """`mlp_weights` per layer of the placed patterns `parts`, whose rows in
+    order are the layers' rows, `sizes` of them per layer. One scatter per
+    matrix fills one buffer, laid out so that every layer's matrices are
+    disjoint C-contiguous slices of it: the w1 rows in order, and layer
+    l's (d, m_l) w2 from d times its first row on."""
+    ins, outs, bias4 = _entries(parts, 0), _entries(parts, 1), _biases(parts)
+    cuts = np.fromiter(accumulate(sizes, initial=0), np.intp, len(sizes) + 1)
+    w1 = np.zeros((len(bias4), d), dtype=np.int8)
+    w1[ins[:, 0], ins[:, 1]] = ins[:, 2]
+    row = outs[:, 0]
+    layer = np.searchsorted(cuts, row, side="right") - 1
+    start, stop = cuts[layer], cuts[layer + 1]
+    w2 = np.zeros(len(bias4) * d, dtype=np.int8)
+    w2[d * start + outs[:, 1] * (stop - start) + row - start] = outs[:, 2]
+    return [
+        (w1[a:b], bias4[a:b], w2[d * a : d * b].reshape(d, b - a))
+        for a, b in zip(cuts.tolist(), cuts[1:].tolist())
+    ]
+
+
+def _head_weights(
+    specs: list[HeadSpec], d_k: int, d_v: int, d: int
+) -> tuple[np.ndarray, np.ndarray]:
     """(len(specs), 2 d_k + d_v, d) weights: the query, key and value rows
     of each head stacked, row i summing the (coord, sign) pairs of its spec
-    row, filled by one scatter."""
-    offsets = (0, d_k, 2 * d_k)
-    entries = [
-        (h, at + i, c, sign)
-        for h, spec in enumerate(specs)
-        for at, rows in zip(offsets, (spec.q_rows, spec.k_rows, spec.v_rows))
-        for i, row in enumerate(rows)
-        for c, sign in row
-    ]
-    # fromiter over the flattened tuples: np.array(entries) would cost more than the rest
-    h, i, c, sign = np.fromiter(chain.from_iterable(entries), np.int64).reshape(-1, 4).T
+    row; and (len(specs), d, d_v) output weights, column j writing the
+    head's j-th output coordinate. One scatter each, over entries that
+    itertools flattens, not a Python loop per entry."""
+    mats = [rows for spec in specs for rows in (spec.q_rows, spec.k_rows, spec.v_rows)]
+    n_rows = np.fromiter(map(len, mats), np.intp, len(mats))
+    # Each matrix's first row in w viewed as (len(specs) * (2 d_k + d_v), d).
+    first = np.add.outer(np.arange(len(specs)) * (2 * d_k + d_v), (0, d_k, 2 * d_k)).ravel()
+    row = np.arange(n_rows.sum()) + np.repeat(first - np.cumsum(n_rows) + n_rows, n_rows)
+    rows = list(chain.from_iterable(mats))
+    row = np.repeat(row, np.fromiter(map(len, rows), np.intp, len(rows)))
+    coord, sign = np.fromiter(chain.from_iterable(chain.from_iterable(rows)), np.intp).reshape(-1, 2).T
     w = np.zeros((len(specs), 2 * d_k + d_v, d), dtype=np.int8)
-    np.add.at(w, (h, i, c), sign.astype(np.int8))
-    return w
-
-
-def _shared_inputs(neurons: Neurons) -> dict[int, int]:
-    """The input weights (coord -> +-1) that every neuron carries: the
-    (coord, sign) entries counted once per neuron, as often as neurons."""
-    if not len(neurons):
-        return {}
-    counts = np.bincount(2 * neurons.ins[:, 1] + (neurons.ins[:, 2] > 0))
-    return {k >> 1: 1 if k & 1 else -1 for k in (counts == len(neurons)).nonzero()[0].tolist()}
+    np.add.at(w.reshape(-1, d), (row, coord), sign.astype(np.int8))
+    n_out = np.fromiter((len(spec.out_coords) for spec in specs), np.intp, len(specs))
+    head = np.repeat(np.arange(len(specs)), n_out)
+    col = np.arange(n_out.sum()) - np.repeat(np.cumsum(n_out) - n_out, n_out)
+    out = np.fromiter(chain.from_iterable(spec.out_coords for spec in specs), np.intp)
+    wo = np.zeros((len(specs), d, d_v), dtype=np.int8)
+    wo[head, out, col] = 1
+    return w, wo
 
 
 @dataclass
 class _MlpOp:
     neurons: Neurons
     label: str
-    gate: dict[int, int]  # shared input weights of the neurons
-    writes: set[int]
 
 
 def _merge(table: dict[str, dict[int, int]], kind: str, token: str, values: dict[int, int]) -> None:
@@ -563,7 +663,7 @@ class ModelBuilder:
 
     Conflicts (two operations writing the same coordinate in one layer
     without provably disjoint gating) are a build-time error. An op's
-    gate is derived from its neurons, see `add_neurons`.
+    gate is the one its blocks carry, see `add_neurons`.
     """
 
     def __init__(self, layout: RegisterLayout, n_layers: int):
@@ -608,11 +708,12 @@ class ModelBuilder:
         return False
 
     def add_neurons(self, layer: int, neurons: Neurons | list[Neurons], label: str) -> None:
-        """Add one MLP op, a block or a list of blocks joined in order, to
-        a layer.
+        """Add one MLP op, a block or a list of blocks in order, to a layer.
 
         The op's gate is the set of input weights that all of its neurons
-        share. This assumes conjunction neurons (`single_neuron`), which
+        share: the intersection of its blocks' gates, each carried from
+        the block's pattern. Its writes are the union of the blocks'
+        writes. This assumes conjunction neurons (`single_neuron`), which
         fire only when every input pattern matches, so the op writes
         nothing on a token that fails its gate. Two ops writing a common
         coordinate in one layer must have disjoint gates: opposite values
@@ -624,17 +725,16 @@ class ModelBuilder:
             raise BuildError(f"layer {layer} out of range")
         if not isinstance(neurons, Neurons):
             neurons = Neurons.join(neurons)
-        op = _MlpOp(neurons, label, _shared_inputs(neurons), set(neurons.outs[:, 1].tolist()))
         for other in self._mlp_ops[layer - 1]:
-            if op.writes.isdisjoint(other.writes):
+            if neurons.writes.isdisjoint(other.neurons.writes):
                 continue
-            if self._provably_disjoint(op.gate, other.gate):
+            if self._provably_disjoint(neurons.gate, other.neurons.gate):
                 continue
             raise BuildError(
                 f"layer {layer}: ops {label!r} and {other.label!r} write overlapping "
                 "coordinates without disjoint gating"
             )
-        self._mlp_ops[layer - 1].append(op)
+        self._mlp_ops[layer - 1].append(_MlpOp(neurons, label))
         self.manifest.append(
             {"layer": layer, "kind": "mlp", "label": label, "neurons": len(neurons)}
         )
@@ -657,25 +757,33 @@ class ModelBuilder:
         emb = np.zeros((len(vocab), d), dtype=np.int8)
         unemb = np.zeros((len(vocab), d), dtype=np.int8)
         index = {t: i for i, t in enumerate(vocab)}
-        for table, out in ((self._emb, emb), (self._unemb, unemb)):
-            for token, values in table.items():
-                out[index[token], list(values)] = list(values.values())
+        for kind, table, out in (("embedding", self._emb, emb), ("unembedding", self._unemb, unemb)):
+            for token in table:
+                if token not in index:
+                    raise BuildError(f"{kind} set for {token!r}, which is not in the vocabulary")
+            # One scatter per table: each token's row, once per coordinate it sets.
+            n = len(table)
+            rows = np.fromiter(map(index.__getitem__, table), np.intp, n)
+            rows = rows.repeat(np.fromiter(map(len, table.values()), np.intp, n))
+            cols = np.fromiter(chain.from_iterable(table.values()), np.intp)
+            out[rows, cols] = np.fromiter(chain.from_iterable(map(dict.values, table.values())), np.int8)
 
         d_k, d_v = dims.d_k, dims.d_v
         specs = [spec for heads in self._heads for spec in heads]
         for spec in specs:
             if max(len(spec.q_rows), len(spec.k_rows)) > d_k or len(spec.v_rows) > d_v:
                 raise BuildError(f"head {spec.name} exceeds d_k/d_v")
-        qkv = iter(_head_weights(specs, d_k, d_v, d))
-        layers = []
-        for heads, ops in zip(self._heads, self._mlp_ops):
-            head_params = []
-            for spec, w in zip(heads, qkv):
-                wo = np.zeros((d, d_v), dtype=np.int8)
-                wo[list(spec.out_coords), range(len(spec.out_coords))] = 1
-                head_params.append(HeadParams(w[:d_k], w[d_k : 2 * d_k], w[2 * d_k :], wo))
-            block = Neurons.join(op.neurons for op in ops)
-            layers.append(LayerParams(head_params, *mlp_weights(block, d)))
+        wqkv, wo = _head_weights(specs, d_k, d_v, d)
+        head_params = iter(
+            [HeadParams(w[:d_k], w[d_k : 2 * d_k], w[2 * d_k :], o) for w, o in zip(wqkv, wo)]
+        )
+        # Every op's rows at once, numbered across layers.
+        parts = [part for ops in self._mlp_ops for op in ops for part in op.neurons.parts]
+        neurons_used = [sum(len(op.neurons) for op in ops) for ops in self._mlp_ops]
+        layers = [
+            LayerParams([next(head_params) for _ in heads], *mlp)
+            for heads, mlp in zip(self._heads, _mlp_layers(parts, d, neurons_used))
+        ]
 
         params = TransformerParams(
             dims=dims,
@@ -695,6 +803,6 @@ class ModelBuilder:
             registers=self.layout.as_dict(),
             manifest=self.manifest,
             heads_used=[len(heads) for heads in self._heads],
-            neurons_used=[sum(len(op.neurons) for op in ops) for ops in self._mlp_ops],
+            neurons_used=neurons_used,
         )
         return params, report

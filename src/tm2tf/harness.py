@@ -201,8 +201,14 @@ def trace_invariant_violations(traces: list[ActivationTrace]) -> dict[str, int]:
     """
     out = {"ternary": 0, "score_gap": 0, "tie_values": 0, "output_gap": 0}
     for trace in traces:
-        for _, arr in trace.representation_arrays():
-            out["ternary"] += int(np.any((arr != 0.0) & (np.abs(arr) != 1.0), axis=-1).sum())
+        for arrays in _runs_of_size(trace.representation_arrays(), _AUDIT_VALUES):
+            # One check of a run's values at once; its vectors are counted
+            # only if it fails. NaN and +-inf fail |x| <= 1 or x == rint(x).
+            flat = np.concatenate([arr.ravel() for arr in arrays])
+            if not (np.all(np.abs(flat) <= 1.0) and np.all(flat == np.rint(flat))):
+                for arr in arrays:
+                    vectors = np.any((arr != 0.0) & (np.abs(arr) != 1.0), axis=-1)
+                    out["ternary"] += int(vectors.sum())
         for lt in trace.layers:
             score_gap, tie_values = _score_row_violations(lt)
             out["score_gap"] += score_gap
@@ -211,6 +217,25 @@ def trace_invariant_violations(traces: list[ActivationTrace]) -> dict[str, int]:
             top2 = np.sort(np.stack(trace.output_scores), axis=-1)[..., -2:]
             out["output_gap"] += int((np.diff(top2, axis=-1) < 1.0).sum())
     return out
+
+
+# The ternary audit checks up to this many values at once (0.5 MB of
+# float64), so that its copies add little to the peak memory of a long trace.
+_AUDIT_VALUES = 1 << 16
+
+
+def _runs_of_size(named_arrays, limit: int):
+    """The arrays in order, in consecutive runs of at most `limit` values,
+    or of one array that alone has more."""
+    run, size = [], 0
+    for _, arr in named_arrays:
+        if run and size + arr.size > limit:
+            yield run
+            run, size = [], 0
+        run.append(arr)
+        size += arr.size
+    if run:
+        yield run
 
 
 def _score_row_violations(lt: LayerTrace) -> tuple[int, int]:

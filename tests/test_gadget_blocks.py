@@ -32,6 +32,7 @@ from tm2tf.gadgets import (
     sub_pow2_inplace,
     zero_register,
 )
+from tm2tf.gadgets import _shared_inputs
 
 # ---------------------------------------------------------------------------
 # reference: one dict per neuron
@@ -329,7 +330,7 @@ def test_builder_gate_is_the_shared_inputs():
     builder = ModelBuilder(layout, n_layers=len(ops))
     for i, op in enumerate(ops):
         builder.add_neurons(i + 1, op, f"op{i}")
-    gates = [layer_ops[0].gate for layer_ops in builder._mlp_ops]
+    gates = [layer_ops[0].neurons.gate for layer_ops in builder._mlp_ops]
     assert gates == [
         {f.coord: 1, g.coord: -1},
         {},
@@ -337,6 +338,58 @@ def test_builder_gate_is_the_shared_inputs():
         {a.coords[0]: 1, f.coord: 1},
         {},
     ]
+
+
+def _derived(block):
+    """The gate and writes of a block, read from its entry arrays."""
+    return _shared_inputs(block.ins, len(block)), set(block.outs[:, 1].tolist())
+
+
+def test_carried_gates_and_writes_equal_the_derived_ones():
+    """A block carries the gate and writes that its entry arrays give: for a
+    placed block of every pattern kind, and for `single_neuron`."""
+    layout, a, b, move, f, g = layout_for(4)
+    blocks = []
+    for gates in gate_sets(f, g):
+        blocks += [zero_register(a, gates), copy_register(a, b, gates)]
+        blocks += [sub_pow2(a, b, k, gates) for k in range(4)]
+        blocks += [sub_pow2_inplace(a, k, gates) for k in range(4)]
+        blocks.append(single_neuron([(a[1:3], (1, -1))], gates, {b.coords[0]: -1, f.coord: 1}))
+    for gate in (f, g):
+        blocks.append(add_head_movement(a, b, move, gate))
+        blocks += full_subtract(a, b, gate) + full_subtract(b, a, gate)
+    blocks += [compose_function_encoding(a, b, 2, 2), denoising_neurons(list(b.coords) + [f.coord])]
+    blocks += [single_neuron([(move, (1, -1))], [], {}), single_neuron([], [], {a.coords[0]: 1})]
+    for block in blocks:
+        assert (block.gate, set(block.writes)) == _derived(block)
+    assert any(block.gate for block in blocks) and all(block.writes for block in blocks[:-2])
+
+
+def test_a_list_op_has_the_gate_of_the_join_of_its_blocks():
+    """An op of several blocks, placed and single-neuron ones, has the gate
+    read from their join, which a block without rows does not narrow."""
+    layout, a, b, move, f, g = layout_for(3)
+    zeroing = zero_register(a, [(f, 1), (g, 0)])
+    move_neuron = single_neuron([(move, (1, -1))], [(f, 1)], {b.coords[0]: 1})
+    bit_neuron = single_neuron([(move[0:1], (1,))], [(g, 0)], {b.coords[1]: 1})
+    copying = copy_register(a, b, [(f, 1)])
+    empty = zero_register(Register("empty", ()), [])
+    ops = [
+        [zeroing, move_neuron],
+        [move_neuron, zeroing, bit_neuron, empty],
+        [empty, move_neuron],
+        [move_neuron, copying, empty],
+        [zeroing, copying],
+        [empty],
+    ]
+    builder = ModelBuilder(layout, n_layers=len(ops))
+    for i, blocks in enumerate(ops):
+        builder.add_neurons(i + 1, blocks, f"op{i}")
+    gates = [layer_ops[0].neurons.gate for layer_ops in builder._mlp_ops]
+    joins = [Neurons.join(blocks) for blocks in ops]
+    assert gates == [_derived(join)[0] for join in joins]
+    assert gates == [{f.coord: 1}, {}, move_neuron.gate, {f.coord: 1}, {f.coord: 1}, {}]
+    assert [set(join.writes) for join in joins] == [_derived(join)[1] for join in joins]
 
 
 # ---------------------------------------------------------------------------

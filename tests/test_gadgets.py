@@ -449,6 +449,13 @@ def _finalize(layout, builder, **dims) -> None:
     builder.finalize(["x"], Dims(**dims), NoPositional(), "test", 2)
 
 
+def _finalize_with(layout, builder, set_values) -> None:
+    """Finalize over the vocabulary ["x"] after setting values for "zz"."""
+    set_values("x", {0: 1})
+    set_values("zz", {0: 1})
+    _finalize(layout, builder)
+
+
 def _oversized_head(layout, builder, a) -> None:
     builder.add_head(1, selector_head("h", [a], [a], [a], a))
     _finalize(layout, builder, d_k=1)
@@ -500,6 +507,14 @@ REFUSALS = {
     "unembedding": (
         lambda lay, a, f, b: _conflict(b.set_unembedding),
         "conflicting unembedding for 'x' at coord 0",
+    ),
+    "embedding outside the vocabulary": (
+        lambda lay, a, f, b: _finalize_with(lay, b, b.set_embedding),
+        "embedding set for 'zz', which is not in the vocabulary",
+    ),
+    "unembedding outside the vocabulary": (
+        lambda lay, a, f, b: _finalize_with(lay, b, b.set_unembedding),
+        "unembedding set for 'zz', which is not in the vocabulary",
     ),
     "head layer": (
         lambda lay, a, f, b: b.add_head(0, selector_head("h", [a], [a], [f], f)),

@@ -4,6 +4,7 @@ import json
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from machines import contains_ab_dfa, mod3_dfa, parity_dfa
@@ -68,6 +69,62 @@ def test_validate_dfa():
     assert report.mismatches == []
     assert report.checked == 3 * sum(2 ** n for n in range(5))
     assert not any(report.violations.values())
+
+
+def _ternary_per_vector(trace) -> int:
+    """The ternary count vector by vector: each activation vector (the last
+    axis) with an entry outside {-1, 0, 1} counts once."""
+    return sum(
+        int(np.any((arr != 0.0) & (np.abs(arr) != 1.0), axis=-1).sum())
+        for _, arr in trace.representation_arrays()
+    )
+
+
+def _validate_dfa_traces(monkeypatch) -> list:
+    """The batched traces that validate_dfa audits, one per word length."""
+    from tm2tf import harness
+
+    traces, audit = [], harness.trace_invariant_violations
+    monkeypatch.setattr(
+        harness, "trace_invariant_violations", lambda ts: traces.extend(ts) or audit(ts)
+    )
+    validate_dfa([parity_dfa()], r=3, max_len=3)
+    monkeypatch.undo()
+    return traces
+
+
+@pytest.mark.parametrize("run_values", [None, 1, 100])
+@pytest.mark.parametrize("planted", [0.5, math.nan, -math.inf])
+def test_ternary_audit_counts_the_vectors_it_counted_one_by_one(planted, run_values, monkeypatch):
+    """A value outside {-1, 0, 1} planted in one activation vector, of a
+    single trace and of a batched validate_dfa trace, counts that vector
+    once, as the per-vector count does; the traces as decoded count none.
+    So it does when the audit checks the arrays in runs of any size."""
+    from tm2tf import harness
+    from tm2tf.automata import BOS
+    from tm2tf.compilers import compile_dfa
+    from tm2tf.harness import trace_invariant_violations
+    from tm2tf.netcore import EvalConfig, Evaluator
+
+    ev = Evaluator(compile_dfa(parity_dfa(), 3)[0], EvalConfig(capture_trace=True))
+    ev.extend([BOS, "1", "0", "1"])
+    ev.next_token()
+    batched = _validate_dfa_traces(monkeypatch)[-1]
+    if run_values is not None:
+        monkeypatch.setattr(harness, "_AUDIT_VALUES", run_values)
+    assert batched.layers[0].x_out.ndim == 3  # (positions, words, d)
+    cases = [(ev.trace, "x_mid", (2, 1)), (ev.trace, "q", (3, 0, 0))]
+    cases += [(batched, "x_out", (3, 5, 2)), (batched, "hidden", (1, 7, 0))]
+    for trace, name, at in cases:
+        assert trace_invariant_violations([trace])["ternary"] == 0 == _ternary_per_vector(trace)
+        arr = getattr(trace.layers[1], name)
+        vector = arr[at[:-1]].copy()
+        arr[at] = planted
+        assert trace_invariant_violations([trace])["ternary"] == 1 == _ternary_per_vector(trace)
+        arr[at[:-1]] = planted  # the whole vector: still one
+        assert trace_invariant_violations([trace])["ternary"] == 1 == _ternary_per_vector(trace)
+        arr[at[:-1]] = vector
+        assert trace_invariant_violations([trace])["ternary"] == 0
 
 
 def test_validate_dfa_refuses_words_longer_than_the_context():
