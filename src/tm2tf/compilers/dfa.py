@@ -33,7 +33,8 @@ def dfa_dims(dfa: Dfa, r: int) -> Dims:
         d=2 * r + 2 * n_q * d_q + d_sigma + 1,
         d_k=r,
         d_v=n_q * d_q,
-        d_ff=4 * n_q * d_q + 2 * n_q * n_q * d_q + 6 * r,
+        # Layer 1 builds |Sigma| + 1 init-enc rows and 4r posex-init rows.
+        d_ff=max(4 * n_q * d_q + 2 * n_q * n_q * d_q + 6 * r, len(dfa.alphabet) + 1 + 4 * r),
         n_heads=1,
         n_layers=r + 2,
     )

@@ -7,13 +7,13 @@ is wide enough to hold every element of every supported format exactly
 (mantissa_bits <= 52, exponent_bits <= 11).
 
 `round_array` has two paths. The scaling rule (frexp, ldexp, rint) rounds
-in any format. A format of at most TABLE_CAP = 2^13 elements, which holds
-every format the conversions evaluate in, also keeps a table of its
-elements and the rounding bounds between them, and rounds an array by one
-binary search per element. The table's ties were decided by the scaling
-rule when it was built, so there is one rounding rule and the table is its
-cache. The cap leaves bf16 and wider formats on the scaling rule: a bf16
-table raised the peak RSS of a rounded-softmax decode by 3.5 MB.
+in any format. A format of at most TABLE_CAP = 2^16 elements, which holds
+every format the conversions evaluate in and bf16 and fp16, also keeps a
+table of its elements and the rounding bounds between them, and rounds an
+array by one binary search per element. The table's ties were decided by
+the scaling rule when it was built, so there is one rounding rule and the
+table is its cache. fp32 and fp64 are over the cap and keep the scaling
+rule.
 """
 
 from __future__ import annotations
@@ -41,13 +41,15 @@ __all__ = [
 
 # The most elements a format may have to round by table lookup. Every
 # activation format of the conversions, FloatFormat(1, b) for b <= 11
-# (at most 8187 elements), and every attention format FloatFormat(4,
-# min_att_exponent_bits(N)) for N <= 2^64 (at most 8159) fit, at two arrays
-# of 64 kB each. bf16 (65279 elements) does not: with a cap of 2^17, its
-# 0.5 MB arrays and the temporaries that build them raised the peak RSS of
-# the bench's decode-softmax workload from 42.3 to 45.8 MB, so it keeps the
-# scaling rule.
-TABLE_CAP = 2 ** 13
+# (at most 8187 elements), every attention format FloatFormat(4,
+# min_att_exponent_bits(N)) for N <= 2^64 (at most 8159), bf16 (65279) and
+# fp16 (63487) fit; bf16's table is two arrays of 0.5 MB each. fp32 (over
+# 2^32 elements) keeps the scaling rule.
+TABLE_CAP = 2 ** 16
+
+# Elements per chunk of a table build. The build writes each chunk straight
+# into the table, so it holds the table plus a few arrays of this length.
+_TABLE_CHUNK = 2 ** 12
 
 
 @dataclass(frozen=True)
@@ -104,21 +106,34 @@ class FloatFormat:
         rounds that tie down. The outer bounds are -max_value and the next
         float64 above max_value, so NaN, +-inf and every saturating value
         meet a sentinel.
+
+        The table is built in chunks of _TABLE_CHUNK elements, so building
+        it takes little more memory than the table itself.
         """
         if self.n_elements > TABLE_CAP:
             return None
-        # The positive elements by bit pattern (E << b_m) | f: f * 2^(e_min
-        # - b_m) for E = 0 (subnormal), else (2^b_m + f) * 2^(E - 1 + e_min - b_m).
-        mb = self.mantissa_bits
-        codes = np.arange(1, (2 ** self.exponent_bits - 1) << mb)
-        k = np.maximum((codes >> mb) - 1, 0)
-        positive = np.ldexp((codes - (k << mb)).astype(np.float64), k + self.e_min - mb)
-        finite = np.concatenate([-positive[::-1], [0.0], positive])
-        mids = finite[:-1] / 2 + finite[1:] / 2  # exact, and finite next to max_value
-        down = _round_scaled(mids, self)[0] < finite[1:]
-        bounds = np.where(down, np.nextafter(mids, np.inf), mids)
-        elements = np.concatenate([[np.nan], finite, [np.nan]])
-        bounds = np.concatenate([[-self.max_value], bounds, [np.nextafter(self.max_value, np.inf)]])
+        n, mb = self.n_elements, self.mantissa_bits
+        elements = np.empty(n + 2)
+        bounds = np.empty(n + 1)
+        elements[0] = elements[-1] = np.nan
+        bounds[0], bounds[-1] = -self.max_value, np.nextafter(self.max_value, np.inf)
+        for start in range(0, n, _TABLE_CHUNK):
+            stop = min(start + _TABLE_CHUNK, n)
+            # The chunk's elements and the one after it, whose midpoint with
+            # the chunk's last element is the chunk's last bound, by signed
+            # bit pattern: |codes| = (E << b_m) | f is f * 2^(e_min - b_m) for
+            # E = 0 (subnormal), else (2^b_m + f) * 2^(E - 1 + e_min - b_m).
+            codes = np.arange(start, min(stop + 1, n)) - n // 2
+            magnitude = np.abs(codes)
+            k = np.maximum((magnitude >> mb) - 1, 0)
+            significand = np.sign(codes) * (magnitude - (k << mb))
+            finite = np.ldexp(significand.astype(np.float64), k + self.e_min - mb)
+            elements[1 + start:1 + stop] = finite[:stop - start]
+            mids = bounds[1 + start:start + finite.size]
+            np.divide(finite[:-1], 2, out=mids)
+            mids += finite[1:] / 2  # exact, and finite next to max_value
+            down = _round_scaled(mids, self)[0] < finite[1:]
+            np.nextafter(mids, np.inf, out=mids, where=down)
         elements.setflags(write=False)
         bounds.setflags(write=False)
         return elements, bounds
@@ -199,13 +214,13 @@ def round_array(x: np.ndarray, fmt: FloatFormat) -> tuple[np.ndarray, int]:
     Returns (rounded array, number of saturated elements): a new array of
     x's shape, bit-for-bit identical to the scalar routine on every element.
 
-    A format of at most TABLE_CAP (2^13) elements rounds by its
-    `round_table`, whose ties the scaling rule decided: one search, one
-    gather and one max, which NaN passes. If the max is NaN, an element met
-    a sentinel, as it saturates or is not finite, and the scaling rule
-    rounds the array again, so that it counts the saturations and refuses
-    non-finite input. A format over the cap (bf16, fp16, fp32, fp64) takes
-    the scaling rule alone; see TABLE_CAP for why the cap sits there.
+    A format of at most TABLE_CAP (2^16) elements, bf16 and fp16 among
+    them, rounds by its `round_table`, whose ties the scaling rule decided:
+    one search, one gather and one max, which NaN passes. If the max is NaN,
+    an element met a sentinel, as it saturates or is not finite, and the
+    scaling rule rounds the array again, so that it counts the saturations
+    and refuses non-finite input. A format over the cap (fp32, fp64) takes
+    the scaling rule alone.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.size == 0:

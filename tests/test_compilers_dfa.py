@@ -7,6 +7,7 @@ from machines import contains_ab_dfa, mod3_dfa, parity_dfa
 
 from tm2tf.automata import BOS, FALSE, TRUE, Dfa, dfa_accepts
 from tm2tf.compilers import compile_dfa, dfa_dims
+from tm2tf.harness import validate_dfa
 from tm2tf.netcore import EvalConfig, Evaluator, forward
 
 
@@ -92,3 +93,28 @@ def test_ternary_activations_and_output_gap():
 def test_compile_dfa_refuses_r_below_1(r):
     with pytest.raises(ValueError, match="r must be >= 1"):
         compile_dfa(parity_dfa(), r)
+
+
+def _cycle_dfa(n_states: int, alphabet: tuple[str, ...]) -> Dfa:
+    """States q0 .. q(n-1); symbol i advances the state by i, and q0 accepts."""
+    states = tuple(f"q{i}" for i in range(n_states))
+    delta = {
+        (q, a): states[(i + j) % n_states]
+        for i, q in enumerate(states)
+        for j, a in enumerate(alphabet)
+    }
+    return Dfa(states, alphabet, delta, "q0", frozenset({"q0"}))
+
+
+@pytest.mark.parametrize(
+    "n_states, n_symbols, r",
+    [(1, 2, 1), (1, 4, 1), (1, 4, 2), (2, 20, 1)],
+)
+def test_d_ff_holds_layer_1_for_large_alphabets(n_states, n_symbols, r):
+    """Layer 1 builds |Sigma| + 1 init-enc rows and 4r posex-init rows;
+    with few states and many symbols they outnumber the other layers'."""
+    dfa = _cycle_dfa(n_states, tuple(f"s{j}" for j in range(n_symbols)))
+    assert dfa_dims(dfa, r).d_ff >= n_symbols + 1 + 4 * r
+    result = validate_dfa([dfa], r, 2 ** r - 1)
+    assert result.checked == result.attempted > 0
+    assert not result.mismatches and not any(result.violations.values())

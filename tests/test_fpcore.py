@@ -1,5 +1,6 @@
 import dataclasses
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -257,14 +258,17 @@ def test_round_array_matches_scalar_on_every_element_and_tie():
         _assert_matches_scalar(_grid_points(fmt, [None, *range(fmt.e_min, fmt.e_max + 1)]), fmt)
 
 
-@pytest.mark.parametrize("name", ["bf16", "fp16"])
+# bf16 and fp16 round by table; FloatFormat(6, 10), 64 points per binade and
+# 130943 elements, is just over TABLE_CAP and takes the scaling rule.
+@pytest.mark.parametrize("name", ["bf16", "fp16", "custom:6,10"])
 def test_round_array_matches_scalar_on_subnormal_unit_and_top_binades(name):
-    fmt = PRESETS[name]
+    fmt = parse_precision(name).fmt
     _assert_matches_scalar(_grid_points(fmt, [None, 0, fmt.e_max]), fmt)
 
 
 # Formats on both sides of TABLE_CAP: every FloatFormat(m, e) with m <= 6
-# (the ones over the cap include (2, 11), (5, 8) and (6, 7)), and presets.
+# (the ones over the cap are (5, 11), (6, 10) and (6, 11)), and presets
+# (fp32 is over the cap).
 FORMATS_BOTH_SIDES = [FloatFormat(m, e) for m in range(1, 7) for e in range(2, 12)]
 FORMATS_BOTH_SIDES += [PRESETS[name] for name in ("bf16", "fp16", "fp32")]
 
@@ -310,9 +314,10 @@ def test_round_array_matches_scalar_on_both_sides_of_the_table_cap(case):
 
 def test_the_table_cap_holds_every_format_of_the_theorem():
     """Every activation and attention format of the conversions rounds by
-    table; the presets are over the cap and build no table, so that a later
-    edit neither sends rounded-softmax decoding back to the scaling rule nor
-    keeps megabytes of tables."""
+    table, and so do bf16 and fp16; fp32 and fp64 build no table. A later
+    edit then neither sends rounded-softmax decoding, the scaled conversion's
+    bf16 included, back to the scaling rule nor tries to table a format of
+    billions of elements."""
     from tm2tf.softmaxify import act_format_containing, min_att_exponent_bits
 
     formats = {act_format_containing(2.0 ** k) for k in range(1024)}
@@ -323,8 +328,52 @@ def test_the_table_cap_holds_every_format_of_the_theorem():
         elements, bounds = fmt.round_table
         assert fmt.n_elements <= TABLE_CAP and elements.size == fmt.n_elements + 2, fmt
         assert bounds.size == fmt.n_elements + 1, fmt
-    for fmt in PRESETS.values():
-        assert fmt.n_elements > TABLE_CAP and fmt.round_table is None, fmt
+    for name in ("bf16", "fp16"):
+        elements, bounds = PRESETS[name].round_table
+        assert elements.size == PRESETS[name].n_elements + 2, name
+    for name in ("fp32", "fp64"):
+        assert PRESETS[name].round_table is None, name
+
+
+def _reference_table(fmt: FloatFormat) -> tuple[np.ndarray, np.ndarray]:
+    """`round_table` built in one piece: every element by bit pattern, then
+    every midpoint, with each tie the scaling rule rounds down moved up."""
+    from tm2tf.fpcore import _round_scaled
+
+    mb = fmt.mantissa_bits
+    codes = np.arange(1, (2 ** fmt.exponent_bits - 1) << mb)
+    k = np.maximum((codes >> mb) - 1, 0)
+    positive = np.ldexp((codes - (k << mb)).astype(np.float64), k + fmt.e_min - mb)
+    finite = np.concatenate([-positive[::-1], [0.0], positive])
+    mids = finite[:-1] / 2 + finite[1:] / 2
+    down = _round_scaled(mids, fmt)[0] < finite[1:]
+    bounds = np.where(down, np.nextafter(mids, np.inf), mids)
+    elements = np.concatenate([[np.nan], finite, [np.nan]])
+    bounds = np.concatenate([[-fmt.max_value], bounds, [np.nextafter(fmt.max_value, np.inf)]])
+    return elements, bounds
+
+
+def test_every_round_table_equals_the_unchunked_build():
+    tabled = [fmt for fmt in FORMATS_BOTH_SIDES if fmt.n_elements <= TABLE_CAP]
+    assert {PRESETS["bf16"], PRESETS["fp16"]} <= set(tabled)
+    for fmt in tabled:
+        got, want = fmt.round_table, _reference_table(fmt)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want], fmt
+
+
+@pytest.mark.parametrize("name", ["bf16", "fp16"])
+def test_a_table_build_costs_little_more_than_the_table(name):
+    """The build writes chunk by chunk into the table: its peak of traced
+    memory is the table's bytes plus at most 0.5 MB (a one-piece build of
+    bf16 peaks at 3.5 times the table)."""
+    fmt = dataclasses.replace(PRESETS[name])  # a new instance, with no table cached yet
+    tracemalloc.start()
+    try:
+        elements, bounds = fmt.round_table
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= elements.nbytes + bounds.nbytes + 2 ** 19, peak
 
 
 @pytest.mark.parametrize("fmt", [FloatFormat(1, 2), FloatFormat(2, 3), FloatFormat(3, 4)])
@@ -335,7 +384,10 @@ def test_a_round_table_lists_every_element(fmt):
     assert np.isnan(elements[[0, -1]]).all() and elements[1:-1].tolist() == listed
 
 
-@pytest.mark.parametrize("fmt", [FloatFormat(1, 2), FloatFormat(4, 8), PRESETS["bf16"]])
+# Tabled formats, and fp32, which takes the scaling rule alone.
+@pytest.mark.parametrize(
+    "fmt", [FloatFormat(1, 2), FloatFormat(4, 8), PRESETS["bf16"], PRESETS["fp32"]]
+)
 @pytest.mark.parametrize("scale", [1.0, 1e300])  # in range for a table, or saturating
 @pytest.mark.parametrize("shape", [(), (6, 2, 5)])  # 0-d, and (P*B, H, d)
 def test_a_rounded_array_is_new_and_rounding_is_repeatable(fmt, scale, shape):
