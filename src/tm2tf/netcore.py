@@ -14,11 +14,12 @@ d_k + d_v), causally masked attention for all heads, one (d, H*d_v) output
 matmul, and one rounding call per quantity. The Q/K/V, output and W1
 matmuls gather only the live input coordinates, those with a nonzero
 weight, and multiply float64 weights cut from the int8 codes on those rows
-alone. Where every order-dependent sum is exact (no rotary positions, and
-hardmax or rounded softmax whose formats pass `sum_bits`) a whole block of
-known tokens is one step, which is what lets generation verify a draft of
-expected tokens in one pass; there a block row's softmax denominator sums
-its own keys as a one-position step does. Every other model steps one
+alone; the W2 matmul computes and writes back only the output rows that
+some neuron writes. Where every order-dependent sum is exact (no rotary
+positions, and hardmax or rounded softmax whose formats pass `sum_bits`) a
+whole block of known tokens is one step, which is what lets generation
+verify a draft of expected tokens in one pass; there a block row's softmax
+denominator sums its own keys as a one-position step does. Every other model steps one
 position at a time, so its rounding is that of plain incremental
 decoding. The trace holds one array per quantity whose first axis is
 position, with a (B,) axis after it for a batch: (P, H, .) for q, k, v and
@@ -215,10 +216,11 @@ class TransformerParams:
                 )
         if len(self.layers) != dims.n_layers:
             raise ValueError(f"{len(self.layers)} layers but dims.n_layers = {dims.n_layers}")
-        # Groups of (name parts, array, shape) that share a largest absolute
-        # code: one min/max pair checks a group, and only the name of an
-        # array that fails, such as "layer 3 head 1 wq", is joined.
-        groups = [(1, [(("emb",), self.emb, (n_vocab, d)), (("unemb",), self.unemb, (n_vocab, d))])]
+        # (name parts, array, shape, largest absolute code) of every weight
+        # array. One concatenation and one min/max pair check all arrays of
+        # a bound across the model, and only the name of an array in a
+        # failing group, such as "layer 3 head 1 wq", is joined.
+        arrays = [(("emb",), self.emb, (n_vocab, d), 1), (("unemb",), self.unemb, (n_vocab, d), 1)]
         for li, layer in enumerate(self.layers):
             m = layer.bias4.size
             if len(layer.heads) > dims.n_heads or m > dims.d_ff:
@@ -226,24 +228,26 @@ class TransformerParams:
                     f"layer {li} has {len(layer.heads)} heads and {m} MLP rows, "
                     f"over the budgets n_heads = {dims.n_heads}, d_ff = {dims.d_ff}"
                 )
-            heads = []
             for hi, h in enumerate(layer.heads):
-                heads += [
-                    (("layer", li, "head", hi, "wq"), h.wq, (dims.d_k, d)),
-                    (("layer", li, "head", hi, "wk"), h.wk, (dims.d_k, d)),
-                    (("layer", li, "head", hi, "wv"), h.wv, (dims.d_v, d)),
-                    (("layer", li, "head", hi, "wo"), h.wo, (d, dims.d_v)),
+                arrays += [
+                    (("layer", li, "head", hi, "wq"), h.wq, (dims.d_k, d), 1),
+                    (("layer", li, "head", hi, "wk"), h.wk, (dims.d_k, d), 1),
+                    (("layer", li, "head", hi, "wv"), h.wv, (dims.d_v, d), 1),
+                    (("layer", li, "head", hi, "wo"), h.wo, (d, dims.d_v), 1),
                 ]
-            mlp = [(("layer", li, "w1"), layer.w1, (m, d)), (("layer", li, "w2"), layer.w2, (d, m))]
-            bias = [(("layer", li, "bias4"), layer.bias4, (m,))]
-            groups += [(1, heads), (2, mlp), (4 * (d + 1), bias)]
-        for bound, arrays in groups:
-            for parts, a, shape in arrays:
-                if a.shape != shape:
-                    name = " ".join(map(str, parts))
-                    raise ValueError(f"{name} has shape {a.shape}, expected {shape}")
-            if arrays and _outside(np.concatenate([a.ravel() for _, a, _ in arrays]), bound):
-                name = " ".join(map(str, next(p for p, a, _ in arrays if _outside(a, bound))))
+            arrays += [
+                (("layer", li, "w1"), layer.w1, (m, d), 2),
+                (("layer", li, "bias4"), layer.bias4, (m,), 4 * (d + 1)),
+                (("layer", li, "w2"), layer.w2, (d, m), 2),
+            ]
+        for parts, a, shape, _ in arrays:
+            if a.shape != shape:
+                name = " ".join(map(str, parts))
+                raise ValueError(f"{name} has shape {a.shape}, expected {shape}")
+        for bound in (1, 2, 4 * (d + 1)):
+            group = [(parts, a) for parts, a, _, b in arrays if b == bound]
+            if group and _outside(np.concatenate([a.ravel() for _, a in group]), bound):
+                name = " ".join(map(str, next(p for p, a in group if _outside(a, bound))))
                 raise ValueError(f"{name} codes must lie in [-{bound}, {bound}]")
         if not (self.qk_scale > 0 and math.isfinite(self.qk_scale)):
             raise ValueError(f"qk_scale must be positive and finite, got {self.qk_scale}")
@@ -422,8 +426,16 @@ class Evaluator:
     The Q/K/V, W_O and W1 products gather the live input coordinates of
     their rows (`x.take(live, axis=1)`) and multiply float64 weights on
     those coordinates alone: dropping a zero weight drops a +-0 term. W2
-    stays whole, since every neuron is one of its inputs. `_exact` decides
-    only the step. It holds without rotary positions under hardmax, where
+    reads every neuron, but only about a tenth of its output rows are
+    written by any, so it multiplies and rounds those rows alone, and
+    x_out is x_mid + 0.0 on the rest. That is the full product bit for
+    bit: on such a row it gave rnd(x_mid + rnd(+-0.0)), where x_mid is a
+    value of act that no rounding saturates and never -0.0, so that
+    either zero added to it gives x_mid. W_O keeps all its output rows,
+    since gathering the few it writes cost more per step than it saved,
+    and the scores stay `keys @ q`, since another operand order sums
+    rotary scores in another order and changes their bits. `_exact`
+    decides only the step. It holds without rotary positions under hardmax, where
     the compiled models' values are small integers, and under rounded
     softmax whose formats keep every sum within `sum_bits` <= 53 for the
     2^r keys of binary positions. Then no sum depends on its grouping, and
@@ -455,9 +467,9 @@ class Evaluator:
         )
         # Per layer, (attention, MLP) plans: (H, then the input coordinates
         # read and W^T on them for Q/K/V and W_O), None without heads;
-        # (W1's input coordinates and W1^T on them, bias, W2^T), None
-        # without MLP rows. Rows times W^T, as ndarray.dot, which costs less
-        # per call than matmul.
+        # (W1's input coordinates and W1^T on them, bias, the output rows
+        # some neuron writes and W2^T on them), None without MLP rows. Rows
+        # times W^T, as ndarray.dot, which costs less per call than matmul.
         self._w = []
         for layer in params.layers:
             heads, n_heads = layer.heads, len(layer.heads)
@@ -472,7 +484,8 @@ class Evaluator:
                 )
             if layer.bias4.size:
                 bias = layer.bias4.astype(np.float64) / 4.0
-                mlp = (*_read(layer.w1), bias, layer.w2.astype(np.float64).T)
+                w2_out = np.flatnonzero(layer.w2.any(axis=1))
+                mlp = (*_read(layer.w1), bias, w2_out, layer.w2[w2_out].astype(np.float64).T)
             self._w.append((attention, mlp))
         # Per position: (B*H, d_k + d_v) rotated, scaled and rounded keys,
         # then values, of each sequence and head; (B, d) final
@@ -601,8 +614,8 @@ class Evaluator:
         for li, ((attention, mlp), kv) in enumerate(zip(self._w, self._kv)):
             # x is a value of act: an embedding, or rounded at the end of
             # the layer before. Without heads y is +0.0, so x_mid = rnd(x +
-            # y, act) is x + 0.0, bit for bit and with no saturation, and
-            # without MLP rows x_out is x_mid + 0.0 the same way.
+            # y, act) is x + 0.0, bit for bit and with no saturation, and on
+            # a row that no neuron writes x_out is x_mid + 0.0 the same way.
             if attention is None:
                 x_mid = x + 0.0
             else:
@@ -635,14 +648,13 @@ class Evaluator:
                 o = rnd(o.reshape(n_seq, n_heads, n_new, d_v).transpose(2, 0, 1, 3), act)
                 y = rnd(o.reshape(n_new * n_seq, n_heads * d_v).take(o_in, axis=1).dot(wo), act)
                 x_mid = rnd(x + y, act)
-            if mlp is None:
-                x = x_mid + 0.0
-            else:
-                w1_in, w1, bias, w2 = mlp
+            x = x_mid + 0.0
+            if mlp is not None:
+                w1_in, w1, bias, w2_out, w2 = mlp
                 hidden = x_mid.take(w1_in, axis=1).dot(w1)
                 hidden += bias
                 hidden = rnd(np.maximum(hidden, 0.0, out=hidden), act)
-                x = rnd(x_mid + rnd(hidden.dot(w2), act), act)
+                x[:, w2_out] = rnd(x_mid.take(w2_out, axis=1) + rnd(hidden.dot(w2), act), act)
             if capture:  # (P*B, ...) rows, position-major
                 bufs = self._traced[li + 1]
                 new = dict(x_mid=x_mid, x_out=x)

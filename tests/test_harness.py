@@ -17,7 +17,9 @@ from tm2tf.harness import (
     probe_phi,
     rounding_relative_error_suite,
     sample_tm,
+    sample_word,
     softmax_hardmax_distance_suite,
+    trace_invariant_violations,
     validate_cot,
     validate_dfa,
     validate_scot,
@@ -62,6 +64,44 @@ def test_validate_scot_small_run():
     assert report.checked >= 1
     assert report.mismatches == []
     assert not any(report.violations.values())
+
+
+def test_three_tape_machines_decode_as_the_oracle_runs_them():
+    """The first six halting 3-tape machines of 3-4 states and 2-3 symbols,
+    on a word of at most 4 symbols, at the r each protocol's run needs:
+    CoT and SCoT hardmax models emit the oracle's segments, decoding freely
+    and verifying the oracle's draft alike, with clean trace audits.
+    `validate_trials` samples 1-2 tapes only; this checks three without
+    changing its corpus."""
+    from tm2tf.automata import cot_token_oracle, scot_segments_oracle, tm_run
+    from tm2tf.compilers import choose_r_cot, choose_r_scot, compile_cot, compile_scot
+    from tm2tf.generation import run_cot, run_scot
+    from tm2tf.netcore import EvalConfig
+
+    cfg, checked, multi_segment = EvalConfig(capture_trace=True), 0, 0
+    for i in itertools.count():
+        tm = sample_tm(f"three-tape|{i}", 3, 3 + i % 2, 2 + i // 2 % 2)
+        word = sample_word(f"three-tape|w|{i}", tm, 4)
+        result = tm_run(tm, word, FAST)
+        if not result.halted or result.output is None:
+            continue
+        r_cot = choose_r_cot(max(result.steps, len(word), 1))
+        r_scot = choose_r_scot(max(result.space, 1))
+        runs = [
+            (compile_cot(tm, r_cot)[0], run_cot, [cot_token_oracle(tm, word, r_cot, FAST)]),
+            (compile_scot(tm, r_scot)[0], run_scot, scot_segments_oracle(tm, word, r_scot, FAST)),
+        ]
+        for params, run, expected in runs:
+            for draft in (None, expected):
+                trace = run(params, word, cfg, draft=draft)
+                assert trace.segments == expected, (i, run.__name__, draft is None)
+                violations = trace_invariant_violations(trace.eval_traces)
+                assert not any(violations.values()), (i, run.__name__, violations)
+        multi_segment += len(runs[1][2]) > 1
+        checked += 1
+        if checked == 6:
+            break
+    assert multi_segment  # a summary is written and read back
 
 
 def test_validate_dfa():

@@ -895,12 +895,8 @@ def test_an_edited_copy_gets_a_fresh_plan():
     assert got.tobytes() == _assert_matches_reference(edited, tokens, cfg, trace).tobytes()
 
 
-@pytest.mark.parametrize("mode", ["hardmax", "scaled_only", "denoised"])
-def test_a_bouncer8_evaluator_holds_no_dense_float64_copy_of_its_weights(mode):
-    """The bouncer8 CoT r=10 evaluator keeps float64 weights only on the
-    input coordinates each product reads (W2 whole), for the hardmax model
-    and its softmax conversions alike: 6.2 MB hardmax or scaled and 7.7 MB
-    denoised, against 14.0 and 16.8 MB for dense stacks of every matrix."""
+def _bouncer8_evaluator_bytes(mode: str) -> int:
+    """Bytes a new bouncer8 CoT r=10 Evaluator retains, traced."""
     import tracemalloc
 
     from machines import bouncer_machine
@@ -916,7 +912,120 @@ def test_a_bouncer8_evaluator_holds_no_dense_float64_copy_of_its_weights(mode):
     finally:
         tracemalloc.stop()
     del ev
+    return retained
+
+
+@pytest.mark.parametrize("mode", ["hardmax", "scaled_only", "denoised"])
+def test_a_bouncer8_evaluator_holds_no_dense_float64_copy_of_its_weights(mode):
+    """The bouncer8 CoT r=10 evaluator keeps float64 weights only on the
+    input coordinates each product reads (and W2 only on the rows its
+    neurons write), for the hardmax model and its softmax conversions
+    alike: 2.9 MB hardmax or scaled and 3.1 MB denoised, against 14.0 and
+    16.8 MB for dense stacks of every matrix."""
+    retained = _bouncer8_evaluator_bytes(mode)
     assert retained < {"hardmax": 8e6, "scaled_only": 8e6, "denoised": 9e6}[mode]
+
+
+@pytest.mark.parametrize("mode", ["hardmax", "scaled_only", "denoised"])
+def test_a_bouncer8_evaluator_keeps_only_the_w2_rows_its_neurons_write(mode):
+    """With W2 whole, its float64 plan was the largest: the evaluator
+    retained 5.9 MB hardmax and 7.4 MB denoised. Only about a tenth of W2's
+    rows are written by any neuron (610 of 5,742 hardmax), and on those
+    alone it retains 2.9 and 3.1 MB."""
+    assert _bouncer8_evaluator_bytes(mode) < 3.5e6
+
+
+def _sparse_w2_case(mode: str):
+    """fig2 CoT r=6 in `mode`, edited after conversion so that its last MLP
+    layer's rows write nothing (all-zero w2) and the neurons of the third
+    from last write only every third of the rows they wrote; the tokens of
+    a decode of ab. No head follows these layers, so the edit leaves no
+    tie of unequal values whose average the reference would sum otherwise."""
+    import copy
+
+    from tm2tf.generation import run_cot
+
+    params, cfg = _softmax_case(mode)
+    tokens = run_cot(params, "ab", cfg).segments[0][:-1]
+    params = copy.deepcopy(params)
+    mlp_layers = [layer for layer in params.layers if layer.bias4.size]
+    mlp_layers[-1].w2[:] = 0
+    written = np.flatnonzero(mlp_layers[-3].w2.any(axis=1))
+    mlp_layers[-3].w2[np.setdiff1d(written, written[::3])] = 0
+    params.validate_weights()
+    return params, cfg, tokens
+
+
+@pytest.mark.parametrize("mode", ["hardmax", "scaled_only", "denoised"])
+def test_layers_that_write_no_or_scattered_w2_rows_match_per_head_reference(mode):
+    params, cfg, tokens = _sparse_w2_case(mode)
+    written = [np.flatnonzero(layer.w2.any(axis=1)) for layer in params.layers]
+    sizes = [layer.bias4.size for layer in params.layers]
+    assert any(m and not w.size for m, w in zip(sizes, written))
+    assert any(w.size > 1 and np.any(np.diff(w) > 1) for w in written)
+    reps, trace = forward(params, tokens, cfg)
+    assert reps.tobytes() == _assert_matches_reference(params, tokens, cfg, trace).tobytes()
+
+
+def test_a_saturating_format_counts_what_the_per_head_reference_counts(monkeypatch):
+    """A layer without heads whose one neuron writes coordinates 0 and 2 of
+    4: hidden (8), the MLP output (6 on the written rows) and x (4 there)
+    exceed the largest element 3 of a 1-bit-mantissa format, and the rows
+    no neuron writes keep their 1. The reference rounds every row."""
+    from tm2tf import fpcore
+
+    d = 4
+    params = _headless_model(d)
+    params.layers[0].w2[[1, 3]] = 0
+    cfg = EvalConfig("softmax", act_precision=Precision(FloatFormat(1, 2)), capture_trace=True)
+    tokens = ["a", "a", "a"]
+    reps, trace = forward(params, tokens, cfg)
+    assert reps.tolist() == [[3.0, 1.0, 3.0, 1.0]] * len(tokens)
+    round_array, saturated = fpcore.round_array, []
+
+    def counting(x, fmt):
+        y, n = round_array(x, fmt)
+        saturated.append(n)
+        return y, n
+
+    monkeypatch.setattr(fpcore, "round_array", counting)
+    assert reps.tobytes() == _assert_matches_reference(params, tokens, cfg, trace).tobytes()
+    assert trace.saturations == sum(saturated) == len(tokens) * (1 + 2 + 2)
+
+
+NEGATIVE_ZERO_CASES = [
+    "bouncer8 cot 10", "bouncer4 scot 6", "copy cot 6",
+    "fig2 hardmax", "fig2 scaled_only", "fig2 denoised",
+]
+
+
+@pytest.mark.parametrize("case", NEGATIVE_ZERO_CASES)
+def test_no_traced_residual_is_negative_zero(case):
+    """The residual stream never holds -0.0: x0, x_mid and x_out of every
+    decoded segment. A row that no neuron writes passes x_mid on as x_mid +
+    0.0, which equals the full W2 product's rnd(x_mid + rnd(+-0.0)) on
+    every element but -0.0."""
+    from machines import bouncer_machine, copy_machine
+
+    from tm2tf.compilers import compile_cot, compile_scot
+    from tm2tf.generation import run_cot, run_scot
+
+    if case.startswith("fig2"):
+        params, cfg = _softmax_case(case.split()[1])
+        trace = run_cot(params, "ab", cfg)
+    else:
+        name, protocol, r = case.split()
+        tm = bouncer_machine(int(name[-1])) if name.startswith("bouncer") else copy_machine()
+        compile_fn, run = (compile_cot, run_cot) if protocol == "cot" else (compile_scot, run_scot)
+        params, _ = compile_fn(tm, int(r))
+        word = {"bouncer8": "xyxy", "bouncer4": "xyx", "copy": "011"}[name]
+        trace = run(params, word, EvalConfig(capture_trace=True))
+    assert trace.outcome == "output" and trace.eval_traces
+    for ev_trace in trace.eval_traces:
+        arrays = [ev_trace.x0]
+        for lt in ev_trace.layers:
+            arrays += [lt.x_mid, lt.x_out]
+        assert sum(int(((a == 0) & np.signbit(a)).sum()) for a in arrays) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -1412,5 +1521,27 @@ def test_a_head_code_out_of_range_is_refused_by_name(matrix):
     li = next(i for i, layer in enumerate(params.layers) if len(layer.heads) > 1)
     getattr(params.layers[li].heads[1], matrix)[0, 0] = 2
     message = f"layer {li} head 1 {matrix} codes must lie in [-1, 1]"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        params.validate_weights()
+
+
+@pytest.mark.parametrize("where", ["last head of the last layer with heads", "middle layer w2"])
+def test_a_code_out_of_range_is_named_by_layer_and_head(where):
+    """validate_weights checks all codes of one bound across the model at
+    once and names the array that holds the bad code, wherever it is."""
+    from machines import fig2_machine
+
+    from tm2tf.compilers import compile_cot
+
+    params, _ = compile_cot(fig2_machine(), 6)
+    if where == "middle layer w2":
+        li = len(params.layers) // 2
+        params.layers[li].w2[-1, -1] = 3
+        message = f"layer {li} w2 codes must lie in [-2, 2]"
+    else:
+        li = max(i for i, layer in enumerate(params.layers) if layer.heads)
+        hi = len(params.layers[li].heads) - 1
+        params.layers[li].heads[hi].wv[-1, -1] = -2
+        message = f"layer {li} head {hi} wv codes must lie in [-1, 1]"
     with pytest.raises(ValueError, match=re.escape(message)):
         params.validate_weights()
