@@ -47,7 +47,6 @@ from .netcore import (
     ActivationTrace,
     EvalConfig,
     Evaluator,
-    LayerTrace,
     forward,
     hardmax_weights,
     separation,
@@ -197,65 +196,82 @@ def trace_invariant_violations(traces: list[ActivationTrace]) -> dict[str, int]:
     is not integer or whose maximum leads the next score by less than 1.
     tie_values: a (position, head) row whose tied maximal keys carry
     different values. output_gap: a decoded step whose top output score
-    leads by less than 1.
+    leads by less than 1. Each audit reads a trace's whole-model arrays, in
+    one pass over all layers.
     """
     out = {"ternary": 0, "score_gap": 0, "tie_values": 0, "output_gap": 0}
     for trace in traces:
-        for arrays in _runs_of_size(trace.representation_arrays(), _AUDIT_VALUES):
-            # One check of a run's values at once; its vectors are counted
-            # only if it fails. NaN and +-inf fail |x| <= 1 or x == rint(x).
-            flat = np.concatenate([arr.ravel() for arr in arrays])
-            if not (np.all(np.abs(flat) <= 1.0) and np.all(flat == np.rint(flat))):
-                for arr in arrays:
-                    vectors = np.any((arr != 0.0) & (np.abs(arr) != 1.0), axis=-1)
-                    out["ternary"] += int(vectors.sum())
-        for lt in trace.layers:
-            score_gap, tie_values = _score_row_violations(lt)
-            out["score_gap"] += score_gap
-            out["tie_values"] += tie_values
+        out["ternary"] += _ternary_violations(trace)
+        score_gap, tie_values = _score_row_violations(trace.dots, trace.v)
+        out["score_gap"] += score_gap
+        out["tie_values"] += tie_values
         if trace.output_scores:
             top2 = np.sort(np.stack(trace.output_scores), axis=-1)[..., -2:]
             out["output_gap"] += int((np.diff(top2, axis=-1) < 1.0).sum())
     return out
 
 
-# The ternary audit checks up to this many values at once (0.5 MB of
-# float64), so that its copies add little to the peak memory of a long trace.
+# The audits check up to this many values at once (0.5 MB of float64), so
+# that their copies add little to the peak memory of a long trace.
 _AUDIT_VALUES = 1 << 16
 
 
-def _runs_of_size(named_arrays, limit: int):
-    """The arrays in order, in consecutive runs of at most `limit` values,
-    or of one array that alone has more."""
-    run, size = [], 0
-    for _, arr in named_arrays:
-        if run and size + arr.size > limit:
-            yield run
-            run, size = [], 0
-        run.append(arr)
-        size += arr.size
-    if run:
-        yield run
+def _position_chunks(arr: np.ndarray):
+    """(first position, chunk) over arr in chunks of consecutive positions
+    (its first axis) of at most _AUDIT_VALUES values, one position at
+    least; none if arr is empty."""
+    if arr.size:
+        step = max(1, _AUDIT_VALUES * len(arr) // arr.size)
+        for i in range(0, len(arr), step):
+            yield i, arr[i : i + step]
 
 
-def _score_row_violations(lt: LayerTrace) -> tuple[int, int]:
-    """(score_gap, tie_values) counts over one layer's (position, head) score
-    rows; a batch trace's rows are (position, sequence, head)."""
-    if lt.dots.size == 0:
+def _ternary_violations(trace: ActivationTrace) -> int:
+    """Activation vectors outside {-1, 0, 1}: the column ranges of the
+    stream that `stream_starts` begins, and the last axis of q, k, v and o.
+    Each array is checked a chunk of positions at a time, and only a chunk
+    that fails is counted vector by vector. NaN and +-inf fail |x| <= 1 or
+    x == rint(x)."""
+    count = 0
+    arrays = [(trace.stream, trace.stream_starts)]
+    arrays += [(a, None) for a in (trace.q, trace.k, trace.v, trace.o)]
+    for arr, starts in arrays:
+        for _, chunk in _position_chunks(arr):
+            if np.all(np.abs(chunk) <= 1.0) and np.all(chunk == np.rint(chunk)):
+                continue
+            bad = (chunk != 0.0) & (np.abs(chunk) != 1.0)
+            if starts is None:
+                count += int(bad.any(axis=-1).sum())
+            else:
+                count += int(np.logical_or.reduceat(bad, starts, axis=-1).sum())
+    return count
+
+
+def _score_row_violations(dots: np.ndarray, v: np.ndarray) -> tuple[int, int]:
+    """(score_gap, tie_values) counts over the (position, head) score rows
+    of (P, H, P) dots and their (P, H, d_v) values, a chunk of positions at
+    a time; a batch trace's rows are (position, sequence, head)."""
+    if dots.size == 0:
         return 0, 0
-    n = len(lt.dots)
+    n = len(dots)
     # dots[i, h, j]: row h of position i against key j <= i; -inf past i
-    dots = lt.dots.reshape(n, -1, n)
-    integral = np.all(dots == np.rint(dots), axis=-1)
-    best = dots.max(axis=-1, keepdims=True)
-    tied = dots == best
-    gap = separation(dots) < 1.0  # inf if all tie
-    # Tied keys of one row must carry the value of its first tied key.
-    values = lt.v.reshape(*dots.shape[:2], lt.v.shape[-1])  # (n, rows, d_v)
-    first = tied.argmax(axis=-1)
-    i, h, j = np.nonzero(tied & (integral & (tied.sum(axis=-1) > 1))[..., None])
-    differs = np.any(values[j, h] != values[first[i, h], h], axis=-1)
-    return int((~integral | gap).sum()), len(set(zip(i[differs], h[differs])))
+    dots = dots.reshape(n, -1, n)
+    values = v.reshape(*dots.shape[:2], v.shape[-1])  # (n, rows, d_v)
+    score_gap = tie_values = 0
+    for _, chunk in _position_chunks(dots):
+        # In an integral row the maximum leads every lower score by 1 or
+        # more (the -inf past i included), so only non-integral rows fail.
+        integral = np.all(chunk == np.rint(chunk), axis=-1)
+        tied = chunk == chunk.max(axis=-1, keepdims=True)
+        score_gap += int((~integral).sum())
+        # Tied keys of one row must carry the value of its first tied key.
+        first = tied.argmax(axis=-1)
+        i, h, j = np.nonzero(tied & (integral & (tied.sum(axis=-1) > 1))[..., None])
+        differs = np.any(values[j, h] != values[first[i, h], h], axis=-1)
+        rows = np.zeros(chunk.shape[:2], bool)
+        rows[i[differs], h[differs]] = True
+        tie_values += int(rows.sum())
+    return score_gap, tie_values
 
 
 def attention_rounding_bound_violations(
@@ -265,16 +281,15 @@ def attention_rounding_bound_violations(
     whose traced weight-rounding error `att_err`, sum_j |rounded alpha_j -
     alpha_j|, exceeds 2^(-b_m-1) + n e^(-beta): n = i + 1 keys at position
     i, and beta the row's score separation. The -inf scores past position i
-    change no maximum, so beta is taken over the whole masked row.
+    change no maximum, so beta is taken over the whole masked row. The rows
+    of all layers are checked together, a chunk of positions at a time.
     """
-    violations = 0
-    for lt in trace.layers:
-        if lt.dots.size == 0:  # a layer without heads has no attention rows
-            continue
-        beta = separation(lt.dots / math.sqrt(lt.q.shape[-1]))
-        keys = np.arange(1, len(beta) + 1).reshape(-1, *[1] * (beta.ndim - 1))
+    violations, sqrt_dk = 0, math.sqrt(trace.q.shape[-1])
+    for start, dots in _position_chunks(trace.dots):
+        beta = separation(dots / sqrt_dk)
+        keys = np.arange(start + 1, start + len(beta) + 1).reshape(-1, *[1] * (beta.ndim - 1))
         bound = 2.0 ** (-att_fmt.mantissa_bits - 1) + keys * np.exp(-beta)
-        violations += int((lt.att_err > bound + 1e-12).sum())
+        violations += int((trace.att_err[start : start + len(beta)] > bound + 1e-12).sum())
     return violations
 
 

@@ -21,11 +21,11 @@ whole block of known tokens is one step, which is what lets generation
 verify a draft of expected tokens in one pass; there a block row's softmax
 denominator sums its own keys as a one-position step does. Every other model steps one
 position at a time, so its rounding is that of plain incremental
-decoding. The trace holds one array per quantity whose first axis is
-position, with a (B,) axis after it for a batch: (P, H, .) for q, k, v and
-o, (P, H, P) for the causally masked dots, (P, H) for att_err, (P, d) or
-(P, m) for y, x_mid, hidden and x_out. They are views into buffers that
-grow with the KV cache.
+decoding. The trace is a handful of whole-model arrays that grow with the
+KV cache (`ActivationTrace`), and each layer's quantities are views into
+them whose first axis is position, with a (B,) axis after it for a batch:
+(P, H, .) for q, k, v and o, (P, H, P) for the causally masked dots, (P, H)
+for att_err, (P, d) or (P, m) for y, x_mid, hidden and x_out.
 """
 
 from __future__ import annotations
@@ -292,8 +292,28 @@ class LayerTrace:
 
 @dataclass
 class ActivationTrace:
+    """A captured run: the whole-model arrays an `Evaluator` writes, with
+    `x0` and each layer's `LayerTrace` as views into them.
+
+    `stream` (P, W) holds x0 and each layer's y, x_mid, hidden and x_out in
+    consecutive column ranges; each activation vector there is a nonempty
+    range, and `stream_starts` lists their first columns. A layer without
+    heads has no y columns: its y is a read-only +0.0 view. q, k, v and o
+    (P, ΣH, d_k | d_v), dots (P, ΣH, P) and att_err (P, ΣH) hold the heads
+    of all layers side by side, layer by layer. A batch trace has a (B,)
+    axis after P.
+    """
+
     x0: np.ndarray = field(default_factory=_no_positions)  # (P, d)
     layers: list[LayerTrace] = field(default_factory=list)
+    stream: np.ndarray = field(default_factory=_no_positions)  # (P, W)
+    stream_starts: np.ndarray = field(default_factory=lambda: np.empty(0, np.intp))
+    q: np.ndarray = field(default_factory=_no_positions)  # (P, ΣH, d_k)
+    k: np.ndarray = field(default_factory=_no_positions)  # (P, ΣH, d_k)
+    v: np.ndarray = field(default_factory=_no_positions)  # (P, ΣH, d_v)
+    o: np.ndarray = field(default_factory=_no_positions)  # (P, ΣH, d_v)
+    dots: np.ndarray = field(default_factory=_no_positions)  # (P, ΣH, P)
+    att_err: np.ndarray = field(default_factory=_no_positions)  # (P, ΣH)
     output_scores: list[np.ndarray] = field(default_factory=list)  # per decoded step
     tie_warnings: int = 0
     saturations: int = 0  # rounded elements that exceeded their format
@@ -421,7 +441,8 @@ class Evaluator:
     x_mid + 0.0, which is what the full half gives bit for bit, since x is
     already a value of the activation format and the half adds +0.0. The
     embeddings are not rounded: ternary codes and +-1 position bits are
-    elements of every format. The trace keeps its shapes, with a zero `y`.
+    elements of every format. The trace keeps its shapes, with a read-only
+    zero `y` that takes no room in the trace arena.
 
     The Q/K/V, W_O and W1 products gather the live input coordinates of
     their rows (`x.take(live, axis=1)`) and multiply float64 weights on
@@ -489,22 +510,36 @@ class Evaluator:
             self._w.append((attention, mlp))
         # Per position: (B*H, d_k + d_v) rotated, scaled and rounded keys,
         # then values, of each sequence and head; (B, d) final
-        # representations. With capture, the (B, .) rows of x0, then of
-        # each layer's traced quantities, dots as (B, H, positions) scores
-        # and att_err as (B, H). Grown by _reserve.
+        # representations. With capture, the trace arena: (B, .) rows of
+        # the whole-model arrays of `ActivationTrace`, by name. Grown by
+        # _reserve.
         self._capacity = 0
         self._kv = [np.empty((0, n_seq * len(layer.heads), d_k + d_v)) for layer in params.layers]
         self._x = np.empty((0, n_seq, d))
-        self._traced: list[dict[str, np.ndarray]] = []
-        if cfg.capture_trace:
-            self._traced.append({"x0": np.empty((0, n_seq, d))})
-            for layer in params.layers:
-                h, m = len(layer.heads), layer.bias4.size
-                shapes = dict(q=(h, d_k), k=(h, d_k), v=(h, d_v), dots=(h, 0), att_err=(h,))
-                shapes.update(o=(h, d_v), y=(d,), x_mid=(d,), hidden=(m,), x_out=(d,))
-                self._traced.append({k: np.empty((0, n_seq, *v)) for k, v in shapes.items()})
         self._sqrt_dk = math.sqrt(d_k)
         self.trace = ActivationTrace(layers=[LayerTrace() for _ in params.layers])
+        self._arena: dict[str, np.ndarray] = {}
+        # Per layer: its heads' range of ΣH, and its stream columns by name
+        # (no y without heads).
+        self._layout: list[tuple[slice, dict[str, slice]]] = []
+        if cfg.capture_trace:
+            col, n_heads, starts = d, 0, [0] if d else []  # x0 is columns [0, d)
+            for layer in params.layers:
+                h, cols = len(layer.heads), {}
+                widths = dict(y=d, x_mid=d, hidden=layer.bias4.size, x_out=d)
+                if not h:
+                    del widths["y"]
+                for name, width in widths.items():
+                    if width:
+                        starts.append(col)
+                    cols[name] = slice(col, col + width)
+                    col += width
+                self._layout.append((slice(n_heads, n_heads + h), cols))
+                n_heads += h
+            self.trace.stream_starts = np.array(starts, np.intp)
+            shapes = dict(stream=(col,), q=(n_heads, d_k), k=(n_heads, d_k), v=(n_heads, d_v))
+            shapes.update(o=(n_heads, d_v), dots=(n_heads, 0), att_err=(n_heads,))
+            self._arena = {k: np.empty((0, n_seq, *v)) for k, v in shapes.items()}
 
     # -- rounding helpers ---------------------------------------------------
 
@@ -560,10 +595,24 @@ class Evaluator:
         else:
             for i in range(len(tokens)):
                 self._step(x[:, i : i + 1], start + i)
-        n, pick = len(self.tokens), 0 if self.batch is None else slice(None)
-        for target, bufs in zip([self.trace, *self.trace.layers], self._traced):
-            for name, buf in bufs.items():  # the captured trace: views of the first n positions
-                setattr(target, name, buf[:n, pick, ..., :n] if name == "dots" else buf[:n, pick])
+        if not self._arena:
+            return
+        # The captured trace: views of the first n positions
+        trace, n = self.trace, len(self.tokens)
+        pick = 0 if self.batch is None else slice(None)
+        for name, a in self._arena.items():
+            setattr(trace, name, a[:n, pick, ..., :n] if name == "dots" else a[:n, pick])
+        stream = trace.stream
+        trace.x0 = stream[..., : self.params.dims.d]
+        zeros = np.broadcast_to(0.0, trace.x0.shape)  # the read-only y of a layer without heads
+        for lt, (heads, cols) in zip(trace.layers, self._layout):
+            for name in ("q", "k", "v", "o", "dots"):
+                setattr(lt, name, getattr(trace, name)[..., heads, :])
+            lt.att_err = trace.att_err[..., heads]
+            for name, c in cols.items():
+                setattr(lt, name, stream[..., c])
+            if "y" not in cols:
+                lt.y = zeros
 
     def _reserve(self, n: int) -> None:
         """Room for n positions, doubling the capacity (16 at least)."""
@@ -585,7 +634,7 @@ class Evaluator:
 
         self._kv = [grown(kv) for kv in self._kv]
         self._x = grown(self._x)
-        self._traced = [{k: grown(a, k) for k, a in t.items()} for t in self._traced]
+        self._arena = {k: grown(a, k) for k, a in self._arena.items()}
 
     def _step(self, x: np.ndarray, start: int) -> None:
         """Run the (B, P, d) embeddings of positions start .. start+P-1.
@@ -609,8 +658,9 @@ class Evaluator:
 
         # ternary codes and +-1 position bits are elements of every format
         x = x.swapaxes(0, 1).reshape(n_new * n_seq, d)
+        arena = self._arena
         if capture:
-            self._traced[0]["x0"][start:n] = x.reshape(n_new, n_seq, d)
+            arena["stream"][start:n, :, :d] = x.reshape(n_new, n_seq, d)
         for li, ((attention, mlp), kv) in enumerate(zip(self._w, self._kv)):
             # x is a value of act: an embedding, or rounded at the end of
             # the layer before. Without heads y is +0.0, so x_mid = rnd(x +
@@ -656,22 +706,25 @@ class Evaluator:
                 hidden = rnd(np.maximum(hidden, 0.0, out=hidden), act)
                 x[:, w2_out] = rnd(x_mid.take(w2_out, axis=1) + rnd(hidden.dot(w2), act), act)
             if capture:  # (P*B, ...) rows, position-major
-                bufs = self._traced[li + 1]
+                heads, cols = self._layout[li]
                 new = dict(x_mid=x_mid, x_out=x)
-                if attention is None:  # q, k, v, o, dots and att_err are empty
-                    bufs["y"][start:n] = 0.0  # the buffers grow with np.empty
-                else:
-                    new.update(q=qkv[..., :d_k], k=qkv[..., d_k : 2 * d_k], v=qkv[..., 2 * d_k :])
-                    new.update(o=o, y=y)
+                if attention is not None:  # without heads q, k, v, o, dots and att_err are empty
+                    qkv = qkv.reshape(n_new, n_seq, n_heads, 2 * d_k + d_v)
+                    arena["q"][start:n, :, heads] = qkv[..., :d_k]
+                    arena["k"][start:n, :, heads] = qkv[..., d_k : 2 * d_k]
+                    arena["v"][start:n, :, heads] = qkv[..., 2 * d_k :]
+                    arena["o"][start:n, :, heads] = o
                     dots = dots.reshape(n_seq, n_heads, n_new, n).transpose(2, 0, 1, 3)
-                    bufs["dots"][start:n, ..., :n] = dots
+                    arena["dots"][start:n, :, heads, :n] = dots
                     if softmax_mode and att is not None:  # one error per row
                         err = _causal_sum(np.abs(weights - raw)).reshape(n_seq, n_heads, n_new)
-                        bufs["att_err"][start:n] = err.transpose(2, 0, 1)
+                        arena["att_err"][start:n, :, heads] = err.transpose(2, 0, 1)
+                    new["y"] = y
                 if mlp is not None:  # hidden is empty without MLP rows
                     new["hidden"] = hidden
+                rows = arena["stream"][start:n]
                 for name, a in new.items():
-                    bufs[name][start:n] = a.reshape(n_new, *bufs[name].shape[1:])
+                    rows[..., cols[name]] = a.reshape(n_new, n_seq, a.shape[-1])
         self._x[start:n] = x.reshape(n_new, n_seq, d)
 
     # -- outputs ------------------------------------------------------------

@@ -139,7 +139,7 @@ def test_ternary_audit_counts_the_vectors_it_counted_one_by_one(planted, run_val
     """A value outside {-1, 0, 1} planted in one activation vector, of a
     single trace and of a batched validate_dfa trace, counts that vector
     once, as the per-vector count does; the traces as decoded count none.
-    So it does when the audit checks the arrays in runs of any size."""
+    So it does when the audit checks the arrays in chunks of any size."""
     from tm2tf import harness
     from tm2tf.automata import BOS
     from tm2tf.compilers import compile_dfa
@@ -165,6 +165,125 @@ def test_ternary_audit_counts_the_vectors_it_counted_one_by_one(planted, run_val
         assert trace_invariant_violations([trace])["ternary"] == 1 == _ternary_per_vector(trace)
         arr[at[:-1]] = vector
         assert trace_invariant_violations([trace])["ternary"] == 0
+
+
+def _per_layer_counts(trace, att_fmt=None) -> dict[str, int]:
+    """The trace audits layer by layer and row by row, in plain loops: the
+    ternary count vector by vector, score_gap and tie_values over each
+    (position, head) row's keys up to its position, and, given att_fmt, the
+    rows whose att_err exceeds the rounding bound."""
+    counts = {"ternary": _ternary_per_vector(trace), "score_gap": 0, "tie_values": 0}
+    counts["attention_rounding"] = 0
+    for lt in trace.layers:
+        n = len(lt.dots)
+        dots = lt.dots.reshape(n, -1, n)  # (position, row, key)
+        values = lt.v.reshape(n, dots.shape[1], lt.v.shape[-1])
+        att_err = lt.att_err.reshape(n, dots.shape[1])
+        for i, h in np.ndindex(dots.shape[:2]):
+            row = dots[i, h, : i + 1]
+            best, integral = row.max(), np.all(row == np.rint(row))
+            rest = row[row < best]
+            counts["score_gap"] += not integral or (rest.size > 0 and best - rest.max() < 1.0)
+            tied = np.flatnonzero(row == best)
+            counts["tie_values"] += bool(
+                integral and np.any(values[tied, h] != values[tied[0], h])
+            )
+            if att_fmt is not None:
+                scaled = row / math.sqrt(lt.q.shape[-1])
+                beta = scaled.max() - scaled[scaled < scaled.max()].max(initial=-np.inf)
+                bound = 2.0 ** (-att_fmt.mantissa_bits - 1) + (i + 1) * math.exp(-beta)
+                counts["attention_rounding"] += bool(att_err[i, h] > bound + 1e-12)
+    return counts
+
+
+def _whole_model_counts(trace, att_fmt=None) -> dict[str, int]:
+    from tm2tf.harness import attention_rounding_bound_violations
+
+    counts = trace_invariant_violations([trace])
+    del counts["output_gap"]
+    counts["attention_rounding"] = 0
+    if att_fmt is not None:
+        counts["attention_rounding"] = attention_rounding_bound_violations(trace, att_fmt)
+    return counts
+
+
+def _at(rng, shape) -> tuple[int, ...]:
+    return tuple(int(rng.integers(n)) for n in shape)
+
+
+def _plant_faults(trace, rng, att_fmt) -> None:
+    """Write faults into a trace through its layer views: non-ternary
+    activations, non-integral and tied scores, tied keys whose values
+    differ, and rounding errors over the bound, and given att_fmt one half
+    a key's term under it."""
+    for li in rng.choice(len(trace.layers), 4):
+        for name in ("x_mid", "hidden", "x_out"):
+            arr = getattr(trace.layers[li], name)
+            if arr.size:
+                arr[_at(rng, arr.shape)] = rng.choice([0.5, 2.0])
+    trace.x0[(0,) * trace.x0.ndim] = -3.0
+    attention = [lt for lt in trace.layers if lt.dots.size]
+    for li in rng.choice(len(attention), 4):
+        lt = attention[li]
+        n, rows = len(lt.dots), lt.dots.shape[1:-1]  # rows (H,), or (B, H) for a batch
+        for name in ("q", "o"):
+            arr = getattr(lt, name)
+            arr[_at(rng, arr.shape)] = 0.25
+        for _ in range(3):  # a quarter-integer score; a tie whose last key's value differs
+            i = int(rng.integers(1, n))
+            lt.dots[(i, *_at(rng, rows), int(rng.integers(i)))] += 0.25
+            i, h = int(rng.integers(1, n)), _at(rng, rows)
+            lt.dots[(i, *h)][: i + 1] = lt.dots[(i, *h)][: i + 1].max()
+            lt.v[(i, *h)] += 1.0
+        lt.att_err[(int(rng.integers(n)), *_at(rng, rows))] = 1.0
+        if att_fmt is not None:  # separation 1: the bound grows by e^-1 per key
+            i, h = int(rng.integers(1, n)), _at(rng, rows)
+            lt.dots[(i, *h)][: i + 1] = 0.0
+            lt.dots[(i, *h)][i] = math.sqrt(lt.q.shape[-1])
+            lt.att_err[(i, *h)] = 2.0 ** (-att_fmt.mantissa_bits - 1) + (i + 0.5) / math.e
+
+
+@pytest.mark.parametrize("audit_values", [None, 1, 700])
+def test_whole_model_audits_give_the_per_layer_counts_on_planted_faults(
+    audit_values, monkeypatch
+):
+    """On single, batched and rounded-softmax traces, as decoded and with
+    faults planted in several layers, the whole-model audits count what
+    per-layer, row-by-row loops count, whatever the audit's chunk size."""
+    from dataclasses import replace
+
+    from machines import fig2_machine
+
+    from tm2tf import harness
+    from tm2tf.automata import EINP, INP
+    from tm2tf.compilers import compile_cot
+    from tm2tf.netcore import EvalConfig, Evaluator
+    from tm2tf.softmaxify import convert
+
+    hard = compile_cot(fig2_machine(), 6)[0]
+    denoised, cfg = convert(hard, "denoised", 2 ** 6)
+    prompt = [INP, *"abab", EINP]
+    cases = [(hard, EvalConfig(capture_trace=True), None, None)]
+    cases.append((hard, EvalConfig(capture_trace=True), 3, None))
+    cases.append((denoised, replace(cfg, capture_trace=True), None, cfg.att_precision.fmt))
+    traces = [(ev_trace, None) for ev_trace in _validate_dfa_traces(monkeypatch)[-2:]]
+    for params, run_cfg, batch, att_fmt in cases:
+        ev = Evaluator(params, run_cfg, batch=batch)
+        ev.extend(prompt if batch is None else [(t,) * batch for t in prompt])
+        traces.append((ev.trace, att_fmt))
+    if audit_values is not None:
+        monkeypatch.setattr(harness, "_AUDIT_VALUES", audit_values)
+    rng = np.random.default_rng(7)
+    for trace, att_fmt in traces:
+        decoded = _per_layer_counts(trace, att_fmt)
+        assert decoded["score_gap"] == decoded["tie_values"] == decoded["attention_rounding"] == 0
+        assert bool(decoded["ternary"]) == (att_fmt is not None)  # softmax scales q and k
+        assert _whole_model_counts(trace, att_fmt) == decoded
+        _plant_faults(trace, rng, att_fmt)
+        planted = _per_layer_counts(trace, att_fmt)
+        assert planted["ternary"] > decoded["ternary"] and planted["score_gap"]
+        assert planted["tie_values"] and bool(planted["attention_rounding"]) == (att_fmt is not None)
+        assert _whole_model_counts(trace, att_fmt) == planted
 
 
 def test_validate_dfa_refuses_words_longer_than_the_context():

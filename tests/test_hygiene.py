@@ -142,6 +142,59 @@ def test_bench_name_lookups_resolve():
     assert [name for name in patched if not callable(getattr(harness, name, None))] == []
 
 
+def _bench_count_reads() -> dict[str, tuple[set[int], dict[int, str]]]:
+    """Per count hook of bench/layers.py, the positions it reads as
+    `args[i]`, and the keyword it falls back on for a position, as in
+    `args[i] if len(args) > i else kwargs["name"]`."""
+    tree = ast.parse((BENCH / "layers.py").read_text())
+    reads = {}
+    for fn in ast.walk(tree):
+        names = [a.arg for a in fn.args.args] if isinstance(fn, ast.FunctionDef) else []
+        if names[1:3] != ["args", "kwargs"]:
+            continue
+        positions, keywords = set(), {}
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Subscript) and ast.unparse(node.value) == "args":
+                positions.add(ast.literal_eval(node.slice))
+            if isinstance(node, ast.IfExp) and ast.unparse(node.orelse).startswith("kwargs["):
+                at = ast.literal_eval(node.body.slice)
+                keywords[at] = ast.literal_eval(node.orelse.slice)
+        reads[fn.name] = positions, keywords
+    return reads
+
+
+def test_bench_counts_read_arguments_the_wrapped_functions_take():
+    """Each count hook that bench/layers.py attaches to a tm2tf function
+    reads only positions that function takes, and the keyword it falls back
+    on names the parameter at that position; so a changed signature fails
+    here, not in a traced bench run."""
+    import inspect
+
+    tree = ast.parse((BENCH / "layers.py").read_text())
+    loops = [n for n in ast.walk(tree) if isinstance(n, ast.For) and isinstance(n.iter, ast.Tuple)]
+    hooks = [
+        (ast.literal_eval(entry.elts[0]), ast.literal_eval(entry.elts[1]), entry.elts[3])
+        for loop in loops
+        for entry in loop.iter.elts
+    ]
+    reads = _bench_count_reads()
+    checked, wrong = 0, []
+    for module, qualname, hook in hooks:
+        if not isinstance(hook, ast.Name):  # no count hook
+            continue
+        fn = importlib.import_module(module)
+        for attr in qualname.split("."):
+            fn = getattr(fn, attr)
+        params = list(inspect.signature(fn).parameters)
+        positions, keywords = reads[hook.id]
+        checked += 1
+        if max(positions, default=-1) >= len(params) or any(
+            params[at] != name for at, name in keywords.items()
+        ):
+            wrong.append(f"{hook.id} on {module}.{qualname}{tuple(params)}")
+    assert checked > 10 and wrong == []
+
+
 ROOT = PACKAGE.parents[1]
 SOURCES = sorted(path for top in ("src", "tests", "bench") for path in (ROOT / top).rglob("*.py"))
 _DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)

@@ -1288,6 +1288,46 @@ def test_softmax_decode_digests(case):
     assert _ev_digest(ev) == SOFTMAX_DIGESTS[case]
 
 
+def _ordered(x: np.ndarray) -> np.ndarray:
+    """float64 values as int64 in the same order, one apart for neighbouring
+    floats, so that a difference counts ulps."""
+    bits = x.view(np.int64)
+    return np.where(bits < 0, -(bits & np.int64(2 ** 63 - 1)), bits)
+
+
+@pytest.mark.parametrize("case", ["denoised", "denoised c=4"])
+def test_softmax_weights_lie_far_from_every_rounding_bound(case, monkeypatch):
+    """A certificate for the denoised SOFTMAX_DIGESTS decodes: every raw
+    softmax weight, the one value that depends on libm's `exp`, lies at
+    least 2^20 float64 ulps from every bound of the attention format's
+    rounding table. So an `exp` that differs in its last bits rounds every
+    weight to the same element, and the digests hold on any host."""
+    from tm2tf import netcore
+    from tm2tf.automata import EINP, EOUTP, INP
+    from tm2tf.generation import generate
+
+    params, cfg = _fig2_softmax_case(case)
+    raw, softmax_weights = [], netcore.softmax_weights
+
+    def captured(*args, **kwargs):
+        raw.append(softmax_weights(*args, **kwargs))
+        return raw[-1]
+
+    monkeypatch.setattr(netcore, "softmax_weights", captured)
+    prompt = [INP, *"abab", EINP]
+    _, _, ev = generate(params, prompt, {EOUTP}, 2 ** 6 - len(prompt), cfg)
+    assert _ev_digest(ev) == SOFTMAX_DIGESTS[case]  # the decode the digest pins
+    weights = np.concatenate([w.ravel() for w in raw])
+    assert ((weights > 0) & (weights < 1)).sum() > 1000  # softmax weights, not hardmax ones
+    _, bounds = cfg.att_precision.fmt.round_table
+    above = bounds.searchsorted(weights)  # bounds[above - 1] < weight <= bounds[above]
+    assert 0 < above.min() and above.max() < len(bounds)
+    ulps = np.minimum(
+        _ordered(bounds[above]) - _ordered(weights), _ordered(weights) - _ordered(bounds[above - 1])
+    )
+    assert ulps.min() >= 2 ** 20
+
+
 @pytest.mark.parametrize("case", ["denoised", "denoised c=4"])
 def test_softmax_decode_digests_of_a_drafted_block(case, monkeypatch):
     """With the oracle's tokens as the draft, the prompt and the draft's
@@ -1447,8 +1487,51 @@ def test_no_trace_buffers_without_capture():
 
     ev = Evaluator(compile_dfa(contains_ab_dfa(), 3)[0], EvalConfig())
     ev.extend([BOS, *"abba"])
-    assert ev._traced == []
     assert all(a.size == 0 for a in _trace_fields(ev.trace).values())
+    assert all(getattr(ev.trace, name).size == 0 for name in _WHOLE_MODEL_ARRAYS)
+
+
+_WHOLE_MODEL_ARRAYS = ("stream", "q", "k", "v", "o", "dots", "att_err")
+
+
+def _owner(a: np.ndarray) -> np.ndarray:
+    """The array that owns the memory a view reads."""
+    while a.base is not None:
+        a = a.base
+    return a
+
+
+@pytest.mark.parametrize("batch", [None, 3])
+def test_trace_arrays_do_not_grow_with_the_layer_count(batch):
+    """However many layers a model has, a captured trace is the seven
+    whole-model arrays: every writable trace field is a view into one of
+    them. A layer without heads traces y as a read-only +0.0 view."""
+    from machines import contains_ab_dfa, fig2_machine
+
+    from tm2tf.automata import BOS, EINP, INP
+    from tm2tf.compilers import compile_dfa, compile_scot
+
+    cfg = EvalConfig(capture_trace=True)
+    models = [(compile_dfa(contains_ab_dfa(), 3)[0], cfg, [BOS, *"abba"])]
+    models.append((compile_scot(fig2_machine(), 6)[0], cfg, [INP, *"abab", EINP]))
+    models.append((*_softmax_case("denoised"), [INP, *"abab", EINP]))
+    assert [len(p.layers) for p, _, _ in models] == [5, 23, 46]
+    for params, cfg, tokens in models:
+        ev = Evaluator(params, cfg, batch=batch)
+        ev.extend(tokens if batch is None else [(t,) * batch for t in tokens])
+        trace = ev.trace
+        arena = {id(_owner(getattr(trace, name))) for name in _WHOLE_MODEL_ARRAYS}
+        assert len(arena) == len(_WHOLE_MODEL_ARRAYS)
+        fields = _trace_fields(trace)
+        for name, a in fields.items():
+            if a.flags.writeable:
+                assert id(_owner(a)) in arena, name
+        headless = [li for li, layer in enumerate(params.layers) if not layer.heads]
+        for li in headless:
+            y = fields[f"L{li}.y"]
+            assert not y.flags.writeable and not y.any() and y.shape == fields["x0"].shape
+        read_only = [name for name, a in fields.items() if not a.flags.writeable]
+        assert read_only == [f"L{li}.y" for li in headless]
 
 
 @pytest.mark.parametrize("attention", ["hardmax", "softmax"])
