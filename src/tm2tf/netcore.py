@@ -4,7 +4,9 @@ Weights are stored as small-integer codes in {0,+-1,+-2}; query/key
 projections additionally carry one shared positive scale c (1 for plain
 hardmax constructions). Evaluation is causal and incremental: positions
 are appended to cached keys and values, so autoregressive generation never
-recomputes a prefix; a prefix, once run, never changes.
+recomputes a prefix; a prefix, once run, never changes. `truncate` drops
+positions from the end, so that a decode whose draft was wrong rewinds to
+the tokens that stand and goes on from there on the same evaluator.
 Hardmax decisions compare raw integer dot products, sidestepping the
 1/sqrt(d_k) division.
 
@@ -463,6 +465,12 @@ class Evaluator:
     `extend` runs a whole block as one step, with future keys masked by
     -inf and each row's softmax denominator and att_err summed over its own
     keys (`_causal_sum`). Every other model steps one position at a time.
+
+    `truncate` rewinds to a prefix: the kept rows stay as they are, and the
+    next `extend` overwrites the dropped ones. Rounding saturations are
+    counted per step, so each step logs its start and the count before it,
+    and a cut into a block step that counted saturations runs the step's
+    kept positions again from that count.
     """
 
     def __init__(self, params: TransformerParams, cfg: EvalConfig, batch: int | None = None):
@@ -516,6 +524,7 @@ class Evaluator:
         self._capacity = 0
         self._kv = [np.empty((0, n_seq * len(layer.heads), d_k + d_v)) for layer in params.layers]
         self._x = np.empty((0, n_seq, d))
+        self._steps: list[tuple[int, int]] = []  # per step: its start, saturations before it
         self._sqrt_dk = math.sqrt(d_k)
         self.trace = ActivationTrace(layers=[LayerTrace() for _ in params.layers])
         self._arena: dict[str, np.ndarray] = {}
@@ -595,9 +604,37 @@ class Evaluator:
         else:
             for i in range(len(tokens)):
                 self._step(x[:, i : i + 1], start + i)
+        self._view_trace()
+
+    def truncate(self, n: int) -> None:
+        """Keep the first n positions and drop the rest; n at or past the
+        end keeps all. The kept positions are unchanged, since evaluation is
+        causal, and the next `extend` overwrites the dropped rows. A step's
+        saturation count covers all its positions, so where n cuts a step
+        that counted saturations, the count goes back to its value before
+        that step and the step's kept positions run again. The trace's
+        `output_scores` and `tie_warnings` count decoded steps, not
+        positions, and are kept."""
+        if n < 0:
+            raise ValueError(f"cannot keep {n} positions")
+        if n >= len(self.tokens):
+            return
+        steps, end, saturations = self._steps, len(self.tokens), self.trace.saturations
+        while steps and steps[-1][0] >= n:  # steps wholly past the cut
+            end, saturations = steps.pop()
+        rerun = end > n and steps[-1][1] != saturations
+        if rerun:  # the step cut at n counted saturations
+            start, saturations = steps.pop()
+        del self.tokens[n:]
+        self.trace.saturations = saturations
+        if rerun:
+            self._step(self._embed(self.tokens[start:], start), start)
+        self._view_trace()
+
+    def _view_trace(self) -> None:
+        """Cut the trace's views to the positions run."""
         if not self._arena:
             return
-        # The captured trace: views of the first n positions
         trace, n = self.trace, len(self.tokens)
         pick = 0 if self.batch is None else slice(None)
         for name, a in self._arena.items():
@@ -646,6 +683,7 @@ class Evaluator:
         params, cfg = self.params, self.cfg
         n_seq, n_new, d = x.shape
         n = start + n_new
+        self._steps.append((start, self.trace.saturations))
         capture = cfg.capture_trace
         rotary = self._rotary
         c = params.qk_scale

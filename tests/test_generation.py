@@ -8,7 +8,7 @@ from machines import fig2_machine
 from tm2tf.automata import EINP, EOUTP, INP, OUTP, SUMM, ESUMM
 from tm2tf.compilers import compile_cot
 from tm2tf import generation
-from tm2tf.generation import generate, run_cot, run_scot
+from tm2tf.generation import GenerationTrace, generate, run_cot, run_scot
 from tm2tf.netcore import (
     Dims,
     EvalConfig,
@@ -219,6 +219,14 @@ def test_generate_validates_inputs():
         generate(params, [INP], set(), 5, EvalConfig())
 
 
+def test_a_negative_budget_is_refused():
+    params = constant_model(VOCAB, "a")
+    with pytest.raises(ValueError, match="max_steps must be >= 0"):
+        generate(params, [INP], {EOUTP}, -1, EvalConfig())
+    with pytest.raises(ValueError, match="max_steps must be >= 0"):
+        run_cot(params, ["a"], EvalConfig(), budget=-3)
+
+
 def test_default_budget_stops_at_a_full_context():
     """fig2 on "abab" needs more than the 16 positions of r=4: the default
     budget ends the run when the context is full, not in an EvalError."""
@@ -295,11 +303,13 @@ def _drafts(params, protocol: str, expected: list[list[str]]) -> dict[str, list[
 
 
 def _compiled(machine: str, protocol: str, r: int):
-    from machines import bouncer_machine, copy_machine
+    from machines import bouncer_machine, copy_machine, tally_machine
 
     from tm2tf.compilers import compile_scot
 
-    tm = {"fig2": fig2_machine, "copy": copy_machine, "bouncer4": bouncer_machine}[machine]()
+    machines = dict(fig2=fig2_machine, copy=copy_machine, bouncer4=bouncer_machine)
+    machines.update(bouncer8=lambda: bouncer_machine(8), tally=tally_machine)
+    tm = machines[machine]()
     return tm, (compile_cot if protocol == "cot" else compile_scot)(tm, r)
 
 
@@ -449,11 +459,13 @@ def test_a_rounded_softmax_draft_is_one_block_step_only_where_every_sum_is_exact
         assert steps == [1] * sum(len(seg) - 1 for seg in expected)
 
 
-def test_a_wrong_draft_is_decoded_again_on_one_fresh_evaluator(monkeypatch):
-    """A draft wrong in its middle builds two evaluators in its segment's
-    `generate` call: one fed the whole draft, one fed the tokens that stand
-    and then stepped; under hardmax each makes one block step. The expected
-    draft builds one. `generate` is called once per segment either way."""
+def test_each_generate_call_builds_one_evaluator(monkeypatch):
+    """Each segment's `generate` call builds one evaluator. A draft wrong
+    in its middle is fed as one block, truncated before its first wrong
+    token and extended from there; the expected draft is one block step.
+    Past a draft each step feeds the greedy token and, under hardmax, the
+    3 tokens that followed its last earlier occurrence: 1 or 4 positions.
+    A segment's first step feeds its prompt and its caller's draft."""
     from machines import copy_machine
 
     from tm2tf.automata import scot_segments_oracle
@@ -483,18 +495,123 @@ def test_a_wrong_draft_is_decoded_again_on_one_fresh_evaluator(monkeypatch):
     monkeypatch.setattr(generation, "generate", wrapped)
     params, _ = compile_scot(copy_machine(), 6)
     expected = scot_segments_oracle(copy_machine(), "011", 6)
-    first, rest = expected[0], [[[len(seg) - 1]] for seg in expected[1:]]
+    assert [len(seg) for seg in expected] == [27, 13]
+    first = expected[0]
     mid = (first.index(EINP) + 1 + len(first)) // 2
     wrong = next(t for t in params.vocab if t not in (first[mid], EOUTP, ESUMM))
     drafts = {
-        "expected": (expected, [[len(first) - 1]]),
+        "expected": (expected, [[[26]], [[12]]]),
         "diverges mid-segment": (
             [first[:mid] + [wrong] + first[mid + 1 :], *expected[1:]],
-            [[len(first) - 1], [mid + 1] + [1] * (len(first) - 2 - mid)],
+            [[[26, 4, 1, 4, 1, 1, 1, 4, 1, 1]], [[12]]],
+        ),
+        "none": (
+            None,
+            [[[5, 1, 1, 4, 1, 4, 1, 1, 4, 1, 4, 1, 4, 1, 1, 1, 4, 1, 1]], [[7, 1, 1, 1, 1, 4]]],
         ),
     }
-    for name, (draft, first_call) in drafts.items():
+    for name, (draft, pinned) in drafts.items():
         steps.clear()
         calls.clear()
         assert run_scot(params, "011", EvalConfig(), draft=draft).segments == expected, name
-        assert calls == [first_call, *rest], name
+        assert calls == pinned, name
+
+
+def test_a_self_drafted_decode_takes_fewer_steps(monkeypatch):
+    """bouncer8 CoT r=10 on "xyxy" repeats its head sweeps: its 176 tokens
+    take 82 steps, where one position per step takes 170. The steps feed
+    222 positions, 47 of them drafted tokens that were wrong."""
+    from machines import bouncer_machine
+
+    from tm2tf.netcore import Evaluator
+
+    steps = []
+    step = Evaluator._step
+
+    def counted(ev, x, start):
+        steps.append(x.shape[1])
+        step(ev, x, start)
+
+    monkeypatch.setattr(Evaluator, "_step", counted)
+    params, _ = compile_cot(bouncer_machine(8), 10)
+    trace = run_cot(params, "xyxy", EvalConfig())
+    assert trace.outcome == "output" and trace.total_tokens == 176
+    assert (len(steps), sum(steps)) == (82, 222)
+
+
+def _reference_generate(params, prompt, stop_set, max_steps, cfg, draft=None):
+    """Plain greedy decoding, the reference for `generate`: a fresh
+    evaluator fed one position per step, with no draft."""
+    from tm2tf.netcore import Evaluator
+
+    ev = Evaluator(params, cfg)
+    for tok in prompt:
+        ev.extend([tok])
+    tokens = list(prompt)
+    for _ in range(max_steps):
+        tok = ev.next_token(len(tokens) - 1)
+        tokens.append(tok)
+        if tok in stop_set:
+            return tokens, False, ev
+        ev.extend([tok])
+    return tokens, True, ev
+
+
+def test_a_self_draft_stops_at_the_end_of_the_context():
+    """A model of 8 binary positions that emits "a" until its last
+    position, where it emits </outp>. Under a budget past the context, the
+    drafts of the repeated "a" stop at the last position, and the decode is
+    the reference decoder's."""
+    from tm2tf.netcore import BinaryAbsolute
+
+    d = 5  # two constant 1s, then the three position bits
+    emb = np.zeros((3, d), np.int8)
+    emb[:, :2] = 1
+    unemb = np.zeros((3, d), np.int8)
+    unemb[1, :2] = 1  # "a" scores 2
+    unemb[2, 2:] = 1  # </outp> scores the sum of the +-1 position bits: 3 at position 7
+    zero = np.zeros((1, d), np.int8)
+    layer = LayerParams([HeadParams(zero, zero, zero, zero.T)], zero, np.zeros(1, np.int32), zero.T)
+    params = TransformerParams(
+        dims=Dims(d=d, d_k=1, d_v=1, d_ff=1, n_heads=1, n_layers=1),
+        vocab=[INP, "a", EOUTP],
+        emb=emb,
+        unemb=unemb,
+        positional=BinaryAbsolute(3, (2, 3, 4)),
+        layers=[layer],
+    )
+    cfg = EvalConfig(capture_trace=True)
+    got = generate(params, [INP], {EOUTP}, 20, cfg)
+    want = _reference_generate(params, [INP], {EOUTP}, 20, cfg)
+    assert got[:2] == want[:2] == ([INP, *"a" * 7, EOUTP], False)
+    assert got[2].tokens == want[2].tokens
+    assert_same_run(*(GenerationTrace(eval_traces=[ev.trace]) for ev in (got[2], want[2])))
+
+
+REFERENCE_CASES = [
+    *DRAFT_CASES,
+    ("tally", "cot", 8, "abba"),
+    ("bouncer8", "cot", 10, "xyxy"),
+    ("fig2", "cot", 4, "abab"),  # ends when the 16 positions are full
+]
+
+
+@pytest.mark.parametrize("machine, protocol, r, word", REFERENCE_CASES)
+def test_a_decode_equals_one_position_per_step(machine, protocol, r, word, monkeypatch):
+    """`run_cot` and `run_scot` self-draft under hardmax; their runs equal
+    those of the reference decoder field for field, eval traces byte for
+    byte, with the default budget and with one that ends the run early."""
+    params, _ = _compiled(machine, protocol, r)[1]
+    runner = run_cot if protocol == "cot" else run_scot
+    cfg = EvalConfig(capture_trace=True)
+    runs = {}
+    for decoder in (generation.generate, _reference_generate):
+        monkeypatch.setattr(generation, "generate", decoder)
+        plain = runner(params, word, cfg, record_steps=True)
+        short = runner(params, word, cfg, budget=len(plain.segments[0]) // 3, record_steps=True)
+        runs[decoder] = plain, short
+    (plain, short), (reference, reference_short) = runs.values()
+    assert reference.outcome == ("budget_exceeded" if r == 4 else "output")
+    assert reference_short.outcome == "budget_exceeded"
+    assert_same_run(plain, reference)
+    assert_same_run(short, reference_short)

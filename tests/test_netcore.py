@@ -703,11 +703,12 @@ def test_rounding_calls_per_step_skip_empty_half_layers(mode, monkeypatch):
 
 
 def test_empty_half_layers_in_a_traced_run_that_re_extends():
-    """A draft wrong in its middle is fed as one block, and the tokens that
-    stand are decoded again on a fresh evaluator, one position at a time
-    into the grown buffers; the trace equals a plain decode's. A layer
-    without heads traces y as +0.0 and passes its input on as x_mid; one
-    without MLP rows passes x_mid on as x_out, bit for bit."""
+    """A draft wrong in its middle is fed as one block, the evaluator is
+    truncated to the tokens that stand, and the rest is decoded one
+    position at a time over the rows the draft wrote; the trace equals a
+    plain decode's. A layer without heads traces y as +0.0 and passes its
+    input on as x_mid; one without MLP rows passes x_mid on as x_out, bit
+    for bit."""
     from tm2tf.automata import EINP, EOUTP, INP
     from tm2tf.generation import generate
 
@@ -1126,6 +1127,82 @@ def test_block_extend_equals_per_position_extend_on_a_dfa():
             stepped.extend([])
         assert block.next_token() == stepped.next_token()
         assert _ev_digest(block) == _ev_digest(stepped)
+
+
+def _rewind_case(case: str):
+    """(params, config, batch, tokens) of a rewind test: copy SCoT r=6's
+    first segment on "011" without its stop token, or for "batch" three
+    copy CoT r=6 runs cut to one length."""
+    from machines import copy_machine
+
+    from tm2tf.automata import cot_token_oracle, scot_segments_oracle
+    from tm2tf.compilers import build_rope_position_prefix, compile_cot, compile_scot
+    from tm2tf.softmaxify import scale_qk
+
+    tm, capture = copy_machine(), EvalConfig(capture_trace=True)
+    if case == "rotary":
+        params, _ = build_rope_position_prefix(4)
+        return params, capture, None, ["first"] + ["rest"] * 15
+    if case == "batch":
+        runs = [cot_token_oracle(tm, word, 6)[:-1] for word in ("011", "10", "1101")]
+        n = min(map(len, runs))
+        return compile_cot(tm, 6)[0], capture, 3, [list(row) for row in zip(*(r[:n] for r in runs))]
+    tokens = scot_segments_oracle(tm, "011", 6)[0][:-1]
+    params = compile_scot(tm, 6)[0]
+    if case == "hardmax":
+        return params, capture, None, tokens
+    # Formats whose sums all stay exact, so that blocks run in one step,
+    # and activations of at most 3 that q and k scaled by 4 saturate.
+    cfg = EvalConfig(
+        attention="softmax",
+        act_precision=Precision(FloatFormat(1, 2)),
+        att_precision=Precision(FloatFormat(4, 4)),
+        capture_trace=True,
+    )
+    return scale_qk(params, 4.0), cfg, None, tokens
+
+
+@pytest.mark.parametrize("case", ["hardmax", "batch", "rotary", "saturating"])
+def test_a_truncated_evaluator_equals_a_fresh_one(case):
+    """Fed as two blocks and truncated at every cut m, an evaluator's
+    representations, trace and saturation count equal those of a fresh
+    evaluator fed the first m tokens, and extended by the rest, those of
+    one fed all. A cut into a block step that saturated runs the step's
+    kept positions again."""
+    params, cfg, batch, tokens = _rewind_case(case)
+    fresh = Evaluator(params, cfg, batch)
+    fresh.extend(tokens)
+    want = _ev_digest(fresh)
+    assert fresh._exact == (case != "rotary")
+    a, saturations = len(tokens) // 3, []
+    for m in range(len(tokens) + 1):
+        ev = Evaluator(params, cfg, batch)
+        ev.extend(tokens[:a])
+        ev.extend(tokens[a:])
+        ev.truncate(m)
+        assert ev.tokens == tokens[:m]
+        cut = Evaluator(params, cfg, batch)
+        cut.extend(tokens[:m])
+        assert _ev_digest(ev) == _ev_digest(cut), m
+        saturations.append(ev.trace.saturations)
+        ev.extend(tokens[m:])
+        assert _ev_digest(ev) == want, m
+    # the cuts inside each block kept some of its saturations
+    inside = saturations[1:a], saturations[a + 1 : -1]
+    assert all(len(set(counts)) > 1 for counts in inside) == (case == "saturating")
+
+
+def test_truncate_past_the_end_keeps_every_position_and_a_negative_cut_raises():
+    params, cfg, batch, tokens = _rewind_case("hardmax")
+    ev = Evaluator(params, cfg, batch)
+    ev.extend(tokens)
+    want = _ev_digest(ev)
+    for n in (len(tokens), len(tokens) + 5):
+        ev.truncate(n)
+        assert ev.tokens == tokens and _ev_digest(ev) == want
+    with pytest.raises(ValueError, match="cannot keep -1 positions"):
+        ev.truncate(-1)
+    assert ev.tokens == tokens and _ev_digest(ev) == want
 
 
 @pytest.mark.parametrize(
