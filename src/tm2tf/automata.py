@@ -28,6 +28,7 @@ __all__ = [
     "NonHaltingError",
     "InvalidOutputError",
     "TokenBudgetError",
+    "MOVES",
     "INP",
     "EINP",
     "OUTP",
@@ -43,6 +44,7 @@ __all__ = [
     "pos_token",
     "tape_token",
     "state_token",
+    "pos_block",
     "parse_run_token",
     "parse_pos_token",
     "parse_tape_token",
@@ -247,6 +249,19 @@ class Configuration:
     def clone(self) -> "Configuration":
         return Configuration(self.state, [list(t) for t in self.tapes], list(self.heads))
 
+    def apply(self, writes: tuple[str, ...], moves: tuple[str, ...], blank) -> None:
+        """One TM step's tape part: write each head's cell, growing its tape
+        with `blank`, then move the head; L stops at cell 0."""
+        for k, (write, move) in enumerate(zip(writes, moves)):
+            tape, h = self.tapes[k], self.heads[k]
+            while len(tape) <= h:
+                tape.append(blank)
+            tape[h] = write
+            if move == "R":
+                self.heads[k] = h + 1
+            elif move == "L":
+                self.heads[k] = max(0, h - 1)
+
 
 @dataclass
 class RunResult:
@@ -307,15 +322,7 @@ def tm_run(tm: TuringMachine, word: list[str] | str, step_cap: int) -> RunResult
             return RunResult(False, steps, space, None, trace, run_tokens)
         read = config.read(tm.blank)
         q2, writes, moves = tm.delta[(config.state, read)]
-        for k in range(tm.tapes):
-            tape, h = config.tapes[k], config.heads[k]
-            while len(tape) <= h:
-                tape.append(tm.blank)
-            tape[h] = writes[k]
-            if moves[k] == "R":
-                config.heads[k] = h + 1
-            elif moves[k] == "L":
-                config.heads[k] = max(0, h - 1)
+        config.apply(writes, moves, tm.blank)
         config.state = q2
         steps += 1
         space = max(space, 1 + max(config.heads))
@@ -367,7 +374,8 @@ def _bit(value: int, s: int) -> int:
     return 1 if (value >> s) & 1 else -1
 
 
-def _pos_block(heads: list[int], r: int) -> list[str]:
+def pos_block(heads: list[int], r: int) -> list[str]:
+    """<p>, r position tokens of the heads' cells, bit s in token s, </p>."""
     for n in heads:
         if n >= 2 ** r:
             raise TokenBudgetError(f"head position {n} needs more than {r} bits")
@@ -435,7 +443,7 @@ def _segments(
                 break
             chunk += 1
             if chunk == r:
-                trace.extend(_pos_block(heads, r))
+                trace.extend(pos_block(heads, r))
                 chunk = 0
         if t == result.steps:
             end = [OUTP, *result.output, EOUTP]

@@ -10,11 +10,30 @@ silently passing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass, field, replace
+from itertools import takewhile
 
 import numpy as np
 
-from .automata import EINP, EOUTP, ESUMM, INP, OUTP, SUMM, token_class
+from .automata import (
+    EINP,
+    EOUTP,
+    ESUMM,
+    INP,
+    MOVES,
+    OUTP,
+    SUMM,
+    Configuration,
+    TokenBudgetError,
+    encode_summary,
+    parse_run_token,
+    parse_state_token,
+    parse_tape_token,
+    pos_block,
+    state_token,
+    token_class,
+)
 from .netcore import BinaryAbsolute, EvalConfig, EvalError, Evaluator, TransformerParams
 
 __all__ = ["GenerationTrace", "generate", "run_cot", "run_scot"]
@@ -42,13 +61,6 @@ def _context_room(params: TransformerParams, n_prompt: int, default: int) -> int
     return default
 
 
-# Tokens a self-drafted step feeds after its greedy token. On bouncer8 CoT
-# r=10 a one-position step takes about 0.9 ms and each drafted position adds
-# about 70 us (one BLAS thread, 2 vCPUs), so a short draft pays even when
-# most of it is wrong, and a long one feeds more positions that a miss drops.
-_DRAFT = 3
-
-
 def generate(
     params: TransformerParams,
     prompt: list[str],
@@ -56,6 +68,7 @@ def generate(
     max_steps: int,
     cfg: EvalConfig,
     draft: list[str] | None = None,
+    propose: Callable[[list[str]], list[str]] | None = None,
 ) -> tuple[list[str], bool, Evaluator]:
     """Greedy extension until a stop token is emitted (inclusive).
 
@@ -67,11 +80,12 @@ def generate(
     context), and each stands while it is the greedy token at its step. At
     the first that is not, the evaluator is truncated to the tokens that
     stand and fed that greedy token. Once no caller draft is left, an
-    evaluator that runs blocks in one step and rounds nothing drafts from
-    the run itself: with each greedy token it feeds the _DRAFT tokens that
-    followed that token's last earlier occurrence, repeated with that
-    period if they run out. The model is causal, so the tokens, the
-    evaluator and its trace are the same for any draft, right or wrong.
+    evaluator that runs blocks in one step feeds each greedy token together
+    with `propose(tokens)`, the tokens proposed to follow the run so far,
+    cut in the same way; `run_cot` and `run_scot` propose from the run's
+    Turing-machine configuration (`_TraceDrafter`). The model is causal
+    and such an evaluator sums exactly, so the tokens, the evaluator and
+    its trace are the same for any draft or proposal, right or wrong.
     """
     if not prompt:
         raise ValueError("prompt must be nonempty")
@@ -82,15 +96,13 @@ def generate(
     ev = Evaluator(params, cfg)
     ev.extend([*prompt, *_feedable(params, draft or [], stop_set, max_steps, len(prompt))])
     tokens = list(prompt)
-    # A block step that rounds nothing costs little more than a one-position
+    # A block step that sums exactly costs little more than a one-position
     # step and gives each position the same bits.
-    self_drafts = ev._exact and ev._formats == (None, None)
-    last = {tok: i for i, tok in enumerate(prompt)}  # each token's last index
+    self_drafts = propose is not None and ev._exact
     for _ in range(max_steps):
         tok = ev.next_token(len(tokens) - 1)
         n = len(tokens)  # tok's index
         tokens.append(tok)
-        before, last[tok] = last.get(tok), n
         if n < len(ev.tokens):
             if ev.tokens[n] == tok:
                 continue  # a drafted token stands
@@ -98,10 +110,9 @@ def generate(
         if tok in stop_set:
             return tokens, False, ev
         proposal = []
-        if self_drafts and before is not None:  # what followed tok before, repeated
-            period = n - before
-            proposal = [tokens[before + 1 + k % period] for k in range(_DRAFT)]
-            proposal = _feedable(params, proposal, stop_set, len(prompt) + max_steps - n - 1, n + 1)
+        if self_drafts:
+            room = len(prompt) + max_steps - n - 1
+            proposal = _feedable(params, propose(tokens), stop_set, room, n + 1)
         ev.extend([tok, *proposal])
     return tokens, True, ev
 
@@ -119,6 +130,210 @@ def _feedable(
             break
         fed.append(tok)
     return fed
+
+
+# The most tokens one proposal holds. Nearly every proposed token stands,
+# so a long proposal saves steps; the cap bounds the positions that a miss,
+# such as a <p> block proposed after the halting run token, drops.
+_PROPOSAL = 32
+
+
+@dataclass
+class _Replay:
+    """Where the replay of one segment stands, with the counters of
+    `automata._segments`. `config` is None until an <inp> prompt's first
+    run token shows the tape count; its cells never written hold None, and
+    so does the initial state. In a phase that emits a block (p, summ,
+    outp), `block` holds its tokens, None where the replay cannot know one,
+    and `i` counts those emitted."""
+
+    phase: str  # run | p | summ | outp | end
+    config: Configuration | None
+    word: list[str]
+    trace_len: int = 0
+    chunk: int = 0
+    space: int = 0
+    after_run: bool = False  # the last token was a run token
+    block: list[str | None] = field(default_factory=list)
+    i: int = 0
+
+    def clone(self) -> _Replay:
+        return replace(self, config=self.config and self.config.clone())
+
+
+class _TraceDrafter:
+    """Proposes a run's next tokens from its own Turing-machine configuration.
+
+    One lives for one `_run_segments` call and nothing outlives it. It
+    replays each segment as `automata._segments` writes it: the tapes and
+    heads from the prompt, each run token's writes and moves, a <p> block
+    after every r run tokens and, with summaries, a summary once the trace
+    holds 3*(len(prompt) - 1) tokens. It records each δ entry, (state,
+    symbols read) -> run token, the first time a run token shows it, and
+    proposes what follows from the entries it has seen: run tokens, <p>
+    blocks, summaries and, after <outp>, tape 1's word. A cell never
+    written reads None, the blank, whose name it learns when a summary
+    shows it. A token that it cannot parse or does not expect ends its
+    proposals for the segment; it never raises. It catches up on the
+    tokens lazily, when asked for a proposal.
+    """
+
+    def __init__(self, params: TransformerParams, summaries: bool):
+        pos = params.positional
+        self._r = pos.r if isinstance(pos, BinaryAbsolute) else None
+        self._summaries = summaries
+        self._vocab = params._token_ids
+        self._inputs = {t for t in params.vocab if token_class(t) == "sym"}
+        self._delta: dict[tuple, str] = {}
+        self._blank: str | None = None
+        self._prompt: list[str] = []
+        self._at: _Replay | None = None
+        self._seen = 0
+
+    def segment(self, prompt: list[str]) -> Callable[[list[str]], list[str]]:
+        """The proposer of the segment that starts with `prompt`."""
+        self._prompt, self._at, self._seen = prompt, None, len(prompt)
+        return self.propose
+
+    def propose(self, tokens: list[str]) -> list[str]:
+        """Up to _PROPOSAL tokens that follow `tokens`, the segment so far."""
+        if self._at is None:
+            self._at = self._start(self._prompt)
+        at = self._at
+        for tok in tokens[self._seen :]:
+            if at.phase == "end":
+                break
+            if not self._advance(at, tok):
+                at.phase = "end"
+        self._seen = len(tokens)
+        if at.phase == "end":
+            return []
+        ahead, proposal = at.clone(), []
+        while len(proposal) < _PROPOSAL:
+            tok = self._predict(ahead)
+            if tok is None or not self._advance(ahead, tok):
+                break
+            proposal.append(tok)
+        return proposal
+
+    def _start(self, prompt: list[str]) -> _Replay:
+        """The replay after a prompt: <inp> w </inp>, or a summary whose
+        tape tokens have one width and one hat per tape."""
+        self._cap = 3 * (len(prompt) - 1) if self._summaries else float("inf")
+        if self._r is None:
+            return _Replay("end", None, [])
+        if prompt[0] == INP:
+            return _Replay("run", None, prompt[1:-1], space=len(prompt) - 2)
+        cells = [parse_tape_token(t) for t in prompt[1:-2]]
+        width = len(cells[0][0]) if cells else 0
+        if not cells or any(len(syms) != width for syms, _ in cells):
+            return _Replay("end", None, [])
+        heads = [[i for i, (_, hats) in enumerate(cells) if hats[k]] for k in range(width)]
+        if any(len(h) != 1 for h in heads):
+            return _Replay("end", None, [])
+        tapes = [[syms[k] for syms, _ in cells] for k in range(width)]
+        config = Configuration(parse_state_token(prompt[-2]), tapes, [h[0] for h in heads])
+        return _Replay("run", config, [], space=len(cells))
+
+    def _key(self, config: Configuration) -> tuple:
+        """The δ key of a configuration: its state and the symbols read,
+        None for a cell never written. A cell that a run token or a summary
+        shows holding the blank reads its name instead, under another key
+        for the same entry."""
+        return config.state, config.read(None)
+
+    def _predict(self, at: _Replay) -> str | None:
+        """The token that must come next, or None if the replay cannot know it."""
+        if at.phase == "run":
+            return at.config and self._delta.get(self._key(at.config))
+        if at.phase != "end" and at.i < len(at.block):
+            return at.block[at.i]
+        return None
+
+    def _advance(self, at: _Replay, tok: str) -> bool:
+        """Replay one token; False if the run cannot emit it here."""
+        after_run, at.after_run = at.after_run, False
+        if tok == OUTP and after_run and self._key(at.config) not in self._delta:
+            # the run halted: a state with a δ entry is not the halting state
+            output = takewhile(lambda s: s in self._inputs, at.config.tapes[0])
+            at.phase, at.block, at.i = "outp", [OUTP, *output, EOUTP], 1
+            return True
+        if at.phase == "run":
+            return token_class(tok) == "run" and self._step(at, tok)
+        if at.phase == "end" or at.i >= len(at.block):
+            return False
+        if at.block[at.i] is None and at.phase == "summ":
+            if not self._learn_blank(at, tok):
+                return False
+        elif tok != at.block[at.i]:
+            return False
+        at.i += 1
+        if at.i == len(at.block):
+            at.phase = "run" if at.phase == "p" else "end"
+        return True
+
+    def _step(self, at: _Replay, tok: str) -> bool:
+        """Replay a run token: record its δ entry and apply it."""
+        try:
+            state, writes, moves = parse_run_token(tok)
+        except ValueError:
+            return False
+        config = at.config or Configuration(
+            None, [list(at.word)] + [[] for _ in writes[1:]], [0] * len(writes)
+        )
+        if not len(writes) == len(moves) == len(config.tapes) or not set(moves) <= set(MOVES):
+            return False
+        if self._delta.setdefault(self._key(config), tok) != tok:
+            return False
+        config.apply(writes, moves, None)
+        config.state = state
+        at.config, at.after_run = config, True
+        at.trace_len += 1
+        at.space = max(at.space, 1 + max(config.heads))
+        if at.trace_len >= self._cap:
+            at.phase, at.block, at.i = "summ", self._summary(at), 0
+            return True
+        at.chunk += 1
+        if at.chunk == self._r:
+            try:
+                block = pos_block(config.heads, self._r)
+            except TokenBudgetError:
+                block = []
+            at.phase, at.block, at.i = "p", block, 0
+            at.chunk, at.trace_len = 0, at.trace_len + len(block)
+        return True
+
+    def _summary(self, at: _Replay) -> list[str | None]:
+        """`encode_summary` of the replay, None for a cell that holds a
+        blank of unknown name; empty if the state has no state token, as
+        the halting state has none."""
+        config, blank = at.config, self._blank
+        if state_token(config.state) not in self._vocab:
+            return []
+        fill = "?" if blank is None else blank  # "?" stands for the unknown name
+        tapes = [[fill if s is None else s for s in tape] for tape in config.tapes]
+        block = encode_summary(Configuration(config.state, tapes, config.heads), at.space, fill)
+        if blank is None:
+            for i in range(at.space):
+                if any(i >= len(tape) or tape[i] is None for tape in config.tapes):
+                    block[1 + i] = None
+        return block
+
+    def _learn_blank(self, at: _Replay, tok: str) -> bool:
+        """Take the blank's name from a summary token over a cell never
+        written, if the token is the summary's with that name."""
+        tapes, cell = at.config.tapes, at.i - 1
+        syms, _ = parse_tape_token(tok)
+        if token_class(tok) != "tape" or len(syms) != len(tapes):
+            return False
+        unwritten = [s for s, tape in zip(syms, tapes) if cell >= len(tape) or tape[cell] is None]
+        self._blank = unwritten[0]
+        at.block = self._summary(at)
+        if at.block[at.i] != tok:
+            self._blank = None
+            at.block = self._summary(at)
+            return False
+        return True
 
 
 def _find_block(tokens: list[str], start: int, opener: str):
@@ -176,10 +391,14 @@ def _run_segments(
             raise EvalError(f"word token {tok!r} is not an input symbol")
     trace = GenerationTrace()
     prompt = [INP, *word, EINP]
+    drafter = _TraceDrafter(params, summaries=ESUMM in stop_set)
     for seg_idx in range(_MAX_SEGMENTS):
         steps = budget if budget is not None else _context_room(params, len(prompt), 4096)
         expected = draft[seg_idx][len(prompt) :] if draft and seg_idx < len(draft) else None
-        tokens, exceeded, ev = generate(params, prompt, stop_set, steps, cfg, draft=expected)
+        propose = drafter.segment(prompt)
+        tokens, exceeded, ev = generate(
+            params, prompt, stop_set, steps, cfg, draft=expected, propose=propose
+        )
         if record_steps:  # each token's scores sit at the position before it
             for position in range(len(prompt), len(tokens)):
                 scores = ev.output_scores(position - 1)

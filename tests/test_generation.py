@@ -1,3 +1,4 @@
+import itertools
 import re
 
 import numpy as np
@@ -10,6 +11,7 @@ from tm2tf.compilers import compile_cot
 from tm2tf import generation
 from tm2tf.generation import GenerationTrace, generate, run_cot, run_scot
 from tm2tf.netcore import (
+    BinaryAbsolute,
     Dims,
     EvalConfig,
     EvalError,
@@ -50,10 +52,13 @@ def constant_model(vocab: list[str], emitted: str) -> TransformerParams:
     )
 
 
-def successor_model(vocab: list[str], successor: dict[str, str]) -> TransformerParams:
+def successor_model(
+    vocab: list[str], successor: dict[str, str], r: int | None = None
+) -> TransformerParams:
     """A model that emits successor[t] after token t: one coordinate per
-    token, and each token's unembedding reads the tokens it succeeds."""
-    d = len(vocab)
+    token, and each token's unembedding reads the tokens it succeeds. With
+    r, r more coordinates hold binary positions, which nothing reads."""
+    d = len(vocab) + (r or 0)
     unemb = np.zeros((d, d), dtype=np.int8)
     for tok, nxt in successor.items():
         unemb[vocab.index(nxt), vocab.index(tok)] = 1
@@ -67,9 +72,9 @@ def successor_model(vocab: list[str], successor: dict[str, str]) -> TransformerP
     return TransformerParams(
         dims=Dims(d=d, d_k=1, d_v=1, d_ff=1, n_heads=1, n_layers=1),
         vocab=vocab,
-        emb=np.eye(d, dtype=np.int8),
-        unemb=unemb,
-        positional=NoPositional(),
+        emb=np.eye(len(vocab), d, dtype=np.int8),
+        unemb=unemb[: len(vocab)],
+        positional=NoPositional() if r is None else BinaryAbsolute(r, tuple(range(len(vocab), d))),
         layers=[layer],
     )
 
@@ -303,12 +308,19 @@ def _drafts(params, protocol: str, expected: list[list[str]]) -> dict[str, list[
 
 
 def _compiled(machine: str, protocol: str, r: int):
-    from machines import bouncer_machine, copy_machine, tally_machine
+    from machines import (
+        bouncer_machine,
+        copy_machine,
+        counter_machine,
+        one_step_machine,
+        tally_machine,
+    )
 
     from tm2tf.compilers import compile_scot
 
     machines = dict(fig2=fig2_machine, copy=copy_machine, bouncer4=bouncer_machine)
     machines.update(bouncer8=lambda: bouncer_machine(8), tally=tally_machine)
+    machines.update(counter=counter_machine, one_step2=lambda: one_step_machine(2))
     tm = machines[machine]()
     return tm, (compile_cot if protocol == "cot" else compile_scot)(tm, r)
 
@@ -463,9 +475,10 @@ def test_each_generate_call_builds_one_evaluator(monkeypatch):
     """Each segment's `generate` call builds one evaluator. A draft wrong
     in its middle is fed as one block, truncated before its first wrong
     token and extended from there; the expected draft is one block step.
-    Past a draft each step feeds the greedy token and, under hardmax, the
-    3 tokens that followed its last earlier occurrence: 1 or 4 positions.
-    A segment's first step feeds its prompt and its caller's draft."""
+    Past a draft each step feeds the greedy token and, under hardmax, what
+    the trace drafter proposes after it: the rest of a <p> block, run
+    tokens of δ entries already seen, a summary, an output. A segment's
+    first step feeds its prompt and its caller's draft."""
     from machines import copy_machine
 
     from tm2tf.automata import scot_segments_oracle
@@ -503,12 +516,9 @@ def test_each_generate_call_builds_one_evaluator(monkeypatch):
         "expected": (expected, [[[26]], [[12]]]),
         "diverges mid-segment": (
             [first[:mid] + [wrong] + first[mid + 1 :], *expected[1:]],
-            [[[26, 4, 1, 4, 1, 1, 1, 4, 1, 1]], [[12]]],
+            [[[26, 3, 7]], [[12]]],
         ),
-        "none": (
-            None,
-            [[[5, 1, 1, 4, 1, 4, 1, 1, 4, 1, 4, 1, 4, 1, 1, 1, 4, 1, 1]], [[7, 1, 1, 1, 1, 4]]],
-        ),
+        "none": (None, [[[5, 1, 2, 1, 10, 7]], [[7, 1, 4]]]),
     }
     for name, (draft, pinned) in drafts.items():
         steps.clear()
@@ -519,8 +529,9 @@ def test_each_generate_call_builds_one_evaluator(monkeypatch):
 
 def test_a_self_drafted_decode_takes_fewer_steps(monkeypatch):
     """bouncer8 CoT r=10 on "xyxy" repeats its head sweeps: its 176 tokens
-    take 82 steps, where one position per step takes 170. The steps feed
-    222 positions, 47 of them drafted tokens that were wrong."""
+    take 36 steps, where one position per step takes 170. The steps feed
+    187 positions: 12 drafted tokens were wrong, all in the <p> block
+    proposed after the halting run token."""
     from machines import bouncer_machine
 
     from tm2tf.netcore import Evaluator
@@ -536,12 +547,12 @@ def test_a_self_drafted_decode_takes_fewer_steps(monkeypatch):
     params, _ = compile_cot(bouncer_machine(8), 10)
     trace = run_cot(params, "xyxy", EvalConfig())
     assert trace.outcome == "output" and trace.total_tokens == 176
-    assert (len(steps), sum(steps)) == (82, 222)
+    assert (len(steps), sum(steps)) == (36, 187)
 
 
-def _reference_generate(params, prompt, stop_set, max_steps, cfg, draft=None):
+def _reference_generate(params, prompt, stop_set, max_steps, cfg, draft=None, propose=None):
     """Plain greedy decoding, the reference for `generate`: a fresh
-    evaluator fed one position per step, with no draft."""
+    evaluator fed one position per step, with no draft or proposal."""
     from tm2tf.netcore import Evaluator
 
     ev = Evaluator(params, cfg)
@@ -559,11 +570,9 @@ def _reference_generate(params, prompt, stop_set, max_steps, cfg, draft=None):
 
 def test_a_self_draft_stops_at_the_end_of_the_context():
     """A model of 8 binary positions that emits "a" until its last
-    position, where it emits </outp>. Under a budget past the context, the
-    drafts of the repeated "a" stop at the last position, and the decode is
-    the reference decoder's."""
-    from tm2tf.netcore import BinaryAbsolute
-
+    position, where it emits </outp>. Under a budget past the context, a
+    proposer of a long run of "a" is cut at the last position, and the
+    decode is the reference decoder's."""
     d = 5  # two constant 1s, then the three position bits
     emb = np.zeros((3, d), np.int8)
     emb[:, :2] = 1
@@ -581,7 +590,7 @@ def test_a_self_draft_stops_at_the_end_of_the_context():
         layers=[layer],
     )
     cfg = EvalConfig(capture_trace=True)
-    got = generate(params, [INP], {EOUTP}, 20, cfg)
+    got = generate(params, [INP], {EOUTP}, 20, cfg, propose=lambda tokens: ["a"] * 20)
     want = _reference_generate(params, [INP], {EOUTP}, 20, cfg)
     assert got[:2] == want[:2] == ([INP, *"a" * 7, EOUTP], False)
     assert got[2].tokens == want[2].tokens
@@ -589,21 +598,34 @@ def test_a_self_draft_stops_at_the_end_of_the_context():
 
 
 REFERENCE_CASES = [
-    *DRAFT_CASES,
-    ("tally", "cot", 8, "abba"),
-    ("bouncer8", "cot", 10, "xyxy"),
-    ("fig2", "cot", 4, "abab"),  # ends when the 16 positions are full
+    *(pytest.param(*case, None, id="-".join(map(str, case))) for case in DRAFT_CASES),
+    pytest.param("tally", "cot", 8, "abba", None, id="tally-cot-8-abba"),
+    pytest.param("bouncer8", "cot", 10, "xyxy", None, id="bouncer8-cot-10-xyxy"),
+    # ends when the 16 positions are full
+    pytest.param("fig2", "cot", 4, "abab", None, id="fig2-cot-4-abab"),
+    # denoised at the theorem's c, and at c = 4, where the run ties and
+    # fills its 64 positions without </outp>
+    pytest.param("fig2", "cot", 6, "abab", 8.0, id="fig2-cot-6-abab-denoised-c8"),
+    pytest.param("fig2", "cot", 6, "abab", 4.0, id="fig2-cot-6-abab-denoised-c4"),
 ]
 
 
-@pytest.mark.parametrize("machine, protocol, r, word", REFERENCE_CASES)
-def test_a_decode_equals_one_position_per_step(machine, protocol, r, word, monkeypatch):
-    """`run_cot` and `run_scot` self-draft under hardmax; their runs equal
-    those of the reference decoder field for field, eval traces byte for
-    byte, with the default budget and with one that ends the run early."""
+@pytest.mark.parametrize("machine, protocol, r, word, c", REFERENCE_CASES)
+def test_a_decode_equals_one_position_per_step(machine, protocol, r, word, c, monkeypatch):
+    """`run_cot` and `run_scot` self-draft where block steps are exact:
+    under hardmax and on denoised models. Their runs equal those of the
+    reference decoder field for field, eval traces byte for byte, with the
+    default budget and with one that ends the run early."""
+    from dataclasses import replace
+
+    from tm2tf.softmaxify import convert
+
     params, _ = _compiled(machine, protocol, r)[1]
     runner = run_cot if protocol == "cot" else run_scot
     cfg = EvalConfig(capture_trace=True)
+    if c is not None:
+        params, cfg = convert(params, "denoised", 2 ** r, c=c)
+        cfg = replace(cfg, capture_trace=True)
     runs = {}
     for decoder in (generation.generate, _reference_generate):
         monkeypatch.setattr(generation, "generate", decoder)
@@ -611,7 +633,149 @@ def test_a_decode_equals_one_position_per_step(machine, protocol, r, word, monke
         short = runner(params, word, cfg, budget=len(plain.segments[0]) // 3, record_steps=True)
         runs[decoder] = plain, short
     (plain, short), (reference, reference_short) = runs.values()
-    assert reference.outcome == ("budget_exceeded" if r == 4 else "output")
+    assert reference.outcome == ("budget_exceeded" if r == 4 or c == 4 else "output")
     assert reference_short.outcome == "budget_exceeded"
     assert_same_run(plain, reference)
     assert_same_run(short, reference_short)
+
+
+# ---------------------------------------------------------------------------
+# the trace drafter: malformed tokens, and precision on the oracle's runs
+
+
+def chain_model(chain: list[str], r: int = 8) -> TransformerParams:
+    """A successor model with 2^r binary positions that emits chain[i + 1]
+    after chain[i]; its vocabulary is VOCAB and the chain's tokens."""
+    vocab = VOCAB + [t for t in dict.fromkeys(chain) if t not in VOCAB]
+    return successor_model(vocab, dict(zip(chain, chain[1:])), r)
+
+
+# Six steps right, each in a state of its own and writing a symbol of its
+# own, fill SCoT's trace cap of 3 * (len(<inp> a </inp>) - 1); the summary
+# then holds six written cells and the head's cell, never written.
+_SIX_STEPS = [f"run:q{i}|{s}|R" for i, s in enumerate("bcdefg", 1)]
+_WRITTEN = [f"tape:{s}" for s in "bcdefg"]
+
+MALFORMED = {
+    "run token without writes and moves": ("cot", ["run:q"]),
+    "move letter outside L/S/R": ("cot", ["run:q|a|X"]),
+    "write count unlike the tape count": ("cot", ["run:q|a|R", "run:p|a,a|RR"]),
+    "summary without a hat": ("scot", [*_SIX_STEPS, SUMM, *_WRITTEN, "tape:_", "state:q6", ESUMM]),
+    "summary with two hats": (
+        "scot",
+        [*_SIX_STEPS, SUMM, "tape:^b", *_WRITTEN[1:], "tape:^_", "state:q6", ESUMM],
+    ),
+    "summary of unequal widths": (
+        "scot",
+        [*_SIX_STEPS, SUMM, *_WRITTEN, "tape:^_,_", "state:q6", ESUMM],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", MALFORMED)
+def test_malformed_tokens_decode_like_one_position_per_step(name, monkeypatch):
+    """Models that emit malformed run tokens and summaries: the trace
+    drafter stops proposing for the segment, raises nothing, and the run
+    equals the reference decoder's. A promoted malformed summary is the
+    next segment's prompt, after which the model writes an empty output."""
+    protocol, emitted = MALFORMED[name]
+    params = chain_model([EINP, *emitted, OUTP, EOUTP])
+    runner = run_cot if protocol == "cot" else run_scot
+    cfg = EvalConfig(capture_trace=True)
+    runs = []
+    for decoder in (generation.generate, _reference_generate):
+        monkeypatch.setattr(generation, "generate", decoder)
+        runs.append(runner(params, "a", cfg, record_steps=True))
+    assert_same_run(*runs)
+    assert len(runs[0].segments) == (2 if protocol == "scot" else 1)
+    assert runs[0].segments[0][3:] == emitted + ([] if protocol == "scot" else [OUTP, EOUTP])
+
+
+def _replay_oracle(params, segments: list[list[str]], stop_set: set[str]):
+    """Decode the oracle's segments as `generate` does, with a model that
+    emits them: the steps, the positions they feed, and per proposal that
+    misses, the token before it, the token at its place and what it
+    proposed."""
+    drafter = generation._TraceDrafter(params, summaries=ESUMM in stop_set)
+    steps = fed = 0
+    misses = []
+    for seg in segments:
+        n_prompt = seg.index(EINP if seg[0] == INP else ESUMM) + 1
+        propose = drafter.segment(seg[:n_prompt])
+        steps, fed, pending = steps + 1, fed + n_prompt, []
+        for n in range(n_prompt, len(seg)):
+            if pending:
+                if pending[0] == seg[n]:
+                    pending.pop(0)
+                    continue
+                misses.append((seg[n - 1], seg[n], pending))
+                pending = []
+            if seg[n] in stop_set:
+                break
+            pending = generation._feedable(params, propose(seg[: n + 1]), stop_set, len(seg), n + 1)
+            steps, fed = steps + 1, fed + 1 + len(pending)
+    return steps, fed, misses
+
+
+def _words(tm, max_len: int = 3) -> list[str]:
+    alphabet = tm.input_alphabet
+    return ["".join(w) for n in range(max_len + 1) for w in itertools.product(alphabet, repeat=n)]
+
+
+# machine, protocol, r, words (None: all of up to 3 symbols), and the
+# pinned words decoded, steps, positions fed and <p> blocks proposed after
+# the halting run token
+PRECISION_CASES = [
+    ("fig2", "cot", 6, None, (40, 234, 543, 6)),
+    ("fig2", "scot", 6, None, (40, 234, 543, 6)),  # no run reaches the trace cap
+    ("copy", "cot", 6, None, (15, 112, 307, 4)),
+    ("copy", "scot", 6, None, (15, 120, 411, 4)),
+    ("bouncer4", "cot", 8, None, (15, 278, 995, 15)),
+    ("bouncer4", "scot", 6, None, (15, 331, 1296, 0)),
+    ("bouncer8", "cot", 10, ["xyxy"], (1, 36, 187, 1)),  # as decoded, see above
+    ("tally", "cot", 8, None, (15, 194, 529, 10)),
+    ("tally", "scot", 6, None, (15, 221, 642, 0)),
+    ("one_step2", "scot", 6, None, (4, 12, 28, 0)),
+    ("counter", "scot", 8, ["h000000"], (1, 53, 877, 0)),
+]
+
+
+@pytest.mark.parametrize(
+    "machine, protocol, r, words, pinned",
+    [pytest.param(*case, id="-".join(map(str, case[:3]))) for case in PRECISION_CASES],
+)
+def test_the_trace_drafter_proposes_only_the_oracle_s_tokens(machine, protocol, r, words, pinned):
+    """Over the oracle runs of the test machines, at the r the tests use,
+    every proposed token that `generate` would feed is the oracle's next
+    token, except the <p> block proposed after the halting run token when
+    it ends a chunk of r run tokens: the drafter does not know the halting
+    state. Words whose oracle raises (a run that does not fit the r, halt
+    or leave an output) are skipped."""
+    from tm2tf.automata import (
+        POPEN,
+        InvalidOutputError,
+        NonHaltingError,
+        TokenBudgetError,
+        cot_token_oracle,
+        parse_run_token,
+        scot_segments_oracle,
+    )
+
+    tm, (params, _) = _compiled(machine, protocol, r)
+    stop_set = {EOUTP} if protocol == "cot" else {EOUTP, ESUMM}
+    decoded = steps = fed = halting_blocks = 0
+    for word in words or _words(tm):
+        try:
+            if protocol == "cot":
+                segments = [cot_token_oracle(tm, word, r)]
+            else:
+                segments = scot_segments_oracle(tm, word, r)
+        except (TokenBudgetError, NonHaltingError, InvalidOutputError):
+            continue
+        s, f, misses = _replay_oracle(params, segments, stop_set)
+        for before, at, proposed in misses:
+            assert parse_run_token(before)[0] == tm.q_halt, (word, before, proposed)
+            assert (at, proposed[0]) == (OUTP, POPEN), (word, proposed)
+        decoded, steps, fed = decoded + 1, steps + s, fed + f
+        halting_blocks += len(misses)
+    assert (decoded, steps, fed, halting_blocks) == pinned
