@@ -56,6 +56,7 @@ __all__ = [
     "tm_run",
     "cot_token_oracle",
     "encode_summary",
+    "parse_summary",
     "scot_segments_oracle",
     "load_dfa",
     "load_tm",
@@ -400,6 +401,24 @@ def encode_summary(config: Configuration, used_cells: int, blank: str) -> list[s
     toks.append(state_token(config.state))
     toks.append(ESUMM)
     return toks
+
+
+def parse_summary(body: list[str]) -> Configuration:
+    """The configuration of a summary body, the tokens between <summ> and
+    </summ>: the inverse of `encode_summary`, tapes padded to the cells it
+    shows. Raises ValueError with the reason for a body not in its form."""
+    if not body:
+        raise ValueError("empty summary block")
+    if len(body) < 2 or [token_class(t) for t in body] != ["tape"] * (len(body) - 1) + ["state"]:
+        raise ValueError("summary block is not tape tokens then a state token")
+    cells = [parse_tape_token(t) for t in body[:-1]]
+    if len({len(syms) for syms, _ in cells}) != 1:
+        raise ValueError("summary tape tokens differ in width")
+    heads = [[i for i, (_, hats) in enumerate(cells) if hats[k]] for k in range(len(cells[0][0]))]
+    if any(len(h) != 1 for h in heads):
+        raise ValueError("summary tape without exactly one hat")
+    tapes = [list(tape) for tape in zip(*(syms for syms, _ in cells))]
+    return Configuration(parse_state_token(body[-1]), tapes, [h[0] for h in heads])
 
 
 def _segments(

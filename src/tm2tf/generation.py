@@ -28,7 +28,7 @@ from .automata import (
     TokenBudgetError,
     encode_summary,
     parse_run_token,
-    parse_state_token,
+    parse_summary,
     parse_tape_token,
     pos_block,
     state_token,
@@ -53,12 +53,13 @@ class GenerationTrace:
     records: list[dict] = field(default_factory=list)
 
 
-def _context_room(params: TransformerParams, n_prompt: int, default: int) -> int:
-    """The positions left after a prompt of n_prompt tokens, for a model
-    with binary positions; `default` for any other."""
+def _context_room(params: TransformerParams, start: int, cap: int | None) -> int:
+    """The positions from start on that the context holds, at most cap;
+    for a model without binary positions, cap, or 4096 if cap is None."""
     if isinstance(params.positional, BinaryAbsolute):
-        return max(0, 2 ** params.positional.r - n_prompt)
-    return default
+        room = max(0, 2 ** params.positional.r - start)
+        return room if cap is None else min(cap, room)
+    return 4096 if cap is None else cap
 
 
 def generate(
@@ -67,7 +68,6 @@ def generate(
     stop_set: set[str],
     max_steps: int,
     cfg: EvalConfig,
-    draft: list[str] | None = None,
     propose: Callable[[list[str]], list[str]] | None = None,
 ) -> tuple[list[str], bool, Evaluator]:
     """Greedy extension until a stop token is emitted (inclusive).
@@ -75,17 +75,16 @@ def generate(
     Returns (tokens, budget_exceeded, evaluator). The stop token itself is
     never fed back through the model.
 
-    `draft` holds the tokens expected after the prompt. They are fed with
-    the prompt as one block (up to the first stop token, the budget or the
-    context), and each stands while it is the greedy token at its step. At
-    the first that is not, the evaluator is truncated to the tokens that
-    stand and fed that greedy token. Once no caller draft is left, an
-    evaluator that runs blocks in one step feeds each greedy token together
-    with `propose(tokens)`, the tokens proposed to follow the run so far,
-    cut in the same way; `run_cot` and `run_scot` propose from the run's
-    Turing-machine configuration (`_TraceDrafter`). The model is causal
-    and such an evaluator sums exactly, so the tokens, the evaluator and
-    its trace are the same for any draft or proposal, right or wrong.
+    Where the evaluator runs a block in one step (`Evaluator._exact`),
+    `propose(tokens)` gives the tokens expected to follow the run so far.
+    It is asked once for the prompt, then after each greedy token that is
+    not a standing proposal, and its tokens are fed with the prompt or that
+    token as one block, up to the first stop token, the budget or the
+    context. Each stands while it is the greedy token at its step. At the
+    first that is not, the evaluator is truncated to the tokens that stand
+    and fed that greedy token. The model is causal and such an evaluator
+    sums exactly, so the tokens, the evaluator and its trace are the same
+    for any proposal, right or wrong.
     """
     if not prompt:
         raise ValueError("prompt must be nonempty")
@@ -94,42 +93,39 @@ def generate(
     if max_steps < 0:
         raise ValueError(f"max_steps must be >= 0, got {max_steps}")
     ev = Evaluator(params, cfg)
-    ev.extend([*prompt, *_feedable(params, draft or [], stop_set, max_steps, len(prompt))])
-    tokens = list(prompt)
+    tokens, end = list(prompt), len(prompt) + max_steps
     # A block step that sums exactly costs little more than a one-position
     # step and gives each position the same bits.
-    self_drafts = propose is not None and ev._exact
+    propose = propose if ev._exact else None
+    ev.extend([*prompt, *_proposal(params, propose, tokens, stop_set, end)])
     for _ in range(max_steps):
         tok = ev.next_token(len(tokens) - 1)
         n = len(tokens)  # tok's index
         tokens.append(tok)
         if n < len(ev.tokens):
             if ev.tokens[n] == tok:
-                continue  # a drafted token stands
-            ev.truncate(n)  # the draft is wrong from here on
+                continue  # a proposed token stands
+            ev.truncate(n)  # the proposal is wrong from here on
         if tok in stop_set:
             return tokens, False, ev
-        proposal = []
-        if self_drafts:
-            room = len(prompt) + max_steps - n - 1
-            proposal = _feedable(params, propose(tokens), stop_set, room, n + 1)
-        ev.extend([tok, *proposal])
+        ev.extend([tok, *_proposal(params, propose, tokens, stop_set, end)])
     return tokens, True, ev
 
 
-def _feedable(
-    params: TransformerParams, draft: list[str], stop_set: set[str], max_steps: int, start: int
+def _proposal(
+    params: TransformerParams,
+    propose: Callable[[list[str]], list[str]] | None,
+    tokens: list[str],
+    stop_set: set[str],
+    end: int,
 ) -> list[str]:
-    """The draft tokens that greedy decoding could feed from position
-    start on: at most max_steps, within the context, before the first stop
-    or unknown token."""
-    room = min(max_steps, _context_room(params, start, max_steps))
-    fed = []
-    for tok in draft[: max(room, 0)]:
-        if tok in stop_set or tok not in params._token_ids:
-            break
-        fed.append(tok)
-    return fed
+    """The tokens that `propose` gives to follow `tokens` and greedy
+    decoding could feed: before position end, within the context, before
+    the first stop or unknown token; none without `propose`."""
+    if propose is None:
+        return []
+    proposal = propose(tokens)[: _context_room(params, len(tokens), end - len(tokens))]
+    return list(takewhile(lambda t: t not in stop_set and t in params._token_ids, proposal))
 
 
 # The most tokens one proposal holds. Nearly every proposed token stands,
@@ -175,7 +171,8 @@ class _TraceDrafter:
     written reads None, the blank, whose name it learns when a summary
     shows it. A token that it cannot parse or does not expect ends its
     proposals for the segment; it never raises. It catches up on the
-    tokens lazily, when asked for a proposal.
+    tokens lazily, when asked for a proposal, so a caller's expected
+    segment that stands costs no replay.
     """
 
     def __init__(self, params: TransformerParams, summaries: bool):
@@ -187,16 +184,28 @@ class _TraceDrafter:
         self._delta: dict[tuple, str] = {}
         self._blank: str | None = None
         self._prompt: list[str] = []
+        self._expected: list[str] | None = None
         self._at: _Replay | None = None
         self._seen = 0
 
-    def segment(self, prompt: list[str]) -> Callable[[list[str]], list[str]]:
-        """The proposer of the segment that starts with `prompt`."""
+    def segment(
+        self, prompt: list[str], expected: list[str] | None = None
+    ) -> Callable[[list[str]], list[str]]:
+        """The proposer of the segment that starts with `prompt`. While
+        the run so far is a prefix of `expected`, a segment with its
+        prompt, it proposes the rest of `expected`; after that, the
+        replay's tokens."""
         self._prompt, self._at, self._seen = prompt, None, len(prompt)
+        self._expected = expected
         return self.propose
 
     def propose(self, tokens: list[str]) -> list[str]:
-        """Up to _PROPOSAL tokens that follow `tokens`, the segment so far."""
+        """The tokens that follow `tokens`, the segment so far: the rest of
+        the expected segment, or up to _PROPOSAL from the replay."""
+        expected, n = self._expected, len(tokens)
+        if expected and n < len(expected) and expected[:n] == tokens:
+            return expected[n:]
+        self._expected = None  # the run has left it
         if self._at is None:
             self._at = self._start(self._prompt)
         at = self._at
@@ -217,23 +226,14 @@ class _TraceDrafter:
         return proposal
 
     def _start(self, prompt: list[str]) -> _Replay:
-        """The replay after a prompt: <inp> w </inp>, or a summary whose
-        tape tokens have one width and one hat per tape."""
+        """The replay after a prompt: <inp> w </inp>, or a summary that
+        `parse_summary` reads, as every promoted summary is."""
         self._cap = 3 * (len(prompt) - 1) if self._summaries else float("inf")
         if self._r is None:
             return _Replay("end", None, [])
         if prompt[0] == INP:
             return _Replay("run", None, prompt[1:-1], space=len(prompt) - 2)
-        cells = [parse_tape_token(t) for t in prompt[1:-2]]
-        width = len(cells[0][0]) if cells else 0
-        if not cells or any(len(syms) != width for syms, _ in cells):
-            return _Replay("end", None, [])
-        heads = [[i for i, (_, hats) in enumerate(cells) if hats[k]] for k in range(width)]
-        if any(len(h) != 1 for h in heads):
-            return _Replay("end", None, [])
-        tapes = [[syms[k] for syms, _ in cells] for k in range(width)]
-        config = Configuration(parse_state_token(prompt[-2]), tapes, [h[0] for h in heads])
-        return _Replay("run", config, [], space=len(cells))
+        return _Replay("run", parse_summary(prompt[1:-1]), [], space=len(prompt) - 3)
 
     def _key(self, config: Configuration) -> tuple:
         """The δ key of a configuration: its state and the symbols read,
@@ -336,36 +336,14 @@ class _TraceDrafter:
         return True
 
 
-def _find_block(tokens: list[str], start: int, opener: str):
+def _find_block(tokens: list[str], start: int, opener: str) -> list[str]:
     """The body of the single opener block after index start. The last token
-    is its closer: `generate` stops at the first stop token."""
+    is its closer: `generate` stops at the first stop token. Raises
+    ValueError if there is not exactly one."""
     openers = [i for i in range(start, len(tokens)) if tokens[i] == opener]
     if len(openers) != 1:
-        return None, f"{opener} occurs {len(openers)} times after the prompt"
-    return tokens[openers[0] + 1 : -1], None
-
-
-def _finish_output(trace: GenerationTrace, tokens: list[str], start: int) -> GenerationTrace:
-    """Validate the final <outp> block after index start and record the outcome."""
-    body, err = _find_block(tokens, start, OUTP)
-    if err is None and any(token_class(t) != "sym" for t in body):
-        err = "output block contains non-input symbols"
-    if err is not None:
-        trace.outcome, trace.reason = "undefined", err
-    else:
-        trace.outcome, trace.output = "output", body
-    return trace
-
-
-def _summary_error(body: list[str]) -> str | None:
-    """Why a summary body is not of `encode_summary`'s form, one or more
-    tape tokens then one state token; None if it is."""
-    if not body:
-        return "empty summary block"
-    classes = [token_class(t) for t in body]
-    if len(classes) < 2 or classes != ["tape"] * (len(classes) - 1) + ["state"]:
-        return "summary block is not tape tokens then a state token"
-    return None
+        raise ValueError(f"{opener} occurs {len(openers)} times after the prompt")
+    return tokens[openers[0] + 1 : -1]
 
 
 _MAX_SEGMENTS = 4096  # SCoT segments before a run is given up as undefined
@@ -380,11 +358,13 @@ def _run_segments(
     record_steps: bool,
     draft: list[list[str]] | None,
 ) -> GenerationTrace:
-    """Decode segments until </outp>, promoting each well-formed summary
-    block to the next prompt; budget applies per segment. With stop set
-    {</outp>} the first segment is the whole run. Segment i's draft is
-    draft[i] past the prompt's length. A word token that is not an input
-    symbol (`token_class` other than "sym") raises EvalError."""
+    """Decode segments until </outp>, promoting each summary block that
+    `parse_summary` reads to the next prompt; budget applies per segment
+    and is cut to the positions left in the context. With stop set
+    {</outp>} the first segment is the whole run. draft[i], the expected
+    segment i, is proposed while the run is its prefix (see
+    `_TraceDrafter.segment`). A word token that is not an input symbol
+    (`token_class` other than "sym") raises EvalError."""
     word = list(word)
     for tok in word:
         if token_class(tok) != "sym":
@@ -393,12 +373,10 @@ def _run_segments(
     prompt = [INP, *word, EINP]
     drafter = _TraceDrafter(params, summaries=ESUMM in stop_set)
     for seg_idx in range(_MAX_SEGMENTS):
-        steps = budget if budget is not None else _context_room(params, len(prompt), 4096)
-        expected = draft[seg_idx][len(prompt) :] if draft and seg_idx < len(draft) else None
-        propose = drafter.segment(prompt)
-        tokens, exceeded, ev = generate(
-            params, prompt, stop_set, steps, cfg, draft=expected, propose=propose
-        )
+        steps = _context_room(params, len(prompt), budget)
+        expected = draft[seg_idx] if draft and seg_idx < len(draft) else None
+        propose = drafter.segment(prompt, expected)
+        tokens, exceeded, ev = generate(params, prompt, stop_set, steps, cfg, propose=propose)
         if record_steps:  # each token's scores sit at the position before it
             for position in range(len(prompt), len(tokens)):
                 scores = ev.output_scores(position - 1)
@@ -408,13 +386,9 @@ def _run_segments(
                 rest = scores.copy()
                 rest[first] = -np.inf
                 second = int(np.argmax(rest))
+                top2 = [[params.vocab[i], float(scores[i])] for i in (first, second)]
                 trace.records.append(
-                    {
-                        "segment": seg_idx,
-                        "position": position,
-                        "token": tokens[position],
-                        "top2": [[params.vocab[i], float(scores[i])] for i in (first, second)],
-                    }
+                    dict(segment=seg_idx, position=position, token=tokens[position], top2=top2)
                 )
         trace.segments.append(tokens)
         trace.total_tokens += len(tokens)
@@ -426,12 +400,17 @@ def _run_segments(
         if exceeded:
             trace.outcome = "budget_exceeded"
             return trace
-        if tokens[-1] == EOUTP:
-            return _finish_output(trace, tokens, len(prompt))
-        body, err = _find_block(tokens, len(prompt), SUMM)
-        err = err or _summary_error(body)
-        if err is not None:
-            trace.outcome, trace.reason = "undefined", err
+        try:
+            if tokens[-1] == EOUTP:
+                output = _find_block(tokens, len(prompt), OUTP)
+                if any(token_class(t) != "sym" for t in output):
+                    raise ValueError("output block contains non-input symbols")
+                trace.outcome, trace.output = "output", output
+                return trace
+            body = _find_block(tokens, len(prompt), SUMM)
+            parse_summary(body)
+        except ValueError as err:
+            trace.outcome, trace.reason = "undefined", str(err)
             return trace
         prompt = [SUMM, *body, ESUMM]
     trace.outcome, trace.reason = "undefined", "segment limit reached"
@@ -449,7 +428,8 @@ def run_cot(
     """Decode from <inp> w </inp> until </outp>; validate the output block.
 
     `draft` is the expected run in the form of `GenerationTrace.segments`
-    (one segment, prompt included); it only saves work, see `generate`."""
+    (one segment, prompt included); it is proposed to `generate`, which
+    only saves work, and only where a block is one step."""
     return _run_segments({EOUTP}, params, word, cfg, budget, record_steps, draft)
 
 

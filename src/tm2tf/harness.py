@@ -349,7 +349,8 @@ def validate_trials(
     oracle's segments are passed as the draft, which changes no result:
     under hardmax, and under the denoised formats at these trials' r,
     where every sum is exact (`netcore.sum_bits`), a right model is
-    verified in one block step per segment.
+    verified in one block step per segment; scaled_only trials are fed
+    one token per step.
     A machine that does not halt within `step_cap` steps is skipped.
     """
     if protocol not in ("cot", "scot"):

@@ -36,6 +36,7 @@ from tm2tf.automata import (
     parse_pos_token,
     parse_run_token,
     parse_state_token,
+    parse_summary,
     pos_token,
     run_token,
     scot_segments_oracle,
@@ -397,6 +398,59 @@ def test_every_oracle_token_of_a_short_run_is_in_the_vocabulary(name):
             assert set().union(*segments) <= scot, word
             checked += 1
     assert checked
+
+
+@pytest.mark.parametrize(
+    "name", sorted(name for name in EVERY_MACHINE if not name.startswith("bench/"))
+)
+def test_parse_summary_reads_every_oracle_summary(name):
+    """For each word of at most 3 symbols whose SCoT oracle run exists, at
+    the r the run needs, every summary body parses to the configuration
+    it encodes: its state, its heads and its tapes padded with blanks to
+    the cells the summary shows."""
+    tm, summaries = EVERY_MACHINE[name], 0
+    for n in range(4):
+        for word in itertools.product(tm.input_alphabet, repeat=n):
+            result = tm_run(tm, word, 500)
+            if not result.halted or result.output is None:
+                continue
+            t = 0
+            for seg in scot_segments_oracle(tm, word, choose_r_scot(max(result.space, 1)))[:-1]:
+                t += sum(token_class(tok) == "run" for tok in seg)
+                body = seg[seg.index(SUMM, 1) + 1 : -1]
+                config, space = result.config_trace[t], len(body) - 1
+                assert [SUMM, *body, ESUMM] == encode_summary(config, space, tm.blank)
+                parsed = parse_summary(body)
+                assert (parsed.state, parsed.heads) == (config.state, config.heads), word
+                padded = [tape + [tm.blank] * (space - len(tape)) for tape in config.tapes]
+                assert parsed.tapes == padded, word
+                summaries += 1
+    # fig2's and one_step's runs end before their trace cap
+    assert summaries or name in ("fig2_machine", "one_step_machine")
+
+
+# a body that is not in `encode_summary`'s form, and the reason it is refused
+MALFORMED_SUMMARIES = [
+    ([], "empty summary block"),
+    (["tape:^a"], "summary block is not tape tokens then a state token"),
+    (["state:q"], "summary block is not tape tokens then a state token"),
+    (["tape:^a", "a", "state:q"], "summary block is not tape tokens then a state token"),
+    (["tape:^a", "state:q", "state:q"], "summary block is not tape tokens then a state token"),
+    (["tape:^a", "tape:b,c", "state:q"], "summary tape tokens differ in width"),
+    (["tape:a", "tape:b", "state:q"], "summary tape without exactly one hat"),
+    (["tape:^a", "tape:^b", "state:q"], "summary tape without exactly one hat"),
+    (["tape:^a,b", "tape:^b,c", "state:q"], "summary tape without exactly one hat"),
+]
+
+
+@pytest.mark.parametrize("body, reason", MALFORMED_SUMMARIES)
+def test_parse_summary_refuses_a_malformed_body_with_its_reason(body, reason):
+    """Each reason is also one that README lists for an undefined run."""
+    with pytest.raises(ValueError) as err:
+        parse_summary(body)
+    assert str(err.value) == reason
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    assert f'"{reason}"' in " ".join(readme.split())
 
 
 def test_machine_json_roundtrip():

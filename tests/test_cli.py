@@ -499,6 +499,17 @@ def test_run_cot_full_context_is_budget_exceeded(tm_file, tmp_path, capsys):
     assert "outcome: budget_exceeded" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("protocol", ["cot", "scot"])
+def test_a_budget_past_the_context_is_budget_exceeded(protocol, tm_file, tmp_path, capsys):
+    """--budget 1000 is cut to the 16 positions of r=4: not a usage error."""
+    model = str(tmp_path / "model.json")
+    assert main([f"compile-{protocol}", "--tm", tm_file, "--r", "4", "--out", model]) == 0
+    capsys.readouterr()
+    assert main([f"run-{protocol}", "--model", model, "--word", "abab", "--budget", "1000"]) == 1
+    captured = capsys.readouterr()
+    assert "outcome: budget_exceeded" in captured.out and not captured.err
+
+
 def test_run_prints_saturations_of_a_tiny_activation_format(
     tm_file, tmp_path, capsys, monkeypatch
 ):

@@ -242,6 +242,20 @@ def test_default_budget_stops_at_a_full_context():
 
 
 @pytest.mark.parametrize("runner", [run_cot, run_scot])
+def test_a_budget_past_the_context_stops_at_a_full_context(runner):
+    """A budget larger than the positions left is cut to them: the run
+    is the one of the default budget, not an EvalError."""
+    from tm2tf.compilers import compile_scot
+
+    params, _ = (compile_cot if runner is run_cot else compile_scot)(fig2_machine(), 4)
+    cfg = EvalConfig(capture_trace=True)
+    trace = runner(params, "abab", cfg, budget=1000, record_steps=True)
+    assert trace.outcome == "budget_exceeded"
+    assert trace.total_tokens == 2 ** 4
+    assert_same_run(trace, runner(params, "abab", cfg, record_steps=True))
+
+
+@pytest.mark.parametrize("runner", [run_cot, run_scot])
 def test_saturations_reach_the_generation_trace(runner):
     """Queries and keys scaled by c = 4 exceed 3, the largest element of the format."""
     from machines import copy_machine
@@ -471,6 +485,39 @@ def test_a_rounded_softmax_draft_is_one_block_step_only_where_every_sum_is_exact
         assert steps == [1] * sum(len(seg) - 1 for seg in expected)
 
 
+def test_a_scaled_only_run_is_fed_no_proposal(monkeypatch):
+    """A scaled_only evaluator steps one position at a time, so it gets no
+    proposal, not even the right oracle draft: after each prompt every
+    `extend` feeds one greedy token, and the run equals the one without a
+    draft field for field. (The test above pins its one-position steps,
+    which a fed draft would also take.)"""
+    from dataclasses import replace
+
+    from machines import copy_machine
+
+    from tm2tf.automata import scot_segments_oracle
+    from tm2tf.compilers import compile_scot
+    from tm2tf.netcore import Evaluator
+    from tm2tf.softmaxify import convert
+
+    r = 6
+    params, cfg = convert(compile_scot(copy_machine(), r)[0], "scaled_only", 2 ** r)
+    cfg = replace(cfg, capture_trace=True)
+    expected = scot_segments_oracle(copy_machine(), "011", r)
+    fed, extend = [], Evaluator.extend
+
+    def counted(ev, tokens):
+        fed.append(len(tokens))
+        extend(ev, tokens)
+
+    monkeypatch.setattr(Evaluator, "extend", counted)
+    drafted = run_scot(params, "011", cfg, record_steps=True, draft=expected)
+    assert drafted.segments == expected
+    prompts = [seg.index(EINP if seg[0] == INP else ESUMM) + 1 for seg in expected]
+    assert fed == [n for seg, p in zip(expected, prompts) for n in [p] + [1] * (len(seg) - p - 1)]
+    assert_same_run(drafted, run_scot(params, "011", cfg, record_steps=True))
+
+
 def test_each_generate_call_builds_one_evaluator(monkeypatch):
     """Each segment's `generate` call builds one evaluator. A draft wrong
     in its middle is fed as one block, truncated before its first wrong
@@ -550,9 +597,9 @@ def test_a_self_drafted_decode_takes_fewer_steps(monkeypatch):
     assert (len(steps), sum(steps)) == (36, 187)
 
 
-def _reference_generate(params, prompt, stop_set, max_steps, cfg, draft=None, propose=None):
+def _reference_generate(params, prompt, stop_set, max_steps, cfg, propose=None):
     """Plain greedy decoding, the reference for `generate`: a fresh
-    evaluator fed one position per step, with no draft or proposal."""
+    evaluator fed one position per step, with no proposal."""
     from tm2tf.netcore import Evaluator
 
     ev = Evaluator(params, cfg)
@@ -607,6 +654,8 @@ REFERENCE_CASES = [
     # fills its 64 positions without </outp>
     pytest.param("fig2", "cot", 6, "abab", 8.0, id="fig2-cot-6-abab-denoised-c8"),
     pytest.param("fig2", "cot", 6, "abab", 4.0, id="fig2-cot-6-abab-denoised-c4"),
+    # its summary prompts get the proposals that save the most steps
+    pytest.param("counter", "scot", 8, "h000000", None, id="counter-scot-8-h000000"),
 ]
 
 
@@ -656,18 +705,26 @@ def chain_model(chain: list[str], r: int = 8) -> TransformerParams:
 _SIX_STEPS = [f"run:q{i}|{s}|R" for i, s in enumerate("bcdefg", 1)]
 _WRITTEN = [f"tape:{s}" for s in "bcdefg"]
 
+# name: protocol, the tokens emitted after <inp> a </inp>, and for a
+# summary, the reason that `parse_summary` refuses it
 MALFORMED = {
-    "run token without writes and moves": ("cot", ["run:q"]),
-    "move letter outside L/S/R": ("cot", ["run:q|a|X"]),
-    "write count unlike the tape count": ("cot", ["run:q|a|R", "run:p|a,a|RR"]),
-    "summary without a hat": ("scot", [*_SIX_STEPS, SUMM, *_WRITTEN, "tape:_", "state:q6", ESUMM]),
+    "run token without writes and moves": ("cot", ["run:q"], None),
+    "move letter outside L/S/R": ("cot", ["run:q|a|X"], None),
+    "write count unlike the tape count": ("cot", ["run:q|a|R", "run:p|a,a|RR"], None),
+    "summary without a hat": (
+        "scot",
+        [*_SIX_STEPS, SUMM, *_WRITTEN, "tape:_", "state:q6", ESUMM],
+        "summary tape without exactly one hat",
+    ),
     "summary with two hats": (
         "scot",
         [*_SIX_STEPS, SUMM, "tape:^b", *_WRITTEN[1:], "tape:^_", "state:q6", ESUMM],
+        "summary tape without exactly one hat",
     ),
     "summary of unequal widths": (
         "scot",
         [*_SIX_STEPS, SUMM, *_WRITTEN, "tape:^_,_", "state:q6", ESUMM],
+        "summary tape tokens differ in width",
     ),
 }
 
@@ -676,9 +733,9 @@ MALFORMED = {
 def test_malformed_tokens_decode_like_one_position_per_step(name, monkeypatch):
     """Models that emit malformed run tokens and summaries: the trace
     drafter stops proposing for the segment, raises nothing, and the run
-    equals the reference decoder's. A promoted malformed summary is the
-    next segment's prompt, after which the model writes an empty output."""
-    protocol, emitted = MALFORMED[name]
+    equals the reference decoder's. A malformed summary is not promoted:
+    the run ends undefined with `parse_summary`'s reason."""
+    protocol, emitted, reason = MALFORMED[name]
     params = chain_model([EINP, *emitted, OUTP, EOUTP])
     runner = run_cot if protocol == "cot" else run_scot
     cfg = EvalConfig(capture_trace=True)
@@ -687,8 +744,12 @@ def test_malformed_tokens_decode_like_one_position_per_step(name, monkeypatch):
         monkeypatch.setattr(generation, "generate", decoder)
         runs.append(runner(params, "a", cfg, record_steps=True))
     assert_same_run(*runs)
-    assert len(runs[0].segments) == (2 if protocol == "scot" else 1)
-    assert runs[0].segments[0][3:] == emitted + ([] if protocol == "scot" else [OUTP, EOUTP])
+    if protocol == "cot":
+        assert runs[0].segments == [[INP, "a", EINP, *emitted, OUTP, EOUTP]]
+        assert runs[0].outcome == "output"
+    else:
+        assert runs[0].segments == [[INP, "a", EINP, *emitted]]
+        assert (runs[0].outcome, runs[0].reason) == ("undefined", reason)
 
 
 def _replay_oracle(params, segments: list[list[str]], stop_set: set[str]):
@@ -699,10 +760,12 @@ def _replay_oracle(params, segments: list[list[str]], stop_set: set[str]):
     drafter = generation._TraceDrafter(params, summaries=ESUMM in stop_set)
     steps = fed = 0
     misses = []
+    end = 2 ** params.positional.r  # the default budget fills the context
     for seg in segments:
         n_prompt = seg.index(EINP if seg[0] == INP else ESUMM) + 1
         propose = drafter.segment(seg[:n_prompt])
-        steps, fed, pending = steps + 1, fed + n_prompt, []
+        pending = generation._proposal(params, propose, seg[:n_prompt], stop_set, end)
+        steps, fed = steps + 1, fed + n_prompt + len(pending)
         for n in range(n_prompt, len(seg)):
             if pending:
                 if pending[0] == seg[n]:
@@ -712,7 +775,7 @@ def _replay_oracle(params, segments: list[list[str]], stop_set: set[str]):
                 pending = []
             if seg[n] in stop_set:
                 break
-            pending = generation._feedable(params, propose(seg[: n + 1]), stop_set, len(seg), n + 1)
+            pending = generation._proposal(params, propose, seg[: n + 1], stop_set, end)
             steps, fed = steps + 1, fed + 1 + len(pending)
     return steps, fed, misses
 
@@ -731,12 +794,12 @@ PRECISION_CASES = [
     ("copy", "cot", 6, None, (15, 112, 307, 4)),
     ("copy", "scot", 6, None, (15, 120, 411, 4)),
     ("bouncer4", "cot", 8, None, (15, 278, 995, 15)),
-    ("bouncer4", "scot", 6, None, (15, 331, 1296, 0)),
+    ("bouncer4", "scot", 6, None, (15, 319, 1296, 0)),
     ("bouncer8", "cot", 10, ["xyxy"], (1, 36, 187, 1)),  # as decoded, see above
     ("tally", "cot", 8, None, (15, 194, 529, 10)),
-    ("tally", "scot", 6, None, (15, 221, 642, 0)),
+    ("tally", "scot", 6, None, (15, 220, 642, 0)),
     ("one_step2", "scot", 6, None, (4, 12, 28, 0)),
-    ("counter", "scot", 8, ["h000000"], (1, 53, 877, 0)),
+    ("counter", "scot", 8, ["h000000"], (1, 38, 877, 0)),
 ]
 
 

@@ -703,10 +703,10 @@ def test_rounding_calls_per_step_skip_empty_half_layers(mode, monkeypatch):
 
 
 def test_empty_half_layers_in_a_traced_run_that_re_extends():
-    """A draft wrong in its middle is fed as one block, the evaluator is
-    truncated to the tokens that stand, and the rest is decoded one
-    position at a time over the rows the draft wrote; the trace equals a
-    plain decode's. A layer without heads traces y as +0.0 and passes its
+    """A draft wrong in its middle, proposed at the prompt, is fed as one
+    block, the evaluator is truncated to the tokens that stand, and the
+    rest is decoded one position at a time over the rows the draft wrote;
+    the trace equals a plain decode's. A layer without heads traces y as +0.0 and passes its
     input on as x_mid; one without MLP rows passes x_mid on as x_out, bit
     for bit."""
     from tm2tf.automata import EINP, EOUTP, INP
@@ -719,7 +719,9 @@ def test_empty_half_layers_in_a_traced_run_that_re_extends():
     draft = tokens[len(prompt) : -1]
     mid = len(draft) // 2
     draft[mid] = next(t for t in params.vocab if t not in (draft[mid], EOUTP))
-    got, _, drafted = generate(params, prompt, {EOUTP}, budget, cfg, draft=draft)
+    got, _, drafted = generate(
+        params, prompt, {EOUTP}, budget, cfg, propose=lambda tokens: draft if tokens == prompt else []
+    )
     assert got == tokens and len(drafted.tokens) > 16  # more than the first buffers hold
     assert _ev_digest(drafted) == _ev_digest(plain)
     headless = [li for li, layer in enumerate(params.layers) if not layer.heads]
@@ -1407,10 +1409,10 @@ def test_softmax_weights_lie_far_from_every_rounding_bound(case, monkeypatch):
 
 @pytest.mark.parametrize("case", ["denoised", "denoised c=4"])
 def test_softmax_decode_digests_of_a_drafted_block(case, monkeypatch):
-    """With the oracle's tokens as the draft, the prompt and the draft's
-    tokens that stand run as one block step, whose rows sum their softmax
-    denominators over their own keys; the evaluator hashes to the digest of
-    the plain decode. At c=4 the model leaves the oracle's run, so its draft
+    """With the oracle's tokens proposed at the prompt, the prompt and the
+    proposed tokens that stand run as one block step, whose rows sum their
+    softmax denominators over their own keys; the evaluator hashes to the
+    digest of the plain decode. At c=4 the model leaves the oracle's run, so its draft
     is wrong from there and the tokens that stand are decoded again as one
     block."""
     from machines import fig2_machine
@@ -1429,7 +1431,12 @@ def test_softmax_decode_digests_of_a_drafted_block(case, monkeypatch):
 
     monkeypatch.setattr(Evaluator, "_step", counted)
     _, _, ev = generate(
-        params, prompt, {EOUTP}, 2 ** 6 - len(prompt), cfg, draft=oracle[len(prompt) :]
+        params,
+        prompt,
+        {EOUTP},
+        2 ** 6 - len(prompt),
+        cfg,
+        propose=lambda tokens: oracle[len(prompt) :] if tokens == prompt else [],
     )
     assert max(steps) > len(prompt)
     assert _ev_digest(ev) == SOFTMAX_DIGESTS[case]
