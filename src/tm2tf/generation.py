@@ -397,6 +397,7 @@ def _run_segments(
         trace.saturations += ev.trace.saturations
         if cfg.capture_trace:
             trace.eval_traces.append(ev.trace)
+        del ev  # its weights and caches go before the next segment's evaluator is built
         if exceeded:
             trace.outcome = "budget_exceeded"
             return trace

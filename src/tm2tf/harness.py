@@ -194,13 +194,21 @@ def trace_invariant_violations(traces: list[ActivationTrace]) -> dict[str, int]:
     ternary: an activation vector (per position, and per head for q, k, v
     and o) outside {-1, 0, 1}. score_gap: a (position, head) score row that
     is not integer or whose maximum leads the next score by less than 1.
-    tie_values: a (position, head) row whose tied maximal keys carry
-    different values. output_gap: a decoded step whose top output score
-    leads by less than 1. Each audit reads a trace's whole-model arrays, in
-    one pass over all layers.
+    tie_values: an integer (position, head) row whose tied maximal keys
+    carry different values. output_gap: a decoded step whose top output
+    score leads by less than 1. An audit trace's counts are sums of the
+    reductions the evaluator made at each step; a full trace is audited
+    from its whole-model arrays, in one pass over all layers.
     """
     out = {"ternary": 0, "score_gap": 0, "tie_values": 0, "output_gap": 0}
     for trace in traces:
+        if trace.capture == "audit":
+            integral = trace.score_integral
+            out["ternary"] += int(trace.nonternary.sum())
+            out["score_gap"] += int((~integral | (trace.score_gap < 1.0)).sum())
+            out["tie_values"] += int((integral & ~trace.tied_values_equal).sum())
+            out["output_gap"] += sum(int((g < 1.0).sum()) for g in trace.output_gaps)
+            continue
         out["ternary"] += _ternary_violations(trace)
         score_gap, tie_values = _score_row_violations(trace.dots, trace.v)
         out["score_gap"] += score_gap
@@ -335,6 +343,10 @@ def _segment_divergence(expected: list[list[str]], got: list[list[str]]) -> dict
     return info
 
 
+# The capture level of each mode's trials: what their audits read.
+_CAPTURE = {"hardmax": "audit", "scaled_only": False, "denoised": True}
+
+
 def validate_trials(
     protocol: str, mode: str, seed: int, trials: int, step_cap: int = 40
 ) -> ValidationReport:
@@ -350,7 +362,11 @@ def validate_trials(
     under hardmax, and under the denoised formats at these trials' r,
     where every sum is exact (`netcore.sum_bits`), a right model is
     verified in one block step per segment; scaled_only trials are fed
-    one token per step.
+    one token per step. Hardmax trials run at the audit capture level:
+    the evaluator reduces each layer's invariants as it computes it and
+    keeps no activation arrays. Denoised trials capture in full, since
+    their margin audit reads every layer's x_mid; scaled_only trials
+    capture nothing.
     A machine that does not halt within `step_cap` steps is skipped.
     """
     if protocol not in ("cot", "scot"):
@@ -396,8 +412,7 @@ def validate_trials(
             continue
         hard_params, _ = (compile_cot if cot else compile_scot)(tm, r)
         params, run_cfg = convert(hard_params, mode, 2 ** r)
-        # hardmax and denoised runs are traced for their audits
-        run_cfg = replace(run_cfg, capture_trace=mode != "scaled_only")
+        run_cfg = replace(run_cfg, capture_trace=_CAPTURE[mode])
         if mode != "hardmax":
             trial["c"] = params.qk_scale
         trace = (run_cot if cot else run_scot)(params, word, run_cfg, draft=expected)
@@ -445,15 +460,15 @@ def validate_scot(seed: int, trials: int, step_cap: int = 40) -> ValidationRepor
 def validate_dfa(dfas: list, r: int, max_len: int) -> ValidationReport:
     """Exhaustive agreement with dfa_accepts on all words up to max_len.
 
-    The words of each length run as one batch, whose trace gets one audit;
-    the invariants count per word, position and head, so the counts are
-    those of auditing every word on its own. A word of length max_len and
-    its BOS must fit the 2^r positions."""
+    The words of each length run as one batch at the audit capture level,
+    whose trace gets one audit; the invariants count per word, position
+    and head, so the counts are those of auditing every word on its own.
+    A word of length max_len and its BOS must fit the 2^r positions."""
     if max_len + 1 > 2 ** r:
         raise ValueError(f"words up to length {max_len} need r >= {max_len.bit_length()}, got {r}")
     start = time.perf_counter()
     report = ValidationReport(name="dfa")
-    cfg = EvalConfig(capture_trace=True)
+    cfg = EvalConfig(capture_trace="audit")
     for d_idx, dfa in enumerate(dfas):
         params, _ = compile_dfa(dfa, r)
         for n in range(max_len + 1):

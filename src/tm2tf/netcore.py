@@ -23,11 +23,17 @@ whole block of known tokens is one step, which is what lets generation
 verify a draft of expected tokens in one pass; there a block row's softmax
 denominator sums its own keys as a one-position step does. Every other model steps one
 position at a time, so its rounding is that of plain incremental
-decoding. The trace is a handful of whole-model arrays that grow with the
-KV cache (`ActivationTrace`), and each layer's quantities are views into
-them whose first axis is position, with a (B,) axis after it for a batch:
-(P, H, .) for q, k, v and o, (P, H, P) for the causally masked dots, (P, H)
-for att_err, (P, d) or (P, m) for y, x_mid, hidden and x_out.
+decoding. A full trace (`capture_trace=True`) is a handful of whole-model
+arrays that grow with the KV cache (`ActivationTrace`), and each layer's
+quantities are views into them whose first axis is position, with a (B,)
+axis after it for a batch: (P, H, .) for q, k, v and o, (P, H, P) for the
+causally masked dots, (P, H) for att_err, (P, d) or (P, m) for y, x_mid,
+hidden and x_out. An audit trace (`capture_trace="audit"`) keeps only what
+the hardmax invariants need, reduced as each layer is computed: per
+(position, head) score row its integrality, tie count, whether its tied
+keys carry equal values and its runner-up gap, per (position, layer) the
+activation vectors outside {-1, 0, 1}, and per decoded step the output
+gap.
 """
 
 from __future__ import annotations
@@ -45,6 +51,7 @@ from .fpcore import EXACT, FloatFormat, Precision, round_array
 
 __all__ = [
     "MODES",
+    "CAPTURE_LEVELS",
     "Dims",
     "check_dims",
     "HeadParams",
@@ -79,6 +86,11 @@ class EvalError(RuntimeError):
 # softmax conversions; `softmaxify.eval_config` maps each to the settings
 # the model is evaluated with.
 MODES = ("hardmax", "scaled_only", "denoised")
+
+# What an evaluator keeps of a run (`EvalConfig.capture_trace`): nothing,
+# the step-time reductions that the hardmax invariant audit sums, or every
+# activation's array.
+CAPTURE_LEVELS = (False, "audit", True)
 
 
 @dataclass(frozen=True)
@@ -260,7 +272,7 @@ class EvalConfig:
     attention: str = "hardmax"  # hardmax | softmax
     act_precision: Precision = EXACT
     att_precision: Precision = EXACT
-    capture_trace: bool = False
+    capture_trace: bool | str = False  # one of CAPTURE_LEVELS
 
     def __post_init__(self) -> None:
         if self.attention not in ("hardmax", "softmax"):
@@ -269,6 +281,11 @@ class EvalConfig:
             self.act_precision.exact and self.att_precision.exact
         ):
             raise ValueError("hardmax evaluation is exact; finite precisions not allowed")
+        level = self.capture_trace
+        if type(level) not in (bool, str) or level not in CAPTURE_LEVELS:
+            raise ValueError(f"capture_trace must be False, 'audit' or True, got {level!r}")
+        if level == "audit" and self.attention != "hardmax":
+            raise ValueError("the audit capture level reduces hardmax runs only")
 
 
 def _no_positions() -> np.ndarray:
@@ -294,16 +311,30 @@ class LayerTrace:
 
 @dataclass
 class ActivationTrace:
-    """A captured run: the whole-model arrays an `Evaluator` writes, with
-    `x0` and each layer's `LayerTrace` as views into them.
+    """A captured run, at the `capture` level of the evaluator's config.
 
-    `stream` (P, W) holds x0 and each layer's y, x_mid, hidden and x_out in
+    A full trace (True) holds the whole-model arrays an `Evaluator` writes,
+    with `x0` and each layer's `LayerTrace` as views into them. `stream`
+    (P, W) holds x0 and each layer's y, x_mid, hidden and x_out in
     consecutive column ranges; each activation vector there is a nonempty
     range, and `stream_starts` lists their first columns. A layer without
     heads has no y columns: its y is a read-only +0.0 view. q, k, v and o
     (P, ΣH, d_k | d_v), dots (P, ΣH, P) and att_err (P, ΣH) hold the heads
-    of all layers side by side, layer by layer. A batch trace has a (B,)
-    axis after P.
+    of all layers side by side, layer by layer. A decoded step keeps its
+    `output_scores`.
+
+    An audit trace ("audit") holds none of these, only the reductions of a
+    hardmax run that `harness.trace_invariant_violations` sums: per
+    (position, head) score row, heads side by side as in dots, whether
+    every score is an integer (`score_integral`), how many keys tie at the
+    maximum (`score_ties`), whether those keys carry equal values
+    (`tied_values_equal`) and the maximum's lead over the runner-up,
+    inf without one (`score_gap`); per (position, layer) the activation
+    vectors outside {-1, 0, 1} (`nonternary`), layer 0's count including
+    x0; and per decoded step the top output score's lead over the next
+    (`output_gaps`, (1,) or (B, 1), empty for one token).
+
+    A batch trace has a (B,) axis after P.
     """
 
     x0: np.ndarray = field(default_factory=_no_positions)  # (P, d)
@@ -317,6 +348,13 @@ class ActivationTrace:
     dots: np.ndarray = field(default_factory=_no_positions)  # (P, ΣH, P)
     att_err: np.ndarray = field(default_factory=_no_positions)  # (P, ΣH)
     output_scores: list[np.ndarray] = field(default_factory=list)  # per decoded step
+    score_integral: np.ndarray = field(default_factory=_no_positions)  # (P, ΣH) bool
+    score_ties: np.ndarray = field(default_factory=_no_positions)  # (P, ΣH)
+    tied_values_equal: np.ndarray = field(default_factory=_no_positions)  # (P, ΣH) bool
+    score_gap: np.ndarray = field(default_factory=_no_positions)  # (P, ΣH)
+    nonternary: np.ndarray = field(default_factory=_no_positions)  # (P, L)
+    output_gaps: list[np.ndarray] = field(default_factory=list)  # per decoded step
+    capture: bool | str = False  # the level that wrote it, one of CAPTURE_LEVELS
     tie_warnings: int = 0
     saturations: int = 0  # rounded elements that exceeded their format
 
@@ -444,7 +482,10 @@ class Evaluator:
     already a value of the activation format and the half adds +0.0. The
     embeddings are not rounded: ternary codes and +-1 position bits are
     elements of every format. The trace keeps its shapes, with a read-only
-    zero `y` that takes no room in the trace arena.
+    zero `y` that takes no room in the trace arena. At the audit capture
+    level a layer step reduces its score rows (`_score_rows`) and its
+    activation vectors (`_nonternary`) as it computes them and keeps only
+    the reductions; without capture neither runs.
 
     The Q/K/V, W_O and W1 products gather the live input coordinates of
     their rows (`x.take(live, axis=1)`) and multiply float64 weights on
@@ -519,36 +560,58 @@ class Evaluator:
         # Per position: (B*H, d_k + d_v) rotated, scaled and rounded keys,
         # then values, of each sequence and head; (B, d) final
         # representations. With capture, the trace arena: (B, .) rows of
-        # the whole-model arrays of `ActivationTrace`, by name. Grown by
-        # _reserve.
+        # the arrays of `ActivationTrace` that the capture level keeps, by
+        # name. Grown by _reserve.
         self._capacity = 0
         self._kv = [np.empty((0, n_seq * len(layer.heads), d_k + d_v)) for layer in params.layers]
         self._x = np.empty((0, n_seq, d))
         self._steps: list[tuple[int, int]] = []  # per step: its start, saturations before it
         self._sqrt_dk = math.sqrt(d_k)
-        self.trace = ActivationTrace(layers=[LayerTrace() for _ in params.layers])
+        self.trace = ActivationTrace(
+            layers=[LayerTrace() for _ in params.layers], capture=cfg.capture_trace
+        )
         self._arena: dict[str, np.ndarray] = {}
-        # Per layer: its heads' range of ΣH, and its stream columns by name
-        # (no y without heads).
-        self._layout: list[tuple[slice, dict[str, slice]]] = []
-        if cfg.capture_trace:
-            col, n_heads, starts = d, 0, [0] if d else []  # x0 is columns [0, d)
+        # Per layer: its heads' range of ΣH; with full capture its stream
+        # columns by name (no y without heads); with audit capture the
+        # first columns of its activation vectors in the row that
+        # _nonternary concatenates.
+        self._heads: list[slice] = []
+        self._cols: list[dict[str, slice]] = []
+        self._vectors: list[np.ndarray] = []
+        n_heads = 0
+        for layer in params.layers:
+            self._heads.append(slice(n_heads, n_heads + len(layer.heads)))
+            n_heads += len(layer.heads)
+        if cfg.capture_trace is True:
+            col, starts = d, [0] if d else []  # x0 is columns [0, d)
             for layer in params.layers:
-                h, cols = len(layer.heads), {}
+                cols = {}
                 widths = dict(y=d, x_mid=d, hidden=layer.bias4.size, x_out=d)
-                if not h:
+                if not layer.heads:
                     del widths["y"]
                 for name, width in widths.items():
                     if width:
                         starts.append(col)
                     cols[name] = slice(col, col + width)
                     col += width
-                self._layout.append((slice(n_heads, n_heads + h), cols))
-                n_heads += h
+                self._cols.append(cols)
             self.trace.stream_starts = np.array(starts, np.intp)
             shapes = dict(stream=(col,), q=(n_heads, d_k), k=(n_heads, d_k), v=(n_heads, d_v))
             shapes.update(o=(n_heads, d_v), dots=(n_heads, 0), att_err=(n_heads,))
             self._arena = {k: np.empty((0, n_seq, *v)) for k, v in shapes.items()}
+        elif cfg.capture_trace:
+            for li, layer in enumerate(params.layers):
+                h = len(layer.heads)
+                # x0 (layer 0), q, k and v of each head, o of each head, y,
+                # x_mid, hidden and x_out, as _step lists them
+                widths = [d] * (li == 0) + [d_k, d_k, d_v] * h + [d_v] * h + [d] * bool(h)
+                widths += [d, layer.bias4.size, d]
+                ends = np.cumsum(widths)
+                self._vectors.append((ends - widths)[np.array(widths) > 0])
+            dtypes = dict(zip(_SCORE_ROWS, (bool, np.int32, bool, np.float64)))
+            shapes = {name: ((n_heads,), dtype) for name, dtype in dtypes.items()}
+            shapes["nonternary"] = ((len(params.layers),), np.int32)
+            self._arena = {k: np.empty((0, n_seq, *v), dt) for k, (v, dt) in shapes.items()}
 
     # -- rounding helpers ---------------------------------------------------
 
@@ -613,8 +676,8 @@ class Evaluator:
         saturation count covers all its positions, so where n cuts a step
         that counted saturations, the count goes back to its value before
         that step and the step's kept positions run again. The trace's
-        `output_scores` and `tie_warnings` count decoded steps, not
-        positions, and are kept."""
+        `output_scores`, `output_gaps` and `tie_warnings` count decoded
+        steps, not positions, and are kept."""
         if n < 0:
             raise ValueError(f"cannot keep {n} positions")
         if n >= len(self.tokens):
@@ -639,10 +702,12 @@ class Evaluator:
         pick = 0 if self.batch is None else slice(None)
         for name, a in self._arena.items():
             setattr(trace, name, a[:n, pick, ..., :n] if name == "dots" else a[:n, pick])
+        if not self._cols:  # an audit trace has no layer views
+            return
         stream = trace.stream
         trace.x0 = stream[..., : self.params.dims.d]
         zeros = np.broadcast_to(0.0, trace.x0.shape)  # the read-only y of a layer without heads
-        for lt, (heads, cols) in zip(trace.layers, self._layout):
+        for lt, heads, cols in zip(trace.layers, self._heads, self._cols):
             for name in ("q", "k", "v", "o", "dots"):
                 setattr(lt, name, getattr(trace, name)[..., heads, :])
             lt.att_err = trace.att_err[..., heads]
@@ -684,7 +749,7 @@ class Evaluator:
         n_seq, n_new, d = x.shape
         n = start + n_new
         self._steps.append((start, self.trace.saturations))
-        capture = cfg.capture_trace
+        capture, audit = cfg.capture_trace is True, cfg.capture_trace == "audit"
         rotary = self._rotary
         c = params.qk_scale
         d_k, d_v = params.dims.d_k, params.dims.d_v
@@ -699,6 +764,8 @@ class Evaluator:
         arena = self._arena
         if capture:
             arena["stream"][start:n, :, :d] = x.reshape(n_new, n_seq, d)
+        if audit:  # (P*B, L) activation vectors outside {-1, 0, 1}; x0 joins layer 0's
+            nonternary, vectors = np.zeros((n_new * n_seq, len(self._w)), np.int32), [x]
         for li, ((attention, mlp), kv) in enumerate(zip(self._w, self._kv)):
             # x is a value of act: an embedding, or rounded at the end of
             # the layer before. Without heads y is +0.0, so x_mid = rnd(x +
@@ -730,8 +797,10 @@ class Evaluator:
                 else:
                     # Sum over the argmax set, then divide once: exact for
                     # the integer-valued activations of compiled models.
-                    mask = dots == dots.max(axis=-1, keepdims=True)
-                    o = (mask.astype(np.float64) @ values) / mask.sum(axis=-1, keepdims=True)
+                    best = dots.max(axis=-1, keepdims=True)
+                    mask = dots == best
+                    ties = mask.sum(axis=-1, keepdims=True)
+                    o = (mask.astype(np.float64) @ values) / ties
                 # (P, B, H, d_v) head outputs
                 o = rnd(o.reshape(n_seq, n_heads, n_new, d_v).transpose(2, 0, 1, 3), act)
                 y = rnd(o.reshape(n_new * n_seq, n_heads * d_v).take(o_in, axis=1).dot(wo), act)
@@ -743,8 +812,17 @@ class Evaluator:
                 hidden += bias
                 hidden = rnd(np.maximum(hidden, 0.0, out=hidden), act)
                 x[:, w2_out] = rnd(x_mid.take(w2_out, axis=1) + rnd(hidden.dot(w2), act), act)
+            if audit:  # (R, P) score rows to (P, B, H), and this layer's vectors
+                if attention is not None:
+                    heads, shape = self._heads[li], (n_seq, n_heads, n_new)
+                    for name, a in zip(_SCORE_ROWS, _score_rows(dots, best, mask, ties, values)):
+                        arena[name][start:n, :, heads] = a.reshape(shape).transpose(2, 0, 1)
+                    vectors += [qkv.reshape(n_new * n_seq, -1), o.reshape(n_new * n_seq, -1), y]
+                vectors += [x_mid, hidden, x] if mlp is not None else [x_mid, x]
+                nonternary[:, li] = _nonternary(vectors, self._vectors[li])
+                vectors = []
             if capture:  # (P*B, ...) rows, position-major
-                heads, cols = self._layout[li]
+                heads, cols = self._heads[li], self._cols[li]
                 new = dict(x_mid=x_mid, x_out=x)
                 if attention is not None:  # without heads q, k, v, o, dots and att_err are empty
                     qkv = qkv.reshape(n_new, n_seq, n_heads, 2 * d_k + d_v)
@@ -763,6 +841,8 @@ class Evaluator:
                 rows = arena["stream"][start:n]
                 for name, a in new.items():
                     rows[..., cols[name]] = a.reshape(n_new, n_seq, a.shape[-1])
+        if audit:
+            arena["nonternary"][start:n] = nonternary.reshape(n_new, n_seq, -1)
         self._x[start:n] = x.reshape(n_new, n_seq, d)
 
     # -- outputs ------------------------------------------------------------
@@ -793,8 +873,10 @@ class Evaluator:
         scores are traced as one decoded step.
         """
         scores = self.output_scores(position)
-        if self.cfg.capture_trace:
+        if self.cfg.capture_trace is True:
             self.trace.output_scores.append(scores.copy())
+        elif self.cfg.capture_trace:
+            self.trace.output_gaps.append(_output_gap(scores))
         chosen = []
         for row in scores.reshape(-1, scores.shape[-1]):
             best = int(np.argmax(row))
@@ -814,6 +896,53 @@ class Evaluator:
 
 def _unrounded(x: np.ndarray, fmt: FloatFormat | None) -> np.ndarray:
     return x
+
+
+# The per-row reductions of an audit trace, in the order _score_rows gives them.
+_SCORE_ROWS = ("score_integral", "score_ties", "tied_values_equal", "score_gap")
+
+
+def _score_rows(
+    dots: np.ndarray, best: np.ndarray, mask: np.ndarray, ties: np.ndarray, values: np.ndarray
+) -> tuple[np.ndarray, ...]:
+    """The audit reductions of one hardmax layer step's (R, P, n) score
+    rows, each (R, P): whether every score is an integer (the -inf of
+    future keys included), the count of keys tied at the maximum `best`,
+    whether each tied key carries the (R, n, d_v) value of the row's first
+    tied key, and the lead of the maximum over the largest other score.
+    `mask` marks the tied keys and `ties` counts them, as the step computed
+    them. Only rows with ties compare values."""
+    integral = np.all(dots == np.rint(dots), axis=-1)
+    gap = best[..., 0] - np.where(mask, -np.inf, dots).max(axis=-1)
+    ties = ties[..., 0]
+    equal = np.ones(ties.shape, bool)
+    rr, pp = np.nonzero(ties > 1)
+    if rr.size:
+        tied = mask[rr, pp]  # (rows with ties, n)
+        k, j = np.nonzero(tied)
+        first = tied.argmax(axis=-1)[k]
+        differs = np.any(values[rr[k], j] != values[rr[k], first], axis=-1)
+        equal[rr[k[differs]], pp[k[differs]]] = False
+    return integral, ties, equal, gap
+
+
+def _nonternary(vectors: list[np.ndarray], starts: np.ndarray) -> np.ndarray | int:
+    """Per row of the (rows, .) activation arrays `vectors`, the number of
+    activation vectors, which begin at columns `starts` of their
+    concatenation, that hold an element outside {-1, 0, 1}; NaN and +-inf
+    are outside. 0 if every element is inside, as on compiled models."""
+    a = np.concatenate(vectors, axis=1)
+    bad = (a != 0.0) & (np.abs(a) != 1.0)
+    if not bad.any():
+        return 0
+    return np.logical_or.reduceat(bad, starts, axis=1).sum(axis=1)
+
+
+def _output_gap(scores: np.ndarray) -> np.ndarray:
+    """The lead of the top output score over the next, (1,) or (B, 1);
+    empty on its last axis for a vocabulary of one token."""
+    top2 = np.sort(scores, axis=-1)[..., -2:]
+    return top2[..., 1:] - top2[..., :-1]
 
 
 def _read(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -131,3 +131,23 @@ def test_scot_run_outgrows_its_context():
     assert trace.total_tokens > 2 ** r >= trace.max_segment
     assert trace.outcome == "output" and trace.output == result.output
     assert sum(trace_invariant_violations(trace.eval_traces).values()) == 0
+
+
+def test_an_audited_long_scot_run_holds_little_memory(traced_memory):
+    """The counter on h00000000 at r = 8: 1,023 steps decoded as 3,805
+    tokens in 61 segments. At the audit capture level the run and its
+    audit count nothing and peak at about 15 MB of traced memory; captured
+    in full, they peaked at 776 MB."""
+    tm, word, r = counter_machine(), "h" + "0" * 8, 8
+    params, _ = compile_scot(tm, r)
+    expected = scot_segments_oracle(tm, word, r)
+
+    def audited_run():
+        trace = run_scot(params, word, EvalConfig(capture_trace="audit"), draft=expected)
+        return trace, trace_invariant_violations(trace.eval_traces)
+
+    (trace, counts), _, peak = traced_memory(audited_run)
+    assert trace.segments == expected
+    assert (trace.total_tokens, len(trace.segments)) == (3805, 61)
+    assert counts == {"ternary": 0, "score_gap": 0, "tie_values": 0, "output_gap": 0}
+    assert peak < 100e6, peak

@@ -1,6 +1,5 @@
 import dataclasses
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -362,17 +361,12 @@ def test_every_round_table_equals_the_unchunked_build():
 
 
 @pytest.mark.parametrize("name", ["bf16", "fp16"])
-def test_a_table_build_costs_little_more_than_the_table(name):
+def test_a_table_build_costs_little_more_than_the_table(name, traced_memory):
     """The build writes chunk by chunk into the table: its peak of traced
     memory is the table's bytes plus at most 0.5 MB (a one-piece build of
     bf16 peaks at 3.5 times the table)."""
     fmt = dataclasses.replace(PRESETS[name])  # a new instance, with no table cached yet
-    tracemalloc.start()
-    try:
-        elements, bounds = fmt.round_table
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    (elements, bounds), _, peak = traced_memory(lambda: fmt.round_table)
     assert peak <= elements.nbytes + bounds.nbytes + 2 ** 19, peak
 
 

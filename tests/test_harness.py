@@ -121,10 +121,13 @@ def _ternary_per_vector(trace) -> int:
 
 
 def _validate_dfa_traces(monkeypatch) -> list:
-    """The batched traces that validate_dfa audits, one per word length."""
+    """The batched traces that validate_dfa audits, one per word length,
+    captured in full rather than at validate_dfa's audit level, so that
+    they hold the arrays that the array auditor reads."""
     from tm2tf import harness
 
-    traces, audit = [], harness.trace_invariant_violations
+    traces, audit, config = [], harness.trace_invariant_violations, harness.EvalConfig
+    monkeypatch.setattr(harness, "EvalConfig", lambda **kw: config(**{**kw, "capture_trace": True}))
     monkeypatch.setattr(
         harness, "trace_invariant_violations", lambda ts: traces.extend(ts) or audit(ts)
     )
@@ -592,6 +595,151 @@ def test_batched_validate_dfa_matches_per_word_loop_on_a_broken_model(monkeypatc
     assert 0 < len(mismatches) < report.checked
     assert report.mismatches == mismatches
     assert report.violations == violations
+
+
+def _audit_equals_arrays(run) -> list[dict[str, int]]:
+    """The invariant counts of each evaluator trace that run(level) gives
+    at a capture level: the audit level's step-time reductions must count
+    what the array auditor counts on the same run captured in full."""
+    audited = [trace_invariant_violations([t]) for t in run("audit")]
+    assert audited == [trace_invariant_violations([t]) for t in run(True)]
+    return audited
+
+
+ZERO_COUNTS = {"ternary": 0, "score_gap": 0, "tie_values": 0, "output_gap": 0}
+
+
+@pytest.mark.parametrize("protocol", ["cot", "scot"])
+def test_the_audit_level_counts_as_the_array_auditor_on_every_machine(protocol):
+    """Every machine of the fixtures, on its words of up to 2 symbols that
+    halt within 100 steps, compiled at the r the word needs."""
+    import machines
+
+    from tm2tf.automata import tm_run
+    from tm2tf.compilers import choose_r_cot, choose_r_scot, compile_cot, compile_scot
+    from tm2tf.generation import run_cot, run_scot
+    from tm2tf.netcore import EvalConfig
+
+    cot = protocol == "cot"
+    tms = [machines.fig2_machine(), machines.one_step_machine(), machines.one_step_machine(2)]
+    tms += [machines.bouncer_machine(), machines.copy_machine(), machines.counter_machine()]
+    tms.append(machines.tally_machine())
+    runs = 0
+    for tm in tms:
+        for n in range(3):
+            for word in itertools.product(tm.input_alphabet, repeat=n):
+                result = tm_run(tm, list(word), 100)
+                if not result.halted:
+                    continue
+                if cot:
+                    r = choose_r_cot(max(result.steps, n, 1))
+                else:
+                    r = choose_r_scot(max(result.space, 1))
+                params, _ = (compile_cot if cot else compile_scot)(tm, r)
+                run = run_cot if cot else run_scot
+                counts = _audit_equals_arrays(
+                    lambda level: run(params, word, EvalConfig(capture_trace=level)).eval_traces
+                )
+                assert counts and all(c == ZERO_COUNTS for c in counts), (tm.q_init, word)
+                runs += 1
+    assert runs >= 30
+
+
+@pytest.mark.parametrize("broken", [False, True])
+def test_the_audit_level_counts_as_the_array_auditor_on_batched_dfa_runs(broken):
+    """The acceptance DFAs at r=3, all words of each length up to 4 as one
+    batch; compiled as they are they count nothing, and broken (see
+    `_broken_compile_dfa`) every invariant fails somewhere."""
+    from tm2tf.automata import BOS
+    from tm2tf.compilers import compile_dfa
+    from tm2tf.harness import acceptance_dfas
+    from tm2tf.netcore import EvalConfig, Evaluator
+
+    total = dict(ZERO_COUNTS)
+    for dfa in acceptance_dfas():
+        params, _ = (_broken_compile_dfa if broken else compile_dfa)(dfa, 3)
+        for n in range(5):
+            words = list(itertools.product(dfa.alphabet, repeat=n))
+
+            def run(level):
+                ev = Evaluator(params, EvalConfig(capture_trace=level), batch=len(words))
+                ev.extend([(BOS,) * len(words), *zip(*words)])
+                ev.next_tokens()
+                return [ev.trace]
+
+            for key, count in _audit_equals_arrays(run)[0].items():
+                total[key] += count
+    assert all(total.values()) if broken else total == ZERO_COUNTS
+
+
+def _broken_fig2(zero_unemb: bool):
+    """fig2 CoT r=6 with q and k halved, so that dot products are
+    quarter-integers, and every key of each layer's second head tied; with
+    zero_unemb every output score ties as well."""
+    import copy
+
+    from machines import fig2_machine
+
+    from tm2tf.compilers import compile_cot
+
+    broken = copy.deepcopy(compile_cot(fig2_machine(), 6)[0])
+    broken.qk_scale = 0.5
+    if zero_unemb:
+        broken.unemb[:] = 0
+    for layer in broken.layers:
+        if len(layer.heads) > 1:
+            layer.heads[1].wk[:] = 0
+    return broken
+
+
+def test_the_audit_level_counts_as_the_array_auditor_on_a_broken_model():
+    """The broken model of `test_trace_invariant_counts_on_a_broken_model`,
+    with the counts of that test at both capture levels."""
+    from tm2tf.automata import EINP, INP
+    from tm2tf.netcore import EvalConfig, Evaluator
+
+    broken = _broken_fig2(zero_unemb=True)
+
+    def run(level):
+        ev = Evaluator(broken, EvalConfig(capture_trace=level))
+        ev.extend([INP, "a", "b", "a", EINP])
+        ev.next_token()
+        return [ev.trace]
+
+    assert _audit_equals_arrays(run) == [
+        {"ternary": 346, "score_gap": 94, "tie_values": 5, "output_gap": 1}
+    ]
+
+
+def test_the_audit_level_counts_as_the_array_auditor_where_a_cut_splits_a_block_step():
+    """A proposal wrong in its middle is fed with the prompt as one block
+    step, which `truncate` cuts at the wrong token; the decode goes on over
+    the rows the block wrote. Each level counts what a plain decode of the
+    broken model counts, and the two levels agree."""
+    from tm2tf.automata import EINP, EOUTP, INP
+    from tm2tf.generation import generate
+    from tm2tf.netcore import EvalConfig
+
+    broken = _broken_fig2(zero_unemb=False)
+    prompt = [INP, *"abab", EINP]
+    plain, _, ev = generate(broken, prompt, {EOUTP}, 20, EvalConfig(capture_trace="audit"))
+    want = trace_invariant_violations([ev.trace])
+    assert all(want[key] for key in ("ternary", "score_gap", "tie_values"))
+    draft = plain[len(prompt) : -1]
+    mid = len(draft) // 2
+    draft[mid] = next(t for t in broken.vocab if t not in (draft[mid], EOUTP))
+    cut = len(prompt) + mid
+
+    def run(level):
+        tokens, _, ev = generate(
+            broken, prompt, {EOUTP}, 20, EvalConfig(capture_trace=level),
+            propose=lambda tokens: draft if tokens == prompt else [],
+        )
+        assert tokens == plain
+        assert [start for start, _ in ev._steps[:2]] == [0, cut]  # the block kept up to the cut
+        return [ev.trace]
+
+    assert _audit_equals_arrays(run) == [want]
 
 
 def _outp_swapped(compile_tm):

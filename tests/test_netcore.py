@@ -117,6 +117,20 @@ def test_hardmax_config_rejects_finite_precision():
         EvalConfig(attention="nonsense")
 
 
+@pytest.mark.parametrize("level", ["full", "off", "Audit", 0, 1, None])
+def test_eval_config_refuses_an_unknown_capture_level(level):
+    """capture_trace is one of False, "audit" and True, and nothing that
+    equals one of them: 0 == False and 1 == True are refused too."""
+    with pytest.raises(ValueError, match="capture_trace must be False, 'audit' or True"):
+        EvalConfig(capture_trace=level)
+
+
+def test_the_audit_capture_level_reduces_hardmax_runs_only():
+    assert EvalConfig(capture_trace="audit").capture_trace == "audit"
+    with pytest.raises(ValueError, match="audit capture level reduces hardmax runs"):
+        EvalConfig(attention="softmax", capture_trace="audit")
+
+
 def test_selector_head_copies_k_back():
     """A head with decremented-position queries copies a register from k back."""
     r = 3
@@ -702,6 +716,39 @@ def test_rounding_calls_per_step_skip_empty_half_layers(mode, monkeypatch):
     assert len(calls) == len(steps) * per_step
 
 
+def test_only_the_audit_capture_level_calls_the_audit_reductions(monkeypatch):
+    """A decode with capture off, or in full, never calls the step-time
+    reductions. At the audit level each step calls the score-row reduction
+    once per layer with heads and the ternary count once per layer, and
+    each decoded step takes its output gap once."""
+    from tm2tf import netcore
+    from tm2tf.automata import EINP, EOUTP, INP
+    from tm2tf.generation import generate
+
+    params, _ = _softmax_case("hardmax")
+    calls = dict.fromkeys(("_score_rows", "_nonternary", "_output_gap"), 0)
+    for name in calls:
+
+        def counting(*args, name=name, reduce=getattr(netcore, name)):
+            calls[name] += 1
+            return reduce(*args)
+
+        monkeypatch.setattr(netcore, name, counting)
+    prompt = [INP, *"ab", EINP]
+    for level in (False, True, "audit"):
+        tokens, _, ev = generate(params, prompt, {EOUTP}, 40, EvalConfig(capture_trace=level))
+        assert tokens[-1] == EOUTP
+        if level != "audit":
+            assert calls == dict.fromkeys(calls, 0), level
+    steps = len(ev._steps)
+    assert steps == len(tokens) - len(prompt)  # the prompt, then each token but the stop
+    assert calls == {
+        "_score_rows": steps * sum(bool(layer.heads) for layer in params.layers),
+        "_nonternary": steps * len(params.layers),
+        "_output_gap": len(tokens) - len(prompt),
+    }
+
+
 def test_empty_half_layers_in_a_traced_run_that_re_extends():
     """A draft wrong in its middle, proposed at the prompt, is fed as one
     block, the evaluator is truncated to the tokens that stand, and the
@@ -898,44 +945,36 @@ def test_an_edited_copy_gets_a_fresh_plan():
     assert got.tobytes() == _assert_matches_reference(edited, tokens, cfg, trace).tobytes()
 
 
-def _bouncer8_evaluator_bytes(mode: str) -> int:
+def _bouncer8_evaluator_bytes(mode: str, traced_memory) -> int:
     """Bytes a new bouncer8 CoT r=10 Evaluator retains, traced."""
-    import tracemalloc
-
     from machines import bouncer_machine
 
     from tm2tf.compilers import compile_cot
     from tm2tf.softmaxify import convert
 
     params, cfg = convert(compile_cot(bouncer_machine(8), 10)[0], mode, 2 ** 10)
-    tracemalloc.start()
-    try:
-        ev = Evaluator(params, cfg)
-        retained, _ = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    del ev
+    _, retained, _ = traced_memory(Evaluator, params, cfg)
     return retained
 
 
 @pytest.mark.parametrize("mode", ["hardmax", "scaled_only", "denoised"])
-def test_a_bouncer8_evaluator_holds_no_dense_float64_copy_of_its_weights(mode):
+def test_a_bouncer8_evaluator_holds_no_dense_float64_copy_of_its_weights(mode, traced_memory):
     """The bouncer8 CoT r=10 evaluator keeps float64 weights only on the
     input coordinates each product reads (and W2 only on the rows its
     neurons write), for the hardmax model and its softmax conversions
     alike: 2.9 MB hardmax or scaled and 3.1 MB denoised, against 14.0 and
     16.8 MB for dense stacks of every matrix."""
-    retained = _bouncer8_evaluator_bytes(mode)
+    retained = _bouncer8_evaluator_bytes(mode, traced_memory)
     assert retained < {"hardmax": 8e6, "scaled_only": 8e6, "denoised": 9e6}[mode]
 
 
 @pytest.mark.parametrize("mode", ["hardmax", "scaled_only", "denoised"])
-def test_a_bouncer8_evaluator_keeps_only_the_w2_rows_its_neurons_write(mode):
+def test_a_bouncer8_evaluator_keeps_only_the_w2_rows_its_neurons_write(mode, traced_memory):
     """With W2 whole, its float64 plan was the largest: the evaluator
     retained 5.9 MB hardmax and 7.4 MB denoised. Only about a tenth of W2's
     rows are written by any neuron (610 of 5,742 hardmax), and on those
     alone it retains 2.9 and 3.1 MB."""
-    assert _bouncer8_evaluator_bytes(mode) < 3.5e6
+    assert _bouncer8_evaluator_bytes(mode, traced_memory) < 3.5e6
 
 
 def _sparse_w2_case(mode: str):
