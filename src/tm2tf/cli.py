@@ -42,12 +42,14 @@ class CliError(Exception):
 
 def _load_json(path: str) -> dict:
     try:
-        with open(path) as f:
+        with open(path, encoding="utf-8") as f:
             return json.load(f)
     except OSError as exc:
         raise CliError(f"file error: cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise CliError(f"schema error: {path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise CliError(f"schema error: {path} nests too deeply: {exc}") from exc
 
 
 def _write_json(path: str, doc: dict) -> None:
@@ -110,7 +112,7 @@ def _load_model(path: str):
         return load_model(path)
     except OSError as exc:
         raise CliError(f"file error: cannot read {path}: {exc}") from exc
-    except (ValueError, KeyError, TypeError, OverflowError) as exc:
+    except (ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
         raise CliError(f"schema error: {path}: {type(exc).__name__}: {exc}") from exc
 
 

@@ -38,6 +38,7 @@ gap.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -71,6 +72,7 @@ __all__ = [
     "sum_bits",
     "Evaluator",
     "forward",
+    "MODEL_FORMAT",
     "params_to_json",
     "params_from_json",
     "save_model",
@@ -121,6 +123,11 @@ def check_dims(dims: Dims, n_vocab: int) -> None:
     per_layer = dims.n_heads * 2 * (dims.d_k + dims.d_v) * dims.d + dims.d_ff * (2 * dims.d + 1)
     if dims.n_layers * per_layer + 2 * n_vocab * dims.d > MAX_DIMS_ENTRIES:
         raise ValueError(f"dims imply more than {MAX_DIMS_ENTRIES} weight entries")
+
+
+def _name(parts: tuple) -> str:
+    """A weight array's name from its parts, such as "layer 3 head 1 wq"."""
+    return " ".join(map(str, parts))
 
 
 def _outside(codes: np.ndarray, bound: int) -> bool:
@@ -256,12 +263,11 @@ class TransformerParams:
             ]
         for parts, a, shape, _ in arrays:
             if a.shape != shape:
-                name = " ".join(map(str, parts))
-                raise ValueError(f"{name} has shape {a.shape}, expected {shape}")
+                raise ValueError(f"{_name(parts)} has shape {a.shape}, expected {shape}")
         for bound in (1, 2, 4 * (d + 1)):
             group = [(parts, a) for parts, a, _, b in arrays if b == bound]
             if group and _outside(np.concatenate([a.ravel() for _, a in group]), bound):
-                name = " ".join(map(str, next(p for p, a in group if _outside(a, bound))))
+                name = _name(next(p for p, a in group if _outside(a, bound)))
                 raise ValueError(f"{name} codes must lie in [-{bound}, {bound}]")
         if not (self.qk_scale > 0 and math.isfinite(self.qk_scale)):
             raise ValueError(f"qk_scale must be positive and finite, got {self.qk_scale}")
@@ -989,16 +995,41 @@ MODEL_FORMAT = 2
 _HEAD_KEYS = ("wq", "wk", "wv", "wo")
 
 
-def _sparse_to_json(a: np.ndarray) -> dict:
-    flat = a.reshape(-1)
-    at = np.flatnonzero(flat)
-    return {"shape": list(a.shape), "at": at.tolist(), "codes": flat[at].tolist()}
+def _sparse_group(arrays: list[np.ndarray]) -> list[dict]:
+    """The sparse entries {shape, at, codes} of arrays of one dtype: one
+    flatnonzero over their concatenation, split at their offsets."""
+    if not arrays:
+        return []
+    sizes = np.array([a.size for a in arrays], np.int64)
+    ends = np.cumsum(sizes)
+    flat = np.concatenate([a.reshape(-1) for a in arrays])
+    nonzero = np.flatnonzero(flat)
+    cuts = np.searchsorted(nonzero, ends)  # each array's end in nonzero
+    at = (nonzero - np.repeat(ends - sizes, np.diff(cuts, prepend=0))).tolist()
+    codes = flat[nonzero].tolist()
+    bounds = [0, *cuts.tolist()]
+    return [
+        {"shape": list(a.shape), "at": at[i:j], "codes": codes[i:j]}
+        for a, i, j in zip(arrays, bounds, bounds[1:])
+    ]
 
 
 def params_to_json(params: TransformerParams) -> dict:
     """The model file document. Every weight array is stored sparse: its
     shape, the flat C-order indices of its nonzero entries in increasing
-    order, and their integer codes."""
+    order, and their integer codes. The int8 arrays, in file order, are
+    encoded as one group and the int32 biases as another."""
+    int8 = [params.emb, params.unemb]
+    for layer in params.layers:
+        int8 += [getattr(h, k) for h in layer.heads for k in _HEAD_KEYS] + [layer.w1, layer.w2]
+    entries = iter(_sparse_group(int8))
+    biases = iter(_sparse_group([layer.bias4 for layer in params.layers]))
+    emb, unemb = next(entries), next(entries)
+    layers = []
+    for layer in params.layers:
+        heads = [{k: next(entries) for k in _HEAD_KEYS} for _ in layer.heads]
+        w1, bias4, w2 = next(entries), next(biases), next(entries)
+        layers.append({"heads": heads, "w1": w1, "bias4": bias4, "w2": w2})
     return {
         "format": MODEL_FORMAT,
         "dims": dict(vars(params.dims)),
@@ -1008,55 +1039,154 @@ def params_to_json(params: TransformerParams) -> dict:
         "source": params.source,
         "mode": params.mode,
         "meta": dict(params.meta),
-        "emb": _sparse_to_json(params.emb),
-        "unemb": _sparse_to_json(params.unemb),
-        "layers": [
-            {
-                "heads": [
-                    {k: _sparse_to_json(getattr(h, k)) for k in _HEAD_KEYS} for h in layer.heads
-                ],
-                "w1": _sparse_to_json(layer.w1),
-                "bias4": _sparse_to_json(layer.bias4),
-                "w2": _sparse_to_json(layer.w2),
-            }
-            for layer in params.layers
-        ],
+        "emb": emb,
+        "unemb": unemb,
+        "layers": layers,
     }
 
 
-def _ints(values, name: str) -> np.ndarray:
-    """A JSON list of integers as int64; 1.5 and true are refused, since
-    numpy would truncate or convert them, and a huge integer overflows."""
-    if type(values) is not list or not set(map(type, values)) <= {int}:
-        raise ValueError(f"{name} must be a list of integers")
-    return np.array(values, dtype=np.int64)
+# The checks on one sparse entry, in the order they are made: the walk's
+# (its layer, its type and shape; then whether `at`, and then `codes`, is a
+# list), interleaved with the whole-model ones (the lists' items plain
+# integers, each within int64, equal lengths, indices, codes). A document
+# is refused for the first entry that fails one, with its earliest check.
+_ENTRY, _AT_INTS, _AT_INT64, _CODE_INTS, _CODE_INT64, _LENGTHS, _INDICES, _CODES = range(8)
 
 
-def _weights(entry: dict, shape: tuple[int, ...], dtype, name: str) -> np.ndarray:
-    """One sparse weight entry as a dense array of the shape dims give it,
-    checked before it is allocated or written: numpy would wrap a negative
-    index and keep the last of repeated ones."""
-    if type(entry) is not dict:
-        raise ValueError(f"{name} must be a sparse array {{shape, at, codes}}")
-    if entry["shape"] != list(shape) or not all(type(n) is int for n in entry["shape"]):
-        raise ValueError(f"{name} has shape {entry['shape']!r}, expected {list(shape)}")
-    at, codes = _ints(entry["at"], f"{name} at"), _ints(entry["codes"], f"{name} codes")
-    size, info = math.prod(shape), np.iinfo(dtype)
-    if at.size != codes.size:
-        raise ValueError(f"{name} has {at.size} indices but {codes.size} codes")
-    if at.size and (at[0] < 0 or at[-1] >= size or not np.all(at[1:] > at[:-1])):
-        raise ValueError(f"{name} indices must be strictly increasing and in [0, {size})")
-    if not np.all(codes != 0) or codes.min(initial=0) < info.min or codes.max(initial=0) > info.max:
-        raise ValueError(f"{name} codes must be nonzero and within {info.dtype}")
-    out = np.zeros(size, dtype)
-    out[at] = codes
-    return out.reshape(shape)
+class _SparseEntries:
+    """The sparse weight entries of a model document in the order they are
+    checked: layer by layer, each head's wq, wk, wv and wo, then w1, bias4
+    and w2; then emb and unemb. `add` checks what needs no numpy; `arrays`
+    checks the rest over all entries at once and builds them."""
+
+    def __init__(self) -> None:
+        self.parts: list[tuple] = []  # name parts, such as ("layer", 3, "head", 1, "wq")
+        self.shapes: list[tuple[int, ...]] = []
+        self.wide: list[bool] = []  # int32 (bias4), else int8
+        self.ats: list[list] = []
+        self.codes: list[list] = []
+        # Where the walk stopped: the exception it raised at entry
+        # len(self.codes), and the check it raised it in.
+        self.stop: tuple[BaseException, int] | None = None
+        self._at = _ENTRY
+
+    def add(self, entry, parts: tuple, shape: tuple[int, ...], wide: bool = False) -> None:
+        if type(entry) is not dict:
+            raise ValueError(f"{_name(parts)} must be a sparse array {{shape, at, codes}}")
+        if entry["shape"] != list(shape) or not all(type(n) is int for n in entry["shape"]):
+            raise ValueError(f"{_name(parts)} has shape {entry['shape']!r}, expected {list(shape)}")
+        self.parts.append(parts)
+        self.shapes.append(shape)
+        self.wide.append(wide)
+        self._at = _AT_INTS
+        self.ats.append(_list(entry["at"], parts, "at"))
+        self._at = _CODE_INTS
+        self.codes.append(_list(entry["codes"], parts, "codes"))
+        self._at = _ENTRY
+
+    def stopped(self, exc: BaseException) -> None:
+        self.stop = exc, self._at
+
+    def arrays(self) -> list[np.ndarray]:
+        """Every entry as an array of its shape: views of one int8 and one
+        int32 buffer, each filled with one scatter. Before any buffer is
+        allocated, raises the first failure of the first failing entry."""
+        failure = self.stop
+        limit = len(self.codes)  # entries before the first known failure
+        rank = _ENTRY if failure is None else failure[1]
+
+        def fail(entry: int, check: int, exc: BaseException) -> None:
+            nonlocal failure, limit, rank
+            if (entry, check) < (limit, rank):
+                failure, limit, rank = (exc, check), entry, check
+
+        def examined(check: int) -> int:
+            """How many entries a check can find an earlier failure in."""
+            return limit + (check < rank)
+
+        at, n_at, owner = self._read(self.ats[: examined(_AT_INTS)], _AT_INTS, "at", fail)
+        codes, n_codes, _ = self._read(
+            self.codes[: examined(_CODE_INTS)], _CODE_INTS, "codes", fail
+        )
+        first = _first(n_at[:limit] != n_codes[:limit], np.arange(limit))
+        if first is not None:
+            msg = f"has {n_at[first]} indices but {n_codes[first]} codes"
+            fail(first, _LENGTHS, ValueError(f"{_name(self.parts[first])} {msg}"))
+        k = limit  # the entries whose lists were read and agree in length
+        n = int(n_at[:k].sum())
+        at, codes, owner = at[:n], codes[:n], owner[:n]
+        sizes = np.array([math.prod(s) for s in self.shapes[:k]], np.int64)
+        bad = (at < 0) | (at >= sizes[owner])
+        bad[1:] |= (at[1:] <= at[:-1]) & (owner[1:] == owner[:-1])
+        first = _first(bad, owner)
+        if first is not None:
+            msg = f"indices must be strictly increasing and in [0, {sizes[first]})"
+            fail(first, _INDICES, ValueError(f"{_name(self.parts[first])} {msg}"))
+        wide = np.array(self.wide[:k], bool)
+        high = np.where(wide, np.iinfo(np.int32).max, np.iinfo(np.int8).max)[owner]
+        first = _first((codes == 0) | (codes < -high - 1) | (codes > high), owner)
+        if first is not None:
+            msg = f"codes must be nonzero and within {'int32' if wide[first] else 'int8'}"
+            fail(first, _CODES, ValueError(f"{_name(self.parts[first])} {msg}"))
+        if failure is not None:
+            raise failure[0]
+        # each entry's offset into its dtype's buffer
+        sizes8, sizes32 = np.where(wide, 0, sizes), np.where(wide, sizes, 0)
+        offset = np.where(wide, np.cumsum(sizes32) - sizes32, np.cumsum(sizes8) - sizes8)
+        flat, wide_at = at + offset[owner], wide[owner]
+        buf8 = np.zeros(int(sizes8.sum()), np.int8)
+        buf8[flat[~wide_at]] = codes[~wide_at]
+        buf32 = np.zeros(int(sizes32.sum()), np.int32)
+        buf32[flat[wide_at]] = codes[wide_at]
+        return [
+            (buf32 if w else buf8)[o : o + s].reshape(shape)
+            for w, o, s, shape in zip(self.wide, offset.tolist(), sizes.tolist(), self.shapes)
+        ]
+
+    def _read(self, fields: list[list], check: int, key: str, fail):
+        """One key's lists of the first len(fields) entries as one int64
+        array, with each entry's length and each item's entry. Items that
+        are not plain integers fail `check` and items beyond int64 the
+        check after it; only the items of entries before a failure are
+        read."""
+        lengths = np.fromiter(map(len, fields), np.int64, count=len(fields))
+        owner = np.repeat(np.arange(len(fields)), lengths)
+        chained = itertools.chain.from_iterable
+        if not set(map(type, chained(fields))) <= {int}:
+            types = np.fromiter(map(type, chained(fields)), object, count=owner.size)
+            first = _first(types != int, owner)
+            msg = f"{_name(self.parts[first])} {key} must be a list of integers"
+            fail(first, check, ValueError(msg))
+            fields = fields[:first]
+            owner = owner[: lengths[:first].sum()]
+        try:
+            values = np.fromiter(chained(fields), np.int64, count=owner.size)
+        except OverflowError as exc:
+            beyond = (not -(2**63) <= v < 2**63 for v in chained(fields))
+            first = _first(np.fromiter(beyond, bool, count=owner.size), owner)
+            fail(first, check + 1, exc)
+            owner = owner[: lengths[:first].sum()]
+            values = np.fromiter(chained(fields[:first]), np.int64, count=owner.size)
+        return values, lengths, owner
+
+
+def _first(bad: np.ndarray, owner: np.ndarray) -> int | None:
+    """The entry that owns the first set flag, or None."""
+    return int(owner[bad.argmax()]) if bad.any() else None
+
+
+def _list(values, parts: tuple, key: str) -> list:
+    if type(values) is not list:
+        raise ValueError(f"{_name(parts)} {key} must be a list of integers")
+    return values
 
 
 def params_from_json(doc: dict) -> TransformerParams:
     """Parse a model file document and check it against the model contract.
-    Shapes come from dims, and every array is checked before it is built
-    with one scatter; `validate_weights` then checks the codes' ranges."""
+    Shapes come from dims. The sparse entries are checked together
+    (`_SparseEntries`) before any array is allocated, and each array is a
+    view of one of two buffers filled with one scatter each;
+    `validate_weights` then checks the codes' ranges."""
     if type(doc) is not dict or type(doc.get("format")) is not int or doc["format"] != MODEL_FORMAT:
         raise ValueError(
             f"not a format-{MODEL_FORMAT} model file: compile or convert the model again"
@@ -1069,35 +1199,42 @@ def params_from_json(doc: dict) -> TransformerParams:
     if len(doc["layers"]) != dims.n_layers:
         raise ValueError(f"{len(doc['layers'])} layers but dims.n_layers = {dims.n_layers}")
     head_shapes = (dims.d_k, d), (dims.d_k, d), (dims.d_v, d), (d, dims.d_v)
-    layers = []
-    for li, ldoc in enumerate(doc["layers"]):
-        if len(ldoc["heads"]) > dims.n_heads:
-            raise ValueError(f"layer {li} has more than n_heads = {dims.n_heads} heads")
-        heads = [
-            HeadParams(
-                *(
-                    _weights(h[k], shape, np.int8, f"layer {li} head {hi} {k}")
-                    for k, shape in zip(_HEAD_KEYS, head_shapes)
+    entries, n_heads = _SparseEntries(), []
+    try:
+        for li, ldoc in enumerate(doc["layers"]):
+            if len(ldoc["heads"]) > dims.n_heads:
+                raise ValueError(f"layer {li} has more than n_heads = {dims.n_heads} heads")
+            for hi, h in enumerate(ldoc["heads"]):
+                for k, shape in zip(_HEAD_KEYS, head_shapes):
+                    entries.add(h[k], ("layer", li, "head", hi, k), shape)
+            n_heads.append(len(ldoc["heads"]))
+            m = ldoc["bias4"]["shape"][0] if ldoc["bias4"]["shape"] else None
+            if type(m) is not int or not 0 <= m <= dims.d_ff:
+                raise ValueError(
+                    f"layer {li} bias4 shape must be [m], 0 <= m <= d_ff = {dims.d_ff}"
                 )
-            )
-            for hi, h in enumerate(ldoc["heads"])
-        ]
-        m = ldoc["bias4"]["shape"][0] if ldoc["bias4"]["shape"] else None
-        if type(m) is not int or not 0 <= m <= dims.d_ff:
-            raise ValueError(f"layer {li} bias4 shape must be [m], 0 <= m <= d_ff = {dims.d_ff}")
-        layers.append(
-            LayerParams(
-                heads=heads,
-                w1=_weights(ldoc["w1"], (m, d), np.int8, f"layer {li} w1"),
-                bias4=_weights(ldoc["bias4"], (m,), np.int32, f"layer {li} bias4"),
-                w2=_weights(ldoc["w2"], (d, m), np.int8, f"layer {li} w2"),
-            )
+            entries.add(ldoc["w1"], ("layer", li, "w1"), (m, d))
+            entries.add(ldoc["bias4"], ("layer", li, "bias4"), (m,), wide=True)
+            entries.add(ldoc["w2"], ("layer", li, "w2"), (d, m))
+        entries.add(doc["emb"], ("emb",), (n_vocab, d))
+        entries.add(doc["unemb"], ("unemb",), (n_vocab, d))
+    except (ValueError, KeyError, TypeError, IndexError) as exc:
+        entries.stopped(exc)  # raised by `arrays` unless an earlier entry fails
+    arrays = iter(entries.arrays())
+    layers = [
+        LayerParams(
+            heads=[HeadParams(*itertools.islice(arrays, 4)) for _ in range(h)],
+            w1=next(arrays),
+            bias4=next(arrays),
+            w2=next(arrays),
         )
+        for h in n_heads
+    ]
     params = TransformerParams(
         dims=dims,
         vocab=list(doc["vocab"]),
-        emb=_weights(doc["emb"], (n_vocab, d), np.int8, "emb"),
-        unemb=_weights(doc["unemb"], (n_vocab, d), np.int8, "unemb"),
+        emb=next(arrays),
+        unemb=next(arrays),
         positional=_pos_from_json(doc["positional"]),
         layers=layers,
         qk_scale=float.fromhex(doc["qk_scale"]),
@@ -1118,5 +1255,5 @@ def save_model(params: TransformerParams, path: str) -> None:
 
 
 def load_model(path: str) -> TransformerParams:
-    with open(path) as f:
+    with open(path, encoding="utf-8") as f:
         return params_from_json(json.load(f))

@@ -13,6 +13,19 @@ from tm2tf.netcore import load_model, save_model
 from tm2tf.softmaxify import c0_exact_attention
 
 
+# Files that are not JSON the loaders can read: bytes that are not UTF-8,
+# and arrays nested deeper than the JSON decoder recurses.
+NOT_UTF8 = b"\xff\xfe{}"
+DEEP_NESTING = "[" * 100_000
+
+
+def _write(path, text: str | bytes) -> None:
+    if isinstance(text, bytes):
+        path.write_bytes(text)
+    else:
+        path.write_text(text)
+
+
 @pytest.fixture
 def tm_file(tmp_path):
     path = tmp_path / "machine.json"
@@ -218,6 +231,14 @@ def test_validate_dfa_cli_refuses_a_turing_machine(tm_file, capsys):
     assert "usage error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", [NOT_UTF8, DEEP_NESTING], ids=["not-utf8", "deep-nesting"])
+def test_validate_dfa_cli_refuses_an_unreadable_dfa(text, tmp_path, capsys):
+    spec = tmp_path / "dfa.json"
+    _write(spec, text)
+    assert main(["validate", "--protocol", "dfa", "--dfa", str(spec)]) == 2
+    assert capsys.readouterr().err.startswith("schema error")
+
+
 @pytest.mark.parametrize("mode", ["scaled", "denoised"])
 def test_validate_dfa_cli_refuses_a_softmax_mode(mode, capsys):
     assert main(["validate", "--protocol", "dfa", "--mode", mode]) == 2
@@ -390,8 +411,10 @@ def _model_file_cases(tmp_path, dfa_file):
     rotary = {"nan-rotary-freqs": ["nan"] * len(freqs), "too-many-rotary-freqs": freqs * 20}
     for name, value in rotary.items():
         files[name] = json.dumps({**doc, "positional": {"kind": "rotary", "freqs": value}})
+    files["not-utf8"] = NOT_UTF8
+    files["deep-nesting"] = DEEP_NESTING
     for name, text in files.items():
-        (tmp_path / f"{name}.json").write_text(text)
+        _write(tmp_path / f"{name}.json", text)
     return [("missing", str(tmp_path / "missing.json"))] + [
         (name, str(tmp_path / f"{name}.json")) for name in files
     ]
@@ -630,6 +653,15 @@ def _bad_machine_cases():
         "dfa-to-compile-cot": ("compile-cot", json.dumps(dfa), "usage error", "expected a Turing"),
     }
     cases += [pytest.param(*case, id=name) for name, case in other.items()]
+    unreadable = {
+        "not-utf8": (NOT_UTF8, "not valid JSON"),
+        "deep-nesting": (DEEP_NESTING, "nests too deeply"),
+    }
+    for command in ("compile-dfa", "compile-cot"):
+        cases += [
+            pytest.param(command, text, "schema error", want, id=f"{name}-{command}")
+            for name, (text, want) in unreadable.items()
+        ]
     return cases
 
 
@@ -638,7 +670,7 @@ def test_bad_machine_spec_exits_2(command, text, kind, want, tmp_path, capsys):
     """Each malformed spec fails at load time with its own message, and no
     model is written."""
     spec, out = tmp_path / "spec.json", tmp_path / "m.json"
-    spec.write_text(text)
+    _write(spec, text)
     r = "3" if command == "compile-dfa" else "6"
     assert main([command, "--machine", str(spec), "--r", r, "--out", str(out)]) == 2
     err = capsys.readouterr().err

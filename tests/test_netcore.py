@@ -533,6 +533,29 @@ def test_model_file_round_trips_every_kind(kind, tmp_path):
     _assert_same_weights(load_model(path), params)
 
 
+def test_model_file_arrays_are_not_allocated_per_layer(monkeypatch):
+    """The loader builds every weight array as a view of one of two
+    buffers, so fig2 CoT r=6 and its denoised conversion, of twice the
+    layers, take as many np.zeros calls to load."""
+    models = _compile("cot")[0], _softmax_case("denoised")[0]
+    docs = [json.loads(json.dumps(params_to_json(p))) for p in models]
+    assert [len(doc["layers"]) for doc in docs] == [23, 46]
+    calls = []
+    zeros = np.zeros
+
+    def counted_zeros(*args, **kwargs):
+        calls.append(args)
+        return zeros(*args, **kwargs)
+
+    monkeypatch.setattr(np, "zeros", counted_zeros)
+    counts = []
+    for doc in docs:
+        before = len(calls)
+        params_from_json(doc)
+        counts.append(len(calls) - before)
+    assert counts[0] == counts[1]
+
+
 def test_denoised_bouncer8_model_file_is_small(tmp_path):
     """About 14 M weight entries, 1 M of text: dense lists took 27.7 MB."""
     import os
