@@ -11,6 +11,7 @@ silently passing.
 from __future__ import annotations
 
 from collections.abc import Callable
+from contextvars import ContextVar
 from dataclasses import dataclass, field, replace
 from itertools import takewhile
 
@@ -34,7 +35,14 @@ from .automata import (
     state_token,
     token_class,
 )
-from .netcore import BinaryAbsolute, EvalConfig, EvalError, Evaluator, TransformerParams
+from .netcore import (
+    BinaryAbsolute,
+    EvalConfig,
+    EvalError,
+    EvalPlan,
+    Evaluator,
+    TransformerParams,
+)
 
 __all__ = ["GenerationTrace", "generate", "run_cot", "run_scot"]
 
@@ -51,6 +59,13 @@ class GenerationTrace:
     saturations: int = 0  # rounded elements beyond their format, all segments
     eval_traces: list = field(default_factory=list)
     records: list[dict] = field(default_factory=list)
+
+
+# The plan of the `_run_segments` call in progress, on which `generate`
+# builds each segment's evaluator, so that a run builds one plan. It is
+# set for the call alone. It does not ride in `generate`'s arguments,
+# which stay those of plain greedy decoding.
+_RUN_PLAN: ContextVar[EvalPlan | None] = ContextVar("_RUN_PLAN", default=None)
 
 
 def _context_room(params: TransformerParams, start: int, cap: int | None) -> int:
@@ -85,6 +100,9 @@ def generate(
     and fed that greedy token. The model is causal and such an evaluator
     sums exactly, so the tokens, the evaluator and its trace are the same
     for any proposal, right or wrong.
+
+    Within a `run_cot` or `run_scot` call the evaluator multiplies that
+    call's plan; otherwise it builds its own.
     """
     if not prompt:
         raise ValueError("prompt must be nonempty")
@@ -92,12 +110,18 @@ def generate(
         raise ValueError("stop_set must be nonempty")
     if max_steps < 0:
         raise ValueError(f"max_steps must be >= 0, got {max_steps}")
-    ev = Evaluator(params, cfg)
+    ev = Evaluator(params, cfg, plan=_RUN_PLAN.get())
     tokens, end = list(prompt), len(prompt) + max_steps
     # A block step that sums exactly costs little more than a one-position
     # step and gives each position the same bits.
     propose = propose if ev._exact else None
-    ev.extend([*prompt, *_proposal(params, propose, tokens, stop_set, end)])
+    first = [*prompt, *_proposal(params, propose, tokens, stop_set, end)]
+    if cfg.capture_trace is not True:
+        # Room for the next proposal too: a cache that grows copies what it
+        # holds into new memory. Not in a full trace, whose dots buffer
+        # grows with the square of its room.
+        ev.reserve(min(end, len(first) + _PROPOSAL))
+    ev.extend(first)
     for _ in range(max_steps):
         tok = ev.next_token(len(tokens) - 1)
         n = len(tokens)  # tok's index
@@ -363,12 +387,30 @@ def _run_segments(
     and is cut to the positions left in the context. With stop set
     {</outp>} the first segment is the whole run. draft[i], the expected
     segment i, is proposed while the run is its prefix (see
-    `_TraceDrafter.segment`). A word token that is not an input symbol
-    (`token_class` other than "sym") raises EvalError."""
+    `_TraceDrafter.segment`). Every segment's evaluator multiplies one
+    `EvalPlan`, built for this call. A word token that is not an input
+    symbol (`token_class` other than "sym") raises EvalError."""
     word = list(word)
     for tok in word:
         if token_class(tok) != "sym":
             raise EvalError(f"word token {tok!r} is not an input symbol")
+    plan = _RUN_PLAN.set(EvalPlan(params, cfg))
+    try:
+        return _segments(stop_set, params, word, cfg, budget, record_steps, draft)
+    finally:
+        _RUN_PLAN.reset(plan)
+
+
+def _segments(
+    stop_set: set[str],
+    params: TransformerParams,
+    word: list[str],
+    cfg: EvalConfig,
+    budget: int | None,
+    record_steps: bool,
+    draft: list[list[str]] | None,
+) -> GenerationTrace:
+    """The segments of `_run_segments`, for a checked word."""
     trace = GenerationTrace()
     prompt = [INP, *word, EINP]
     drafter = _TraceDrafter(params, summaries=ESUMM in stop_set)
@@ -397,7 +439,7 @@ def _run_segments(
         trace.saturations += ev.trace.saturations
         if cfg.capture_trace:
             trace.eval_traces.append(ev.trace)
-        del ev  # its weights and caches go before the next segment's evaluator is built
+        del ev  # its caches go before the next segment's evaluator is built
         if exceeded:
             trace.outcome = "budget_exceeded"
             return trace

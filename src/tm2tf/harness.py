@@ -46,6 +46,7 @@ from .netcore import (
     MODES,
     ActivationTrace,
     EvalConfig,
+    EvalPlan,
     Evaluator,
     forward,
     hardmax_weights,
@@ -463,7 +464,8 @@ def validate_dfa(dfas: list, r: int, max_len: int) -> ValidationReport:
     The words of each length run as one batch at the audit capture level,
     whose trace gets one audit; the invariants count per word, position
     and head, so the counts are those of auditing every word on its own.
-    A word of length max_len and its BOS must fit the 2^r positions."""
+    The batches of one DFA share one `EvalPlan`. A word of length max_len
+    and its BOS must fit the 2^r positions."""
     if max_len + 1 > 2 ** r:
         raise ValueError(f"words up to length {max_len} need r >= {max_len.bit_length()}, got {r}")
     start = time.perf_counter()
@@ -471,9 +473,10 @@ def validate_dfa(dfas: list, r: int, max_len: int) -> ValidationReport:
     cfg = EvalConfig(capture_trace="audit")
     for d_idx, dfa in enumerate(dfas):
         params, _ = compile_dfa(dfa, r)
+        plan = EvalPlan(params, cfg)
         for n in range(max_len + 1):
             words = list(itertools.product(dfa.alphabet, repeat=n))
-            ev = Evaluator(params, cfg, batch=len(words))
+            ev = Evaluator(params, cfg, batch=len(words), plan=plan)
             ev.extend([(BOS,) * len(words), *zip(*words)])
             for word, got in zip(words, ev.next_tokens()):
                 report.attempted += 1
@@ -489,12 +492,14 @@ def validate_dfa(dfas: list, r: int, max_len: int) -> ValidationReport:
 
 
 def _denoising_margin_violations(hard_params, trace) -> int:
-    """Check pre-denoising deviations <= 1/4 against the hardmax reference."""
+    """Check pre-denoising deviations <= 1/4 against the hardmax reference,
+    one evaluator per segment on one plan."""
     violations = 0
     hard_cfg = EvalConfig(attention="hardmax", capture_trace=True)
+    plan = EvalPlan(hard_params, hard_cfg)
     for seg, ev_trace in zip(trace.segments, trace.eval_traces):
         processed = seg[:-1]  # the final stop token is never fed forward
-        _, hard_trace = forward(hard_params, processed, hard_cfg)
+        _, hard_trace = forward(hard_params, processed, hard_cfg, plan)
         for hard_lt, conv_lt in zip(hard_trace.layers, ev_trace.layers[::2]):
             dev = np.abs(conv_lt.x_mid[: len(hard_lt.x_mid)] - hard_lt.x_mid).max(axis=-1)
             violations += int((dev > 0.25 + 1e-12).sum())

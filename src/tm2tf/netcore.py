@@ -10,19 +10,29 @@ the tokens that stand and goes on from there on the same evaluator.
 Hardmax decisions compare raw integer dot products, sidestepping the
 1/sqrt(d_k) division.
 
+An evaluator is two parts. Its plan (`EvalPlan`) is what it multiplies:
+float64 weights cut from the int8 codes, the live coordinates they read and
+write, and whether its sums are exact. It is built once from a model and a
+config and never written, so every evaluator of one run can share it. The
+run state (KV cache, residual rows, trace arena, step log) is each
+evaluator's own.
+
 A step runs P new positions of B equal-length sequences through each layer
 at once: one fused Q/K/V matmul, one KV cache of shape (positions, B*H,
 d_k + d_v), causally masked attention for all heads, one (d, H*d_v) output
 matmul, and one rounding call per quantity. The Q/K/V, output and W1
 matmuls gather only the live input coordinates, those with a nonzero
-weight, and multiply float64 weights cut from the int8 codes on those rows
-alone; the W2 matmul computes and writes back only the output rows that
-some neuron writes. Where every order-dependent sum is exact (no rotary
-positions, and hardmax or rounded softmax whose formats pass `sum_bits`) a
-whole block of known tokens is one step, which is what lets generation
-verify a draft of expected tokens in one pass; there a block row's softmax
-denominator sums its own keys as a one-position step does. Every other model steps one
-position at a time, so its rounding is that of plain incremental
+weight, and multiply float64 weights on those rows alone; the W2 matmul
+computes and writes back only the output rows that some neuron writes,
+and W_O keeps all its output rows. Where every order-dependent sum is
+exact (no rotary positions, and hardmax or rounded softmax whose formats
+pass `sum_bits`) a whole block of known tokens is one step, which is what
+lets generation verify a draft of expected tokens in one pass; there a
+block row's softmax denominator sums its own keys as a one-position step
+does, and the Q/K/V matmul computes only the q, k and v columns that some
+weight writes and scatters them into +0.0, so that the KV cache and the
+trace keep all d_k + d_v columns of every head. Every other model steps
+one position at a time, so its rounding is that of plain incremental
 decoding. A full trace (`capture_trace=True`) is a handful of whole-model
 arrays that grow with the KV cache (`ActivationTrace`), and each layer's
 quantities are views into them whose first axis is position, with a (B,)
@@ -70,6 +80,7 @@ __all__ = [
     "separation",
     "rope_rotate",
     "sum_bits",
+    "EvalPlan",
     "Evaluator",
     "forward",
     "MODEL_FORMAT",
@@ -134,6 +145,32 @@ def _outside(codes: np.ndarray, bound: int) -> bool:
     """Whether a code lies outside [-bound, bound]. By min and max, not
     abs: np.abs wraps at the dtype minimum (int8 -128)."""
     return codes.min(initial=0) < -bound or codes.max(initial=0) > bound
+
+
+# Codes per min/max pair of `_first_outside`: enough that the pairs of a
+# model's hundreds of small arrays are few, small enough that the copy that
+# joins them stays far below the model.
+_CHECK_CHUNK = 2 ** 18
+
+
+def _first_outside(group: list[tuple[tuple, np.ndarray]], bound: int) -> tuple | None:
+    """The name parts of the first (parts, array) of `group` that holds a
+    code outside [-bound, bound], or None. Consecutive arrays are joined
+    into runs of at most _CHECK_CHUNK codes, an array as large alone, and
+    each run is checked with one min/max pair; only in a failing run is
+    each array checked on its own."""
+    run: list[tuple[tuple, np.ndarray]] = []
+    size = 0
+    for i, (parts, a) in enumerate(group):
+        run.append((parts, a))
+        size += a.size
+        if i + 1 < len(group) and size + group[i + 1][1].size <= _CHECK_CHUNK:
+            continue
+        # the joined copy is freed before the next run is joined
+        if _outside(a if len(run) == 1 else np.concatenate([b for _, b in run], axis=None), bound):
+            return next(p for p, b in run if _outside(b, bound))
+        run, size = [], 0
+    return None
 
 
 @dataclass
@@ -238,9 +275,9 @@ class TransformerParams:
         if len(self.layers) != dims.n_layers:
             raise ValueError(f"{len(self.layers)} layers but dims.n_layers = {dims.n_layers}")
         # (name parts, array, shape, largest absolute code) of every weight
-        # array. One concatenation and one min/max pair check all arrays of
-        # a bound across the model, and only the name of an array in a
-        # failing group, such as "layer 3 head 1 wq", is joined.
+        # array. The arrays of a bound are checked in runs of about
+        # _CHECK_CHUNK codes (`_first_outside`), and only the name of an
+        # array in a failing run, such as "layer 3 head 1 wq", is joined.
         arrays = [(("emb",), self.emb, (n_vocab, d), 1), (("unemb",), self.unemb, (n_vocab, d), 1)]
         for li, layer in enumerate(self.layers):
             m = layer.bias4.size
@@ -265,10 +302,9 @@ class TransformerParams:
             if a.shape != shape:
                 raise ValueError(f"{_name(parts)} has shape {a.shape}, expected {shape}")
         for bound in (1, 2, 4 * (d + 1)):
-            group = [(parts, a) for parts, a, _, b in arrays if b == bound]
-            if group and _outside(np.concatenate([a.ravel() for _, a in group]), bound):
-                name = _name(next(p for p, a in group if _outside(a, bound)))
-                raise ValueError(f"{name} codes must lie in [-{bound}, {bound}]")
+            parts = _first_outside([(p, a) for p, a, _, b in arrays if b == bound], bound)
+            if parts is not None:
+                raise ValueError(f"{_name(parts)} codes must lie in [-{bound}, {bound}]")
         if not (self.qk_scale > 0 and math.isfinite(self.qk_scale)):
             raise ValueError(f"qk_scale must be positive and finite, got {self.qk_scale}")
 
@@ -472,15 +508,106 @@ def sum_bits(
     return math.log2(math.ceil(max(steps)))  # an int: no overflow past float range
 
 
+def _sums_exactly(params: TransformerParams, cfg: EvalConfig) -> bool:
+    """Whether no sum of evaluating params under cfg depends on its
+    grouping: without rotary positions, under hardmax, where the compiled
+    models' values are small integers, and under rounded softmax whose
+    formats keep every sum within `sum_bits` <= 53 for the 2^r keys of
+    binary positions."""
+    pos = params.positional
+    if isinstance(pos, RotaryOnly):
+        return False
+    n_keys = 2 ** pos.r if isinstance(pos, BinaryAbsolute) else None
+    formats = cfg.act_precision.fmt, cfg.att_precision.fmt
+    return cfg.attention == "hardmax" or sum_bits(params.dims, *formats, n_keys) <= 53
+
+
+class EvalPlan:
+    """The weights of one model as its evaluators multiply them, built from
+    (params, cfg) and never written: every evaluator of a run can share it.
+
+    `exact` is `_sums_exactly(params, cfg)`, the one condition for block
+    steps and for live Q/K/V columns. `emb` is float64 emb and `unemb_t`
+    float64 unemb^T. `layers` holds per layer an (attention, MLP) pair.
+    attention is (H, the Q/K/V input coordinates, W_QKV^T on them, the
+    Q/K/V output columns, their scale, the W_O input coordinates, W_O^T on
+    them), None without heads; MLP is (W1's input coordinates, W1^T on
+    them, bias, the output rows some neuron writes, W2^T on them), None
+    without MLP rows. Rows times W^T, as ndarray.dot, which costs less per
+    call than matmul.
+
+    The Q/K/V, W_O and W1 products gather the live input coordinates of
+    their rows (`x.take(live, axis=1)`) and multiply float64 weights on
+    those coordinates alone: dropping a zero weight drops a +-0 term. W_QKV
+    rows are stacked per head as [q_h; k_h; v_h]. Where sums are exact,
+    most q and k columns are written by no weight, so the plan keeps W_QKV^T
+    on the columns some weight writes alone, and the step scales their
+    product (by c on q and k: the scale, None for c = 1), rounds it and
+    scatters it into +0.0. That is what every other column held: a sum of
+    +-0 terms from +0.0, times c, rounded to +0.0 without saturating. The
+    output columns are None where every column is written, and always for
+    a plan that is not exact, whose sums' order follows the matrix it
+    multiplies. W_O keeps all its output rows, since gathering the few it
+    writes cost more per step than it saved. W2 reads every neuron, but
+    only about a tenth of its output rows are written by any, so it
+    multiplies and rounds those rows alone, and x_out is x_mid + 0.0 on the
+    rest. That is the full product bit for bit: on such a row it gave
+    rnd(x_mid + rnd(+-0.0)), where x_mid is a value of act that no rounding
+    saturates and never -0.0, so that either zero added to it gives x_mid.
+    """
+
+    def __init__(self, params: TransformerParams, cfg: EvalConfig):
+        self.params = params
+        self.exact = _sums_exactly(params, cfg)
+        d_k, d_v = params.dims.d_k, params.dims.d_v
+        self.emb = params.emb.astype(np.float64)
+        self.unemb_t = params.unemb.astype(np.float64).T
+        layers = []
+        for layer in params.layers:
+            heads, n_heads = layer.heads, len(layer.heads)
+            attention = mlp = None
+            if heads:
+                wqkv = np.concatenate([w for h in heads for w in (h.wq, h.wk, h.wv)])
+                qkv_out = qkv_scale = None
+                if self.exact:
+                    written = wqkv.any(axis=1)
+                    if not written.all():
+                        qkv_out = np.flatnonzero(written)
+                        wqkv = wqkv[qkv_out]
+                        if params.qk_scale != 1.0:  # c on q and k, 1 on v
+                            qk = qkv_out % (2 * d_k + d_v) < 2 * d_k
+                            qkv_scale = np.where(qk, params.qk_scale, 1.0)
+                attention = (
+                    n_heads,
+                    *_read(wqkv),
+                    qkv_out,
+                    qkv_scale,
+                    *_read(np.concatenate([h.wo for h in heads], axis=1)),
+                )
+            if layer.bias4.size:
+                bias = layer.bias4.astype(np.float64) / 4.0
+                w2_out = np.flatnonzero(layer.w2.any(axis=1))
+                mlp = (*_read(layer.w1), bias, w2_out, layer.w2[w2_out].astype(np.float64).T)
+            layers.append((attention, mlp))
+        self.layers = tuple(layers)
+
+
 class Evaluator:
     """Causal evaluator over a growing token sequence, or, given `batch`,
     over that many sequences of equal length run together.
 
+    It multiplies the weights of its `plan` (`EvalPlan`), built from
+    (params, cfg) when none is given, and keeps the run state: the KV
+    cache, the residual rows, the trace arena and the step log. A plan
+    built for another params object, or for a config of other exactness,
+    is refused.
+
     One step runs P new positions of all B sequences through every layer as
     matmuls on (P*B, d) rows against the KV cache, with a causal mask when
-    P > 1. A layer's H heads run at once: Q/K/V rows are stacked per head as
-    [q_h; k_h; v_h] into one (H*(2 d_k + d_v), d) matrix, keys and values of
-    every head share one cache row per position, and the head outputs are
+    P > 1. A layer's H heads run at once: one Q/K/V product gives
+    [q_h; k_h; v_h] of every head, into all H*(2 d_k + d_v) columns also
+    where the plan computes only the live ones, keys and values of every
+    head share one cache row per position, and the head outputs are
     concatenated into one H*d_v vector per position for the (d, H*d_v)
     output matrix. A layer without heads skips its attention half and a
     layer without MLP rows its MLP half: `x_mid` = x + 0.0 and `x_out` =
@@ -493,22 +620,9 @@ class Evaluator:
     activation vectors (`_nonternary`) as it computes them and keeps only
     the reductions; without capture neither runs.
 
-    The Q/K/V, W_O and W1 products gather the live input coordinates of
-    their rows (`x.take(live, axis=1)`) and multiply float64 weights on
-    those coordinates alone: dropping a zero weight drops a +-0 term. W2
-    reads every neuron, but only about a tenth of its output rows are
-    written by any, so it multiplies and rounds those rows alone, and
-    x_out is x_mid + 0.0 on the rest. That is the full product bit for
-    bit: on such a row it gave rnd(x_mid + rnd(+-0.0)), where x_mid is a
-    value of act that no rounding saturates and never -0.0, so that
-    either zero added to it gives x_mid. W_O keeps all its output rows,
-    since gathering the few it writes cost more per step than it saved,
-    and the scores stay `keys @ q`, since another operand order sums
-    rotary scores in another order and changes their bits. `_exact`
-    decides only the step. It holds without rotary positions under hardmax, where
-    the compiled models' values are small integers, and under rounded
-    softmax whose formats keep every sum within `sum_bits` <= 53 for the
-    2^r keys of binary positions. Then no sum depends on its grouping, and
+    The scores stay `keys @ q`, since another operand order sums rotary
+    scores in another order and changes their bits. `_exact`, the plan's
+    `exact`, decides the step: where no sum depends on its grouping,
     `extend` runs a whole block as one step, with future keys masked by
     -inf and each row's softmax denominator and att_err summed over its own
     keys (`_causal_sum`). Every other model steps one position at a time.
@@ -520,54 +634,41 @@ class Evaluator:
     kept positions again from that count.
     """
 
-    def __init__(self, params: TransformerParams, cfg: EvalConfig, batch: int | None = None):
+    def __init__(
+        self,
+        params: TransformerParams,
+        cfg: EvalConfig,
+        batch: int | None = None,
+        plan: EvalPlan | None = None,
+    ):
         if batch is not None and batch < 1:
             raise ValueError("batch must be >= 1")
+        if plan is None:
+            plan = EvalPlan(params, cfg)
+        elif plan.params is not params:
+            raise ValueError("the plan was built for another params object")
+        elif plan.exact != _sums_exactly(params, cfg):
+            kind = "" if plan.exact else "not "
+            raise ValueError(f"the plan was built for a config whose sums are {kind}exact")
         self.params = params
         self.cfg = cfg
         self.batch = batch
+        self.plan = plan
         self.tokens: list = []  # per position: a str, or B strs for a batch
         n_seq = batch or 1
         dims = params.dims
         d, d_k, d_v = dims.d, dims.d_k, dims.d_v
         pos = params.positional
-        self._emb = params.emb.astype(np.float64)
         if isinstance(pos, BinaryAbsolute):  # the coordinates of bits 0..r-1, and 2^0..2^(r-1)
             self._pos_bits = np.array(pos.coords, np.intp), 1 << np.arange(pos.r)
-        self._unemb_t = params.unemb.astype(np.float64).T
         self._rotary = pos if isinstance(pos, RotaryOnly) else None
         self._formats = cfg.act_precision.fmt, cfg.att_precision.fmt  # None: exact
-        n_keys = 2 ** pos.r if isinstance(pos, BinaryAbsolute) else None
-        self._exact = self._rotary is None and (
-            cfg.attention == "hardmax" or sum_bits(dims, *self._formats, n_keys) <= 53
-        )
-        # Per layer, (attention, MLP) plans: (H, then the input coordinates
-        # read and W^T on them for Q/K/V and W_O), None without heads;
-        # (W1's input coordinates and W1^T on them, bias, the output rows
-        # some neuron writes and W2^T on them), None without MLP rows. Rows
-        # times W^T, as ndarray.dot, which costs less per call than matmul.
-        self._w = []
-        for layer in params.layers:
-            heads, n_heads = layer.heads, len(layer.heads)
-            attention = mlp = None
-            if heads:
-                wqkv = np.array([np.concatenate([h.wq, h.wk, h.wv]) for h in heads], np.int8)
-                wo = np.array([h.wo for h in heads], np.int8)
-                attention = (
-                    n_heads,
-                    *_read(wqkv.reshape(n_heads * (2 * d_k + d_v), d)),
-                    *_read(wo.transpose(1, 0, 2).reshape(d, n_heads * d_v)),
-                )
-            if layer.bias4.size:
-                bias = layer.bias4.astype(np.float64) / 4.0
-                w2_out = np.flatnonzero(layer.w2.any(axis=1))
-                mlp = (*_read(layer.w1), bias, w2_out, layer.w2[w2_out].astype(np.float64).T)
-            self._w.append((attention, mlp))
+        self._exact = plan.exact
         # Per position: (B*H, d_k + d_v) rotated, scaled and rounded keys,
         # then values, of each sequence and head; (B, d) final
         # representations. With capture, the trace arena: (B, .) rows of
         # the arrays of `ActivationTrace` that the capture level keeps, by
-        # name. Grown by _reserve.
+        # name. Grown by reserve.
         self._capacity = 0
         self._kv = [np.empty((0, n_seq * len(layer.heads), d_k + d_v)) for layer in params.layers]
         self._x = np.empty((0, n_seq, d))
@@ -645,7 +746,7 @@ class Evaluator:
                         f"position {i}: each position needs {self.batch} tokens, got {len(row)}"
                     )
             rows = list(zip(*tokens))
-        x = self._emb[np.array([[params.token_index(tok) for tok in row] for row in rows])]
+        x = self.plan.emb[np.array([[params.token_index(tok) for tok in row] for row in rows])]
         pos = params.positional
         if isinstance(pos, BinaryAbsolute):
             if start + len(tokens) > 2 ** pos.r:
@@ -665,7 +766,7 @@ class Evaluator:
         if not tokens:
             return
         start = len(self.tokens)
-        self._reserve(start + len(tokens))
+        self.reserve(start + len(tokens))
         x = self._embed(tokens, start)
         self.tokens += tokens
         if self._exact:
@@ -722,22 +823,29 @@ class Evaluator:
             if "y" not in cols:
                 lt.y = zeros
 
-    def _reserve(self, n: int) -> None:
-        """Room for n positions, doubling the capacity (16 at least)."""
+    def reserve(self, n: int) -> None:
+        """Room for n positions, doubling the capacity (16 at least), so
+        that an evaluator that knows how far it may run need not grow. Only
+        the positions run so far are copied: the next `extend` writes the
+        rest."""
         if n <= self._capacity:
             return
         while self._capacity < n:
             self._capacity = max(16, 2 * self._capacity)
+        run = len(self.tokens)
 
         def grown(a: np.ndarray, name: str = "") -> np.ndarray:
             """a with the new capacity on its first axis. The dots buffer
             grows on its last axis too, with -inf in the new room, and
             att_err with 0, since only rounded softmax weights write it."""
             cap = self._capacity
-            shape = (cap, *a.shape[1:-1], cap) if name == "dots" else (cap, *a.shape[1:])
-            fill = {"dots": -np.inf, "att_err": 0.0}.get(name)
-            out = np.empty(shape, a.dtype) if fill is None else np.full(shape, fill)
-            out[tuple(map(slice, a.shape))] = a
+            if name == "dots":
+                out = np.full((cap, *a.shape[1:-1], cap), -np.inf)
+                out[:run, ..., :run] = a[:run, ..., :run]
+                return out
+            shape = (cap, *a.shape[1:])
+            out = np.zeros(shape) if name == "att_err" else np.empty(shape, a.dtype)
+            out[:run] = a[:run]
             return out
 
         self._kv = [grown(kv) for kv in self._kv]
@@ -771,8 +879,8 @@ class Evaluator:
         if capture:
             arena["stream"][start:n, :, :d] = x.reshape(n_new, n_seq, d)
         if audit:  # (P*B, L) activation vectors outside {-1, 0, 1}; x0 joins layer 0's
-            nonternary, vectors = np.zeros((n_new * n_seq, len(self._w)), np.int32), [x]
-        for li, ((attention, mlp), kv) in enumerate(zip(self._w, self._kv)):
+            nonternary, vectors = np.zeros((n_new * n_seq, len(self.plan.layers)), np.int32), [x]
+        for li, ((attention, mlp), kv) in enumerate(zip(self.plan.layers, self._kv)):
             # x is a value of act: an embedding, or rounded at the end of
             # the layer before. Without heads y is +0.0, so x_mid = rnd(x +
             # y, act) is x + 0.0, bit for bit and with no saturation, and on
@@ -780,15 +888,22 @@ class Evaluator:
             if attention is None:
                 x_mid = x + 0.0
             else:
-                n_heads, qkv_in, wqkv, o_in, wo = attention
+                n_heads, qkv_in, wqkv, qkv_out, qkv_scale, o_in, wo = attention
                 qkv = x.take(qkv_in, axis=1).dot(wqkv)
-                qkv = qkv.reshape(n_new * n_seq, n_heads, 2 * d_k + d_v)  # q, k, v per head
-                if rotary is not None:  # one position per step
-                    for qk in (slice(0, d_k), slice(d_k, 2 * d_k)):
-                        qkv[..., qk] = rope_rotate(qkv[..., qk], start, rotary.freqs)
-                if c != 1.0:
-                    qkv[..., : 2 * d_k] *= c
-                qkv = rnd(qkv, act)
+                if qkv_out is None:
+                    qkv = qkv.reshape(n_new * n_seq, n_heads, 2 * d_k + d_v)  # q, k, v per head
+                    if rotary is not None:  # one position per step
+                        for qk in (slice(0, d_k), slice(d_k, 2 * d_k)):
+                            qkv[..., qk] = rope_rotate(qkv[..., qk], start, rotary.freqs)
+                    if c != 1.0:
+                        qkv[..., : 2 * d_k] *= c
+                    qkv = rnd(qkv, act)
+                else:  # the live columns, scaled and rounded, into +0.0
+                    if qkv_scale is not None:
+                        qkv *= qkv_scale
+                    live, qkv = rnd(qkv, act), np.zeros((n_new * n_seq, n_heads * (2 * d_k + d_v)))
+                    qkv[:, qkv_out] = live
+                    qkv = qkv.reshape(n_new * n_seq, n_heads, 2 * d_k + d_v)
                 rows = n_seq * n_heads  # one attention stack per sequence and head
                 kv[start:n] = qkv[..., d_k:].reshape(n_new, rows, d_k + d_v)
                 keys = kv[:n, :, :d_k].transpose(1, 0, 2)  # (B*H, n, d_k)
@@ -867,7 +982,7 @@ class Evaluator:
             position = len(self.tokens) - 1
         elif not 0 <= position < len(self.tokens):
             raise ValueError(f"position {position} not processed")
-        scores = self._x[position].dot(self._unemb_t)
+        scores = self._x[position].dot(self.plan.unemb_t)
         return scores[0] if self.batch is None else scores
 
     def next_tokens(self, position: int | None = None) -> list[str]:
@@ -959,10 +1074,11 @@ def _read(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def forward(
-    params: TransformerParams, tokens: list[str], cfg: EvalConfig
+    params: TransformerParams, tokens: list[str], cfg: EvalConfig, plan: EvalPlan | None = None
 ) -> tuple[np.ndarray, ActivationTrace]:
-    """Evaluate the full sequence; returns final representations and trace."""
-    ev = Evaluator(params, cfg)
+    """Evaluate the full sequence, on `plan` if given; returns final
+    representations and trace."""
+    ev = Evaluator(params, cfg, plan=plan)
     ev.extend(tokens)
     return ev.final_representations(), ev.trace
 

@@ -842,3 +842,77 @@ def test_the_trace_drafter_proposes_only_the_oracle_s_tokens(machine, protocol, 
         decoded, steps, fed = decoded + 1, steps + s, fed + f
         halting_blocks += len(misses)
     assert (decoded, steps, fed, halting_blocks) == pinned
+
+
+# ---------------------------------------------------------------------------
+# one evaluator plan per run
+
+
+def test_a_scot_run_builds_one_plan_that_dies_with_the_call(monkeypatch):
+    """The counter on h00000000 at r = 8 runs 61 segments, each on an
+    evaluator of its own, and all of them multiply the one plan that the
+    run builds. Nothing keeps that plan once run_scot returns."""
+    import gc
+    import weakref
+
+    from machines import counter_machine
+
+    from tm2tf.compilers import compile_scot
+    from tm2tf.netcore import EvalPlan, Evaluator
+
+    params, _ = compile_scot(counter_machine(), 8)
+    plans, used = [], []
+    plan_init, ev_init = EvalPlan.__init__, Evaluator.__init__
+
+    def counted_plan(plan, *args, **kwargs):
+        plan_init(plan, *args, **kwargs)
+        plans.append(weakref.ref(plan))
+
+    def counted_evaluator(ev, *args, **kwargs):
+        ev_init(ev, *args, **kwargs)
+        used.append(id(ev.plan))
+
+    monkeypatch.setattr(EvalPlan, "__init__", counted_plan)
+    monkeypatch.setattr(Evaluator, "__init__", counted_evaluator)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        trace = run_scot(params, "h" + "0" * 8, EvalConfig())
+        assert trace.outcome == "output" and len(trace.segments) == 61
+        assert len(plans) == 1 and plans[0]() is None
+    finally:
+        if enabled:
+            gc.enable()
+    assert len(used) == 61 and len(set(used)) == 1
+
+
+@pytest.mark.parametrize("mode", ["hardmax", "denoised"])
+def test_a_run_on_one_plan_equals_a_plan_per_segment(mode, monkeypatch):
+    """bouncer4 SCoT r=6 on "xyx", captured in full and with step records:
+    the run whose segments share one plan and the run whose evaluators
+    each build their own give byte-identical GenerationTraces."""
+    import pickle
+    from dataclasses import replace
+
+    from machines import bouncer_machine
+
+    from tm2tf.compilers import compile_scot
+    from tm2tf.netcore import Evaluator
+    from tm2tf.softmaxify import convert
+
+    params, _ = compile_scot(bouncer_machine(4), 6)
+    cfg = EvalConfig(capture_trace=True)
+    if mode == "denoised":
+        params, cfg = convert(params, "denoised", 2 ** 6)
+        cfg = replace(cfg, capture_trace=True)
+    shared = run_scot(params, "xyx", cfg, record_steps=True)
+    init = Evaluator.__init__
+
+    def own_plan(ev, params, cfg, batch=None, plan=None):
+        init(ev, params, cfg, batch)
+
+    monkeypatch.setattr(Evaluator, "__init__", own_plan)
+    own = run_scot(params, "xyx", cfg, record_steps=True)
+    assert shared.outcome == "output" and len(shared.segments) > 1
+    assert_same_run(shared, own)
+    assert pickle.dumps(shared) == pickle.dumps(own)

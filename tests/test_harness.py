@@ -802,3 +802,72 @@ def test_harness_refuses(case):
     call, message = HARNESS_REFUSALS[case]
     with pytest.raises(ValueError, match=message):
         call()
+
+
+# ---------------------------------------------------------------------------
+# one evaluator plan per DFA and per denoised trial
+
+
+def _counted_plans(monkeypatch) -> tuple[list, list]:
+    """Patches EvalPlan and Evaluator to record each plan built and the
+    plan of each evaluator built, in order."""
+    from tm2tf.netcore import EvalPlan, Evaluator
+
+    plans, used = [], []
+    plan_init, ev_init = EvalPlan.__init__, Evaluator.__init__
+
+    def counted_plan(plan, *args, **kwargs):
+        plan_init(plan, *args, **kwargs)
+        plans.append(plan)
+
+    def counted_evaluator(ev, *args, **kwargs):
+        ev_init(ev, *args, **kwargs)
+        used.append(ev.plan)
+
+    monkeypatch.setattr(EvalPlan, "__init__", counted_plan)
+    monkeypatch.setattr(Evaluator, "__init__", counted_evaluator)
+    return plans, used
+
+
+def test_validate_dfa_builds_one_plan_per_dfa(monkeypatch):
+    """The eight length batches of a DFA (words up to length 7 at r = 3)
+    run on one plan."""
+    plans, used = _counted_plans(monkeypatch)
+    report = validate_dfa([parity_dfa(), contains_ab_dfa()], r=3, max_len=7)
+    assert report.ok and report.checked == 2 * (2 ** 8 - 1)
+    assert len(plans) == 2
+    assert [plans.index(plan) for plan in used] == [0] * 8 + [1] * 8
+
+
+def test_the_denoising_margin_audit_builds_one_reference_plan_per_trial(monkeypatch):
+    """The hardmax reference of every segment of a denoised trial runs on
+    one plan, and counts what a plan per segment counted. The segments are
+    the oracle's for copy SCoT r=6 on "011", and their traces those of its
+    conversion at c = 4, where attention leaks past the margin."""
+    from dataclasses import replace
+
+    from machines import copy_machine
+
+    from tm2tf.automata import scot_segments_oracle
+    from tm2tf.compilers import compile_scot
+    from tm2tf.generation import GenerationTrace
+    from tm2tf.harness import _denoising_margin_violations
+    from tm2tf.netcore import EvalConfig, forward
+    from tm2tf.softmaxify import convert
+
+    hard, _ = compile_scot(copy_machine(), 6)
+    params, cfg = convert(hard, "denoised", 2 ** 6, c=4.0)
+    segments = scot_segments_oracle(copy_machine(), "011", 6)
+    cfg = replace(cfg, capture_trace=True)
+    traces = [forward(params, seg[:-1], cfg)[1] for seg in segments]
+    trace = GenerationTrace(segments=segments, eval_traces=traces)
+    assert len(segments) == 2
+    reference = 0
+    for seg, ev_trace in zip(trace.segments, trace.eval_traces):
+        _, hard_trace = forward(hard, seg[:-1], EvalConfig(capture_trace=True))
+        for hard_lt, conv_lt in zip(hard_trace.layers, ev_trace.layers[::2]):
+            dev = np.abs(conv_lt.x_mid[: len(hard_lt.x_mid)] - hard_lt.x_mid).max(axis=-1)
+            reference += int((dev > 0.25 + 1e-12).sum())
+    plans, used = _counted_plans(monkeypatch)
+    assert _denoising_margin_violations(hard, trace) == reference > 0
+    assert len(plans) == 1 and used == plans * len(trace.segments)

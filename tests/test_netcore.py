@@ -1774,3 +1774,243 @@ def test_a_code_out_of_range_is_named_by_layer_and_head(where):
         message = f"layer {li} head {hi} wv codes must lie in [-1, 1]"
     with pytest.raises(ValueError, match=re.escape(message)):
         params.validate_weights()
+
+
+# ---------------------------------------------------------------------------
+# the evaluator plan
+
+
+def test_an_evaluator_refuses_a_plan_of_another_model_or_exactness():
+    """A plan is built for one params object and one exactness: an
+    evaluator of another model, even an equal one, or of a config whose
+    sums are (not) exact refuses it. A plan of equal exactness serves
+    another capture level, and gives what an own plan gives."""
+    import copy
+
+    from machines import parity_dfa
+
+    from tm2tf.automata import BOS
+    from tm2tf.compilers import compile_dfa
+    from tm2tf.netcore import EvalPlan
+
+    params, _ = compile_dfa(parity_dfa(), 3)
+    exact, rounded = EvalConfig(), EvalConfig(attention="softmax")
+    plan = EvalPlan(params, exact)
+    assert plan.exact and not EvalPlan(params, rounded).exact
+    with pytest.raises(ValueError, match="another params object"):
+        Evaluator(copy.deepcopy(params), exact, plan=plan)
+    with pytest.raises(ValueError, match="sums are exact"):
+        Evaluator(params, rounded, plan=plan)
+    with pytest.raises(ValueError, match="sums are not exact"):
+        Evaluator(params, exact, plan=EvalPlan(params, rounded))
+    cfg = EvalConfig(capture_trace=True)
+    shared, own = Evaluator(params, cfg, plan=plan), Evaluator(params, cfg)
+    for ev in (shared, own):
+        ev.extend([BOS, *"0110"])
+    assert shared.plan is plan and own.plan is not plan
+    assert shared.final_representations().tobytes() == own.final_representations().tobytes()
+    assert shared.trace.stream.tobytes() == own.trace.stream.tobytes()
+    assert shared.trace.q.tobytes() == own.trace.q.tobytes()
+
+
+def _largest_validate_scot_model():
+    """The compiled model of `validate_scot(2, 1)`, the validation trial
+    that sets validate-mixed's peak memory."""
+    from tm2tf import harness
+
+    built = []
+    compile_scot = harness.compile_scot
+    harness.compile_scot = lambda tm, r: built.append(compile_scot(tm, r)) or built[-1]
+    try:
+        report = harness.validate_scot(2, 1)
+    finally:
+        harness.compile_scot = compile_scot
+    assert report.checked == 1 and report.ok
+    return built[0][0]
+
+
+def _wqkv(layer) -> np.ndarray:
+    """A layer's (H*(2 d_k + d_v), d) Q/K/V rows, [q_h; k_h; v_h] per head."""
+    return np.concatenate([w for h in layer.heads for w in (h.wq, h.wk, h.wv)])
+
+
+def _nbytes(arrays) -> int:
+    return sum(a.nbytes for a in arrays or () if isinstance(a, np.ndarray))
+
+
+def test_an_exact_plan_keeps_only_the_qkv_columns_some_weight_writes():
+    """The `validate_scot(2, 1)` model (d = 361, 119 heads, d_k = 47):
+    its plan held 14.6 MB of layer arrays, 7.5 MB of them Q/K/V, when it
+    kept every q and k column; on the written columns alone it holds 10.0
+    and 2.9 MB, 10.5 MB with the embeddings. A plan that is not exact
+    keeps every column."""
+    from tm2tf.netcore import EvalPlan
+
+    params = _largest_validate_scot_model()
+    assert params.dims.d == 361 and sum(len(layer.heads) for layer in params.layers) == 119
+    plan = EvalPlan(params, EvalConfig(capture_trace="audit"))
+    qkv = sum(_nbytes(attention[1:5]) for attention, _ in plan.layers if attention)
+    held = _nbytes([plan.emb, plan.unemb_t]) + sum(
+        _nbytes(attention) + _nbytes(mlp) for attention, mlp in plan.layers
+    )
+    assert held <= 11e6 and qkv <= 3.5e6, (held, qkv)
+    d_k, d_v = params.dims.d_k, params.dims.d_v
+    for layer, (attention, _) in zip(params.layers, plan.layers):
+        if attention is None:
+            continue
+        assert attention[3].tolist() == np.flatnonzero(_wqkv(layer).any(axis=1)).tolist()
+        assert attention[2].shape == (attention[1].size, attention[3].size)
+    rounded = EvalPlan(params, EvalConfig(attention="softmax"))
+    for layer, (attention, _) in zip(params.layers, rounded.layers):
+        if attention is not None:
+            assert attention[3] is None
+            assert attention[2].shape[1] == len(layer.heads) * (2 * d_k + d_v)
+
+
+_HEAD_KEYS = ("wq", "wk", "wv", "wo")
+
+
+def _bound_groups(params: TransformerParams) -> dict[int, list[tuple[str, np.ndarray]]]:
+    """validate_weights' arrays by the bound of their codes, in its order."""
+    d = params.dims.d
+    groups = {1: [("emb", params.emb), ("unemb", params.unemb)], 2: [], 4 * (d + 1): []}
+    for li, layer in enumerate(params.layers):
+        for hi, h in enumerate(layer.heads):
+            groups[1] += [(f"layer {li} head {hi} {k}", getattr(h, k)) for k in _HEAD_KEYS]
+        groups[2] += [(f"layer {li} w1", layer.w1), (f"layer {li} w2", layer.w2)]
+        groups[4 * (d + 1)].append((f"layer {li} bias4", layer.bias4))
+    return groups
+
+
+def _straddling(group: list[tuple[str, np.ndarray]]) -> int:
+    """The index of the array whose codes hold the group's code number
+    _CHECK_CHUNK, counted from 0 over the group's arrays in order."""
+    from tm2tf.netcore import _CHECK_CHUNK
+
+    ends = np.cumsum([a.size for _, a in group])
+    return int(np.searchsorted(ends, _CHECK_CHUNK, side="right"))
+
+
+CHUNK_PLANTS = ["first", "straddling", "last", "straddling and last"]
+
+
+@pytest.mark.parametrize(
+    "bound_index, where",
+    [(i, where) for i in (0, 1) for where in CHUNK_PLANTS] + [(2, "first"), (2, "last")],
+)
+def test_a_chunked_code_check_names_the_first_array_out_of_range(bound_index, where):
+    """validate_weights checks the codes of one bound in runs of about
+    _CHECK_CHUNK codes. bouncer8 CoT r=10 has 0.82 M codes of bound 1 and
+    0.87 M of bound 2, several runs each, and 33 bias4 arrays in one run.
+    A code out of range in the first array of a group, in the one that
+    holds its code number _CHECK_CHUNK or in its last is refused with the
+    message the one-copy check gave, naming that array; with two, the
+    earlier."""
+    from machines import bouncer_machine
+
+    from tm2tf.compilers import compile_cot
+
+    params, _ = compile_cot(bouncer_machine(8), 10)
+    bound, group = list(_bound_groups(params).items())[bound_index]
+    if bound <= 2:
+        assert sum(a.size for _, a in group) > 3 * 2 ** 18
+    index = {"first": [0], "straddling": [_straddling(group)], "last": [len(group) - 1]}
+    index["straddling and last"] = index["straddling"] + index["last"]
+    planted = index[where]
+    for i in planted:
+        group[i][1][(-1,) * group[i][1].ndim] = -bound - 1
+    with pytest.raises(ValueError) as refused:
+        params.validate_weights()
+    assert str(refused.value) == f"{group[planted[0]][0]} codes must lie in [-{bound}, {bound}]"
+
+
+def test_the_code_check_joins_no_more_than_a_chunk(traced_memory):
+    """Checking bouncer8 CoT r=10 (1.7 M int8 codes) allocates at most one
+    run of _CHECK_CHUNK codes at a time: one copy of all codes of a bound
+    took 0.89 MB."""
+    from machines import bouncer_machine
+
+    from tm2tf.compilers import compile_cot
+    from tm2tf.netcore import _CHECK_CHUNK
+
+    params, _ = compile_cot(bouncer_machine(8), 10)
+    _, _, peak = traced_memory(params.validate_weights)
+    assert peak < _CHECK_CHUNK + 50_000, peak
+
+
+# (machine, protocol, r, word) of every tests/machines.py Turing machine
+ZERO_SIGN_RUNS = [
+    ("fig2", "cot", 6, "abab"),
+    ("fig2", "scot", 6, "abab"),
+    ("one_step", "cot", 6, "x"),
+    ("one_step", "scot", 6, "x"),
+    ("bouncer4", "cot", 6, "xy"),
+    ("bouncer4", "scot", 6, "xyx"),
+    ("copy", "cot", 6, "01"),
+    ("copy", "scot", 6, "011"),
+    ("counter", "cot", 6, "h0"),
+    ("counter", "scot", 6, "h00"),
+    ("tally", "cot", 6, "ab"),
+    ("tally", "scot", 6, "ab"),
+]
+
+
+def _assert_dead_columns_hold_plus_zero(params, trace, label) -> int:
+    """Every dead Q/K/V column of every layer holds +0.0 in the trace, and
+    so does the product over all columns that the plan replaces, from the
+    same layer inputs. Returns how many dead values were checked."""
+    checked = 0
+    x_in = trace.x0
+    for li, (layer, lt) in enumerate(zip(params.layers, trace.layers)):
+        if layer.heads:
+            w = _wqkv(layer)
+            dead = ~w.any(axis=1)
+            qkv = np.concatenate([lt.q, lt.k, lt.v], axis=-1)  # (P, H, 2 d_k + d_v)
+            live = np.flatnonzero(w.any(axis=0))
+            full = x_in.take(live, axis=1).dot(w[:, live].T.astype(np.float64))
+            for name, values in (("trace", qkv.reshape(len(qkv), -1)), ("product", full)):
+                cols = values[:, dead]
+                assert (cols == 0.0).all() and not np.signbit(cols).any(), (label, li, name)
+                checked += cols.size
+        x_in = lt.x_out
+    return checked
+
+
+@pytest.mark.parametrize("mode", ["hardmax", "denoised"])
+@pytest.mark.parametrize("machine, protocol, r, word", ZERO_SIGN_RUNS)
+def test_dead_qkv_columns_hold_plus_zero(machine, protocol, r, word, mode):
+    """An exact plan computes only the Q/K/V columns that some weight
+    writes and leaves the rest at +0.0. The product over every column,
+    which the pinned trace digests were taken from, held +0.0 there too,
+    with no sign bit: its sums of +-0.0 terms start from +0.0. So full
+    traces, and the digests of their bytes, are unchanged."""
+    from dataclasses import replace
+
+    import machines
+
+    from tm2tf.compilers import compile_cot, compile_scot
+    from tm2tf.generation import run_cot, run_scot
+    from tm2tf.softmaxify import convert
+
+    tm = {
+        "fig2": machines.fig2_machine,
+        "one_step": machines.one_step_machine,
+        "bouncer4": machines.bouncer_machine,
+        "copy": machines.copy_machine,
+        "counter": machines.counter_machine,
+        "tally": machines.tally_machine,
+    }[machine]()
+    params, _ = (compile_cot if protocol == "cot" else compile_scot)(tm, r)
+    cfg = EvalConfig(capture_trace=True)
+    if mode == "denoised":
+        params, cfg = convert(params, "denoised", 2 ** r)
+        cfg = replace(cfg, capture_trace=True)
+    trace = (run_cot if protocol == "cot" else run_scot)(params, word, cfg)
+    assert trace.outcome == "output" and len(trace.eval_traces) == len(trace.segments)
+    assert Evaluator(params, cfg).plan.exact
+    checked = sum(
+        _assert_dead_columns_hold_plus_zero(params, t, (machine, protocol, mode, i))
+        for i, t in enumerate(trace.eval_traces)
+    )
+    assert checked > 0
+
