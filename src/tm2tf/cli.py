@@ -8,6 +8,7 @@ paths; stdout carries short human-readable summaries.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -57,6 +58,16 @@ def _write_json(path: str, doc: dict) -> None:
     try:
         with open(path, "w") as f:
             f.write(text)
+    except OSError as exc:
+        raise CliError(f"file error: cannot write {path}: {exc}") from exc
+
+
+def _open_for_writing(path: str | None):
+    """The file at path opened for writing, or a null context for None."""
+    if path is None:
+        return contextlib.nullcontext()
+    try:
+        return open(path, "w")
     except OSError as exc:
         raise CliError(f"file error: cannot write {path}: {exc}") from exc
 
@@ -158,7 +169,7 @@ def _cmd_convert(args) -> int:
     sizes = ""
     if converted.mode == "denoised":
         # the denoising rows built, of the 6d per layer the theorem states
-        built = sum(layer.bias4.size for layer in converted.layers[::2])
+        built = sum(layer.parts()[1].m for layer in converted.layers[::2])
         sizes = f" denoisers={built}/{6 * params.dims.d * params.dims.n_layers}"
     print(
         f"converted mode={args.mode} c={converted.qk_scale} N={context_bound} "
@@ -176,21 +187,22 @@ def _cmd_run(args) -> int:
     print(f"eval: attention={cfg.attention} act={cfg.act_precision} att={cfg.att_precision}")
     word = _parse_word(args.word)
     runner = run_cot if args.command == "run-cot" else run_scot
-    try:
-        trace = runner(
-            params, word, cfg, budget=args.budget, record_steps=args.trace_out is not None
-        )
-    except EvalError as exc:  # a token outside the vocabulary or past the context
-        raise CliError(f"usage error: {exc}") from exc
-    if args.trace_out:
+    # The trace file is opened before decoding, so that a path that cannot
+    # be written fails at once, as --out does.
+    with _open_for_writing(args.trace_out) as trace_file:
         try:
-            with open(args.trace_out, "w") as f:
+            record = trace_file is not None
+            trace = runner(params, word, cfg, budget=args.budget, record_steps=record)
+        except EvalError as exc:  # a token outside the vocabulary or past the context
+            raise CliError(f"usage error: {exc}") from exc
+        if trace_file is not None:
+            try:
                 for rec in trace.records:
-                    f.write(json.dumps(rec) + "\n")
+                    trace_file.write(json.dumps(rec) + "\n")
                 for i, seg in enumerate(trace.segments):
-                    f.write(json.dumps({"segment": i, "length": len(seg)}) + "\n")
-        except OSError as exc:
-            raise CliError(f"file error: {exc}") from exc
+                    trace_file.write(json.dumps({"segment": i, "length": len(seg)}) + "\n")
+            except OSError as exc:
+                raise CliError(f"file error: cannot write {args.trace_out}: {exc}") from exc
     print(f"outcome: {trace.outcome}")
     print(f"ties={trace.tie_warnings} saturations={trace.saturations}")
     if trace.outcome == "output":

@@ -12,11 +12,13 @@ indices it writes, caches it, and places it on the registers'
 coordinates; a block is its placed patterns, and it carries its gate and
 writes, mapped onto those coordinates. `Neurons.join` keeps the parts in
 order, intersects the gates and unites the writes; `mlp_weights` reads a
-block as its weight matrices. `ModelBuilder.add_neurons` checks each op
-against the others of its layer by those gates and writes, and `finalize`
-fills every layer's MLP, and every head, with one scatter per matrix,
-leaves the model contract to `validate_weights`, and returns the
-parameters with their `CompileReport`.
+block as its weight matrices' entries, which unpack as the dense arrays.
+`ModelBuilder.add_neurons` checks each op against the others of its layer
+by those gates and writes, and `finalize` finds the entries of every
+layer's MLP, and of every head, with one sort per matrix over the whole
+model, builds no dense array, leaves the model contract to
+`validate_weights`, and returns the parameters with their
+`CompileReport`.
 """
 
 from __future__ import annotations
@@ -27,7 +29,8 @@ from itertools import accumulate, chain, repeat
 
 import numpy as np
 
-from .netcore import Dims, HeadParams, LayerParams, TransformerParams
+from .netcore import Dims, TransformerParams
+from .weights import HeadEntries, LayerParams, MlpEntries
 
 __all__ = [
     "bin_pm1",
@@ -560,57 +563,102 @@ def selector_head(
 # builder
 
 
-def mlp_weights(neurons: Neurons, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(w1, bias4, w2) of shapes (m, d), (m,), (d, m) for m neurons, in order."""
+def mlp_weights(neurons: Neurons, d: int) -> MlpEntries:
+    """The MLP of m neurons, in order, as entries; it unpacks as the arrays
+    (w1, bias4, w2) of shapes (m, d), (m,), (d, m)."""
     return _mlp_layers(neurons.parts, d, [len(neurons)])[0]
 
 
-def _mlp_layers(parts, d: int, sizes: list[int]) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+def _sorted_entries(
+    flat: np.ndarray, codes: np.ndarray, add: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """(at, codes) of the int8 array that writing `codes` at the flat
+    indices `flat` fills: the indices in increasing order, and the codes of
+    the nonzero results. A repeated index holds the sum of its codes if
+    `add`, wrapping in int8 as np.add.at does, and else its last code, as an
+    assignment leaves it."""
+    order = np.argsort(flat, kind="stable")
+    flat, codes = flat[order], codes[order]
+    if flat.size > 1:
+        new = flat[1:] != flat[:-1]
+        if not new.all():
+            if add:
+                firsts = np.flatnonzero(np.concatenate([[True], new]))
+                flat, codes = flat[firsts], np.add.reduceat(codes, firsts)
+            else:
+                lasts = np.concatenate([new, [True]])
+                flat, codes = flat[lasts], codes[lasts]
+    codes = codes.astype(np.int8)
+    kept = codes != 0
+    if not kept.all():
+        flat, codes = flat[kept], codes[kept]
+    return flat, codes
+
+
+def _mlp_layers(parts, d: int, sizes: list[int]) -> list[MlpEntries]:
     """`mlp_weights` per layer of the placed patterns `parts`, whose rows in
-    order are the layers' rows, `sizes` of them per layer. One scatter per
-    matrix fills one buffer, laid out so that every layer's matrices are
-    disjoint C-contiguous slices of it: the w1 rows in order, and layer
-    l's (d, m_l) w2 from d times its first row on."""
+    order are the layers' rows, `sizes` of them per layer. Each matrix's
+    entries are found for all layers at once, in one index space where
+    every layer's matrices are disjoint C-order ranges: the w1 rows in
+    order, and layer l's (d, m_l) w2 from d times its first row on; each
+    layer's are then a slice, counted from its range's start."""
     ins, outs, bias4 = _entries(parts, 0), _entries(parts, 1), _biases(parts)
     cuts = np.fromiter(accumulate(sizes, initial=0), np.intp, len(sizes) + 1)
-    w1 = np.zeros((len(bias4), d), dtype=np.int8)
-    w1[ins[:, 0], ins[:, 1]] = ins[:, 2]
     row = outs[:, 0]
     layer = np.searchsorted(cuts, row, side="right") - 1
     start, stop = cuts[layer], cuts[layer + 1]
-    w2 = np.zeros(len(bias4) * d, dtype=np.int8)
-    w2[d * start + outs[:, 1] * (stop - start) + row - start] = outs[:, 2]
-    return [
-        (w1[a:b], bias4[a:b], w2[d * a : d * b].reshape(d, b - a))
-        for a, b in zip(cuts.tolist(), cuts[1:].tolist())
+    bias_at = np.flatnonzero(bias4)
+    matrices = [
+        _sorted_entries(ins[:, 0] * d + ins[:, 1], ins[:, 2], add=False),
+        (bias_at, bias4[bias_at]),
+        _sorted_entries(
+            d * start + outs[:, 1] * (stop - start) + row - start, outs[:, 2], add=False
+        ),
     ]
+    slices = []
+    for (at, codes), scale in zip(matrices, (d, 1, d)):
+        ends = np.searchsorted(at, scale * cuts).tolist()
+        at = at - scale * np.repeat(cuts[:-1], np.diff(ends))
+        slices.append([(at[i:j], codes[i:j]) for i, j in zip(ends, ends[1:])])
+    return [MlpEntries(m, d, *matrices) for m, *matrices in zip(sizes, *slices)]
 
 
-def _head_weights(
-    specs: list[HeadSpec], d_k: int, d_v: int, d: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """(len(specs), 2 d_k + d_v, d) weights: the query, key and value rows
-    of each head stacked, row i summing the (coord, sign) pairs of its spec
-    row; and (len(specs), d, d_v) output weights, column j writing the
-    head's j-th output coordinate. One scatter each, over entries that
-    itertools flattens, not a Python loop per entry."""
+def _head_layers(
+    specs: list[HeadSpec], counts: list[int], d_k: int, d_v: int, d: int
+) -> list[HeadEntries]:
+    """The `HeadEntries` of each layer, whose heads are the next `counts`
+    of `specs`. Row i of a head's query, key or value matrix sums the
+    (coord, sign) pairs of its spec row, and column j of its wo writes the
+    head's j-th output coordinate. The entries of all heads are found at
+    once, every head's arrays laid out as `HeadEntries` lays them out, one
+    head after the other, and then cut at the layers' heads."""
+    block = (2 * d_k + d_v) * d + d * d_v  # one head's codes
     mats = [rows for spec in specs for rows in (spec.q_rows, spec.k_rows, spec.v_rows)]
     n_rows = np.fromiter(map(len, mats), np.intp, len(mats))
-    # Each matrix's first row in w viewed as (len(specs) * (2 d_k + d_v), d).
-    first = np.add.outer(np.arange(len(specs)) * (2 * d_k + d_v), (0, d_k, 2 * d_k)).ravel()
-    row = np.arange(n_rows.sum()) + np.repeat(first - np.cumsum(n_rows) + n_rows, n_rows)
+    # Each matrix's first index: its head's block, and in it 0, d_k d, 2 d_k d.
+    first = np.add.outer(np.arange(len(specs)) * block, (0, d_k * d, 2 * d_k * d)).ravel()
     rows = list(chain.from_iterable(mats))
-    row = np.repeat(row, np.fromiter(map(len, rows), np.intp, len(rows)))
+    row_first = np.repeat(first - d * (np.cumsum(n_rows) - n_rows), n_rows)
+    row_first += d * np.arange(len(rows))
+    row_first = np.repeat(row_first, np.fromiter(map(len, rows), np.intp, len(rows)))
     coord, sign = np.fromiter(chain.from_iterable(chain.from_iterable(rows)), np.intp).reshape(-1, 2).T
-    w = np.zeros((len(specs), 2 * d_k + d_v, d), dtype=np.int8)
-    np.add.at(w.reshape(-1, d), (row, coord), sign.astype(np.int8))
     n_out = np.fromiter((len(spec.out_coords) for spec in specs), np.intp, len(specs))
     head = np.repeat(np.arange(len(specs)), n_out)
     col = np.arange(n_out.sum()) - np.repeat(np.cumsum(n_out) - n_out, n_out)
     out = np.fromiter(chain.from_iterable(spec.out_coords for spec in specs), np.intp)
-    wo = np.zeros((len(specs), d, d_v), dtype=np.int8)
-    wo[head, out, col] = 1
-    return w, wo
+    wo_flat = head * block + (2 * d_k + d_v) * d + out * d_v + col
+    at, codes = _sorted_entries(
+        np.concatenate([row_first + coord, wo_flat]),
+        np.concatenate([sign, np.ones(len(wo_flat), np.intp)]),
+        add=True,
+    )
+    firsts = np.fromiter(accumulate(counts, initial=0), np.intp, len(counts) + 1)
+    ends = np.searchsorted(at, firsts * block).tolist()
+    at = at - block * np.repeat(firsts[:-1], np.diff(ends))  # from each layer's first head
+    return [
+        HeadEntries(n, (d, d_k, d_v), at[i:j], codes[i:j])
+        for n, i, j in zip(counts, ends, ends[1:])
+    ]
 
 
 @dataclass
@@ -773,17 +821,17 @@ class ModelBuilder:
         for spec in specs:
             if max(len(spec.q_rows), len(spec.k_rows)) > d_k or len(spec.v_rows) > d_v:
                 raise BuildError(f"head {spec.name} exceeds d_k/d_v")
-        wqkv, wo = _head_weights(specs, d_k, d_v, d)
-        head_params = iter(
-            [HeadParams(w[:d_k], w[d_k : 2 * d_k], w[2 * d_k :], o) for w, o in zip(wqkv, wo)]
-        )
+        heads_used = [len(heads) for heads in self._heads]
         # Every op's rows at once, numbered across layers.
         parts = [part for ops in self._mlp_ops for op in ops for part in op.neurons.parts]
         neurons_used = [sum(len(op.neurons) for op in ops) for ops in self._mlp_ops]
-        layers = [
-            LayerParams([next(head_params) for _ in heads], *mlp)
-            for heads, mlp in zip(self._heads, _mlp_layers(parts, d, neurons_used))
-        ]
+        layers = list(
+            map(
+                LayerParams.held,
+                _head_layers(specs, heads_used, d_k, d_v, d),
+                _mlp_layers(parts, d, neurons_used),
+            )
+        )
 
         params = TransformerParams(
             dims=dims,
@@ -802,7 +850,7 @@ class ModelBuilder:
             dims=dims,
             registers=self.layout.as_dict(),
             manifest=self.manifest,
-            heads_used=[len(heads) for heads in self._heads],
+            heads_used=heads_used,
             neurons_used=neurons_used,
         )
         return params, report

@@ -10,12 +10,18 @@ the tokens that stand and goes on from there on the same evaluator.
 Hardmax decisions compare raw integer dot products, sidestepping the
 1/sqrt(d_k) division.
 
+A model holds each layer's weights as entries (`weights.HeadEntries`,
+`weights.MlpEntries`): the increasing flat indices of the nonzero codes of
+its arrays, and the codes, which is what a model file stores. Compiling,
+loading, checking, saving and planning read those; a layer builds dense
+arrays only when code reads them (`weights.LayerParams`).
+
 An evaluator is two parts. Its plan (`EvalPlan`) is what it multiplies:
-float64 weights cut from the int8 codes, the live coordinates they read and
-write, and whether its sums are exact. It is built once from a model and a
-config and never written, so every evaluator of one run can share it. The
-run state (KV cache, residual rows, trace arena, step log) is each
-evaluator's own.
+float64 weights cut from the layers' entries, the live coordinates they
+read and write, and whether its sums are exact. It is built once from a
+model and a config and never written, so every evaluator of one run can
+share it. The run state (KV cache, residual rows, trace arena, step log)
+is each evaluator's own.
 
 A step runs P new positions of B equal-length sequences through each layer
 at once: one fused Q/K/V matmul, one KV cache of shape (positions, B*H,
@@ -48,6 +54,7 @@ gap.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -59,6 +66,15 @@ from typing import Iterable
 import numpy as np
 
 from .fpcore import EXACT, FloatFormat, Precision, round_array
+from .weights import (
+    HEAD_KEYS as _HEAD_KEYS,
+    HeadEntries,
+    HeadParams,
+    LayerParams,
+    MlpEntries,
+    attention_plans,
+    mlp_plans,
+)
 
 __all__ = [
     "MODES",
@@ -66,6 +82,8 @@ __all__ = [
     "Dims",
     "check_dims",
     "HeadParams",
+    "HeadEntries",
+    "MlpEntries",
     "LayerParams",
     "BinaryAbsolute",
     "RotaryOnly",
@@ -141,52 +159,50 @@ def _name(parts: tuple) -> str:
     return " ".join(map(str, parts))
 
 
+def _head_name(li: int, at: np.ndarray, sizes: np.ndarray, i: int) -> tuple:
+    """The name parts of the head array of layer li that holds entry i of
+    its heads' entries `at`; `sizes` are the ends of wq, wk, wv and wo in
+    one head's block."""
+    hi, k = divmod(int(at[i]), int(sizes[-1]))
+    return "layer", li, "head", hi, _HEAD_KEYS[int(np.searchsorted(sizes, k, side="right"))]
+
+
 def _outside(codes: np.ndarray, bound: int) -> bool:
     """Whether a code lies outside [-bound, bound]. By min and max, not
     abs: np.abs wraps at the dtype minimum (int8 -128)."""
     return codes.min(initial=0) < -bound or codes.max(initial=0) > bound
 
 
-# Codes per min/max pair of `_first_outside`: enough that the pairs of a
-# model's hundreds of small arrays are few, small enough that the copy that
-# joins them stays far below the model.
+# Codes per min/max pair of `_first_outside`: a model's entries, about 1% of
+# its weights, are one run, while a model whose arrays are mostly nonzero
+# is still never copied whole.
 _CHECK_CHUNK = 2 ** 18
 
 
-def _first_outside(group: list[tuple[tuple, np.ndarray]], bound: int) -> tuple | None:
-    """The name parts of the first (parts, array) of `group` that holds a
-    code outside [-bound, bound], or None. Consecutive arrays are joined
-    into runs of at most _CHECK_CHUNK codes, an array as large alone, and
-    each run is checked with one min/max pair; only in a failing run is
-    each array checked on its own."""
-    run: list[tuple[tuple, np.ndarray]] = []
+def _first_outside(group: list[tuple], bound: int) -> tuple | None:
+    """The name parts of the first array of `group` that holds a code
+    outside [-bound, bound], or None. An item of `group` is (name, codes):
+    `name` is an array's name parts, or a function from the index of an
+    item's first bad code to the name parts of the array that holds it.
+    Consecutive items are joined into runs of at most _CHECK_CHUNK codes,
+    an item as large alone, and each run is checked with one min/max pair;
+    only in a failing run is each item checked on its own."""
+    run: list[tuple] = []
     size = 0
-    for i, (parts, a) in enumerate(group):
-        run.append((parts, a))
-        size += a.size
+    for i, (name, codes) in enumerate(group):
+        run.append((name, codes))
+        size += codes.size
         if i + 1 < len(group) and size + group[i + 1][1].size <= _CHECK_CHUNK:
             continue
         # the joined copy is freed before the next run is joined
-        if _outside(a if len(run) == 1 else np.concatenate([b for _, b in run], axis=None), bound):
-            return next(p for p, b in run if _outside(b, bound))
+        joined = codes if len(run) == 1 else np.concatenate([c for _, c in run], axis=None)
+        if _outside(joined, bound):
+            name, codes = next((n, c) for n, c in run if _outside(c, bound))
+            if callable(name):
+                name = name(int(((codes < -bound) | (codes > bound)).argmax()))
+            return name
         run, size = [], 0
     return None
-
-
-@dataclass
-class HeadParams:
-    wq: np.ndarray  # (d_k, d)
-    wk: np.ndarray  # (d_k, d)
-    wv: np.ndarray  # (d_v, d)
-    wo: np.ndarray  # (d, d_v)
-
-
-@dataclass
-class LayerParams:
-    heads: list[HeadParams]  # the <= n_heads heads built
-    w1: np.ndarray  # (m, d) for the m <= d_ff neurons built
-    bias4: np.ndarray  # (m,) numerators of quarter-integer biases
-    w2: np.ndarray  # (d, m)
 
 
 @dataclass(frozen=True)
@@ -274,35 +290,42 @@ class TransformerParams:
                 )
         if len(self.layers) != dims.n_layers:
             raise ValueError(f"{len(self.layers)} layers but dims.n_layers = {dims.n_layers}")
-        # (name parts, array, shape, largest absolute code) of every weight
-        # array. The arrays of a bound are checked in runs of about
-        # _CHECK_CHUNK codes (`_first_outside`), and only the name of an
-        # array in a failing run, such as "layer 3 head 1 wq", is joined.
-        arrays = [(("emb",), self.emb, (n_vocab, d), 1), (("unemb",), self.unemb, (n_vocab, d), 1)]
-        for li, layer in enumerate(self.layers):
-            m = layer.bias4.size
-            if len(layer.heads) > dims.n_heads or m > dims.d_ff:
+        layer_parts = [layer.parts() for layer in self.layers]
+        for li, (heads, mlp) in enumerate(layer_parts):
+            if heads.n > dims.n_heads or mlp.m > dims.d_ff:
                 raise ValueError(
-                    f"layer {li} has {len(layer.heads)} heads and {m} MLP rows, "
+                    f"layer {li} has {heads.n} heads and {mlp.m} MLP rows, "
                     f"over the budgets n_heads = {dims.n_heads}, d_ff = {dims.d_ff}"
                 )
-            for hi, h in enumerate(layer.heads):
-                arrays += [
-                    (("layer", li, "head", hi, "wq"), h.wq, (dims.d_k, d), 1),
-                    (("layer", li, "head", hi, "wk"), h.wk, (dims.d_k, d), 1),
-                    (("layer", li, "head", hi, "wv"), h.wv, (dims.d_v, d), 1),
-                    (("layer", li, "head", hi, "wo"), h.wo, (d, dims.d_v), 1),
-                ]
-            arrays += [
-                (("layer", li, "w1"), layer.w1, (m, d), 2),
-                (("layer", li, "bias4"), layer.bias4, (m,), 4 * (d + 1)),
-                (("layer", li, "w2"), layer.w2, (d, m), 2),
-            ]
-        for parts, a, shape, _ in arrays:
-            if a.shape != shape:
-                raise ValueError(f"{_name(parts)} has shape {a.shape}, expected {shape}")
-        for bound in (1, 2, 4 * (d + 1)):
-            parts = _first_outside([(p, a) for p, a, _, b in arrays if b == bound], bound)
+        head_shapes = [(dims.d_k, d), (dims.d_k, d), (dims.d_v, d), (d, dims.d_v)]
+        for parts, a in (("emb",), self.emb), (("unemb",), self.unemb):
+            if a.shape != (n_vocab, d):
+                raise ValueError(f"{_name(parts)} has shape {a.shape}, expected {(n_vocab, d)}")
+        for li, (heads, mlp) in enumerate(layer_parts):
+            m = mlp.m
+            for got, want, keys in (
+                (heads.array_shapes(), head_shapes * heads.n, _HEAD_KEYS),
+                (mlp.array_shapes(), [(m, d), (m,), (d, m)], ("w1", "bias4", "w2")),
+            ):
+                if got != want:
+                    i = next(i for i, (g, w) in enumerate(zip(got, want)) if g != w)
+                    head = ("head", i // 4) if keys is _HEAD_KEYS else ()
+                    name = _name(("layer", li, *head, keys[i % len(keys)]))
+                    raise ValueError(f"{name} has shape {got[i]}, expected {want[i]}")
+        # (name, codes) of every weight array by the bound of its codes, in
+        # the order above; a layer's heads are one item, named by the head
+        # array that holds its first bad code (`_head_name`). Only the name
+        # of a failing array, such as "layer 3 head 1 wq", is joined.
+        bounds = {1: [(("emb",), self.emb), (("unemb",), self.unemb)], 2: [], 4 * (d + 1): []}
+        sizes = np.cumsum([math.prod(s) for s in head_shapes])
+        for li, (heads, mlp) in enumerate(layer_parts):
+            at, codes = heads.entries()
+            bounds[1].append((functools.partial(_head_name, li, at, sizes), codes))
+            (_, w1), (_, bias4), (_, w2) = mlp.entries()
+            bounds[2] += [(("layer", li, "w1"), w1), (("layer", li, "w2"), w2)]
+            bounds[4 * (d + 1)].append((("layer", li, "bias4"), bias4))
+        for bound, group in bounds.items():
+            parts = _first_outside(group, bound)
             if parts is not None:
                 raise ValueError(f"{_name(parts)} codes must lie in [-{bound}, {bound}]")
         if not (self.qk_scale > 0 and math.isfinite(self.qk_scale)):
@@ -528,7 +551,9 @@ class EvalPlan:
 
     `exact` is `_sums_exactly(params, cfg)`, the one condition for block
     steps and for live Q/K/V columns. `emb` is float64 emb and `unemb_t`
-    float64 unemb^T. `layers` holds per layer an (attention, MLP) pair.
+    float64 unemb^T. `sizes` holds per layer its heads and MLP rows, and
+    `layers` an (attention, MLP) pair, both built from the layers'
+    entries (`LayerParams.parts`) without a dense array.
     attention is (H, the Q/K/V input coordinates, W_QKV^T on them, the
     Q/K/V output columns, their scale, the W_O input coordinates, W_O^T on
     them), None without heads; MLP is (W1's input coordinates, W1^T on
@@ -559,37 +584,29 @@ class EvalPlan:
     def __init__(self, params: TransformerParams, cfg: EvalConfig):
         self.params = params
         self.exact = _sums_exactly(params, cfg)
-        d_k, d_v = params.dims.d_k, params.dims.d_v
         self.emb = params.emb.astype(np.float64)
         self.unemb_t = params.unemb.astype(np.float64).T
-        layers = []
-        for layer in params.layers:
-            heads, n_heads = layer.heads, len(layer.heads)
-            attention = mlp = None
-            if heads:
-                wqkv = np.concatenate([w for h in heads for w in (h.wq, h.wk, h.wv)])
-                qkv_out = qkv_scale = None
-                if self.exact:
-                    written = wqkv.any(axis=1)
-                    if not written.all():
-                        qkv_out = np.flatnonzero(written)
-                        wqkv = wqkv[qkv_out]
-                        if params.qk_scale != 1.0:  # c on q and k, 1 on v
-                            qk = qkv_out % (2 * d_k + d_v) < 2 * d_k
-                            qkv_scale = np.where(qk, params.qk_scale, 1.0)
-                attention = (
-                    n_heads,
-                    *_read(wqkv),
-                    qkv_out,
-                    qkv_scale,
-                    *_read(np.concatenate([h.wo for h in heads], axis=1)),
-                )
-            if layer.bias4.size:
-                bias = layer.bias4.astype(np.float64) / 4.0
-                w2_out = np.flatnonzero(layer.w2.any(axis=1))
-                mlp = (*_read(layer.w1), bias, w2_out, layer.w2[w2_out].astype(np.float64).T)
-            layers.append((attention, mlp))
-        self.layers = tuple(layers)
+        parts = [layer.parts() for layer in params.layers]
+        self.sizes = tuple((heads.n, mlp.m) for heads, mlp in parts)  # (H, m) per layer
+        d, d_k, d_v = params.dims.d, params.dims.d_k, params.dims.d_v
+        heads, mlps = [h for h, _ in parts], [m for _, m in parts]
+        attention = attention_plans(heads, d, d_k, d_v, self.exact, params.qk_scale)
+        self.layers = tuple(zip(attention, mlp_plans(mlps, d)))
+
+    @cached_property
+    def audit_vectors(self) -> list[np.ndarray]:
+        """Per layer, the first columns of its nonempty activation vectors
+        in the row that the audit level's `_nonternary` joins: x0 (layer 0),
+        q, k and v of each head, o of each head, y, x_mid, hidden and x_out,
+        as `Evaluator._step` lists them. Found on first use, from the
+        sizes alone."""
+        d, d_k, d_v = self.params.dims.d, self.params.dims.d_k, self.params.dims.d_v
+        layout = []
+        for li, (h, m) in enumerate(self.sizes):
+            widths = [d] * (li == 0) + [d_k, d_k, d_v] * h + [d_v] * h + [d] * bool(h) + [d, m, d]
+            starts = itertools.accumulate(widths, initial=0)
+            layout.append(np.array([s for s, w in zip(starts, widths) if w], np.intp))
+        return layout
 
 
 class Evaluator:
@@ -670,7 +687,7 @@ class Evaluator:
         # the arrays of `ActivationTrace` that the capture level keeps, by
         # name. Grown by reserve.
         self._capacity = 0
-        self._kv = [np.empty((0, n_seq * len(layer.heads), d_k + d_v)) for layer in params.layers]
+        self._kv = [np.empty((0, n_seq * h, d_k + d_v)) for h, _ in plan.sizes]
         self._x = np.empty((0, n_seq, d))
         self._steps: list[tuple[int, int]] = []  # per step: its start, saturations before it
         self._sqrt_dk = math.sqrt(d_k)
@@ -686,15 +703,15 @@ class Evaluator:
         self._cols: list[dict[str, slice]] = []
         self._vectors: list[np.ndarray] = []
         n_heads = 0
-        for layer in params.layers:
-            self._heads.append(slice(n_heads, n_heads + len(layer.heads)))
-            n_heads += len(layer.heads)
+        for h, _ in plan.sizes:
+            self._heads.append(slice(n_heads, n_heads + h))
+            n_heads += h
         if cfg.capture_trace is True:
             col, starts = d, [0] if d else []  # x0 is columns [0, d)
-            for layer in params.layers:
+            for h, m in plan.sizes:
                 cols = {}
-                widths = dict(y=d, x_mid=d, hidden=layer.bias4.size, x_out=d)
-                if not layer.heads:
+                widths = dict(y=d, x_mid=d, hidden=m, x_out=d)
+                if not h:
                     del widths["y"]
                 for name, width in widths.items():
                     if width:
@@ -707,14 +724,7 @@ class Evaluator:
             shapes.update(o=(n_heads, d_v), dots=(n_heads, 0), att_err=(n_heads,))
             self._arena = {k: np.empty((0, n_seq, *v)) for k, v in shapes.items()}
         elif cfg.capture_trace:
-            for li, layer in enumerate(params.layers):
-                h = len(layer.heads)
-                # x0 (layer 0), q, k and v of each head, o of each head, y,
-                # x_mid, hidden and x_out, as _step lists them
-                widths = [d] * (li == 0) + [d_k, d_k, d_v] * h + [d_v] * h + [d] * bool(h)
-                widths += [d, layer.bias4.size, d]
-                ends = np.cumsum(widths)
-                self._vectors.append((ends - widths)[np.array(widths) > 0])
+            self._vectors = plan.audit_vectors
             dtypes = dict(zip(_SCORE_ROWS, (bool, np.int32, bool, np.float64)))
             shapes = {name: ((n_heads,), dtype) for name, dtype in dtypes.items()}
             shapes["nonternary"] = ((len(params.layers),), np.int32)
@@ -1066,13 +1076,6 @@ def _output_gap(scores: np.ndarray) -> np.ndarray:
     return top2[..., 1:] - top2[..., :-1]
 
 
-def _read(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """For an (outputs, inputs) int8 matrix w: the input coordinates with a
-    nonzero weight, which rows times W^T reads, and float64 W^T on them."""
-    live = np.flatnonzero(w.any(axis=0))
-    return live, w.T[live].astype(np.float64)
-
-
 def forward(
     params: TransformerParams, tokens: list[str], cfg: EvalConfig, plan: EvalPlan | None = None
 ) -> tuple[np.ndarray, ActivationTrace]:
@@ -1108,42 +1111,58 @@ def _pos_from_json(doc: dict):
 # The one model-file format: `params_from_json` refuses every other.
 MODEL_FORMAT = 2
 
-_HEAD_KEYS = ("wq", "wk", "wv", "wo")
 
-
-def _sparse_group(arrays: list[np.ndarray]) -> list[dict]:
-    """The sparse entries {shape, at, codes} of arrays of one dtype: one
-    flatnonzero over their concatenation, split at their offsets."""
-    if not arrays:
+def _sparse_group(items: list[tuple[np.ndarray, np.ndarray, list[tuple]]]) -> list[dict]:
+    """The sparse entries {shape, at, codes} of arrays of one dtype, in
+    order. An item is (at, codes) of some arrays laid end to end in C order
+    (`HeadEntries`), and their shapes: each array's indices are cut out of
+    the item's and counted from the array's start. The lists of all arrays
+    are made with one tolist per key."""
+    if not items:
         return []
-    sizes = np.array([a.size for a in arrays], np.int64)
-    ends = np.cumsum(sizes)
-    flat = np.concatenate([a.reshape(-1) for a in arrays])
-    nonzero = np.flatnonzero(flat)
-    cuts = np.searchsorted(nonzero, ends)  # each array's end in nonzero
-    at = (nonzero - np.repeat(ends - sizes, np.diff(cuts, prepend=0))).tolist()
-    codes = flat[nonzero].tolist()
-    bounds = [0, *cuts.tolist()]
+    shapes, ats, codes, counts = [], [], [], []
+    for at, c, item_shapes in items:
+        shapes += item_shapes
+        if len(item_shapes) > 1:
+            sizes = np.array([math.prod(s) for s in item_shapes], np.int64)
+            ends = np.cumsum(sizes)
+            n = np.diff(np.searchsorted(at, ends), prepend=0)
+            at = at - np.repeat(ends - sizes, n)
+            counts.append(n)
+        else:
+            counts.append(np.full(len(item_shapes), at.size, np.int64))
+        ats.append(at)
+        codes.append(c)
+    at, c = np.concatenate(ats).tolist(), np.concatenate(codes).tolist()
+    bounds = [0, *np.cumsum(np.concatenate(counts)).tolist()]
     return [
-        {"shape": list(a.shape), "at": at[i:j], "codes": codes[i:j]}
-        for a, i, j in zip(arrays, bounds, bounds[1:])
+        {"shape": list(s), "at": at[i:j], "codes": c[i:j]}
+        for s, i, j in zip(shapes, bounds, bounds[1:])
     ]
 
 
 def params_to_json(params: TransformerParams) -> dict:
     """The model file document. Every weight array is stored sparse: its
     shape, the flat C-order indices of its nonzero entries in increasing
-    order, and their integer codes. The int8 arrays, in file order, are
-    encoded as one group and the int32 biases as another."""
-    int8 = [params.emb, params.unemb]
-    for layer in params.layers:
-        int8 += [getattr(h, k) for h in layer.heads for k in _HEAD_KEYS] + [layer.w1, layer.w2]
+    order, and their integer codes, read from the layers' entries
+    (`LayerParams.parts`). The int8 arrays, in file order, are encoded as
+    one group and the int32 biases as another."""
+    int8 = []
+    for a in params.emb, params.unemb:
+        at = np.flatnonzero(a)
+        int8.append((at, a.reshape(-1)[at], [a.shape]))
+    biases = []
+    parts = [layer.parts() for layer in params.layers]
+    for heads, mlp in parts:
+        (w1, bias4, w2), shapes = mlp.entries(), mlp.array_shapes()
+        int8 += [(*heads.entries(), heads.array_shapes()), (*w1, shapes[:1]), (*w2, shapes[2:])]
+        biases.append((*bias4, shapes[1:2]))
     entries = iter(_sparse_group(int8))
-    biases = iter(_sparse_group([layer.bias4 for layer in params.layers]))
+    biases = iter(_sparse_group(biases))
     emb, unemb = next(entries), next(entries)
     layers = []
-    for layer in params.layers:
-        heads = [{k: next(entries) for k in _HEAD_KEYS} for _ in layer.heads]
+    for heads, _ in parts:
+        heads = [{k: next(entries) for k in _HEAD_KEYS} for _ in range(heads.n)]
         w1, bias4, w2 = next(entries), next(biases), next(entries)
         layers.append({"heads": heads, "w1": w1, "bias4": bias4, "w2": w2})
     return {
@@ -1172,13 +1191,14 @@ _ENTRY, _AT_INTS, _AT_INT64, _CODE_INTS, _CODE_INT64, _LENGTHS, _INDICES, _CODES
 class _SparseEntries:
     """The sparse weight entries of a model document in the order they are
     checked: layer by layer, each head's wq, wk, wv and wo, then w1, bias4
-    and w2; then emb and unemb. `add` checks what needs no numpy; `arrays`
-    checks the rest over all entries at once and builds them."""
+    and w2; then emb and unemb. `add` checks what needs no numpy; `read`
+    checks the rest over all entries at once and returns them."""
 
     def __init__(self) -> None:
         self.parts: list[tuple] = []  # name parts, such as ("layer", 3, "head", 1, "wq")
         self.shapes: list[tuple[int, ...]] = []
         self.wide: list[bool] = []  # int32 (bias4), else int8
+        self.offsets: list[int] = []  # where the array starts among its layer's heads
         self.ats: list[list] = []
         self.codes: list[list] = []
         # Where the walk stopped: the exception it raised at entry
@@ -1186,7 +1206,9 @@ class _SparseEntries:
         self.stop: tuple[BaseException, int] | None = None
         self._at = _ENTRY
 
-    def add(self, entry, parts: tuple, shape: tuple[int, ...], wide: bool = False) -> None:
+    def add(
+        self, entry, parts: tuple, shape: tuple[int, ...], wide: bool = False, offset: int = 0
+    ) -> None:
         if type(entry) is not dict:
             raise ValueError(f"{_name(parts)} must be a sparse array {{shape, at, codes}}")
         if entry["shape"] != list(shape) or not all(type(n) is int for n in entry["shape"]):
@@ -1194,6 +1216,7 @@ class _SparseEntries:
         self.parts.append(parts)
         self.shapes.append(shape)
         self.wide.append(wide)
+        self.offsets.append(offset)
         self._at = _AT_INTS
         self.ats.append(_list(entry["at"], parts, "at"))
         self._at = _CODE_INTS
@@ -1203,10 +1226,11 @@ class _SparseEntries:
     def stopped(self, exc: BaseException) -> None:
         self.stop = exc, self._at
 
-    def arrays(self) -> list[np.ndarray]:
-        """Every entry as an array of its shape: views of one int8 and one
-        int32 buffer, each filled with one scatter. Before any buffer is
-        allocated, raises the first failure of the first failing entry."""
+    def read(self) -> tuple[np.ndarray, np.ndarray, list[int]]:
+        """The indices of every entry, each plus its offset, and the codes,
+        as one int64 array each, with the first item of each entry in them
+        and their end. Raises the first failure of the first failing
+        entry."""
         failure = self.stop
         limit = len(self.codes)  # entries before the first known failure
         rank = _ENTRY if failure is None else failure[1]
@@ -1246,18 +1270,8 @@ class _SparseEntries:
             fail(first, _CODES, ValueError(f"{_name(self.parts[first])} {msg}"))
         if failure is not None:
             raise failure[0]
-        # each entry's offset into its dtype's buffer
-        sizes8, sizes32 = np.where(wide, 0, sizes), np.where(wide, sizes, 0)
-        offset = np.where(wide, np.cumsum(sizes32) - sizes32, np.cumsum(sizes8) - sizes8)
-        flat, wide_at = at + offset[owner], wide[owner]
-        buf8 = np.zeros(int(sizes8.sum()), np.int8)
-        buf8[flat[~wide_at]] = codes[~wide_at]
-        buf32 = np.zeros(int(sizes32.sum()), np.int32)
-        buf32[flat[wide_at]] = codes[wide_at]
-        return [
-            (buf32 if w else buf8)[o : o + s].reshape(shape)
-            for w, o, s, shape in zip(self.wide, offset.tolist(), sizes.tolist(), self.shapes)
-        ]
+        at = at + np.array(self.offsets, np.int64)[owner]
+        return at, codes, [0, *np.cumsum(n_at).tolist()]
 
     def _read(self, fields: list[list], check: int, key: str, fail):
         """One key's lists of the first len(fields) entries as one int64
@@ -1300,9 +1314,11 @@ def _list(values, parts: tuple, key: str) -> list:
 def params_from_json(doc: dict) -> TransformerParams:
     """Parse a model file document and check it against the model contract.
     Shapes come from dims. The sparse entries are checked together
-    (`_SparseEntries`) before any array is allocated, and each array is a
-    view of one of two buffers filled with one scatter each;
-    `validate_weights` then checks the codes' ranges."""
+    (`_SparseEntries`), and each layer keeps its entries as they are
+    (`LayerParams.held`): its heads' indices shifted to their place in the
+    heads' layout, its codes as int8, and int32 for bias4. Only emb and
+    unemb are scattered into arrays. `validate_weights` then checks the
+    codes' ranges."""
     if type(doc) is not dict or type(doc.get("format")) is not int or doc["format"] != MODEL_FORMAT:
         raise ValueError(
             f"not a format-{MODEL_FORMAT} model file: compile or convert the model again"
@@ -1315,42 +1331,51 @@ def params_from_json(doc: dict) -> TransformerParams:
     if len(doc["layers"]) != dims.n_layers:
         raise ValueError(f"{len(doc['layers'])} layers but dims.n_layers = {dims.n_layers}")
     head_shapes = (dims.d_k, d), (dims.d_k, d), (dims.d_v, d), (d, dims.d_v)
-    entries, n_heads = _SparseEntries(), []
+    starts = np.cumsum([0, *(math.prod(s) for s in head_shapes)]).tolist()
+    entries, sizes = _SparseEntries(), []
     try:
         for li, ldoc in enumerate(doc["layers"]):
             if len(ldoc["heads"]) > dims.n_heads:
                 raise ValueError(f"layer {li} has more than n_heads = {dims.n_heads} heads")
             for hi, h in enumerate(ldoc["heads"]):
-                for k, shape in zip(_HEAD_KEYS, head_shapes):
-                    entries.add(h[k], ("layer", li, "head", hi, k), shape)
-            n_heads.append(len(ldoc["heads"]))
+                for k, shape, start in zip(_HEAD_KEYS, head_shapes, starts):
+                    offset = hi * starts[-1] + start
+                    entries.add(h[k], ("layer", li, "head", hi, k), shape, offset=offset)
             m = ldoc["bias4"]["shape"][0] if ldoc["bias4"]["shape"] else None
             if type(m) is not int or not 0 <= m <= dims.d_ff:
                 raise ValueError(
                     f"layer {li} bias4 shape must be [m], 0 <= m <= d_ff = {dims.d_ff}"
                 )
+            sizes.append((len(ldoc["heads"]), m))
             entries.add(ldoc["w1"], ("layer", li, "w1"), (m, d))
             entries.add(ldoc["bias4"], ("layer", li, "bias4"), (m,), wide=True)
             entries.add(ldoc["w2"], ("layer", li, "w2"), (d, m))
         entries.add(doc["emb"], ("emb",), (n_vocab, d))
         entries.add(doc["unemb"], ("unemb",), (n_vocab, d))
     except (ValueError, KeyError, TypeError, IndexError) as exc:
-        entries.stopped(exc)  # raised by `arrays` unless an earlier entry fails
-    arrays = iter(entries.arrays())
-    layers = [
-        LayerParams(
-            heads=[HeadParams(*itertools.islice(arrays, 4)) for _ in range(h)],
-            w1=next(arrays),
-            bias4=next(arrays),
-            w2=next(arrays),
-        )
-        for h in n_heads
-    ]
+        entries.stopped(exc)  # raised by `read` unless an earlier entry fails
+    at, codes, bounds = entries.read()
+    int8, int32 = codes.astype(np.int8), codes.astype(np.int32)  # each entry's by its dtype
+
+    def cut(i: int, n: int = 1, dtype: np.ndarray = int8) -> tuple[np.ndarray, np.ndarray]:
+        """(at, codes) of the n entries from entry i on."""
+        return at[bounds[i] : bounds[i + n]], dtype[bounds[i] : bounds[i + n]]
+
+    layers, i = [], 0
+    for h, m in sizes:
+        heads = HeadEntries(h, (d, dims.d_k, dims.d_v), *cut(i, 4 * h))
+        i += 4 * h
+        mlp = MlpEntries(m, d, cut(i), cut(i + 1, dtype=int32), cut(i + 2))
+        layers.append(LayerParams.held(heads, mlp))
+        i += 3
+    emb, unemb = np.zeros((2, n_vocab * d), np.int8)
+    for a, (a_at, a_codes) in ((emb, cut(i)), (unemb, cut(i + 1))):
+        a[a_at] = a_codes
     params = TransformerParams(
         dims=dims,
         vocab=list(doc["vocab"]),
-        emb=next(arrays),
-        unemb=next(arrays),
+        emb=emb.reshape(n_vocab, d),
+        unemb=unemb.reshape(n_vocab, d),
         positional=_pos_from_json(doc["positional"]),
         layers=layers,
         qk_scale=float.fromhex(doc["qk_scale"]),

@@ -28,10 +28,10 @@ from .netcore import (
     MODES,
     Dims,
     EvalConfig,
-    LayerParams,
     TransformerParams,
     check_dims,
 )
+from .weights import HeadEntries, LayerParams
 
 __all__ = [
     "ConversionError",
@@ -69,14 +69,23 @@ def _require_convertible(params: TransformerParams, c: float) -> list[np.ndarray
         raise ConversionError(
             f"model is already converted (mode {params.mode}); convert its hardmax model"
         )
+    d, d_k, d_v = params.dims.d, params.dims.d_k, params.dims.d_v
     masks = []
     for li, layer in enumerate(params.layers):
-        written = np.zeros(params.dims.d, dtype=bool)
-        for hi, head in enumerate(layer.heads):
-            rows = head.wo.any(axis=1)
-            if (rows & written).any():
-                raise ConversionError(f"layer {li} head {hi} writes coordinates of another head")
-            written |= rows
+        heads = layer.parts()[0]
+        at, _ = heads.entries()
+        head, at = np.divmod(at, (2 * d_k + d_v) * d + d * d_v)
+        wo = at >= (2 * d_k + d_v) * d  # the heads' W_O entries
+        coord = (at[wo] - (2 * d_k + d_v) * d) // d_v
+        # each coordinate a head writes, by coordinate and then head
+        coord, head = np.divmod(np.sort(coord * heads.n + head[wo]), max(heads.n, 1))
+        again = (coord[1:] == coord[:-1]) & (head[1:] != head[:-1])  # by an earlier head too
+        if again.any():
+            raise ConversionError(
+                f"layer {li} head {head[1:][again].min()} writes coordinates of another head"
+            )
+        written = np.zeros(d, dtype=bool)
+        written[coord] = True
         masks.append(written)
     return masks
 
@@ -170,10 +179,13 @@ def convert_with_denoising(params: TransformerParams, c: float) -> TransformerPa
     widest = max(map(len, written), default=0)
     new_dims = replace(dims, d_ff=max(dims.d_ff, 6 * widest), n_layers=2 * dims.n_layers)
     check_dims(new_dims, len(params.vocab))  # before any layer is built
+    # Per layer its heads with their denoisers, then its MLP without heads.
+    denoisers = (mlp_weights(denoising_neurons(coords), d) for coords in written)
+    no_heads = HeadEntries(0, (d, dims.d_k, dims.d_v), np.zeros(0, np.intp), np.zeros(0, np.int8))
     layers: list[LayerParams] = []
-    for layer, coords in zip(params.layers, written):
-        layers.append(LayerParams(layer.heads, *mlp_weights(denoising_neurons(coords), d)))
-        layers.append(LayerParams([], layer.w1, layer.bias4, layer.w2))
+    for layer, denoiser in zip(params.layers, denoisers):
+        heads, mlp = layer.parts()
+        layers += [LayerParams.held(heads, denoiser), LayerParams.held(no_heads, mlp)]
     out = replace(
         params,
         dims=new_dims,

@@ -868,15 +868,25 @@ def test_run_without_a_word_runs_the_empty_word(tm_file, tmp_path, capsys):
     assert "outcome: output" in out and "output: " in out
 
 
-@pytest.mark.parametrize("command", ["capacity", "run-cot"])
-def test_unwritable_report_or_trace_is_a_file_error(command, tm_file, tmp_path, capsys):
+@pytest.mark.parametrize("command", ["capacity", "run-cot", "run-scot"])
+def test_unwritable_report_or_trace_is_a_file_error(command, tm_file, tmp_path, capsys, monkeypatch):
+    """A report or trace path that cannot be written exits 2 with a file
+    error naming it; a trace path fails before anything is decoded."""
     bad = str(tmp_path / "no-such-dir" / "out.json")
     if command == "capacity":
         argv = ["capacity", "--L", "28", "--d-k", "31", "--d", "1000", "--d-ff", "50", "--out", bad]
     else:
         model = str(tmp_path / "model.json")
-        assert main(["compile-cot", "--tm", tm_file, "--r", "6", "--out", model]) == 0
-        argv = ["run-cot", "--model", model, "--word", "ab", "--trace-out", bad]
+        protocol = command.removeprefix("run-")
+        assert main([f"compile-{protocol}", "--tm", tm_file, "--r", "6", "--out", model]) == 0
+        argv = [command, "--model", model, "--word", "ab", "--trace-out", bad]
+
+        def decoded(*args, **kwargs):
+            raise AssertionError("decoded before the trace file was opened")
+
+        monkeypatch.setattr(f"tm2tf.cli.run_{protocol}", decoded)
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("file error: ") and bad in err
+    if command != "capacity":
+        assert err.startswith(f"file error: cannot write {bad}: ")
