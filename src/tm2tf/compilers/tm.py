@@ -35,6 +35,7 @@ from ..automata import (
     parse_state_token,
     parse_tape_token,
     scot_vocab,
+    tm_to_json,
     token_class,
 )
 from ..gadgets import (
@@ -961,20 +962,24 @@ class _TmCompiler:
         self._transition_layer()
         self._output_layers()
 
-        return self.b.finalize(
+        params, report = self.b.finalize(
             self.vocab,
             self.dims,
             BinaryAbsolute(self.r, self.i_pos.coords),
             "compile_scot" if self.scot else "compile_cot",
             self.r,
         )
+        params.meta["machine"] = tm_to_json(self.tm)  # what a decode drafts from
+        return params, report
 
 
 def compile_cot(tm: TuringMachine, r: int) -> tuple[TransformerParams, CompileReport]:
-    """Hardmax transformer generating toks(M, w, r) via CoT for fitting inputs."""
+    """Hardmax transformer generating toks(M, w, r) via CoT for fitting
+    inputs; its meta.machine is `tm_to_json(tm)`."""
     return _TmCompiler(tm, r, scot=False).build()
 
 
 def compile_scot(tm: TuringMachine, r: int) -> tuple[TransformerParams, CompileReport]:
-    """Hardmax transformer generating the SCoT segments for fitting inputs."""
+    """Hardmax transformer generating the SCoT segments for fitting inputs;
+    its meta.machine is `tm_to_json(tm)`."""
     return _TmCompiler(tm, r, scot=True).build()

@@ -28,10 +28,12 @@ from .automata import (
     Configuration,
     TokenBudgetError,
     encode_summary,
+    load_tm,
     parse_run_token,
     parse_summary,
     parse_tape_token,
     pos_block,
+    run_token,
     state_token,
     token_class,
 )
@@ -154,18 +156,19 @@ def _proposal(
 
 # The most tokens one proposal holds. Nearly every proposed token stands,
 # so a long proposal saves steps; the cap bounds the positions that a miss,
-# such as a <p> block proposed after the halting run token, drops.
+# such as a <p> block proposed after a halting run token not known as one,
+# drops.
 _PROPOSAL = 32
 
 
 @dataclass
 class _Replay:
     """Where the replay of one segment stands, with the counters of
-    `automata._segments`. `config` is None until an <inp> prompt's first
-    run token shows the tape count; its cells never written hold None, and
-    so does the initial state. In a phase that emits a block (p, summ,
-    outp), `block` holds its tokens, None where the replay cannot know one,
-    and `i` counts those emitted."""
+    `automata._segments`. Without the machine, `config` is None until an
+    <inp> prompt's first run token shows the tape count; its cells never
+    written hold None, and so does the initial state. In a phase that
+    emits a block (p, summ, outp), `block` holds its tokens, None where the
+    replay cannot know one, and `i` counts those emitted."""
 
     phase: str  # run | p | summ | outp | end
     config: Configuration | None
@@ -188,15 +191,21 @@ class _TraceDrafter:
     replays each segment as `automata._segments` writes it: the tapes and
     heads from the prompt, each run token's writes and moves, a <p> block
     after every r run tokens and, with summaries, a summary once the trace
-    holds 3*(len(prompt) - 1) tokens. It records each δ entry, (state,
-    symbols read) -> run token, the first time a run token shows it, and
-    proposes what follows from the entries it has seen: run tokens, <p>
-    blocks, summaries and, after <outp>, tape 1's word. A cell never
-    written reads None, the blank, whose name it learns when a summary
-    shows it. A token that it cannot parse or does not expect ends its
+    holds 3*(len(prompt) - 1) tokens. It proposes what follows from the δ
+    entries, (state, symbols read) -> run token, that it knows: run
+    tokens, <p> blocks, summaries and, after <outp>, tape 1's word.
+
+    A model with meta.machine (`compile_cot`, `compile_scot`) gives it δ,
+    the blank, the initial state and the halting state before the first
+    proposal, so it proposes from the prompt on and, after the halting run
+    token, the output block. Without one it records each δ entry the first
+    time a run token shows it; a cell never written reads None, the blank,
+    whose name it learns when a summary shows it, and <outp> after a run
+    token of no known entry shows a halt. A token that it cannot parse or
+    does not expect, also one that the machine's δ does not give, ends its
     proposals for the segment; it never raises. It catches up on the
     tokens lazily, when asked for a proposal, so a caller's expected
-    segment that stands costs no replay.
+    segment that stands costs no replay and reads no machine.
     """
 
     def __init__(self, params: TransformerParams, summaries: bool):
@@ -205,8 +214,12 @@ class _TraceDrafter:
         self._summaries = summaries
         self._vocab = params._token_ids
         self._inputs = {t for t in params.vocab if token_class(t) == "sym"}
+        self._machine = params.meta.get("machine")  # read at the first replay
         self._delta: dict[tuple, str] = {}
         self._blank: str | None = None
+        self._fill: str | None = None  # what a cell never written reads
+        self._init: Configuration | None = None  # with every tape empty
+        self._halt: str | None = None
         self._prompt: list[str] = []
         self._expected: list[str] | None = None
         self._at: _Replay | None = None
@@ -255,16 +268,25 @@ class _TraceDrafter:
         self._cap = 3 * (len(prompt) - 1) if self._summaries else float("inf")
         if self._r is None:
             return _Replay("end", None, [])
+        if self._machine is not None:
+            tm, self._machine = load_tm(self._machine), None
+            self._delta = {key: run_token(*image) for key, image in tm.delta.items()}
+            self._blank = self._fill = tm.blank
+            self._init = Configuration(tm.q_init, [[] for _ in range(tm.tapes)], [0] * tm.tapes)
+            self._halt = tm.q_halt
         if prompt[0] == INP:
-            return _Replay("run", None, prompt[1:-1], space=len(prompt) - 2)
+            word, config = prompt[1:-1], self._init and self._init.clone()
+            if config:
+                config.tapes[0] = list(word)
+            return _Replay("run", config, word, space=len(prompt) - 2)
         return _Replay("run", parse_summary(prompt[1:-1]), [], space=len(prompt) - 3)
 
     def _key(self, config: Configuration) -> tuple:
-        """The δ key of a configuration: its state and the symbols read,
-        None for a cell never written. A cell that a run token or a summary
-        shows holding the blank reads its name instead, under another key
-        for the same entry."""
-        return config.state, config.read(None)
+        """The δ key of a configuration: its state and the symbols read.
+        Without the machine a cell never written reads None, and a cell that
+        a run token or a summary shows holding the blank reads its name,
+        under another key for the same entry."""
+        return config.state, config.read(self._fill)
 
     def _predict(self, at: _Replay) -> str | None:
         """The token that must come next, or None if the replay cannot know it."""
@@ -279,8 +301,7 @@ class _TraceDrafter:
         after_run, at.after_run = at.after_run, False
         if tok == OUTP and after_run and self._key(at.config) not in self._delta:
             # the run halted: a state with a δ entry is not the halting state
-            output = takewhile(lambda s: s in self._inputs, at.config.tapes[0])
-            at.phase, at.block, at.i = "outp", [OUTP, *output, EOUTP], 1
+            at.phase, at.block, at.i = "outp", self._output(at.config), 1
             return True
         if at.phase == "run":
             return token_class(tok) == "run" and self._step(at, tok)
@@ -309,11 +330,14 @@ class _TraceDrafter:
             return False
         if self._delta.setdefault(self._key(config), tok) != tok:
             return False
-        config.apply(writes, moves, None)
+        config.apply(writes, moves, self._fill)
         config.state = state
         at.config, at.after_run = config, True
         at.trace_len += 1
         at.space = max(at.space, 1 + max(config.heads))
+        if state == self._halt:  # halting wins over the summary and the <p> block
+            at.phase, at.block, at.i = "outp", self._output(config), 0
+            return True
         if at.trace_len >= self._cap:
             at.phase, at.block, at.i = "summ", self._summary(at), 0
             return True
@@ -326,6 +350,11 @@ class _TraceDrafter:
             at.phase, at.block, at.i = "p", block, 0
             at.chunk, at.trace_len = 0, at.trace_len + len(block)
         return True
+
+    def _output(self, config: Configuration) -> list[str]:
+        """The output block of a halted run: tape 1's input symbols up to
+        the first other symbol."""
+        return [OUTP, *takewhile(lambda s: s in self._inputs, config.tapes[0]), EOUTP]
 
     def _summary(self, at: _Replay) -> list[str | None]:
         """`encode_summary` of the replay, None for a cell that holds a

@@ -65,6 +65,7 @@ from typing import Iterable
 
 import numpy as np
 
+from .automata import MachineError, load_tm, run_token
 from .fpcore import EXACT, FloatFormat, Precision, round_array
 from .weights import (
     HEAD_KEYS as _HEAD_KEYS,
@@ -232,7 +233,8 @@ class TransformerParams:
     qk_scale: float = 1.0
     source: str = ""  # which compiler produced this
     mode: str = "hardmax"  # one of MODES
-    meta: dict = field(default_factory=dict)  # r; N, the context bound converted for
+    # r; N, the context bound converted for; machine, the compiled TM's spec
+    meta: dict = field(default_factory=dict)
 
     @cached_property
     def _token_ids(self) -> dict[str, int]:
@@ -250,7 +252,9 @@ class TransformerParams:
         weights, MLP codes in {0,+-1,+-2}, biases in [-d-1, d+1], a
         positive finite qk_scale, a string source, a mode in MODES, a dict
         meta whose N and r are integers >= 1 if present (r equal to a
-        binary positional's r), at most d_k // 2 finite rotary
+        binary positional's r) and whose machine, if present, is a TM spec
+        that `load_tm` reads with δ's run tokens and the input symbols in
+        the vocabulary, at most d_k // 2 finite rotary
         frequencies, and every shape within the dims budgets (n_layers
         layers, at most n_heads heads and d_ff MLP rows each).
         This is the one place that states the contract; builders and
@@ -270,6 +274,15 @@ class TransformerParams:
         for key in ("N", "r"):
             if key in self.meta and (type(self.meta[key]) is not int or self.meta[key] < 1):
                 raise ValueError(f"meta.{key} must be an integer >= 1, got {self.meta[key]!r}")
+        if "machine" in self.meta:
+            try:
+                tm = load_tm(self.meta["machine"])
+            except MachineError as exc:
+                raise ValueError(f"meta.machine: {exc}") from exc
+            tokens = {run_token(*image) for image in tm.delta.values()} | set(tm.input_alphabet)
+            missing = sorted(tokens - set(self.vocab))
+            if missing:
+                raise ValueError(f"meta.machine: {missing[0]!r} is not in the vocabulary")
         pos = self.positional
         if isinstance(pos, BinaryAbsolute):
             if type(pos.r) is not int or pos.r < 1:

@@ -420,15 +420,49 @@ def _model_file_cases(tmp_path, dfa_file):
     ]
 
 
+def _machine_file_cases(tmp_path, tm_file):
+    """(name, path) of fig2 CoT r=4 model files whose meta.machine the
+    loader must refuse: not an object, a δ that is not total, a δ run token
+    and an input symbol outside the vocabulary."""
+    model = tmp_path / "cot.json"
+    assert main(["compile-cot", "--tm", tm_file, "--r", "4", "--out", str(model)]) == 0
+    doc = json.loads(model.read_text())
+    machine = doc["meta"]["machine"]
+    delta = machine["delta"]
+    assert "run:after_a|a|L" not in doc["vocab"]
+    z_entries = {f"{q}|z": delta[f"{q}|a"] for q in machine["states"] if q != machine["halt"]}
+    machines = {
+        "list-machine": list(machine.items()),
+        "partial-delta": {**machine, "delta": {k: v for k, v in delta.items() if k != "go|a"}},
+        "run-token-outside-vocab": {**machine, "delta": {**delta, "go|a": "after_a|a|L"}},
+        "input-outside-vocab": {
+            **machine,
+            "input_alphabet": [*machine["input_alphabet"], "z"],
+            "tape_alphabet": [*machine["tape_alphabet"], "z"],
+            "delta": {**delta, **z_entries},
+        },
+    }
+    cases = []
+    for name, value in machines.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({**doc, "meta": {**doc["meta"], "machine": value}}))
+        cases.append((name, str(path)))
+    return cases
+
+
 @pytest.mark.parametrize("command", ["run-cot", "run-scot", "convert"])
-def test_bad_model_file_exit_code(command, dfa_file, tmp_path, capsys):
-    for name, path in _model_file_cases(tmp_path, dfa_file):
+def test_bad_model_file_exit_code(command, dfa_file, tm_file, tmp_path, capsys):
+    machine_cases = _machine_file_cases(tmp_path, tm_file)
+    capsys.readouterr()
+    for name, path in _model_file_cases(tmp_path, dfa_file) + machine_cases:
         argv = [command, "--model", path]
         if command == "convert":
             argv += ["--mode", "scaled", "--out", str(tmp_path / "out.json")]
         assert main(argv) == 2, name
         want = "file error" if name == "missing" else "schema error"
-        assert want in capsys.readouterr().err, name
+        err = capsys.readouterr().err
+        assert want in err, name
+        assert ((name, path) in machine_cases) == ("meta.machine" in err), (name, err)
 
 
 @pytest.mark.parametrize(

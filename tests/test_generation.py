@@ -523,9 +523,13 @@ def test_each_generate_call_builds_one_evaluator(monkeypatch):
     in its middle is fed as one block, truncated before its first wrong
     token and extended from there; the expected draft is one block step.
     Past a draft each step feeds the greedy token and, under hardmax, what
-    the trace drafter proposes after it: the rest of a <p> block, run
-    tokens of δ entries already seen, a summary, an output. A segment's
+    the trace drafter proposes after it. Where it learns δ (meta.machine
+    removed): the rest of a <p> block, run tokens of δ entries already
+    seen, a summary, an output. Seeded by meta.machine, it proposes from
+    the prompt on, so a segment without a draft is one step. A segment's
     first step feeds its prompt and its caller's draft."""
+    from dataclasses import replace
+
     from machines import copy_machine
 
     from tm2tf.automata import scot_segments_oracle
@@ -553,32 +557,31 @@ def test_each_generate_call_builds_one_evaluator(monkeypatch):
     monkeypatch.setattr(Evaluator, "__init__", counted_init)
     monkeypatch.setattr(Evaluator, "_step", counted_step)
     monkeypatch.setattr(generation, "generate", wrapped)
-    params, _ = compile_scot(copy_machine(), 6)
+    seeded, _ = compile_scot(copy_machine(), 6)
+    params = replace(seeded, meta={"r": 6})
     expected = scot_segments_oracle(copy_machine(), "011", 6)
     assert [len(seg) for seg in expected] == [27, 13]
     first = expected[0]
     mid = (first.index(EINP) + 1 + len(first)) // 2
     wrong = next(t for t in params.vocab if t not in (first[mid], EOUTP, ESUMM))
+    diverging = [first[:mid] + [wrong] + first[mid + 1 :], *expected[1:]]
     drafts = {
-        "expected": (expected, [[[26]], [[12]]]),
-        "diverges mid-segment": (
-            [first[:mid] + [wrong] + first[mid + 1 :], *expected[1:]],
-            [[[26, 3, 7]], [[12]]],
-        ),
-        "none": (None, [[[5, 1, 2, 1, 10, 7]], [[7, 1, 4]]]),
+        "expected": (params, expected, [[[26]], [[12]]]),
+        "diverges mid-segment": (params, diverging, [[[26, 3, 7]], [[12]]]),
+        "none": (params, None, [[[5, 1, 2, 1, 10, 7]], [[7, 1, 4]]]),
+        "seeded, diverges mid-segment": (seeded, diverging, [[[26, 10]], [[12]]]),
+        "seeded, none": (seeded, None, [[[26]], [[12]]]),
     }
-    for name, (draft, pinned) in drafts.items():
+    for name, (model, draft, pinned) in drafts.items():
         steps.clear()
         calls.clear()
-        assert run_scot(params, "011", EvalConfig(), draft=draft).segments == expected, name
+        assert run_scot(model, "011", EvalConfig(), draft=draft).segments == expected, name
         assert calls == pinned, name
 
 
-def test_a_self_drafted_decode_takes_fewer_steps(monkeypatch):
-    """bouncer8 CoT r=10 on "xyxy" repeats its head sweeps: its 176 tokens
-    take 36 steps, where one position per step takes 170. The steps feed
-    187 positions: 12 drafted tokens were wrong, all in the <p> block
-    proposed after the halting run token."""
+def _bouncer8_steps(seeded: bool, monkeypatch) -> tuple[int, int]:
+    """The steps and positions fed of bouncer8 CoT r=10 on "xyxy", on the
+    compiled model with meta.machine if seeded, without it otherwise."""
     from machines import bouncer_machine
 
     from tm2tf.netcore import Evaluator
@@ -592,9 +595,27 @@ def test_a_self_drafted_decode_takes_fewer_steps(monkeypatch):
 
     monkeypatch.setattr(Evaluator, "_step", counted)
     params, _ = compile_cot(bouncer_machine(8), 10)
+    if not seeded:
+        del params.meta["machine"]
     trace = run_cot(params, "xyxy", EvalConfig())
     assert trace.outcome == "output" and trace.total_tokens == 176
-    assert (len(steps), sum(steps)) == (36, 187)
+    return len(steps), sum(steps)
+
+
+def test_a_self_drafted_decode_takes_fewer_steps(monkeypatch):
+    """bouncer8 CoT r=10 on "xyxy" repeats its head sweeps. Where the
+    drafter learns δ (meta.machine removed), its 176 tokens take 36 steps,
+    where one position per step takes 170. The steps feed 187 positions:
+    12 drafted tokens were wrong, all in the <p> block proposed after the
+    halting run token."""
+    assert _bouncer8_steps(False, monkeypatch) == (36, 187)
+
+
+def test_a_machine_seeded_decode_drafts_from_the_prompt(monkeypatch):
+    """Seeded by meta.machine, the same decode takes 6 steps: the prompt
+    and 32 tokens, then a greedy token and 32 more each, and they feed the
+    175 positions before </outp>."""
+    assert _bouncer8_steps(True, monkeypatch) == (6, 175)
 
 
 def _reference_generate(params, prompt, stop_set, max_steps, cfg, propose=None):
@@ -686,6 +707,81 @@ def test_a_decode_equals_one_position_per_step(machine, protocol, r, word, c, mo
     assert reference_short.outcome == "budget_exceeded"
     assert_same_run(plain, reference)
     assert_same_run(short, reference_short)
+
+
+def _counting_steps(monkeypatch) -> list[int]:
+    """The positions of each evaluator step from now on."""
+    from tm2tf.netcore import Evaluator
+
+    steps, step = [], Evaluator._step
+
+    def counted(ev, x, start):
+        steps.append(x.shape[1])
+        step(ev, x, start)
+
+    monkeypatch.setattr(Evaluator, "_step", counted)
+    return steps
+
+
+def test_a_wrong_or_missing_machine_changes_no_token(tmp_path, monkeypatch):
+    """fig2 CoT r=6 whose meta.machine sends (go, a) to another run token of
+    the vocabulary still loads. Decoded with that machine, with the right
+    one and with none, each word gives the reference decoder's run, field
+    for field and eval traces byte for byte. The wrong entry is proposed
+    and costs steps: each word with an "a" takes more than with the right
+    machine."""
+    from dataclasses import replace
+
+    from tm2tf.netcore import load_model, save_model
+
+    right, _ = compile_cot(fig2_machine(), 6)
+    machine = right.meta["machine"]
+    assert machine["delta"]["go|a"] == "after_a|a|R"
+    wrong = {**machine, "delta": {**machine["delta"], "go|a": "go|b|R"}}
+    assert "run:go|b|R" in right.vocab
+    path = tmp_path / "wrong.json"
+    save_model(replace(right, meta={**right.meta, "machine": wrong}), str(path))
+    models = {
+        "right": right,
+        "wrong": load_model(str(path)),
+        "none": replace(right, meta={"r": 6}),
+    }
+    cfg = EvalConfig(capture_trace=True)
+    steps = _counting_steps(monkeypatch)
+    for word in ["", "a", "ab", "ba", "abab", "cab", "bca"]:
+        counts = {}
+        for name, params in models.items():
+            steps.clear()
+            run = run_cot(params, word, cfg, record_steps=True)
+            counts[name] = len(steps)
+            monkeypatch.setattr(generation, "generate", _reference_generate)
+            assert_same_run(run, run_cot(params, word, cfg, record_steps=True), (word, name))
+            monkeypatch.setattr(generation, "generate", generate)
+        assert (counts["wrong"] > counts["right"]) == ("a" in word), (word, counts)
+
+
+def test_a_denoised_conversion_keeps_the_machine_and_drafts_from_it(tmp_path, monkeypatch):
+    """convert keeps meta.machine, also through a model file, and the
+    denoised fig2 CoT r=6 model, whose block steps are exact, takes the
+    steps of the hardmax model it came from: one per word here."""
+    from tm2tf.automata import cot_token_oracle
+    from tm2tf.netcore import load_model, save_model
+    from tm2tf.softmaxify import convert
+
+    hard, _ = compile_cot(fig2_machine(), 6)
+    denoised, cfg = convert(hard, "denoised", 2**6)
+    path = tmp_path / "denoised.json"
+    save_model(denoised, str(path))
+    loaded = load_model(str(path))
+    assert denoised.meta["machine"] == loaded.meta["machine"] == hard.meta["machine"]
+    steps = _counting_steps(monkeypatch)
+    for word in ["ab", "abab", "cab"]:
+        expected, counts = [cot_token_oracle(fig2_machine(), word, 6)], []
+        for params, run_cfg in ((hard, EvalConfig()), (loaded, cfg)):
+            steps.clear()
+            assert run_cot(params, word, run_cfg).segments == expected, word
+            counts.append(len(steps))
+        assert counts == [1, 1], word
 
 
 # ---------------------------------------------------------------------------
@@ -785,9 +881,43 @@ def _words(tm, max_len: int = 3) -> list[str]:
     return ["".join(w) for n in range(max_len + 1) for w in itertools.product(alphabet, repeat=n)]
 
 
+def _oracle_replays(machine: str, protocol: str, r: int, words, seeded: bool):
+    """`_replay_oracle` of each word's oracle run, on the compiled model
+    with its meta.machine if seeded and without it otherwise, summed: the
+    words decoded, steps, positions fed, and the misses. Words whose oracle
+    raises (a run that does not fit the r, halt or leave an output) are
+    skipped."""
+    from tm2tf.automata import (
+        InvalidOutputError,
+        NonHaltingError,
+        TokenBudgetError,
+        cot_token_oracle,
+        scot_segments_oracle,
+    )
+
+    tm, (params, _) = _compiled(machine, protocol, r)
+    if not seeded:
+        del params.meta["machine"]
+    stop_set = {EOUTP} if protocol == "cot" else {EOUTP, ESUMM}
+    decoded = steps = fed = 0
+    misses = []
+    for word in words or _words(tm):
+        try:
+            if protocol == "cot":
+                segments = [cot_token_oracle(tm, word, r)]
+            else:
+                segments = scot_segments_oracle(tm, word, r)
+        except (TokenBudgetError, NonHaltingError, InvalidOutputError):
+            continue
+        s, f, m = _replay_oracle(params, segments, stop_set)
+        decoded, steps, fed = decoded + 1, steps + s, fed + f
+        misses += [(word, *miss) for miss in m]
+    return tm, (decoded, steps, fed), misses
+
+
 # machine, protocol, r, words (None: all of up to 3 symbols), and the
 # pinned words decoded, steps, positions fed and <p> blocks proposed after
-# the halting run token
+# the halting run token, by a drafter that learns δ
 PRECISION_CASES = [
     ("fig2", "cot", 6, None, (40, 234, 543, 6)),
     ("fig2", "scot", 6, None, (40, 234, 543, 6)),  # no run reaches the trace cap
@@ -809,39 +939,51 @@ PRECISION_CASES = [
 )
 def test_the_trace_drafter_proposes_only_the_oracle_s_tokens(machine, protocol, r, words, pinned):
     """Over the oracle runs of the test machines, at the r the tests use,
-    every proposed token that `generate` would feed is the oracle's next
-    token, except the <p> block proposed after the halting run token when
-    it ends a chunk of r run tokens: the drafter does not know the halting
-    state. Words whose oracle raises (a run that does not fit the r, halt
-    or leave an output) are skipped."""
-    from tm2tf.automata import (
-        POPEN,
-        InvalidOutputError,
-        NonHaltingError,
-        TokenBudgetError,
-        cot_token_oracle,
-        parse_run_token,
-        scot_segments_oracle,
-    )
+    on models without meta.machine: every proposed token that `generate`
+    would feed is the oracle's next token, except the <p> block proposed
+    after the halting run token when it ends a chunk of r run tokens: the
+    drafter does not know the halting state."""
+    from tm2tf.automata import POPEN, parse_run_token
 
-    tm, (params, _) = _compiled(machine, protocol, r)
-    stop_set = {EOUTP} if protocol == "cot" else {EOUTP, ESUMM}
-    decoded = steps = fed = halting_blocks = 0
-    for word in words or _words(tm):
-        try:
-            if protocol == "cot":
-                segments = [cot_token_oracle(tm, word, r)]
-            else:
-                segments = scot_segments_oracle(tm, word, r)
-        except (TokenBudgetError, NonHaltingError, InvalidOutputError):
-            continue
-        s, f, misses = _replay_oracle(params, segments, stop_set)
-        for before, at, proposed in misses:
-            assert parse_run_token(before)[0] == tm.q_halt, (word, before, proposed)
-            assert (at, proposed[0]) == (OUTP, POPEN), (word, proposed)
-        decoded, steps, fed = decoded + 1, steps + s, fed + f
-        halting_blocks += len(misses)
-    assert (decoded, steps, fed, halting_blocks) == pinned
+    tm, counts, misses = _oracle_replays(machine, protocol, r, words, seeded=False)
+    for word, before, at, proposed in misses:
+        assert parse_run_token(before)[0] == tm.q_halt, (word, before, proposed)
+        assert (at, proposed[0]) == (OUTP, POPEN), (word, proposed)
+    assert (*counts, len(misses)) == pinned
+
+
+# The cases of PRECISION_CASES, pinned for the compiled models as they
+# are, with meta.machine: the drafter knows δ from the prompt on, and the
+# halting state, so no proposed token misses.
+SEEDED_CASES = [
+    ("fig2", "cot", 6, None, (40, 40, 495, 0)),
+    ("fig2", "scot", 6, None, (40, 40, 495, 0)),
+    ("copy", "cot", 6, None, (15, 15, 275, 0)),
+    ("copy", "scot", 6, None, (15, 23, 379, 0)),
+    ("bouncer4", "cot", 8, None, (15, 35, 845, 0)),
+    ("bouncer4", "scot", 6, None, (15, 56, 1296, 0)),
+    ("bouncer8", "cot", 10, ["xyxy"], (1, 6, 175, 0)),
+    ("tally", "cot", 8, None, (15, 15, 429, 0)),
+    ("tally", "scot", 6, None, (15, 30, 642, 0)),
+    ("one_step2", "scot", 6, None, (4, 4, 28, 0)),
+    ("counter", "scot", 8, ["h000000"], (1, 31, 877, 0)),
+]
+
+
+@pytest.mark.parametrize(
+    "machine, protocol, r, words, pinned",
+    [pytest.param(*case, id="-".join(map(str, case[:3]))) for case in SEEDED_CASES],
+)
+def test_a_machine_seeded_drafter_proposes_every_oracle_token(
+    machine, protocol, r, words, pinned
+):
+    """The oracle runs of PRECISION_CASES on the compiled models, which
+    carry meta.machine: every proposed token is the oracle's, also the
+    output block after the halting run token, and every step but a
+    segment's first feeds a greedy token and a full proposal."""
+    _, counts, misses = _oracle_replays(machine, protocol, r, words, seeded=True)
+    assert misses == []
+    assert (*counts, len(misses)) == pinned
 
 
 # ---------------------------------------------------------------------------

@@ -245,8 +245,6 @@ def test_every_module_level_definition_is_referenced():
 # Library definitions that only tests read, and why each stays.
 TEST_ONLY = {
     "tm2tf.automata.dfa_to_json": "writes the machine spec format that load_dfa reads",
-    "tm2tf.automata.tm_to_json": "writes the machine spec format; the bench machine files are "
-    "checked against it",
     "tm2tf.compilers.rope.build_rope_position_prefix": "acceptance criterion 11",
     "tm2tf.fpcore.representables_between": "reference enumeration of a format's elements",
     "tm2tf.gadgets.decode_pm1": "reference decoder of the +-1 binary codes",
