@@ -17,6 +17,7 @@ summary holds the halting state, so it has no state token.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 __all__ = [
@@ -28,7 +29,6 @@ __all__ = [
     "NonHaltingError",
     "InvalidOutputError",
     "TokenBudgetError",
-    "MOVES",
     "INP",
     "EINP",
     "OUTP",
@@ -44,7 +44,6 @@ __all__ = [
     "pos_token",
     "tape_token",
     "state_token",
-    "pos_block",
     "parse_run_token",
     "parse_pos_token",
     "parse_tape_token",
@@ -57,6 +56,7 @@ __all__ = [
     "cot_token_oracle",
     "encode_summary",
     "parse_summary",
+    "continuation",
     "scot_segments_oracle",
     "load_dfa",
     "load_tm",
@@ -421,18 +421,50 @@ def parse_summary(body: list[str]) -> Configuration:
     return Configuration(parse_state_token(body[-1]), tapes, [h[0] for h in heads])
 
 
+def continuation(
+    tm: TuringMachine, config: Configuration, space: int, r: int, cap: float
+) -> Iterator[str]:
+    """The tokens that follow a prompt whose run stands at config, which
+    they move along, with space cells used so far: run tokens with a
+    <p>...</p> block of head positions after every r of them, then the
+    output block after the halting run token, or once the trace holds cap
+    tokens, the summary of the tapes and state after the run token that
+    reached it; halting wins over both. They stop early where δ has no
+    entry or tape 1 is not an output. A head at 2^r raises
+    TokenBudgetError."""
+    steps = trace = 0
+    while config.state != tm.q_halt:
+        image = tm.delta.get((config.state, config.read(tm.blank)))
+        if image is None:
+            return
+        state, writes, moves = image
+        config.apply(writes, moves, tm.blank)
+        config.state = state
+        space = max(space, 1 + max(config.heads))
+        yield run_token(state, writes, moves)
+        steps, trace = steps + 1, trace + 1
+        if state == tm.q_halt:
+            break
+        if trace >= cap:
+            yield from encode_summary(config, space, tm.blank)
+            return
+        if steps % r == 0:
+            block = pos_block(config.heads, r)
+            yield from block
+            trace += len(block)
+    output = _read_output(tm, config.tapes[0])
+    if output is not None:
+        yield from [OUTP, *output, EOUTP]
+
+
 def _segments(
     tm: TuringMachine, word: list[str] | str, r: int, step_cap: int, summaries: bool
 ) -> list[list[str]]:
-    """The segments of running tm on word: prompt, trace, end block each.
-
-    A trace holds run tokens with a <p>...</p> block of head positions
-    after every r of them, and ends at the halting run token; the last
-    segment ends with the output block. With summaries, a trace also ends
-    at the first run token once its length reaches 3*(len(prompt) - 1), and
-    closes with the summary of the tape and state, which becomes the next
-    segment's prompt. Without them there is exactly one segment.
-    """
+    """The segments of running tm on word: each a prompt and what
+    `continuation` writes after it. The first prompt is <inp> w </inp>.
+    With summaries, a trace ends once it holds 3*(len(prompt) - 1) tokens,
+    and its summary is the next segment's prompt, from which the run goes
+    on; without them there is exactly one segment."""
     word = list(word)
     result = tm_run(tm, word, step_cap)
     if not result.halted:
@@ -440,10 +472,10 @@ def _segments(
     if result.output is None:
         raise InvalidOutputError("tape 1 is not a word over the input alphabet")
 
+    config = result.config_trace[0].clone()
     prompt = [INP, *word, EINP]
     space = len(word)  # cells used so far, per the summary definition
     segments: list[list[str]] = []
-    t = 0
     while True:
         if summaries and len(prompt) - 1 >= 2 ** (r - 2):
             raise TokenBudgetError(
@@ -451,30 +483,14 @@ def _segments(
                 f"detection for r={r}"
             )
         cap = 3 * (len(prompt) - 1) if summaries else float("inf")
-        trace: list[str] = []
-        chunk = 0
-        while True:
-            t += 1
-            trace.append(result.run_tokens[t - 1])
-            heads = result.config_trace[t].heads
-            space = max(space, 1 + max(heads))
-            if t == result.steps or len(trace) >= cap:
-                break
-            chunk += 1
-            if chunk == r:
-                trace.extend(pos_block(heads, r))
-                chunk = 0
-        if t == result.steps:
-            end = [OUTP, *result.output, EOUTP]
-        else:
-            end = encode_summary(result.config_trace[t], space, tm.blank)
-        segment = prompt + trace + end
+        segment = prompt + list(continuation(tm, config, space, r, cap))
         if len(segment) > 2 ** r:
             raise TokenBudgetError(f"segment of {len(segment)} tokens exceeds 2^{r}")
         segments.append(segment)
-        if t == result.steps:
+        if segment[-1] == EOUTP:
             return segments
-        prompt = end
+        prompt = segment[segment.index(SUMM, len(prompt)) :]
+        space = len(prompt) - 3  # the summary's cells
 
 
 def cot_token_oracle(

@@ -184,7 +184,7 @@ class Neurons:
 
     @property
     def ins(self) -> np.ndarray:
-        return _entries(self.parts, 0)
+        return _entries(self.parts)[0]
 
     @property
     def bias4(self) -> np.ndarray:
@@ -192,7 +192,7 @@ class Neurons:
 
     @property
     def outs(self) -> np.ndarray:
-        return _entries(self.parts, 1)
+        return _entries(self.parts)[1]
 
     @staticmethod
     def join(blocks) -> "Neurons":
@@ -213,25 +213,28 @@ class Neurons:
         )
 
 
-def _entries(parts, side: int) -> np.ndarray:
-    """The (row, coord, weight) input (side 0) or output (side 1) entries of
-    placed patterns, rows numbered across the parts in order: every local
-    index mapped through the parts' coordinate tables in one fancy index."""
+def _entries(parts) -> tuple[np.ndarray, np.ndarray]:
+    """The (row, coord, weight) input and output entries of placed
+    patterns, rows numbered across the parts in order: each side's local
+    indices mapped through the parts' coordinate tables in one fancy index."""
     if not parts:
-        return np.zeros((0, 3), np.intp)
+        return np.zeros((0, 3), np.intp), np.zeros((0, 3), np.intp)
     patterns, *tables = zip(*parts)
-    tables = tables[side]
-    local = [p.outs if side else p.ins for p in patterns]
-    sizes = list(map(len, local))
 
     def firsts(lengths) -> np.ndarray:  # of consecutive runs of these lengths
         return np.fromiter(accumulate(lengths, initial=0), np.intp, len(parts) + 1)[:-1]
 
-    out = np.concatenate(local)
-    out[:, 0] += np.repeat(firsts(len(p.bias4) for p in patterns), sizes)
-    coords = np.fromiter(chain.from_iterable(tables), np.intp)
-    out[:, 1] = coords[out[:, 1] + np.repeat(firsts(map(len, tables)), sizes)]
-    return out
+    rows = firsts(len(p.bias4) for p in patterns)
+
+    def side(local, tables) -> np.ndarray:
+        sizes = list(map(len, local))
+        out = np.concatenate(local)
+        out[:, 0] += np.repeat(rows, sizes)
+        coords = np.fromiter(chain.from_iterable(tables), np.intp)
+        out[:, 1] = coords[out[:, 1] + np.repeat(firsts(map(len, tables)), sizes)]
+        return out
+
+    return side([p.ins for p in patterns], tables[0]), side([p.outs for p in patterns], tables[1])
 
 
 def _biases(parts) -> np.ndarray:
@@ -602,7 +605,7 @@ def _mlp_layers(parts, d: int, sizes: list[int]) -> list[MlpEntries]:
     every layer's matrices are disjoint C-order ranges: the w1 rows in
     order, and layer l's (d, m_l) w2 from d times its first row on; each
     layer's are then a slice, counted from its range's start."""
-    ins, outs, bias4 = _entries(parts, 0), _entries(parts, 1), _biases(parts)
+    (ins, outs), bias4 = _entries(parts), _biases(parts)
     cuts = np.fromiter(accumulate(sizes, initial=0), np.intp, len(sizes) + 1)
     row = outs[:, 0]
     layer = np.searchsorted(cuts, row, side="right") - 1

@@ -10,10 +10,10 @@ silently passing.
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from contextvars import ContextVar
-from dataclasses import dataclass, field, replace
-from itertools import takewhile
+from dataclasses import dataclass, field
+from itertools import islice, takewhile
 
 import numpy as np
 
@@ -22,19 +22,13 @@ from .automata import (
     EOUTP,
     ESUMM,
     INP,
-    MOVES,
     OUTP,
     SUMM,
     Configuration,
-    TokenBudgetError,
-    encode_summary,
+    TuringMachine,
+    continuation,
     load_tm,
-    parse_run_token,
     parse_summary,
-    parse_tape_token,
-    pos_block,
-    run_token,
-    state_token,
     token_class,
 )
 from .netcore import (
@@ -92,7 +86,7 @@ def generate(
     Returns (tokens, budget_exceeded, evaluator). The stop token itself is
     never fed back through the model.
 
-    Where the evaluator runs a block in one step (`Evaluator._exact`),
+    Where the evaluator runs a block in one step (its plan's `exact`),
     `propose(tokens)` gives the tokens expected to follow the run so far.
     It is asked once for the prompt, then after each greedy token that is
     not a standing proposal, and its tokens are fed with the prompt or that
@@ -116,7 +110,7 @@ def generate(
     tokens, end = list(prompt), len(prompt) + max_steps
     # A block step that sums exactly costs little more than a one-position
     # step and gives each position the same bits.
-    propose = propose if ev._exact else None
+    propose = propose if ev.plan.exact else None
     first = [*prompt, *_proposal(params, propose, tokens, stop_set, end)]
     if cfg.capture_trace is not True:
         # Room for the next proposal too: a cache that grows copies what it
@@ -155,238 +149,79 @@ def _proposal(
 
 
 # The most tokens one proposal holds. Nearly every proposed token stands,
-# so a long proposal saves steps; the cap bounds the positions that a miss,
-# such as a <p> block proposed after a halting run token not known as one,
-# drops.
+# so a long proposal saves steps; the cap bounds the positions that a miss
+# drops and the room that `generate` reserves for the next proposal.
 _PROPOSAL = 32
 
 
-@dataclass
-class _Replay:
-    """Where the replay of one segment stands, with the counters of
-    `automata._segments`. Without the machine, `config` is None until an
-    <inp> prompt's first run token shows the tape count; its cells never
-    written hold None, and so does the initial state. In a phase that
-    emits a block (p, summ, outp), `block` holds its tokens, None where the
-    replay cannot know one, and `i` counts those emitted."""
-
-    phase: str  # run | p | summ | outp | end
-    config: Configuration | None
-    word: list[str]
-    trace_len: int = 0
-    chunk: int = 0
-    space: int = 0
-    after_run: bool = False  # the last token was a run token
-    block: list[str | None] = field(default_factory=list)
-    i: int = 0
-
-    def clone(self) -> _Replay:
-        return replace(self, config=self.config and self.config.clone())
-
-
 class _TraceDrafter:
-    """Proposes a run's next tokens from its own Turing-machine configuration.
+    """Proposes the tokens known to follow a run's segment so far.
 
-    One lives for one `_run_segments` call and nothing outlives it. It
-    replays each segment as `automata._segments` writes it: the tapes and
-    heads from the prompt, each run token's writes and moves, a <p> block
-    after every r run tokens and, with summaries, a summary once the trace
-    holds 3*(len(prompt) - 1) tokens. It proposes what follows from the δ
-    entries, (state, symbols read) -> run token, that it knows: run
-    tokens, <p> blocks, summaries and, after <outp>, tape 1's word.
-
-    A model with meta.machine (`compile_cot`, `compile_scot`) gives it δ,
-    the blank, the initial state and the halting state before the first
-    proposal, so it proposes from the prompt on and, after the halting run
-    token, the output block. Without one it records each δ entry the first
-    time a run token shows it; a cell never written reads None, the blank,
-    whose name it learns when a summary shows it, and <outp> after a run
-    token of no known entry shows a halt. A token that it cannot parse or
-    does not expect, also one that the machine's δ does not give, ends its
-    proposals for the segment; it never raises. It catches up on the
-    tokens lazily, when asked for a proposal, so a caller's expected
-    segment that stands costs no replay and reads no machine.
+    One lives for one `_run_segments` call. While the run is a prefix of
+    the caller's expected segment, it proposes the rest of that segment.
+    Past it, while the run is a prefix of what `automata.continuation`
+    writes from the prompt's configuration, it proposes the rest of that,
+    up to _PROPOSAL tokens and the end of the context. That configuration
+    is the initial one holding the word after <inp> w </inp>, and
+    `parse_summary`'s after a summary. Past both it proposes nothing. The
+    writer runs the model's meta.machine (`compile_cot`, `compile_scot`),
+    loaded at the first proposal that needs it, so an expected segment
+    that stands reads no machine. A model without one, or without binary
+    positions, proposes nothing past the expected segment. It never
+    raises: a head moves one cell per run token, so within the context no
+    <p> block breaks its r bits.
     """
 
     def __init__(self, params: TransformerParams, summaries: bool):
         pos = params.positional
         self._r = pos.r if isinstance(pos, BinaryAbsolute) else None
         self._summaries = summaries
-        self._vocab = params._token_ids
-        self._inputs = {t for t in params.vocab if token_class(t) == "sym"}
-        self._machine = params.meta.get("machine")  # read at the first replay
-        self._delta: dict[tuple, str] = {}
-        self._blank: str | None = None
-        self._fill: str | None = None  # what a cell never written reads
-        self._init: Configuration | None = None  # with every tape empty
-        self._halt: str | None = None
-        self._prompt: list[str] = []
-        self._expected: list[str] | None = None
-        self._at: _Replay | None = None
-        self._seen = 0
+        self._machine = params.meta.get("machine") if self._r is not None else None
+        self._tm: TuringMachine | None = None
 
     def segment(
         self, prompt: list[str], expected: list[str] | None = None
     ) -> Callable[[list[str]], list[str]]:
-        """The proposer of the segment that starts with `prompt`. While
-        the run so far is a prefix of `expected`, a segment with its
-        prompt, it proposes the rest of `expected`; after that, the
-        replay's tokens."""
-        self._prompt, self._at, self._seen = prompt, None, len(prompt)
+        """The proposer of the segment that starts with `prompt`, whose
+        expected tokens, prompt included, are `expected`."""
         self._expected = expected
+        self._written = list(prompt)  # the prompt, then the writer's tokens
+        # None once there is nothing to propose
+        self._writer = self._write(prompt) if self._machine is not None else None
+        self._matched = len(prompt)  # the run's tokens known to be written ones
         return self.propose
 
     def propose(self, tokens: list[str]) -> list[str]:
-        """The tokens that follow `tokens`, the segment so far: the rest of
-        the expected segment, or up to _PROPOSAL from the replay."""
+        """The tokens that follow `tokens`, the segment so far."""
         expected, n = self._expected, len(tokens)
         if expected and n < len(expected) and expected[:n] == tokens:
             return expected[n:]
         self._expected = None  # the run has left it
-        if self._at is None:
-            self._at = self._start(self._prompt)
-        at = self._at
-        for tok in tokens[self._seen :]:
-            if at.phase == "end":
-                break
-            if not self._advance(at, tok):
-                at.phase = "end"
-        self._seen = len(tokens)
-        if at.phase == "end":
+        if self._writer is None:
             return []
-        ahead, proposal = at.clone(), []
-        while len(proposal) < _PROPOSAL:
-            tok = self._predict(ahead)
-            if tok is None or not self._advance(ahead, tok):
-                break
-            proposal.append(tok)
-        return proposal
+        written = self._written
+        written += islice(self._writer, max(0, min(n + _PROPOSAL, 2**self._r) - len(written)))
+        if written[self._matched : n] != tokens[self._matched :]:
+            self._writer = None  # the run has left it
+            return []
+        self._matched = n
+        return written[n:]
 
-    def _start(self, prompt: list[str]) -> _Replay:
-        """The replay after a prompt: <inp> w </inp>, or a summary that
-        `parse_summary` reads, as every promoted summary is."""
-        self._cap = 3 * (len(prompt) - 1) if self._summaries else float("inf")
-        if self._r is None:
-            return _Replay("end", None, [])
-        if self._machine is not None:
-            tm, self._machine = load_tm(self._machine), None
-            self._delta = {key: run_token(*image) for key, image in tm.delta.items()}
-            self._blank = self._fill = tm.blank
-            self._init = Configuration(tm.q_init, [[] for _ in range(tm.tapes)], [0] * tm.tapes)
-            self._halt = tm.q_halt
+    def _write(self, prompt: list[str]) -> Iterator[str]:
+        """What `continuation` writes after prompt from its configuration;
+        nothing runs, and no machine is loaded, before its first token is
+        asked for."""
+        if self._tm is None:
+            self._tm = load_tm(self._machine)
+        tm = self._tm
         if prompt[0] == INP:
-            word, config = prompt[1:-1], self._init and self._init.clone()
-            if config:
-                config.tapes[0] = list(word)
-            return _Replay("run", config, word, space=len(prompt) - 2)
-        return _Replay("run", parse_summary(prompt[1:-1]), [], space=len(prompt) - 3)
-
-    def _key(self, config: Configuration) -> tuple:
-        """The δ key of a configuration: its state and the symbols read.
-        Without the machine a cell never written reads None, and a cell that
-        a run token or a summary shows holding the blank reads its name,
-        under another key for the same entry."""
-        return config.state, config.read(self._fill)
-
-    def _predict(self, at: _Replay) -> str | None:
-        """The token that must come next, or None if the replay cannot know it."""
-        if at.phase == "run":
-            return at.config and self._delta.get(self._key(at.config))
-        if at.phase != "end" and at.i < len(at.block):
-            return at.block[at.i]
-        return None
-
-    def _advance(self, at: _Replay, tok: str) -> bool:
-        """Replay one token; False if the run cannot emit it here."""
-        after_run, at.after_run = at.after_run, False
-        if tok == OUTP and after_run and self._key(at.config) not in self._delta:
-            # the run halted: a state with a δ entry is not the halting state
-            at.phase, at.block, at.i = "outp", self._output(at.config), 1
-            return True
-        if at.phase == "run":
-            return token_class(tok) == "run" and self._step(at, tok)
-        if at.phase == "end" or at.i >= len(at.block):
-            return False
-        if at.block[at.i] is None and at.phase == "summ":
-            if not self._learn_blank(at, tok):
-                return False
-        elif tok != at.block[at.i]:
-            return False
-        at.i += 1
-        if at.i == len(at.block):
-            at.phase = "run" if at.phase == "p" else "end"
-        return True
-
-    def _step(self, at: _Replay, tok: str) -> bool:
-        """Replay a run token: record its δ entry and apply it."""
-        try:
-            state, writes, moves = parse_run_token(tok)
-        except ValueError:
-            return False
-        config = at.config or Configuration(
-            None, [list(at.word)] + [[] for _ in writes[1:]], [0] * len(writes)
-        )
-        if not len(writes) == len(moves) == len(config.tapes) or not set(moves) <= set(MOVES):
-            return False
-        if self._delta.setdefault(self._key(config), tok) != tok:
-            return False
-        config.apply(writes, moves, self._fill)
-        config.state = state
-        at.config, at.after_run = config, True
-        at.trace_len += 1
-        at.space = max(at.space, 1 + max(config.heads))
-        if state == self._halt:  # halting wins over the summary and the <p> block
-            at.phase, at.block, at.i = "outp", self._output(config), 0
-            return True
-        if at.trace_len >= self._cap:
-            at.phase, at.block, at.i = "summ", self._summary(at), 0
-            return True
-        at.chunk += 1
-        if at.chunk == self._r:
-            try:
-                block = pos_block(config.heads, self._r)
-            except TokenBudgetError:
-                block = []
-            at.phase, at.block, at.i = "p", block, 0
-            at.chunk, at.trace_len = 0, at.trace_len + len(block)
-        return True
-
-    def _output(self, config: Configuration) -> list[str]:
-        """The output block of a halted run: tape 1's input symbols up to
-        the first other symbol."""
-        return [OUTP, *takewhile(lambda s: s in self._inputs, config.tapes[0]), EOUTP]
-
-    def _summary(self, at: _Replay) -> list[str | None]:
-        """`encode_summary` of the replay, None for a cell that holds a
-        blank of unknown name; empty if the state has no state token, as
-        the halting state has none."""
-        config, blank = at.config, self._blank
-        if state_token(config.state) not in self._vocab:
-            return []
-        fill = "?" if blank is None else blank  # "?" stands for the unknown name
-        tapes = [[fill if s is None else s for s in tape] for tape in config.tapes]
-        block = encode_summary(Configuration(config.state, tapes, config.heads), at.space, fill)
-        if blank is None:
-            for i in range(at.space):
-                if any(i >= len(tape) or tape[i] is None for tape in config.tapes):
-                    block[1 + i] = None
-        return block
-
-    def _learn_blank(self, at: _Replay, tok: str) -> bool:
-        """Take the blank's name from a summary token over a cell never
-        written, if the token is the summary's with that name."""
-        tapes, cell = at.config.tapes, at.i - 1
-        syms, _ = parse_tape_token(tok)
-        if token_class(tok) != "tape" or len(syms) != len(tapes):
-            return False
-        unwritten = [s for s, tape in zip(syms, tapes) if cell >= len(tape) or tape[cell] is None]
-        self._blank = unwritten[0]
-        at.block = self._summary(at)
-        if at.block[at.i] != tok:
-            self._blank = None
-            at.block = self._summary(at)
-            return False
-        return True
+            tapes = [prompt[1:-1]] + [[] for _ in range(tm.tapes - 1)]
+            config = Configuration(tm.q_init, tapes, [0] * tm.tapes)
+        else:
+            config = parse_summary(prompt[1:-1])
+        cap = 3 * (len(prompt) - 1) if self._summaries else float("inf")
+        # tape 1 holds the word or every cell of the summary: the cells used so far
+        yield from continuation(tm, config, len(config.tapes[0]), self._r, cap)
 
 
 def _find_block(tokens: list[str], start: int, opener: str) -> list[str]:

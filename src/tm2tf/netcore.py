@@ -651,11 +651,11 @@ class Evaluator:
     the reductions; without capture neither runs.
 
     The scores stay `keys @ q`, since another operand order sums rotary
-    scores in another order and changes their bits. `_exact`, the plan's
-    `exact`, decides the step: where no sum depends on its grouping,
-    `extend` runs a whole block as one step, with future keys masked by
-    -inf and each row's softmax denominator and att_err summed over its own
-    keys (`_causal_sum`). Every other model steps one position at a time.
+    scores in another order and changes their bits. The plan's `exact`
+    decides the step: where no sum depends on its grouping, `extend` runs
+    a whole block as one step, with future keys masked by -inf and each
+    row's softmax denominator and att_err summed over its own keys
+    (`_causal_sum`). Every other model steps one position at a time.
 
     `truncate` rewinds to a prefix: the kept rows stay as they are, and the
     next `extend` overwrites the dropped ones. Rounding saturations are
@@ -693,7 +693,6 @@ class Evaluator:
             self._pos_bits = np.array(pos.coords, np.intp), 1 << np.arange(pos.r)
         self._rotary = pos if isinstance(pos, RotaryOnly) else None
         self._formats = cfg.act_precision.fmt, cfg.att_precision.fmt  # None: exact
-        self._exact = plan.exact
         # Per position: (B*H, d_k + d_v) rotated, scaled and rounded keys,
         # then values, of each sequence and head; (B, d) final
         # representations. With capture, the trace arena: (B, .) rows of
@@ -792,7 +791,7 @@ class Evaluator:
         self.reserve(start + len(tokens))
         x = self._embed(tokens, start)
         self.tokens += tokens
-        if self._exact:
+        if self.plan.exact:
             self._step(x, start)
         else:
             for i in range(len(tokens)):

@@ -26,6 +26,7 @@ from tm2tf.automata import (
     NonHaltingError,
     TokenBudgetError,
     TuringMachine,
+    continuation,
     cot_token_oracle,
     cot_vocab,
     dfa_accepts,
@@ -407,23 +408,29 @@ def test_parse_summary_reads_every_oracle_summary(name):
     """For each word of at most 3 symbols whose SCoT oracle run exists, at
     the r the run needs, every summary body parses to the configuration
     it encodes: its state, its heads and its tapes padded with blanks to
-    the cells the summary shows."""
+    the cells the summary shows. Segments compose: what `continuation`
+    writes from the parsed configuration is the oracle's next segment
+    after its prompt, the summary."""
     tm, summaries = EVERY_MACHINE[name], 0
     for n in range(4):
         for word in itertools.product(tm.input_alphabet, repeat=n):
             result = tm_run(tm, word, 500)
             if not result.halted or result.output is None:
                 continue
-            t = 0
-            for seg in scot_segments_oracle(tm, word, choose_r_scot(max(result.space, 1)))[:-1]:
+            r, t = choose_r_scot(max(result.space, 1)), 0
+            segments = scot_segments_oracle(tm, word, r)
+            for seg, following in zip(segments, segments[1:]):
                 t += sum(token_class(tok) == "run" for tok in seg)
                 body = seg[seg.index(SUMM, 1) + 1 : -1]
                 config, space = result.config_trace[t], len(body) - 1
-                assert [SUMM, *body, ESUMM] == encode_summary(config, space, tm.blank)
+                prompt = [SUMM, *body, ESUMM]
+                assert prompt == encode_summary(config, space, tm.blank)
                 parsed = parse_summary(body)
                 assert (parsed.state, parsed.heads) == (config.state, config.heads), word
                 padded = [tape + [tm.blank] * (space - len(tape)) for tape in config.tapes]
                 assert parsed.tapes == padded, word
+                written = continuation(tm, parsed, space, r, 3 * (len(prompt) - 1))
+                assert [*prompt, *written] == following, word
                 summaries += 1
     # fig2's and one_step's runs end before their trace cap
     assert summaries or name in ("fig2_machine", "one_step_machine")

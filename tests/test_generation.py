@@ -523,11 +523,10 @@ def test_each_generate_call_builds_one_evaluator(monkeypatch):
     in its middle is fed as one block, truncated before its first wrong
     token and extended from there; the expected draft is one block step.
     Past a draft each step feeds the greedy token and, under hardmax, what
-    the trace drafter proposes after it. Where it learns δ (meta.machine
-    removed): the rest of a <p> block, run tokens of δ entries already
-    seen, a summary, an output. Seeded by meta.machine, it proposes from
-    the prompt on, so a segment without a draft is one step. A segment's
-    first step feeds its prompt and its caller's draft."""
+    the trace drafter proposes after it. Without meta.machine that is
+    nothing, so each step feeds one position. Seeded by meta.machine, it
+    proposes from the prompt on, so a segment without a draft is one step.
+    A segment's first step feeds its prompt and its caller's draft."""
     from dataclasses import replace
 
     from machines import copy_machine
@@ -567,8 +566,8 @@ def test_each_generate_call_builds_one_evaluator(monkeypatch):
     diverging = [first[:mid] + [wrong] + first[mid + 1 :], *expected[1:]]
     drafts = {
         "expected": (params, expected, [[[26]], [[12]]]),
-        "diverges mid-segment": (params, diverging, [[[26, 3, 7]], [[12]]]),
-        "none": (params, None, [[[5, 1, 2, 1, 10, 7]], [[7, 1, 4]]]),
+        "diverges mid-segment": (params, diverging, [[[26] + [1] * 10], [[12]]]),
+        "none": (params, None, [[[5] + [1] * 21], [[7] + [1] * 5]]),
         "seeded, diverges mid-segment": (seeded, diverging, [[[26, 10]], [[12]]]),
         "seeded, none": (seeded, None, [[[26]], [[12]]]),
     }
@@ -603,12 +602,11 @@ def _bouncer8_steps(seeded: bool, monkeypatch) -> tuple[int, int]:
 
 
 def test_a_self_drafted_decode_takes_fewer_steps(monkeypatch):
-    """bouncer8 CoT r=10 on "xyxy" repeats its head sweeps. Where the
-    drafter learns δ (meta.machine removed), its 176 tokens take 36 steps,
-    where one position per step takes 170. The steps feed 187 positions:
-    12 drafted tokens were wrong, all in the <p> block proposed after the
-    halting run token."""
-    assert _bouncer8_steps(False, monkeypatch) == (36, 187)
+    """bouncer8 CoT r=10 on "xyxy", 176 tokens, on a model without
+    meta.machine: nothing is proposed, so it takes 170 steps of one
+    position each after the prompt's, where the seeded decode below
+    takes 6."""
+    assert _bouncer8_steps(False, monkeypatch) == (170, 175)
 
 
 def test_a_machine_seeded_decode_drafts_from_the_prompt(monkeypatch):
@@ -616,6 +614,24 @@ def test_a_machine_seeded_decode_drafts_from_the_prompt(monkeypatch):
     and 32 tokens, then a greedy token and 32 more each, and they feed the
     175 positions before </outp>."""
     assert _bouncer8_steps(True, monkeypatch) == (6, 175)
+
+
+def test_the_drafter_loads_the_machine_only_past_a_standing_draft(monkeypatch):
+    """A copy SCoT r=6 run of two segments loads meta.machine once when it
+    drafts from it, and never where the expected draft stands throughout."""
+    from machines import copy_machine
+
+    from tm2tf.automata import scot_segments_oracle
+    from tm2tf.compilers import compile_scot
+
+    loads, load_tm = [], generation.load_tm
+    monkeypatch.setattr(generation, "load_tm", lambda doc: loads.append(doc) or load_tm(doc))
+    params, _ = compile_scot(copy_machine(), 6)
+    expected = scot_segments_oracle(copy_machine(), "011", 6)
+    for draft, n_loads in ((expected, 0), (None, 1)):
+        loads.clear()
+        assert run_scot(params, "011", EvalConfig(), draft=draft).segments == expected
+        assert len(loads) == n_loads, draft is None
 
 
 def _reference_generate(params, prompt, stop_set, max_steps, cfg, propose=None):
@@ -785,7 +801,7 @@ def test_a_denoised_conversion_keeps_the_machine_and_drafts_from_it(tmp_path, mo
 
 
 # ---------------------------------------------------------------------------
-# the trace drafter: malformed tokens, and precision on the oracle's runs
+# the trace drafter: malformed tokens, and its proposals on the oracle's runs
 
 
 def chain_model(chain: list[str], r: int = 8) -> TransformerParams:
@@ -827,9 +843,9 @@ MALFORMED = {
 
 @pytest.mark.parametrize("name", MALFORMED)
 def test_malformed_tokens_decode_like_one_position_per_step(name, monkeypatch):
-    """Models that emit malformed run tokens and summaries: the trace
-    drafter stops proposing for the segment, raises nothing, and the run
-    equals the reference decoder's. A malformed summary is not promoted:
+    """Models without meta.machine that emit malformed run tokens and
+    summaries: the trace drafter raises nothing, and the run equals the
+    reference decoder's. A malformed summary is not promoted:
     the run ends undefined with `parse_summary`'s reason."""
     protocol, emitted, reason = MALFORMED[name]
     params = chain_model([EINP, *emitted, OUTP, EOUTP])
@@ -881,10 +897,10 @@ def _words(tm, max_len: int = 3) -> list[str]:
     return ["".join(w) for n in range(max_len + 1) for w in itertools.product(alphabet, repeat=n)]
 
 
-def _oracle_replays(machine: str, protocol: str, r: int, words, seeded: bool):
+def _oracle_replays(machine: str, protocol: str, r: int, words):
     """`_replay_oracle` of each word's oracle run, on the compiled model
-    with its meta.machine if seeded and without it otherwise, summed: the
-    words decoded, steps, positions fed, and the misses. Words whose oracle
+    with its meta.machine, summed: the words decoded, steps, positions
+    fed, and the misses. Words whose oracle
     raises (a run that does not fit the r, halt or leave an output) are
     skipped."""
     from tm2tf.automata import (
@@ -896,8 +912,6 @@ def _oracle_replays(machine: str, protocol: str, r: int, words, seeded: bool):
     )
 
     tm, (params, _) = _compiled(machine, protocol, r)
-    if not seeded:
-        del params.meta["machine"]
     stop_set = {EOUTP} if protocol == "cot" else {EOUTP, ESUMM}
     decoded = steps = fed = 0
     misses = []
@@ -912,49 +926,13 @@ def _oracle_replays(machine: str, protocol: str, r: int, words, seeded: bool):
         s, f, m = _replay_oracle(params, segments, stop_set)
         decoded, steps, fed = decoded + 1, steps + s, fed + f
         misses += [(word, *miss) for miss in m]
-    return tm, (decoded, steps, fed), misses
+    return (decoded, steps, fed), misses
 
 
 # machine, protocol, r, words (None: all of up to 3 symbols), and the
-# pinned words decoded, steps, positions fed and <p> blocks proposed after
-# the halting run token, by a drafter that learns δ
-PRECISION_CASES = [
-    ("fig2", "cot", 6, None, (40, 234, 543, 6)),
-    ("fig2", "scot", 6, None, (40, 234, 543, 6)),  # no run reaches the trace cap
-    ("copy", "cot", 6, None, (15, 112, 307, 4)),
-    ("copy", "scot", 6, None, (15, 120, 411, 4)),
-    ("bouncer4", "cot", 8, None, (15, 278, 995, 15)),
-    ("bouncer4", "scot", 6, None, (15, 319, 1296, 0)),
-    ("bouncer8", "cot", 10, ["xyxy"], (1, 36, 187, 1)),  # as decoded, see above
-    ("tally", "cot", 8, None, (15, 194, 529, 10)),
-    ("tally", "scot", 6, None, (15, 220, 642, 0)),
-    ("one_step2", "scot", 6, None, (4, 12, 28, 0)),
-    ("counter", "scot", 8, ["h000000"], (1, 38, 877, 0)),
-]
-
-
-@pytest.mark.parametrize(
-    "machine, protocol, r, words, pinned",
-    [pytest.param(*case, id="-".join(map(str, case[:3]))) for case in PRECISION_CASES],
-)
-def test_the_trace_drafter_proposes_only_the_oracle_s_tokens(machine, protocol, r, words, pinned):
-    """Over the oracle runs of the test machines, at the r the tests use,
-    on models without meta.machine: every proposed token that `generate`
-    would feed is the oracle's next token, except the <p> block proposed
-    after the halting run token when it ends a chunk of r run tokens: the
-    drafter does not know the halting state."""
-    from tm2tf.automata import POPEN, parse_run_token
-
-    tm, counts, misses = _oracle_replays(machine, protocol, r, words, seeded=False)
-    for word, before, at, proposed in misses:
-        assert parse_run_token(before)[0] == tm.q_halt, (word, before, proposed)
-        assert (at, proposed[0]) == (OUTP, POPEN), (word, proposed)
-    assert (*counts, len(misses)) == pinned
-
-
-# The cases of PRECISION_CASES, pinned for the compiled models as they
-# are, with meta.machine: the drafter knows δ from the prompt on, and the
-# halting state, so no proposed token misses.
+# pinned words decoded, steps, positions fed and misses, on the compiled
+# models, with meta.machine: the drafter writes the run from the prompt
+# on, so no proposed token misses.
 SEEDED_CASES = [
     ("fig2", "cot", 6, None, (40, 40, 495, 0)),
     ("fig2", "scot", 6, None, (40, 40, 495, 0)),
@@ -977,11 +955,12 @@ SEEDED_CASES = [
 def test_a_machine_seeded_drafter_proposes_every_oracle_token(
     machine, protocol, r, words, pinned
 ):
-    """The oracle runs of PRECISION_CASES on the compiled models, which
-    carry meta.machine: every proposed token is the oracle's, also the
-    output block after the halting run token, and every step but a
-    segment's first feeds a greedy token and a full proposal."""
-    _, counts, misses = _oracle_replays(machine, protocol, r, words, seeded=True)
+    """Over the oracle runs of the test machines, at the r the tests use,
+    on the compiled models, which carry meta.machine: every proposed token
+    is the oracle's, also the output block after the halting run token,
+    and every step but a segment's first feeds a greedy token and a full
+    proposal."""
+    counts, misses = _oracle_replays(machine, protocol, r, words)
     assert misses == []
     assert (*counts, len(misses)) == pinned
 

@@ -1237,7 +1237,7 @@ def test_a_truncated_evaluator_equals_a_fresh_one(case):
     fresh = Evaluator(params, cfg, batch)
     fresh.extend(tokens)
     want = _ev_digest(fresh)
-    assert fresh._exact == (case != "rotary")
+    assert fresh.plan.exact == (case != "rotary")
     a, saturations = len(tokens) // 3, []
     for m in range(len(tokens) + 1):
         ev = Evaluator(params, cfg, batch)
@@ -1298,7 +1298,7 @@ def test_a_denoised_block_equals_per_position_steps(case):
     cfg = dataclasses.replace(cfg, capture_trace=True)
     for seg in segments:
         block, stepped = Evaluator(params, cfg), Evaluator(params, cfg)
-        assert block._exact
+        assert block.plan.exact
         block.extend(seg[:-1])
         for tok in seg[:-1]:
             stepped.extend([tok])
@@ -1358,7 +1358,7 @@ def test_sum_bits_passes_the_denoised_formats_and_fails_wide_ones():
     params, _ = _softmax_case("denoised")
     for act, att in ((bf16, bf16), (wide, FloatFormat(4, 4))):
         cfg = EvalConfig("softmax", Precision(act), Precision(att))
-        assert not Evaluator(params, cfg)._exact
+        assert not Evaluator(params, cfg).plan.exact
 
 
 # Digests of final representations and traces of the rotary prefix on
