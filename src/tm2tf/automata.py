@@ -235,6 +235,13 @@ class TuringMachine:
             if not set(moves) <= set(MOVES):
                 raise MachineError(f"delta entry {entry} uses invalid moves {moves!r}")
 
+    def start(self, word: list[str]) -> "Configuration":
+        """The configuration a run on word starts at: q_init, the word on
+        tape 1, the other tapes empty, every head on cell 0."""
+        return Configuration(
+            self.q_init, [list(word)] + [[] for _ in range(self.tapes - 1)], [0] * self.tapes
+        )
+
 
 @dataclass
 class Configuration:
@@ -308,11 +315,7 @@ def tm_run(tm: TuringMachine, word: list[str] | str, step_cap: int) -> RunResult
     if step_cap < 0:
         raise ValueError("step_cap must be >= 0")
 
-    config = Configuration(
-        state=tm.q_init,
-        tapes=[list(word)] + [[] for _ in range(tm.tapes - 1)],
-        heads=[0] * tm.tapes,
-    )
+    config = tm.start(word)
     trace = [config.clone()]
     run_tokens: list[str] = []
     space = max(len(word), 1)  # t=0 heads sit on cell 0
@@ -472,7 +475,7 @@ def _segments(
     if result.output is None:
         raise InvalidOutputError("tape 1 is not a word over the input alphabet")
 
-    config = result.config_trace[0].clone()
+    config = tm.start(word)
     prompt = [INP, *word, EINP]
     space = len(word)  # cells used so far, per the summary definition
     segments: list[list[str]] = []

@@ -10,7 +10,7 @@ silently passing.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator
+from collections.abc import Callable
 from contextvars import ContextVar
 from dataclasses import dataclass, field
 from itertools import islice, takewhile
@@ -155,73 +155,55 @@ _PROPOSAL = 32
 
 
 class _TraceDrafter:
-    """Proposes the tokens known to follow a run's segment so far.
+    """Proposes the tokens that the model's machine writes after a run's
+    segment so far.
 
-    One lives for one `_run_segments` call. While the run is a prefix of
-    the caller's expected segment, it proposes the rest of that segment.
-    Past it, while the run is a prefix of what `automata.continuation`
-    writes from the prompt's configuration, it proposes the rest of that,
-    up to _PROPOSAL tokens and the end of the context. That configuration
-    is the initial one holding the word after <inp> w </inp>, and
-    `parse_summary`'s after a summary. Past both it proposes nothing. The
-    writer runs the model's meta.machine (`compile_cot`, `compile_scot`),
-    loaded at the first proposal that needs it, so an expected segment
-    that stands reads no machine. A model without one, or without binary
-    positions, proposes nothing past the expected segment. It never
-    raises: a head moves one cell per run token, so within the context no
-    <p> block breaks its r bits.
+    One lives for one `_run_segments` call, which hands each segment's
+    prompt over with the configuration its run stands at: the word's
+    start configuration for the first segment, and `parse_summary`'s after
+    a summary. While the run is a prefix of what `automata.continuation`
+    writes from there, it proposes the rest of that, up to _PROPOSAL
+    tokens and the end of the context; past it, nothing. The writer runs
+    the model's meta.machine (`compile_cot`, `compile_scot`), loaded once
+    per call as `tm`. A model without one, or without binary positions,
+    has no `tm` and proposes nothing. It never raises: a head moves one
+    cell per run token, so within the context no <p> block breaks its r
+    bits.
     """
 
     def __init__(self, params: TransformerParams, summaries: bool):
         pos = params.positional
         self._r = pos.r if isinstance(pos, BinaryAbsolute) else None
         self._summaries = summaries
-        self._machine = params.meta.get("machine") if self._r is not None else None
-        self._tm: TuringMachine | None = None
+        machine = params.meta.get("machine") if self._r is not None else None
+        self.tm: TuringMachine | None = load_tm(machine) if machine is not None else None
 
     def segment(
-        self, prompt: list[str], expected: list[str] | None = None
+        self, prompt: list[str], config: Configuration | None
     ) -> Callable[[list[str]], list[str]]:
-        """The proposer of the segment that starts with `prompt`, whose
-        expected tokens, prompt included, are `expected`."""
-        self._expected = expected
+        """The proposer of the segment that starts with `prompt`, whose run
+        stands at `config`, which the writer moves along; without `tm`,
+        config is None and nothing is proposed."""
         self._written = list(prompt)  # the prompt, then the writer's tokens
-        # None once there is nothing to propose
-        self._writer = self._write(prompt) if self._machine is not None else None
         self._matched = len(prompt)  # the run's tokens known to be written ones
+        self._writer = None  # None once there is nothing to propose
+        if self.tm is not None:
+            cap = 3 * (len(prompt) - 1) if self._summaries else float("inf")
+            # tape 1 holds the word or every cell of the summary: the cells used so far
+            self._writer = continuation(self.tm, config, len(config.tapes[0]), self._r, cap)
         return self.propose
 
     def propose(self, tokens: list[str]) -> list[str]:
         """The tokens that follow `tokens`, the segment so far."""
-        expected, n = self._expected, len(tokens)
-        if expected and n < len(expected) and expected[:n] == tokens:
-            return expected[n:]
-        self._expected = None  # the run has left it
         if self._writer is None:
             return []
-        written = self._written
+        written, n = self._written, len(tokens)
         written += islice(self._writer, max(0, min(n + _PROPOSAL, 2**self._r) - len(written)))
         if written[self._matched : n] != tokens[self._matched :]:
             self._writer = None  # the run has left it
             return []
         self._matched = n
         return written[n:]
-
-    def _write(self, prompt: list[str]) -> Iterator[str]:
-        """What `continuation` writes after prompt from its configuration;
-        nothing runs, and no machine is loaded, before its first token is
-        asked for."""
-        if self._tm is None:
-            self._tm = load_tm(self._machine)
-        tm = self._tm
-        if prompt[0] == INP:
-            tapes = [prompt[1:-1]] + [[] for _ in range(tm.tapes - 1)]
-            config = Configuration(tm.q_init, tapes, [0] * tm.tapes)
-        else:
-            config = parse_summary(prompt[1:-1])
-        cap = 3 * (len(prompt) - 1) if self._summaries else float("inf")
-        # tape 1 holds the word or every cell of the summary: the cells used so far
-        yield from continuation(tm, config, len(config.tapes[0]), self._r, cap)
 
 
 def _find_block(tokens: list[str], start: int, opener: str) -> list[str]:
@@ -244,23 +226,22 @@ def _run_segments(
     cfg: EvalConfig,
     budget: int | None,
     record_steps: bool,
-    draft: list[list[str]] | None,
 ) -> GenerationTrace:
     """Decode segments until </outp>, promoting each summary block that
     `parse_summary` reads to the next prompt; budget applies per segment
     and is cut to the positions left in the context. With stop set
-    {</outp>} the first segment is the whole run. draft[i], the expected
-    segment i, is proposed while the run is its prefix (see
-    `_TraceDrafter.segment`). Every segment's evaluator multiplies one
-    `EvalPlan`, built for this call. A word token that is not an input
-    symbol (`token_class` other than "sym") raises EvalError."""
+    {</outp>} the first segment is the whole run. Each segment proposes
+    what the model's meta.machine writes (`_TraceDrafter`). Every
+    segment's evaluator multiplies one `EvalPlan`, built for this call. A
+    word token that is not an input symbol (`token_class` other than
+    "sym") raises EvalError."""
     word = list(word)
     for tok in word:
         if token_class(tok) != "sym":
             raise EvalError(f"word token {tok!r} is not an input symbol")
     plan = _RUN_PLAN.set(EvalPlan(params, cfg))
     try:
-        return _segments(stop_set, params, word, cfg, budget, record_steps, draft)
+        return _segments(stop_set, params, word, cfg, budget, record_steps)
     finally:
         _RUN_PLAN.reset(plan)
 
@@ -272,16 +253,15 @@ def _segments(
     cfg: EvalConfig,
     budget: int | None,
     record_steps: bool,
-    draft: list[list[str]] | None,
 ) -> GenerationTrace:
     """The segments of `_run_segments`, for a checked word."""
     trace = GenerationTrace()
-    prompt = [INP, *word, EINP]
     drafter = _TraceDrafter(params, summaries=ESUMM in stop_set)
+    prompt = [INP, *word, EINP]
+    config = drafter.tm.start(word) if drafter.tm else None
     for seg_idx in range(_MAX_SEGMENTS):
         steps = _context_room(params, len(prompt), budget)
-        expected = draft[seg_idx] if draft and seg_idx < len(draft) else None
-        propose = drafter.segment(prompt, expected)
+        propose = drafter.segment(prompt, config)
         tokens, exceeded, ev = generate(params, prompt, stop_set, steps, cfg, propose=propose)
         if record_steps:  # each token's scores sit at the position before it
             for position in range(len(prompt), len(tokens)):
@@ -315,7 +295,7 @@ def _segments(
                 trace.outcome, trace.output = "output", output
                 return trace
             body = _find_block(tokens, len(prompt), SUMM)
-            parse_summary(body)
+            config = parse_summary(body)
         except ValueError as err:
             trace.outcome, trace.reason = "undefined", str(err)
             return trace
@@ -330,14 +310,9 @@ def run_cot(
     cfg: EvalConfig,
     budget: int | None = None,
     record_steps: bool = False,
-    draft: list[list[str]] | None = None,
 ) -> GenerationTrace:
-    """Decode from <inp> w </inp> until </outp>; validate the output block.
-
-    `draft` is the expected run in the form of `GenerationTrace.segments`
-    (one segment, prompt included); it is proposed to `generate`, which
-    only saves work, and only where a block is one step."""
-    return _run_segments({EOUTP}, params, word, cfg, budget, record_steps, draft)
+    """Decode from <inp> w </inp> until </outp>; validate the output block."""
+    return _run_segments({EOUTP}, params, word, cfg, budget, record_steps)
 
 
 def run_scot(
@@ -346,9 +321,6 @@ def run_scot(
     cfg: EvalConfig,
     budget: int | None = None,
     record_steps: bool = False,
-    draft: list[list[str]] | None = None,
 ) -> GenerationTrace:
-    """The iterated segment/summary loop; budget applies per segment.
-
-    `draft` is the expected segments, prompts included, as in `run_cot`."""
-    return _run_segments({EOUTP, ESUMM}, params, word, cfg, budget, record_steps, draft)
+    """The iterated segment/summary loop; budget applies per segment."""
+    return _run_segments({EOUTP, ESUMM}, params, word, cfg, budget, record_steps)

@@ -190,38 +190,35 @@ def _merge_violations(total: dict[str, int], part: dict[str, int]) -> None:
 
 
 def trace_invariant_violations(traces: list[ActivationTrace]) -> dict[str, int]:
-    """Count construction-invariant violations over hardmax evaluator traces.
+    """Count construction-invariant violations over hardmax evaluator traces
+    captured at the audit level, by summing the reductions the evaluator
+    made at each step.
 
     ternary: an activation vector (per position, and per head for q, k, v
     and o) outside {-1, 0, 1}. score_gap: a (position, head) score row that
     is not integer or whose maximum leads the next score by less than 1.
     tie_values: an integer (position, head) row whose tied maximal keys
     carry different values. output_gap: a decoded step whose top output
-    score leads by less than 1. An audit trace's counts are sums of the
-    reductions the evaluator made at each step; a full trace is audited
-    from its whole-model arrays, in one pass over all layers.
+    score leads by less than 1. A trace at any other capture level raises
+    ValueError.
     """
     out = {"ternary": 0, "score_gap": 0, "tie_values": 0, "output_gap": 0}
     for trace in traces:
-        if trace.capture == "audit":
-            integral = trace.score_integral
-            out["ternary"] += int(trace.nonternary.sum())
-            out["score_gap"] += int((~integral | (trace.score_gap < 1.0)).sum())
-            out["tie_values"] += int((integral & ~trace.tied_values_equal).sum())
-            out["output_gap"] += sum(int((g < 1.0).sum()) for g in trace.output_gaps)
-            continue
-        out["ternary"] += _ternary_violations(trace)
-        score_gap, tie_values = _score_row_violations(trace.dots, trace.v)
-        out["score_gap"] += score_gap
-        out["tie_values"] += tie_values
-        if trace.output_scores:
-            top2 = np.sort(np.stack(trace.output_scores), axis=-1)[..., -2:]
-            out["output_gap"] += int((np.diff(top2, axis=-1) < 1.0).sum())
+        if trace.capture != "audit":
+            raise ValueError(
+                f"invariant audits read traces captured at 'audit', not at {trace.capture!r}"
+            )
+        integral = trace.score_integral
+        out["ternary"] += int(trace.nonternary.sum())
+        out["score_gap"] += int((~integral | (trace.score_gap < 1.0)).sum())
+        out["tie_values"] += int((integral & ~trace.tied_values_equal).sum())
+        out["output_gap"] += sum(int((g < 1.0).sum()) for g in trace.output_gaps)
     return out
 
 
-# The audits check up to this many values at once (0.5 MB of float64), so
-# that their copies add little to the peak memory of a long trace.
+# The rounding audit checks up to this many values at once (0.5 MB of
+# float64), so that its copies add little to the peak memory of a long
+# trace.
 _AUDIT_VALUES = 1 << 16
 
 
@@ -233,54 +230,6 @@ def _position_chunks(arr: np.ndarray):
         step = max(1, _AUDIT_VALUES * len(arr) // arr.size)
         for i in range(0, len(arr), step):
             yield i, arr[i : i + step]
-
-
-def _ternary_violations(trace: ActivationTrace) -> int:
-    """Activation vectors outside {-1, 0, 1}: the column ranges of the
-    stream that `stream_starts` begins, and the last axis of q, k, v and o.
-    Each array is checked a chunk of positions at a time, and only a chunk
-    that fails is counted vector by vector. NaN and +-inf fail |x| <= 1 or
-    x == rint(x)."""
-    count = 0
-    arrays = [(trace.stream, trace.stream_starts)]
-    arrays += [(a, None) for a in (trace.q, trace.k, trace.v, trace.o)]
-    for arr, starts in arrays:
-        for _, chunk in _position_chunks(arr):
-            if np.all(np.abs(chunk) <= 1.0) and np.all(chunk == np.rint(chunk)):
-                continue
-            bad = (chunk != 0.0) & (np.abs(chunk) != 1.0)
-            if starts is None:
-                count += int(bad.any(axis=-1).sum())
-            else:
-                count += int(np.logical_or.reduceat(bad, starts, axis=-1).sum())
-    return count
-
-
-def _score_row_violations(dots: np.ndarray, v: np.ndarray) -> tuple[int, int]:
-    """(score_gap, tie_values) counts over the (position, head) score rows
-    of (P, H, P) dots and their (P, H, d_v) values, a chunk of positions at
-    a time; a batch trace's rows are (position, sequence, head)."""
-    if dots.size == 0:
-        return 0, 0
-    n = len(dots)
-    # dots[i, h, j]: row h of position i against key j <= i; -inf past i
-    dots = dots.reshape(n, -1, n)
-    values = v.reshape(*dots.shape[:2], v.shape[-1])  # (n, rows, d_v)
-    score_gap = tie_values = 0
-    for _, chunk in _position_chunks(dots):
-        # In an integral row the maximum leads every lower score by 1 or
-        # more (the -inf past i included), so only non-integral rows fail.
-        integral = np.all(chunk == np.rint(chunk), axis=-1)
-        tied = chunk == chunk.max(axis=-1, keepdims=True)
-        score_gap += int((~integral).sum())
-        # Tied keys of one row must carry the value of its first tied key.
-        first = tied.argmax(axis=-1)
-        i, h, j = np.nonzero(tied & (integral & (tied.sum(axis=-1) > 1))[..., None])
-        differs = np.any(values[j, h] != values[first[i, h], h], axis=-1)
-        rows = np.zeros(chunk.shape[:2], bool)
-        rows[i[differs], h[differs]] = True
-        tie_values += int(rows.sum())
-    return score_gap, tie_values
 
 
 def attention_rounding_bound_violations(
@@ -358,16 +307,17 @@ def validate_trials(
     construction invariants; "scaled_only" and "denoised" run its softmax
     conversion at theorem settings (see `softmaxify.convert`), and
     "denoised" audits the pre-denoising margin against the hardmax model
-    and the attention-weight rounding error against its bound. The
-    oracle's segments are passed as the draft, which changes no result:
-    under hardmax, and under the denoised formats at these trials' r,
-    where every sum is exact (`netcore.sum_bits`), a right model is
-    verified in one block step per segment; scaled_only trials are fed
-    one token per step. Hardmax trials run at the audit capture level:
-    the evaluator reduces each layer's invariants as it computes it and
-    keeps no activation arrays. Denoised trials capture in full, since
-    their margin audit reads every layer's x_mid; scaled_only trials
-    capture nothing.
+    and the attention-weight rounding error against its bound. Each
+    trial decodes with `run_cot` or `run_scot` as any caller does, so the
+    model drafts from its meta.machine: under hardmax, and under the
+    denoised formats at these trials' r, where every sum is exact
+    (`netcore.sum_bits`), a right model verifies a segment in block steps
+    of its prompt, or a greedy token, and up to 32 proposed tokens;
+    scaled_only trials are fed one token per step. Hardmax trials run at
+    the audit capture level: the evaluator reduces each layer's invariants
+    as it computes it and keeps no activation arrays. Denoised trials
+    capture in full, since their margin audit reads every layer's x_mid;
+    scaled_only trials capture nothing.
     A machine that does not halt within `step_cap` steps is skipped.
     """
     if protocol not in ("cot", "scot"):
@@ -416,7 +366,7 @@ def validate_trials(
         run_cfg = replace(run_cfg, capture_trace=_CAPTURE[mode])
         if mode != "hardmax":
             trial["c"] = params.qk_scale
-        trace = (run_cot if cot else run_scot)(params, word, run_cfg, draft=expected)
+        trace = (run_cot if cot else run_scot)(params, word, run_cfg)
         report.checked += 1
         if trace.segments != expected:
             report.mismatches.append(
@@ -492,16 +442,17 @@ def validate_dfa(dfas: list, r: int, max_len: int) -> ValidationReport:
 
 
 def _denoising_margin_violations(hard_params, trace) -> int:
-    """Check pre-denoising deviations <= 1/4 against the hardmax reference,
-    one evaluator per segment on one plan."""
+    """Check pre-denoising deviations <= 1/4 against the hardmax reference
+    at every position each segment's converted evaluator ran: all but a
+    stop token, which is never fed, so every token of a segment that ran
+    out of budget. One evaluator per segment, on one plan."""
     violations = 0
     hard_cfg = EvalConfig(attention="hardmax", capture_trace=True)
     plan = EvalPlan(hard_params, hard_cfg)
     for seg, ev_trace in zip(trace.segments, trace.eval_traces):
-        processed = seg[:-1]  # the final stop token is never fed forward
-        _, hard_trace = forward(hard_params, processed, hard_cfg, plan)
+        _, hard_trace = forward(hard_params, seg[: len(ev_trace.x0)], hard_cfg, plan)
         for hard_lt, conv_lt in zip(hard_trace.layers, ev_trace.layers[::2]):
-            dev = np.abs(conv_lt.x_mid[: len(hard_lt.x_mid)] - hard_lt.x_mid).max(axis=-1)
+            dev = np.abs(conv_lt.x_mid - hard_lt.x_mid).max(axis=-1)
             violations += int((dev > 0.25 + 1e-12).sum())
     return violations
 

@@ -5,8 +5,9 @@ projections additionally carry one shared positive scale c (1 for plain
 hardmax constructions). Evaluation is causal and incremental: positions
 are appended to cached keys and values, so autoregressive generation never
 recomputes a prefix; a prefix, once run, never changes. `truncate` drops
-positions from the end, so that a decode whose draft was wrong rewinds to
-the tokens that stand and goes on from there on the same evaluator.
+positions from the end, so that a decode whose proposed tokens were
+wrong rewinds to the tokens that stand and goes on from there on the same
+evaluator.
 Hardmax decisions compare raw integer dot products, sidestepping the
 1/sqrt(d_k) division.
 
@@ -33,23 +34,23 @@ computes and writes back only the output rows that some neuron writes,
 and W_O keeps all its output rows. Where every order-dependent sum is
 exact (no rotary positions, and hardmax or rounded softmax whose formats
 pass `sum_bits`) a whole block of known tokens is one step, which is what
-lets generation verify a draft of expected tokens in one pass; there a
-block row's softmax denominator sums its own keys as a one-position step
-does, and the Q/K/V matmul computes only the q, k and v columns that some
-weight writes and scatters them into +0.0, so that the KV cache and the
-trace keep all d_k + d_v columns of every head. Every other model steps
-one position at a time, so its rounding is that of plain incremental
-decoding. A full trace (`capture_trace=True`) is a handful of whole-model
-arrays that grow with the KV cache (`ActivationTrace`), and each layer's
-quantities are views into them whose first axis is position, with a (B,)
-axis after it for a batch: (P, H, .) for q, k, v and o, (P, H, P) for the
-causally masked dots, (P, H) for att_err, (P, d) or (P, m) for y, x_mid,
-hidden and x_out. An audit trace (`capture_trace="audit"`) keeps only what
-the hardmax invariants need, reduced as each layer is computed: per
-(position, head) score row its integrality, tie count, whether its tied
-keys carry equal values and its runner-up gap, per (position, layer) the
-activation vectors outside {-1, 0, 1}, and per decoded step the output
-gap.
+lets generation verify the tokens that the model's machine writes in one
+pass; there a block row's softmax denominator sums its own keys as a
+one-position step does, and the Q/K/V matmul computes only the q, k and
+v columns that some weight writes and scatters them into +0.0, so that
+the KV cache and the trace keep all d_k + d_v columns of every head.
+Every other model steps one position at a time, so its rounding is that
+of plain incremental decoding. A full trace (`capture_trace=True`) is a
+handful of whole-model arrays that grow with the KV cache
+(`ActivationTrace`), and each layer's quantities are views into them
+whose first axis is position, with a (B,) axis after it for a batch:
+(P, H, .) for q, k, v and o, (P, H, P) for the causally masked dots,
+(P, H) for att_err, (P, d) or (P, m) for y, x_mid, hidden and x_out. An audit
+trace (`capture_trace="audit"`) keeps only what the hardmax invariants
+need, reduced as each layer is computed: per (position, head) score row
+its integrality, tie count, whether its tied keys carry equal values and
+its runner-up gap, per (position, layer) the activation vectors outside
+{-1, 0, 1}, and per decoded step the output gap.
 """
 
 from __future__ import annotations

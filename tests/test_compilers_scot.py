@@ -107,7 +107,7 @@ def test_three_tape_machine_matches_the_oracle(protocol):
     for word in words:
         expected = [cot_token_oracle(tm, word, r)] if cot else scot_segments_oracle(tm, word, r)
         assert len(expected) == (1 if cot else 2)
-        trace = (run_cot if cot else run_scot)(params, word, EvalConfig(capture_trace=True))
+        trace = (run_cot if cot else run_scot)(params, word, EvalConfig(capture_trace="audit"))
         assert trace.segments == expected, word
         assert trace.outcome == "output" and trace.output == list(word)
         assert sum(trace_invariant_violations(trace.eval_traces).values()) == 0, word
@@ -125,7 +125,7 @@ def test_scot_run_outgrows_its_context():
     assert r == 8
     params, _ = compile_scot(tm, r)
     expected = scot_segments_oracle(tm, word, r)
-    trace = run_scot(params, word, EvalConfig(capture_trace=True), draft=expected)
+    trace = run_scot(params, word, EvalConfig(capture_trace="audit"))
     assert trace.segments == expected
     assert (trace.total_tokens, len(trace.segments)) == (893, 16)
     assert trace.total_tokens > 2 ** r >= trace.max_segment
@@ -143,7 +143,7 @@ def test_an_audited_long_scot_run_holds_little_memory(traced_memory):
     expected = scot_segments_oracle(tm, word, r)
 
     def audited_run():
-        trace = run_scot(params, word, EvalConfig(capture_trace="audit"), draft=expected)
+        trace = run_scot(params, word, EvalConfig(capture_trace="audit"))
         return trace, trace_invariant_violations(trace.eval_traces)
 
     (trace, counts), _, peak = traced_memory(audited_run)

@@ -6,7 +6,7 @@ import pytest
 
 from machines import fig2_machine
 
-from tm2tf.automata import EINP, EOUTP, INP, OUTP, SUMM, ESUMM
+from tm2tf.automata import EINP, EOUTP, INP, OUTP, SUMM, ESUMM, parse_summary
 from tm2tf.compilers import compile_cot
 from tm2tf import generation
 from tm2tf.generation import GenerationTrace, generate, run_cot, run_scot
@@ -273,7 +273,9 @@ def test_saturations_reach_the_generation_trace(runner):
 
 
 # ---------------------------------------------------------------------------
-# drafts: a draft of expected tokens saves work and never changes a run
+# drafts: a draft of expected tokens saves work and never changes a run.
+# `run_cot` and `run_scot` draft from the model's meta.machine; the tests
+# propose drafts of their own through `generate`'s propose hook.
 
 
 def _assert_same_arrays(x, y, what):
@@ -297,6 +299,33 @@ def assert_same_run(a, b, label=""):
         for li, (la, lb) in enumerate(zip(ta.layers, tb.layers)):
             for f in fields(la):
                 _assert_same_arrays(getattr(la, f.name), getattr(lb, f.name), (label, li, f.name))
+
+
+def _with_draft(monkeypatch, draft: list[list[str]]) -> None:
+    """From here on, through `generate`'s propose hook, segment i of the
+    next run proposes draft[i], prompt included, while the run is a prefix
+    of it, and past it what the trace drafter proposes."""
+    inner, segments = generation.generate, iter(draft)
+
+    def drafted(params, prompt, stop_set, max_steps, cfg, propose=None):
+        expected = next(segments, None)
+
+        def proposing(tokens):
+            n = len(tokens)
+            if expected and n < len(expected) and expected[:n] == tokens:
+                return expected[n:]
+            return propose(tokens) if propose else []
+
+        return inner(params, prompt, stop_set, max_steps, cfg, propose=proposing)
+
+    monkeypatch.setattr(generation, "generate", drafted)
+
+
+def _drafted(monkeypatch, runner, draft, *args, **kwargs):
+    """runner(*args, **kwargs), its segments proposing draft (`_with_draft`)."""
+    with monkeypatch.context() as m:
+        _with_draft(m, draft)
+        return runner(*args, **kwargs)
 
 
 def _drafts(params, protocol: str, expected: list[list[str]]) -> dict[str, list[list[str]]]:
@@ -350,7 +379,7 @@ DRAFT_CASES = [
 
 
 @pytest.mark.parametrize("machine, protocol, r, word", DRAFT_CASES)
-def test_a_draft_does_not_change_a_hardmax_run(machine, protocol, r, word):
+def test_a_draft_does_not_change_a_hardmax_run(machine, protocol, r, word, monkeypatch):
     from tm2tf.automata import cot_token_oracle, scot_segments_oracle
 
     tm, (params, _) = _compiled(machine, protocol, r)
@@ -364,28 +393,31 @@ def test_a_draft_does_not_change_a_hardmax_run(machine, protocol, r, word):
         assert len(expected) > 1
     assert plain.outcome == "output" and plain.segments == expected
     for name, draft in _drafts(params, protocol, expected).items():
-        with_draft = runner(params, word, cfg, record_steps=True, draft=draft)
+        with_draft = _drafted(monkeypatch, runner, draft, params, word, cfg, record_steps=True)
         assert_same_run(with_draft, plain, name)
     # A draft longer than the budget still ends the run at the budget.
     budget = (len(expected[0]) - len(word) - 2) // 2
     short = runner(params, word, cfg, budget=budget, record_steps=True)
     assert short.outcome == "budget_exceeded"
-    drafted = runner(params, word, cfg, budget=budget, record_steps=True, draft=expected)
+    drafted = _drafted(
+        monkeypatch, runner, expected, params, word, cfg, budget=budget, record_steps=True
+    )
     assert_same_run(drafted, short)
 
 
-def test_a_draft_past_the_context_ends_at_the_budget():
+def test_a_draft_past_the_context_ends_at_the_budget(monkeypatch):
     """fig2 on "abab" needs more than the 16 positions of r=4."""
     params, _ = compile_cot(fig2_machine(), 4)
     cfg = EvalConfig(capture_trace=True)
     plain = run_cot(params, "abab", cfg, record_steps=True)
     assert plain.outcome == "budget_exceeded"
     draft = [plain.segments[0] + ["a"] * 32]
-    assert_same_run(run_cot(params, "abab", cfg, record_steps=True, draft=draft), plain)
+    drafted = _drafted(monkeypatch, run_cot, draft, params, "abab", cfg, record_steps=True)
+    assert_same_run(drafted, plain)
 
 
 @pytest.mark.parametrize("mode", ["scaled_only", "denoised"])
-def test_a_draft_does_not_change_a_softmax_run(mode):
+def test_a_draft_does_not_change_a_softmax_run(mode, monkeypatch):
     from dataclasses import replace
 
     from tm2tf.automata import cot_token_oracle
@@ -398,10 +430,11 @@ def test_a_draft_does_not_change_a_softmax_run(mode):
     expected = [cot_token_oracle(fig2_machine(), "ab", r)]
     assert plain.outcome == "output" and plain.segments == expected
     for name, draft in _drafts(params, "cot", expected).items():
-        assert_same_run(run_cot(params, "ab", cfg, record_steps=True, draft=draft), plain, name)
+        drafted = _drafted(monkeypatch, run_cot, draft, params, "ab", cfg, record_steps=True)
+        assert_same_run(drafted, plain, name)
 
 
-def test_a_draft_does_not_change_saturations():
+def test_a_draft_does_not_change_saturations(monkeypatch):
     """Rounding saturates, and a wrong draft's dropped positions do not count."""
     from machines import copy_machine
 
@@ -416,11 +449,14 @@ def test_a_draft_does_not_change_saturations():
     plain = run_cot(params, "01", cfg, budget=6, record_steps=True)
     assert plain.saturations > 0
     wrong = [plain.segments[0][:-3] + ["1"] * 8]
-    assert_same_run(run_cot(params, "01", cfg, budget=6, record_steps=True, draft=wrong), plain)
+    drafted = _drafted(monkeypatch, run_cot, wrong, params, "01", cfg, budget=6, record_steps=True)
+    assert_same_run(drafted, plain)
 
 
 def test_the_expected_draft_is_one_block_step_per_segment(monkeypatch):
-    """Under hardmax the draft is verified, not decoded: one step per segment."""
+    """Under hardmax the draft that the model's machine writes is the
+    expected segment, and it is verified, not decoded: one step per
+    segment, since none is longer than its prompt and 32 tokens."""
     from machines import copy_machine
 
     from tm2tf.automata import scot_segments_oracle
@@ -437,7 +473,7 @@ def test_the_expected_draft_is_one_block_step_per_segment(monkeypatch):
     monkeypatch.setattr(Evaluator, "_step", counted)
     params, _ = compile_scot(copy_machine(), 6)
     expected = scot_segments_oracle(copy_machine(), "011", 6)
-    trace = run_scot(params, "011", EvalConfig(), draft=expected)
+    trace = run_scot(params, "011", EvalConfig())
     assert trace.segments == expected
     assert steps == [(1, len(seg) - 1, params.dims.d) for seg in expected]
 
@@ -446,10 +482,11 @@ def test_the_expected_draft_is_one_block_step_per_segment(monkeypatch):
 def test_a_rounded_softmax_draft_is_one_block_step_only_where_every_sum_is_exact(
     case, monkeypatch
 ):
-    """The denoised model's formats keep every sum exact, so its expected
-    draft is verified in one step per segment, as under hardmax. Exact
-    attention weights, bf16 formats and the scaled model's settings put
-    sums on no grid of 53 bits: those step one position at a time."""
+    """The denoised model's formats keep every sum exact, so the draft that
+    its machine writes is verified in one step per segment, as under
+    hardmax. Exact attention weights, bf16 formats and the scaled model's
+    settings put sums on no grid of 53 bits: those step one position at a
+    time."""
     from dataclasses import replace
 
     from machines import copy_machine
@@ -477,7 +514,7 @@ def test_a_rounded_softmax_draft_is_one_block_step_only_where_every_sum_is_exact
         cfg = replace(cfg, att_precision=EXACT)
     monkeypatch.setattr(Evaluator, "_step", counted)
     expected = scot_segments_oracle(copy_machine(), "011", r)
-    trace = run_scot(params, "011", cfg, draft=expected)
+    trace = run_scot(params, "011", cfg)
     assert trace.segments == expected
     if case == "denoised":
         assert steps == [len(seg) - 1 for seg in expected]
@@ -487,10 +524,10 @@ def test_a_rounded_softmax_draft_is_one_block_step_only_where_every_sum_is_exact
 
 def test_a_scaled_only_run_is_fed_no_proposal(monkeypatch):
     """A scaled_only evaluator steps one position at a time, so it gets no
-    proposal, not even the right oracle draft: after each prompt every
-    `extend` feeds one greedy token, and the run equals the one without a
-    draft field for field. (The test above pins its one-position steps,
-    which a fed draft would also take.)"""
+    proposal, not even what its meta.machine writes, which is the oracle's
+    run: after each prompt every `extend` feeds one greedy token, and the
+    run equals the reference decoder's field for field. (The test above
+    pins its one-position steps, which a fed proposal would also take.)"""
     from dataclasses import replace
 
     from machines import copy_machine
@@ -511,11 +548,12 @@ def test_a_scaled_only_run_is_fed_no_proposal(monkeypatch):
         extend(ev, tokens)
 
     monkeypatch.setattr(Evaluator, "extend", counted)
-    drafted = run_scot(params, "011", cfg, record_steps=True, draft=expected)
-    assert drafted.segments == expected
+    run = run_scot(params, "011", cfg, record_steps=True)
+    assert run.segments == expected
     prompts = [seg.index(EINP if seg[0] == INP else ESUMM) + 1 for seg in expected]
     assert fed == [n for seg, p in zip(expected, prompts) for n in [p] + [1] * (len(seg) - p - 1)]
-    assert_same_run(drafted, run_scot(params, "011", cfg, record_steps=True))
+    monkeypatch.setattr(generation, "generate", _reference_generate)
+    assert_same_run(run, run_scot(params, "011", cfg, record_steps=True))
 
 
 def test_each_generate_call_builds_one_evaluator(monkeypatch):
@@ -526,7 +564,8 @@ def test_each_generate_call_builds_one_evaluator(monkeypatch):
     the trace drafter proposes after it. Without meta.machine that is
     nothing, so each step feeds one position. Seeded by meta.machine, it
     proposes from the prompt on, so a segment without a draft is one step.
-    A segment's first step feeds its prompt and its caller's draft."""
+    A segment's first step feeds its prompt and the draft that the test
+    proposes (`_with_draft`)."""
     from dataclasses import replace
 
     from machines import copy_machine
@@ -574,7 +613,8 @@ def test_each_generate_call_builds_one_evaluator(monkeypatch):
     for name, (model, draft, pinned) in drafts.items():
         steps.clear()
         calls.clear()
-        assert run_scot(model, "011", EvalConfig(), draft=draft).segments == expected, name
+        run = _drafted(monkeypatch, run_scot, draft or [], model, "011", EvalConfig())
+        assert run.segments == expected, name
         assert calls == pinned, name
 
 
@@ -616,9 +656,11 @@ def test_a_machine_seeded_decode_drafts_from_the_prompt(monkeypatch):
     assert _bouncer8_steps(True, monkeypatch) == (6, 175)
 
 
-def test_the_drafter_loads_the_machine_only_past_a_standing_draft(monkeypatch):
-    """A copy SCoT r=6 run of two segments loads meta.machine once when it
-    drafts from it, and never where the expected draft stands throughout."""
+def test_a_run_loads_the_machine_once(monkeypatch):
+    """A copy SCoT r=6 run of two segments loads meta.machine once, and
+    a model without one loads nothing."""
+    from dataclasses import replace
+
     from machines import copy_machine
 
     from tm2tf.automata import scot_segments_oracle
@@ -628,10 +670,11 @@ def test_the_drafter_loads_the_machine_only_past_a_standing_draft(monkeypatch):
     monkeypatch.setattr(generation, "load_tm", lambda doc: loads.append(doc) or load_tm(doc))
     params, _ = compile_scot(copy_machine(), 6)
     expected = scot_segments_oracle(copy_machine(), "011", 6)
-    for draft, n_loads in ((expected, 0), (None, 1)):
+    assert len(expected) == 2
+    for model, n_loads in ((params, 1), (replace(params, meta={"r": 6}), 0)):
         loads.clear()
-        assert run_scot(params, "011", EvalConfig(), draft=draft).segments == expected
-        assert len(loads) == n_loads, draft is None
+        assert run_scot(model, "011", EvalConfig()).segments == expected
+        assert len(loads) == n_loads, n_loads
 
 
 def _reference_generate(params, prompt, stop_set, max_steps, cfg, propose=None):
@@ -776,6 +819,56 @@ def test_a_wrong_or_missing_machine_changes_no_token(tmp_path, monkeypatch):
         assert (counts["wrong"] > counts["right"]) == ("a" in word), (word, counts)
 
 
+@pytest.mark.parametrize(
+    "machine, entry, image, symbol",
+    [("copy", "copy|0,_", "copy|1,1|R,R", "0"), ("bouncer4", "r0|x", "r1|y|R", "x")],
+    ids=["copy", "bouncer4"],
+)
+def test_a_wrong_machine_changes_no_token_across_summaries(
+    machine, entry, image, symbol, monkeypatch
+):
+    """SCoT r=6 models whose meta.machine sends one δ entry, read where the
+    word holds the symbol, to another run token of the vocabulary. Where
+    the first segment reads it, that machine writes another first summary
+    than the model, and a wrong run token before it: the drafter leaves
+    the run there, and the next segment drafts from the summary that the
+    model wrote. Each word of up to 3 symbols gives the reference
+    decoder's run, field for field and eval traces byte for byte, with the
+    wrong machine and with the right one. The wrong entry is proposed and
+    costs steps: each word with the symbol takes more than with the right
+    machine, and some such word's runs have a wrong first summary."""
+    from dataclasses import replace
+
+    from tm2tf.automata import continuation, load_tm
+
+    tm, (right, _) = _compiled(machine, "scot", 6)
+    delta = right.meta["machine"]["delta"]
+    assert delta[entry] != image and image in delta.values()
+    wrong = {**right.meta["machine"], "delta": {**delta, entry: image}}
+    models = {"right": right, "wrong": replace(right, meta={**right.meta, "machine": wrong})}
+    wrong_tm, cfg = load_tm(wrong), EvalConfig(capture_trace=True)
+    steps = _counting_steps(monkeypatch)
+    wrong_summaries = 0
+    for word in _words(tm):
+        counts = {}
+        for name, params in models.items():
+            steps.clear()
+            run = run_scot(params, word, cfg, record_steps=True)
+            counts[name] = len(steps)
+            monkeypatch.setattr(generation, "generate", _reference_generate)
+            assert_same_run(run, run_scot(params, word, cfg, record_steps=True), (word, name))
+            monkeypatch.setattr(generation, "generate", generate)
+        assert run.outcome == "output", word
+        assert (counts["wrong"] > counts["right"]) == (symbol in word), (word, counts)
+        if len(run.segments) > 1:
+            first, n_prompt = run.segments[0], len(word) + 2
+            cap = 3 * (n_prompt - 1)
+            written = list(continuation(wrong_tm, wrong_tm.start(word), len(word), 6, cap))
+            summary = first[first.index(SUMM, n_prompt) :]
+            wrong_summaries += SUMM in written and written[written.index(SUMM) :] != summary
+    assert wrong_summaries
+
+
 def test_a_denoised_conversion_keeps_the_machine_and_drafts_from_it(tmp_path, monkeypatch):
     """convert keeps meta.machine, also through a model file, and the
     denoised fig2 CoT r=6 model, whose block steps are exact, takes the
@@ -875,7 +968,9 @@ def _replay_oracle(params, segments: list[list[str]], stop_set: set[str]):
     end = 2 ** params.positional.r  # the default budget fills the context
     for seg in segments:
         n_prompt = seg.index(EINP if seg[0] == INP else ESUMM) + 1
-        propose = drafter.segment(seg[:n_prompt])
+        body = seg[1 : n_prompt - 1]  # the word, or the summary's body
+        config = drafter.tm.start(body) if seg[0] == INP else parse_summary(body)
+        propose = drafter.segment(seg[:n_prompt], config)
         pending = generation._proposal(params, propose, seg[:n_prompt], stop_set, end)
         steps, fed = steps + 1, fed + n_prompt + len(pending)
         for n in range(n_prompt, len(seg)):

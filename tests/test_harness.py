@@ -70,15 +70,17 @@ def test_three_tape_machines_decode_as_the_oracle_runs_them():
     """The first six halting 3-tape machines of 3-4 states and 2-3 symbols,
     on a word of at most 4 symbols, at the r each protocol's run needs:
     CoT and SCoT hardmax models emit the oracle's segments, decoding freely
-    and verifying the oracle's draft alike, with clean trace audits.
-    `validate_trials` samples 1-2 tapes only; this checks three without
-    changing its corpus."""
+    without meta.machine and verifying what the machine writes alike, with
+    clean trace audits. `validate_trials` samples 1-2 tapes only; this
+    checks three without changing its corpus."""
+    from dataclasses import replace
+
     from tm2tf.automata import cot_token_oracle, scot_segments_oracle, tm_run
     from tm2tf.compilers import choose_r_cot, choose_r_scot, compile_cot, compile_scot
     from tm2tf.generation import run_cot, run_scot
     from tm2tf.netcore import EvalConfig
 
-    cfg, checked, multi_segment = EvalConfig(capture_trace=True), 0, 0
+    cfg, checked, multi_segment = EvalConfig(capture_trace="audit"), 0, 0
     for i in itertools.count():
         tm = sample_tm(f"three-tape|{i}", 3, 3 + i % 2, 2 + i // 2 % 2)
         word = sample_word(f"three-tape|w|{i}", tm, 4)
@@ -92,9 +94,9 @@ def test_three_tape_machines_decode_as_the_oracle_runs_them():
             (compile_scot(tm, r_scot)[0], run_scot, scot_segments_oracle(tm, word, r_scot, FAST)),
         ]
         for params, run, expected in runs:
-            for draft in (None, expected):
-                trace = run(params, word, cfg, draft=draft)
-                assert trace.segments == expected, (i, run.__name__, draft is None)
+            for model in (params, replace(params, meta={"r": params.meta["r"]})):
+                trace = run(model, word, cfg)
+                assert trace.segments == expected, (i, run.__name__, model is params)
                 violations = trace_invariant_violations(trace.eval_traces)
                 assert not any(violations.values()), (i, run.__name__, violations)
         multi_segment += len(runs[1][2]) > 1
@@ -120,63 +122,18 @@ def _ternary_per_vector(trace) -> int:
     )
 
 
-def _validate_dfa_traces(monkeypatch) -> list:
-    """The batched traces that validate_dfa audits, one per word length,
-    captured in full rather than at validate_dfa's audit level, so that
-    they hold the arrays that the array auditor reads."""
-    from tm2tf import harness
-
-    traces, audit, config = [], harness.trace_invariant_violations, harness.EvalConfig
-    monkeypatch.setattr(harness, "EvalConfig", lambda **kw: config(**{**kw, "capture_trace": True}))
-    monkeypatch.setattr(
-        harness, "trace_invariant_violations", lambda ts: traces.extend(ts) or audit(ts)
-    )
-    validate_dfa([parity_dfa()], r=3, max_len=3)
-    monkeypatch.undo()
-    return traces
-
-
-@pytest.mark.parametrize("run_values", [None, 1, 100])
-@pytest.mark.parametrize("planted", [0.5, math.nan, -math.inf])
-def test_ternary_audit_counts_the_vectors_it_counted_one_by_one(planted, run_values, monkeypatch):
-    """A value outside {-1, 0, 1} planted in one activation vector, of a
-    single trace and of a batched validate_dfa trace, counts that vector
-    once, as the per-vector count does; the traces as decoded count none.
-    So it does when the audit checks the arrays in chunks of any size."""
-    from tm2tf import harness
-    from tm2tf.automata import BOS
-    from tm2tf.compilers import compile_dfa
-    from tm2tf.harness import trace_invariant_violations
-    from tm2tf.netcore import EvalConfig, Evaluator
-
-    ev = Evaluator(compile_dfa(parity_dfa(), 3)[0], EvalConfig(capture_trace=True))
-    ev.extend([BOS, "1", "0", "1"])
-    ev.next_token()
-    batched = _validate_dfa_traces(monkeypatch)[-1]
-    if run_values is not None:
-        monkeypatch.setattr(harness, "_AUDIT_VALUES", run_values)
-    assert batched.layers[0].x_out.ndim == 3  # (positions, words, d)
-    cases = [(ev.trace, "x_mid", (2, 1)), (ev.trace, "q", (3, 0, 0))]
-    cases += [(batched, "x_out", (3, 5, 2)), (batched, "hidden", (1, 7, 0))]
-    for trace, name, at in cases:
-        assert trace_invariant_violations([trace])["ternary"] == 0 == _ternary_per_vector(trace)
-        arr = getattr(trace.layers[1], name)
-        vector = arr[at[:-1]].copy()
-        arr[at] = planted
-        assert trace_invariant_violations([trace])["ternary"] == 1 == _ternary_per_vector(trace)
-        arr[at[:-1]] = planted  # the whole vector: still one
-        assert trace_invariant_violations([trace])["ternary"] == 1 == _ternary_per_vector(trace)
-        arr[at[:-1]] = vector
-        assert trace_invariant_violations([trace])["ternary"] == 0
-
-
 def _per_layer_counts(trace, att_fmt=None) -> dict[str, int]:
-    """The trace audits layer by layer and row by row, in plain loops: the
-    ternary count vector by vector, score_gap and tie_values over each
-    (position, head) row's keys up to its position, and, given att_fmt, the
-    rows whose att_err exceeds the rounding bound."""
+    """The audits of a full trace layer by layer and row by row, in plain
+    loops: the ternary count vector by vector, score_gap and tie_values
+    over each (position, head) row's keys up to its position, output_gap
+    over each decoded step's output scores (per sequence for a batch), and,
+    given att_fmt, the rows whose att_err exceeds the rounding bound."""
     counts = {"ternary": _ternary_per_vector(trace), "score_gap": 0, "tie_values": 0}
-    counts["attention_rounding"] = 0
+    counts["output_gap"] = counts["attention_rounding"] = 0
+    for scores in trace.output_scores:
+        for row in np.reshape(scores, (-1, scores.shape[-1])):
+            top2 = np.sort(row)[-2:]
+            counts["output_gap"] += len(row) > 1 and top2[1] - top2[0] < 1.0
     for lt in trace.layers:
         n = len(lt.dots)
         dots = lt.dots.reshape(n, -1, n)  # (position, row, key)
@@ -199,60 +156,39 @@ def _per_layer_counts(trace, att_fmt=None) -> dict[str, int]:
     return counts
 
 
-def _whole_model_counts(trace, att_fmt=None) -> dict[str, int]:
-    from tm2tf.harness import attention_rounding_bound_violations
-
-    counts = trace_invariant_violations([trace])
-    del counts["output_gap"]
-    counts["attention_rounding"] = 0
-    if att_fmt is not None:
-        counts["attention_rounding"] = attention_rounding_bound_violations(trace, att_fmt)
-    return counts
-
-
 def _at(rng, shape) -> tuple[int, ...]:
     return tuple(int(rng.integers(n)) for n in shape)
 
 
 def _plant_faults(trace, rng, att_fmt) -> None:
-    """Write faults into a trace through its layer views: non-ternary
-    activations, non-integral and tied scores, tied keys whose values
-    differ, and rounding errors over the bound, and given att_fmt one half
-    a key's term under it."""
-    for li in rng.choice(len(trace.layers), 4):
-        for name in ("x_mid", "hidden", "x_out"):
-            arr = getattr(trace.layers[li], name)
-            if arr.size:
-                arr[_at(rng, arr.shape)] = rng.choice([0.5, 2.0])
-    trace.x0[(0,) * trace.x0.ndim] = -3.0
+    """Write faults into a trace through its layer views: non-integral and
+    tied scores, which change a row's separation, rounding errors over the
+    bound, and one half a key's term under it."""
     attention = [lt for lt in trace.layers if lt.dots.size]
     for li in rng.choice(len(attention), 4):
         lt = attention[li]
         n, rows = len(lt.dots), lt.dots.shape[1:-1]  # rows (H,), or (B, H) for a batch
-        for name in ("q", "o"):
-            arr = getattr(lt, name)
-            arr[_at(rng, arr.shape)] = 0.25
-        for _ in range(3):  # a quarter-integer score; a tie whose last key's value differs
+        for _ in range(3):  # a quarter-integer score; a tied row
             i = int(rng.integers(1, n))
             lt.dots[(i, *_at(rng, rows), int(rng.integers(i)))] += 0.25
             i, h = int(rng.integers(1, n)), _at(rng, rows)
             lt.dots[(i, *h)][: i + 1] = lt.dots[(i, *h)][: i + 1].max()
-            lt.v[(i, *h)] += 1.0
         lt.att_err[(int(rng.integers(n)), *_at(rng, rows))] = 1.0
-        if att_fmt is not None:  # separation 1: the bound grows by e^-1 per key
-            i, h = int(rng.integers(1, n)), _at(rng, rows)
-            lt.dots[(i, *h)][: i + 1] = 0.0
-            lt.dots[(i, *h)][i] = math.sqrt(lt.q.shape[-1])
-            lt.att_err[(i, *h)] = 2.0 ** (-att_fmt.mantissa_bits - 1) + (i + 0.5) / math.e
+        # separation 1: the bound grows by e^-1 per key
+        i, h = int(rng.integers(1, n)), _at(rng, rows)
+        lt.dots[(i, *h)][: i + 1] = 0.0
+        lt.dots[(i, *h)][i] = math.sqrt(lt.q.shape[-1])
+        lt.att_err[(i, *h)] = 2.0 ** (-att_fmt.mantissa_bits - 1) + (i + 0.5) / math.e
 
 
 @pytest.mark.parametrize("audit_values", [None, 1, 700])
 def test_whole_model_audits_give_the_per_layer_counts_on_planted_faults(
     audit_values, monkeypatch
 ):
-    """On single, batched and rounded-softmax traces, as decoded and with
-    faults planted in several layers, the whole-model audits count what
-    per-layer, row-by-row loops count, whatever the audit's chunk size."""
+    """On a single and a batched denoised trace, as decoded and with faults
+    planted in several layers, the rounding audit, which checks the rows
+    of all layers together, counts what per-layer, row-by-row loops count,
+    whatever its chunk size."""
     from dataclasses import replace
 
     from machines import fig2_machine
@@ -260,33 +196,27 @@ def test_whole_model_audits_give_the_per_layer_counts_on_planted_faults(
     from tm2tf import harness
     from tm2tf.automata import EINP, INP
     from tm2tf.compilers import compile_cot
-    from tm2tf.netcore import EvalConfig, Evaluator
+    from tm2tf.harness import attention_rounding_bound_violations
+    from tm2tf.netcore import Evaluator
     from tm2tf.softmaxify import convert
 
-    hard = compile_cot(fig2_machine(), 6)[0]
-    denoised, cfg = convert(hard, "denoised", 2 ** 6)
+    denoised, cfg = convert(compile_cot(fig2_machine(), 6)[0], "denoised", 2 ** 6)
+    cfg, att_fmt = replace(cfg, capture_trace=True), cfg.att_precision.fmt
     prompt = [INP, *"abab", EINP]
-    cases = [(hard, EvalConfig(capture_trace=True), None, None)]
-    cases.append((hard, EvalConfig(capture_trace=True), 3, None))
-    cases.append((denoised, replace(cfg, capture_trace=True), None, cfg.att_precision.fmt))
-    traces = [(ev_trace, None) for ev_trace in _validate_dfa_traces(monkeypatch)[-2:]]
-    for params, run_cfg, batch, att_fmt in cases:
-        ev = Evaluator(params, run_cfg, batch=batch)
+    traces = []
+    for batch in (None, 3):
+        ev = Evaluator(denoised, cfg, batch=batch)
         ev.extend(prompt if batch is None else [(t,) * batch for t in prompt])
-        traces.append((ev.trace, att_fmt))
+        traces.append(ev.trace)
     if audit_values is not None:
         monkeypatch.setattr(harness, "_AUDIT_VALUES", audit_values)
     rng = np.random.default_rng(7)
-    for trace, att_fmt in traces:
-        decoded = _per_layer_counts(trace, att_fmt)
-        assert decoded["score_gap"] == decoded["tie_values"] == decoded["attention_rounding"] == 0
-        assert bool(decoded["ternary"]) == (att_fmt is not None)  # softmax scales q and k
-        assert _whole_model_counts(trace, att_fmt) == decoded
+    for trace in traces:
+        assert _per_layer_counts(trace, att_fmt)["attention_rounding"] == 0
+        assert attention_rounding_bound_violations(trace, att_fmt) == 0
         _plant_faults(trace, rng, att_fmt)
-        planted = _per_layer_counts(trace, att_fmt)
-        assert planted["ternary"] > decoded["ternary"] and planted["score_gap"]
-        assert planted["tie_values"] and bool(planted["attention_rounding"]) == (att_fmt is not None)
-        assert _whole_model_counts(trace, att_fmt) == planted
+        planted = _per_layer_counts(trace, att_fmt)["attention_rounding"]
+        assert planted and attention_rounding_bound_violations(trace, att_fmt) == planted
 
 
 def test_validate_dfa_refuses_words_longer_than_the_context():
@@ -559,7 +489,8 @@ def _broken_compile_dfa(dfa, r):
 
 
 def _per_word_validate_dfa(dfas, r, max_len):
-    """The plain loop: one Evaluator, one greedy step and one audit per word."""
+    """The plain loop: one Evaluator, one greedy step and one audit per word,
+    each at the audit capture level."""
     import itertools
 
     from tm2tf import harness
@@ -571,7 +502,7 @@ def _per_word_validate_dfa(dfas, r, max_len):
         params, _ = harness.compile_dfa(dfa, r)
         for n in range(max_len + 1):
             for word in itertools.product(dfa.alphabet, repeat=n):
-                ev = Evaluator(params, EvalConfig(capture_trace=True))
+                ev = Evaluator(params, EvalConfig(capture_trace="audit"))
                 ev.extend([BOS, *word])
                 got = ev.next_token()
                 want = TRUE if dfa_accepts(dfa, list(word)) else FALSE
@@ -600,10 +531,29 @@ def test_batched_validate_dfa_matches_per_word_loop_on_a_broken_model(monkeypatc
 def _audit_equals_arrays(run) -> list[dict[str, int]]:
     """The invariant counts of each evaluator trace that run(level) gives
     at a capture level: the audit level's step-time reductions must count
-    what the array auditor counts on the same run captured in full."""
+    what the array auditor, the plain loops of `_per_layer_counts`, counts
+    on the same run captured in full."""
     audited = [trace_invariant_violations([t]) for t in run("audit")]
-    assert audited == [trace_invariant_violations([t]) for t in run(True)]
+    arrays = [_per_layer_counts(t) for t in run(True)]
+    for counts in arrays:
+        del counts["attention_rounding"]
+    assert audited == arrays
     return audited
+
+
+def test_the_invariant_audit_refuses_a_trace_not_captured_at_the_audit_level():
+    """A full or an uncaptured trace holds no step-time reductions to sum."""
+    from tm2tf.automata import BOS
+    from tm2tf.compilers import compile_dfa
+    from tm2tf.netcore import EvalConfig, Evaluator
+
+    params, _ = compile_dfa(parity_dfa(), 3)
+    for level in (True, False):
+        ev = Evaluator(params, EvalConfig(capture_trace=level))
+        ev.extend([BOS, "1", "0"])
+        ev.next_token()
+        with pytest.raises(ValueError, match=f"not at {level!r}"):
+            trace_invariant_violations([ev.trace])
 
 
 ZERO_COUNTS = {"ternary": 0, "score_gap": 0, "tie_values": 0, "output_gap": 0}
@@ -694,7 +644,7 @@ def _broken_fig2(zero_unemb: bool):
 
 def test_the_audit_level_counts_as_the_array_auditor_on_a_broken_model():
     """The broken model of `test_trace_invariant_counts_on_a_broken_model`,
-    with the counts of that test at both capture levels."""
+    with the counts of that test at the audit level and in the plain loops."""
     from tm2tf.automata import EINP, INP
     from tm2tf.netcore import EvalConfig, Evaluator
 
@@ -715,7 +665,8 @@ def test_the_audit_level_counts_as_the_array_auditor_where_a_cut_splits_a_block_
     """A proposal wrong in its middle is fed with the prompt as one block
     step, which `truncate` cuts at the wrong token; the decode goes on over
     the rows the block wrote. Each level counts what a plain decode of the
-    broken model counts, and the two levels agree."""
+    broken model counts, and the audit level counts what the plain loops
+    count on the same decode captured in full."""
     from tm2tf.automata import EINP, EOUTP, INP
     from tm2tf.generation import generate
     from tm2tf.netcore import EvalConfig

@@ -772,6 +772,36 @@ def test_only_the_audit_capture_level_calls_the_audit_reductions(monkeypatch):
     }
 
 
+@pytest.mark.parametrize("planted", [0.5, math.nan, -math.inf, math.inf])
+def test_nonternary_counts_each_bad_vector_once(planted):
+    """Rows of four activation vectors, of widths 4, 1, 3 and 2, across two
+    arrays: a value outside {-1, 0, 1} planted in one vector counts that
+    vector once in its row, as does a vector that holds it throughout, and
+    a row bad throughout counts each of its vectors once. Rows in
+    {-1, 0, 1} count nothing."""
+    from tm2tf.netcore import _nonternary
+
+    widths = [4, 1, 3, 2]
+    starts = np.cumsum([0, *widths[:-1]])
+    clean = np.random.default_rng(3).integers(-1, 2, (3, sum(widths))).astype(float)
+
+    def counts(a):  # the first two vectors in one array, the last two in another
+        return np.broadcast_to(_nonternary([a[:, :5], a[:, 5:]], starts), 3).tolist()
+
+    assert _nonternary([clean[:, :5], clean[:, 5:]], starts) == 0
+    for start, width in zip(starts, widths):
+        for row in range(3):
+            want = [int(i == row) for i in range(3)]
+            bad = clean.copy()
+            bad[row, start + width - 1] = planted
+            assert counts(bad) == want, (start, row)
+            bad[row, start : start + width] = planted
+            assert counts(bad) == want, (start, row)
+    bad = clean.copy()
+    bad[1] = planted
+    assert counts(bad) == [0, len(widths), 0]
+
+
 def test_empty_half_layers_in_a_traced_run_that_re_extends():
     """A draft wrong in its middle, proposed at the prompt, is fed as one
     block, the evaluator is truncated to the tokens that stand, and the

@@ -256,7 +256,7 @@ def test_trace_invariant_counts_on_a_broken_model():
     for layer in broken.layers:
         if len(layer.heads) > 1:
             layer.heads[1].wk[:] = 0  # every key of the second head ties
-    ev = Evaluator(broken, EvalConfig(capture_trace=True))
+    ev = Evaluator(broken, EvalConfig(capture_trace="audit"))
     ev.extend([INP, "a", "b", "a", EINP])
     ev.next_token()
     assert trace_invariant_violations([ev.trace]) == {
@@ -283,18 +283,42 @@ def test_attention_weight_rounding_bound_on_traces():
     )
 
 
+def _margin_loop(hard_params, trace) -> int:
+    """The pre-denoising margin audit in plain loops: each segment's tokens
+    but a final stop token, which is never fed, go through the hardmax
+    model one position at a time, and each position of each hardmax layer
+    l whose x_mid is more than 1/4 from the converted model's at layer 2l
+    counts once."""
+    from tm2tf.automata import EOUTP, ESUMM
+    from tm2tf.netcore import Evaluator
+
+    violations = 0
+    for seg, conv in zip(trace.segments, trace.eval_traces, strict=True):
+        fed = seg[:-1] if seg[-1] in (EOUTP, ESUMM) else seg
+        assert len(conv.x0) == len(fed)
+        ev = Evaluator(hard_params, EvalConfig(attention="hardmax", capture_trace=True))
+        for tok in fed:
+            ev.extend([tok])
+        for li, hard_lt in enumerate(ev.trace.layers):
+            for p in range(len(fed)):
+                dev = np.abs(conv.layers[2 * li].x_mid[p] - hard_lt.x_mid[p]).max()
+                violations += bool(dev > 0.25 + 1e-12)
+    return violations
+
+
 def test_denoised_audit_counts_on_a_broken_model():
     """At c = 4, half the theorem's 8, attention leaks enough weight to push
-    pre-denoising coordinates past 1/4 while its rounding stays in bound."""
+    pre-denoising coordinates past 1/4 while its rounding stays in bound.
+    The run fills its 64 positions, so the margin audit reads all of them,
+    its last token's included, as the plain loop does."""
     from tm2tf.harness import _denoising_margin_violations, attention_rounding_bound_violations
 
     tm = fig2_machine()
     params, _ = compile_cot(tm, 6)
     converted, cfg = convert(params, "denoised", 64, c=4.0)
-    draft = [cot_token_oracle(tm, "aab", 6)]
-    trace = run_cot(converted, "aab", replace(cfg, capture_trace=True), draft=draft)
+    trace = run_cot(converted, "aab", replace(cfg, capture_trace=True))
     assert trace.outcome == "budget_exceeded"
-    assert _denoising_margin_violations(params, trace) == 989
+    assert _denoising_margin_violations(params, trace) == _margin_loop(params, trace) == 1012
     att_fmt = cfg.att_precision.fmt
     assert sum(attention_rounding_bound_violations(t, att_fmt) for t in trace.eval_traces) == 0
 
@@ -336,7 +360,6 @@ def test_traced_rounding_error_matches_its_reconstruction(
     """The traced att_err equals the per-position reconstruction byte for
     byte, and the audit counts what the reconstruction counts, at the
     theorem's c and at c = 4, under its attention format and below it."""
-    from tm2tf.automata import scot_segments_oracle
     from tm2tf.fpcore import Precision
     from tm2tf.harness import attention_rounding_bound_violations
 
@@ -346,12 +369,9 @@ def test_traced_rounding_error_matches_its_reconstruction(
     if att_fmt is not None:
         cfg = replace(cfg, att_precision=Precision(att_fmt))
     att_fmt = cfg.att_precision.fmt
-    if protocol == "cot":
-        draft = [cot_token_oracle(tm, word, 6)]
-        trace = run_cot(converted, word, replace(cfg, capture_trace=True), draft=draft)
-    else:
-        draft = scot_segments_oracle(tm, word, 6)
-        trace = run_scot(converted, word, replace(cfg, capture_trace=True), draft=draft)
+    trace = (run_cot if protocol == "cot" else run_scot)(
+        converted, word, replace(cfg, capture_trace=True)
+    )
     reconstructed = 0
     for t in trace.eval_traces:
         errs, violations = _reconstructed_rounding(t, att_fmt)
