@@ -122,6 +122,61 @@ def _ternary_per_vector(trace) -> int:
     )
 
 
+@pytest.mark.parametrize("batch", [None, 1, 100])
+@pytest.mark.parametrize("planted", [0.5, math.nan, -math.inf])
+def test_ternary_audit_counts_the_vectors_it_counted_one_by_one(planted, batch, monkeypatch):
+    """A value outside {-1, 0, 1} planted, during an audit-level run, in
+    one activation vector of one position, sequence and layer, counts that
+    vector once in the trace's (position, [sequence,] layer) cell and once
+    in the invariant audit, as does the vector holding it throughout; the
+    run as decoded counts none, as the per-vector count of the same run
+    captured in full does. Single evaluators and batches of 1 and 100
+    words, fed in two evaluator steps, the plant in the second."""
+    from tm2tf import netcore
+    from tm2tf.automata import BOS
+    from tm2tf.compilers import compile_dfa
+    from tm2tf.netcore import EvalConfig, Evaluator
+
+    dfa, rng = parity_dfa(), np.random.default_rng(11)
+    params, _ = compile_dfa(dfa, 3)
+    n_seq, n_layers = batch or 1, len(params.layers)
+    words = [tuple(rng.choice(sorted(dfa.alphabet), 4)) for _ in range(n_seq)]
+    prompt = [(BOS,) * n_seq, *zip(*words)] if batch else [BOS, *words[0]]
+    reduce, plant = netcore._nonternary, {}
+
+    def planting(vectors, starts):
+        calls = plant.setdefault("calls", 0)
+        plant["calls"] = calls + 1
+        if calls != plant.get("call"):
+            return reduce(vectors, starts)
+        a = np.concatenate(vectors, axis=1)
+        ends = [*starts[1:], a.shape[1]]
+        j = plant["vector"] % len(starts)
+        a[plant["row"], ends[j] - 1 if plant["one"] else slice(starts[j], ends[j])] = planted
+        return reduce([a], starts)
+
+    def run(level):
+        plant["calls"] = 0
+        ev = Evaluator(params, EvalConfig(capture_trace=level), batch=batch)
+        ev.extend(prompt[:2])
+        ev.extend(prompt[2:])
+        ev.next_token() if batch is None else ev.next_tokens()
+        return ev.trace
+
+    assert _ternary_per_vector(run(True)) == 0
+    monkeypatch.setattr(netcore, "_nonternary", planting)
+    assert trace_invariant_violations([run("audit")])["ternary"] == 0
+    for case in range(4):
+        layer, pos = int(rng.integers(n_layers)), int(rng.integers(len(prompt) - 2))
+        seq = int(rng.integers(n_seq))
+        plant.update(call=n_layers + layer, row=pos * n_seq + seq, vector=int(rng.integers(99)))
+        cell = (2 + pos, layer) if batch is None else (2 + pos, seq, layer)
+        for plant["one"] in (True, False):  # one element, then the whole vector
+            trace = run("audit")
+            assert trace_invariant_violations([trace])["ternary"] == 1, (case, plant)
+            assert np.argwhere(trace.nonternary).tolist() == [list(cell)], (case, plant)
+
+
 def _per_layer_counts(trace, att_fmt=None) -> dict[str, int]:
     """The audits of a full trace layer by layer and row by row, in plain
     loops: the ternary count vector by vector, score_gap and tie_values
